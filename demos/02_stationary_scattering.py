@@ -10,7 +10,7 @@ import numpy as np
 
 from projdiff.models import build_schrodinger_1d, sech2_spec, square_well_spec, thresholds
 from projdiff.scattering import (birman_krein_extrapolated, extrapolated_phases,
-                                 phase_ladder, transfer_matrix_smatrix)
+                                 transfer_matrix_smatrix)
 
 cfg = thresholds()["sech2"]
 probe = cfg["probe"]
@@ -24,11 +24,10 @@ print(f"  oracle eigenphases: {np.round(oracle.phases, 5)}\n")
 pair = build_schrodinger_1d(
     sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
 print(f"{'eps':>6}  retained phases (stationary matrix)   unitarity defect")
-bundles = phase_ladder(pair, probe, cfg["eps_ladder"])
+phases, bundles = extrapolated_phases(pair, probe, cfg["eps_ladder"])
 for b in bundles:
     print(f"{b.eps:>6}  {np.round(b.phases, 5)}   {b.unitarity_defect:.1e}")
 
-phases, _ = extrapolated_phases(pair, probe, cfg["eps_ladder"])
 print(f"\nladder-extrapolated phases: {np.round(phases, 5)}")
 print(f"oracle phases:              {np.round(oracle.phases, 5)}")
 a_tilde = float(np.max(np.sin(phases / 2.0)))
@@ -38,6 +37,8 @@ print(f"a = max sin(theta/2): stationary {a_tilde:.5f} vs oracle {a_oracle:.5f} 
 
 print("\nweak square well: determinant against the smoothed counting shift")
 weak = build_schrodinger_1d(square_well_spec(0.3, 1.0, 60.0, 1199))
-det_s, xi, defect = birman_krein_extrapolated(weak, 1.0, [0.3, 0.2, 0.1, 0.05])
+weak_ladder = [0.3, 0.2, 0.1, 0.05]
+weak_phases, _ = extrapolated_phases(weak, 1.0, weak_ladder)
+det_s, xi, defect = birman_krein_extrapolated(weak, 1.0, weak_phases, weak_ladder)
 print(f"  det S = {det_s:.6f}, counting shift = {xi:.5f}, "
       f"|det S - exp(-2 pi i xi)| = {defect:.2e}")

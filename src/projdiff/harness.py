@@ -18,7 +18,7 @@ from .errors import ConfigError, ProjdiffError
 from .models import preset_pair, thresholds
 from .projections import projection_difference, dsquared_block_check
 from .scattering import (birman_krein_extrapolated, extrapolated_phases,
-                         phase_ladder, scattering_bundle)
+                         scattering_bundle)
 from .zops import product_representation_check
 
 __all__ = ["ExperimentConfig", "Report", "run_experiment", "convergence_study",
@@ -89,8 +89,8 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(lad, lad[1:])):
             raise ConfigError("config.eps_ladder: must be strictly decreasing")
         for i, s in enumerate(self.sizes):
-            if int(s) < 16:
-                raise ConfigError(f"config.sizes[{i}]: must be at least 16")
+            if int(s) < 1:
+                raise ConfigError(f"config.sizes[{i}]: must be positive")
         if self.jobs < 1:
             raise ConfigError("config.jobs: must be >= 1")
         return self
@@ -155,23 +155,18 @@ def _probe_payload(pair, probe, ladder, phase_floor):
     except _CAPTURED as exc:
         out["difference_error"] = str(exc)
     try:
-        rungs = []
-        for b in phase_ladder(pair, probe, ladder, phase_floor):
-            rungs.append({
-                "eps": b.eps, "phases": b.phases,
-                "unitarity_defect": b.unitarity_defect,
-                "identity_residual": b.identity_residual,
-                "factor_residual": b.factor_residual,
-                "prediction_a": b.prediction_a,
-            })
-        out["scattering"] = {"rungs": rungs}
-        phases, _ = extrapolated_phases(pair, probe, ladder, phase_floor)
-        out["scattering"]["phases_extrapolated"] = phases
-        out["scattering"]["band_edges"] = np.sort(np.sin(phases / 2.0))[::-1]
-        out["scattering"]["a_extrapolated"] = (
-            float(np.max(np.sin(phases / 2.0))) if len(phases) else 0.0)
-        det_s, xi, defect = birman_krein_extrapolated(pair, probe, ladder,
-                                                      phase_floor=phase_floor)
+        phases, bundles = extrapolated_phases(pair, probe, ladder, phase_floor)
+        rungs = [{"eps": b.eps, "phases": b.phases,
+                  "unitarity_defect": b.unitarity_defect,
+                  "identity_residual": b.identity_residual,
+                  "factor_residual": b.factor_residual,
+                  "prediction_a": b.prediction_a} for b in bundles]
+        out["scattering"] = {
+            "rungs": rungs, "phases_extrapolated": phases,
+            "band_edges": np.sort(np.sin(phases / 2.0))[::-1],
+            "a_extrapolated": float(np.max(np.sin(phases / 2.0))) if len(phases) else 0.0,
+        }
+        det_s, xi, defect = birman_krein_extrapolated(pair, probe, phases, ladder)
         out["birman_krein"] = {"det_s": det_s, "counting_shift": xi,
                                "defect": defect}
     except _CAPTURED as exc:
@@ -234,21 +229,29 @@ def _first_differences(values):
 def convergence_study(config, axis):
     """Vary one axis of a config and tabulate the metrics along it.
 
-    ``axis`` is "n" (discretization sizes), "eps" (ladder rungs one at a
-    time) or "trule" (time-rule sizes for the product identity).  Needs
-    at least 3 points.  Each metric row carries its first differences
-    and a monotone-decrease flag.
+    ``axis`` is "n" (discretization sizes, at least 16), "eps" (ladder
+    rungs one at a time) or "trule" (time-rule node counts for the product
+    identity).  Needs at least 3 points.  Each metric row carries its
+    first differences and a monotone-decrease flag.  On the "trule" axis
+    the table also carries each point's roundoff floor
+    n_t * eps * max|lambda| / gap (lambda over both spectra of the shifted
+    pair, gap = min|lambda|), and a point that sits at or below its floor
+    counts as decreasing: past convergence the residual is roundoff.
     """
     config.validate()
     floor = float(config.tolerances.get("phase_floor", thresholds()["phase_floor"]))
     probe = config.probes[0]
     table = {"schema": SCHEMA_VERSION, "axis": axis, "points": [], "metrics": {}}
     metrics = {}
+    floors = None
 
     if axis == "n":
         points = [int(s) for s in config.sizes]
         if len(points) < 3:
             raise ConfigError("config.sizes: need >= 3 points for a study")
+        for i, n in enumerate(points):
+            if n < 16:
+                raise ConfigError(f"config.sizes[{i}]: model size must be at least 16")
         for n in points:
             pair = config.build_pair(n=n)
             rep = projection_difference(pair, probe)
@@ -275,8 +278,10 @@ def convergence_study(config, axis):
         from .models import shift_pair
         from .zops import default_time_rule
         pair = shift_pair(config.build_pair(), probe)
-        e0, e1 = pair.eigensystems()
-        gap = min(np.min(np.abs(e0.eigenvalues)), np.min(np.abs(e1.eigenvalues)))
+        lam = np.abs(np.concatenate([e.eigenvalues for e in pair.eigensystems()]))
+        gap = lam.min()
+        floors = np.asarray(points) * np.finfo(float).eps * lam.max() / gap
+        table["roundoff_floor"] = floors
         for n_t in points:
             chk = product_representation_check(pair, default_time_rule(gap, n_t=n_t))
             metrics.setdefault("residual_direct", []).append(chk.residual_direct)
@@ -287,10 +292,13 @@ def convergence_study(config, axis):
     table["points"] = points
     for name, values in metrics.items():
         diffs = _first_differences(values)
+        decreasing = diffs < 0
+        if floors is not None:
+            decreasing |= np.asarray(values[1:]) <= floors[1:]
         table["metrics"][name] = {
             "values": values,
             "first_differences": diffs,
-            "monotone_decreasing": bool(np.all(diffs < 0)),
+            "monotone_decreasing": bool(np.all(decreasing)),
         }
     report = Report(table)
     if config.out_dir:

@@ -17,8 +17,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DecayBoundError, GapViolationError
-from .linalg import herm_eig
+from .errors import DecayBoundError, GapViolationError, NonHermitianError
+from .linalg import check_hermitian, herm_eig
 from .quadrature import make_quadrature
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 FACTORIZATION_TOL = 1e-10
+MODEL_HERMITIAN_TOL = 1e-10
 
 
 def thresholds():
@@ -78,9 +79,10 @@ def _hermitize_check(m, name):
     m = np.asarray(m)
     if m.size == 0:
         return m
-    scale = np.linalg.norm(m, 2)
-    if scale > 0 and np.linalg.norm(m - m.conj().T, 2) > 1e-10 * scale:
-        raise ValueError(f"{name} is not Hermitian")
+    try:
+        check_hermitian(m, MODEL_HERMITIAN_TOL)
+    except NonHermitianError as exc:
+        raise ValueError(f"{name} is not Hermitian") from exc
     return m
 
 

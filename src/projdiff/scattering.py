@@ -25,7 +25,6 @@ from .errors import GapViolationError, SingularSandwichError
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult",
     "resolvent_sandwich", "smoothed_density", "scattering_bundle",
-    "stationary_smatrix", "defect_matrix", "scattering_predictions",
     "neville", "phase_ladder", "extrapolated_phases",
     "transfer_matrix_smatrix", "birman_krein_check", "smoothed_counting_shift",
     "birman_krein_extrapolated",
@@ -164,35 +163,6 @@ def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
     edges = np.sort(np.sin(phases / 2.0))[::-1]
     return ScatteringBundle(float(probe), float(eps), f0p, fp, smat, evs, phases,
                             thr, udef, amat, ident, a_pred, edges, sw.factor_residual)
-
-
-def stationary_smatrix(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
-    """Smoothed stationary matrix with retained phases (full bundle)."""
-    return scattering_bundle(pair, probe, eps, phase_floor)
-
-
-def defect_matrix(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
-    """Bundle plus the half-norm ||S - I||/2 at one smoothing level.
-
-    The bundle's ``prediction_a`` is ||A||^(1/2); it agrees with the
-    returned half-norm to roundoff because the connecting identity is
-    exact at every eps.
-    """
-    b = scattering_bundle(pair, probe, eps, phase_floor)
-    half_norm = 0.5 * float(np.linalg.norm(b.smatrix - np.eye(pair.kdim), 2))
-    return b, half_norm
-
-
-def scattering_predictions(bundle):
-    """(a, band edges) from a bundle's retained phases.
-
-    a = max_n sin(theta_n / 2) = half the largest |e^{i theta} - 1|;
-    empty retention means a = 0.
-    """
-    if len(bundle.phases) == 0:
-        return 0.0, np.array([])
-    edges = np.sort(np.sin(bundle.phases / 2.0))[::-1]
-    return float(edges[0]), edges
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +361,16 @@ def birman_krein_check(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR,
                              integer_counting_shift(pair, probe), float(eps))
 
 
-def birman_krein_extrapolated(pair, probe, eps_ladder, xi_ladder=None,
-                              phase_floor=DEFAULT_PHASE_FLOOR):
+def birman_krein_extrapolated(pair, probe, phases, xi_ladder):
     """Ladder-extrapolated (det S, xi, defect).
 
-    Phases and the smoothed counting shift are extrapolated separately;
-    ``xi_ladder`` defaults to the phase ladder.  The extrapolation for xi
-    must stay in the regime eps > local level spacing, where the smoothed
-    shift tracks its continuum limit.
+    ``phases`` are the extrapolated phases from :func:`extrapolated_phases`;
+    the smoothed counting shift is extrapolated separately along
+    ``xi_ladder``, which must stay in the regime eps > local level spacing,
+    where the smoothed shift tracks its continuum limit.
     """
-    phases, _ = extrapolated_phases(pair, probe, eps_ladder, phase_floor)
     det_s = complex(np.exp(1j * np.sum(phases)))
-    ladder = list(xi_ladder) if xi_ladder is not None else list(eps_ladder)
+    ladder = list(xi_ladder)
     xi_vals = [smoothed_counting_shift(pair, probe, e) for e in ladder]
     xi = float(neville(ladder, xi_vals))
     defect = abs(det_s - np.exp(-2j * np.pi * xi))

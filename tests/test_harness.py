@@ -21,6 +21,15 @@ def test_config_validation_field_paths():
         ExperimentConfig.from_dict({"probes": ["x"]})
     with pytest.raises(ConfigError, match="jobs"):
         ExperimentConfig.from_dict({"jobs": 0})
+    with pytest.raises(ConfigError, match=r"config\.sizes\[1\]"):
+        ExperimentConfig.from_dict({"sizes": [40, 0, 160]})
+    # the model-size minimum of 16 holds on the n axis only: on the trule
+    # axis the sizes are time-rule node counts
+    small = ExperimentConfig.from_dict({"model": "finite:random", "probes": [0.0],
+                                        "seed": 23, "sizes": [5, 10, 20]})
+    with pytest.raises(ConfigError, match=r"config\.sizes\[0\]"):
+        convergence_study(small, "n")
+    assert convergence_study(small, "trule").body["points"] == [5, 10, 20]
 
 
 def test_config_from_json_error(tmp_path):
@@ -125,6 +134,9 @@ def _assert_trule_plateau(cfg):
     pair = shift_pair(cfg.build_pair(), cfg.probes[0])
     lam = np.abs(np.concatenate([e.eigenvalues for e in pair.eigensystems()]))
     floor = np.asarray(table["points"]) * np.finfo(float).eps * lam.max() / lam.min()
+    assert np.allclose(table["roundoff_floor"], floor, rtol=1e-12, atol=0)
+    # a point at or below its floor counts as decreasing
+    assert table["metrics"]["residual_direct"]["monotone_decreasing"]
     # quadrature route decreases (or sits at its roundoff floor) and the
     # largest rule has reached that floor; the oracle route is exact up to
     # roundoff at every size

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from projdiff.errors import NonHermitianError, OverflowGuardError, SpectralCollisionError
-from projdiff.linalg import expm_apply, herm_eig, svd, sylvester_solve
+from projdiff.linalg import (HERMITIAN_TOL, check_hermitian, expm_apply, herm_eig, svd,
+                             sylvester_solve)
+from projdiff.models import MODEL_HERMITIAN_TOL, build_finite_pair
 
 
 def random_hermitian(n, seed):
@@ -36,6 +38,102 @@ def test_herm_eig_rejects_asymmetry():
     with pytest.raises(NonHermitianError) as err:
         herm_eig(m)
     assert err.value.defect > 0
+
+
+def _exact_defect(m):
+    return np.linalg.norm(m - m.conj().T, 2) / np.linalg.norm(m, 2)
+
+
+def _fast_bound(m):
+    return np.linalg.norm(m - m.conj().T) / np.max(np.linalg.norm(m, axis=0))
+
+
+def _asymmetric_sweep(tol, seed):
+    """Seeded matrices whose exact asymmetry is 0.1x, 1x and 10x ``tol``.
+
+    The asymmetry is either a dense random matrix, where the Frobenius
+    bound overestimates the 2-norm and leaves the fast test inconclusive,
+    or i*u*u* on a rank-one-dominated matrix, where the Frobenius bound is
+    tight.
+    """
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 40, 200):
+        for dense in (True, False):
+            for ratio in (0.1, 1.0, 10.0):
+                h = random_hermitian(n, int(rng.integers(1 << 30)))
+                if dense:
+                    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                else:
+                    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    h = h + 10.0 * n * np.outer(u, u.conj())
+                    k = 0.5j * np.outer(u, u.conj())
+                scale = ratio * tol * np.linalg.norm(h, 2) / np.linalg.norm(k - k.conj().T, 2)
+                yield ratio, h + scale * k
+
+
+def test_check_hermitian_matches_exact_decision():
+    inconclusive_accepts = fast_accepts = rejects = 0
+    for tol in (HERMITIAN_TOL, MODEL_HERMITIAN_TOL):
+        for ratio, m in _asymmetric_sweep(tol, seed=int(-np.log10(tol))):
+            exact = _exact_defect(m)
+            if exact > tol:
+                rejects += 1
+                with pytest.raises(NonHermitianError) as err:
+                    check_hermitian(m, tol)
+                assert err.value.defect == pytest.approx(exact, rel=1e-12)
+                assert err.value.tol == tol
+                with pytest.raises(NonHermitianError):
+                    herm_eig(m, tol)
+            else:
+                check_hermitian(m, tol)
+                if _fast_bound(m) <= tol:
+                    fast_accepts += 1
+                else:
+                    inconclusive_accepts += 1
+    # the sweep reaches all three branches
+    assert min(inconclusive_accepts, fast_accepts, rejects) > 0
+
+
+def test_check_hermitian_fast_accept_runs_no_svd(monkeypatch):
+    m = random_hermitian(30, 5)
+    norm = np.linalg.norm
+
+    def no_two_norm(x, ord=None, **kwargs):
+        assert ord != 2, "2-norm SVD on an input the fast bound accepts"
+        return norm(x, ord, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", no_two_norm)
+    check_hermitian(m, HERMITIAN_TOL)
+    check_hermitian(m + 1e-3 * HERMITIAN_TOL * np.triu(m), HERMITIAN_TOL)
+
+
+def test_check_hermitian_edge_inputs():
+    for m in (np.zeros((0, 0)), np.zeros((4, 4)), np.zeros((3, 3), dtype=complex)):
+        check_hermitian(m, HERMITIAN_TOL)
+        herm_eig(m)
+    # squares of tiny entries underflow unless the bounds are scaled first
+    for scale in (1e-170, 1e170):
+        with pytest.raises(NonHermitianError):
+            check_hermitian(scale * np.array([[1.0, 1.0], [0.0, 1.0]]), HERMITIAN_TOL)
+        check_hermitian(scale * np.array([[1.0, 1.0], [1.0, 1.0]]), HERMITIAN_TOL)
+    with pytest.raises(ValueError):
+        check_hermitian(np.ones((2, 3)), HERMITIAN_TOL)
+    with pytest.raises(ValueError):
+        herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_build_finite_pair_rejects_asymmetric_h0():
+    h0 = np.diag([1.0, 2.0, 3.0])
+    g = np.eye(3)[:1]
+    v0 = np.array([[1.0]])
+    near, bad = h0.copy(), h0.copy()
+    near[0, 2] = 1e-3 * MODEL_HERMITIAN_TOL
+    bad[0, 2] = 1e-6
+    build_finite_pair(near, g, v0)
+    with pytest.raises(ValueError, match="h0 is not Hermitian"):
+        build_finite_pair(bad, g, v0)
+    with pytest.raises(ValueError, match="v0 is not Hermitian"):
+        build_finite_pair(h0, np.eye(3)[:2], np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_svd_zero_and_rank_one():

@@ -7,7 +7,7 @@ from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1
 from projdiff.scattering import (birman_krein_check, birman_krein_extrapolated,
                                  extrapolated_phases, neville,
                                  resolvent_sandwich, scattering_bundle,
-                                 scattering_predictions, smoothed_counting_shift,
+                                 smoothed_counting_shift,
                                  smoothed_density, transfer_matrix_smatrix)
 
 
@@ -81,7 +81,7 @@ def test_bundle_zero_v0():
     b = scattering_bundle(pair, 0.0, 0.1)
     assert np.allclose(b.smatrix, np.eye(2))
     assert len(b.phases) == 0
-    assert scattering_predictions(b) == (0.0, pytest.approx(np.array([])))
+    assert len(b.band_edges) == 0 and b.prediction_a == 0.0
 
 
 def test_bundle_exact_unitarity_and_identity():
@@ -104,20 +104,18 @@ def test_bundle_defect_psd_and_consistency():
     # the smoothed stationary matrix is unitary, hence normal, so
     # ||A||^(1/2) coincides with the largest retained sin(theta/2)
     assert len(b.phases) > 0
-    a, edges = scattering_predictions(b)
-    assert a == pytest.approx(b.prediction_a, abs=1e-8)
+    assert np.max(np.sin(b.phases / 2.0)) == pytest.approx(b.prediction_a, abs=1e-8)
+    assert b.band_edges[0] == pytest.approx(b.prediction_a, abs=1e-8)
 
 
 def test_predictions_arithmetic():
-    pair = zero_v0_pair()
-    b = scattering_bundle(pair, 0.0, 0.1)
-    bundle = b.__class__(**{**b.__dict__, "phases": np.array([np.pi])})
-    a, edges = scattering_predictions(bundle)
-    assert a == pytest.approx(1.0)
-    bundle = b.__class__(**{**b.__dict__, "phases": np.array([np.pi / 2, np.pi / 3])})
-    a, edges = scattering_predictions(bundle)
-    assert a == pytest.approx(np.sqrt(2) / 2)
-    assert np.allclose(edges, [np.sin(np.pi / 4), np.sin(np.pi / 6)])
+    # |exp(i*theta) - 1| = 2 sin(theta/2): the band edges are half the
+    # distances of the retained eigenvalues of S from 1, in descending order
+    pair = random_gapped_pair(12, 4, seed=6)
+    b = scattering_bundle(pair, 0.0, 0.05)
+    kept = b.eigenvalues[np.abs(b.eigenvalues - 1.0) > b.retention_threshold]
+    assert len(kept) >= 2
+    assert np.allclose(b.band_edges, np.sort(np.abs(kept - 1.0) / 2.0)[::-1], atol=1e-12)
 
 
 def test_krein_phase_near_minus_one():
@@ -147,13 +145,12 @@ def test_krein_defect_top_extrapolates_to_one():
     assert neville(ladder, tops) == pytest.approx(1.0, abs=0.05)
 
 
-def test_defect_matrix_wrapper_consistency():
-    from projdiff.scattering import defect_matrix, stationary_smatrix
+def test_prediction_a_is_half_norm():
+    # ||A||^(1/2) = ||S - I||/2 through the exact defect-operator identity
     pair = random_gapped_pair(8, 3, seed=29)
-    bundle, half_norm = defect_matrix(pair, 0.0, 0.05)
-    assert bundle.prediction_a == pytest.approx(half_norm, abs=1e-10)
-    alias = stationary_smatrix(pair, 0.0, 0.05)
-    assert np.allclose(alias.smatrix, bundle.smatrix)
+    b = scattering_bundle(pair, 0.0, 0.05)
+    half_norm = 0.5 * np.linalg.norm(b.smatrix - np.eye(pair.kdim), 2)
+    assert b.prediction_a == pytest.approx(half_norm, abs=1e-10)
 
 
 def test_transfer_matrix_free_and_flux():
@@ -230,6 +227,8 @@ def test_birman_krein_zero_perturbation():
 
 def test_birman_krein_weak_square_well():
     pair = build_schrodinger_1d(square_well_spec(0.3, 1.0, 60.0, 1199))
-    _, xi, defect = birman_krein_extrapolated(pair, 1.0, [0.3, 0.2, 0.1, 0.05])
+    ladder = [0.3, 0.2, 0.1, 0.05]
+    phases, _ = extrapolated_phases(pair, 1.0, ladder)
+    _, xi, defect = birman_krein_extrapolated(pair, 1.0, phases, ladder)
     assert defect <= 5e-2
     assert xi < 0  # attractive well pulls levels down through the probe
