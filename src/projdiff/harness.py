@@ -8,6 +8,8 @@ time-dependent is stored in them.
 """
 
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -83,13 +85,17 @@ class ExperimentConfig:
         for i, p in enumerate(self.probes):
             if not isinstance(p, (int, float)):
                 raise ConfigError(f"config.probes[{i}]: must be a number")
+            if not math.isfinite(p):
+                raise ConfigError(f"config.probes[{i}]: must be finite")
         lad = list(self.eps_ladder)
         if any(e <= 0 for e in lad):
             raise ConfigError("config.eps_ladder: entries must be positive")
         if any(b >= a for a, b in zip(lad, lad[1:])):
             raise ConfigError("config.eps_ladder: must be strictly decreasing")
         for i, s in enumerate(self.sizes):
-            if int(s) < 1:
+            if not isinstance(s, numbers.Integral) or isinstance(s, bool):
+                raise ConfigError(f"config.sizes[{i}]: must be an integer")
+            if s < 1:
                 raise ConfigError(f"config.sizes[{i}]: must be positive")
         if self.jobs < 1:
             raise ConfigError("config.jobs: must be >= 1")
@@ -278,7 +284,7 @@ def convergence_study(config, axis):
         from .models import shift_pair
         from .zops import default_time_rule
         pair = shift_pair(config.build_pair(), probe)
-        lam = np.abs(np.concatenate([e.eigenvalues for e in pair.eigensystems()]))
+        lam = np.abs(np.concatenate(pair.eigenvalues))
         gap = lam.min()
         floors = np.asarray(points) * np.finfo(float).eps * lam.max() / gap
         table["roundoff_floor"] = floors

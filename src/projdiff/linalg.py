@@ -1,12 +1,14 @@
-"""Dense numerical substrate: Hermitian eigensolves, SVD, semigroup action,
-and a Sylvester solver.
+"""Numerical substrate: Hermitian eigensolves (dense, and banded for
+tridiagonal matrices), SVD, semigroup action, a Sylvester solver, and the
+probe-gap check on eigenvalue arrays.
 
-Everything downstream of this module is built from these five primitives,
-so the contracts here are deliberately strict: inputs are validated, and
+Everything downstream of this module is built from these primitives, so
+the contracts here are deliberately strict: inputs are validated, and
 residuals are checked before results are returned.  The Hermitian input
 contract is certified by cheap O(n^2) norm bounds and falls back to the
 exact SVD quotient only when the bounds cannot decide, so it accepts and
-rejects exactly what the exact check does.
+rejects exactly what the exact check does.  The banded eigensolver keeps
+the dense one's input contract.
 """
 
 from dataclasses import dataclass
@@ -14,12 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NonHermitianError, OverflowGuardError, SpectralCollisionError
+from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
+                     SpectralCollisionError)
 
-__all__ = ["SpectralDecomposition", "check_hermitian", "herm_eig", "svd", "expm_apply",
+__all__ = ["SpectralDecomposition", "TridiagonalBands", "check_hermitian", "herm_eig",
+           "is_tridiagonal", "tridiagonal_bands", "probe_gaps", "svd", "expm_apply",
            "sylvester_solve"]
 
 HERMITIAN_TOL = 1e-12
+PROBE_GAP_TOL = 1e-8
 EIG_RESIDUAL_TOL = 1e-10
 SYLVESTER_GAP_TOL = 1e-8
 SYLVESTER_RESIDUAL_TOL = 1e-9
@@ -101,6 +106,86 @@ def herm_eig(matrix, tol=HERMITIAN_TOL):
     check_hermitian(m, tol)
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return SpectralDecomposition(w, v)
+
+
+def is_tridiagonal(matrix):
+    """Exact test that every entry off the three central diagonals is zero.
+
+    Compares nonzero counts of the whole matrix and of its three central
+    diagonals: O(n^2) and without n x n temporaries.
+    """
+    m = np.asarray(matrix)
+    return bool(np.count_nonzero(m)
+                == sum(np.count_nonzero(np.diagonal(m, k)) for k in (-1, 0, 1)))
+
+
+@dataclass(frozen=True)
+class TridiagonalBands:
+    """A Hermitian tridiagonal matrix M = P T P* as the real symmetric bands
+    of T and the unit diagonal P (``phase``, None when M is real)."""
+
+    diagonal: np.ndarray
+    offdiagonal: np.ndarray
+    phase: np.ndarray = None
+
+    def eigenvalues(self):
+        """All eigenvalues, ascending."""
+        return sla.eigh_tridiagonal(self.diagonal, self.offdiagonal, eigvals_only=True)
+
+    def eigenpairs(self, lo, hi):
+        """Eigenpairs with ascending indices lo, ..., hi - 1."""
+        if hi <= lo:
+            return SpectralDecomposition(np.empty(0), np.empty((len(self.diagonal), 0)))
+        w, v = sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
+                                    select="i", select_range=(lo, hi - 1))
+        if self.phase is not None:
+            v = self.phase[:, None] * v
+        return SpectralDecomposition(w, v)
+
+
+def tridiagonal_bands(matrix, tol=HERMITIAN_TOL):
+    """Validated bands of a Hermitian matrix that :func:`is_tridiagonal` accepts.
+
+    The input contract is :func:`herm_eig`'s: finite entries, and
+    :class:`NonHermitianError` when the relative asymmetry exceeds ``tol``.
+    The bands are those of (M + M*)/2.  A complex off-diagonal is made
+    real and nonnegative by the diagonal unitary P with
+    P[k+1]/P[k] = e_k/|e_k|; the eigenvectors are mapped back through it.
+    """
+    m = _as_matrix(matrix)
+    check_hermitian(m, tol)
+    d = np.diagonal(m).real.copy()
+    e = 0.5 * (np.diagonal(m, -1) + np.diagonal(m, 1).conj())
+    phase = None
+    if np.iscomplexobj(e):
+        mag = np.abs(e)
+        unit = np.ones_like(e)
+        np.divide(e, mag, out=unit, where=mag > 0)
+        phase = np.concatenate([[1.0 + 0.0j], np.cumprod(unit)])
+        e = mag
+    return TridiagonalBands(d, e, phase)
+
+
+def probe_gaps(probe, spectra, gap_tol=PROBE_GAP_TOL):
+    """Distance from ``probe`` to each eigenvalue array (inf for an empty one).
+
+    Raises :class:`GapViolationError` carrying the eigenvalue nearest to
+    the probe, over all arrays, when it lies within ``gap_tol``.
+    """
+    gaps, nearest = [], None
+    for w in spectra:
+        w = np.asarray(w)
+        if len(w) == 0:
+            gaps.append(np.inf)
+            continue
+        i = int(np.argmin(np.abs(w - probe)))
+        gap = float(abs(w[i] - probe))
+        if nearest is None or gap < min(gaps):
+            nearest = w[i]
+        gaps.append(gap)
+    if min(gaps, default=np.inf) < gap_tol:
+        raise GapViolationError(probe, nearest)
+    return gaps
 
 
 def svd(matrix):

@@ -11,6 +11,7 @@ Models provided:
 plus the resolvent change of spectral variable and probe recentering.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -18,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError
-from .linalg import check_hermitian, herm_eig
+from .linalg import check_hermitian, herm_eig, is_tridiagonal, tridiagonal_bands
 from .quadrature import make_quadrature
 
 __all__ = [
@@ -46,6 +47,11 @@ class OperatorPair:
     ``g`` maps the main space into the coupling space (kdim x dim);
     ``v0`` is Hermitian on the coupling space.  ``meta`` records the model
     and any exactly known facts about it.
+
+    Eigen-data are computed on first use and cached on the instance.  When
+    both operators are tridiagonal (an exact test on the matrices) the
+    eigenvalues and the eigenvectors near a probe come from a banded
+    solver; otherwise from the dense eigensystems.
     """
 
     h0: np.ndarray
@@ -67,16 +73,57 @@ class OperatorPair:
         return np.linalg.norm(self.h - self.h0 - v, 2)
 
     def eigensystems(self):
-        """Cached eigendecompositions of h0 and h."""
-        cache = self.meta.setdefault("_eig_cache", {})
-        if "h0" not in cache:
-            cache["h0"] = herm_eig(self.h0)
-            cache["h"] = herm_eig(self.h)
-        return cache["h0"], cache["h"]
+        """Dense eigendecompositions of h0 and h."""
+        return self._eigensystems
+
+    @functools.cached_property
+    def _eigensystems(self):
+        return herm_eig(self.h0), herm_eig(self.h)
+
+    @functools.cached_property
+    def tridiagonal(self):
+        """Whether h0 and h both vanish off their three central diagonals."""
+        return is_tridiagonal(self.h0) and is_tridiagonal(self.h)
+
+    @functools.cached_property
+    def _bands(self):
+        return tridiagonal_bands(self.h0), tridiagonal_bands(self.h)
+
+    @functools.cached_property
+    def eigenvalues(self):
+        """Ascending eigenvalues of h0 and h."""
+        if self.tridiagonal:
+            return tuple(b.eigenvalues() for b in self._bands)
+        return tuple(e.eigenvalues for e in self.eigensystems())
+
+    def probe_basis(self, probe):
+        """Eigenvectors of h0 and h on the side of ``probe`` holding fewer of them.
+
+        Returns (side, u0, u1): side -1 takes the eigenvalues below the
+        probe, +1 those above it; the side is shared by both operators.
+        """
+        n = self.dim
+        below = [int(np.searchsorted(w, probe)) for w in self.eigenvalues]
+        side = -1 if sum(below) <= n else +1
+        ranges = [(0, m) if side < 0 else (m, n) for m in below]
+        if self.tridiagonal:
+            u0, u1 = (b.eigenpairs(lo, hi).eigenvectors
+                      for b, (lo, hi) in zip(self._bands, ranges))
+        else:
+            u0, u1 = (e.eigenvectors[:, lo:hi]
+                      for e, (lo, hi) in zip(self.eigensystems(), ranges))
+        return side, u0, u1
+
+
+def _finite(m, name):
+    m = np.asarray(m)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    return m
 
 
 def _hermitize_check(m, name):
-    m = np.asarray(m)
+    m = _finite(m, name)
     if m.size == 0:
         return m
     try:
@@ -90,7 +137,7 @@ def build_finite_pair(h0, g, v0, meta=None):
     """Assemble an :class:`OperatorPair` from its factorization pieces."""
     h0 = _hermitize_check(h0, "h0")
     v0 = _hermitize_check(v0, "v0")
-    g = np.asarray(g)
+    g = _finite(g, "g")
     if g.ndim != 2 or g.shape[1] != h0.shape[0] or v0.shape[0] != g.shape[0]:
         raise ValueError("inconsistent dimensions in (h0, g, v0)")
     h = h0 + g.conj().T @ v0 @ g
@@ -189,7 +236,6 @@ def build_schrodinger_1d(spec, support_floor=1e-14):
     meta = {
         "model": "schrodinger", "grid": x, "step": h, "support": idx,
         "potential": np.where(keep, v, 0.0), "spec": spec,
-        "tridiagonal": True,
     }
     return build_finite_pair(h0, g, v0, meta)
 
@@ -269,8 +315,7 @@ def shift_pair(pair, probe):
     if probe == 0:
         return pair
     eye = np.eye(pair.dim)
-    meta = {k: v for k, v in pair.meta.items() if k != "_eig_cache"}
-    meta["shifted_by"] = float(probe)
+    meta = dict(pair.meta, shifted_by=float(probe))
     return OperatorPair(pair.h0 - probe * eye, pair.h - probe * eye,
                         pair.g, pair.v0, meta)
 

@@ -5,13 +5,25 @@ The difference D = E(probe) - E0(probe) of two orthogonal projections is
 self-adjoint with spectrum in [-1, 1].  Its +-1 eigenspaces are the exact
 swap subspaces; the rest of the nonzero spectrum pairs exactly as +-x,
 which the pairing-defect metric quantifies.
+
+D is computed on a small subspace, never as an n x n matrix.  Let U0 and
+U1 hold the eigenvectors of H0 and H on the side of the probe with fewer
+of them (m0 + m1 = r <= n).  Below the probe D = U1 U1* - U0 U0*; above
+it D = (I - E0) - (I - E) is the same with the sign flipped.  Either way
+D vanishes off span[U0, U1] (the two-subspace picture of Avron, Seiler
+and Simon), so with the Householder QR [U0 U1] = Q R its spectrum is that
+of the r x r compression Q* D Q = R1 R1* - R0 R0*, padded with n - r
+exact zeros, and the D^2 block identity compresses to the same r x r
+blocks.  The eigenvectors come from the pair: a banded solver restricted
+to the needed indices when H0 and H are tridiagonal, the dense
+eigensystems otherwise (see :class:`projdiff.models.OperatorPair`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapViolationError
+from .linalg import PROBE_GAP_TOL, probe_gaps
 from .models import shift_pair
 
 __all__ = [
@@ -20,7 +32,6 @@ __all__ = [
     "hausdorff_distance", "interval_hausdorff", "pairing_defect",
 ]
 
-PROBE_GAP_TOL = 1e-8
 SWAP_CLUSTER_TOL = 1e-6
 PAIRING_BAND = 1e-6
 
@@ -32,9 +43,7 @@ def spectral_projection(decomp, probe, gap_tol=PROBE_GAP_TOL):
     one sits within ``gap_tol`` of the probe.
     """
     w = decomp.eigenvalues
-    nearest = w[np.argmin(np.abs(w - probe))] if len(w) else None
-    if nearest is not None and abs(nearest - probe) < gap_tol:
-        raise GapViolationError(probe, nearest)
+    probe_gaps(probe, [w], gap_tol)
     v = decomp.eigenvectors[:, w < probe]
     return v @ v.conj().T
 
@@ -113,27 +122,27 @@ class DifferenceReport:
         return float(self.spectrum.min()), float(self.spectrum.max())
 
 
-def _gaps_at(pair, probe, gap_tol):
-    e0, e1 = pair.eigensystems()
-    g0 = float(np.min(np.abs(e0.eigenvalues - probe)))
-    g1 = float(np.min(np.abs(e1.eigenvalues - probe)))
-    if min(g0, g1) < gap_tol:
-        w = e0.eigenvalues if g0 <= g1 else e1.eigenvalues
-        raise GapViolationError(probe, w[np.argmin(np.abs(w - probe))])
-    return e0, e1, g0, g1
+def _compressions(pair, probe, gap_tol):
+    """(side, A0, A1, gap_h0, gap_h): the side projections compressed to
+    span[U0, U1], as A_j = R_j R_j* with R = [R0 R1] from the QR of [U0 U1]."""
+    g0, g1 = probe_gaps(probe, pair.eigenvalues, gap_tol)
+    side, u0, u1 = pair.probe_basis(probe)
+    r = np.linalg.qr(np.hstack([u0, u1]), mode="r")
+    r0, r1 = r[:, :u0.shape[1]], r[:, u0.shape[1]:]
+    return side, r0 @ r0.conj().T, r1 @ r1.conj().T, g0, g1
 
 
 def projection_difference(pair, probe, target=None, gap_tol=PROBE_GAP_TOL,
                           swap_tol=SWAP_CLUSTER_TOL):
     """Full spectrum of D(probe) = E(probe) - E0(probe) with metrics.
 
-    ``target`` is the interval the fill metrics are computed against,
-    defaulting to [-1, 1].
+    All n eigenvalues are returned: those of the r x r compression and
+    n - r exact zeros.  ``target`` is the interval the fill metrics are
+    computed against, defaulting to [-1, 1].
     """
-    e0, e1, g0, g1 = _gaps_at(pair, probe, gap_tol)
-    p0 = spectral_projection(e0, probe, gap_tol)
-    p1 = spectral_projection(e1, probe, gap_tol)
-    spec = np.sort(np.linalg.eigvalsh(p1 - p0))
+    side, a0, a1, g0, g1 = _compressions(pair, probe, gap_tol)
+    core = -side * np.linalg.eigvalsh(a1 - a0)
+    spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - swap_tol))
     dim_minus = int(np.sum(spec < -1.0 + swap_tol))
     lo, hi = target if target is not None else (-1.0, 1.0)
@@ -148,15 +157,16 @@ def dsquared_block_check(pair, probe, gap_tol=PROBE_GAP_TOL):
 
     D^2 equals the sum of the two compressed corners
     E0(below) E(above) E0(below) + E0(above) E(below) E0(above); this is
-    an exact algebraic identity, so the residual is a roundoff check.
+    an exact algebraic identity, so the residual is a roundoff check.  Both
+    sides vanish off span[U0, U1] and the identity is unchanged when both
+    projections are replaced by their complements, so it is checked on
+    the r x r compressions of the side projections.
     """
-    e0, e1, _, _ = _gaps_at(pair, probe, gap_tol)
-    p0 = spectral_projection(e0, probe, gap_tol)
-    p1 = spectral_projection(e1, probe, gap_tol)
-    eye = np.eye(pair.dim)
-    d2 = (p1 - p0) @ (p1 - p0)
-    rhs = p0 @ (eye - p1) @ p0 + (eye - p0) @ p1 @ (eye - p0)
-    return float(np.linalg.norm(d2 - rhs, 2))
+    _, a0, a1, _, _ = _compressions(pair, probe, gap_tol)
+    eye = np.eye(len(a0))
+    d = a1 - a0
+    rhs = a0 @ (eye - a1) @ a0 + (eye - a0) @ a1 @ (eye - a0)
+    return float(np.linalg.norm(d @ d - rhs, 2))
 
 
 def corner_spectrum(pair, probe, sign=+1, gap_tol=PROBE_GAP_TOL):
@@ -168,7 +178,8 @@ def corner_spectrum(pair, probe, sign=+1, gap_tol=PROBE_GAP_TOL):
     with A the scattering defect operator.
     """
     centered = shift_pair(pair, probe)
-    e0, e1, _, _ = _gaps_at(centered, 0.0, gap_tol)
+    e0, e1 = centered.eigensystems()
+    probe_gaps(0.0, (e0.eigenvalues, e1.eigenvalues), gap_tol)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     u0 = e0.eigenvectors[:, (e0.eigenvalues > 0) if sign > 0 else (e0.eigenvalues < 0)]

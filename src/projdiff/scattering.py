@@ -20,7 +20,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
-from .errors import GapViolationError, SingularSandwichError
+from .errors import SingularSandwichError
+from .linalg import PROBE_GAP_TOL, probe_gaps
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult",
@@ -61,7 +62,9 @@ def _tridiag_bands(m, z):
 def _sandwich_one(mat, g, z, tridiagonal):
     rhs = g.conj().T
     if tridiagonal:
-        y = sla.solve_banded((1, 1), _tridiag_bands(mat, z), rhs)
+        # for n = 1 solve_banded divides the right-hand side in place, so it
+        # must already have the bands' complex dtype
+        y = sla.solve_banded((1, 1), _tridiag_bands(mat, z), rhs.astype(complex))
     else:
         y = np.linalg.solve(mat - z * np.eye(mat.shape[0]), rhs)
     return g @ y
@@ -77,7 +80,7 @@ def resolvent_sandwich(pair, z, cond_limit=COND_LIMIT):
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("need Im z > 0")
-    tri = bool(pair.meta.get("tridiagonal"))
+    tri = pair.tridiagonal
     t0 = _sandwich_one(pair.h0, pair.g, z, tri)
     t = _sandwich_one(pair.h, pair.g, z, tri)
     m = np.eye(pair.kdim) + pair.v0 @ t0
@@ -321,14 +324,14 @@ def smoothed_counting_shift(pair, probe, eps):
     level spacing it resolves the weak (distributional) limit of the
     counting shift.
     """
-    e0, e1 = pair.eigensystems()
+    w0, w1 = pair.eigenvalues
     step = lambda w: 0.5 + np.arctan((probe - w) / eps) / np.pi
-    return float(np.sum(step(e0.eigenvalues)) - np.sum(step(e1.eigenvalues)))
+    return float(np.sum(step(w0)) - np.sum(step(w1)))
 
 
 def integer_counting_shift(pair, probe):
-    e0, e1 = pair.eigensystems()
-    return int(np.sum(e0.eigenvalues < probe) - np.sum(e1.eigenvalues < probe))
+    w0, w1 = pair.eigenvalues
+    return int(np.sum(w0 < probe) - np.sum(w1 < probe))
 
 
 @dataclass(frozen=True)
@@ -341,18 +344,14 @@ class BirmanKreinResult:
 
 
 def birman_krein_check(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR,
-                       gap_tol=1e-8):
+                       gap_tol=PROBE_GAP_TOL):
     """det S versus exp(-2*pi*i*xi) at one smoothing level.
 
     det S is the product of retained stationary phases; xi is the
     smoothed counting shift at the same eps.  The raw integer shift is
     carried along for reference.
     """
-    e0, e1 = pair.eigensystems()
-    for w in (e0.eigenvalues, e1.eigenvalues):
-        nearest = w[np.argmin(np.abs(w - probe))]
-        if abs(nearest - probe) < gap_tol:
-            raise GapViolationError(probe, nearest)
+    probe_gaps(probe, pair.eigenvalues, gap_tol)
     bundle = scattering_bundle(pair, probe, eps, phase_floor)
     det_s = complex(np.exp(1j * np.sum(bundle.phases)))
     xi = smoothed_counting_shift(pair, probe, eps)

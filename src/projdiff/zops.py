@@ -22,26 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapViolationError
-from .linalg import sylvester_solve
+from .linalg import PROBE_GAP_TOL, probe_gaps, sylvester_solve
 from .quadrature import make_quadrature
 from .scattering import neville, smoothed_density
 
 __all__ = ["ZOperators", "build_z_ops", "product_representation_check",
            "zop_model_comparison", "default_time_rule"]
 
-GAP_TOL = 1e-8
-
 
 def _split_systems(pair, gap_tol):
     e0, e1 = pair.eigensystems()
-    gap = min(np.min(np.abs(e0.eigenvalues)), np.min(np.abs(e1.eigenvalues)))
-    if gap < gap_tol:
-        w = np.concatenate([e0.eigenvalues, e1.eigenvalues])
-        raise GapViolationError(0.0, w[np.argmin(np.abs(w))])
+    gap = min(probe_gaps(0.0, (e0.eigenvalues, e1.eigenvalues), gap_tol))
     up0 = e0.eigenvalues > 0
     dn1 = e1.eigenvalues < 0
-    return e0, e1, up0, dn1, float(gap)
+    return e0, e1, up0, dn1, gap
 
 
 def default_time_rule(gap, n_t=120, scale_over_gap=2.0):
@@ -81,7 +75,7 @@ def _stack_columns(basis, lam, coupling, t_rule, sign):
     return basis @ cols.reshape(r, t_rule.n * k)
 
 
-def build_z_ops(pair, t_rule=None, gap_tol=GAP_TOL):
+def build_z_ops(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
     """Assemble Z and Z0 on a time rule (default tied to the gap).
 
     The semigroups are evaluated through the spectral decompositions
@@ -108,7 +102,7 @@ class ProductCheck:
     n_t: int
 
 
-def product_representation_check(pair, t_rule=None, gap_tol=GAP_TOL):
+def product_representation_check(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
     """Residuals of E(below) E0(above) = -Z (V0 x I) Z0*.
 
     ``residual_direct`` uses the time quadrature; ``residual_oracle``
@@ -158,7 +152,7 @@ def _psd_clip(m):
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def zop_model_comparison(pair, t_rule=None, eps_ladder=None, gap_tol=GAP_TOL):
+def zop_model_comparison(pair, t_rule=None, eps_ladder=None, gap_tol=PROBE_GAP_TOL):
     """Singular values of Z0* Z0 and Z* Z against the model Hankel blocks.
 
     The models are the Hankel matrices with kernel profile

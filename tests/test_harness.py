@@ -23,6 +23,13 @@ def test_config_validation_field_paths():
         ExperimentConfig.from_dict({"jobs": 0})
     with pytest.raises(ConfigError, match=r"config\.sizes\[1\]"):
         ExperimentConfig.from_dict({"sizes": [40, 0, 160]})
+    for sizes in (["x"], [40, 2.5], [40, 80, True]):
+        with pytest.raises(ConfigError,
+                           match=rf"config\.sizes\[{len(sizes) - 1}\]: must be an integer"):
+            ExperimentConfig.from_dict({"sizes": sizes})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match=r"config\.probes\[1\]: must be finite"):
+            ExperimentConfig.from_dict({"probes": [0.5, bad]})
     # the model-size minimum of 16 holds on the n axis only: on the trule
     # axis the sizes are time-rule node counts
     small = ExperimentConfig.from_dict({"model": "finite:random", "probes": [0.0],

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from projdiff.errors import NonHermitianError, OverflowGuardError, SpectralCollisionError
-from projdiff.linalg import (HERMITIAN_TOL, check_hermitian, expm_apply, herm_eig, svd,
-                             sylvester_solve)
+from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
+                             SpectralCollisionError)
+from projdiff.linalg import (HERMITIAN_TOL, check_hermitian, expm_apply, herm_eig,
+                             is_tridiagonal, probe_gaps, svd, sylvester_solve,
+                             tridiagonal_bands)
 from projdiff.models import MODEL_HERMITIAN_TOL, build_finite_pair
 
 
@@ -134,6 +136,63 @@ def test_build_finite_pair_rejects_asymmetric_h0():
         build_finite_pair(bad, g, v0)
     with pytest.raises(ValueError, match="v0 is not Hermitian"):
         build_finite_pair(h0, np.eye(3)[:2], np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("piece", ["h0", "g", "v0"])
+def test_build_finite_pair_rejects_non_finite(piece, bad):
+    pieces = {"h0": np.diag([bad, 1.0]), "g": np.eye(2)[:1], "v0": np.array([[1.0]])}
+    if piece == "g":
+        pieces["h0"], pieces["g"] = np.diag([2.0, 1.0]), np.array([[bad, 0.0]])
+    elif piece == "v0":
+        pieces["h0"], pieces["v0"] = np.diag([2.0, 1.0]), np.array([[bad]])
+    with pytest.raises(ValueError, match=f"{piece} has non-finite entries"):
+        build_finite_pair(**pieces)
+
+
+def test_tridiagonal_test_is_exact():
+    m = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.0, 2.0], 1) + np.diag([1.0, 0.0, 2.0], -1)
+    assert is_tridiagonal(m) and is_tridiagonal(np.zeros((3, 3))) and is_tridiagonal(np.eye(1))
+    m[0, 3] = 1e-300
+    assert not is_tridiagonal(m)
+
+
+def test_tridiagonal_bands_keep_the_input_contract():
+    m = np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)
+    bands = tridiagonal_bands(m)
+    assert np.allclose(bands.eigenvalues(), np.linalg.eigvalsh(m), atol=1e-14)
+    assert bands.phase is None
+    skew = m.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(NonHermitianError):
+        tridiagonal_bands(skew)
+    with pytest.raises(ValueError):
+        tridiagonal_bands(np.diag([np.inf, 1.0]))
+
+
+def test_tridiagonal_bands_complex_phases():
+    # a complex Hermitian tridiagonal matrix is P T P* with T real symmetric
+    rng = np.random.default_rng(8)
+    off = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    off[2] = 0.0
+    m = np.diag(rng.standard_normal(6)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    dec = tridiagonal_bands(m).eigenpairs(1, 4)
+    assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m)[1:4], atol=1e-13)
+    v = dec.eigenvectors
+    assert np.linalg.norm(m @ v - v * dec.eigenvalues, 2) <= 1e-13
+    assert tridiagonal_bands(m).eigenpairs(2, 2).eigenvectors.shape == (6, 0)
+
+
+def test_probe_gaps_reports_nearest_over_all_spectra():
+    gaps = probe_gaps(0.5, [np.array([0.0, 1.0]), np.array([0.25]), np.empty(0)])
+    assert gaps == [0.5, 0.25, np.inf]
+    with pytest.raises(GapViolationError) as err:
+        probe_gaps(0.5, [np.array([0.5 + 1e-9]), np.array([0.5 - 1e-10])])
+    assert err.value.nearest == 0.5 - 1e-10
+    with pytest.raises(GapViolationError) as err:
+        probe_gaps(0.0, [np.array([1e-9])], gap_tol=1e-8)
+    assert err.value.nearest == 1e-9
+    assert probe_gaps(0.0, [np.array([1e-9])], gap_tol=1e-10) == [1e-9]
 
 
 def test_svd_zero_and_rank_one():

@@ -3,7 +3,10 @@ import pytest
 
 from projdiff.errors import GapViolationError
 from projdiff.linalg import herm_eig
-from projdiff.models import build_finite_pair, build_krein, random_gapped_pair, thresholds
+from projdiff import models, scattering
+from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
+                             random_gapped_pair, sech2_spec, square_well_spec,
+                             thresholds)
 from projdiff.projections import (corner_spectrum, dsquared_block_check,
                                   fill_metrics, hausdorff_distance,
                                   interval_hausdorff, projection_difference,
@@ -139,3 +142,113 @@ def test_fill_and_hausdorff_helpers():
     assert hausdorff_distance([0.0, 1.0], [0.0, 1.0]) == 0.0
     assert hausdorff_distance([0.0], [2.0]) == 2.0
     assert interval_hausdorff(np.array([0.0, 1.5]), -1.0, 1.0) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the subspace route against the dense n x n formulas
+# ---------------------------------------------------------------------------
+
+def dense_difference(pair, probe):
+    """Dense oracle: spectrum of P1 - P0 and the n x n D^2 block residual."""
+    e0, e1 = pair.eigensystems()
+    p0 = spectral_projection(e0, probe)
+    p1 = spectral_projection(e1, probe)
+    eye = np.eye(pair.dim)
+    d = p1 - p0
+    rhs = p0 @ (eye - p1) @ p0 + (eye - p0) @ p1 @ (eye - p0)
+    return np.sort(np.linalg.eigvalsh(d)), float(np.linalg.norm(d @ d - rhs, 2))
+
+
+def square_well_box():
+    return build_schrodinger_1d(square_well_spec(2.5, 1.0, 20.0, 399))
+
+
+# (builder, probe, side of the probe the subspace is taken on)
+ORACLE_CASES = {
+    "krein-above": (lambda: build_krein(200, 40.0), 0.5, +1),
+    "sech2-box-below": (lambda: build_schrodinger_1d(sech2_spec(1.0, 38.0, 759)), 1.0, -1),
+    "square-well-swap": (square_well_box, 1.0, -1),
+    "square-well-above-all": (square_well_box, 1000.0, +1),
+    "below-both-spectra": (lambda: build_krein(200, 40.0), -1.0, -1),
+    **{f"random-{seed}": (lambda seed=seed: random_gapped_pair(24, 3, seed, gap=1e-3), 0.0, None)
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_subspace_difference_matches_dense(case):
+    build, probe, side = ORACLE_CASES[case]
+    pair = build()
+    if side is not None:
+        assert pair.probe_basis(probe)[0] == side
+    spec, residual = dense_difference(pair, probe)
+    rep = projection_difference(pair, probe)
+    assert len(rep.spectrum) == pair.dim
+    assert np.max(np.abs(rep.spectrum - spec)) <= 1e-12
+    assert dsquared_block_check(pair, probe) <= 1e-10 * pair.dim
+    assert residual <= 1e-10 * pair.dim
+
+
+def test_probe_below_both_spectra_gives_zero():
+    pair = build_krein(200, 40.0)
+    side, u0, u1 = pair.probe_basis(-1.0)
+    assert u0.shape == u1.shape == (pair.dim, 0)
+    assert np.array_equal(projection_difference(pair, -1.0).spectrum, np.zeros(pair.dim))
+    assert dsquared_block_check(pair, -1.0) == 0.0
+
+
+def _tridiagonal_pair(n=40, off_band=None):
+    """Tridiagonal h0 with complex off-diagonal, diagonal coupling; ``off_band``
+    (i, j) adds a rank-one coupling on sites i and j, so h gets the entry (i, j)."""
+    rng = np.random.default_rng(3)
+    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    h0 = np.diag(rng.uniform(-2, 2, n)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    g = np.diag(rng.uniform(0.2, 0.8, n))
+    v0 = np.diag(rng.choice([-1.0, 1.0], n))
+    if off_band is not None:
+        extra = np.zeros((1, n))
+        extra[0, list(off_band)] = 0.5
+        g, v0 = np.vstack([g, extra]), np.diag(np.append(np.diag(v0), 1.0))
+    return build_finite_pair(h0, g, v0)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_path_selection_follows_the_band(monkeypatch):
+    banded, dense = _tridiagonal_pair(), _tridiagonal_pair(off_band=(5, 8))
+    assert banded.tridiagonal and not dense.tridiagonal
+    assert dense.h[5, 8] != 0
+    for pair, expect_banded in ((banded, True), (dense, False)):
+        bands = _count_calls(monkeypatch, models, "tridiagonal_bands")
+        solves = _count_calls(monkeypatch, scattering, "_tridiag_bands")
+        dense_eigs = _count_calls(monkeypatch, models, "herm_eig")
+        projection_difference(pair, 0.1)
+        scattering.resolvent_sandwich(pair, 0.1 + 0.05j)
+        assert bool(bands) == bool(solves) == expect_banded
+        assert bool(dense_eigs) == (not expect_banded)
+        monkeypatch.undo()
+
+
+def test_banded_eigendata_match_dense():
+    for pair in (_tridiagonal_pair(), build_schrodinger_1d(sech2_spec(1.0, 38.0, 759))):
+        assert pair.tridiagonal
+        dense = pair.eigensystems()
+        for w, e in zip(pair.eigenvalues, dense):
+            assert np.max(np.abs(w - e.eigenvalues)) <= 1e-12 * np.max(np.abs(w))
+        for probe in (0.1, 1.0):
+            side, u0, u1 = pair.probe_basis(probe)
+            for u, e in zip((u0, u1), dense):
+                keep = e.eigenvalues < probe if side < 0 else e.eigenvalues > probe
+                v = e.eigenvectors[:, keep]
+                assert u.shape == v.shape
+                assert np.linalg.norm(u @ u.conj().T - v @ v.conj().T, 2) <= 1e-10
