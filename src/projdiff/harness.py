@@ -82,11 +82,12 @@ class ExperimentConfig:
     def validate(self):
         if not isinstance(self.model, str) or not self.model:
             raise ConfigError("config.model: must be a nonempty string")
-        for i, p in enumerate(self.probes):
-            if not isinstance(p, (int, float)):
-                raise ConfigError(f"config.probes[{i}]: must be a number")
-            if not math.isfinite(p):
-                raise ConfigError(f"config.probes[{i}]: must be finite")
+        for name in ("probes", "eps_ladder"):
+            for i, x in enumerate(getattr(self, name)):
+                if not isinstance(x, numbers.Real) or isinstance(x, bool):
+                    raise ConfigError(f"config.{name}[{i}]: must be a number")
+                if not math.isfinite(x):
+                    raise ConfigError(f"config.{name}[{i}]: must be finite")
         lad = list(self.eps_ladder)
         if any(e <= 0 for e in lad):
             raise ConfigError("config.eps_ladder: entries must be positive")

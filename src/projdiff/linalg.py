@@ -1,14 +1,16 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
-tridiagonal matrices), SVD, semigroup action, a Sylvester solver, and the
-probe-gap check on eigenvalue arrays.
+tridiagonal matrices), the band format with its shifted banded solve, SVD,
+semigroup action, a Sylvester solver, and the probe-gap check on
+eigenvalue arrays.
 
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
 residuals are checked before results are returned.  The Hermitian input
-contract is certified by cheap O(n^2) norm bounds and falls back to the
-exact SVD quotient only when the bounds cannot decide, so it accepts and
-rejects exactly what the exact check does.  The banded eigensolver keeps
-the dense one's input contract.
+contract is certified by cheap norm bounds (O(n^2), or O(n) on a matrix
+known to be tridiagonal) and falls back to the exact SVD quotient only
+when the bounds cannot decide, so it accepts and rejects exactly what the
+exact check does.  The banded eigensolver keeps the dense one's input
+contract.
 """
 
 from dataclasses import dataclass
@@ -63,32 +65,54 @@ def _as_matrix(m):
     return m
 
 
-def check_hermitian(matrix, tol):
+def _bound_accepts(m, tol, tridiagonal):
+    """Whether cheap norm bounds prove ||M - M*||_2 <= tol * ||M||_2.
+
+    The Frobenius norm of the asymmetry bounds its 2-norm from above and
+    the largest column norm bounds ||M||_2 from below.  Both are taken
+    after scaling by the largest entry, so squares of tiny or huge entries
+    neither underflow nor overflow, and a relative margin of 1e-8 covers
+    their roundoff.  For a ``tridiagonal`` M (zero off its three central
+    diagonals) both come from those diagonals in O(n).
+    """
+    if tridiagonal:
+        lo, d, up = (np.diagonal(m, k) for k in (-1, 0, 1))
+        peak = max(np.max(np.abs(x), initial=0.0) for x in (lo, d, up))
+    else:
+        peak = np.max(np.abs(m))
+    if peak == 0:
+        return True
+    if not np.isfinite(peak):
+        return False
+    if tridiagonal:
+        lo, d, up = lo / peak, d / peak, up / peak
+        cols = np.abs(d) ** 2
+        cols[:-1] += np.abs(lo) ** 2
+        cols[1:] += np.abs(up) ** 2
+        colmax = np.sqrt(np.max(cols))
+        asym = np.sqrt(np.sum((2.0 * d.imag) ** 2)
+                       + 2.0 * np.sum(np.abs(lo - up.conj()) ** 2))
+    else:
+        a = m / peak
+        colmax = np.max(np.linalg.norm(a, axis=0))
+        asym = np.linalg.norm(a - a.conj().T)
+    return bool(asym <= (1.0 - 1e-8) * tol * colmax)
+
+
+def check_hermitian(matrix, tol, tridiagonal=False):
     """Raise :class:`NonHermitianError` when ||M - M*||_2 / ||M||_2 exceeds ``tol``.
 
-    Fast accept in O(n^2): the Frobenius norm of the asymmetry bounds its
-    2-norm from above and the largest column norm bounds ||M||_2 from
-    below, so ||M - M*||_F <= tol * max_j ||M e_j|| proves the exact check
-    passes.  Both are taken after scaling by the largest entry, so squares
-    of tiny or huge entries neither underflow nor overflow, and a relative
-    margin of 1e-8 covers their roundoff, so near-ties go to the exact
-    check.  Otherwise the exact quotient is computed with SVDs; it
-    decides, and is the defect the error carries.  Zero and empty matrices
-    are accepted.
+    Fast accept in O(n^2), or O(n) for a matrix known to be
+    ``tridiagonal``, when the norm bounds of :func:`_bound_accepts` prove
+    the exact check passes; near-ties go to the exact check.  Otherwise
+    the exact quotient is computed with SVDs; it decides, and is the
+    defect the error carries.  Zero and empty matrices are accepted.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if m.size == 0:
+    if m.size == 0 or _bound_accepts(m, tol, tridiagonal):
         return
-    peak = np.max(np.abs(m))
-    if peak == 0:
-        return
-    if np.isfinite(peak):
-        a = m / peak
-        colmax = np.max(np.linalg.norm(a, axis=0))
-        if np.linalg.norm(a - a.conj().T) <= (1.0 - 1e-8) * tol * colmax:
-            return
     scale = np.linalg.norm(m, 2)
     if scale > 0:
         defect = np.linalg.norm(m - m.conj().T, 2) / scale
@@ -128,6 +152,46 @@ class TridiagonalBands:
     offdiagonal: np.ndarray
     phase: np.ndarray = None
 
+    @classmethod
+    def hermitian(cls, diagonal, subdiagonal):
+        """Bands of the Hermitian M with real ``diagonal`` and M[k+1, k] = ``subdiagonal``.
+
+        A complex subdiagonal is made real and nonnegative by the diagonal
+        unitary P with P[k+1]/P[k] = e_k/|e_k|.
+        """
+        e = np.asarray(subdiagonal)
+        phase = None
+        if np.iscomplexobj(e):
+            mag = np.abs(e)
+            unit = np.ones_like(e)
+            np.divide(e, mag, out=unit, where=mag > 0)
+            phase = np.concatenate([[1.0 + 0.0j], np.cumprod(unit)])
+            e = mag
+        return cls(np.array(diagonal, dtype=float), e, phase)
+
+    @property
+    def dim(self):
+        return len(self.diagonal)
+
+    def subdiagonal(self):
+        """M[k+1, k]."""
+        if self.phase is None:
+            return self.offdiagonal
+        return self.phase[1:] * self.offdiagonal * self.phase[:-1].conj()
+
+    def dense(self):
+        """M as an n x n array."""
+        n, sub = self.dim, self.subdiagonal()
+        m = np.zeros((n, n), dtype=np.result_type(self.diagonal, sub))
+        m.flat[::n + 1] = self.diagonal
+        m.flat[n::n + 1] = sub
+        m.flat[1::n + 1] = sub.conj()
+        return m
+
+    def shifted(self, shift):
+        """Bands of M - shift * I."""
+        return TridiagonalBands(self.diagonal - shift, self.offdiagonal, self.phase)
+
     def eigenvalues(self):
         """All eigenvalues, ascending."""
         return sla.eigh_tridiagonal(self.diagonal, self.offdiagonal, eigvals_only=True)
@@ -135,12 +199,26 @@ class TridiagonalBands:
     def eigenpairs(self, lo, hi):
         """Eigenpairs with ascending indices lo, ..., hi - 1."""
         if hi <= lo:
-            return SpectralDecomposition(np.empty(0), np.empty((len(self.diagonal), 0)))
+            return SpectralDecomposition(np.empty(0), np.empty((self.dim, 0)))
         w, v = sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
                                     select="i", select_range=(lo, hi - 1))
         if self.phase is not None:
             v = self.phase[:, None] * v
         return SpectralDecomposition(w, v)
+
+    def solve(self, rhs, z):
+        """(M - z I)^-1 rhs for complex z off the spectrum, by the banded LU of T - z I."""
+        n = self.dim
+        ab = np.zeros((3, n), dtype=complex)
+        ab[0, 1:] = self.offdiagonal
+        ab[1, :] = self.diagonal - z
+        ab[2, :-1] = self.offdiagonal
+        # a complex copy: for n = 1 solve_banded divides it in place
+        b = np.array(rhs, dtype=complex)
+        if self.phase is None:
+            return sla.solve_banded((1, 1), ab, b, overwrite_b=True)
+        b *= self.phase.conj()[:, None]
+        return self.phase[:, None] * sla.solve_banded((1, 1), ab, b, overwrite_b=True)
 
 
 def tridiagonal_bands(matrix, tol=HERMITIAN_TOL):
@@ -148,22 +226,17 @@ def tridiagonal_bands(matrix, tol=HERMITIAN_TOL):
 
     The input contract is :func:`herm_eig`'s: finite entries, and
     :class:`NonHermitianError` when the relative asymmetry exceeds ``tol``.
-    The bands are those of (M + M*)/2.  A complex off-diagonal is made
-    real and nonnegative by the diagonal unitary P with
-    P[k+1]/P[k] = e_k/|e_k|; the eigenvectors are mapped back through it.
+    Both are checked on the three central diagonals in O(n), since the
+    entries off them are exact zeros.  The bands are those of (M + M*)/2.
     """
-    m = _as_matrix(matrix)
-    check_hermitian(m, tol)
-    d = np.diagonal(m).real.copy()
-    e = 0.5 * (np.diagonal(m, -1) + np.diagonal(m, 1).conj())
-    phase = None
-    if np.iscomplexobj(e):
-        mag = np.abs(e)
-        unit = np.ones_like(e)
-        np.divide(e, mag, out=unit, where=mag > 0)
-        phase = np.concatenate([[1.0 + 0.0j], np.cumprod(unit)])
-        e = mag
-    return TridiagonalBands(d, e, phase)
+    m = np.asarray(matrix)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    lo, d, up = (np.diagonal(m, k) for k in (-1, 0, 1))
+    if not all(np.all(np.isfinite(x)) for x in (lo, d, up)):
+        raise ValueError("matrix contains non-finite entries")
+    check_hermitian(m, tol, tridiagonal=True)
+    return TridiagonalBands.hermitian(d.real, 0.5 * (lo + up.conj()))
 
 
 def probe_gaps(probe, spectra, gap_tol=PROBE_GAP_TOL):

@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError
-from .linalg import check_hermitian, herm_eig, is_tridiagonal, tridiagonal_bands
+from .linalg import (SpectralDecomposition, TridiagonalBands, check_hermitian, herm_eig,
+                     is_tridiagonal, tridiagonal_bands)
 from .quadrature import make_quadrature
 
 __all__ = [
@@ -44,29 +46,60 @@ def thresholds():
 class OperatorPair:
     """A pair H0 and H = H0 + G* V0 G with the factorization kept explicit.
 
+    ``operators`` holds (h0, h), either as dense matrices or, for pairs
+    built from bands, as :class:`TridiagonalBands`; the dense ``h0`` and
+    ``h`` of a band pair are built on first use, for dense consumers only.
     ``g`` maps the main space into the coupling space (kdim x dim);
     ``v0`` is Hermitian on the coupling space.  ``meta`` records the model
-    and any exactly known facts about it.
+    and any exactly known facts about it.  ``origin`` is (pair, probe) for
+    ``shift_pair(pair, probe)``.
 
-    Eigen-data are computed on first use and cached on the instance.  When
-    both operators are tridiagonal (an exact test on the matrices) the
-    eigenvalues and the eigenvectors near a probe come from a banded
-    solver; otherwise from the dense eigensystems.
+    Eigen-data are computed on first use and cached on the instance; a
+    shifted pair takes them from its origin, with the eigenvalues moved.
+    When both operators are tridiagonal (always for a band pair, an exact
+    test on dense matrices) the eigenvalues and the eigenvectors near a
+    probe come from a banded solver; otherwise from the dense
+    eigensystems.
     """
 
-    h0: np.ndarray
-    h: np.ndarray
+    operators: tuple
     g: np.ndarray
     v0: np.ndarray
     meta: dict = field(default_factory=dict)
+    origin: tuple = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
-        return self.h0.shape[0]
+        return self.g.shape[1]
 
     @property
     def kdim(self):
         return self.g.shape[0]
+
+    @property
+    def banded(self):
+        """Whether the operators are stored as bands."""
+        return isinstance(self.operators[0], TridiagonalBands)
+
+    @functools.cached_property
+    def _dense(self):
+        if self.banded:
+            return tuple(b.dense() for b in self.operators)
+        return self.operators
+
+    @property
+    def h0(self):
+        return self._dense[0]
+
+    @property
+    def h(self):
+        return self._dense[1]
+
+    @functools.cached_property
+    def sparse_g(self):
+        """``g`` as a sparse matrix (CSR)."""
+        return sparse.csr_array(self.g)
 
     def factorization_residual(self):
         v = self.g.conj().T @ self.v0 @ self.g
@@ -78,22 +111,32 @@ class OperatorPair:
 
     @functools.cached_property
     def _eigensystems(self):
+        if self.origin is not None:
+            base, shift = self.origin
+            return tuple(SpectralDecomposition(e.eigenvalues - shift, e.eigenvectors)
+                         for e in base.eigensystems())
         return herm_eig(self.h0), herm_eig(self.h)
 
     @functools.cached_property
     def tridiagonal(self):
         """Whether h0 and h both vanish off their three central diagonals."""
-        return is_tridiagonal(self.h0) and is_tridiagonal(self.h)
+        return self.banded or (is_tridiagonal(self.h0) and is_tridiagonal(self.h))
 
     @functools.cached_property
-    def _bands(self):
+    def bands(self):
+        """:class:`TridiagonalBands` of h0 and h, for a ``tridiagonal`` pair."""
+        if self.banded:
+            return self.operators
         return tridiagonal_bands(self.h0), tridiagonal_bands(self.h)
 
     @functools.cached_property
     def eigenvalues(self):
         """Ascending eigenvalues of h0 and h."""
+        if self.origin is not None:
+            base, shift = self.origin
+            return tuple(w - shift for w in base.eigenvalues)
         if self.tridiagonal:
-            return tuple(b.eigenvalues() for b in self._bands)
+            return tuple(b.eigenvalues() for b in self.bands)
         return tuple(e.eigenvalues for e in self.eigensystems())
 
     def probe_basis(self, probe):
@@ -108,11 +151,27 @@ class OperatorPair:
         ranges = [(0, m) if side < 0 else (m, n) for m in below]
         if self.tridiagonal:
             u0, u1 = (b.eigenpairs(lo, hi).eigenvectors
-                      for b, (lo, hi) in zip(self._bands, ranges))
+                      for b, (lo, hi) in zip(self.bands, ranges))
         else:
             u0, u1 = (e.eigenvectors[:, lo:hi]
                       for e, (lo, hi) in zip(self.eigensystems(), ranges))
         return side, u0, u1
+
+    def compression(self, probe):
+        """(side, A0, A1): the side projections of h0 and h compressed to span[U0, U1].
+
+        With (side, U0, U1) from :meth:`probe_basis` and the Householder QR
+        [U0 U1] = Q R, R = [R0 R1], the compressions are A_j = R_j R_j*.
+        The latest probe's result is kept, so that the difference spectrum
+        and the D^2 check at one probe share one eigensolve and one QR.
+        """
+        if self._memo.get("probe") != probe:
+            side, u0, u1 = self.probe_basis(probe)
+            r = np.linalg.qr(np.hstack([u0, u1]), mode="r")
+            r0, r1 = r[:, :u0.shape[1]], r[:, u0.shape[1]:]
+            self._memo.update(probe=probe,
+                              compression=(side, r0 @ r0.conj().T, r1 @ r1.conj().T))
+        return self._memo["compression"]
 
 
 def _finite(m, name):
@@ -134,20 +193,62 @@ def _hermitize_check(m, name):
 
 
 def build_finite_pair(h0, g, v0, meta=None):
-    """Assemble an :class:`OperatorPair` from its factorization pieces."""
-    h0 = _hermitize_check(h0, "h0")
+    """Assemble an :class:`OperatorPair` from its factorization pieces.
+
+    ``h0`` is a dense Hermitian matrix or a :class:`TridiagonalBands`.
+    From bands, G* V0 G is formed from the nonzeros of ``g``; it must be
+    tridiagonal, and the pair stores the bands of h0 and h, with no n x n
+    array.  Either way ArithmeticError is raised when the factorization
+    residual ||h - h0 - G* V0 G||_F exceeds FACTORIZATION_TOL relative to
+    ||h||_F + ||h0||_F.
+    """
+    banded = isinstance(h0, TridiagonalBands)
+    if banded:
+        _finite(np.concatenate([h0.diagonal, h0.offdiagonal]), "h0")
+        n = h0.dim
+    else:
+        h0 = _hermitize_check(h0, "h0")
+        n = h0.shape[0]
     v0 = _hermitize_check(v0, "v0")
     g = _finite(g, "g")
-    if g.ndim != 2 or g.shape[1] != h0.shape[0] or v0.shape[0] != g.shape[0]:
+    if g.ndim != 2 or g.shape[1] != n or v0.shape[0] != g.shape[0]:
         raise ValueError("inconsistent dimensions in (h0, g, v0)")
-    h = h0 + g.conj().T @ v0 @ g
-    pair = OperatorPair(h0, 0.5 * (h + h.conj().T), g, v0, dict(meta or {}))
+    if banded:
+        return _band_pair(h0, g, v0, dict(meta or {}))
+    v = g.conj().T @ v0 @ g
+    h = h0 + v
+    pair = OperatorPair((h0, 0.5 * (h + h.conj().T)), g, v0, dict(meta or {}))
     # Frobenius bounds the operator norm from above, and is O(n^2) to check
-    resid = np.linalg.norm(pair.h - h0 - g.conj().T @ v0 @ g)
+    resid = np.linalg.norm(pair.h - h0 - v)
     scale = np.linalg.norm(pair.h) + np.linalg.norm(h0)
+    _check_factorization(resid, scale)
+    return pair
+
+
+def _check_factorization(resid, scale):
     if resid > FACTORIZATION_TOL * max(scale, 1.0):
         raise ArithmeticError(f"factorization residual {resid:.3e}")
-    return pair
+
+
+def _band_pair(b0, g, v0, meta):
+    """The band pair of :func:`build_finite_pair`: G* V0 G from the nonzeros of g."""
+    gs = sparse.csr_array(g)
+    v = (gs.conj().T @ sparse.csr_array(v0)) @ gs
+    lo, d, up = (v.diagonal(k) for k in (-1, 0, 1))
+    if v.count_nonzero() != sum(np.count_nonzero(x) for x in (lo, d, up)):
+        raise ArithmeticError("G* V0 G leaves the three central diagonals")
+    sub0 = b0.subdiagonal()
+    b1 = TridiagonalBands.hermitian(b0.diagonal + d.real,
+                                    0.5 * ((sub0 + lo) + (sub0.conj() + up).conj()))
+    # h - h0 - G* V0 G vanishes off the three diagonals, so its Frobenius
+    # norm, and those of h0 and h, are O(n) sums over them
+    sub1 = b1.subdiagonal()
+    resid = np.sqrt(sum(np.sum(np.abs(x) ** 2) for x in (
+        b1.diagonal - b0.diagonal - d, sub1 - sub0 - lo, sub1.conj() - sub0.conj() - up)))
+    scale = sum(np.sqrt(np.sum(b.diagonal ** 2) + 2.0 * np.sum(b.offdiagonal ** 2))
+                for b in (b0, b1))
+    _check_factorization(resid, scale)
+    return OperatorPair((b0, b1), g, v0, meta)
 
 
 def build_krein(n=400, L=40.0):
@@ -211,7 +312,9 @@ def build_schrodinger_1d(spec, support_floor=1e-14):
 
     The coupling space is restricted to grid points where |V| exceeds
     ``support_floor``; the pair's potential is the thresholded one, so
-    the factorization H = H0 + G* V0 G is exact.
+    the factorization H = H0 + G* V0 G is exact.  The pair is built from
+    the bands of H0 (2/h^2 on the diagonal, -1/h^2 beside it) and stores
+    the bands of H0 and H.
     """
     if spec.decay_exponent <= 1:
         raise ValueError("decay exponent must exceed 1")
@@ -226,8 +329,7 @@ def build_schrodinger_1d(spec, support_floor=1e-14):
         raise DecayBoundError(
             f"|V({x[i]:.4g})| = {abs(v[i]):.4g} exceeds declared envelope {envelope[i]:.4g}")
     n = spec.n
-    h0 = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
-          + np.diag(np.full(n - 1, -1.0), -1)) / h ** 2
+    h0 = TridiagonalBands(np.full(n, 2.0) / h ** 2, np.full(n - 1, -1.0) / h ** 2)
     keep = np.abs(v) > support_floor
     idx = np.where(keep)[0]
     g = np.zeros((len(idx), n))
@@ -306,18 +408,26 @@ def resolvent_transform(pair, shift):
     w0 = -pair.v0 + pair.v0 @ (pair.g @ ht @ pair.g.conj().T) @ pair.v0
     w0 = 0.5 * (w0 + w0.conj().T)
     meta = {"model": "resolvent-transform", "base": pair.meta.get("model"), "shift": shift}
-    transformed = OperatorPair(h0t, ht, g, w0, meta)
+    transformed = OperatorPair((h0t, ht), g, w0, meta)
     return ResolventTransform(transformed, float(shift))
 
 
 def shift_pair(pair, probe):
-    """Translate both operators by -probe so the probe moves to 0."""
+    """Translate both operators by -probe so the probe moves to 0.
+
+    A shift moves eigenvalues only, so the shifted pair takes its
+    eigen-data from ``pair`` (computed there once), with eigenvalues
+    w - probe, whose signs are exact.  Bands shift in O(n).
+    """
     if probe == 0:
         return pair
-    eye = np.eye(pair.dim)
+    if pair.banded:
+        operators = tuple(b.shifted(probe) for b in pair.operators)
+    else:
+        eye = np.eye(pair.dim)
+        operators = (pair.h0 - probe * eye, pair.h - probe * eye)
     meta = dict(pair.meta, shifted_by=float(probe))
-    return OperatorPair(pair.h0 - probe * eye, pair.h - probe * eye,
-                        pair.g, pair.v0, meta)
+    return OperatorPair(operators, pair.g, pair.v0, meta, origin=(pair, float(probe)))
 
 
 def preset_names():

@@ -16,7 +16,9 @@ of the r x r compression Q* D Q = R1 R1* - R0 R0*, padded with n - r
 exact zeros, and the D^2 block identity compresses to the same r x r
 blocks.  The eigenvectors come from the pair: a banded solver restricted
 to the needed indices when H0 and H are tridiagonal, the dense
-eigensystems otherwise (see :class:`projdiff.models.OperatorPair`).
+eigensystems otherwise.  The pair keeps the compression of the latest
+probe, so the spectrum and the D^2 check at one probe share it (see
+:class:`projdiff.models.OperatorPair`).
 """
 
 from dataclasses import dataclass
@@ -124,12 +126,9 @@ class DifferenceReport:
 
 def _compressions(pair, probe, gap_tol):
     """(side, A0, A1, gap_h0, gap_h): the side projections compressed to
-    span[U0, U1], as A_j = R_j R_j* with R = [R0 R1] from the QR of [U0 U1]."""
+    span[U0, U1] (see :meth:`projdiff.models.OperatorPair.compression`)."""
     g0, g1 = probe_gaps(probe, pair.eigenvalues, gap_tol)
-    side, u0, u1 = pair.probe_basis(probe)
-    r = np.linalg.qr(np.hstack([u0, u1]), mode="r")
-    r0, r1 = r[:, :u0.shape[1]], r[:, u0.shape[1]:]
-    return side, r0 @ r0.conj().T, r1 @ r1.conj().T, g0, g1
+    return (*pair.compression(probe), g0, g1)
 
 
 def projection_difference(pair, probe, target=None, gap_tol=PROBE_GAP_TOL,

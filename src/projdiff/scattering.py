@@ -17,7 +17,6 @@ their phases move with eps.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
 from .errors import SingularSandwichError
@@ -33,6 +32,7 @@ __all__ = [
 
 C1_RESIDUAL_TOL = 1e-9
 COND_LIMIT = 1e12
+SOLVE_BLOCK = 16
 DEFAULT_PHASE_FLOOR = 0.1
 
 
@@ -50,45 +50,68 @@ class ResolventSandwich:
     factor_residual: float   # || T - T0 (I + V0 T0)^-1 ||
 
 
-def _tridiag_bands(m, z):
-    n = m.shape[0]
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = np.diagonal(m, 1)
-    ab[1, :] = np.diagonal(m) - z
-    ab[2, :-1] = np.diagonal(m, -1)
-    return ab
+def _sandwich_one(pair, which, z):
+    """G (A - z)^-1 G* for A = h0 (``which`` = 0) or h (1)."""
+    g = pair.g
+    if not pair.tridiagonal:
+        mat = (pair.h0, pair.h)[which]
+        return g @ np.linalg.solve(mat - z * np.eye(pair.dim), g.conj().T)
+    # banded solves on SOLVE_BLOCK columns of G* at a time, so the n x k
+    # right-hand side is never held at once; G applied through its nonzeros
+    bands, gs = pair.bands[which], pair.sparse_g
+    t = np.empty((pair.kdim, pair.kdim), dtype=complex)
+    for lo in range(0, pair.kdim, SOLVE_BLOCK):
+        cols = slice(lo, lo + SOLVE_BLOCK)
+        t[:, cols] = gs @ bands.solve(g[cols].conj().T, z)
+    return t
 
 
-def _sandwich_one(mat, g, z, tridiagonal):
-    rhs = g.conj().T
-    if tridiagonal:
-        # for n = 1 solve_banded divides the right-hand side in place, so it
-        # must already have the bands' complex dtype
-        y = sla.solve_banded((1, 1), _tridiag_bands(mat, z), rhs.astype(complex))
-    else:
-        y = np.linalg.solve(mat - z * np.eye(mat.shape[0]), rhs)
-    return g @ y
+def _check_conditioning(m, cond_limit):
+    """:class:`SingularSandwichError` when cond_2(m) exceeds ``cond_limit``.
+
+    Fast accept: cond_2(m) <= ||m||_F ||m^-1||_F.  The computed inverse has
+    relative error about k * eps * cond, far below the factor 100 margin,
+    so inputs within that factor of the limit (and singular ones) go to
+    the exact SVD condition number, which decides.  The inverse is numpy's,
+    like the solve that follows, rather than a scipy LU shared by both:
+    scipy's LAPACK runs on a second BLAS thread pool, and alternating the
+    two pools slowed the calls on either side of the switch several-fold.
+    """
+    try:
+        bound = np.linalg.norm(m) * np.linalg.norm(np.linalg.inv(m))
+    except np.linalg.LinAlgError:
+        bound = np.inf
+    if not bound <= 1e-2 * cond_limit:
+        cond = np.linalg.cond(m)
+        if cond > cond_limit:
+            raise SingularSandwichError(cond)
 
 
 def resolvent_sandwich(pair, z, cond_limit=COND_LIMIT):
     """Both sandwiches at a point in the upper half plane.
 
     The resolvent identity T = T0 (I + V0 T0)^-1 is verified and its
-    residual returned; a condition number of I + V0 T0 beyond
-    ``cond_limit`` raises :class:`SingularSandwichError`.
+    residual (2-norm) returned; a condition number of I + V0 T0 beyond
+    ``cond_limit`` raises :class:`SingularSandwichError`.  The residual
+    passes at once when it is below the tolerance scaled by the largest
+    column norm of T, a lower bound on ||T||_2, which is computed only
+    when that test fails.
     """
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("need Im z > 0")
-    tri = pair.tridiagonal
-    t0 = _sandwich_one(pair.h0, pair.g, z, tri)
-    t = _sandwich_one(pair.h, pair.g, z, tri)
+    t0 = _sandwich_one(pair, 0, z)
+    t = _sandwich_one(pair, 1, z)
     m = np.eye(pair.kdim) + pair.v0 @ t0
-    cond = np.linalg.cond(m)
-    if cond > cond_limit:
-        raise SingularSandwichError(cond)
-    resid = float(np.linalg.norm(t - np.linalg.solve(m.conj().T, t0.conj().T).conj().T, 2))
-    if resid > C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t, 2)):
+    _check_conditioning(m, cond_limit)
+    # T - T0 m^-1 = T - (m^-* T0*)*, formed in place
+    x = np.linalg.solve(m.conj().T, t0.conj().T).T
+    del m
+    np.subtract(t, np.conjugate(x, out=x), out=x)
+    resid = float(np.linalg.norm(x, 2))
+    colmax = np.max(np.linalg.norm(t, axis=0), initial=0.0)
+    if (resid > C1_RESIDUAL_TOL * max(1.0, (1.0 - 1e-8) * colmax)
+            and resid > C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t, 2))):
         raise ArithmeticError(f"resolvent factor identity residual {resid:.3e}")
     return ResolventSandwich(z, t0, t, resid)
 
@@ -148,11 +171,14 @@ def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
     """
     sw = resolvent_sandwich(pair, probe + 1j * eps)
     f0p, fp = smoothed_density(pair, probe, eps, sandwich=sw)
-    root = _psd_sqrt(f0p)
     v0 = pair.v0
     core = v0 - v0 @ sw.t @ v0
+    factor_residual = sw.factor_residual
+    del sw      # k x k temporaries are released as soon as they are used up
+    root = _psd_sqrt(f0p)
     k = pair.kdim
     smat = np.eye(k) - 2j * np.pi * root @ core @ root
+    del core
     evs = np.linalg.eigvals(smat)
     udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(k), 2))
     thr = max(float(phase_floor), 10.0 * udef)
@@ -160,12 +186,14 @@ def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
     phases = np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
     amat = np.pi ** 2 * root @ v0 @ fp @ v0 @ root
     amat = 0.5 * (amat + amat.conj().T)
+    del root
     diff = smat - np.eye(k)
     ident = float(np.linalg.norm(0.25 * diff.conj().T @ diff - amat, 2))
+    del diff
     a_pred = float(np.sqrt(max(np.max(np.linalg.eigvalsh(amat)), 0.0)))
     edges = np.sort(np.sin(phases / 2.0))[::-1]
     return ScatteringBundle(float(probe), float(eps), f0p, fp, smat, evs, phases,
-                            thr, udef, amat, ident, a_pred, edges, sw.factor_residual)
+                            thr, udef, amat, ident, a_pred, edges, factor_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,16 @@ def test_config_validation_field_paths():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigError, match=r"config\.probes\[1\]: must be finite"):
             ExperimentConfig.from_dict({"probes": [0.5, bad]})
+    with pytest.raises(ConfigError, match=r"config\.probes\[0\]: must be a number"):
+        ExperimentConfig.from_dict({"probes": [True]})
+    for ladder, message in ((["a"], r"\[0\]: must be a number"),
+                            ([0.2, "a"], r"\[1\]: must be a number"),
+                            ([True, 0.5], r"\[0\]: must be a number"),
+                            ([float("nan"), 0.1], r"\[0\]: must be finite"),
+                            ([float("inf"), 0.1], r"\[0\]: must be finite"),
+                            ([0.2, float("nan")], r"\[1\]: must be finite")):
+        with pytest.raises(ConfigError, match=r"config\.eps_ladder" + message):
+            ExperimentConfig.from_dict({"eps_ladder": ladder})
     # the model-size minimum of 16 holds on the n axis only: on the trule
     # axis the sizes are time-rule node counts
     small = ExperimentConfig.from_dict({"model": "finite:random", "probes": [0.0],
@@ -209,3 +219,40 @@ def test_krein_run_reproduces_known_facts():
     assert spec.min() >= -1.0 - 1e-10 and spec.max() <= 1.0 + 1e-10
     assert payload["difference"]["pairing_defect"] <= 1e-6
     assert payload["product_identity"]["residual_oracle"] <= 1e-8 * payload["n"]
+
+
+def test_one_compression_per_probe(monkeypatch):
+    # the difference spectrum and the D^2 check at one probe share one
+    # selected banded eigensolve per operator
+    from projdiff import linalg
+    calls = []
+    original = linalg.sla.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("select", "a"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.sla, "eigh_tridiagonal", spy)
+    cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.5, 1.0),
+                           model_params={"n": 400, "half_width": 40.0},
+                           eps_ladder=(0.3, 0.2))
+    payloads = run_experiment(cfg).body["probes"]
+    assert all("difference" in p and "dsquared_residual" in p for p in payloads)
+    assert calls.count("i") == 2 * len(cfg.probes)
+
+
+def test_sech2_run_allocates_no_dense_matrix():
+    # no n x n array on the band path: the traced peak of the whole run
+    # stays below one n x n float64
+    import tracemalloc
+    n = 1200
+    cfg = ExperimentConfig(model="schrodinger:sech2", model_params={"n": n},
+                           probes=(0.9,), eps_ladder=(0.3, 0.2, 0.1, 0.05))
+    tracemalloc.start()
+    try:
+        payload = run_experiment(cfg).body["probes"][0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "difference" in payload and "scattering" in payload
+    assert peak < n * n * 8

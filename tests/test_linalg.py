@@ -3,9 +3,9 @@ import pytest
 
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                              SpectralCollisionError)
-from projdiff.linalg import (HERMITIAN_TOL, check_hermitian, expm_apply, herm_eig,
-                             is_tridiagonal, probe_gaps, svd, sylvester_solve,
-                             tridiagonal_bands)
+from projdiff.linalg import (HERMITIAN_TOL, TridiagonalBands, check_hermitian,
+                             expm_apply, herm_eig, is_tridiagonal, probe_gaps, svd,
+                             sylvester_solve, tridiagonal_bands)
 from projdiff.models import MODEL_HERMITIAN_TOL, build_finite_pair
 
 
@@ -181,6 +181,89 @@ def test_tridiagonal_bands_complex_phases():
     v = dec.eigenvectors
     assert np.linalg.norm(m @ v - v * dec.eigenvalues, 2) <= 1e-13
     assert tridiagonal_bands(m).eigenpairs(2, 2).eigenvectors.shape == (6, 0)
+
+
+def _tridiagonal_sweep(tol, seed):
+    """Seeded tridiagonal matrices whose exact asymmetry is 0.1x, 1x and 10x ``tol``.
+
+    The asymmetry is either spread over all three diagonals, where the
+    bound is loose, or i on one diagonal entry of a matrix dominated by
+    that entry, where it is tight.
+    """
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 40, 200):
+        for spread in (True, False):
+            for ratio in (0.1, 1.0, 10.0):
+                sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+                h = np.diag(rng.standard_normal(n)) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
+                if spread:
+                    k = sum(np.diag(rng.standard_normal(n - abs(j))
+                                    + 1j * rng.standard_normal(n - abs(j)), j)
+                            for j in (-1, 0, 1))
+                else:
+                    j = int(rng.integers(n))
+                    h[j, j] += 10.0 * n
+                    k = np.zeros((n, n), dtype=complex)
+                    k[j, j] = 1j
+                scale = ratio * tol * np.linalg.norm(h, 2) / np.linalg.norm(k - k.conj().T, 2)
+                yield h + scale * k
+
+
+def test_tridiagonal_hermitian_bound_matches_exact_decision():
+    fast_accepts = inconclusive_accepts = rejects = 0
+    for tol in (HERMITIAN_TOL, MODEL_HERMITIAN_TOL):
+        for m in _tridiagonal_sweep(tol, seed=int(-np.log10(tol))):
+            assert is_tridiagonal(m)
+            if _exact_defect(m) > tol:
+                rejects += 1
+                with pytest.raises(NonHermitianError):
+                    check_hermitian(m, tol, tridiagonal=True)
+                with pytest.raises(NonHermitianError):
+                    tridiagonal_bands(m, tol)
+            else:
+                check_hermitian(m, tol, tridiagonal=True)
+                tridiagonal_bands(m, tol)
+                if _fast_bound(m) <= tol:
+                    fast_accepts += 1
+                else:
+                    inconclusive_accepts += 1
+    assert min(fast_accepts, inconclusive_accepts, rejects) > 0
+
+
+def test_tridiagonal_bands_check_runs_no_norm(monkeypatch):
+    # on a Hermitian tridiagonal input the bound comes from the three
+    # diagonals alone: no matrix norm, and no SVD
+    m = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([0.5, 0.0, 2.0], 1) + np.diag([0.5, 0.0, 2.0], -1)
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("matrix norm on a tridiagonal input")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    tridiagonal_bands(m)
+    tridiagonal_bands(1e-170 * m)
+
+
+def test_tridiagonal_bands_format():
+    rng = np.random.default_rng(12)
+    n = 9
+    d = rng.standard_normal(n)
+    sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    for s in (sub, sub.real):
+        m = np.diag(d) + np.diag(s, -1) + np.diag(s.conj(), 1)
+        bands = TridiagonalBands.hermitian(d, s)
+        assert (bands.phase is None) == np.isrealobj(s)
+        assert np.allclose(bands.subdiagonal(), s, atol=1e-15)
+        assert np.allclose(bands.dense(), m, atol=1e-15)
+        assert np.allclose(bands.eigenvalues(), np.linalg.eigvalsh(m), atol=1e-13)
+        z = 0.3 + 0.02j
+        rhs = rng.standard_normal((n, 3))
+        assert np.allclose(bands.solve(rhs, z), np.linalg.solve(m - z * np.eye(n), rhs),
+                           atol=1e-12)
+        assert np.array_equal(bands.shifted(0.5).dense(), bands.dense() - 0.5 * np.eye(n))
+    assert np.array_equal(TridiagonalBands.hermitian(d, sub.real).dense(),
+                          np.diag(d) + np.diag(sub.real, -1) + np.diag(sub.real, 1))
+    one = TridiagonalBands(np.array([2.0]), np.empty(0))
+    assert np.allclose(one.solve(np.array([[1.0]]), 1j), [[1.0 / (2.0 - 1j)]])
 
 
 def test_probe_gaps_reports_nearest_over_all_spectra():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from projdiff import linalg, models
 from projdiff.errors import DecayBoundError, GapViolationError
+from projdiff.linalg import TridiagonalBands
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              preset_names, preset_pair, random_gapped_pair,
                              resolvent_transform, sech2_spec, shift_pair,
-                             square_well_spec)
+                             square_well_spec, thresholds)
 from projdiff.projections import projection_difference
+from projdiff.scattering import resolvent_sandwich
 
 
 def test_zero_perturbation():
@@ -160,16 +163,143 @@ def test_resolvent_transform_reverses_order():
                        atol=1e-10)
 
 
-def test_shift_pair_translation():
+def test_shift_pair_translation(monkeypatch):
     pair = random_gapped_pair(6, 2, seed=1)
     assert shift_pair(pair, 0.0) is pair
     shifted = shift_pair(pair, 0.25)
-    w0 = np.sort(pair.eigensystems()[0].eigenvalues)
-    ws = np.sort(shifted.eigensystems()[0].eigenvalues)
-    assert np.allclose(ws, w0 - 0.25, atol=1e-12)
+    e0 = pair.eigensystems()[0]
+    # a shift moves eigenvalues only: no eigensolve runs on the shifted pair
+    monkeypatch.setattr(models, "herm_eig", _no_call("herm_eig"))
+    es = shifted.eigensystems()[0]
+    assert es.eigenvectors is e0.eigenvectors
+    assert np.array_equal(es.eigenvalues, e0.eigenvalues - 0.25)
+    assert np.array_equal(shifted.eigenvalues[1], pair.eigenvalues[1] - 0.25)
+    monkeypatch.undo()
+    # against the dense spectrum of the shifted matrix
+    assert np.allclose(np.linalg.eigvalsh(shifted.h0), e0.eigenvalues - 0.25, atol=1e-12)
     d_orig = projection_difference(pair, 0.25).spectrum
     d_shift = projection_difference(shifted, 0.0).spectrum
     assert np.allclose(d_orig, d_shift, atol=1e-13)
+
+
+def test_shift_pair_of_a_band_pair_moves_the_diagonal(monkeypatch):
+    pair = build_schrodinger_1d(square_well_spec(2.5, 1.0, 20.0, 399))
+    w0, w1 = pair.eigenvalues
+    shifted = shift_pair(pair, 1.0)
+    assert shifted.banded and shifted.origin == (pair, 1.0)
+    for b, s in zip(pair.operators, shifted.operators):
+        assert np.array_equal(s.diagonal, b.diagonal - 1.0)
+        assert s.offdiagonal is b.offdiagonal
+    monkeypatch.setattr(linalg.sla, "eigh_tridiagonal", _no_call("eigh_tridiagonal"))
+    monkeypatch.setattr(models, "herm_eig", _no_call("herm_eig"))
+    assert np.array_equal(shifted.eigenvalues[0], w0 - 1.0)
+    assert np.array_equal(shifted.eigenvalues[1], w1 - 1.0)
+    monkeypatch.undo()
+    assert np.array_equal(shifted.h, pair.h - np.eye(pair.dim))
+
+
+def _no_call(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return fail
+
+
+def _shipped_schrodinger_specs():
+    """Every Schrodinger box the thresholds file ships, by name."""
+    sech, well = thresholds()["sech2"], thresholds()["square_well"]
+    specs = {f"sech2-{sech['scatter_n']}":
+             sech2_spec(sech["depth"], sech["scatter_half_width"], sech["scatter_n"]),
+             f"square-well-{well['scatter_n']}":
+             square_well_spec(well["depth"], well["width"], well["scatter_half_width"],
+                              well["scatter_n"])}
+    for half_width, n in sech["d_boxes"]:
+        specs[f"sech2-{n}"] = sech2_spec(sech["depth"], half_width, n)
+    half_width, n = well["corner_box"]
+    specs[f"square-well-{n}"] = square_well_spec(well["depth"], well["width"], half_width, n)
+    return specs
+
+
+SHIPPED_SPECS = _shipped_schrodinger_specs()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SPECS))
+def test_band_pair_matches_dense_build(name):
+    # the pair built from bands against build_finite_pair on the dense
+    # finite-difference matrix, at every shipped size
+    spec = SHIPPED_SPECS[name]
+    pair = build_schrodinger_1d(spec)
+    n, step = spec.n, spec.grid()[1]
+    h0 = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
+          + np.diag(np.full(n - 1, -1.0), -1)) / step ** 2
+    dense = build_finite_pair(h0, pair.g, pair.v0, pair.meta)
+    assert pair.banded and not dense.banded
+    assert np.array_equal(pair.h0, dense.h0) and np.array_equal(pair.h, dense.h)
+    for b, d in zip(pair.bands, dense.bands):
+        assert np.array_equal(b.diagonal, d.diagonal)
+        assert np.array_equal(b.offdiagonal, d.offdiagonal)
+    for w, v in zip(pair.eigenvalues, dense.eigenvalues):
+        assert np.max(np.abs(w - v)) <= 1e-12
+    probe = 1.0
+    spec_b = projection_difference(pair, probe).spectrum
+    spec_d = projection_difference(dense, probe).spectrum
+    assert np.max(np.abs(spec_b - spec_d)) <= 1e-12
+    z = probe + 0.05j
+    sb, sd = resolvent_sandwich(pair, z), resolvent_sandwich(dense, z)
+    for tb, td in ((sb.t0, sd.t0), (sb.t, sd.t)):
+        assert np.linalg.norm(tb - td, 2) <= 1e-10 * np.linalg.norm(td, 2)
+    if n < 2000:
+        # and against dense solves
+        g = pair.g
+        for tb, m in ((sb.t0, h0), (sb.t, dense.h)):
+            td = g @ np.linalg.solve(m - z * np.eye(n), g.conj().T)
+            assert np.linalg.norm(tb - td, 2) <= 1e-10 * np.linalg.norm(td, 2)
+
+
+def test_band_build_keeps_the_factorization_contract(monkeypatch):
+    n = 8
+    bands = TridiagonalBands(np.full(n, 2.0), np.full(n - 1, -1.0))
+    g = np.zeros((2, n))
+    g[0, 2], g[1, 3] = 0.5, 0.7
+    pair = build_finite_pair(bands, g, np.diag([1.0, -1.0]))
+    assert pair.banded and pair.tridiagonal
+    assert np.allclose(pair.h - pair.h0, g.T @ np.diag([1.0, -1.0]) @ g, atol=1e-15)
+    # a coupling on sites two apart puts G* V0 G off the band
+    far = np.zeros((1, n))
+    far[0, [2, 4]] = 0.5
+    with pytest.raises(ArithmeticError, match="three central diagonals"):
+        build_finite_pair(bands, far, np.array([[1.0]]))
+    # the residual check runs on the band path too
+    monkeypatch.setattr(models, "FACTORIZATION_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="factorization residual"):
+        build_finite_pair(bands, g, np.diag([1.0, -1.0]))
+    monkeypatch.undo()
+    bad = TridiagonalBands(np.full(n, 2.0), np.r_[np.nan, np.full(n - 2, -1.0)])
+    with pytest.raises(ValueError, match="h0 has non-finite entries"):
+        build_finite_pair(bad, g, np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="inconsistent dimensions"):
+        build_finite_pair(bands, g[:, :-1], np.diag([1.0, -1.0]))
+
+
+def test_complex_band_pair_matches_dense_build():
+    # a complex Hermitian tridiagonal h0 and a coupling on neighbouring sites
+    rng = np.random.default_rng(4)
+    n = 30
+    sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    bands = TridiagonalBands.hermitian(rng.uniform(-2, 2, n), sub)
+    g = np.zeros((2, n), dtype=complex)
+    g[0, [4, 5]] = [0.3 + 0.1j, 0.2]
+    g[1, 9] = 0.6j
+    v0 = np.diag([1.0, -1.0])
+    pair = build_finite_pair(bands, g, v0)
+    dense = build_finite_pair(bands.dense(), g, v0)
+    assert pair.banded and dense.tridiagonal and not dense.banded
+    assert np.allclose(pair.h, dense.h, atol=1e-14)
+    for w, v in zip(pair.eigenvalues, dense.eigensystems()):
+        assert np.allclose(w, v.eigenvalues, atol=1e-12)
+    assert np.allclose(projection_difference(pair, 0.1).spectrum,
+                       projection_difference(dense, 0.1).spectrum, atol=1e-12)
+    sb, sd = resolvent_sandwich(pair, 0.1 + 0.05j), resolvent_sandwich(dense, 0.1 + 0.05j)
+    assert np.allclose(sb.t, sd.t, atol=1e-12) and np.allclose(sb.t0, sd.t0, atol=1e-12)
 
 
 def test_presets():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projdiff.errors import GapViolationError
-from projdiff.linalg import herm_eig
+from projdiff.linalg import TridiagonalBands, herm_eig
 from projdiff import models, scattering
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, square_well_spec,
@@ -230,7 +230,7 @@ def test_path_selection_follows_the_band(monkeypatch):
     assert dense.h[5, 8] != 0
     for pair, expect_banded in ((banded, True), (dense, False)):
         bands = _count_calls(monkeypatch, models, "tridiagonal_bands")
-        solves = _count_calls(monkeypatch, scattering, "_tridiag_bands")
+        solves = _count_calls(monkeypatch, TridiagonalBands, "solve")
         dense_eigs = _count_calls(monkeypatch, models, "herm_eig")
         projection_difference(pair, 0.1)
         scattering.resolvent_sandwich(pair, 0.1 + 0.05j)

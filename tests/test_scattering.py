@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from projdiff import scattering
+from projdiff.errors import SingularSandwichError
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, square_well_spec,
                              thresholds)
@@ -232,3 +234,83 @@ def test_birman_krein_weak_square_well():
     _, xi, defect = birman_krein_extrapolated(pair, 1.0, phases, ladder)
     assert defect <= 5e-2
     assert xi < 0  # attractive well pulls levels down through the probe
+
+
+def _matrix_with_cond(k, cond, rng):
+    """Random complex k x k matrix with 2-norm condition number ``cond``."""
+    u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    return (u * np.geomspace(1.0, 1.0 / cond, k)) @ v
+
+
+def test_sandwich_conditioning_decision_matches_exact_cond():
+    # the LU bound accepts or defers to the exact cond, so the decision is
+    # the exact one; the sweep crosses the limit and includes near-singular m
+    rng = np.random.default_rng(41)
+    fast = exact_accepts = rejects = 0
+    cases = [_matrix_with_cond(k, c, rng) for k in (2, 5, 30)
+             for c in np.geomspace(1.0, 1e17, 35)]
+    # I + V0 T0 at z = (eigenvalue of H) + i*eps is near-singular for small eps
+    pair = random_gapped_pair(12, 4, seed=8)
+    lam = pair.eigenvalues[1][5]
+    for eps in np.geomspace(1e-1, 1e-16, 16):
+        t0 = scattering._sandwich_one(pair, 0, lam + 1j * eps)
+        cases.append(np.eye(pair.kdim) + pair.v0 @ t0)
+    for m in cases:
+        cond = np.linalg.cond(m)
+        if cond > scattering.COND_LIMIT:
+            rejects += 1
+            with pytest.raises(SingularSandwichError) as err:
+                scattering._check_conditioning(m, scattering.COND_LIMIT)
+            assert err.value.cond == cond
+        else:
+            scattering._check_conditioning(m, scattering.COND_LIMIT)
+            bound = np.linalg.norm(m) * np.linalg.norm(np.linalg.inv(m))
+            if bound <= 1e-2 * scattering.COND_LIMIT:
+                fast += 1
+            else:
+                exact_accepts += 1
+    assert min(fast, exact_accepts, rejects) > 0
+    with pytest.raises(SingularSandwichError):
+        resolvent_sandwich(pair, lam + 1e-15j)
+
+
+def test_well_conditioned_sandwich_runs_no_cond_svd(monkeypatch):
+    pair = random_gapped_pair(12, 4, seed=8)
+    norm, two_norms = np.linalg.norm, []
+
+    def no_cond(*args, **kwargs):
+        raise AssertionError("cond SVD on a well-conditioned sandwich")
+
+    def counted(x, ord=None, **kwargs):
+        if ord == 2:
+            two_norms.append(x.shape)
+        return norm(x, ord, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    sw = resolvent_sandwich(pair, 0.1 + 0.05j)
+    # one 2-norm: the reported residual; ||T||_2 is not needed
+    assert two_norms == [(pair.kdim, pair.kdim)]
+    monkeypatch.undo()
+    exact = norm(sw.t - sw.t0 @ np.linalg.inv(np.eye(pair.kdim) + pair.v0 @ sw.t0), 2)
+    assert sw.factor_residual == pytest.approx(exact, abs=1e-14)
+
+
+def test_factor_residual_check_falls_back_to_the_two_norm(monkeypatch):
+    # a residual above the column-norm test still passes when it is within
+    # the tolerance scaled by ||T||_2, and fails beyond it
+    pair = random_gapped_pair(12, 4, seed=8)
+    sw = resolvent_sandwich(pair, 0.1 + 0.05j)
+    colmax = np.max(np.linalg.norm(sw.t, axis=0))
+    two = np.linalg.norm(sw.t, 2)
+    assert two > colmax > 1.0
+    for tol, passes in ((1.01 * sw.factor_residual / two, True),
+                        (0.99 * sw.factor_residual / two, False)):
+        monkeypatch.setattr(scattering, "C1_RESIDUAL_TOL", tol)
+        if passes:
+            assert sw.factor_residual > tol * colmax
+            resolvent_sandwich(pair, 0.1 + 0.05j)
+        else:
+            with pytest.raises(ArithmeticError, match="factor identity"):
+                resolvent_sandwich(pair, 0.1 + 0.05j)
