@@ -6,11 +6,10 @@ eigenvalue arrays.
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
 residuals are checked before results are returned.  The Hermitian input
-contract is certified by cheap norm bounds (O(n^2), or O(n) on a matrix
-known to be tridiagonal) and falls back to the exact SVD quotient only
-when the bounds cannot decide, so it accepts and rejects exactly what the
-exact check does.  The banded eigensolver keeps the dense one's input
-contract.
+contract is certified by cheap O(n^2) norm bounds and falls back to the
+exact SVD quotient only when the bounds cannot decide, so it accepts and
+rejects exactly what the exact check does.  The banded eigensolver keeps
+the dense one's input contract.
 """
 
 from dataclasses import dataclass
@@ -65,54 +64,32 @@ def _as_matrix(m):
     return m
 
 
-def _bound_accepts(m, tol, tridiagonal):
-    """Whether cheap norm bounds prove ||M - M*||_2 <= tol * ||M||_2.
-
-    The Frobenius norm of the asymmetry bounds its 2-norm from above and
-    the largest column norm bounds ||M||_2 from below.  Both are taken
-    after scaling by the largest entry, so squares of tiny or huge entries
-    neither underflow nor overflow, and a relative margin of 1e-8 covers
-    their roundoff.  For a ``tridiagonal`` M (zero off its three central
-    diagonals) both come from those diagonals in O(n).
-    """
-    if tridiagonal:
-        lo, d, up = (np.diagonal(m, k) for k in (-1, 0, 1))
-        peak = max(np.max(np.abs(x), initial=0.0) for x in (lo, d, up))
-    else:
-        peak = np.max(np.abs(m))
-    if peak == 0:
-        return True
-    if not np.isfinite(peak):
-        return False
-    if tridiagonal:
-        lo, d, up = lo / peak, d / peak, up / peak
-        cols = np.abs(d) ** 2
-        cols[:-1] += np.abs(lo) ** 2
-        cols[1:] += np.abs(up) ** 2
-        colmax = np.sqrt(np.max(cols))
-        asym = np.sqrt(np.sum((2.0 * d.imag) ** 2)
-                       + 2.0 * np.sum(np.abs(lo - up.conj()) ** 2))
-    else:
-        a = m / peak
-        colmax = np.max(np.linalg.norm(a, axis=0))
-        asym = np.linalg.norm(a - a.conj().T)
-    return bool(asym <= (1.0 - 1e-8) * tol * colmax)
-
-
-def check_hermitian(matrix, tol, tridiagonal=False):
+def check_hermitian(matrix, tol):
     """Raise :class:`NonHermitianError` when ||M - M*||_2 / ||M||_2 exceeds ``tol``.
 
-    Fast accept in O(n^2), or O(n) for a matrix known to be
-    ``tridiagonal``, when the norm bounds of :func:`_bound_accepts` prove
-    the exact check passes; near-ties go to the exact check.  Otherwise
-    the exact quotient is computed with SVDs; it decides, and is the
-    defect the error carries.  Zero and empty matrices are accepted.
+    Fast accept in O(n^2): the Frobenius norm of the asymmetry bounds its
+    2-norm from above and the largest column norm bounds ||M||_2 from
+    below, so ||M - M*||_F <= tol * max_j ||M e_j|| proves the exact check
+    passes.  Both are taken after scaling by the largest entry, so squares
+    of tiny or huge entries neither underflow nor overflow, and a relative
+    margin of 1e-8 covers their roundoff, so near-ties go to the exact
+    check.  Otherwise the exact quotient is computed with SVDs; it
+    decides, and is the defect the error carries.  Zero and empty matrices
+    are accepted.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if m.size == 0 or _bound_accepts(m, tol, tridiagonal):
+    if m.size == 0:
         return
+    peak = np.max(np.abs(m))
+    if peak == 0:
+        return
+    if np.isfinite(peak):
+        a = m / peak
+        colmax = np.max(np.linalg.norm(a, axis=0))
+        if np.linalg.norm(a - a.conj().T) <= (1.0 - 1e-8) * tol * colmax:
+            return
     scale = np.linalg.norm(m, 2)
     if scale > 0:
         defect = np.linalg.norm(m - m.conj().T, 2) / scale
@@ -226,17 +203,12 @@ def tridiagonal_bands(matrix, tol=HERMITIAN_TOL):
 
     The input contract is :func:`herm_eig`'s: finite entries, and
     :class:`NonHermitianError` when the relative asymmetry exceeds ``tol``.
-    Both are checked on the three central diagonals in O(n), since the
-    entries off them are exact zeros.  The bands are those of (M + M*)/2.
+    The bands are those of (M + M*)/2.
     """
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    lo, d, up = (np.diagonal(m, k) for k in (-1, 0, 1))
-    if not all(np.all(np.isfinite(x)) for x in (lo, d, up)):
-        raise ValueError("matrix contains non-finite entries")
-    check_hermitian(m, tol, tridiagonal=True)
-    return TridiagonalBands.hermitian(d.real, 0.5 * (lo + up.conj()))
+    m = _as_matrix(matrix)
+    check_hermitian(m, tol)
+    return TridiagonalBands.hermitian(np.diagonal(m).real,
+                                      0.5 * (np.diagonal(m, -1) + np.diagonal(m, 1).conj()))
 
 
 def probe_gaps(probe, spectra, gap_tol=PROBE_GAP_TOL):

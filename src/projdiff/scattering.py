@@ -56,8 +56,10 @@ def _sandwich_one(pair, which, z):
     if not pair.tridiagonal:
         mat = (pair.h0, pair.h)[which]
         return g @ np.linalg.solve(mat - z * np.eye(pair.dim), g.conj().T)
-    # banded solves on SOLVE_BLOCK columns of G* at a time, so the n x k
-    # right-hand side is never held at once; G applied through its nonzeros
+    # banded solves on SOLVE_BLOCK columns of G* at a time, so no complex
+    # n x k copy of G* or of its solution is held; G applied through its
+    # nonzeros.  One solve of all of G* at once is slower and raises the
+    # peak memory of a sech2 run.
     bands, gs = pair.bands[which], pair.sparse_g
     t = np.empty((pair.kdim, pair.kdim), dtype=complex)
     for lo in range(0, pair.kdim, SOLVE_BLOCK):
@@ -104,11 +106,7 @@ def resolvent_sandwich(pair, z, cond_limit=COND_LIMIT):
     t = _sandwich_one(pair, 1, z)
     m = np.eye(pair.kdim) + pair.v0 @ t0
     _check_conditioning(m, cond_limit)
-    # T - T0 m^-1 = T - (m^-* T0*)*, formed in place
-    x = np.linalg.solve(m.conj().T, t0.conj().T).T
-    del m
-    np.subtract(t, np.conjugate(x, out=x), out=x)
-    resid = float(np.linalg.norm(x, 2))
+    resid = float(np.linalg.norm(t - np.linalg.solve(m.conj().T, t0.conj().T).conj().T, 2))
     colmax = np.max(np.linalg.norm(t, axis=0), initial=0.0)
     if (resid > C1_RESIDUAL_TOL * max(1.0, (1.0 - 1e-8) * colmax)
             and resid > C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t, 2))):
@@ -171,14 +169,11 @@ def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
     """
     sw = resolvent_sandwich(pair, probe + 1j * eps)
     f0p, fp = smoothed_density(pair, probe, eps, sandwich=sw)
+    root = _psd_sqrt(f0p)
     v0 = pair.v0
     core = v0 - v0 @ sw.t @ v0
-    factor_residual = sw.factor_residual
-    del sw      # k x k temporaries are released as soon as they are used up
-    root = _psd_sqrt(f0p)
     k = pair.kdim
     smat = np.eye(k) - 2j * np.pi * root @ core @ root
-    del core
     evs = np.linalg.eigvals(smat)
     udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(k), 2))
     thr = max(float(phase_floor), 10.0 * udef)
@@ -186,14 +181,12 @@ def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
     phases = np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
     amat = np.pi ** 2 * root @ v0 @ fp @ v0 @ root
     amat = 0.5 * (amat + amat.conj().T)
-    del root
     diff = smat - np.eye(k)
     ident = float(np.linalg.norm(0.25 * diff.conj().T @ diff - amat, 2))
-    del diff
     a_pred = float(np.sqrt(max(np.max(np.linalg.eigvalsh(amat)), 0.0)))
     edges = np.sort(np.sin(phases / 2.0))[::-1]
     return ScatteringBundle(float(probe), float(eps), f0p, fp, smat, evs, phases,
-                            thr, udef, amat, ident, a_pred, edges, factor_residual)
+                            thr, udef, amat, ident, a_pred, edges, sw.factor_residual)
 
 
 # ---------------------------------------------------------------------------

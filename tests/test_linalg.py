@@ -183,66 +183,6 @@ def test_tridiagonal_bands_complex_phases():
     assert tridiagonal_bands(m).eigenpairs(2, 2).eigenvectors.shape == (6, 0)
 
 
-def _tridiagonal_sweep(tol, seed):
-    """Seeded tridiagonal matrices whose exact asymmetry is 0.1x, 1x and 10x ``tol``.
-
-    The asymmetry is either spread over all three diagonals, where the
-    bound is loose, or i on one diagonal entry of a matrix dominated by
-    that entry, where it is tight.
-    """
-    rng = np.random.default_rng(seed)
-    for n in (1, 2, 7, 40, 200):
-        for spread in (True, False):
-            for ratio in (0.1, 1.0, 10.0):
-                sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-                h = np.diag(rng.standard_normal(n)) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
-                if spread:
-                    k = sum(np.diag(rng.standard_normal(n - abs(j))
-                                    + 1j * rng.standard_normal(n - abs(j)), j)
-                            for j in (-1, 0, 1))
-                else:
-                    j = int(rng.integers(n))
-                    h[j, j] += 10.0 * n
-                    k = np.zeros((n, n), dtype=complex)
-                    k[j, j] = 1j
-                scale = ratio * tol * np.linalg.norm(h, 2) / np.linalg.norm(k - k.conj().T, 2)
-                yield h + scale * k
-
-
-def test_tridiagonal_hermitian_bound_matches_exact_decision():
-    fast_accepts = inconclusive_accepts = rejects = 0
-    for tol in (HERMITIAN_TOL, MODEL_HERMITIAN_TOL):
-        for m in _tridiagonal_sweep(tol, seed=int(-np.log10(tol))):
-            assert is_tridiagonal(m)
-            if _exact_defect(m) > tol:
-                rejects += 1
-                with pytest.raises(NonHermitianError):
-                    check_hermitian(m, tol, tridiagonal=True)
-                with pytest.raises(NonHermitianError):
-                    tridiagonal_bands(m, tol)
-            else:
-                check_hermitian(m, tol, tridiagonal=True)
-                tridiagonal_bands(m, tol)
-                if _fast_bound(m) <= tol:
-                    fast_accepts += 1
-                else:
-                    inconclusive_accepts += 1
-    assert min(fast_accepts, inconclusive_accepts, rejects) > 0
-
-
-def test_tridiagonal_bands_check_runs_no_norm(monkeypatch):
-    # on a Hermitian tridiagonal input the bound comes from the three
-    # diagonals alone: no matrix norm, and no SVD
-    m = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([0.5, 0.0, 2.0], 1) + np.diag([0.5, 0.0, 2.0], -1)
-
-    def no_norm(*args, **kwargs):
-        raise AssertionError("matrix norm on a tridiagonal input")
-
-    monkeypatch.setattr(np.linalg, "norm", no_norm)
-    tridiagonal_bands(m)
-    tridiagonal_bands(1e-170 * m)
-
-
 def test_tridiagonal_bands_format():
     rng = np.random.default_rng(12)
     n = 9
