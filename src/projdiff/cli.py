@@ -17,7 +17,6 @@ from .models import preset_names
 def _add_common(parser):
     parser.add_argument("--out", default="", help="output directory for reports/CSV")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--jobs", type=int, default=None, help="worker processes")
 
 
 def _load_config(path, args):
@@ -27,14 +26,12 @@ def _load_config(path, args):
         updates["out_dir"] = args.out
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
     if updates:
         data = {
             "model": cfg.model, "model_params": cfg.model_params,
             "probes": cfg.probes, "eps_ladder": cfg.eps_ladder,
             "sizes": cfg.sizes, "tolerances": cfg.tolerances,
-            "out_dir": cfg.out_dir, "seed": cfg.seed, "jobs": cfg.jobs,
+            "out_dir": cfg.out_dir, "seed": cfg.seed,
         }
         data.update(updates)
         cfg = ExperimentConfig.from_dict(data)

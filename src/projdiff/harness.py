@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -42,20 +41,19 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     out_dir: str = ""
     seed: int = 0
-    jobs: int = 1
 
     @staticmethod
     def from_dict(data):
         if not isinstance(data, dict):
             raise ConfigError("config: expected an object")
         known = {"model", "model_params", "probes", "eps_ladder", "sizes",
-                 "tolerances", "out_dir", "seed", "jobs"}
+                 "tolerances", "out_dir", "seed"}
         for key in data:
             if key not in known:
                 raise ConfigError(f"config.{key}: unknown field")
-        for key in ("seed", "jobs"):
-            if key in data and (not isinstance(data[key], int) or isinstance(data[key], bool)):
-                raise ConfigError(f"config.{key}: must be an integer")
+        seed = data.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError("config.seed: must be an integer")
         cfg = ExperimentConfig(
             model=data.get("model", "krein"),
             model_params=dict(data.get("model_params", {})),
@@ -64,8 +62,7 @@ class ExperimentConfig:
             sizes=tuple(data.get("sizes", ())),
             tolerances=dict(data.get("tolerances", {})),
             out_dir=data.get("out_dir", ""),
-            seed=int(data.get("seed", 0)),
-            jobs=int(data.get("jobs", 1)),
+            seed=int(seed),
         )
         cfg.validate()
         return cfg
@@ -98,8 +95,6 @@ class ExperimentConfig:
                 raise ConfigError(f"config.sizes[{i}]: must be an integer")
             if s < 1:
                 raise ConfigError(f"config.sizes[{i}]: must be positive")
-        if self.jobs < 1:
-            raise ConfigError("config.jobs: must be >= 1")
         return self
 
     def build_pair(self, **overrides):
@@ -190,13 +185,6 @@ def _probe_payload(pair, probe, ladder, phase_floor):
     return out
 
 
-def _probe_worker(args):
-    model, params, seed, probe, ladder, floor = args
-    name = f"finite:random({seed})" if model == "finite:random" else model
-    pair = preset_pair(name, **params)
-    return _probe_payload(pair, probe, ladder, floor)
-
-
 def run_experiment(config):
     """Run every probe of a config through the ladder and assemble a report."""
     config.validate()
@@ -206,16 +194,9 @@ def run_experiment(config):
         "config": {k: v for k, v in asdict(config).items() if k != "out_dir"},
         "probes": [],
     }
-    if config.jobs > 1 and len(config.probes) > 1:
-        args = [(config.model, config.model_params, config.seed, p,
-                 list(config.eps_ladder), floor) for p in config.probes]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            body["probes"] = list(pool.map(_probe_worker, args))
-    else:
-        pair = config.build_pair()
-        for probe in config.probes:
-            body["probes"].append(
-                _probe_payload(pair, probe, list(config.eps_ladder), floor))
+    pair = config.build_pair()
+    for probe in config.probes:
+        body["probes"].append(_probe_payload(pair, probe, list(config.eps_ladder), floor))
     report = Report(body)
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)

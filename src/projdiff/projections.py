@@ -19,6 +19,12 @@ to the needed indices when H0 and H are tridiagonal, the dense
 eigensystems otherwise.  The pair keeps the compression of the latest
 probe, so the spectrum and the D^2 check at one probe share it (see
 :class:`projdiff.models.OperatorPair`).
+
+The corners E0(side) E(opposite) E0(side) are functions of the same
+small-side bases: their nonzero spectrum is 1 - sigma(C)^2 for the
+cross-Gram C = U0* U1 (the principal angles between the two subspaces),
+so one SVD of the m0 x m1 matrix C gives them.  The n x n spectral
+projection is kept for tests and for the invariance-principle check.
 """
 
 from dataclasses import dataclass
@@ -26,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PROBE_GAP_TOL, probe_gaps
-from .models import shift_pair
 
 __all__ = [
     "DifferenceReport", "spectral_projection", "projection_difference",
@@ -172,20 +177,23 @@ def corner_spectrum(pair, probe, sign=+1, gap_tol=PROBE_GAP_TOL):
     """Spectrum of E0(side) E(opposite) E0(side) compressed to Ran E0(side).
 
     ``sign`` = +1 compresses onto the H0 spectral subspace above the
-    probe, -1 onto the one below.  The probe is recentered to 0 first;
-    eigenvalues lie in [0, 1], and in the limit they fill [0, ||A(0)||]
-    with A the scattering defect operator.
+    probe, -1 onto the one below.  Eigenvalues lie in [0, 1], and in the
+    limit they fill [0, ||A(0)||] with A the scattering defect operator.
+
+    Computed from the small-side cross-Gram C = U0* U1 of
+    :meth:`projdiff.models.OperatorPair.probe_basis`.  When the small side
+    is ``sign``, U0 spans Ran E0(side) and U1 the complement of
+    Ran E(opposite), so the corner is I - C C*.  Otherwise U1 spans
+    Ran E(opposite) and U0 the complement of Ran E0(side), so the nonzero
+    corner spectrum is that of I - C* C.  Either way it is 1 - sigma(C)^2,
+    padded with exact zeros to dim Ran E0(side).
     """
-    centered = shift_pair(pair, probe)
-    e0, e1 = centered.eigensystems()
-    probe_gaps(0.0, (e0.eigenvalues, e1.eigenvalues), gap_tol)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    u0 = e0.eigenvectors[:, (e0.eigenvalues > 0) if sign > 0 else (e0.eigenvalues < 0)]
-    pmid = spectral_projection(e1, 0.0, gap_tol)
-    if sign > 0:
-        inner = pmid                       # E(below 0)
-    else:
-        inner = np.eye(pair.dim) - pmid    # E(above 0)
-    compressed = u0.conj().T @ inner @ u0
-    return np.sort(np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T)))
+    probe_gaps(probe, pair.eigenvalues, gap_tol)
+    side, u0, u1 = pair.probe_basis(probe)
+    m0, m1 = u0.shape[1], u1.shape[1]
+    sigma = np.linalg.svd(u0.conj().T @ u1, compute_uv=False)
+    count, dim = (m0, m0) if side == sign else (m1, pair.dim - m0)
+    core = 1.0 - np.concatenate([sigma, np.zeros(count - len(sigma))]) ** 2
+    return np.sort(np.concatenate([core, np.zeros(dim - count)]))

@@ -21,6 +21,7 @@ Four node/weight families cover everything the lab integrates:
   the dilation-involution checks rely on.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,17 @@ class QuadratureRule:
         return float(np.real_if_close(np.sum(self.weights * vals)))
 
 
-def _legendre(n, a, b):
+@functools.lru_cache(maxsize=None)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n (read-only)."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _legendre(n, a, b):
+    x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -12,12 +12,15 @@ exact fact keeps the ladder honest: the smoothed stationary matrix
 is exactly unitary at every eps > 0 (same algebra as the defect-operator
 identity), so its eigenvalues always live on the unit circle and only
 their phases move with eps.
+
+The sandwiches G (A - z)^-1 G* of a dense pair come from its cached
+eigensystems, (G U) diag(1/(w - z)) (G U)*; those of a tridiagonal pair
+from banded solves.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import SingularSandwichError
 from .linalg import PROBE_GAP_TOL, probe_gaps
@@ -54,8 +57,11 @@ def _sandwich_one(pair, which, z):
     """G (A - z)^-1 G* for A = h0 (``which`` = 0) or h (1)."""
     g = pair.g
     if not pair.tridiagonal:
-        mat = (pair.h0, pair.h)[which]
-        return g @ np.linalg.solve(mat - z * np.eye(pair.dim), g.conj().T)
+        # spectral form (G U) diag(1/(w - z)) (G U)* from the pair's cached
+        # eigensystem, so a dense pair pays one eigensolve and no n x n solve
+        e = pair.eigensystems()[which]
+        gu = g @ e.eigenvectors
+        return (gu / (e.eigenvalues - z)) @ gu.conj().T
     # banded solves on SOLVE_BLOCK columns of G* at a time, so no complex
     # n x k copy of G* or of its solution is held; G applied through its
     # nonzeros.  One solve of all of G* at once is slower and raises the
@@ -277,6 +283,8 @@ class TransferMatrixResult:
 def _integrate_plane_wave(potential, lam, x_from, x_to, mover, rtol):
     """Integrate -u'' + V u = lam*u starting from the pure exponential
     exp(i*mover*k*x) at ``x_from``."""
+    from scipy.integrate import solve_ivp   # only this oracle needs it; import lazily
+
     def rhs(x, y):
         u = y[0] + 1j * y[2]
         upp = (potential(x) - lam) * u

@@ -15,7 +15,12 @@ is ever exponentiated.  The product identity
 
 follows by integrating d/dt [exp(tH) E V E0 exp(-tH0)]; its time
 quadrature is cross-checked against a quadrature-free Sylvester solve on
-the compressed subspaces, which is the independent oracle.
+the compressed subspaces, which is the independent oracle.  Compressed to
+the eigenvectors, both operators of that equation are diagonal, so its
+solution is the closed-form quotient X_ij = C_ij / (a_i - b_j) of the
+right-hand side by the eigenvalue gaps.  Both the check and the oracle
+are evaluated on the m1 x m0 core between the eigenvectors U1 of H below
+0 and U0 of H0 above it, never as n x n matrices.
 """
 
 from dataclasses import dataclass
@@ -31,11 +36,16 @@ __all__ = ["ZOperators", "build_z_ops", "product_representation_check",
 
 
 def _split_systems(pair, gap_tol):
+    """(gap, (lam0, u0, w0), (lam1, u1, w1)): the eigenpairs of h0 above 0 and
+    of h below 0, with w = u* G*, and the spectral gap at 0."""
     e0, e1 = pair.eigensystems()
     gap = min(probe_gaps(0.0, (e0.eigenvalues, e1.eigenvalues), gap_tol))
-    up0 = e0.eigenvalues > 0
-    dn1 = e1.eigenvalues < 0
-    return e0, e1, up0, dn1, gap
+    gstar = pair.g.conj().T
+    sides = []
+    for e, keep in ((e0, e0.eigenvalues > 0), (e1, e1.eigenvalues < 0)):
+        u = e.eigenvectors[:, keep]
+        sides.append((e.eigenvalues[keep], u, u.conj().T @ gstar))
+    return gap, sides[0], sides[1]
 
 
 def default_time_rule(gap, n_t=120, scale_over_gap=2.0):
@@ -66,13 +76,14 @@ class ZOperators:
         return self.t_rule.n
 
 
-def _stack_columns(basis, lam, coupling, t_rule, sign):
-    """Columns sqrt(w_i) * basis exp(sign*t_i*lam) (basis* G*) per time node."""
+def _time_factor(lam, coupling, t_rule, sign):
+    """M with columns sqrt(w_i) exp(sign*t_i*lam) (basis* G*) per time node,
+    so that Z = basis @ M."""
     decay = np.exp(np.outer(sign * lam, t_rule.nodes))     # (r, n_t)
     r, k = coupling.shape
     cols = decay[:, :, None] * coupling[:, None, :]        # (r, n_t, k)
     cols *= np.sqrt(t_rule.weights)[None, :, None]
-    return basis @ cols.reshape(r, t_rule.n * k)
+    return cols.reshape(r, t_rule.n * k)
 
 
 def build_z_ops(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
@@ -82,15 +93,10 @@ def build_z_ops(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
     restricted to the decaying subspaces, so every stored exponent is
     negative; this is the structural form of the overflow guard.
     """
-    e0, e1, up0, dn1, gap = _split_systems(pair, gap_tol)
+    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair, gap_tol)
     t_rule = t_rule or default_time_rule(gap)
-    gstar = pair.g.conj().T
-    u0 = e0.eigenvectors[:, up0]
-    w0 = u0.conj().T @ gstar
-    z0 = _stack_columns(u0, e0.eigenvalues[up0], w0, t_rule, -1.0)
-    u1 = e1.eigenvectors[:, dn1]
-    w1 = u1.conj().T @ gstar
-    z = _stack_columns(u1, e1.eigenvalues[dn1], w1, t_rule, +1.0)
+    z0 = u0 @ _time_factor(lam0, w0, t_rule, -1.0)
+    z = u1 @ _time_factor(lam1, w1, t_rule, +1.0)
     return ZOperators(z0, z, t_rule, gap, pair.kdim)
 
 
@@ -107,25 +113,28 @@ def product_representation_check(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
 
     ``residual_direct`` uses the time quadrature; ``residual_oracle``
     replaces the integral by the unique solution of the Sylvester
-    equation on the compressed gapped subspaces (quadrature-free, so it
-    certifies the quadrature route).
+    equation on the compressed gapped subspaces, the closed-form quotient
+    of the eigenvalue gaps (quadrature-free, so it certifies the
+    quadrature route).  With Z0 = U0 M0, Z = U1 M1 and C = U1* U0, both
+    sides are U1 (.) U0* of an m1 x m0 core, and U0, U1 have orthonormal
+    columns, so ``residual_direct`` is the 2-norm of the core
+    C + M1 (V0 x I) M0*.  The oracle's right-hand side U1* (h - h0) U0 is
+    (U1* G*) V0 (G U0).
     """
-    e0, e1, up0, dn1, gap = _split_systems(pair, gap_tol)
-    zops = build_z_ops(pair, t_rule, gap_tol)
-    u0 = e0.eigenvectors[:, up0]
-    u1 = e1.eigenvectors[:, dn1]
-    cross = u1 @ (u1.conj().T @ u0) @ u0.conj().T      # E(below) E0(above)
-    k, n_t = pair.kdim, zops.n_t
-    zv = zops.z.reshape(pair.dim, n_t, k) @ pair.v0
-    product = zv.reshape(pair.dim, n_t * k) @ zops.z0.conj().T
-    residual_direct = float(np.linalg.norm(cross + product, 2))
+    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair, gap_tol)
+    t_rule = t_rule or default_time_rule(gap)
+    m0 = _time_factor(lam0, w0, t_rule, -1.0)
+    m1 = _time_factor(lam1, w1, t_rule, +1.0)
+    cross = u1.conj().T @ u0                           # core of E(below) E0(above)
+    k, n_t = pair.kdim, t_rule.n
+    m1v = (m1.reshape(len(lam1), n_t, k) @ pair.v0).reshape(len(lam1), n_t * k)
+    residual_direct = float(np.linalg.norm(cross + m1v @ m0.conj().T, 2))
 
-    v = pair.h - pair.h0
-    rhs = -(u1.conj().T @ v @ u0)
-    a = np.diag(e1.eigenvalues[dn1]).astype(complex)
-    b = np.diag(e0.eigenvalues[up0]).astype(complex)
+    rhs = -(w1 @ pair.v0 @ w0.conj().T)
+    a = np.diag(lam1).astype(complex)
+    b = np.diag(lam0).astype(complex)
     x = sylvester_solve(a, b, rhs)
-    residual_oracle = float(np.linalg.norm(x + u1.conj().T @ u0, 2))
+    residual_oracle = float(np.linalg.norm(x + cross, 2))
     return ProductCheck(residual_direct, residual_oracle, gap, n_t)
 
 

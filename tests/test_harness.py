@@ -19,8 +19,6 @@ def test_config_validation_field_paths():
         ExperimentConfig.from_dict({"eps_ladder": [0.1, -0.2]})
     with pytest.raises(ConfigError, match="probes"):
         ExperimentConfig.from_dict({"probes": ["x"]})
-    with pytest.raises(ConfigError, match="jobs"):
-        ExperimentConfig.from_dict({"jobs": 0})
     with pytest.raises(ConfigError, match=r"config\.sizes\[1\]"):
         ExperimentConfig.from_dict({"sizes": [40, 0, 160]})
     for sizes in (["x"], [40, 2.5], [40, 80, True]):
@@ -103,15 +101,13 @@ def test_probe_errors_captured_not_fatal():
     assert "scattering" in payload  # smoothing regularizes the bundle
 
 
-def test_parallel_jobs_match_serial():
-    serial = ExperimentConfig(model="krein", model_params={"n": 64, "L": 20.0},
-                              probes=(0.4, 0.6), eps_ladder=(0.1, 0.05))
-    parallel = ExperimentConfig(model="krein", model_params={"n": 64, "L": 20.0},
-                                probes=(0.4, 0.6), eps_ladder=(0.1, 0.05), jobs=2)
-    a = run_experiment(serial).body["probes"]
-    b = run_experiment(parallel).body["probes"]
-    assert json.dumps(a, sort_keys=True, default=repr) \
-        == json.dumps(b, sort_keys=True, default=repr)
+def test_jobs_field_is_unknown():
+    # probes run in one process; a worker count is no longer a config field
+    for jobs in (0, 1, 2):
+        with pytest.raises(ConfigError, match=r"^config\.jobs: unknown field$"):
+            ExperimentConfig.from_dict({"jobs": jobs})
+    assert "jobs" not in run_experiment(ExperimentConfig(
+        model="finite:random", probes=(), seed=3)).body["config"]
 
 
 def test_study_eps_axis():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                              SpectralCollisionError)
@@ -284,3 +285,68 @@ def test_sylvester_collision_rejected():
     with pytest.raises(SpectralCollisionError) as err:
         sylvester_solve(np.diag([1.0, 2.0]), np.diag([2.0, 5.0]), np.eye(2))
     assert err.value.gap < err.value.required
+
+
+def _diagonal_sylvester_case(seed, m=7, k=4):
+    rng = np.random.default_rng(seed)
+    a = np.diag(rng.uniform(-3.0, -0.5, m)).astype(complex)
+    b = np.diag(rng.uniform(0.5, 3.0, k)).astype(complex)
+    c = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    return a, b, c
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sylvester_diagonal_quotient_matches_scipy(seed):
+    a, b, c = _diagonal_sylvester_case(seed)
+    x = sylvester_solve(a, b, c)
+    ref = sla.solve_sylvester(a, -b, c)
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(x, c / (np.diag(a)[:, None] - np.diag(b)[None, :]))
+
+
+def test_sylvester_diagonal_runs_no_dense_solver(monkeypatch):
+    a, b, c = _diagonal_sylvester_case(5, m=40, k=6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Sylvester machinery on diagonal operands")
+
+    monkeypatch.setattr(sla, "solve_sylvester", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    norm, two_norms = np.linalg.norm, []
+
+    def counted(x, ord=None, **kwargs):
+        if ord == 2:
+            two_norms.append(np.shape(x))
+        return norm(x, ord, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    sylvester_solve(a, b, c)
+    # only the m x k residual and solution
+    assert two_norms == [(40, 6), (40, 6)]
+
+
+def test_sylvester_diagonal_collision_decision_matches_dense():
+    # the diagonal branch rejects exactly when the eigenvalue route does:
+    # the same spectra behind a unitary similarity go to the dense branch.
+    # The scale max(||A||, ||B||, 1) is set by A, by B, or by the floor 1.
+    rng = np.random.default_rng(9)
+    q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    for big_a, big_b in ((1e3, 7.0), (0.5, 1e3), (0.3, 0.2)):
+        required = 1e-8 * max(big_a, big_b, 1.0)
+        for gap, rejected in ((0.9 * required, True), (1.1 * required, False),
+                              (0.0, True), (0.1, False)):
+            da = np.array([-big_a, 0.01, 0.05])
+            db = np.array([0.01 + gap, big_b])
+            for a in (np.diag(da), (q * da) @ q.conj().T):
+                b, c = np.diag(db), np.ones((3, 2))
+                if rejected:
+                    with pytest.raises(SpectralCollisionError) as err:
+                        sylvester_solve(a, b, c)
+                    assert err.value.required == pytest.approx(required, rel=1e-12)
+                else:
+                    sylvester_solve(a, b, c)
+
+
+def test_sylvester_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match="rows of A"):
+        sylvester_solve(np.diag([1.0, 2.0]), np.diag([5.0]), np.ones((2, 2)))

@@ -252,3 +252,78 @@ def test_banded_eigendata_match_dense():
                 v = e.eigenvectors[:, keep]
                 assert u.shape == v.shape
                 assert np.linalg.norm(u @ u.conj().T - v @ v.conj().T, 2) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# corners from the small-side cross-Gram against the dense projections
+# ---------------------------------------------------------------------------
+
+def dense_corner(pair, probe, sign):
+    """Dense oracle: E0(side) E(opposite) E0(side) on Ran E0(side), from the
+    n x n spectral projection of H."""
+    e0, e1 = pair.eigensystems()
+    keep = e0.eigenvalues > probe if sign > 0 else e0.eigenvalues < probe
+    u0 = e0.eigenvectors[:, keep]
+    below = spectral_projection(e1, probe)
+    inner = below if sign > 0 else np.eye(pair.dim) - below
+    compressed = u0.conj().T @ inner @ u0
+    return np.sort(np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T)))
+
+
+def corner_box():
+    c = thresholds()["square_well"]
+    half_width, n = c["corner_box"]
+    return build_schrodinger_1d(square_well_spec(c["depth"], c["width"], half_width, n))
+
+
+# (builder, probe, small side)
+CORNER_CASES = {
+    "square-well-box": (square_well_box, 1.0, -1),
+    "square-well-corner-box": (corner_box, thresholds()["square_well"]["probe"], -1),
+    "square-well-above-all": (square_well_box, 1000.0, +1),
+    "krein-400": (lambda: build_krein(400, 40.0), 0.5, +1),
+    "below-every-eigenvalue": (lambda: build_krein(200, 40.0), -1.0, -1),
+    **{f"random-{seed}": (lambda seed=seed: random_gapped_pair(24, 3, seed, gap=1e-3), 0.0, None)
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("sign", (+1, -1))
+@pytest.mark.parametrize("case", sorted(CORNER_CASES))
+def test_small_side_corner_matches_dense(case, sign):
+    build, probe, side = CORNER_CASES[case]
+    pair = build()
+    if side is not None:
+        assert pair.probe_basis(probe)[0] == side
+    spec = corner_spectrum(pair, probe, sign)
+    ref = dense_corner(pair, probe, sign)
+    assert spec.shape == ref.shape
+    assert np.max(np.abs(spec - ref), initial=0.0) <= 1e-12
+
+
+def test_corner_sign_checked_before_any_eigensolve(monkeypatch):
+    for pair in (random_gapped_pair(10, 3, seed=4), square_well_box()):
+        eigs = _count_calls(monkeypatch, models, "herm_eig")
+        band_eigs = _count_calls(monkeypatch, TridiagonalBands, "eigenvalues")
+        with pytest.raises(ValueError, match="sign"):
+            corner_spectrum(pair, 0.5, sign=0)
+        assert eigs == [] and band_eigs == []
+        monkeypatch.undo()
+
+
+def test_band_corner_forms_no_dense_matrix(monkeypatch):
+    # a band pair's corners come from its selected banded eigenvectors
+    pair = corner_box()
+    eigs = _count_calls(monkeypatch, models, "herm_eig")
+    spec = corner_spectrum(pair, 1.0, +1)
+    assert eigs == [] and "_dense" not in pair.__dict__
+    assert spec.max() == pytest.approx(0.293925, abs=1e-6)
+
+
+def test_corner_rejects_a_probe_on_an_eigenvalue():
+    for pair in (random_gapped_pair(10, 3, seed=4), square_well_box()):
+        for w in (pair.eigenvalues[0][3], pair.eigenvalues[1][3]):
+            for sign in (+1, -1):
+                with pytest.raises(GapViolationError) as err:
+                    corner_spectrum(pair, w + 1e-12, sign)
+                assert err.value.nearest == w

@@ -63,3 +63,19 @@ def test_log_rule_reciprocal_symmetry():
     shifted = make_quadrature("halfline-log", 40, half_width=10.0, center=1.0)
     with pytest.raises(ValueError):
         reciprocal_indices(shifted)
+
+
+def test_legendre_rule_is_built_once_and_read_only():
+    from projdiff.quadrature import _leggauss
+    x, w = _leggauss(120)
+    assert _leggauss(120)[0] is x and _leggauss(120)[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(120)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    # rules get fresh arrays, so changing one leaves the cache intact
+    rule = make_quadrature("bounded-legendre", 120, a=-1.0, b=1.0)
+    assert np.array_equal(rule.nodes, ref_x)
+    rule.nodes[0] = 5.0
+    assert np.array_equal(_leggauss(120)[0], ref_x)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projdiff import scattering
+from projdiff import models, scattering
 from projdiff.errors import SingularSandwichError
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, square_well_spec,
@@ -314,3 +314,70 @@ def test_factor_residual_check_falls_back_to_the_two_norm(monkeypatch):
         else:
             with pytest.raises(ArithmeticError, match="factor identity"):
                 resolvent_sandwich(pair, 0.1 + 0.05j)
+
+
+# ---------------------------------------------------------------------------
+# the spectral sandwich of dense pairs against dense solves
+# ---------------------------------------------------------------------------
+
+def _solved_sandwich(pair, which, z):
+    """Dense oracle: G (A - z)^-1 G* by an n x n solve."""
+    mat = (pair.h0, pair.h)[which]
+    return pair.g @ np.linalg.solve(mat - z * np.eye(pair.dim), pair.g.conj().T)
+
+
+SANDWICH_CASES = {
+    "krein-200": (lambda: build_krein(200, 40.0), 0.5),
+    **{f"random-{seed}": (lambda seed=seed: random_gapped_pair(24, 3, seed), 0.0)
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SANDWICH_CASES))
+def test_spectral_sandwich_matches_dense_solve(case):
+    build, probe = SANDWICH_CASES[case]
+    pair = build()
+    assert not pair.tridiagonal
+    for eps in (0.2, 0.05, 1e-2):
+        z = probe + 1j * eps
+        sw = resolvent_sandwich(pair, z)
+        for which, t in ((0, sw.t0), (1, sw.t)):
+            ref = _solved_sandwich(pair, which, z)
+            assert np.linalg.norm(t - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+def test_spectral_sandwich_reuses_the_eigensystems(monkeypatch):
+    # T0 and T come from the pair's two cached eigensolves; the only solves
+    # left are the k x k ones of the factor-identity residual
+    pair = build_krein(200, 40.0)
+    pair.eigensystems()
+    solves, eigs = [], []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        solves.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(models, "herm_eig", lambda *a, **k: eigs.append(a))
+    resolvent_sandwich(pair, 0.5 + 0.05j)
+    assert solves and all(shape == (pair.kdim, pair.kdim) for shape in solves)
+    assert not eigs
+
+
+def test_import_leaves_the_ode_solver_unloaded():
+    # scipy.integrate serves only the transfer-matrix oracle, which imports it
+    import os
+    import subprocess
+    import sys
+    import projdiff
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projdiff.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, projdiff; print('scipy.integrate' in sys.modules); "
+            "from projdiff import sech2_spec, transfer_matrix_smatrix; "
+            "transfer_matrix_smatrix(sech2_spec(1.0, 30.0, 400), 1.0); "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert out == ["False", "True"]

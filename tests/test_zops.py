@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from projdiff import harness, projections
+from projdiff import zops as zops_module
 from projdiff.errors import GapViolationError
 from projdiff.models import (build_finite_pair, build_krein, random_gapped_pair,
                              shift_pair, thresholds)
@@ -117,3 +120,79 @@ def test_model_comparison_krein():
     gap = min(np.min(np.abs(e0.eigenvalues)), np.min(np.abs(e1.eigenvalues)))
     coarse = zop_model_comparison(pair, eps_ladder=[16 * gap, 8 * gap])
     assert out["sigma_z0"][0] <= coarse["sigma_z0"][0]
+
+
+# ---------------------------------------------------------------------------
+# the m1 x m0 core against the n x n formulas
+# ---------------------------------------------------------------------------
+
+def dense_product_check(pair):
+    """Dense oracle: the n x n residual of E(below) E0(above) + Z (V0 x I) Z0*,
+    and the Sylvester oracle with right-hand side -U1* (h - h0) U0, solved
+    by scipy's dense solver."""
+    e0, e1 = pair.eigensystems()
+    up0, dn1 = e0.eigenvalues > 0, e1.eigenvalues < 0
+    u0, u1 = e0.eigenvectors[:, up0], e1.eigenvectors[:, dn1]
+    zops = build_z_ops(pair)
+    cross = u1 @ (u1.conj().T @ u0) @ u0.conj().T
+    k, n_t = pair.kdim, zops.n_t
+    zv = zops.z.reshape(pair.dim, n_t, k) @ pair.v0
+    direct = np.linalg.norm(cross + zv.reshape(pair.dim, n_t * k) @ zops.z0.conj().T, 2)
+    rhs = -(u1.conj().T @ (pair.h - pair.h0) @ u0)
+    x = sla.solve_sylvester(np.diag(e1.eigenvalues[dn1]), -np.diag(e0.eigenvalues[up0]), rhs)
+    return direct, np.linalg.norm(x + u1.conj().T @ u0, 2), rhs
+
+
+PRODUCT_CASES = {
+    "krein-200": lambda: shift_pair(build_krein(200, 40.0), 0.5),
+    "krein-400": lambda: shift_pair(build_krein(400, 40.0), 0.3),
+    **{f"random-{seed}": (lambda seed=seed: random_gapped_pair(24, 3, seed))
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_core_product_check_matches_dense(case, monkeypatch):
+    pair = PRODUCT_CASES[case]()
+    direct, oracle, rhs = dense_product_check(pair)
+    rhs_seen = []
+    original = zops_module.sylvester_solve
+
+    def spy(a, b, c):
+        rhs_seen.append(c)
+        return original(a, b, c)
+
+    monkeypatch.setattr(zops_module, "sylvester_solve", spy)
+    chk = product_representation_check(pair)
+    assert np.max(np.abs(rhs_seen[0] - rhs)) <= 1e-13
+    # both residuals sit at roundoff (~1e-13); the two routes agree far below it
+    assert chk.residual_direct == pytest.approx(direct, abs=1e-15)
+    assert chk.residual_oracle == pytest.approx(oracle, abs=1e-15)
+
+
+def test_krein_probe_runs_no_dense_solves(monkeypatch):
+    # once the pair is diagonalized, a probe forms no n x n solve, inverse,
+    # SVD or spectral projection, and the Sylvester oracle is the quotient
+    pair = build_krein(200, 40.0)
+    pair.eigensystems()
+    n, seen = pair.dim, []
+
+    def spy(name, original):
+        def wrapped(x, *args, **kwargs):
+            if name != "norm" or args[:1] == (2,) or kwargs.get("ord") == 2:
+                seen.append((name, np.shape(x)))
+            return original(x, *args, **kwargs)
+        return wrapped
+
+    for name in ("solve", "inv", "svd", "cond", "norm", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense path called on the krein probe path")
+
+    monkeypatch.setattr(sla, "solve_sylvester", forbidden)
+    monkeypatch.setattr(projections, "spectral_projection", forbidden)
+    payload = harness._probe_payload(pair, 0.5, [0.2, 0.15, 0.1, 0.05], 0.1)
+    assert not [key for key in payload if key.endswith("_error")]
+    assert "product_identity" in payload
+    assert seen and all(shape[-2:] != (n, n) for _, shape in seen)
