@@ -64,9 +64,12 @@ class QuadratureRule:
         return float(np.real_if_close(np.sum(self.weights * vals)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _leggauss(n):
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per n (read-only)."""
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
