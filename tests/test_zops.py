@@ -171,8 +171,9 @@ def test_core_product_check_matches_dense(case, monkeypatch):
 
 
 def test_krein_probe_runs_no_dense_solves(monkeypatch):
-    # once the pair is diagonalized, a probe forms no n x n solve, inverse,
-    # SVD or spectral projection, and the Sylvester oracle is the quotient
+    # once the pair is diagonalized, a probe and its corners form no n x n
+    # solve, inverse, SVD or spectral projection, and the Sylvester oracle
+    # is the quotient
     pair = build_krein(200, 40.0)
     pair.eigensystems()
     n, seen = pair.dim, []
@@ -195,4 +196,6 @@ def test_krein_probe_runs_no_dense_solves(monkeypatch):
     payload = harness._probe_payload(pair, 0.5, [0.2, 0.15, 0.1, 0.05], 0.1)
     assert not [key for key in payload if key.endswith("_error")]
     assert "product_identity" in payload
+    for sign in (+1, -1):
+        projections.corner_spectrum(pair, 0.5, sign)
     assert seen and all(shape[-2:] != (n, n) for _, shape in seen)
