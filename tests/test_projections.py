@@ -276,7 +276,7 @@ def corner_box():
     return build_schrodinger_1d(square_well_spec(c["depth"], c["width"], half_width, n))
 
 
-# (builder, probe, small side)
+# (pair constructor, probe, small side)
 CORNER_CASES = {
     "square-well-box": (square_well_box, 1.0, -1),
     "square-well-corner-box": (corner_box, thresholds()["square_well"]["probe"], -1),
