@@ -1,5 +1,6 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
-tridiagonal matrices), the band format with its shifted banded solve, SVD,
+tridiagonal matrices), the band format with its shifted banded solve (on
+the whole chain, or on a window through two boundary self-energies), SVD,
 semigroup action, a Sylvester solver (in closed form for diagonal
 operands), and the probe-gap check on eigenvalue arrays.
 
@@ -55,9 +56,9 @@ class SpectralDecomposition:
         return r, o
 
 
-def _as_matrix(m):
+def _as_matrix(m, vector_ok=False):
     m = np.asarray(m)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (vector_ok and m.ndim == 1):
         raise ValueError("expected a 2-d array")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
@@ -183,19 +184,53 @@ class TridiagonalBands:
             v = self.phase[:, None] * v
         return SpectralDecomposition(w, v)
 
-    def solve(self, rhs, z):
-        """(M - z I)^-1 rhs for complex z off the spectrum, by the banded LU of T - z I."""
+    def solve(self, rhs, z, lo=0):
+        """The window block of (M - z I)^-1 applied to rhs, for complex z off the spectrum.
+
+        The window is rows and columns lo, ..., lo + m - 1 with m = len(rhs),
+        so the result is rows lo, ... of the full solve of rhs padded with
+        zeros; lo = 0 and m = n is the full solve.  By the Schur complement,
+        the block is the inverse of the window's own T - z I less two
+        scalar self-energies at its ends: |e|^2 times the corner entry of
+        the resolvent of the chain beyond that end, each from one banded
+        solve.  The window system is then solved once, by its banded LU.
+        """
         n = self.dim
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = self.offdiagonal
-        ab[1, :] = self.diagonal - z
-        ab[2, :-1] = self.offdiagonal
         # a complex copy: for n = 1 solve_banded divides it in place
         b = np.array(rhs, dtype=complex)
+        hi = lo + len(b)
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"window [{lo}, {hi}) outside 0..{n}")
+        if hi == lo:
+            return b
+        diag = self.diagonal[lo:hi] - z
+        off = self.offdiagonal
+        if lo > 0:
+            diag[0] -= off[lo - 1] ** 2 * _corner(self.diagonal[:lo] - z, off[:lo - 1], -1)
+        if hi < n:
+            diag[-1] -= off[hi - 1] ** 2 * _corner(self.diagonal[hi:] - z, off[hi:], 0)
         if self.phase is None:
-            return sla.solve_banded((1, 1), ab, b, overwrite_b=True)
-        b *= self.phase.conj()[:, None]
-        return self.phase[:, None] * sla.solve_banded((1, 1), ab, b, overwrite_b=True)
+            return _banded_solve(diag, off[lo:hi - 1], b)
+        window = self.phase[lo:hi, None]
+        b *= window.conj()
+        return window * _banded_solve(diag, off[lo:hi - 1], b)
+
+
+def _banded_solve(diagonal, offdiagonal, b):
+    """Solve the symmetric tridiagonal system (``diagonal``, ``offdiagonal``) x = b,
+    overwriting b."""
+    ab = np.zeros((3, len(diagonal)), dtype=complex)
+    ab[0, 1:] = offdiagonal
+    ab[1, :] = diagonal
+    ab[2, :-1] = offdiagonal
+    return sla.solve_banded((1, 1), ab, b, overwrite_b=True)
+
+
+def _corner(diagonal, offdiagonal, end):
+    """Entry (end, end) of the inverse of the symmetric tridiagonal (``diagonal``, ``offdiagonal``)."""
+    unit = np.zeros(len(diagonal), dtype=complex)
+    unit[end] = 1.0
+    return _banded_solve(diagonal, offdiagonal, unit)[end]
 
 
 def tridiagonal_bands(matrix, tol=HERMITIAN_TOL):
@@ -267,9 +302,14 @@ def expm_apply(matrix, t, x, tol=HERMITIAN_TOL):
     return out[:, 0] if squeeze else out
 
 
-def _is_diagonal(m):
-    """Exact test that a square matrix vanishes off its diagonal."""
-    return m.shape[0] == m.shape[1] and np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+def _diagonal_of(m):
+    """The diagonal of a Sylvester operand: a 1-d operand is its own, a square
+    matrix that vanishes off its diagonal (an exact test) has one; else None."""
+    if m.ndim == 1:
+        return m
+    if m.shape[0] == m.shape[1] and np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+        return np.diagonal(m)
+    return None
 
 
 def sylvester_solve(a, b, c, gap_tol=SYLVESTER_GAP_TOL):
@@ -279,19 +319,21 @@ def sylvester_solve(a, b, c, gap_tol=SYLVESTER_GAP_TOL):
     ``gap_tol`` times the problem scale max(||A||_2, ||B||_2, 1); raises
     :class:`SpectralCollisionError` carrying the offending gap otherwise.
     The residual is verified against the contract before returning.
-    When A and B are both diagonal (an exact test) the solution is the
-    elementwise quotient X_ij = C_ij / (a_i - b_j), and the contract is
-    checked with the diagonals in place of A and B, so the only norms
-    taken are those of the small X and residual.
+    A 1-d ``a`` or ``b`` is taken as the diagonal of a diagonal operand.
+    When A and B are both diagonal the solution is the elementwise
+    quotient X_ij = C_ij / (a_i - b_j), and the contract is checked with
+    the diagonals in place of A and B, so the only norms taken are those
+    of the small X and residual.
     """
-    a = _as_matrix(a)
-    b = _as_matrix(b)
+    a = _as_matrix(a, vector_ok=True)
+    b = _as_matrix(b, vector_ok=True)
     c = _as_matrix(c)
-    diagonal = _is_diagonal(a) and _is_diagonal(b)
+    ea, eb = _diagonal_of(a), _diagonal_of(b)
+    diagonal = ea is not None and eb is not None
     if diagonal:
-        ea, eb = np.diagonal(a), np.diagonal(b)
         norm_a, norm_b = np.max(np.abs(ea)), np.max(np.abs(eb))
     else:
+        a, b = (np.diag(m) if m.ndim == 1 else m for m in (a, b))
         ea, eb = np.linalg.eigvals(a), np.linalg.eigvals(b)
         norm_a, norm_b = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
     gap = np.min(np.abs(ea[:, None] - eb[None, :]))

@@ -52,7 +52,9 @@ class OperatorPair:
     ``g`` maps the main space into the coupling space (kdim x dim);
     ``v0`` is Hermitian on the coupling space.  ``meta`` records the model
     and any exactly known facts about it.  ``origin`` is (pair, probe) for
-    ``shift_pair(pair, probe)``.
+    ``shift_pair(pair, probe)``; ``operators`` is None for the shift of a
+    dense pair, whose dense matrices are formed from the origin on first
+    use.
 
     Eigen-data are computed on first use and cached on the instance; a
     shifted pair takes them from its origin, with the eigenvalues moved.
@@ -80,12 +82,16 @@ class OperatorPair:
     @property
     def banded(self):
         """Whether the operators are stored as bands."""
-        return isinstance(self.operators[0], TridiagonalBands)
+        return self.operators is not None and isinstance(self.operators[0], TridiagonalBands)
 
     @functools.cached_property
     def _dense(self):
         if self.banded:
             return tuple(b.dense() for b in self.operators)
+        if self.operators is None:
+            base, shift = self.origin
+            eye = np.eye(self.dim)
+            return base.h0 - shift * eye, base.h - shift * eye
         return self.operators
 
     @property
@@ -100,6 +106,12 @@ class OperatorPair:
     def sparse_g(self):
         """``g`` as a sparse matrix (CSR)."""
         return sparse.csr_array(self.g)
+
+    @functools.cached_property
+    def coupling_window(self):
+        """(lo, hi): every nonzero column of ``g`` lies in lo, ..., hi - 1."""
+        cols = self.sparse_g.indices
+        return (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
 
     def factorization_residual(self):
         v = self.g.conj().T @ self.v0 @ self.g
@@ -120,6 +132,8 @@ class OperatorPair:
     @functools.cached_property
     def tridiagonal(self):
         """Whether h0 and h both vanish off their three central diagonals."""
+        if self.origin is not None:
+            return self.origin[0].tridiagonal
         return self.banded or (is_tridiagonal(self.h0) and is_tridiagonal(self.h))
 
     @functools.cached_property
@@ -417,15 +431,12 @@ def shift_pair(pair, probe):
 
     A shift moves eigenvalues only, so the shifted pair takes its
     eigen-data from ``pair`` (computed there once), with eigenvalues
-    w - probe, whose signs are exact.  Bands shift in O(n).
+    w - probe, whose signs are exact.  Bands shift in O(n); the shifted
+    dense matrices are formed only on first use.
     """
     if probe == 0:
         return pair
-    if pair.banded:
-        operators = tuple(b.shifted(probe) for b in pair.operators)
-    else:
-        eye = np.eye(pair.dim)
-        operators = (pair.h0 - probe * eye, pair.h - probe * eye)
+    operators = tuple(b.shifted(probe) for b in pair.operators) if pair.banded else None
     meta = dict(pair.meta, shifted_by=float(probe))
     return OperatorPair(operators, pair.g, pair.v0, meta, origin=(pair, float(probe)))
 

@@ -14,11 +14,24 @@ identity), so its eigenvalues always live on the unit circle and only
 their phases move with eps.
 
 The sandwiches G (A - z)^-1 G* of a dense pair come from its cached
-eigensystems, (G U) diag(1/(w - z)) (G U)*; those of a tridiagonal pair
-from banded solves.
+eigensystems, (G U) diag(1/(w - z)) (G U)*.  Those of a tridiagonal pair
+need only the block of the resolvent on the coupling window, the columns
+where G is nonzero: the chain outside it enters through two scalar
+boundary self-energies (a Schur complement), and the window system is
+solved once for all of G*.
+
+Each rung needs only Hermitian k x k kernels besides its sandwich.  S is
+unitary, hence normal, and (S-I)*(S-I)/4 is a function of S, so one
+eigensolve of that defect operator gives ||A|| and an S-invariant
+subspace holding every eigenvalue of S far enough from 1 to be retained;
+the phases are those of S compressed to it (a few dimensions), with the
+eigenvalues of the whole S as the fallback when the subspace is not
+invariant to roundoff.  The unitarity defect and the identity residual
+are 2-norms of Hermitian matrices, taken as largest |eigenvalues|.  A
+ladder keeps each rung's scalars and phases, not its k x k matrices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +48,7 @@ __all__ = [
 
 C1_RESIDUAL_TOL = 1e-9
 COND_LIMIT = 1e12
-SOLVE_BLOCK = 16
+INVARIANCE_TOL = 1e-12
 DEFAULT_PHASE_FLOOR = 0.1
 
 
@@ -62,16 +75,12 @@ def _sandwich_one(pair, which, z):
         e = pair.eigensystems()[which]
         gu = g @ e.eigenvectors
         return (gu / (e.eigenvalues - z)) @ gu.conj().T
-    # banded solves on SOLVE_BLOCK columns of G* at a time, so no complex
-    # n x k copy of G* or of its solution is held; G applied through its
-    # nonzeros.  One solve of all of G* at once is slower and raises the
-    # peak memory of a sech2 run.
-    bands, gs = pair.bands[which], pair.sparse_g
-    t = np.empty((pair.kdim, pair.kdim), dtype=complex)
-    for lo in range(0, pair.kdim, SOLVE_BLOCK):
-        cols = slice(lo, lo + SOLVE_BLOCK)
-        t[:, cols] = gs @ bands.solve(g[cols].conj().T, z)
-    return t
+    # G reads only the coupling window of the chain, so only the window
+    # block of the resolvent is needed: one banded solve of the window
+    # system for all of G*, with G applied through its nonzeros
+    lo, hi = pair.coupling_window
+    x = pair.bands[which].solve(g[:, lo:hi].conj().T, z, lo)
+    return pair.sparse_g[:, lo:hi] @ x
 
 
 def _check_conditioning(m, cond_limit):
@@ -148,14 +157,19 @@ def _psd_sqrt(m, clip=-1e-12):
 
 @dataclass(frozen=True)
 class ScatteringBundle:
-    """Everything the stationary machinery produces at one (probe, eps)."""
+    """Everything the stationary machinery produces at one (probe, eps).
+
+    The four k x k matrices are None in the rungs of :func:`phase_ladder`.
+    """
 
     probe: float
     eps: float
     f0prime: np.ndarray
     fprime: np.ndarray
     smatrix: np.ndarray
-    eigenvalues: np.ndarray          # of the smoothed stationary matrix
+    # of the smoothed stationary matrix on the top eigenspace of the defect
+    # operator, or all of them after a fallback
+    eigenvalues: np.ndarray
     phases: np.ndarray               # retained, sorted, in (0, 2*pi)
     retention_threshold: float
     unitarity_defect: float
@@ -164,6 +178,34 @@ class ScatteringBundle:
     prediction_a: float              # ||A||^(1/2) = ||S - I|| / 2
     band_edges: np.ndarray           # sin(theta/2) of retained phases, descending
     factor_residual: float
+    invariance_residual: float       # || S W - W (W* S W) || on that eigenspace W
+
+
+_MATRICES = dict.fromkeys(("f0prime", "fprime", "smatrix", "defect_operator"))
+
+
+def _hermitian_norm(m):
+    """2-norm of the Hermitian part of ``m``: its largest |eigenvalue|."""
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    return float(max(abs(w[0]), abs(w[-1])))
+
+
+def _top_eigenvalues(smat, mu, vecs, thr):
+    """Eigenvalues of S with |ev - 1| > thr / 2, and the invariance residual.
+
+    (S-I)*(S-I)/4 = (mu, vecs) is a function of the normal S, so the
+    eigenvectors with mu > thr^2 / 16 span an S-invariant subspace W
+    holding every eigenvalue of S with |ev - 1| > thr / 2; they are the
+    eigenvalues of the small W* S W.  When ||S W - W (W* S W)|| is not
+    at roundoff (eigenvalues of S clustered across the cut) the
+    eigenvalues of the whole S are returned instead.
+    """
+    w = vecs[:, mu > thr ** 2 / 16.0]
+    sw = smat @ w
+    c = w.conj().T @ sw
+    resid = float(np.linalg.norm(sw - w @ c, 2))
+    return (np.linalg.eigvals(c) if resid <= INVARIANCE_TOL
+            else np.linalg.eigvals(smat)), resid
 
 
 def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
@@ -171,28 +213,34 @@ def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
 
     Eigenvalues with |ev - 1| above max(phase_floor, 10 * unitarity
     defect) are retained as scattering phases.  The finite-eps identity
-    (S-I)*(S-I)/4 = A holds exactly; its residual is reported.
+    (S-I)*(S-I)/4 = A holds exactly; its residual is reported.  The
+    unitarity defect and that residual are 2-norms of Hermitian matrices,
+    taken as their largest |eigenvalue|; the phases and ||A|| come from
+    one eigensolve of (S-I)*(S-I)/4 (see :func:`_top_eigenvalues`).
     """
     sw = resolvent_sandwich(pair, probe + 1j * eps)
     f0p, fp = smoothed_density(pair, probe, eps, sandwich=sw)
     root = _psd_sqrt(f0p)
     v0 = pair.v0
     core = v0 - v0 @ sw.t @ v0
-    k = pair.kdim
-    smat = np.eye(k) - 2j * np.pi * root @ core @ root
-    evs = np.linalg.eigvals(smat)
-    udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(k), 2))
+    eye = np.eye(pair.kdim)
+    smat = eye - 2j * np.pi * root @ core @ root
+    udef = _hermitian_norm(smat.conj().T @ smat - eye)
     thr = max(float(phase_floor), 10.0 * udef)
+    diff = smat - eye
+    defect = 0.25 * diff.conj().T @ diff
+    mu, vecs = np.linalg.eigh(defect)
+    evs, inv_resid = _top_eigenvalues(smat, mu, vecs, thr)
     kept = evs[np.abs(evs - 1.0) > thr]
     phases = np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
     amat = np.pi ** 2 * root @ v0 @ fp @ v0 @ root
     amat = 0.5 * (amat + amat.conj().T)
-    diff = smat - np.eye(k)
-    ident = float(np.linalg.norm(0.25 * diff.conj().T @ diff - amat, 2))
-    a_pred = float(np.sqrt(max(np.max(np.linalg.eigvalsh(amat)), 0.0)))
+    ident = _hermitian_norm(defect - amat)
+    a_pred = float(np.sqrt(max(mu[-1], 0.0)))
     edges = np.sort(np.sin(phases / 2.0))[::-1]
     return ScatteringBundle(float(probe), float(eps), f0p, fp, smat, evs, phases,
-                            thr, udef, amat, ident, a_pred, edges, sw.factor_residual)
+                            thr, udef, amat, ident, a_pred, edges, sw.factor_residual,
+                            inv_resid)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +262,13 @@ def neville(eps_values, samples):
 
 
 def phase_ladder(pair, probe, eps_ladder, phase_floor=DEFAULT_PHASE_FLOOR):
-    """Bundles at every rung of a decreasing eps ladder."""
+    """Bundles at every rung of a decreasing eps ladder, without their k x k
+    matrices: a rung keeps its scalars and phases only."""
     ladder = list(eps_ladder)
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    return [scattering_bundle(pair, probe, e, phase_floor) for e in ladder]
+    return [replace(scattering_bundle(pair, probe, e, phase_floor), **_MATRICES)
+            for e in ladder]
 
 
 def _match_chains(bundles, radius=0.75):

@@ -131,9 +131,7 @@ def product_representation_check(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
     residual_direct = float(np.linalg.norm(cross + m1v @ m0.conj().T, 2))
 
     rhs = -(w1 @ pair.v0 @ w0.conj().T)
-    a = np.diag(lam1).astype(complex)
-    b = np.diag(lam0).astype(complex)
-    x = sylvester_solve(a, b, rhs)
+    x = sylvester_solve(lam1, lam0, rhs)      # diagonal operands, as their diagonals
     residual_oracle = float(np.linalg.norm(x + cross, 2))
     return ProductCheck(residual_direct, residual_oracle, gap, n_t)
 

@@ -131,3 +131,20 @@ def test_expected_red_set_matches():
         "4-support-match", "5-knee-location", "5-top-eigenvalue",
     }
     assert marked == acceptance.EXPECTED_RED
+
+
+def test_criterion_1_builds_each_sandwich_once(monkeypatch):
+    # the factor residual is read from the bundle, which holds the one
+    # sandwich (two resolvent blocks, T0 and T) built at each (pair, eps)
+    from projdiff import scattering
+    blocks, bundles = [], []
+    for module, name, calls in ((scattering, "_sandwich_one", blocks),
+                                (acceptance, "scattering_bundle", bundles)):
+        def spy(*args, _original=getattr(module, name), _calls=calls, **kwargs):
+            _calls.append(args[1:])
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    clauses = {c.name: c for c in acceptance.criterion_1()}
+    count = acceptance.thresholds()["random_pair"]["count"]
+    assert len(blocks) == 2 * len(bundles) == 4 * (count + 1)
+    assert clauses["1-resolvent-factor"].passed

@@ -207,6 +207,26 @@ def test_tridiagonal_bands_format():
     assert np.allclose(one.solve(np.array([[1.0]]), 1j), [[1.0 / (2.0 - 1j)]])
 
 
+def test_band_solve_on_a_window_matches_the_padded_full_solve():
+    # the window block of the resolvent, through the two boundary
+    # self-energies, against rows of the dense solve of the zero-padded rhs
+    rng = np.random.default_rng(8)
+    n, z = 25, 0.3 + 0.02j
+    for sub in (rng.standard_normal(n - 1),
+                rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)):
+        bands = TridiagonalBands.hermitian(rng.uniform(-2, 2, n), sub)
+        inverse = np.linalg.inv(bands.dense() - z * np.eye(n))
+        for lo, hi in ((0, n), (0, 7), (18, n), (9, 14), (12, 13), (5, 5)):
+            rhs = rng.standard_normal((hi - lo, 3)) + 1j * rng.standard_normal((hi - lo, 3))
+            padded = np.zeros((n, 3), dtype=complex)
+            padded[lo:hi] = rhs
+            x = bands.solve(rhs, z, lo)
+            assert x.shape == rhs.shape
+            assert np.allclose(x, (inverse @ padded)[lo:hi], atol=1e-12)
+    with pytest.raises(ValueError, match="window"):
+        bands.solve(np.ones((3, 1)), z, n - 2)
+
+
 def test_probe_gaps_reports_nearest_over_all_spectra():
     gaps = probe_gaps(0.5, [np.array([0.0, 1.0]), np.array([0.25]), np.empty(0)])
     assert gaps == [0.5, 0.25, np.inf]
@@ -345,6 +365,38 @@ def test_sylvester_diagonal_collision_decision_matches_dense():
                     assert err.value.required == pytest.approx(required, rel=1e-12)
                 else:
                     sylvester_solve(a, b, c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sylvester_takes_diagonal_operands_as_vectors(seed, monkeypatch):
+    a, b, c = _diagonal_sylvester_case(seed)
+    da, db = np.diag(a), np.diag(b)
+    expected = sylvester_solve(a, b, c)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Sylvester machinery on vector operands")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sla, "solve_sylvester", forbidden)
+        patch.setattr(np.linalg, "eigvals", forbidden)
+        assert np.array_equal(sylvester_solve(da, db, c), expected)
+    # a vector against a full matrix goes to the dense branch with its diagonal matrix
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    full_b = (q * db) @ q.conj().T
+    x = sylvester_solve(da, full_b, c)
+    assert np.allclose(x, sla.solve_sylvester(a, -full_b, c), atol=1e-12)
+
+
+def test_sylvester_vector_operands_keep_the_contract():
+    with pytest.raises(SpectralCollisionError):
+        sylvester_solve(np.array([1.0, 2.0]), np.array([2.0, 5.0]), np.eye(2))
+    with pytest.raises(ValueError, match="rows of A"):
+        sylvester_solve(np.array([1.0, 2.0]), np.array([5.0]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="2-d"):
+        sylvester_solve(np.array([1.0]), np.array([5.0]), np.ones(1))
+    with pytest.raises(ValueError, match="non-finite"):
+        sylvester_solve(np.array([np.nan]), np.array([5.0]), np.ones((1, 1)))
 
 
 def test_sylvester_shape_mismatch_rejected():

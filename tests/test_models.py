@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projdiff import linalg, models
+from projdiff import linalg, models, scattering
 from projdiff.errors import DecayBoundError, GapViolationError
 from projdiff.linalg import TridiagonalBands
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
@@ -10,6 +10,7 @@ from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1
                              square_well_spec, thresholds)
 from projdiff.projections import projection_difference
 from projdiff.scattering import resolvent_sandwich
+from projdiff.zops import product_representation_check
 
 
 def test_zero_perturbation():
@@ -182,6 +183,19 @@ def test_shift_pair_translation(monkeypatch):
     assert np.allclose(d_orig, d_shift, atol=1e-13)
 
 
+def test_shift_of_a_dense_pair_forms_its_matrices_on_first_use():
+    pair = build_krein(200, 40.0)
+    shifted = shift_pair(pair, 0.5)
+    assert shifted.operators is None and not shifted.banded
+    assert shifted.tridiagonal == pair.tridiagonal
+    # the product check reads eigensystems, g and v0 only
+    product_representation_check(shifted)
+    assert "_dense" not in shifted.__dict__
+    eye = np.eye(pair.dim)
+    assert np.array_equal(shifted.h0, pair.h0 - 0.5 * eye)
+    assert np.array_equal(shifted.h, pair.h - 0.5 * eye)
+
+
 def test_shift_pair_of_a_band_pair_moves_the_diagonal(monkeypatch):
     pair = build_schrodinger_1d(square_well_spec(2.5, 1.0, 20.0, 399))
     w0, w1 = pair.eigenvalues
@@ -247,12 +261,51 @@ def test_band_pair_matches_dense_build(name):
     sb, sd = resolvent_sandwich(pair, z), resolvent_sandwich(dense, z)
     for tb, td in ((sb.t0, sd.t0), (sb.t, sd.t)):
         assert np.linalg.norm(tb - td, 2) <= 1e-10 * np.linalg.norm(td, 2)
-    if n < 2000:
-        # and against dense solves
-        g = pair.g
-        for tb, m in ((sb.t0, h0), (sb.t, dense.h)):
-            td = g @ np.linalg.solve(m - z * np.eye(n), g.conj().T)
-            assert np.linalg.norm(tb - td, 2) <= 1e-10 * np.linalg.norm(td, 2)
+    # the band sandwich solves only the coupling window, the support of the
+    # potential, with the chain on both sides of it folded into
+    # self-energies; against dense solves of all of G*
+    lo, hi = pair.coupling_window
+    assert 0 < lo and hi < n and hi - lo == pair.kdim
+    g = pair.g
+    for tb, m in ((sb.t0, h0), (sb.t, dense.h)):
+        td = g @ np.linalg.solve(m - z * np.eye(n), g.conj().T)
+        assert np.linalg.norm(tb - td, 2) <= 1e-12 * np.linalg.norm(td, 2)
+
+
+# rows of g, each by its nonzero sites, on a chain of 30 sites
+WINDOW_CASES = {"box-ends": [[0], [29]], "gap-inside": [[8, 9], [15], [16]],
+                "one-site": [[12]], "interior": [[10], [11, 12]]}
+
+
+@pytest.mark.parametrize("complex_bands", (False, True))
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_window_sandwich_edge_cases(case, complex_bands):
+    rng = np.random.default_rng(6)
+    n, rows = 30, WINDOW_CASES[case]
+    sub = rng.standard_normal(n - 1) + (1j * rng.standard_normal(n - 1) if complex_bands else 0)
+    bands = TridiagonalBands.hermitian(rng.uniform(-2, 2, n), sub)
+    g = np.zeros((len(rows), n), dtype=complex)
+    for i, sites in enumerate(rows):
+        g[i, sites] = rng.uniform(0.2, 0.8, len(sites)) * np.exp(2j * np.pi * rng.random(len(sites)))
+    pair = build_finite_pair(bands, g, np.diag(rng.choice([-1.0, 1.0], len(rows))))
+    assert (bands.phase is not None) == complex_bands
+    assert pair.coupling_window == (min(min(r) for r in rows), max(max(r) for r in rows) + 1)
+    for z in (0.1 + 0.05j, -1.0 + 0.3j):
+        for which, mat in enumerate((pair.h0, pair.h)):
+            ref = g @ np.linalg.solve(mat - z * np.eye(n), g.conj().T)
+            t = scattering._sandwich_one(pair, which, z)
+            assert np.linalg.norm(t - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+def test_window_sandwich_without_coupling():
+    bands = TridiagonalBands(np.full(8, 2.0), np.full(7, -1.0))
+    empty = build_finite_pair(bands, np.zeros((0, 8)), np.zeros((0, 0)))
+    assert empty.kdim == 0 and empty.coupling_window == (0, 0)
+    assert scattering._sandwich_one(empty, 0, 0.5 + 0.1j).shape == (0, 0)
+    # rows of g that are all zero see no window: the sandwich vanishes
+    silent = build_finite_pair(bands, np.zeros((2, 8)), np.eye(2))
+    assert silent.coupling_window == (0, 0)
+    assert np.array_equal(scattering._sandwich_one(silent, 1, 0.5 + 0.1j), np.zeros((2, 2)))
 
 
 def test_band_build_keeps_the_factorization_contract(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -381,3 +383,114 @@ def test_import_leaves_the_ode_solver_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout.split()
     assert out == ["False", "True"]
+
+
+# ---------------------------------------------------------------------------
+# the bundle's Hermitian kernels and subspace phases against dense ones
+# ---------------------------------------------------------------------------
+
+def _full_phases(b):
+    """Dense oracle: retained phases from every eigenvalue of the whole S."""
+    evs = np.linalg.eigvals(b.smatrix)
+    kept = evs[np.abs(evs - 1.0) > b.retention_threshold]
+    return evs, np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
+
+
+def _sech2_shipped():
+    cfg = thresholds()["sech2"]
+    pair = build_schrodinger_1d(
+        sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
+    return pair, cfg["probe"], cfg["eps_ladder"]
+
+
+PHASE_CASES = {
+    "sech2": _sech2_shipped,
+    "krein": lambda: (build_krein(400, 40.0), 0.5, thresholds()["krein"]["eps_ladder"]),
+    **{f"random-{seed}": (lambda seed=seed: (random_gapped_pair(24, 6, seed), 0.0,
+                                             [0.1, 0.05, 0.01]))
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_CASES))
+def test_subspace_phases_match_full_eigenvalues(case):
+    pair, probe, ladder = PHASE_CASES[case]()
+    for eps in ladder:
+        b = scattering_bundle(pair, probe, eps)
+        assert b.invariance_residual <= scattering.INVARIANCE_TOL
+        evs, phases = _full_phases(b)
+        assert len(b.phases) == len(phases)
+        assert np.max(np.abs(b.phases - phases), initial=0.0) <= 1e-13
+        # the subspace holds exactly the eigenvalues of S with |ev - 1| > thr / 2
+        dist = np.abs(b.eigenvalues[:, None] - evs[None, :]).min(axis=1, initial=np.inf)
+        assert np.all(dist <= 1e-13)
+        far = np.abs(evs - 1.0) > b.retention_threshold / 2.0
+        assert len(b.eigenvalues) == np.count_nonzero(far)
+        assert b.prediction_a == pytest.approx(
+            0.5 * np.linalg.norm(b.smatrix - np.eye(pair.kdim), 2), abs=1e-13)
+
+
+def test_invariance_fallback_takes_every_eigenvalue(monkeypatch):
+    pair = random_gapped_pair(24, 6, seed=4)
+    b = scattering_bundle(pair, 0.0, 0.01)
+    smat, thr = b.smatrix, b.retention_threshold
+    diff = smat - np.eye(pair.kdim)
+    mu, vecs = np.linalg.eigh(0.25 * diff.conj().T @ diff)
+    assert 0 < np.count_nonzero(mu > thr ** 2 / 16.0) < pair.kdim
+    # an eigenspace tilted off invariance fails the residual test, and the
+    # eigenvalues of the whole S are taken
+    rng = np.random.default_rng(0)
+    tilted = np.linalg.qr(vecs + 1e-8 * rng.standard_normal(vecs.shape))[0]
+    evs, resid = scattering._top_eigenvalues(smat, mu, tilted, thr)
+    assert resid > scattering.INVARIANCE_TOL
+    assert np.array_equal(evs, np.linalg.eigvals(smat))
+    # forced through the bundle: same phases from all k eigenvalues
+    monkeypatch.setattr(scattering, "INVARIANCE_TOL", -1.0)
+    forced = scattering_bundle(pair, 0.0, 0.01)
+    assert len(forced.eigenvalues) == pair.kdim
+    assert np.allclose(forced.phases, b.phases, atol=1e-13)
+
+
+def test_hermitian_norm_matches_the_svd_norm():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    herm = 0.5 * (m + m.conj().T)
+    v = rng.standard_normal((9, 1))
+    cases = [herm, herm - 10.0 * np.eye(9), herm + 10.0 * np.eye(9), -v @ v.T,
+             np.zeros((3, 3)), np.array([[2.5]])]
+    for case in cases:
+        assert scattering._hermitian_norm(case) == pytest.approx(
+            np.linalg.norm(case, 2), rel=1e-13, abs=1e-300)
+    # the bundle's two Hermitian 2-norms against the SVD ones
+    pair = random_gapped_pair(24, 6, seed=2)
+    b = scattering_bundle(pair, 0.0, 0.05)
+    eye = np.eye(pair.kdim)
+    diff = b.smatrix - eye
+    assert b.unitarity_defect == pytest.approx(
+        np.linalg.norm(b.smatrix.conj().T @ b.smatrix - eye, 2), abs=1e-15)
+    assert b.identity_residual == pytest.approx(
+        np.linalg.norm(0.25 * diff.conj().T @ diff - b.defect_operator, 2), abs=1e-15)
+
+
+LADDER_CASES = {
+    "random": lambda: (random_gapped_pair(24, 6, seed=3), 0.0, [0.1, 0.05, 0.01]),
+    "sech2-759": lambda: (build_schrodinger_1d(sech2_spec(1.0, 38.0, 759)), 1.0,
+                          [0.3, 0.2, 0.1, 0.05]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_ladder_rungs_keep_no_k_by_k_array(case):
+    pair, probe, ladder = LADDER_CASES[case]()
+    k = pair.kdim
+    _, bundles = extrapolated_phases(pair, probe, ladder)
+    assert len(bundles) == len(ladder)
+    for b in bundles:
+        sizes = {f.name: np.size(getattr(b, f.name)) for f in dataclasses.fields(b)}
+        assert max(sizes.values()) < k * k, sizes
+        assert b.smatrix is None and b.defect_operator is None
+    # a bundle asked for directly keeps its matrices
+    b = scattering_bundle(pair, probe, ladder[-1])
+    for m in (b.f0prime, b.fprime, b.smatrix, b.defect_operator):
+        assert m.shape == (k, k)
+    assert np.array_equal(b.phases, bundles[-1].phases)

@@ -170,6 +170,21 @@ def test_core_product_check_matches_dense(case, monkeypatch):
     assert chk.residual_oracle == pytest.approx(oracle, abs=1e-15)
 
 
+def test_product_check_passes_the_eigenvalue_vectors(monkeypatch):
+    # the oracle's diagonal operands go to sylvester_solve as their
+    # diagonals; no diagonal matrix is formed
+    operands = []
+    original = zops_module.sylvester_solve
+
+    def spy(a, b, c):
+        operands.append((np.ndim(a), np.ndim(b)))
+        return original(a, b, c)
+
+    monkeypatch.setattr(zops_module, "sylvester_solve", spy)
+    product_representation_check(shift_pair(build_krein(200, 40.0), 0.5))
+    assert operands == [(1, 1)]
+
+
 def test_krein_probe_runs_no_dense_solves(monkeypatch):
     # once the pair is diagonalized, a probe and its corners form no n x n
     # solve, inverse, SVD or spectral projection, and the Sylvester oracle
