@@ -22,6 +22,7 @@ import numpy as np
 from .hankel import (build_hankel, carleman_kernel, default_hankel_rule,
                      gamma0_kernel, gamma_kernel, kernel_bound_suite,
                      laplace_factorizations, model_hankel_pair)
+from .linalg import PROBE_GAP_TOL, probe_gaps, subspace_compressions
 from .models import (build_krein, build_schrodinger_1d, random_gapped_pair,
                      resolvent_transform, sech2_spec, shift_pair,
                      square_well_spec, thresholds)
@@ -32,7 +33,8 @@ from .scattering import (birman_krein_extrapolated, extrapolated_phases,
                          scattering_bundle, transfer_matrix_smatrix)
 from .zops import product_representation_check
 
-__all__ = ["Clause", "EXPECTED_RED", "run_criterion", "run_all", "CRITERIA"]
+__all__ = ["Clause", "EXPECTED_RED", "run_criterion", "run_all", "CRITERIA",
+           "projection_identity_residual"]
 
 # clauses that probe logarithmically-slow fill-in at pinned sizes
 EXPECTED_RED = {
@@ -319,6 +321,27 @@ def criterion_7():
 # 8. invariance principle
 # ---------------------------------------------------------------------------
 
+def projection_identity_residual(pair, transform, probe, gap_tol=PROBE_GAP_TOL):
+    """||(E(probe) - E0(probe)) - (F0(mu) - F1(mu))||_2 on the small side.
+
+    F0 and F1 are the spectral projections of the transformed pair at
+    mu = transform.mu(probe).  With (s, U0, U1) the pair's probe basis at
+    the probe and (s', W0, W1) the transformed pair's at mu, the two
+    differences are -s (U1 U1* - U0 U0*) and s' (W0 W0* - W1 W1*), both
+    zero off span[U0, U1, W0, W1]; so the residual is that of the
+    compressions A_j, B_j of :func:`projdiff.linalg.subspace_compressions`
+    of (U0, U1, W0, W1): ||-s (A1 - A0) + s' (B0 - B1)||_2.  A probe within
+    ``gap_tol`` of either spectrum raises :class:`GapViolationError`.
+    """
+    mu = float(transform.mu(probe))
+    probe_gaps(probe, pair.eigenvalues, gap_tol)
+    probe_gaps(mu, transform.pair.eigenvalues, gap_tol)
+    side, u0, u1 = pair.probe_basis(probe)
+    side_t, w0, w1 = transform.pair.probe_basis(mu)
+    a0, a1, b0, b1 = subspace_compressions(u0, u1, w0, w1)
+    return float(np.linalg.norm(-side * (a1 - a0) + side_t * (b0 - b1), 2))
+
+
 def criterion_8():
     cfg = _krein_cfg()
     pair = build_krein(cfg["n"], cfg["L"])
@@ -337,15 +360,8 @@ def criterion_8():
     else:
         phase_dist = 2.0
 
-    e0, e1 = pair.eigensystems()
-    f0, f1 = transform.pair.eigensystems()
-    from .projections import spectral_projection
-    d_orig = (spectral_projection(e1, probe) - spectral_projection(e0, probe))
-    d_tr = (spectral_projection(f0, mu) - spectral_projection(f1, mu))
-    proj_resid = float(np.linalg.norm(d_orig - d_tr, 2))
-    fact_resid = float(np.linalg.norm(
-        transform.pair.h - transform.pair.h0
-        - transform.pair.g.conj().T @ transform.pair.v0 @ transform.pair.g, 2))
+    proj_resid = projection_identity_residual(pair, transform, probe)
+    fact_resid = float(transform.pair.factorization_residual())
     return [
         Clause("8-phase-agreement", phase_dist <= 2e-2, {"distance": phase_dist}),
         Clause("8-projection-identity", proj_resid <= 1e-12, {"residual": proj_resid}),

@@ -1,8 +1,9 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
-tridiagonal matrices), the band format with its shifted banded solve (on
-the whole chain, or on a window through two boundary self-energies), SVD,
-semigroup action, a Sylvester solver (in closed form for diagonal
-operands), and the probe-gap check on eigenvalue arrays.
+band-stored matrices), the band format with its shifted banded solve (on
+the whole chain, or on a window through two boundary self-energies), the
+compression of subspace projections to their joint span, SVD, semigroup
+action, a Sylvester solver (in closed form for diagonal operands), and the
+probe-gap check on eigenvalue arrays.
 
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
@@ -22,8 +23,7 @@ from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                      SpectralCollisionError)
 
 __all__ = ["SpectralDecomposition", "TridiagonalBands", "check_hermitian", "herm_eig",
-           "is_tridiagonal", "tridiagonal_bands", "probe_gaps", "svd", "expm_apply",
-           "sylvester_solve"]
+           "subspace_compressions", "probe_gaps", "svd", "expm_apply", "sylvester_solve"]
 
 HERMITIAN_TOL = 1e-12
 PROBE_GAP_TOL = 1e-8
@@ -42,10 +42,6 @@ class SpectralDecomposition:
     @property
     def dim(self):
         return len(self.eigenvalues)
-
-    def reconstruct(self):
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
     def residuals(self, matrix):
         """(relative eigen-residual, orthonormality defect) against ``matrix``."""
@@ -108,17 +104,6 @@ def herm_eig(matrix, tol=HERMITIAN_TOL):
     check_hermitian(m, tol)
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return SpectralDecomposition(w, v)
-
-
-def is_tridiagonal(matrix):
-    """Exact test that every entry off the three central diagonals is zero.
-
-    Compares nonzero counts of the whole matrix and of its three central
-    diagonals: O(n^2) and without n x n temporaries.
-    """
-    m = np.asarray(matrix)
-    return bool(np.count_nonzero(m)
-                == sum(np.count_nonzero(np.diagonal(m, k)) for k in (-1, 0, 1)))
 
 
 @dataclass(frozen=True)
@@ -233,17 +218,19 @@ def _corner(diagonal, offdiagonal, end):
     return _banded_solve(diagonal, offdiagonal, unit)[end]
 
 
-def tridiagonal_bands(matrix, tol=HERMITIAN_TOL):
-    """Validated bands of a Hermitian matrix that :func:`is_tridiagonal` accepts.
+def subspace_compressions(*bases):
+    """The projections onto the spans of ``bases``, compressed to their joint span.
 
-    The input contract is :func:`herm_eig`'s: finite entries, and
-    :class:`NonHermitianError` when the relative asymmetry exceeds ``tol``.
-    The bands are those of (M + M*)/2.
+    Each basis has orthonormal columns.  With the Householder QR
+    [B_1 ... B_m] = Q R and R = [R_1 ... R_m], B_j B_j* = Q R_j R_j* Q*, so
+    the R_j R_j* are those projections in the orthonormal basis Q, each
+    square of the total column count (or of the dimension, when smaller).
+    Sums and products of them have the 2-norms of the same sums and
+    products of the n x n projections.
     """
-    m = _as_matrix(matrix)
-    check_hermitian(m, tol)
-    return TridiagonalBands.hermitian(np.diagonal(m).real,
-                                      0.5 * (np.diagonal(m, -1) + np.diagonal(m, 1).conj()))
+    r = np.linalg.qr(np.hstack(bases), mode="r")
+    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
+    return [rj @ rj.conj().T for rj in np.split(r, cuts, axis=1)]
 
 
 def probe_gaps(probe, spectra, gap_tol=PROBE_GAP_TOL):

@@ -21,7 +21,7 @@ from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError
 from .linalg import (SpectralDecomposition, TridiagonalBands, check_hermitian, herm_eig,
-                     is_tridiagonal, tridiagonal_bands)
+                     subspace_compressions)
 from .quadrature import make_quadrature
 
 __all__ = [
@@ -58,10 +58,9 @@ class OperatorPair:
 
     Eigen-data are computed on first use and cached on the instance; a
     shifted pair takes them from its origin, with the eigenvalues moved.
-    When both operators are tridiagonal (always for a band pair, an exact
-    test on dense matrices) the eigenvalues and the eigenvectors near a
-    probe come from a banded solver; otherwise from the dense
-    eigensystems.
+    The storage picks the path: the eigenvalues and the eigenvectors near
+    a probe of a band pair come from a banded solver, those of a dense
+    pair (tridiagonal or not) from the dense eigensystems.
     """
 
     operators: tuple
@@ -130,27 +129,13 @@ class OperatorPair:
         return herm_eig(self.h0), herm_eig(self.h)
 
     @functools.cached_property
-    def tridiagonal(self):
-        """Whether h0 and h both vanish off their three central diagonals."""
-        if self.origin is not None:
-            return self.origin[0].tridiagonal
-        return self.banded or (is_tridiagonal(self.h0) and is_tridiagonal(self.h))
-
-    @functools.cached_property
-    def bands(self):
-        """:class:`TridiagonalBands` of h0 and h, for a ``tridiagonal`` pair."""
-        if self.banded:
-            return self.operators
-        return tridiagonal_bands(self.h0), tridiagonal_bands(self.h)
-
-    @functools.cached_property
     def eigenvalues(self):
         """Ascending eigenvalues of h0 and h."""
         if self.origin is not None:
             base, shift = self.origin
             return tuple(w - shift for w in base.eigenvalues)
-        if self.tridiagonal:
-            return tuple(b.eigenvalues() for b in self.bands)
+        if self.banded:
+            return tuple(b.eigenvalues() for b in self.operators)
         return tuple(e.eigenvalues for e in self.eigensystems())
 
     def probe_basis(self, probe):
@@ -163,9 +148,9 @@ class OperatorPair:
         below = [int(np.searchsorted(w, probe)) for w in self.eigenvalues]
         side = -1 if sum(below) <= n else +1
         ranges = [(0, m) if side < 0 else (m, n) for m in below]
-        if self.tridiagonal:
+        if self.banded:
             u0, u1 = (b.eigenpairs(lo, hi).eigenvectors
-                      for b, (lo, hi) in zip(self.bands, ranges))
+                      for b, (lo, hi) in zip(self.operators, ranges))
         else:
             u0, u1 = (e.eigenvectors[:, lo:hi]
                       for e, (lo, hi) in zip(self.eigensystems(), ranges))
@@ -174,17 +159,15 @@ class OperatorPair:
     def compression(self, probe):
         """(side, A0, A1): the side projections of h0 and h compressed to span[U0, U1].
 
-        With (side, U0, U1) from :meth:`probe_basis` and the Householder QR
-        [U0 U1] = Q R, R = [R0 R1], the compressions are A_j = R_j R_j*.
-        The latest probe's result is kept, so that the difference spectrum
-        and the D^2 check at one probe share one eigensolve and one QR.
+        With (side, U0, U1) from :meth:`probe_basis`, A0 and A1 are
+        :func:`projdiff.linalg.subspace_compressions` of (U0, U1).  The
+        latest probe's result is kept, so that the difference spectrum and
+        the D^2 check at one probe share one eigensolve and one QR.
         """
         if self._memo.get("probe") != probe:
             side, u0, u1 = self.probe_basis(probe)
-            r = np.linalg.qr(np.hstack([u0, u1]), mode="r")
-            r0, r1 = r[:, :u0.shape[1]], r[:, u0.shape[1]:]
             self._memo.update(probe=probe,
-                              compression=(side, r0 @ r0.conj().T, r1 @ r1.conj().T))
+                              compression=(side, *subspace_compressions(u0, u1)))
         return self._memo["compression"]
 
 

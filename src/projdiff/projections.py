@@ -15,16 +15,16 @@ and Simon), so with the Householder QR [U0 U1] = Q R its spectrum is that
 of the r x r compression Q* D Q = R1 R1* - R0 R0*, padded with n - r
 exact zeros, and the D^2 block identity compresses to the same r x r
 blocks.  The eigenvectors come from the pair: a banded solver restricted
-to the needed indices when H0 and H are tridiagonal, the dense
-eigensystems otherwise.  The pair keeps the compression of the latest
-probe, so the spectrum and the D^2 check at one probe share it (see
+to the needed indices for a band-stored pair, the dense eigensystems for
+a dense one.  The pair keeps the compression of the latest probe, so the
+spectrum and the D^2 check at one probe share it (see
 :class:`projdiff.models.OperatorPair`).
 
 The corners E0(side) E(opposite) E0(side) are functions of the same
 small-side bases: their nonzero spectrum is 1 - sigma(C)^2 for the
 cross-Gram C = U0* U1 (the principal angles between the two subspaces),
-so one SVD of the m0 x m1 matrix C gives them.  The n x n spectral
-projection is kept for tests and for the invariance-principle check.
+so one SVD of the m0 x m1 matrix C gives them.  No library function
+forms the n x n spectral projection; it is kept for tests and demos.
 """
 
 from dataclasses import dataclass
@@ -46,8 +46,9 @@ PAIRING_BAND = 1e-6
 def spectral_projection(decomp, probe, gap_tol=PROBE_GAP_TOL):
     """Orthogonal projection onto eigenvectors with eigenvalue below ``probe``.
 
-    Raises :class:`GapViolationError` carrying the nearest eigenvalue when
-    one sits within ``gap_tol`` of the probe.
+    An n x n matrix, kept as the dense oracle of tests and demos.  Raises
+    :class:`GapViolationError` carrying the nearest eigenvalue when one
+    sits within ``gap_tol`` of the probe.
     """
     w = decomp.eigenvalues
     probe_gaps(probe, [w], gap_tol)

@@ -14,7 +14,7 @@ identity), so its eigenvalues always live on the unit circle and only
 their phases move with eps.
 
 The sandwiches G (A - z)^-1 G* of a dense pair come from its cached
-eigensystems, (G U) diag(1/(w - z)) (G U)*.  Those of a tridiagonal pair
+eigensystems, (G U) diag(1/(w - z)) (G U)*.  Those of a band-stored pair
 need only the block of the resolvent on the coupling window, the columns
 where G is nonzero: the chain outside it enters through two scalar
 boundary self-energies (a Schur complement), and the window system is
@@ -69,7 +69,7 @@ class ResolventSandwich:
 def _sandwich_one(pair, which, z):
     """G (A - z)^-1 G* for A = h0 (``which`` = 0) or h (1)."""
     g = pair.g
-    if not pair.tridiagonal:
+    if not pair.banded:
         # spectral form (G U) diag(1/(w - z)) (G U)* from the pair's cached
         # eigensystem, so a dense pair pays one eigensolve and no n x n solve
         e = pair.eigensystems()[which]
@@ -79,49 +79,52 @@ def _sandwich_one(pair, which, z):
     # block of the resolvent is needed: one banded solve of the window
     # system for all of G*, with G applied through its nonzeros
     lo, hi = pair.coupling_window
-    x = pair.bands[which].solve(g[:, lo:hi].conj().T, z, lo)
+    x = pair.operators[which].solve(g[:, lo:hi].conj().T, z, lo)
     return pair.sparse_g[:, lo:hi] @ x
 
 
 def _check_conditioning(m, cond_limit):
-    """:class:`SingularSandwichError` when cond_2(m) exceeds ``cond_limit``.
+    """The inverse of m; :class:`SingularSandwichError` when cond_2(m)
+    exceeds ``cond_limit``.
 
     Fast accept: cond_2(m) <= ||m||_F ||m^-1||_F.  The computed inverse has
     relative error about k * eps * cond, far below the factor 100 margin,
     so inputs within that factor of the limit (and singular ones) go to
-    the exact SVD condition number, which decides.  The inverse is numpy's,
-    like the solve that follows, rather than a scipy LU shared by both:
-    scipy's LAPACK runs on a second BLAS thread pool, and alternating the
-    two pools slowed the calls on either side of the switch several-fold.
+    the exact SVD condition number, which decides.  The inverse is numpy's
+    rather than scipy's: scipy's LAPACK runs on a second BLAS thread pool,
+    and alternating the two pools slowed the calls on either side of the
+    switch several-fold.
     """
     try:
-        bound = np.linalg.norm(m) * np.linalg.norm(np.linalg.inv(m))
+        inverse = np.linalg.inv(m)
+        bound = np.linalg.norm(m) * np.linalg.norm(inverse)
     except np.linalg.LinAlgError:
-        bound = np.inf
+        inverse, bound = None, np.inf
     if not bound <= 1e-2 * cond_limit:
         cond = np.linalg.cond(m)
-        if cond > cond_limit:
+        # an LU that meets an exact zero pivot leaves cond far beyond any limit
+        if cond > cond_limit or inverse is None:
             raise SingularSandwichError(cond)
+    return inverse
 
 
 def resolvent_sandwich(pair, z, cond_limit=COND_LIMIT):
     """Both sandwiches at a point in the upper half plane.
 
-    The resolvent identity T = T0 (I + V0 T0)^-1 is verified and its
-    residual (2-norm) returned; a condition number of I + V0 T0 beyond
-    ``cond_limit`` raises :class:`SingularSandwichError`.  The residual
-    passes at once when it is below the tolerance scaled by the largest
-    column norm of T, a lower bound on ||T||_2, which is computed only
-    when that test fails.
+    The resolvent identity T = T0 (I + V0 T0)^-1 is verified, with the
+    inverse the conditioning check computes, and its residual (2-norm)
+    returned; a condition number of I + V0 T0 beyond ``cond_limit`` raises
+    :class:`SingularSandwichError`.  The residual passes at once when it
+    is below the tolerance scaled by the largest column norm of T, a lower
+    bound on ||T||_2, which is computed only when that test fails.
     """
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("need Im z > 0")
     t0 = _sandwich_one(pair, 0, z)
     t = _sandwich_one(pair, 1, z)
-    m = np.eye(pair.kdim) + pair.v0 @ t0
-    _check_conditioning(m, cond_limit)
-    resid = float(np.linalg.norm(t - np.linalg.solve(m.conj().T, t0.conj().T).conj().T, 2))
+    minv = _check_conditioning(np.eye(pair.kdim) + pair.v0 @ t0, cond_limit)
+    resid = float(np.linalg.norm(t - t0 @ minv, 2))
     colmax = np.max(np.linalg.norm(t, axis=0), initial=0.0)
     if (resid > C1_RESIDUAL_TOL * max(1.0, (1.0 - 1e-8) * colmax)
             and resid > C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t, 2))):
@@ -248,9 +251,12 @@ def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
 # ---------------------------------------------------------------------------
 
 def neville(eps_values, samples):
-    """Polynomial extrapolation of samples(eps) to eps = 0."""
-    e = np.asarray(eps_values, dtype=float)
+    """Polynomial extrapolation of samples(eps) to eps = 0.
+
+    The samples may be arrays of one shape, extrapolated entrywise at once.
+    """
     v = np.array(samples, dtype=complex)
+    e = np.asarray(eps_values, dtype=float).reshape((-1,) + (1,) * (v.ndim - 1))
     if len(e) != len(v) or len(e) < 1:
         raise ValueError("need matching nonempty eps/sample sequences")
     m = len(e)

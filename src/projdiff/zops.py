@@ -138,20 +138,9 @@ def product_representation_check(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
 
 def _extrapolated_density(pair, eps_ladder):
     """Entrywise ladder extrapolation of the smoothed densities at probe 0."""
-    f0_rungs, f_rungs = [], []
-    for eps in eps_ladder:
-        f0, f = smoothed_density(pair, 0.0, eps)
-        f0_rungs.append(f0)
-        f_rungs.append(f)
     lad = list(eps_ladder)
-    f0x = np.zeros_like(f0_rungs[0])
-    fx = np.zeros_like(f_rungs[0])
-    k = f0x.shape[0]
-    for i in range(k):
-        for j in range(k):
-            f0x[i, j] = neville(lad, [m[i, j] for m in f0_rungs])
-            fx[i, j] = neville(lad, [m[i, j] for m in f_rungs])
-    return _psd_clip(f0x), _psd_clip(fx)
+    f0_rungs, f_rungs = zip(*(smoothed_density(pair, 0.0, eps) for eps in lad))
+    return _psd_clip(neville(lad, f0_rungs)), _psd_clip(neville(lad, f_rungs))
 
 
 def _psd_clip(m):

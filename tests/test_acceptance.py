@@ -10,9 +10,13 @@ that status is flagged.  The measured values are printed either way.
 
 import time
 
+import numpy as np
 import pytest
 
-from projdiff import acceptance
+from projdiff import acceptance, projections
+from projdiff.errors import GapViolationError
+from projdiff.models import build_krein, random_gapped_pair, resolvent_transform
+from projdiff.projections import spectral_projection
 
 
 class _Cache:
@@ -148,3 +152,70 @@ def test_criterion_1_builds_each_sandwich_once(monkeypatch):
     count = acceptance.thresholds()["random_pair"]["count"]
     assert len(blocks) == 2 * len(bundles) == 4 * (count + 1)
     assert clauses["1-resolvent-factor"].passed
+
+
+# ---------------------------------------------------------------------------
+# the invariance-principle projection identity on the small side
+# ---------------------------------------------------------------------------
+
+def dense_identity_residual(pair, transform, probe):
+    """Dense oracle: ||(E(probe) - E0(probe)) - (F0(mu) - F1(mu))||_2 from the
+    four n x n spectral projections."""
+    mu = float(transform.mu(probe))
+    e0, e1 = pair.eigensystems()
+    f0, f1 = transform.pair.eigensystems()
+    d_orig = spectral_projection(e1, probe) - spectral_projection(e0, probe)
+    d_tr = spectral_projection(f0, mu) - spectral_projection(f1, mu)
+    return float(np.linalg.norm(d_orig - d_tr, 2))
+
+
+# (pair constructor, probe, resolvent shift); the transform reverses the
+# order of the spectra, so its small side is the opposite one, except when
+# the below-counts sum to n (the random seed 16 at probe 0), where both
+# sides are "below"
+INVARIANCE_CASES = {
+    "krein-400": (lambda: build_krein(400, 40.0), 0.5, -0.5),
+    "krein-200-probe-0.3": (lambda: build_krein(200, 40.0), 0.3, -0.5),
+    "krein-400-probe-0.05": (lambda: build_krein(400, 40.0), 0.05, -0.5),
+    **{f"random-{seed}": (lambda seed=seed: random_gapped_pair(24, 3, seed, gap=1e-3), 0.0, -2.0)
+       for seed in (0, 1, 2, 16)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
+def test_small_side_projection_identity_matches_dense(case):
+    build, probe, shift = INVARIANCE_CASES[case]
+    pair = build()
+    transform = resolvent_transform(pair, shift)
+    side = pair.probe_basis(probe)[0]
+    side_t = transform.pair.probe_basis(float(transform.mu(probe)))[0]
+    below = sum(int(np.searchsorted(w, probe)) for w in pair.eigenvalues)
+    assert (side == side_t) == (below == pair.dim) == (case == "random-16")
+    residual = acceptance.projection_identity_residual(pair, transform, probe)
+    assert residual <= 1e-12
+    assert abs(residual - dense_identity_residual(pair, transform, probe)) <= 1e-13
+
+
+def test_projection_identity_keeps_the_gap_contract():
+    pair = random_gapped_pair(24, 3, 0, gap=1e-3)
+    transform = resolvent_transform(pair, -2.0)
+    for w in (pair.eigenvalues[0][3], pair.eigenvalues[1][3]):
+        with pytest.raises(GapViolationError) as err:
+            acceptance.projection_identity_residual(pair, transform, w + 1e-12)
+        assert err.value.nearest == w
+
+
+def test_criterion_8_forms_no_spectral_projection(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("criterion 8 formed an n x n spectral projection")
+
+    monkeypatch.setattr(projections, "spectral_projection", forbidden)
+    clauses = {c.name: c for c in acceptance.criterion_8()}
+    monkeypatch.undo()
+    assert all(c.passed for c in clauses.values())
+    cfg = acceptance.thresholds()["krein"]
+    pair = build_krein(cfg["n"], cfg["L"])
+    dense = dense_identity_residual(pair, resolvent_transform(pair, cfg["resolvent_shift"]),
+                                    cfg["probe"])
+    residual = clauses["8-projection-identity"].details["residual"]
+    assert abs(residual - dense) <= 1e-13

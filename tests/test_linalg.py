@@ -5,8 +5,8 @@ import scipy.linalg as sla
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                              SpectralCollisionError)
 from projdiff.linalg import (HERMITIAN_TOL, TridiagonalBands, check_hermitian,
-                             expm_apply, herm_eig, is_tridiagonal, probe_gaps, svd,
-                             sylvester_solve, tridiagonal_bands)
+                             expm_apply, herm_eig, probe_gaps, subspace_compressions, svd,
+                             sylvester_solve)
 from projdiff.models import MODEL_HERMITIAN_TOL, build_finite_pair
 
 
@@ -151,37 +151,39 @@ def test_build_finite_pair_rejects_non_finite(piece, bad):
         build_finite_pair(**pieces)
 
 
-def test_tridiagonal_test_is_exact():
-    m = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([1.0, 0.0, 2.0], 1) + np.diag([1.0, 0.0, 2.0], -1)
-    assert is_tridiagonal(m) and is_tridiagonal(np.zeros((3, 3))) and is_tridiagonal(np.eye(1))
-    m[0, 3] = 1e-300
-    assert not is_tridiagonal(m)
-
-
-def test_tridiagonal_bands_keep_the_input_contract():
-    m = np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)
-    bands = tridiagonal_bands(m)
-    assert np.allclose(bands.eigenvalues(), np.linalg.eigvalsh(m), atol=1e-14)
-    assert bands.phase is None
-    skew = m.copy()
-    skew[0, 1] += 1e-6
-    with pytest.raises(NonHermitianError):
-        tridiagonal_bands(skew)
-    with pytest.raises(ValueError):
-        tridiagonal_bands(np.diag([np.inf, 1.0]))
-
-
 def test_tridiagonal_bands_complex_phases():
     # a complex Hermitian tridiagonal matrix is P T P* with T real symmetric
     rng = np.random.default_rng(8)
     off = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     off[2] = 0.0
-    m = np.diag(rng.standard_normal(6)) + np.diag(off, -1) + np.diag(off.conj(), 1)
-    dec = tridiagonal_bands(m).eigenpairs(1, 4)
+    d = rng.standard_normal(6)
+    m = np.diag(d) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    bands = TridiagonalBands.hermitian(d, off)
+    dec = bands.eigenpairs(1, 4)
     assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m)[1:4], atol=1e-13)
     v = dec.eigenvectors
     assert np.linalg.norm(m @ v - v * dec.eigenvalues, 2) <= 1e-13
-    assert tridiagonal_bands(m).eigenpairs(2, 2).eigenvectors.shape == (6, 0)
+    assert bands.eigenpairs(2, 2).eigenvectors.shape == (6, 0)
+
+
+def test_subspace_compressions_match_the_dense_projections():
+    # sums and products of the compressions have the 2-norms of the same
+    # expressions in the n x n projections, whatever the overlap of the spans
+    rng = np.random.default_rng(21)
+    n = 30
+    shared = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    bases = []
+    for m in (3, 4, 0, 5):
+        raw = np.hstack([shared, rng.standard_normal((n, m))])[:, :m]
+        bases.append(np.linalg.qr(raw)[0] if m else np.empty((n, 0)))
+    comp = subspace_compressions(*bases)
+    dense = [b @ b.conj().T for b in bases]
+    assert all(a.shape == (12, 12) for a in comp)
+    for pick in (lambda p: p[1] - p[0], lambda p: p[0] @ p[1] - 2.0 * p[3],
+                 lambda p: p[2] + p[3] @ p[0] @ p[3]):
+        ref = np.linalg.norm(pick(dense), 2)
+        assert abs(np.linalg.norm(pick(comp), 2) - ref) <= 1e-13 * max(ref, 1.0)
+    assert [a.shape for a in subspace_compressions(np.empty((n, 0)))] == [(0, 0)]
 
 
 def test_tridiagonal_bands_format():

@@ -197,18 +197,16 @@ def test_probe_below_both_spectra_gives_zero():
     assert dsquared_block_check(pair, -1.0) == 0.0
 
 
-def _tridiagonal_pair(n=40, off_band=None):
-    """Tridiagonal h0 with complex off-diagonal, diagonal coupling; ``off_band``
-    (i, j) adds a rank-one coupling on sites i and j, so h gets the entry (i, j)."""
+def _tridiagonal_pair(n=40, banded=True):
+    """Tridiagonal h0 with complex off-diagonal and a diagonal coupling, built
+    from its bands or, with ``banded`` False, from the same dense matrix."""
     rng = np.random.default_rng(3)
     off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-    h0 = np.diag(rng.uniform(-2, 2, n)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    d = rng.uniform(-2, 2, n)
+    h0 = (TridiagonalBands.hermitian(d, off) if banded
+          else np.diag(d) + np.diag(off, -1) + np.diag(off.conj(), 1))
     g = np.diag(rng.uniform(0.2, 0.8, n))
     v0 = np.diag(rng.choice([-1.0, 1.0], n))
-    if off_band is not None:
-        extra = np.zeros((1, n))
-        extra[0, list(off_band)] = 0.5
-        g, v0 = np.vstack([g, extra]), np.diag(np.append(np.diag(v0), 1.0))
     return build_finite_pair(h0, g, v0)
 
 
@@ -225,23 +223,26 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_path_selection_follows_the_band(monkeypatch):
-    banded, dense = _tridiagonal_pair(), _tridiagonal_pair(off_band=(5, 8))
-    assert banded.tridiagonal and not dense.tridiagonal
-    assert dense.h[5, 8] != 0
+    # the storage picks the path: the same tridiagonal matrices run the
+    # banded eigensolver and window solve when built from bands, and the
+    # dense eigensystems when passed dense
+    banded, dense = _tridiagonal_pair(), _tridiagonal_pair(banded=False)
+    assert banded.banded and not dense.banded
+    assert np.allclose(banded.h, dense.h, atol=1e-15)
     for pair, expect_banded in ((banded, True), (dense, False)):
-        bands = _count_calls(monkeypatch, models, "tridiagonal_bands")
+        eigenpairs = _count_calls(monkeypatch, TridiagonalBands, "eigenpairs")
         solves = _count_calls(monkeypatch, TridiagonalBands, "solve")
         dense_eigs = _count_calls(monkeypatch, models, "herm_eig")
         projection_difference(pair, 0.1)
         scattering.resolvent_sandwich(pair, 0.1 + 0.05j)
-        assert bool(bands) == bool(solves) == expect_banded
+        assert bool(eigenpairs) == bool(solves) == expect_banded
         assert bool(dense_eigs) == (not expect_banded)
         monkeypatch.undo()
 
 
 def test_banded_eigendata_match_dense():
     for pair in (_tridiagonal_pair(), build_schrodinger_1d(sech2_spec(1.0, 38.0, 759))):
-        assert pair.tridiagonal
+        assert pair.banded
         dense = pair.eigensystems()
         for w, e in zip(pair.eigenvalues, dense):
             assert np.max(np.abs(w - e.eigenvalues)) <= 1e-12 * np.max(np.abs(w))

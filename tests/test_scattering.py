@@ -139,6 +139,23 @@ def test_neville_extrapolates_polynomials():
     assert neville(eps, vals) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_array_neville_equals_entrywise_scalar_neville(dtype):
+    # array samples are extrapolated entrywise, bit for bit as one scalar
+    # ladder per entry
+    rng = np.random.default_rng(5)
+    eps = [0.2, 0.15, 0.1, 0.05]
+    rungs = [rng.standard_normal((4, 3)).astype(dtype) for _ in eps]
+    if dtype is complex:
+        rungs = [m + 1j * rng.standard_normal((4, 3)) for m in rungs]
+    out = neville(eps, rungs)
+    assert out.shape == (4, 3) and np.iscomplexobj(out) == (dtype is complex)
+    for i, j in np.ndindex(4, 3):
+        assert out[i, j] == neville(eps, [m[i, j] for m in rungs])
+    with pytest.raises(ValueError):
+        neville(eps, rungs[:3])
+
+
 def test_krein_defect_top_extrapolates_to_one():
     # the defect operator's top eigenvalue is sin^2(theta/2) in the limit,
     # here sin^2(pi/2) = 1 since the limiting phase is pi
@@ -266,8 +283,10 @@ def test_sandwich_conditioning_decision_matches_exact_cond():
                 scattering._check_conditioning(m, scattering.COND_LIMIT)
             assert err.value.cond == cond
         else:
-            scattering._check_conditioning(m, scattering.COND_LIMIT)
-            bound = np.linalg.norm(m) * np.linalg.norm(np.linalg.inv(m))
+            # an accepted matrix comes back with its inverse, for the residual
+            inverse = scattering._check_conditioning(m, scattering.COND_LIMIT)
+            assert np.array_equal(inverse, np.linalg.inv(m))
+            bound = np.linalg.norm(m) * np.linalg.norm(inverse)
             if bound <= 1e-2 * scattering.COND_LIMIT:
                 fast += 1
             else:
@@ -289,11 +308,23 @@ def test_well_conditioned_sandwich_runs_no_cond_svd(monkeypatch):
             two_norms.append(x.shape)
         return norm(x, ord, **kwargs)
 
+    factorizations = []
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            factorizations.append(name)
+            return original(*args, **kwargs)
+        return wrapped
+
     monkeypatch.setattr(np.linalg, "cond", no_cond)
     monkeypatch.setattr(np.linalg, "norm", counted)
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     sw = resolvent_sandwich(pair, 0.1 + 0.05j)
     # one 2-norm: the reported residual; ||T||_2 is not needed
     assert two_norms == [(pair.kdim, pair.kdim)]
+    # I + V0 T0 is factorized once: the residual reuses the check's inverse
+    assert factorizations == ["inv"]
     monkeypatch.undo()
     exact = norm(sw.t - sw.t0 @ np.linalg.inv(np.eye(pair.kdim) + pair.v0 @ sw.t0), 2)
     assert sw.factor_residual == pytest.approx(exact, abs=1e-14)
@@ -339,7 +370,7 @@ SANDWICH_CASES = {
 def test_spectral_sandwich_matches_dense_solve(case):
     build, probe = SANDWICH_CASES[case]
     pair = build()
-    assert not pair.tridiagonal
+    assert not pair.banded
     for eps in (0.2, 0.05, 1e-2):
         z = probe + 1j * eps
         sw = resolvent_sandwich(pair, z)
@@ -349,21 +380,24 @@ def test_spectral_sandwich_matches_dense_solve(case):
 
 
 def test_spectral_sandwich_reuses_the_eigensystems(monkeypatch):
-    # T0 and T come from the pair's two cached eigensolves; the only solves
-    # left are the k x k ones of the factor-identity residual
+    # T0 and T come from the pair's two cached eigensolves; the only
+    # factorization left is the k x k inverse of I + V0 T0, which the
+    # conditioning check and the factor-identity residual share
     pair = build_krein(200, 40.0)
     pair.eigensystems()
-    solves, eigs = [], []
-    solve = np.linalg.solve
+    factorizations, eigs = [], []
 
-    def spy(a, b):
-        solves.append(np.shape(a))
-        return solve(a, b)
+    def spy(name, original):
+        def wrapped(a, *args):
+            factorizations.append((name, np.shape(a)))
+            return original(a, *args)
+        return wrapped
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     monkeypatch.setattr(models, "herm_eig", lambda *a, **k: eigs.append(a))
     resolvent_sandwich(pair, 0.5 + 0.05j)
-    assert solves and all(shape == (pair.kdim, pair.kdim) for shape in solves)
+    assert factorizations == [("inv", (pair.kdim, pair.kdim))]
     assert not eigs
 
 
