@@ -135,15 +135,16 @@ def _laplace_sum(t_rule, lam_nodes, lam_weights):
     return sq[:, None] * ((e * lam_weights) @ e.T) * sq[None, :]
 
 
-def laplace_factorizations(rule=None, n_lambda=200, u_rule=None):
+def laplace_factorizations(rule=None, n_lambda=200):
     """Check the Laplace-transform factorizations of the model kernels.
 
     The kernel (1-e^-tau)/tau is the Laplace transform of the indicator
     of (0, 1) and e^-tau/tau of the indicator of (1, inf); quadratures
     over those lambda ranges must reproduce the built Hankel matrices.
-    Also checks, on a reciprocal-symmetric grid, that the dilation
-    involution (Uf)(x) = f(1/x)/x is an exact matrix involution and
-    reports its commutation residual with the squared Laplace operator.
+    Also checks, on a reciprocal-symmetric log grid (200 nodes, log
+    half-width 12), that the dilation involution (Uf)(x) = f(1/x)/x is an
+    exact matrix involution and reports its commutation residual with the
+    squared Laplace operator.
     """
     rule = rule or make_quadrature("halfline-exp-mapped", 160)
     t = rule.nodes
@@ -166,7 +167,7 @@ def laplace_factorizations(rule=None, n_lambda=200, u_rule=None):
         gamma0.matrix - _laplace_sum(rule, 1.0 + sig.nodes, sig.weights), 2))
 
     # dilation involution on a reciprocal-symmetric grid
-    u_rule = u_rule or make_quadrature("halfline-log", 200, half_width=12.0)
+    u_rule = make_quadrature("halfline-log", 200, half_width=12.0)
     sigma_idx = reciprocal_indices(u_rule)
     m = u_rule.n
     # in the weighted representation the involution is the flip permutation

@@ -11,12 +11,12 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, ProjdiffError
-from .models import preset_pair, thresholds
+from .models import preset_defaults, preset_pair, thresholds
 from .projections import projection_difference, dsquared_block_check
 from .scattering import (birman_krein_extrapolated, extrapolated_phases,
                          scattering_bundle)
@@ -44,28 +44,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data):
+        """Parse a JSON object: absent fields keep the defaults above and
+        lists become tuples; then :meth:`validate`."""
         if not isinstance(data, dict):
             raise ConfigError("config: expected an object")
-        known = {"model", "model_params", "probes", "eps_ladder", "sizes",
-                 "tolerances", "out_dir", "seed"}
+        known = {f.name for f in fields(ExperimentConfig)}
         for key in data:
             if key not in known:
                 raise ConfigError(f"config.{key}: unknown field")
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("config.seed: must be an integer")
-        cfg = ExperimentConfig(
-            model=data.get("model", "krein"),
-            model_params=dict(data.get("model_params", {})),
-            probes=tuple(data.get("probes", (0.5,))),
-            eps_ladder=tuple(data.get("eps_ladder", (0.2, 0.15, 0.1, 0.05))),
-            sizes=tuple(data.get("sizes", ())),
-            tolerances=dict(data.get("tolerances", {})),
-            out_dir=data.get("out_dir", ""),
-            seed=int(seed),
-        )
-        cfg.validate()
-        return cfg
+        return ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in data.items()}).validate()
 
     @staticmethod
     def from_json(path):
@@ -76,34 +64,67 @@ class ExperimentConfig:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         return ExperimentConfig.from_dict(data)
 
+    @property
+    def preset(self):
+        """The preset name the pair is built from; the seed names a random pair."""
+        return f"finite:random({self.seed})" if self.model == "finite:random" else self.model
+
+    @property
+    def phase_floor(self):
+        """``tolerances["phase_floor"]``, or the calibrated floor when absent."""
+        return float(self.tolerances.get("phase_floor", thresholds()["phase_floor"]))
+
     def validate(self):
+        """Every check of every field; returns self."""
+        _check_number(self.seed, "seed", int)
         if not isinstance(self.model, str) or not self.model:
             raise ConfigError("config.model: must be a nonempty string")
+        try:
+            # an override has the type of the calibrated default it replaces
+            params = {k: type(v) for k, v in preset_defaults(self.preset).items()}
+        except ValueError as exc:
+            raise ConfigError(f"config.model: {exc}") from None
+        params.setdefault("n", int)  # every preset takes n, the size-study axis
+        for name, known in (("model_params", params), ("tolerances", {"phase_floor": float})):
+            given = getattr(self, name)
+            if not isinstance(given, dict):
+                raise ConfigError(f"config.{name}: must be an object")
+            for key, value in given.items():
+                if key not in known:
+                    raise ConfigError(f"config.{name}.{key}: unknown; "
+                                      f"known: {', '.join(sorted(known))}")
+                _check_number(value, f"{name}.{key}", known[key])
+        for name in ("probes", "eps_ladder", "sizes"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ConfigError(f"config.{name}: must be a list")
         for name in ("probes", "eps_ladder"):
             for i, x in enumerate(getattr(self, name)):
-                if not isinstance(x, numbers.Real) or isinstance(x, bool):
-                    raise ConfigError(f"config.{name}[{i}]: must be a number")
-                if not math.isfinite(x):
-                    raise ConfigError(f"config.{name}[{i}]: must be finite")
+                _check_number(x, f"{name}[{i}]", float)
         lad = list(self.eps_ladder)
         if any(e <= 0 for e in lad):
             raise ConfigError("config.eps_ladder: entries must be positive")
         if any(b >= a for a, b in zip(lad, lad[1:])):
             raise ConfigError("config.eps_ladder: must be strictly decreasing")
         for i, s in enumerate(self.sizes):
-            if not isinstance(s, numbers.Integral) or isinstance(s, bool):
-                raise ConfigError(f"config.sizes[{i}]: must be an integer")
+            _check_number(s, f"sizes[{i}]", int)
             if s < 1:
                 raise ConfigError(f"config.sizes[{i}]: must be positive")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("config.out_dir: must be a string")
         return self
 
     def build_pair(self, **overrides):
-        params = dict(self.model_params)
-        params.update(overrides)
-        name = self.model
-        if name == "finite:random":
-            name = f"finite:random({self.seed})"
-        return preset_pair(name, **params)
+        return preset_pair(self.preset, **dict(self.model_params, **overrides))
+
+
+def _check_number(x, path, kind):
+    """Reject x unless it is a finite number, and an integer when ``kind`` is int."""
+    if kind is int and (not isinstance(x, numbers.Integral) or isinstance(x, bool)):
+        raise ConfigError(f"config.{path}: must be an integer")
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ConfigError(f"config.{path}: must be a number")
+    if not math.isfinite(x):
+        raise ConfigError(f"config.{path}: must be finite")
 
 
 @dataclass
@@ -188,13 +209,12 @@ def _probe_payload(pair, probe, ladder, phase_floor):
 def run_experiment(config):
     """Run every probe of a config through the ladder and assemble a report."""
     config.validate()
-    floor = float(config.tolerances.get("phase_floor", thresholds()["phase_floor"]))
     body = {
         "schema": SCHEMA_VERSION,
         "config": {k: v for k, v in asdict(config).items() if k != "out_dir"},
         "probes": [],
     }
-    pair = config.build_pair()
+    pair, floor = config.build_pair(), config.phase_floor
     for probe in config.probes:
         body["probes"].append(_probe_payload(pair, probe, list(config.eps_ladder), floor))
     report = Report(body)
@@ -207,11 +227,6 @@ def run_experiment(config):
                     os.path.join(config.out_dir, f"difference_spectrum_{i}.csv"),
                     payload["difference"]["spectrum"])
     return report
-
-
-def _first_differences(values):
-    v = np.asarray(values, dtype=float)
-    return np.diff(v)
 
 
 def convergence_study(config, axis):
@@ -227,7 +242,6 @@ def convergence_study(config, axis):
     counts as decreasing: past convergence the residual is roundoff.
     """
     config.validate()
-    floor = float(config.tolerances.get("phase_floor", thresholds()["phase_floor"]))
     probe = config.probes[0]
     table = {"schema": SCHEMA_VERSION, "axis": axis, "points": [], "metrics": {}}
     metrics = {}
@@ -251,7 +265,7 @@ def convergence_study(config, axis):
         points = list(config.eps_ladder)
         if len(points) < 3:
             raise ConfigError("config.eps_ladder: need >= 3 rungs for a study")
-        pair = config.build_pair()
+        pair, floor = config.build_pair(), config.phase_floor
         for eps in points:
             b = scattering_bundle(pair, probe, eps, floor)
             metrics.setdefault("prediction_a", []).append(b.prediction_a)
@@ -279,7 +293,7 @@ def convergence_study(config, axis):
 
     table["points"] = points
     for name, values in metrics.items():
-        diffs = _first_differences(values)
+        diffs = np.diff(np.asarray(values, dtype=float))
         decreasing = diffs < 0
         if floors is not None:
             decreasing |= np.asarray(values[1:]) <= floors[1:]

@@ -25,9 +25,9 @@ from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
 __all__ = ["SpectralDecomposition", "TridiagonalBands", "check_hermitian", "herm_eig",
            "subspace_compressions", "probe_gaps", "svd", "expm_apply", "sylvester_solve"]
 
+# each tolerance is read at call time by the one function that applies it
 HERMITIAN_TOL = 1e-12
 PROBE_GAP_TOL = 1e-8
-EIG_RESIDUAL_TOL = 1e-10
 SYLVESTER_GAP_TOL = 1e-8
 SYLVESTER_RESIDUAL_TOL = 1e-9
 
@@ -94,14 +94,14 @@ def check_hermitian(matrix, tol):
             raise NonHermitianError(defect, tol)
 
 
-def herm_eig(matrix, tol=HERMITIAN_TOL):
+def herm_eig(matrix):
     """Eigendecomposition of a Hermitian matrix.
 
     Raises :class:`NonHermitianError` when the relative asymmetry
-    ||M - M*|| / ||M|| exceeds ``tol`` (see :func:`check_hermitian`).
+    ||M - M*|| / ||M|| exceeds HERMITIAN_TOL (see :func:`check_hermitian`).
     """
     m = _as_matrix(matrix)
-    check_hermitian(m, tol)
+    check_hermitian(m, HERMITIAN_TOL)
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return SpectralDecomposition(w, v)
 
@@ -233,11 +233,12 @@ def subspace_compressions(*bases):
     return [rj @ rj.conj().T for rj in np.split(r, cuts, axis=1)]
 
 
-def probe_gaps(probe, spectra, gap_tol=PROBE_GAP_TOL):
+def probe_gaps(probe, spectra):
     """Distance from ``probe`` to each eigenvalue array (inf for an empty one).
 
     Raises :class:`GapViolationError` carrying the eigenvalue nearest to
-    the probe, over all arrays, when it lies within ``gap_tol``.
+    the probe, over all arrays, when it lies within PROBE_GAP_TOL.  This
+    is the one place the probe-gap contract is applied.
     """
     gaps, nearest = [], None
     for w in spectra:
@@ -250,7 +251,7 @@ def probe_gaps(probe, spectra, gap_tol=PROBE_GAP_TOL):
         if nearest is None or gap < min(gaps):
             nearest = w[i]
         gaps.append(gap)
-    if min(gaps, default=np.inf) < gap_tol:
+    if min(gaps, default=np.inf) < PROBE_GAP_TOL:
         raise GapViolationError(probe, nearest)
     return gaps
 
@@ -262,7 +263,7 @@ def svd(matrix):
     return u, s, vh
 
 
-def expm_apply(matrix, t, x, tol=HERMITIAN_TOL):
+def expm_apply(matrix, t, x):
     """Compute exp(t*M) @ X for Hermitian M through its eigendecomposition.
 
     Modes whose exponent t*lambda exceeds 700 would overflow; they are
@@ -270,7 +271,7 @@ def expm_apply(matrix, t, x, tol=HERMITIAN_TOL):
     which case those components are treated as exact zeros.  Otherwise
     :class:`OverflowGuardError` is raised.
     """
-    dec = matrix if isinstance(matrix, SpectralDecomposition) else herm_eig(matrix, tol)
+    dec = matrix if isinstance(matrix, SpectralDecomposition) else herm_eig(matrix)
     x = np.asarray(x)
     squeeze = x.ndim == 1
     if squeeze:
@@ -299,11 +300,11 @@ def _diagonal_of(m):
     return None
 
 
-def sylvester_solve(a, b, c, gap_tol=SYLVESTER_GAP_TOL):
+def sylvester_solve(a, b, c):
     """Solve A X - X B = C for X.
 
     Requires the spectra of A and B to be separated by at least
-    ``gap_tol`` times the problem scale max(||A||_2, ||B||_2, 1); raises
+    SYLVESTER_GAP_TOL times the problem scale max(||A||_2, ||B||_2, 1); raises
     :class:`SpectralCollisionError` carrying the offending gap otherwise.
     The residual is verified against the contract before returning.
     A 1-d ``a`` or ``b`` is taken as the diagonal of a diagonal operand.
@@ -325,8 +326,8 @@ def sylvester_solve(a, b, c, gap_tol=SYLVESTER_GAP_TOL):
         norm_a, norm_b = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
     gap = np.min(np.abs(ea[:, None] - eb[None, :]))
     scale = max(norm_a, norm_b, 1.0)
-    if gap < gap_tol * scale:
-        raise SpectralCollisionError(gap, gap_tol * scale)
+    if gap < SYLVESTER_GAP_TOL * scale:
+        raise SpectralCollisionError(gap, SYLVESTER_GAP_TOL * scale)
     if c.shape != (len(ea), len(eb)):
         raise ValueError("C must have the rows of A and the columns of B")
     if diagonal:

@@ -28,12 +28,14 @@ __all__ = [
     "OperatorPair", "PotentialSpec", "ResolventTransform",
     "build_finite_pair", "build_krein", "build_schrodinger_1d",
     "random_gapped_pair", "resolvent_transform", "shift_pair",
-    "sech2_spec", "square_well_spec", "preset_pair", "preset_names",
+    "sech2_spec", "square_well_spec", "preset_pair", "preset_defaults", "preset_names",
     "thresholds",
 ]
 
 FACTORIZATION_TOL = 1e-10
 MODEL_HERMITIAN_TOL = 1e-10
+SUPPORT_FLOOR = 1e-14      # |V| at which a grid point joins the coupling space
+MAX_TRIES = 200            # draws of a random gapped pair before giving up
 
 
 def thresholds():
@@ -304,11 +306,11 @@ def square_well_spec(depth=1.0, width=1.0, half_width=120.0, n=2400):
     return PotentialSpec(pot, c, 2.0, float(half_width), int(n))
 
 
-def build_schrodinger_1d(spec, support_floor=1e-14):
+def build_schrodinger_1d(spec):
     """Dirichlet-box discretization of -d^2/dx^2 + V on [-X, X].
 
     The coupling space is restricted to grid points where |V| exceeds
-    ``support_floor``; the pair's potential is the thresholded one, so
+    SUPPORT_FLOOR; the pair's potential is the thresholded one, so
     the factorization H = H0 + G* V0 G is exact.  The pair is built from
     the bands of H0 (2/h^2 on the diagonal, -1/h^2 beside it) and stores
     the bands of H0 and H.
@@ -327,7 +329,7 @@ def build_schrodinger_1d(spec, support_floor=1e-14):
             f"|V({x[i]:.4g})| = {abs(v[i]):.4g} exceeds declared envelope {envelope[i]:.4g}")
     n = spec.n
     h0 = TridiagonalBands(np.full(n, 2.0) / h ** 2, np.full(n - 1, -1.0) / h ** 2)
-    keep = np.abs(v) > support_floor
+    keep = np.abs(v) > SUPPORT_FLOOR
     idx = np.where(keep)[0]
     g = np.zeros((len(idx), n))
     g[np.arange(len(idx)), idx] = np.sqrt(np.abs(v[idx]))
@@ -339,7 +341,7 @@ def build_schrodinger_1d(spec, support_floor=1e-14):
     return build_finite_pair(h0, g, v0, meta)
 
 
-def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3, max_tries=200):
+def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
     """Seeded random pair with both spectra bounded away from every probe.
 
     H0 is diagonal with entries uniform in [-1, 1] (resampled until
@@ -353,7 +355,7 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3, max_tries=200):
     def gapped(values):
         return np.all(np.abs(values[:, None] - probes[None, :]) > gap)
 
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         d = rng.uniform(-1.0, 1.0, size=dim)
         if not gapped(d):
             continue
@@ -365,7 +367,7 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3, max_tries=200):
             meta = {"model": "finite:random", "seed": seed, "attempt": attempt,
                     "probes": probes.tolist(), "gap": gap}
             return build_finite_pair(np.diag(d).astype(complex), g, v0, meta)
-    raise RuntimeError(f"no gapped pair found in {max_tries} tries for seed {seed}")
+    raise RuntimeError(f"no gapped pair found in {MAX_TRIES} tries for seed {seed}")
 
 
 @dataclass(frozen=True)
@@ -428,35 +430,40 @@ def preset_names():
     return ["krein", "schrodinger:sech2", "schrodinger:square-well", "finite:random(seed)"]
 
 
+def preset_defaults(name):
+    """The calibrated keyword defaults of preset ``name``: the overrides
+    :func:`preset_pair` accepts, with ``n`` (a random pair's ``dim``).
+    Raises ValueError for an unknown preset."""
+    cfg = thresholds()
+    if name == "krein":
+        return {"n": cfg["krein"]["n"], "L": cfg["krein"]["L"]}
+    if name == "schrodinger:sech2":
+        c = cfg["sech2"]
+        return {"depth": c["depth"], "half_width": c["scatter_half_width"], "n": c["scatter_n"]}
+    if name == "schrodinger:square-well":
+        c = cfg["square_well"]
+        return {"depth": c["depth"], "width": c["width"],
+                "half_width": c["scatter_half_width"], "n": c["scatter_n"]}
+    if name.startswith("finite:random(") and name.endswith(")"):
+        c = cfg["random_pair"]
+        return {"dim": c["dim"], "kdim": c["kdim"], "gap": c["gap"]}
+    raise ValueError(f"unknown preset {name!r}; known: {preset_names()}")
+
+
 def preset_pair(name, **overrides):
     """Build a model pair by CLI preset name.
 
-    ``finite:random(seed)`` takes its seed from the name; other presets
-    read calibrated defaults from the thresholds file, overridable by
-    keyword.
+    ``finite:random(seed)`` takes its seed from the name; every preset
+    starts from :func:`preset_defaults`, overridable by keyword.
     """
-    cfg = thresholds()
+    p = preset_defaults(name)
+    p.update(overrides)
     if name == "krein":
-        p = {"n": cfg["krein"]["n"], "L": cfg["krein"]["L"]}
-        p.update(overrides)
         return build_krein(**p)
     if name == "schrodinger:sech2":
-        c = cfg["sech2"]
-        p = {"depth": c["depth"], "half_width": c["scatter_half_width"], "n": c["scatter_n"]}
-        p.update(overrides)
         return build_schrodinger_1d(sech2_spec(**p))
     if name == "schrodinger:square-well":
-        c = cfg["square_well"]
-        p = {"depth": c["depth"], "width": c["width"],
-             "half_width": c["scatter_half_width"], "n": c["scatter_n"]}
-        p.update(overrides)
         return build_schrodinger_1d(square_well_spec(**p))
-    if name.startswith("finite:random(") and name.endswith(")"):
-        seed = int(name[len("finite:random("):-1])
-        c = cfg["random_pair"]
-        p = {"dim": c["dim"], "kdim": c["kdim"], "gap": c["gap"]}
-        p.update(overrides)
-        if "n" in p:  # size-study axis uses the generic name
-            p["dim"] = p.pop("n")
-        return random_gapped_pair(seed=seed, **p)
-    raise ValueError(f"unknown preset {name!r}; known: {preset_names()}")
+    if "n" in p:  # size-study axis uses the generic name
+        p["dim"] = p.pop("n")
+    return random_gapped_pair(seed=int(name[len("finite:random("):-1]), **p)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROBE_GAP_TOL, probe_gaps
+from .linalg import probe_gaps
 
 __all__ = [
     "DifferenceReport", "spectral_projection", "projection_difference",
@@ -43,15 +43,15 @@ SWAP_CLUSTER_TOL = 1e-6
 PAIRING_BAND = 1e-6
 
 
-def spectral_projection(decomp, probe, gap_tol=PROBE_GAP_TOL):
+def spectral_projection(decomp, probe):
     """Orthogonal projection onto eigenvectors with eigenvalue below ``probe``.
 
     An n x n matrix, kept as the dense oracle of tests and demos.  Raises
     :class:`GapViolationError` carrying the nearest eigenvalue when one
-    sits within ``gap_tol`` of the probe.
+    is too close to the probe (see :func:`projdiff.linalg.probe_gaps`).
     """
     w = decomp.eigenvalues
-    probe_gaps(probe, [w], gap_tol)
+    probe_gaps(probe, [w])
     v = decomp.eigenvectors[:, w < probe]
     return v @ v.conj().T
 
@@ -96,15 +96,16 @@ def interval_hausdorff(values, lo, hi):
     return max(outlier, cover)
 
 
-def pairing_defect(spectrum, band=PAIRING_BAND):
+def pairing_defect(spectrum):
     """Hausdorff distance between the middle spectrum and its negation.
 
-    The middle spectrum is every eigenvalue x with band < |x| < 1 - band;
+    The middle spectrum is every eigenvalue x with
+    PAIRING_BAND < |x| < 1 - PAIRING_BAND;
     for an exact projection difference it is symmetric, so the defect is
     a roundoff diagnostic.
     """
     s = np.asarray(spectrum, dtype=float)
-    mid = s[(np.abs(s) > band) & (np.abs(s) < 1.0 - band)]
+    mid = s[(np.abs(s) > PAIRING_BAND) & (np.abs(s) < 1.0 - PAIRING_BAND)]
     if len(mid) == 0:
         return 0.0
     return hausdorff_distance(mid, -mid)
@@ -130,26 +131,20 @@ class DifferenceReport:
         return float(self.spectrum.min()), float(self.spectrum.max())
 
 
-def _compressions(pair, probe, gap_tol):
-    """(side, A0, A1, gap_h0, gap_h): the side projections compressed to
-    span[U0, U1] (see :meth:`projdiff.models.OperatorPair.compression`)."""
-    g0, g1 = probe_gaps(probe, pair.eigenvalues, gap_tol)
-    return (*pair.compression(probe), g0, g1)
-
-
-def projection_difference(pair, probe, target=None, gap_tol=PROBE_GAP_TOL,
-                          swap_tol=SWAP_CLUSTER_TOL):
+def projection_difference(pair, probe, target=None):
     """Full spectrum of D(probe) = E(probe) - E0(probe) with metrics.
 
     All n eigenvalues are returned: those of the r x r compression and
-    n - r exact zeros.  ``target`` is the interval the fill metrics are
-    computed against, defaulting to [-1, 1].
+    n - r exact zeros.  The swap dimensions count eigenvalues within
+    SWAP_CLUSTER_TOL of +1 and -1.  ``target`` is the interval the fill
+    metrics are computed against, defaulting to [-1, 1].
     """
-    side, a0, a1, g0, g1 = _compressions(pair, probe, gap_tol)
+    g0, g1 = probe_gaps(probe, pair.eigenvalues)
+    side, a0, a1 = pair.compression(probe)
     core = -side * np.linalg.eigvalsh(a1 - a0)
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
-    dim_plus = int(np.sum(spec > 1.0 - swap_tol))
-    dim_minus = int(np.sum(spec < -1.0 + swap_tol))
+    dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
+    dim_minus = int(np.sum(spec < -1.0 + SWAP_CLUSTER_TOL))
     lo, hi = target if target is not None else (-1.0, 1.0)
     max_gap, cover = fill_metrics(spec, lo, hi)
     return DifferenceReport(float(probe), spec, dim_plus, dim_minus,
@@ -157,7 +152,7 @@ def projection_difference(pair, probe, target=None, gap_tol=PROBE_GAP_TOL,
                             (float(lo), float(hi)))
 
 
-def dsquared_block_check(pair, probe, gap_tol=PROBE_GAP_TOL):
+def dsquared_block_check(pair, probe):
     """Residual of the block decomposition of D^2.
 
     D^2 equals the sum of the two compressed corners
@@ -167,14 +162,15 @@ def dsquared_block_check(pair, probe, gap_tol=PROBE_GAP_TOL):
     projections are replaced by their complements, so it is checked on
     the r x r compressions of the side projections.
     """
-    _, a0, a1, _, _ = _compressions(pair, probe, gap_tol)
+    probe_gaps(probe, pair.eigenvalues)
+    _, a0, a1 = pair.compression(probe)
     eye = np.eye(len(a0))
     d = a1 - a0
     rhs = a0 @ (eye - a1) @ a0 + (eye - a0) @ a1 @ (eye - a0)
     return float(np.linalg.norm(d @ d - rhs, 2))
 
 
-def corner_spectrum(pair, probe, sign=+1, gap_tol=PROBE_GAP_TOL):
+def corner_spectrum(pair, probe, sign=+1):
     """Spectrum of E0(side) E(opposite) E0(side) compressed to Ran E0(side).
 
     ``sign`` = +1 compresses onto the H0 spectral subspace above the
@@ -191,7 +187,7 @@ def corner_spectrum(pair, probe, sign=+1, gap_tol=PROBE_GAP_TOL):
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    probe_gaps(probe, pair.eigenvalues, gap_tol)
+    probe_gaps(probe, pair.eigenvalues)
     side, u0, u1 = pair.probe_basis(probe)
     m0, m1 = u0.shape[1], u1.shape[1]
     sigma = np.linalg.svd(u0.conj().T @ u1, compute_uv=False)

@@ -1,6 +1,6 @@
 """Quadrature rules on bounded intervals and the half line.
 
-Four node/weight families cover everything the lab integrates:
+Three node/weight families cover everything the lab integrates:
 
 * ``bounded-legendre`` -- Gauss-Legendre mapped to [a, b]; exact for
   polynomials of degree <= 2n - 1.
@@ -11,8 +11,6 @@ Four node/weight families cover everything the lab integrates:
   about n * eps * scale * lam_max for an integrand exp(-lam_max*t): the
   mapped integrand (1-u)^(scale*lam_max) magnifies the O(eps) errors of
   the nodes and weights, so nodes beyond that point do not help.
-* ``halfline-laguerre-like`` -- Gauss-Laguerre nodes with the weight
-  exp(x) folded back into the quadrature weights.
 * ``halfline-log`` -- t = exp(v) with v Gauss-Legendre on
   [center - half_width, center + half_width].  Covers many decades of
   dynamic range; this is the natural grid for Hankel/Carleman kernels
@@ -89,7 +87,6 @@ def make_quadrature(kind, n, **params):
     kind : str
         One of ``bounded-legendre`` (params ``a``, ``b``),
         ``halfline-exp-mapped`` (param ``scale``),
-        ``halfline-laguerre-like`` (no params, n <= 120),
         ``halfline-log`` (params ``half_width``, ``center``).
     n : int
         Node count, at least 2.
@@ -113,15 +110,6 @@ def make_quadrature(kind, n, **params):
         nodes = -scale * np.log1p(-u)
         weights = scale * wu / (1.0 - u)
         return QuadratureRule(nodes, weights, ("halfline",))
-    if kind == "halfline-laguerre-like":
-        _reject_extras(kind, params)
-        if n > 120:
-            raise ValueError("laguerre-like weights overflow beyond n = 120")
-        x, w = np.polynomial.laguerre.laggauss(n)
-        weights = w * np.exp(x)
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("laguerre-like weights overflowed")
-        return QuadratureRule(x, weights, ("halfline",))
     if kind == "halfline-log":
         half_width = float(params.pop("half_width", 20.0))
         center = float(params.pop("center", 0.0))

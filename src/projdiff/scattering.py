@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularSandwichError
-from .linalg import PROBE_GAP_TOL, probe_gaps
+from .linalg import probe_gaps
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult",
@@ -49,6 +49,10 @@ __all__ = [
 C1_RESIDUAL_TOL = 1e-9
 COND_LIMIT = 1e12
 INVARIANCE_TOL = 1e-12
+PSD_TOL = 1e-12            # relative negative eigenvalue a PSD square root allows
+MATCH_RADIUS = 0.75        # largest step of a phase chain between rungs
+ORACLE_RTOL = 1e-11        # plane-wave integration of the transfer-matrix oracle
+TAIL_TOL = 1e-8            # potential at the oracle window's ends
 DEFAULT_PHASE_FLOOR = 0.1
 
 
@@ -83,9 +87,9 @@ def _sandwich_one(pair, which, z):
     return pair.sparse_g[:, lo:hi] @ x
 
 
-def _check_conditioning(m, cond_limit):
+def _check_conditioning(m):
     """The inverse of m; :class:`SingularSandwichError` when cond_2(m)
-    exceeds ``cond_limit``.
+    exceeds COND_LIMIT.
 
     Fast accept: cond_2(m) <= ||m||_F ||m^-1||_F.  The computed inverse has
     relative error about k * eps * cond, far below the factor 100 margin,
@@ -100,30 +104,31 @@ def _check_conditioning(m, cond_limit):
         bound = np.linalg.norm(m) * np.linalg.norm(inverse)
     except np.linalg.LinAlgError:
         inverse, bound = None, np.inf
-    if not bound <= 1e-2 * cond_limit:
+    if not bound <= 1e-2 * COND_LIMIT:
         cond = np.linalg.cond(m)
         # an LU that meets an exact zero pivot leaves cond far beyond any limit
-        if cond > cond_limit or inverse is None:
+        if cond > COND_LIMIT or inverse is None:
             raise SingularSandwichError(cond)
     return inverse
 
 
-def resolvent_sandwich(pair, z, cond_limit=COND_LIMIT):
+def resolvent_sandwich(pair, z):
     """Both sandwiches at a point in the upper half plane.
 
     The resolvent identity T = T0 (I + V0 T0)^-1 is verified, with the
     inverse the conditioning check computes, and its residual (2-norm)
-    returned; a condition number of I + V0 T0 beyond ``cond_limit`` raises
-    :class:`SingularSandwichError`.  The residual passes at once when it
-    is below the tolerance scaled by the largest column norm of T, a lower
-    bound on ||T||_2, which is computed only when that test fails.
+    returned; a condition number of I + V0 T0 beyond COND_LIMIT raises
+    :class:`SingularSandwichError` (see :func:`_check_conditioning`).  The
+    residual passes at once when it is below the tolerance scaled by the
+    largest column norm of T, a lower bound on ||T||_2, which is computed
+    only when that test fails.
     """
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("need Im z > 0")
     t0 = _sandwich_one(pair, 0, z)
     t = _sandwich_one(pair, 1, z)
-    minv = _check_conditioning(np.eye(pair.kdim) + pair.v0 @ t0, cond_limit)
+    minv = _check_conditioning(np.eye(pair.kdim) + pair.v0 @ t0)
     resid = float(np.linalg.norm(t - t0 @ minv, 2))
     colmax = np.max(np.linalg.norm(t, axis=0), initial=0.0)
     if (resid > C1_RESIDUAL_TOL * max(1.0, (1.0 - 1e-8) * colmax)
@@ -147,9 +152,9 @@ def smoothed_density(pair, probe, eps, sandwich=None):
     return _imag_part(sw.t0) / np.pi, _imag_part(sw.t) / np.pi
 
 
-def _psd_sqrt(m, clip=-1e-12):
+def _psd_sqrt(m):
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if w.min() < clip * max(abs(w).max(), 1.0):
+    if w.min() < -PSD_TOL * max(abs(w).max(), 1.0):
         raise ArithmeticError(f"matrix not PSD: min eigenvalue {w.min():.3e}")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
@@ -277,8 +282,9 @@ def phase_ladder(pair, probe, eps_ladder, phase_floor=DEFAULT_PHASE_FLOOR):
             for e in ladder]
 
 
-def _match_chains(bundles, radius=0.75):
-    """Track retained eigenvalues across rungs by nearest-neighbor matching."""
+def _match_chains(bundles):
+    """Track retained eigenvalues across rungs by nearest-neighbor matching
+    within MATCH_RADIUS."""
     chains = [[complex(np.exp(1j * th))] for th in bundles[0].phases]
     for b in bundles[1:]:
         pool = list(np.exp(1j * b.phases))
@@ -288,7 +294,7 @@ def _match_chains(bundles, radius=0.75):
                 continue
             d = [abs(chain[-1] - c) for c in pool]
             i = int(np.argmin(d))
-            if d[i] <= radius:
+            if d[i] <= MATCH_RADIUS:
                 chain.append(pool.pop(i))
             else:
                 chain.clear()
@@ -336,7 +342,7 @@ class TransferMatrixResult:
     fiber_trace: float
 
 
-def _integrate_plane_wave(potential, lam, x_from, x_to, mover, rtol):
+def _integrate_plane_wave(potential, lam, x_from, x_to, mover):
     """Integrate -u'' + V u = lam*u starting from the pure exponential
     exp(i*mover*k*x) at ``x_from``."""
     from scipy.integrate import solve_ivp   # only this oracle needs it; import lazily
@@ -350,7 +356,7 @@ def _integrate_plane_wave(potential, lam, x_from, x_to, mover, rtol):
     u0 = np.exp(1j * mover * k * x_from)
     du0 = 1j * mover * k * u0
     sol = solve_ivp(rhs, [x_from, x_to], [u0.real, du0.real, u0.imag, du0.imag],
-                    rtol=rtol, atol=rtol * 1e-2, method="RK45")
+                    rtol=ORACLE_RTOL, atol=ORACLE_RTOL * 1e-2, method="RK45")
     if not sol.success:
         raise ArithmeticError(f"plane-wave integration failed: {sol.message}")
     u = sol.y[0, -1] + 1j * sol.y[2, -1]
@@ -358,30 +364,31 @@ def _integrate_plane_wave(potential, lam, x_from, x_to, mover, rtol):
     return u, du
 
 
-def transfer_matrix_smatrix(spec, probe, rtol=1e-11, tail_tol=1e-8):
+def transfer_matrix_smatrix(spec, probe):
     """Stationary 2x2 scattering matrix by integrating -u'' + V u = probe*u.
 
     Requires probe > 0 and a potential that has decayed at the ends of the
-    window (checked against ``tail_tol``).
+    window (checked against TAIL_TOL); the integration runs at relative
+    tolerance ORACLE_RTOL.
     """
     if probe <= 0:
         raise ValueError("need probe > 0")
     x_edge = spec.half_width
     tail = max(abs(float(spec.potential(np.asarray(x_edge)))),
                abs(float(spec.potential(np.asarray(-x_edge)))))
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise ValueError(f"potential tail {tail:.2e} not decayed at |x| = {x_edge}")
     k = float(np.sqrt(probe))
     pot = lambda x: float(spec.potential(np.asarray(x)))
 
     # left incidence: integrate the pure transmitted right-mover backward from +X
-    u, du = _integrate_plane_wave(pot, probe, x_edge, -x_edge, +1, rtol)
+    u, du = _integrate_plane_wave(pot, probe, x_edge, -x_edge, +1)
     alpha = (1j * k * u + du) / (2j * k) * np.exp(+1j * k * x_edge)
     beta = (1j * k * u - du) / (2j * k) * np.exp(-1j * k * x_edge)
     r, t = beta / alpha, 1.0 / alpha
 
     # right incidence: integrate the pure transmitted left-mover forward from -X
-    u, du = _integrate_plane_wave(pot, probe, -x_edge, x_edge, -1, rtol)
+    u, du = _integrate_plane_wave(pot, probe, -x_edge, x_edge, -1)
     gamma = (1j * k * u - du) / (2j * k) * np.exp(+1j * k * x_edge)
     delta = (1j * k * u + du) / (2j * k) * np.exp(-1j * k * x_edge)
     r_right, t_right = delta / gamma, 1.0 / gamma
@@ -428,15 +435,14 @@ class BirmanKreinResult:
     eps: float
 
 
-def birman_krein_check(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR,
-                       gap_tol=PROBE_GAP_TOL):
+def birman_krein_check(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
     """det S versus exp(-2*pi*i*xi) at one smoothing level.
 
     det S is the product of retained stationary phases; xi is the
     smoothed counting shift at the same eps.  The raw integer shift is
     carried along for reference.
     """
-    probe_gaps(probe, pair.eigenvalues, gap_tol)
+    probe_gaps(probe, pair.eigenvalues)
     bundle = scattering_bundle(pair, probe, eps, phase_floor)
     det_s = complex(np.exp(1j * np.sum(bundle.phases)))
     xi = smoothed_counting_shift(pair, probe, eps)

@@ -27,19 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROBE_GAP_TOL, probe_gaps, sylvester_solve
+from .linalg import probe_gaps, sylvester_solve
 from .quadrature import make_quadrature
 from .scattering import neville, smoothed_density
 
 __all__ = ["ZOperators", "build_z_ops", "product_representation_check",
            "zop_model_comparison", "default_time_rule"]
 
+TIME_SCALE_OVER_GAP = 2.0
 
-def _split_systems(pair, gap_tol):
+
+def _split_systems(pair):
     """(gap, (lam0, u0, w0), (lam1, u1, w1)): the eigenpairs of h0 above 0 and
     of h below 0, with w = u* G*, and the spectral gap at 0."""
     e0, e1 = pair.eigensystems()
-    gap = min(probe_gaps(0.0, (e0.eigenvalues, e1.eigenvalues), gap_tol))
+    gap = min(probe_gaps(0.0, (e0.eigenvalues, e1.eigenvalues)))
     gstar = pair.g.conj().T
     sides = []
     for e, keep in ((e0, e0.eigenvalues > 0), (e1, e1.eigenvalues < 0)):
@@ -48,17 +50,18 @@ def _split_systems(pair, gap_tol):
     return gap, sides[0], sides[1]
 
 
-def default_time_rule(gap, n_t=120, scale_over_gap=2.0):
+def default_time_rule(gap, n_t=120):
     """Exp-mapped rule whose scale tracks the spectral gap.
 
-    With scale = s/gap the integrand components become (1-u)^(s*|lam|/gap)
-    after the change of variables, smooth on [0, 1), so Gauss-Legendre
+    With scale = s/gap, s = TIME_SCALE_OVER_GAP, the integrand components
+    become (1-u)^(s*|lam|/gap) after the change of variables, smooth on
+    [0, 1), so Gauss-Legendre
     converges spectrally.  Once converged the residual sits on a roundoff
     floor that rises with n_t, about n_t * eps * scale * max|lam|: the
     steep mapped integrand magnifies the O(eps) errors of the nodes and
     weights, so nodes beyond convergence do not help.
     """
-    return make_quadrature("halfline-exp-mapped", n_t, scale=scale_over_gap / gap)
+    return make_quadrature("halfline-exp-mapped", n_t, scale=TIME_SCALE_OVER_GAP / gap)
 
 
 @dataclass(frozen=True)
@@ -86,14 +89,14 @@ def _time_factor(lam, coupling, t_rule, sign):
     return cols.reshape(r, t_rule.n * k)
 
 
-def build_z_ops(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
+def build_z_ops(pair, t_rule=None):
     """Assemble Z and Z0 on a time rule (default tied to the gap).
 
     The semigroups are evaluated through the spectral decompositions
     restricted to the decaying subspaces, so every stored exponent is
     negative; this is the structural form of the overflow guard.
     """
-    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair, gap_tol)
+    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair)
     t_rule = t_rule or default_time_rule(gap)
     z0 = u0 @ _time_factor(lam0, w0, t_rule, -1.0)
     z = u1 @ _time_factor(lam1, w1, t_rule, +1.0)
@@ -108,7 +111,7 @@ class ProductCheck:
     n_t: int
 
 
-def product_representation_check(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
+def product_representation_check(pair, t_rule=None):
     """Residuals of E(below) E0(above) = -Z (V0 x I) Z0*.
 
     ``residual_direct`` uses the time quadrature; ``residual_oracle``
@@ -121,7 +124,7 @@ def product_representation_check(pair, t_rule=None, gap_tol=PROBE_GAP_TOL):
     C + M1 (V0 x I) M0*.  The oracle's right-hand side U1* (h - h0) U0 is
     (U1* G*) V0 (G U0).
     """
-    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair, gap_tol)
+    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair)
     t_rule = t_rule or default_time_rule(gap)
     m0 = _time_factor(lam0, w0, t_rule, -1.0)
     m1 = _time_factor(lam1, w1, t_rule, +1.0)
@@ -148,7 +151,7 @@ def _psd_clip(m):
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def zop_model_comparison(pair, t_rule=None, eps_ladder=None, gap_tol=PROBE_GAP_TOL):
+def zop_model_comparison(pair, t_rule=None, eps_ladder=None):
     """Singular values of Z0* Z0 and Z* Z against the model Hankel blocks.
 
     The models are the Hankel matrices with kernel profile
@@ -158,7 +161,7 @@ def zop_model_comparison(pair, t_rule=None, eps_ladder=None, gap_tol=PROBE_GAP_T
     """
     from .hankel import gamma_kernel
 
-    zops = build_z_ops(pair, t_rule, gap_tol)
+    zops = build_z_ops(pair, t_rule)
     eps_ladder = list(eps_ladder) if eps_ladder is not None \
         else [16.0 * zops.gap, 8.0 * zops.gap, 4.0 * zops.gap]
     f0x, fx = _extrapolated_density(pair, eps_ladder)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from projdiff import cli
 from projdiff.acceptance import Clause
 
@@ -46,13 +48,39 @@ def test_study_cli(tmp_path, capsys):
 
 def test_seed_override(tmp_path, capsys):
     cfg = {"model": "finite:random", "probes": [0.0], "seed": 3,
-           "eps_ladder": [0.1, 0.05]}
+           "eps_ladder": [0.1, 0.05], "tolerances": {"phase_floor": 0.2}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    cli.main(["run", str(path), "--seed", "4"])
+    assert cli.main(["run", str(path), "--seed", "4"]) == 0
     first = capsys.readouterr().out
-    cli.main(["run", str(path), "--seed", "4"])
+    assert cli.main(["run", str(path), "--seed", "4"]) == 0
     assert capsys.readouterr().out == first
+    # the seed is replaced and every other field is the file's, defaults filled in
+    reported = json.loads(first)["config"]
+    assert reported == {"model": "finite:random", "model_params": {}, "probes": [0.0],
+                        "eps_ladder": [0.1, 0.05], "sizes": [],
+                        "tolerances": {"phase_floor": 0.2}, "seed": 4}
+
+
+@pytest.mark.parametrize("config, path", [
+    ({"probes": 5}, "config.probes"),
+    ({"eps_ladder": 0.1}, "config.eps_ladder"),
+    ({"sizes": 4}, "config.sizes"),
+    ({"model_params": 5}, "config.model_params"),
+    ({"model_params": {"bogus": 1}}, "config.model_params.bogus"),
+    ({"model_params": {"n": 400.5}}, "config.model_params.n"),
+    ({"tolerances": 3}, "config.tolerances"),
+    ({"tolerances": {"phase_flor": 0.2}}, "config.tolerances.phase_flor"),
+    ({"tolerances": {"phase_floor": "abc"}}, "config.tolerances.phase_floor"),
+    ({"out_dir": 7}, "config.out_dir"),
+    ({"model": "nope"}, "config.model"),
+    ({"seed": 1.5}, "config.seed"),
+])
+def test_run_edge_config_exits_2_naming_the_field(tmp_path, capsys, config, path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert f"error: {path}:" in capsys.readouterr().err
 
 
 def test_verify_all_wiring(monkeypatch, tmp_path, capsys):
@@ -75,3 +103,8 @@ def test_verify_all_wiring(monkeypatch, tmp_path, capsys):
                         {1: lambda: [Clause("stub-fail", False, {"x": 2.0})]})
     assert cli.main(["verify-all"]) == 1
     assert "[FAIL] stub-fail" in capsys.readouterr().out
+    # verify-all reads no config and no seed
+    for flag in ("--config", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-all", flag, "1"])
+        assert exc.value.code == 2

@@ -47,6 +47,18 @@ def test_config_validation_field_paths():
     assert convergence_study(small, "trule").body["points"] == [5, 10, 20]
 
 
+def test_constructed_config_gets_every_check():
+    # validate() owns the checks, so a config built directly meets them too
+    for kwargs, path in (({"probes": 5}, r"config\.probes"),
+                         ({"model_params": {"bogus": 1}}, r"config\.model_params\.bogus"),
+                         ({"tolerances": {"phase_flor": 0.2}}, r"config\.tolerances"),
+                         ({"out_dir": 7}, r"config\.out_dir")):
+        with pytest.raises(ConfigError, match=path):
+            run_experiment(ExperimentConfig(**kwargs))
+    assert ExperimentConfig(tolerances={"phase_floor": 0.2}).phase_floor == 0.2
+    assert ExperimentConfig().phase_floor == 0.1
+
+
 def test_config_from_json_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

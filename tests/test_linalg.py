@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from projdiff import linalg
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                              SpectralCollisionError)
 from projdiff.linalg import (HERMITIAN_TOL, TridiagonalBands, check_hermitian,
@@ -74,7 +75,7 @@ def _asymmetric_sweep(tol, seed):
                 yield ratio, h + scale * k
 
 
-def test_check_hermitian_matches_exact_decision():
+def test_check_hermitian_matches_exact_decision(monkeypatch):
     inconclusive_accepts = fast_accepts = rejects = 0
     for tol in (HERMITIAN_TOL, MODEL_HERMITIAN_TOL):
         for ratio, m in _asymmetric_sweep(tol, seed=int(-np.log10(tol))):
@@ -85,8 +86,9 @@ def test_check_hermitian_matches_exact_decision():
                     check_hermitian(m, tol)
                 assert err.value.defect == pytest.approx(exact, rel=1e-12)
                 assert err.value.tol == tol
+                monkeypatch.setattr(linalg, "HERMITIAN_TOL", tol)
                 with pytest.raises(NonHermitianError):
-                    herm_eig(m, tol)
+                    herm_eig(m)
             else:
                 check_hermitian(m, tol)
                 if _fast_bound(m) <= tol:
@@ -229,16 +231,20 @@ def test_band_solve_on_a_window_matches_the_padded_full_solve():
         bands.solve(np.ones((3, 1)), z, n - 2)
 
 
-def test_probe_gaps_reports_nearest_over_all_spectra():
+def test_probe_gaps_reports_nearest_over_all_spectra(monkeypatch):
     gaps = probe_gaps(0.5, [np.array([0.0, 1.0]), np.array([0.25]), np.empty(0)])
     assert gaps == [0.5, 0.25, np.inf]
     with pytest.raises(GapViolationError) as err:
         probe_gaps(0.5, [np.array([0.5 + 1e-9]), np.array([0.5 - 1e-10])])
     assert err.value.nearest == 0.5 - 1e-10
+    # the contract is PROBE_GAP_TOL, read when probe_gaps runs
+    near = 0.5 * linalg.PROBE_GAP_TOL
     with pytest.raises(GapViolationError) as err:
-        probe_gaps(0.0, [np.array([1e-9])], gap_tol=1e-8)
-    assert err.value.nearest == 1e-9
-    assert probe_gaps(0.0, [np.array([1e-9])], gap_tol=1e-10) == [1e-9]
+        probe_gaps(0.0, [np.array([near])])
+    assert err.value.nearest == near
+    assert probe_gaps(0.0, [np.array([linalg.PROBE_GAP_TOL])]) == [linalg.PROBE_GAP_TOL]
+    monkeypatch.setattr(linalg, "PROBE_GAP_TOL", 0.25 * linalg.PROBE_GAP_TOL)
+    assert probe_gaps(0.0, [np.array([near])]) == [near]
 
 
 def test_svd_zero_and_rank_one():

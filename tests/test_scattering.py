@@ -280,11 +280,11 @@ def test_sandwich_conditioning_decision_matches_exact_cond():
         if cond > scattering.COND_LIMIT:
             rejects += 1
             with pytest.raises(SingularSandwichError) as err:
-                scattering._check_conditioning(m, scattering.COND_LIMIT)
+                scattering._check_conditioning(m)
             assert err.value.cond == cond
         else:
             # an accepted matrix comes back with its inverse, for the residual
-            inverse = scattering._check_conditioning(m, scattering.COND_LIMIT)
+            inverse = scattering._check_conditioning(m)
             assert np.array_equal(inverse, np.linalg.inv(m))
             bound = np.linalg.norm(m) * np.linalg.norm(inverse)
             if bound <= 1e-2 * scattering.COND_LIMIT:

@@ -1,7 +1,11 @@
 """One-time convergence study behind the shipped thresholds file.
 
-Re-measures every calibrated quantity in src/projdiff/thresholds.json and
-prints the evidence; with --write it regenerates the file in place.
+Re-measures the calibrated quantities of src/projdiff/thresholds.json and
+prints the evidence.  With --write it rewrites the file in place,
+regenerating seven entries -- krein.eps_ladder, hankel.log_half_width,
+sech2.d_boxes, square_well.depth, square_well.corner_box,
+krein_corner_top_min and zops.krein_sigma_ratio -- and keeping every
+other entry as it is.
 
 What gets calibrated and why:
 
