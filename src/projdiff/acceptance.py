@@ -34,8 +34,8 @@ from .hankel import (build_hankel, carleman_kernel, default_hankel_rule,
                      laplace_factorizations, model_hankel_pair)
 from .linalg import probe_gaps, subspace_compressions
 from .models import (build_krein, build_schrodinger_1d, random_gapped_pair,
-                     resolvent_transform, sech2_spec, shift_pair,
-                     square_well_spec, thresholds)
+                     resolvent_transform, sech2_spec, square_well_spec,
+                     thresholds)
 from .projections import (corner_spectrum, dsquared_block_check,
                           interval_hausdorff, projection_difference)
 from .quadrature import make_quadrature
@@ -101,7 +101,7 @@ def criterion_1():
             worst["defect_identity"] = max(worst["defect_identity"], b.identity_residual)
         worst["block"] = max(worst["block"],
                              dsquared_block_check(pair, probe) / pair.dim)
-        chk = product_representation_check(shift_pair(pair, probe))
+        chk = product_representation_check(pair, probe)
         worst["product"] = max(worst["product"], chk.residual_oracle / pair.dim)
     elapsed = time.monotonic() - t0
     return [

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ProjdiffError
-from .models import preset_defaults, preset_pair, thresholds
+from .models import preset_defaults, preset_pair
 from .projections import projection_difference, dsquared_block_check
 from .scattering import (birman_krein_extrapolated, extrapolated_phases,
                          scattering_bundle)
@@ -38,7 +38,6 @@ class ExperimentConfig:
     probes: tuple = (0.5,)
     eps_ladder: tuple = (0.2, 0.15, 0.1, 0.05)
     sizes: tuple = ()
-    tolerances: dict = field(default_factory=dict)
     out_dir: str = ""
     seed: int = 0
 
@@ -69,11 +68,6 @@ class ExperimentConfig:
         """The preset name the pair is built from; the seed names a random pair."""
         return f"finite:random({self.seed})" if self.model == "finite:random" else self.model
 
-    @property
-    def phase_floor(self):
-        """``tolerances["phase_floor"]``, or the calibrated floor when absent."""
-        return float(self.tolerances.get("phase_floor", thresholds()["phase_floor"]))
-
     def validate(self):
         """Every check of every field; returns self."""
         _check_number(self.seed, "seed", int)
@@ -85,15 +79,13 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"config.model: {exc}") from None
         params.setdefault("n", int)  # every preset takes n, the size-study axis
-        for name, known in (("model_params", params), ("tolerances", {"phase_floor": float})):
-            given = getattr(self, name)
-            if not isinstance(given, dict):
-                raise ConfigError(f"config.{name}: must be an object")
-            for key, value in given.items():
-                if key not in known:
-                    raise ConfigError(f"config.{name}.{key}: unknown; "
-                                      f"known: {', '.join(sorted(known))}")
-                _check_number(value, f"{name}.{key}", known[key])
+        if not isinstance(self.model_params, dict):
+            raise ConfigError("config.model_params: must be an object")
+        for key, value in self.model_params.items():
+            if key not in params:
+                raise ConfigError(f"config.model_params.{key}: unknown; "
+                                  f"known: {', '.join(sorted(params))}")
+            _check_number(value, f"model_params.{key}", params[key])
         for name in ("probes", "eps_ladder", "sizes"):
             if not isinstance(getattr(self, name), (tuple, list)):
                 raise ConfigError(f"config.{name}: must be a list")
@@ -114,7 +106,11 @@ class ExperimentConfig:
         return self
 
     def build_pair(self, **overrides):
-        return preset_pair(self.preset, **dict(self.model_params, **overrides))
+        """The preset's pair; a parameter the builder rejects is a ConfigError."""
+        try:
+            return preset_pair(self.preset, **dict(self.model_params, **overrides))
+        except ValueError as exc:
+            raise ConfigError(f"config.model_params: {exc}") from exc
 
 
 def _check_number(x, path, kind):
@@ -162,7 +158,7 @@ def write_spectrum_csv(path, values):
 _CAPTURED = (ProjdiffError, ArithmeticError, ValueError, np.linalg.LinAlgError)
 
 
-def _probe_payload(pair, probe, ladder, phase_floor):
+def _probe_payload(pair, probe, ladder):
     """Everything computed at one probe; module errors are captured."""
     out = {"probe": probe, "n": pair.dim, "eps_ladder": list(ladder)}
     try:
@@ -178,7 +174,7 @@ def _probe_payload(pair, probe, ladder, phase_floor):
     except _CAPTURED as exc:
         out["difference_error"] = str(exc)
     try:
-        phases, bundles = extrapolated_phases(pair, probe, ladder, phase_floor)
+        phases, bundles = extrapolated_phases(pair, probe, ladder)
         rungs = [{"eps": b.eps, "phases": b.phases,
                   "unitarity_defect": b.unitarity_defect,
                   "identity_residual": b.identity_residual,
@@ -196,8 +192,7 @@ def _probe_payload(pair, probe, ladder, phase_floor):
         out["scattering_error"] = str(exc)
     if pair.dim <= 600:
         try:
-            from .models import shift_pair
-            chk = product_representation_check(shift_pair(pair, probe))
+            chk = product_representation_check(pair, probe)
             out["product_identity"] = {"residual_direct": chk.residual_direct,
                                        "residual_oracle": chk.residual_oracle,
                                        "gap": chk.gap, "n_t": chk.n_t}
@@ -214,9 +209,9 @@ def run_experiment(config):
         "config": {k: v for k, v in asdict(config).items() if k != "out_dir"},
         "probes": [],
     }
-    pair, floor = config.build_pair(), config.phase_floor
+    pair = config.build_pair()
     for probe in config.probes:
-        body["probes"].append(_probe_payload(pair, probe, list(config.eps_ladder), floor))
+        body["probes"].append(_probe_payload(pair, probe, list(config.eps_ladder)))
     report = Report(body)
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -237,8 +232,8 @@ def convergence_study(config, axis):
     identity).  Needs at least 3 points.  Each metric row carries its
     first differences and a monotone-decrease flag.  On the "trule" axis
     the table also carries each point's roundoff floor
-    n_t * eps * max|lambda| / gap (lambda over both spectra of the shifted
-    pair, gap = min|lambda|), and a point that sits at or below its floor
+    n_t * eps * max|lambda| / gap (lambda = eigenvalue - probe over both
+    spectra, gap = min|lambda|), and a point that sits at or below its floor
     counts as decreasing: past convergence the residual is roundoff.
     """
     config.validate()
@@ -265,9 +260,9 @@ def convergence_study(config, axis):
         points = list(config.eps_ladder)
         if len(points) < 3:
             raise ConfigError("config.eps_ladder: need >= 3 rungs for a study")
-        pair, floor = config.build_pair(), config.phase_floor
+        pair = config.build_pair()
         for eps in points:
-            b = scattering_bundle(pair, probe, eps, floor)
+            b = scattering_bundle(pair, probe, eps)
             metrics.setdefault("prediction_a", []).append(b.prediction_a)
             metrics.setdefault("unitarity_defect", []).append(b.unitarity_defect)
             metrics.setdefault("identity_residual", []).append(b.identity_residual)
@@ -277,15 +272,14 @@ def convergence_study(config, axis):
         points = [int(s) for s in config.sizes]
         if len(points) < 3:
             raise ConfigError("config.sizes: need >= 3 points for a study")
-        from .models import shift_pair
         from .zops import default_time_rule
-        pair = shift_pair(config.build_pair(), probe)
-        lam = np.abs(np.concatenate(pair.eigenvalues))
+        pair = config.build_pair()
+        lam = np.abs(np.concatenate(pair.eigenvalues) - probe)
         gap = lam.min()
         floors = np.asarray(points) * np.finfo(float).eps * lam.max() / gap
         table["roundoff_floor"] = floors
         for n_t in points:
-            chk = product_representation_check(pair, default_time_rule(gap, n_t=n_t))
+            chk = product_representation_check(pair, probe, default_time_rule(gap, n_t=n_t))
             metrics.setdefault("residual_direct", []).append(chk.residual_direct)
             metrics.setdefault("residual_oracle", []).append(chk.residual_oracle)
     else:

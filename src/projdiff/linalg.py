@@ -311,7 +311,7 @@ def sylvester_solve(a, b, c):
     When A and B are both diagonal the solution is the elementwise
     quotient X_ij = C_ij / (a_i - b_j), and the contract is checked with
     the diagonals in place of A and B, so the only norms taken are those
-    of the small X and residual.
+    of the small X and residual.  An empty A or B gives an empty X.
     """
     a = _as_matrix(a, vector_ok=True)
     b = _as_matrix(b, vector_ok=True)
@@ -319,12 +319,12 @@ def sylvester_solve(a, b, c):
     ea, eb = _diagonal_of(a), _diagonal_of(b)
     diagonal = ea is not None and eb is not None
     if diagonal:
-        norm_a, norm_b = np.max(np.abs(ea)), np.max(np.abs(eb))
+        norm_a, norm_b = (np.max(np.abs(e), initial=0.0) for e in (ea, eb))
     else:
         a, b = (np.diag(m) if m.ndim == 1 else m for m in (a, b))
         ea, eb = np.linalg.eigvals(a), np.linalg.eigvals(b)
         norm_a, norm_b = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
-    gap = np.min(np.abs(ea[:, None] - eb[None, :]))
+    gap = np.min(np.abs(ea[:, None] - eb[None, :]), initial=np.inf)
     scale = max(norm_a, norm_b, 1.0)
     if gap < SYLVESTER_GAP_TOL * scale:
         raise SpectralCollisionError(gap, SYLVESTER_GAP_TOL * scale)

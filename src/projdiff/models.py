@@ -8,7 +8,8 @@ Models provided:
 * 1-d Schrodinger pairs on a Dirichlet box with a decaying potential,
 * seeded random gapped pairs for identity sweeps,
 
-plus the resolvent change of spectral variable and probe recentering.
+plus the resolvent change of spectral variable and the translation of a
+pair, the test oracle of the probe-relative paths.
 """
 
 import functools
@@ -20,8 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError
-from .linalg import (SpectralDecomposition, TridiagonalBands, check_hermitian, herm_eig,
-                     subspace_compressions)
+from .linalg import TridiagonalBands, check_hermitian, herm_eig, subspace_compressions
 from .quadrature import make_quadrature
 
 __all__ = [
@@ -53,23 +53,18 @@ class OperatorPair:
     ``h`` of a band pair are built on first use, for dense consumers only.
     ``g`` maps the main space into the coupling space (kdim x dim);
     ``v0`` is Hermitian on the coupling space.  ``meta`` records the model
-    and any exactly known facts about it.  ``origin`` is (pair, probe) for
-    ``shift_pair(pair, probe)``; ``operators`` is None for the shift of a
-    dense pair, whose dense matrices are formed from the origin on first
-    use.
+    and any exactly known facts about it.
 
-    Eigen-data are computed on first use and cached on the instance; a
-    shifted pair takes them from its origin, with the eigenvalues moved.
-    The storage picks the path: the eigenvalues and the eigenvectors near
-    a probe of a band pair come from a banded solver, those of a dense
-    pair (tridiagonal or not) from the dense eigensystems.
+    Eigen-data are computed on first use and cached on the instance.  The
+    storage picks the path: the eigenvalues and the eigenvectors near a
+    probe of a band pair come from a banded solver, those of a dense pair
+    (tridiagonal or not) from the dense eigensystems.
     """
 
     operators: tuple
     g: np.ndarray
     v0: np.ndarray
     meta: dict = field(default_factory=dict)
-    origin: tuple = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -83,17 +78,11 @@ class OperatorPair:
     @property
     def banded(self):
         """Whether the operators are stored as bands."""
-        return self.operators is not None and isinstance(self.operators[0], TridiagonalBands)
+        return isinstance(self.operators[0], TridiagonalBands)
 
     @functools.cached_property
     def _dense(self):
-        if self.banded:
-            return tuple(b.dense() for b in self.operators)
-        if self.operators is None:
-            base, shift = self.origin
-            eye = np.eye(self.dim)
-            return base.h0 - shift * eye, base.h - shift * eye
-        return self.operators
+        return tuple(b.dense() for b in self.operators) if self.banded else self.operators
 
     @property
     def h0(self):
@@ -124,18 +113,11 @@ class OperatorPair:
 
     @functools.cached_property
     def _eigensystems(self):
-        if self.origin is not None:
-            base, shift = self.origin
-            return tuple(SpectralDecomposition(e.eigenvalues - shift, e.eigenvectors)
-                         for e in base.eigensystems())
         return herm_eig(self.h0), herm_eig(self.h)
 
     @functools.cached_property
     def eigenvalues(self):
         """Ascending eigenvalues of h0 and h."""
-        if self.origin is not None:
-            base, shift = self.origin
-            return tuple(w - shift for w in base.eigenvalues)
         if self.banded:
             return tuple(b.eigenvalues() for b in self.operators)
         return tuple(e.eigenvalues for e in self.eigensystems())
@@ -347,8 +329,12 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
     H0 is diagonal with entries uniform in [-1, 1] (resampled until
     gapped at the probes), G is Gaussian, V0 is a random sign matrix
     scaled to keep ||V|| about 1/2.  H is resampled until its spectrum
-    is also gapped; the accepted try index is recorded in meta.
+    is also gapped; the accepted try index is recorded in meta.  Raises
+    ValueError for dim < 1, kdim < 1 or gap <= 0, and when MAX_TRIES
+    draws find no gapped pair.
     """
+    if dim < 1 or kdim < 1 or not gap > 0:
+        raise ValueError(f"need dim >= 1, kdim >= 1 and gap > 0, got {dim}, {kdim}, {gap}")
     rng = np.random.default_rng(seed)
     probes = np.atleast_1d(np.asarray(probes, dtype=float))
 
@@ -367,7 +353,7 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
             meta = {"model": "finite:random", "seed": seed, "attempt": attempt,
                     "probes": probes.tolist(), "gap": gap}
             return build_finite_pair(np.diag(d).astype(complex), g, v0, meta)
-    raise RuntimeError(f"no gapped pair found in {MAX_TRIES} tries for seed {seed}")
+    raise ValueError(f"no gapped pair found in {MAX_TRIES} tries for seed {seed}")
 
 
 @dataclass(frozen=True)
@@ -412,18 +398,17 @@ def resolvent_transform(pair, shift):
 
 
 def shift_pair(pair, probe):
-    """Translate both operators by -probe so the probe moves to 0.
+    """The pair translated by -probe, so that the probe moves to 0.
 
-    A shift moves eigenvalues only, so the shifted pair takes its
-    eigen-data from ``pair`` (computed there once), with eigenvalues
-    w - probe, whose signs are exact.  Bands shift in O(n); the shifted
-    dense matrices are formed only on first use.
+    Bands shift in O(n); a dense pair stores h0 - probe*I and h - probe*I.
+    The translated pair computes its own eigen-data.
     """
-    if probe == 0:
-        return pair
-    operators = tuple(b.shifted(probe) for b in pair.operators) if pair.banded else None
-    meta = dict(pair.meta, shifted_by=float(probe))
-    return OperatorPair(operators, pair.g, pair.v0, meta, origin=(pair, float(probe)))
+    if pair.banded:
+        operators = tuple(b.shifted(probe) for b in pair.operators)
+    else:
+        eye = np.eye(pair.dim)
+        operators = (pair.h0 - probe * eye, pair.h - probe * eye)
+    return OperatorPair(operators, pair.g, pair.v0, dict(pair.meta, shifted_by=float(probe)))
 
 
 def preset_names():

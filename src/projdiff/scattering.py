@@ -53,7 +53,7 @@ PSD_TOL = 1e-12            # relative negative eigenvalue a PSD square root allo
 MATCH_RADIUS = 0.75        # largest step of a phase chain between rungs
 ORACLE_RTOL = 1e-11        # plane-wave integration of the transfer-matrix oracle
 TAIL_TOL = 1e-8            # potential at the oracle window's ends
-DEFAULT_PHASE_FLOOR = 0.1
+PHASE_FLOOR = 0.1          # least |ev - 1| of a retained eigenvalue of S
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +216,10 @@ def _top_eigenvalues(smat, mu, vecs, thr):
             else np.linalg.eigvals(smat)), resid
 
 
-def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
+def scattering_bundle(pair, probe, eps):
     """Assemble the smoothed stationary matrix and defect operator.
 
-    Eigenvalues with |ev - 1| above max(phase_floor, 10 * unitarity
+    Eigenvalues with |ev - 1| above max(PHASE_FLOOR, 10 * unitarity
     defect) are retained as scattering phases.  The finite-eps identity
     (S-I)*(S-I)/4 = A holds exactly; its residual is reported.  The
     unitarity defect and that residual are 2-norms of Hermitian matrices,
@@ -234,7 +234,7 @@ def scattering_bundle(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
     eye = np.eye(pair.kdim)
     smat = eye - 2j * np.pi * root @ core @ root
     udef = _hermitian_norm(smat.conj().T @ smat - eye)
-    thr = max(float(phase_floor), 10.0 * udef)
+    thr = max(PHASE_FLOOR, 10.0 * udef)
     diff = smat - eye
     defect = 0.25 * diff.conj().T @ diff
     mu, vecs = np.linalg.eigh(defect)
@@ -272,13 +272,13 @@ def neville(eps_values, samples):
     return out.real if np.isrealobj(np.asarray(samples)) else out
 
 
-def phase_ladder(pair, probe, eps_ladder, phase_floor=DEFAULT_PHASE_FLOOR):
+def phase_ladder(pair, probe, eps_ladder):
     """Bundles at every rung of a decreasing eps ladder, without their k x k
     matrices: a rung keeps its scalars and phases only."""
     ladder = list(eps_ladder)
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    return [replace(scattering_bundle(pair, probe, e, phase_floor), **_MATRICES)
+    return [replace(scattering_bundle(pair, probe, e), **_MATRICES)
             for e in ladder]
 
 
@@ -301,13 +301,13 @@ def _match_chains(bundles):
     return [c for c in chains if len(c) == len(bundles)]
 
 
-def extrapolated_phases(pair, probe, eps_ladder, phase_floor=DEFAULT_PHASE_FLOOR):
+def extrapolated_phases(pair, probe, eps_ladder):
     """Retained phases extrapolated to eps = 0 along matched chains.
 
     Only chains present at every rung are extrapolated.  Returns
     (phases ascending, bundles).
     """
-    bundles = phase_ladder(pair, probe, eps_ladder, phase_floor)
+    bundles = phase_ladder(pair, probe, eps_ladder)
     chains = _match_chains(bundles)
     ladder = [b.eps for b in bundles]
     out = []
@@ -435,7 +435,7 @@ class BirmanKreinResult:
     eps: float
 
 
-def birman_krein_check(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
+def birman_krein_check(pair, probe, eps):
     """det S versus exp(-2*pi*i*xi) at one smoothing level.
 
     det S is the product of retained stationary phases; xi is the
@@ -443,7 +443,7 @@ def birman_krein_check(pair, probe, eps, phase_floor=DEFAULT_PHASE_FLOOR):
     carried along for reference.
     """
     probe_gaps(probe, pair.eigenvalues)
-    bundle = scattering_bundle(pair, probe, eps, phase_floor)
+    bundle = scattering_bundle(pair, probe, eps)
     det_s = complex(np.exp(1j * np.sum(bundle.phases)))
     xi = smoothed_counting_shift(pair, probe, eps)
     defect = abs(det_s - np.exp(-2j * np.pi * xi))

@@ -1,11 +1,11 @@
 """Semigroup-smeared operators and the product representation of the
-cross projection E(below 0) E0(above 0).
+cross projection E(below p) E0(above p) at a probe p.
 
-With the pair recentered so the probe is 0 and a spectral gap on both
-sides, define on the time half line
+Every function takes the pair and the probe.  With a spectral gap on both
+sides of p, define on the time half line
 
-    Z0 f = integral exp(-t H0) E0(above) G* f(t) dt,
-    Z  f = integral exp(+t H)  E(below)  G* f(t) dt.
+    Z0 f = integral exp(-t (H0 - p)) E0(above) G* f(t) dt,
+    Z  f = integral exp(+t (H - p))  E(below)  G* f(t) dt.
 
 Both integrands decay at the spectral gap rate; the discretization keeps
 the semigroups restricted to the decaying subspaces so no growing mode
@@ -20,7 +20,7 @@ the eigenvectors, both operators of that equation are diagonal, so its
 solution is the closed-form quotient X_ij = C_ij / (a_i - b_j) of the
 right-hand side by the eigenvalue gaps.  Both the check and the oracle
 are evaluated on the m1 x m0 core between the eigenvectors U1 of H below
-0 and U0 of H0 above it, never as n x n matrices.
+p and U0 of H0 above it, never as n x n matrices.
 """
 
 from dataclasses import dataclass
@@ -37,16 +37,19 @@ __all__ = ["ZOperators", "build_z_ops", "product_representation_check",
 TIME_SCALE_OVER_GAP = 2.0
 
 
-def _split_systems(pair):
-    """(gap, (lam0, u0, w0), (lam1, u1, w1)): the eigenpairs of h0 above 0 and
-    of h below 0, with w = u* G*, and the spectral gap at 0."""
+def _split_systems(pair, probe):
+    """(gap, (lam0, u0, w0), (lam1, u1, w1)): the eigenpairs of h0 above the
+    probe and of h below it, with lam = eigenvalue - probe and w = u* G*,
+    and the spectral gap at the probe."""
     e0, e1 = pair.eigensystems()
-    gap = min(probe_gaps(0.0, (e0.eigenvalues, e1.eigenvalues)))
+    gap = min(probe_gaps(probe, (e0.eigenvalues, e1.eigenvalues)))
     gstar = pair.g.conj().T
     sides = []
-    for e, keep in ((e0, e0.eigenvalues > 0), (e1, e1.eigenvalues < 0)):
+    for e, sign in ((e0, +1), (e1, -1)):
+        lam = e.eigenvalues - probe
+        keep = sign * lam > 0
         u = e.eigenvectors[:, keep]
-        sides.append((e.eigenvalues[keep], u, u.conj().T @ gstar))
+        sides.append((lam[keep], u, u.conj().T @ gstar))
     return gap, sides[0], sides[1]
 
 
@@ -66,7 +69,7 @@ def default_time_rule(gap, n_t=120):
 
 @dataclass(frozen=True)
 class ZOperators:
-    """Discrete Z and Z0 with their time rule and the spectral gap at 0."""
+    """Discrete Z and Z0 with their time rule and the spectral gap at the probe."""
 
     z0: np.ndarray          # dim x (n_t * kdim)
     z: np.ndarray
@@ -89,14 +92,14 @@ def _time_factor(lam, coupling, t_rule, sign):
     return cols.reshape(r, t_rule.n * k)
 
 
-def build_z_ops(pair, t_rule=None):
-    """Assemble Z and Z0 on a time rule (default tied to the gap).
+def build_z_ops(pair, probe, t_rule=None):
+    """Assemble Z and Z0 at ``probe`` on a time rule (default tied to the gap).
 
     The semigroups are evaluated through the spectral decompositions
     restricted to the decaying subspaces, so every stored exponent is
     negative; this is the structural form of the overflow guard.
     """
-    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair)
+    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair, probe)
     t_rule = t_rule or default_time_rule(gap)
     z0 = u0 @ _time_factor(lam0, w0, t_rule, -1.0)
     z = u1 @ _time_factor(lam1, w1, t_rule, +1.0)
@@ -111,8 +114,8 @@ class ProductCheck:
     n_t: int
 
 
-def product_representation_check(pair, t_rule=None):
-    """Residuals of E(below) E0(above) = -Z (V0 x I) Z0*.
+def product_representation_check(pair, probe, t_rule=None):
+    """Residuals of E(below) E0(above) = -Z (V0 x I) Z0* at ``probe``.
 
     ``residual_direct`` uses the time quadrature; ``residual_oracle``
     replaces the integral by the unique solution of the Sylvester
@@ -124,7 +127,7 @@ def product_representation_check(pair, t_rule=None):
     C + M1 (V0 x I) M0*.  The oracle's right-hand side U1* (h - h0) U0 is
     (U1* G*) V0 (G U0).
     """
-    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair)
+    gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair, probe)
     t_rule = t_rule or default_time_rule(gap)
     m0 = _time_factor(lam0, w0, t_rule, -1.0)
     m1 = _time_factor(lam1, w1, t_rule, +1.0)
@@ -139,10 +142,10 @@ def product_representation_check(pair, t_rule=None):
     return ProductCheck(residual_direct, residual_oracle, gap, n_t)
 
 
-def _extrapolated_density(pair, eps_ladder):
-    """Entrywise ladder extrapolation of the smoothed densities at probe 0."""
+def _extrapolated_density(pair, probe, eps_ladder):
+    """Entrywise ladder extrapolation of the smoothed densities at the probe."""
     lad = list(eps_ladder)
-    f0_rungs, f_rungs = zip(*(smoothed_density(pair, 0.0, eps) for eps in lad))
+    f0_rungs, f_rungs = zip(*(smoothed_density(pair, probe, eps) for eps in lad))
     return _psd_clip(neville(lad, f0_rungs)), _psd_clip(neville(lad, f_rungs))
 
 
@@ -151,20 +154,20 @@ def _psd_clip(m):
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def zop_model_comparison(pair, t_rule=None, eps_ladder=None):
+def zop_model_comparison(pair, probe, t_rule=None, eps_ladder=None):
     """Singular values of Z0* Z0 and Z* Z against the model Hankel blocks.
 
     The models are the Hankel matrices with kernel profile
-    (1 - exp(-tau))/tau tensored with the extrapolated densities F0'(0)
-    and F'(0).  Reported: singular values of the differences, a decay
+    (1 - exp(-tau))/tau tensored with the extrapolated densities F0'(probe)
+    and F'(probe).  Reported: singular values of the differences, a decay
     exponent fit, partial nuclear sums, and the ladder used.
     """
     from .hankel import gamma_kernel
 
-    zops = build_z_ops(pair, t_rule)
+    zops = build_z_ops(pair, probe, t_rule)
     eps_ladder = list(eps_ladder) if eps_ladder is not None \
         else [16.0 * zops.gap, 8.0 * zops.gap, 4.0 * zops.gap]
-    f0x, fx = _extrapolated_density(pair, eps_ladder)
+    f0x, fx = _extrapolated_density(pair, probe, eps_ladder)
     t, w = zops.t_rule.nodes, zops.t_rule.weights
     sq = np.sqrt(w)
     profile = sq[:, None] * gamma_kernel(t[:, None] + t[None, :]) * sq[None, :]

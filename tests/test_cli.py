@@ -48,7 +48,7 @@ def test_study_cli(tmp_path, capsys):
 
 def test_seed_override(tmp_path, capsys):
     cfg = {"model": "finite:random", "probes": [0.0], "seed": 3,
-           "eps_ladder": [0.1, 0.05], "tolerances": {"phase_floor": 0.2}}
+           "eps_ladder": [0.1, 0.05]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path), "--seed", "4"]) == 0
@@ -58,8 +58,7 @@ def test_seed_override(tmp_path, capsys):
     # the seed is replaced and every other field is the file's, defaults filled in
     reported = json.loads(first)["config"]
     assert reported == {"model": "finite:random", "model_params": {}, "probes": [0.0],
-                        "eps_ladder": [0.1, 0.05], "sizes": [],
-                        "tolerances": {"phase_floor": 0.2}, "seed": 4}
+                        "eps_ladder": [0.1, 0.05], "sizes": [], "seed": 4}
 
 
 @pytest.mark.parametrize("config, path", [
@@ -70,11 +69,18 @@ def test_seed_override(tmp_path, capsys):
     ({"model_params": {"bogus": 1}}, "config.model_params.bogus"),
     ({"model_params": {"n": 400.5}}, "config.model_params.n"),
     ({"tolerances": 3}, "config.tolerances"),
-    ({"tolerances": {"phase_flor": 0.2}}, "config.tolerances.phase_flor"),
-    ({"tolerances": {"phase_floor": "abc"}}, "config.tolerances.phase_floor"),
+    # the phase floor is scattering.PHASE_FLOOR; no config field sets it
+    ({"tolerances": {"phase_floor": 0.2}}, "config.tolerances"),
+    ({"tolerances": {}}, "config.tolerances"),
     ({"out_dir": 7}, "config.out_dir"),
     ({"model": "nope"}, "config.model"),
     ({"seed": 1.5}, "config.seed"),
+    # parameters a model builder rejects
+    *(({"model": "finite:random", "model_params": params}, "config.model_params")
+      for params in ({"gap": 1}, {"gap": -1e-3}, {"dim": -3}, {"dim": 0}, {"kdim": 0})),
+    *(({"model": "krein", "model_params": params}, "config.model_params")
+      for params in ({"n": 3}, {"L": -1.0})),
+    ({"model": "schrodinger:sech2", "model_params": {"n": 100}}, "config.model_params"),
 ])
 def test_run_edge_config_exits_2_naming_the_field(tmp_path, capsys, config, path):
     cfg_path = tmp_path / "cfg.json"

@@ -7,7 +7,6 @@ import pytest
 from projdiff.errors import ConfigError
 from projdiff.harness import (ExperimentConfig, convergence_study,
                               run_experiment, write_spectrum_csv)
-from projdiff.models import shift_pair
 
 
 def test_config_validation_field_paths():
@@ -51,12 +50,9 @@ def test_constructed_config_gets_every_check():
     # validate() owns the checks, so a config built directly meets them too
     for kwargs, path in (({"probes": 5}, r"config\.probes"),
                          ({"model_params": {"bogus": 1}}, r"config\.model_params\.bogus"),
-                         ({"tolerances": {"phase_flor": 0.2}}, r"config\.tolerances"),
                          ({"out_dir": 7}, r"config\.out_dir")):
         with pytest.raises(ConfigError, match=path):
             run_experiment(ExperimentConfig(**kwargs))
-    assert ExperimentConfig(tolerances={"phase_floor": 0.2}).phase_floor == 0.2
-    assert ExperimentConfig().phase_floor == 0.1
 
 
 def test_config_from_json_error(tmp_path):
@@ -114,12 +110,14 @@ def test_probe_errors_captured_not_fatal():
 
 
 def test_jobs_field_is_unknown():
-    # probes run in one process; a worker count is no longer a config field
-    for jobs in (0, 1, 2):
-        with pytest.raises(ConfigError, match=r"^config\.jobs: unknown field$"):
-            ExperimentConfig.from_dict({"jobs": jobs})
-    assert "jobs" not in run_experiment(ExperimentConfig(
-        model="finite:random", probes=(), seed=3)).body["config"]
+    # probes run in one process, so a worker count is no config field; the
+    # phase floor is scattering.PHASE_FLOOR, so no tolerance is one either
+    for name, values in (("jobs", (0, 1, 2)), ("tolerances", ({}, {"phase_floor": 0.1}))):
+        for value in values:
+            with pytest.raises(ConfigError, match=rf"^config\.{name}: unknown field$"):
+                ExperimentConfig.from_dict({name: value})
+    body = run_experiment(ExperimentConfig(model="finite:random", probes=(), seed=3)).body
+    assert not {"jobs", "tolerances"} & set(body["config"])
 
 
 def test_study_eps_axis():
@@ -151,13 +149,13 @@ def _assert_trule_plateau(cfg):
     Past convergence the exp-mapped rule's residual does not fall to a fixed
     level: the mapped integrand (1-u)^(2|lam|/gap) magnifies the O(eps) errors
     of the n_t Legendre nodes and weights, so the floor is taken as
-    n_t * eps * max|lam| / gap over both spectra of the shifted pair.
+    n_t * eps * max|lam| / gap, lam = eigenvalue - probe over both spectra.
     """
     table = convergence_study(cfg, "trule").body
     direct = np.array(table["metrics"]["residual_direct"]["values"])
     oracle = np.array(table["metrics"]["residual_oracle"]["values"])
-    pair = shift_pair(cfg.build_pair(), cfg.probes[0])
-    lam = np.abs(np.concatenate([e.eigenvalues for e in pair.eigensystems()]))
+    pair = cfg.build_pair()
+    lam = np.abs(np.concatenate([e.eigenvalues for e in pair.eigensystems()]) - cfg.probes[0])
     floor = np.asarray(table["points"]) * np.finfo(float).eps * lam.max() / lam.min()
     assert np.allclose(table["roundoff_floor"], floor, rtol=1e-12, atol=0)
     # a point at or below its floor counts as decreasing

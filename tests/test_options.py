@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from projdiff import linalg
+from projdiff import linalg, scattering
 from projdiff.errors import GapViolationError
 from projdiff.models import random_gapped_pair
 from projdiff.projections import corner_spectrum, projection_difference
@@ -16,7 +16,7 @@ from projdiff.zops import product_representation_check
 MODULES = ("acceptance", "hankel", "harness", "linalg", "models", "projections",
            "quadrature", "scattering", "zops")
 TOLERANCE_NAME = re.compile(r"tol|.*_tol|cond_limit|clip|radius|band|support_floor"
-                            r"|max_tries|scale_over_gap|u_rule")
+                            r"|phase_floor|max_tries|scale_over_gap|u_rule")
 
 
 def _public_callables():
@@ -48,7 +48,7 @@ def test_probe_gap_tolerance_is_read_at_call_time(monkeypatch):
     gap = min(linalg.probe_gaps(0.0, pair.eigenvalues))
     checks = (lambda: projection_difference(pair, 0.0),
               lambda: corner_spectrum(pair, 0.0),
-              lambda: product_representation_check(pair))
+              lambda: product_representation_check(pair, 0.0))
     for check in checks:
         check()
     monkeypatch.setattr(linalg, "PROBE_GAP_TOL", 2.0 * gap)
@@ -56,3 +56,12 @@ def test_probe_gap_tolerance_is_read_at_call_time(monkeypatch):
         with pytest.raises(GapViolationError) as err:
             check()
         assert abs(err.value.nearest) == gap
+
+
+def test_phase_floor_is_read_at_call_time(monkeypatch):
+    pair = random_gapped_pair(24, 3, seed=0)
+    bundle = scattering.scattering_bundle(pair, 0.0, 0.1)
+    assert bundle.retention_threshold == max(scattering.PHASE_FLOOR,
+                                             10.0 * bundle.unitarity_defect)
+    monkeypatch.setattr(scattering, "PHASE_FLOOR", 0.3)
+    assert scattering.scattering_bundle(pair, 0.0, 0.1).retention_threshold == 0.3

@@ -20,7 +20,7 @@ def flat_density_pair(m, coupling=1.0):
 
 def test_zero_coupling():
     pair = flat_density_pair(40, coupling=0.0)
-    zops = build_z_ops(pair)
+    zops = build_z_ops(pair, 0.0)
     assert np.allclose(zops.z0, 0.0)
     assert np.allclose(zops.z, 0.0)
 
@@ -29,7 +29,7 @@ def test_scalar_semigroup_integral():
     # H0 = (1), G = (1): (Z0* Z0)_{00} quadrature of exp(-2t) = 1/2
     pair = build_finite_pair(np.array([[1.0]], dtype=complex),
                              np.array([[1.0]]), np.array([[0.0]]))
-    zops = build_z_ops(pair)
+    zops = build_z_ops(pair, 0.0)
     gram = zops.z0.conj().T @ zops.z0
     tau = zops.t_rule.nodes[:, None] + zops.t_rule.nodes[None, :]
     expected = np.sqrt(np.outer(zops.t_rule.weights, zops.t_rule.weights)) * np.exp(-tau)
@@ -39,17 +39,17 @@ def test_scalar_semigroup_integral():
 
 
 def test_norm_stable_under_time_rule_doubling():
-    pair = shift_pair(build_krein(200, 40.0), 0.5)
+    pair = build_krein(200, 40.0)
     e0, e1 = pair.eigensystems()
-    gap = min(np.min(np.abs(e0.eigenvalues)), np.min(np.abs(e1.eigenvalues)))
-    n1 = np.linalg.norm(build_z_ops(pair, default_time_rule(gap, 120)).z0, 2)
-    n2 = np.linalg.norm(build_z_ops(pair, default_time_rule(gap, 240)).z0, 2)
+    gap = min(np.min(np.abs(e0.eigenvalues - 0.5)), np.min(np.abs(e1.eigenvalues - 0.5)))
+    n1 = np.linalg.norm(build_z_ops(pair, 0.5, default_time_rule(gap, 120)).z0, 2)
+    n2 = np.linalg.norm(build_z_ops(pair, 0.5, default_time_rule(gap, 240)).z0, 2)
     assert 0.9 <= n2 / n1 <= 1.1
 
 
 def test_grams_positive_semidefinite():
     pair = random_gapped_pair(10, 3, seed=3)
-    zops = build_z_ops(pair)
+    zops = build_z_ops(pair, 0.0)
     for gram in (zops.z0.conj().T @ zops.z0, zops.z.conj().T @ zops.z):
         assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10
 
@@ -57,12 +57,12 @@ def test_grams_positive_semidefinite():
 def test_gap_violation_rejected():
     pair = random_gapped_pair(8, 2, seed=5)
     with pytest.raises(GapViolationError):
-        build_z_ops(shift_pair(pair, pair.eigensystems()[0].eigenvalues[3]))
+        build_z_ops(pair, pair.eigensystems()[0].eigenvalues[3])
 
 
 def test_product_identity_zero_perturbation():
     pair = flat_density_pair(30, coupling=0.0)
-    chk = product_representation_check(pair)
+    chk = product_representation_check(pair, 0.0)
     assert chk.residual_direct <= 1e-14
     assert chk.residual_oracle <= 1e-14
 
@@ -70,14 +70,22 @@ def test_product_identity_zero_perturbation():
 def test_product_identity_random_pairs():
     for seed in (0, 1, 2):
         pair = random_gapped_pair(6, 2, seed=seed)
-        chk = product_representation_check(pair)
+        chk = product_representation_check(pair, 0.0)
         assert chk.residual_oracle <= 1e-9
         assert chk.residual_direct <= 1e-6
 
 
+def test_product_identity_with_an_empty_side():
+    # a probe beyond both spectra leaves no eigenvalue of h0 above it (or
+    # of h below it), so both sides of the identity are empty products
+    pair = random_gapped_pair(6, 2, seed=1, probes=(-3.0, 3.0))
+    for probe in (-3.0, 3.0):
+        chk = product_representation_check(pair, probe)
+        assert chk.residual_direct == 0.0 and chk.residual_oracle == 0.0
+
+
 def test_product_identity_krein():
-    pair = shift_pair(build_krein(200, 40.0), 0.5)
-    chk = product_representation_check(pair)
+    chk = product_representation_check(build_krein(200, 40.0), 0.5)
     assert chk.residual_oracle <= 1e-8
     assert chk.residual_direct <= 1e-6
 
@@ -86,7 +94,7 @@ def test_gram_product_representation():
     # E0(above) E(below) E0(above) = (Z0 V0 Z*) (Z V0 Z0*) within the
     # combined quadrature budget
     pair = random_gapped_pair(8, 2, seed=11)
-    zops = build_z_ops(pair)
+    zops = build_z_ops(pair, 0.0)
     e0, e1 = pair.eigensystems()
     u0 = e0.eigenvectors[:, e0.eigenvalues > 0]
     p0 = u0 @ u0.conj().T
@@ -103,22 +111,20 @@ def test_gram_product_representation():
 def test_model_comparison_flat_density_ratio_decreases():
     ratios = []
     for m in (101, 201, 401):
-        out = zop_model_comparison(flat_density_pair(m))
+        out = zop_model_comparison(flat_density_pair(m), 0.0)
         ratios.append(out["sigma_z0"][0] / out["norm_gram0"])
     assert ratios[0] > ratios[1] > ratios[2]
 
 
 def test_model_comparison_krein():
     cfg = thresholds()["zops"]
-    pair = shift_pair(build_krein(300, 40.0), 0.5)
-    out = zop_model_comparison(pair)
+    pair = build_krein(300, 40.0)
+    out = zop_model_comparison(pair, 0.5)
     sv = out["sigma_z0"]
     assert np.all(np.diff(sv[:10]) <= 1e-12)          # decay
     assert sv[10] / sv[0] <= cfg["krein_sigma_ratio"]
     # richer smoothing ladder gives a closer model
-    e0, e1 = pair.eigensystems()
-    gap = min(np.min(np.abs(e0.eigenvalues)), np.min(np.abs(e1.eigenvalues)))
-    coarse = zop_model_comparison(pair, eps_ladder=[16 * gap, 8 * gap])
+    coarse = zop_model_comparison(pair, 0.5, eps_ladder=[16 * out["gap"], 8 * out["gap"]])
     assert out["sigma_z0"][0] <= coarse["sigma_z0"][0]
 
 
@@ -126,35 +132,37 @@ def test_model_comparison_krein():
 # the m1 x m0 core against the n x n formulas
 # ---------------------------------------------------------------------------
 
-def dense_product_check(pair):
+def dense_product_check(pair, probe):
     """Dense oracle: the n x n residual of E(below) E0(above) + Z (V0 x I) Z0*,
     and the Sylvester oracle with right-hand side -U1* (h - h0) U0, solved
     by scipy's dense solver."""
     e0, e1 = pair.eigensystems()
-    up0, dn1 = e0.eigenvalues > 0, e1.eigenvalues < 0
+    lam0, lam1 = e0.eigenvalues - probe, e1.eigenvalues - probe
+    up0, dn1 = lam0 > 0, lam1 < 0
     u0, u1 = e0.eigenvectors[:, up0], e1.eigenvectors[:, dn1]
-    zops = build_z_ops(pair)
+    zops = build_z_ops(pair, probe)
     cross = u1 @ (u1.conj().T @ u0) @ u0.conj().T
     k, n_t = pair.kdim, zops.n_t
     zv = zops.z.reshape(pair.dim, n_t, k) @ pair.v0
     direct = np.linalg.norm(cross + zv.reshape(pair.dim, n_t * k) @ zops.z0.conj().T, 2)
     rhs = -(u1.conj().T @ (pair.h - pair.h0) @ u0)
-    x = sla.solve_sylvester(np.diag(e1.eigenvalues[dn1]), -np.diag(e0.eigenvalues[up0]), rhs)
+    x = sla.solve_sylvester(np.diag(lam1[dn1]), -np.diag(lam0[up0]), rhs)
     return direct, np.linalg.norm(x + u1.conj().T @ u0, 2), rhs
 
 
-PRODUCT_CASES = {
-    "krein-200": lambda: shift_pair(build_krein(200, 40.0), 0.5),
-    "krein-400": lambda: shift_pair(build_krein(400, 40.0), 0.3),
-    **{f"random-{seed}": (lambda seed=seed: random_gapped_pair(24, 3, seed))
-       for seed in range(4)},
+PRODUCT_CASES = {    # (pair, probe)
+    "krein-200": lambda: (build_krein(200, 40.0), 0.5),
+    "krein-400": lambda: (build_krein(400, 40.0), 0.3),
+    **{f"random-{seed}": (lambda seed=seed: (random_gapped_pair(24, 3, seed, probes=(0.3,)),
+                                             0.3))
+       for seed in range(6)},
 }
 
 
 @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
 def test_core_product_check_matches_dense(case, monkeypatch):
-    pair = PRODUCT_CASES[case]()
-    direct, oracle, rhs = dense_product_check(pair)
+    pair, probe = PRODUCT_CASES[case]()
+    direct, oracle, rhs = dense_product_check(pair, probe)
     rhs_seen = []
     original = zops_module.sylvester_solve
 
@@ -163,7 +171,7 @@ def test_core_product_check_matches_dense(case, monkeypatch):
         return original(a, b, c)
 
     monkeypatch.setattr(zops_module, "sylvester_solve", spy)
-    chk = product_representation_check(pair)
+    chk = product_representation_check(pair, probe)
     assert np.max(np.abs(rhs_seen[0] - rhs)) <= 1e-13
     # both residuals sit at roundoff (~1e-13); the two routes agree far below it
     assert chk.residual_direct == pytest.approx(direct, abs=1e-15)
@@ -181,8 +189,26 @@ def test_product_check_passes_the_eigenvalue_vectors(monkeypatch):
         return original(a, b, c)
 
     monkeypatch.setattr(zops_module, "sylvester_solve", spy)
-    product_representation_check(shift_pair(build_krein(200, 40.0), 0.5))
+    product_representation_check(build_krein(200, 40.0), 0.5)
     assert operands == [(1, 1)]
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_probe_relative_path_matches_the_shifted_pair(case):
+    # shift_pair is the dense oracle of the probe-relative path: the pair
+    # translated by -probe, diagonalized afresh, taken at probe 0
+    pair, probe = PRODUCT_CASES[case]()
+    shifted = shift_pair(pair, probe)
+    zops, ref = build_z_ops(pair, probe), build_z_ops(shifted, 0.0)
+    assert zops.gap == pytest.approx(ref.gap, rel=1e-12)
+    # Z Z* does not depend on the eigenbasis, so the two agree to roundoff
+    for z, z_ref in ((zops.z0, ref.z0), (zops.z, ref.z)):
+        gram, gram_ref = z @ z.conj().T, z_ref @ z_ref.conj().T
+        assert np.linalg.norm(gram - gram_ref, 2) <= 1e-13 * np.linalg.norm(gram_ref, 2)
+    for chk in (product_representation_check(pair, probe),
+                product_representation_check(shifted, 0.0)):
+        assert chk.residual_direct <= 1e-12
+        assert chk.residual_oracle <= 1e-13
 
 
 def test_krein_probe_runs_no_dense_solves(monkeypatch):
@@ -208,7 +234,7 @@ def test_krein_probe_runs_no_dense_solves(monkeypatch):
 
     monkeypatch.setattr(sla, "solve_sylvester", forbidden)
     monkeypatch.setattr(projections, "spectral_projection", forbidden)
-    payload = harness._probe_payload(pair, 0.5, [0.2, 0.15, 0.1, 0.05], 0.1)
+    payload = harness._probe_payload(pair, 0.5, [0.2, 0.15, 0.1, 0.05])
     assert not [key for key in payload if key.endswith("_error")]
     assert "product_identity" in payload
     for sign in (+1, -1):

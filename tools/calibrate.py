@@ -36,7 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from projdiff.hankel import build_hankel, carleman_kernel, model_hankel_pair
 from projdiff.models import (build_krein, build_schrodinger_1d, sech2_spec,
-                             shift_pair, square_well_spec)
+                             square_well_spec)
 from projdiff.projections import (corner_spectrum, interval_hausdorff,
                                   projection_difference)
 from projdiff.quadrature import make_quadrature
@@ -126,8 +126,7 @@ def calibrate_krein_corner_and_sigma():
     print("== resolvent-model corner top and model-comparison ratio")
     spec = corner_spectrum(build_krein(400, 40.0), 0.5, sign=+1)
     top = float(spec.max())
-    pair = shift_pair(build_krein(300, 40.0), 0.5)
-    out = zop_model_comparison(pair)
+    out = zop_model_comparison(build_krein(300, 40.0), 0.5)
     ratio = float(out["sigma_z0"][10] / out["sigma_z0"][0])
     print(f"   corner top at n = 400: {top:.4f} -> threshold 0.55")
     print(f"   sigma_10/sigma_1 at n = 300: {ratio:.2e} -> threshold 0.2")
