@@ -8,7 +8,8 @@ The library side is organized by machinery:
 * :mod:`projdiff.models` -- operator-pair constructors and presets,
 * :mod:`projdiff.projections` -- D, its spectrum, blocks and corners,
 * :mod:`projdiff.scattering` -- resolvent sandwiches, smoothed densities,
-  the stationary scattering matrix, the transfer-matrix oracle,
+  the stationary scattering matrix (at eps = 0 from open leads for band
+  pairs, along an eps ladder for dense ones), the transfer-matrix oracle,
 * :mod:`projdiff.hankel` -- half-line Hankel/Carleman discretizations,
 * :mod:`projdiff.zops` -- semigroup-smeared operators and the product
   representation of cross projections,
@@ -24,9 +25,9 @@ from .models import (OperatorPair, PotentialSpec, build_finite_pair, build_krein
 from .projections import (DifferenceReport, corner_spectrum, dsquared_block_check,
                           projection_difference, spectral_projection)
 from .quadrature import QuadratureRule, make_quadrature
-from .scattering import (ScatteringBundle, TransferMatrixResult,
+from .scattering import (ChannelSMatrix, ScatteringBundle, TransferMatrixResult,
                          birman_krein_check, birman_krein_extrapolated,
-                         extrapolated_phases, resolvent_sandwich,
+                         channel_smatrix, extrapolated_phases, resolvent_sandwich,
                          scattering_bundle, smoothed_density,
                          transfer_matrix_smatrix)
 from .hankel import (HankelDiscretization, TraceBoundData, build_hankel,

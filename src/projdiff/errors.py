@@ -42,6 +42,19 @@ class GapViolationError(ProjdiffError):
             f"eigenvalue {self.nearest:.12g} within forbidden distance of probe {self.probe:.12g}")
 
 
+class ProbeOutsideBandError(ProjdiffError):
+    """The probe is not inside the open band of the leads of a band pair.
+
+    Carries the probe and the band (lower, upper) it must lie in.
+    """
+
+    def __init__(self, probe, band):
+        self.probe = float(probe)
+        self.band = (float(band[0]), float(band[1]))
+        super().__init__(f"probe {self.probe:.12g} outside the open band "
+                         f"({self.band[0]:.12g}, {self.band[1]:.12g}) of the leads")
+
+
 class SingularSandwichError(ProjdiffError):
     """I + V0*T0(z) is numerically singular (condition number too large)."""
 

@@ -1,10 +1,10 @@
 """Experiment driver: configs, reports, convergence studies.
 
-A config names a model preset, the probes, and the epsilon ladder; a run
-produces a JSON-able report whose numeric entries carry the
-discretization size and smoothing they were computed at.  Reports are
-bit-for-bit reproducible for a fixed (config, seed): nothing
-time-dependent is stored in them.
+A config names a model preset, the probes, and the epsilon ladder that
+dense pairs and the eps study extrapolate along; a run produces a
+JSON-able report whose numeric entries carry the discretization size and
+smoothing they were computed at.  Reports are bit-for-bit reproducible
+for a fixed (config, seed): nothing time-dependent is stored in them.
 """
 
 import json
@@ -18,14 +18,14 @@ import numpy as np
 from .errors import ConfigError, ProjdiffError
 from .models import preset_defaults, preset_pair
 from .projections import projection_difference, dsquared_block_check
-from .scattering import (birman_krein_extrapolated, extrapolated_phases,
-                         scattering_bundle)
+from .scattering import (birman_krein_extrapolated, channel_smatrix,
+                         extrapolated_phases, scattering_bundle)
 from .zops import product_representation_check
 
 __all__ = ["ExperimentConfig", "Report", "run_experiment", "convergence_study",
            "write_spectrum_csv"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,46 @@ def write_spectrum_csv(path, values):
 _CAPTURED = (ProjdiffError, ArithmeticError, ValueError, np.linalg.LinAlgError)
 
 
+def _ladder_scattering(pair, probe, ladder):
+    """The eps-ladder payload of a dense pair: rungs and extrapolated values."""
+    phases, bundles = extrapolated_phases(pair, probe, ladder)
+    rungs = [{"eps": b.eps, "phases": b.phases,
+              "unitarity_defect": b.unitarity_defect,
+              "identity_residual": b.identity_residual,
+              "factor_residual": b.factor_residual,
+              "prediction_a": b.prediction_a} for b in bundles]
+    scattering = {
+        "rungs": rungs, "phases_extrapolated": phases,
+        "band_edges": np.sort(np.sin(phases / 2.0))[::-1],
+        "a_extrapolated": float(np.max(np.sin(phases / 2.0))) if len(phases) else 0.0,
+    }
+    det_s, xi, defect = birman_krein_extrapolated(pair, probe, phases, ladder)
+    return scattering, {"det_s": det_s, "counting_shift": xi, "defect": defect}
+
+
+def _channel_scattering(pair, probe):
+    """The eps = 0 payload of a band pair (:func:`channel_smatrix`), under
+    the ladder payload's names."""
+    ch = channel_smatrix(pair, probe)
+    scattering = {"phases_extrapolated": ch.phases, "band_edges": ch.band_edges,
+                  "a_extrapolated": ch.a, "smatrix": ch.smatrix,
+                  "unitarity_defect": ch.unitarity_defect}
+    return scattering, {"det_s": ch.det_s, "counting_shift": ch.counting_shift,
+                        "defect": ch.birman_krein_defect}
+
+
 def _probe_payload(pair, probe, ladder):
-    """Everything computed at one probe; module errors are captured."""
-    out = {"probe": probe, "n": pair.dim, "eps_ladder": list(ladder)}
+    """Everything computed at one probe; module errors are captured.
+
+    The pair's storage picks the scattering path: a band pair's S and xi
+    are taken at eps = 0 from open leads ("channel"), a dense pair's are
+    extrapolated along the eps ladder ("ladder").
+    """
+    out = {"probe": probe, "n": pair.dim}
+    if pair.banded:
+        out["path"] = "channel"
+    else:
+        out.update(path="ladder", eps_ladder=list(ladder))
     try:
         rep = projection_difference(pair, probe)
         out["difference"] = {
@@ -174,20 +211,9 @@ def _probe_payload(pair, probe, ladder):
     except _CAPTURED as exc:
         out["difference_error"] = str(exc)
     try:
-        phases, bundles = extrapolated_phases(pair, probe, ladder)
-        rungs = [{"eps": b.eps, "phases": b.phases,
-                  "unitarity_defect": b.unitarity_defect,
-                  "identity_residual": b.identity_residual,
-                  "factor_residual": b.factor_residual,
-                  "prediction_a": b.prediction_a} for b in bundles]
-        out["scattering"] = {
-            "rungs": rungs, "phases_extrapolated": phases,
-            "band_edges": np.sort(np.sin(phases / 2.0))[::-1],
-            "a_extrapolated": float(np.max(np.sin(phases / 2.0))) if len(phases) else 0.0,
-        }
-        det_s, xi, defect = birman_krein_extrapolated(pair, probe, phases, ladder)
-        out["birman_krein"] = {"det_s": det_s, "counting_shift": xi,
-                               "defect": defect}
+        out["scattering"], out["birman_krein"] = (
+            _channel_scattering(pair, probe) if pair.banded
+            else _ladder_scattering(pair, probe, ladder))
     except _CAPTURED as exc:
         out["scattering_error"] = str(exc)
     if pair.dim <= 600:
@@ -202,7 +228,7 @@ def _probe_payload(pair, probe, ladder):
 
 
 def run_experiment(config):
-    """Run every probe of a config through the ladder and assemble a report."""
+    """Run every probe of a config and assemble a report."""
     config.validate()
     body = {
         "schema": SCHEMA_VERSION,
@@ -249,8 +275,12 @@ def convergence_study(config, axis):
         for i, n in enumerate(points):
             if n < 16:
                 raise ConfigError(f"config.sizes[{i}]: model size must be at least 16")
-        for n in points:
-            pair = config.build_pair(n=n)
+        for i, n in enumerate(points):
+            try:
+                pair = config.build_pair(n=n)
+            except ConfigError as exc:
+                # the rejected size came from config.sizes, not model_params
+                raise ConfigError(f"config.sizes[{i}]: {exc.__cause__}") from exc.__cause__
             rep = projection_difference(pair, probe)
             metrics.setdefault("max_gap", []).append(rep.max_gap)
             metrics.setdefault("coverage_distance", []).append(rep.coverage_distance)

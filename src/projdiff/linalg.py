@@ -1,6 +1,7 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
 band-stored matrices), the band format with its shifted banded solve (on
-the whole chain, or on a window through two boundary self-energies), the
+the whole chain, or on a window through two boundary self-energies, the
+box's own or those of given leads) and the window's LDL^T pivots, the
 compression of subspace projections to their joint span, SVD, semigroup
 action, a Sylvester solver (in closed form for diagonal operands), and the
 probe-gap check on eigenvalue arrays.
@@ -22,8 +23,9 @@ import scipy.linalg as sla
 from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                      SpectralCollisionError)
 
-__all__ = ["SpectralDecomposition", "TridiagonalBands", "check_hermitian", "herm_eig",
-           "subspace_compressions", "probe_gaps", "svd", "expm_apply", "sylvester_solve"]
+__all__ = ["SpectralDecomposition", "TridiagonalBands", "WindowSystem", "check_hermitian",
+           "herm_eig", "subspace_compressions", "probe_gaps", "svd", "expm_apply",
+           "sylvester_solve"]
 
 # each tolerance is read at call time by the one function that applies it
 HERMITIAN_TOL = 1e-12
@@ -169,36 +171,76 @@ class TridiagonalBands:
             v = self.phase[:, None] * v
         return SpectralDecomposition(w, v)
 
+    def window(self, z, lo, hi, corners=None):
+        """The window system of rows and columns lo, ..., hi - 1 at z.
+
+        By the Schur complement, the window block of (M - z I)^-1 is the
+        inverse of the window's own T - z I less a scalar self-energy at
+        each end: |e|^2 c, with e the link out of the window and c the
+        corner entry of the resolvent of the chain beyond it.  ``corners``
+        gives the two c (lo end, hi end), say of semi-infinite leads that
+        replace the chain beyond the window; by default they are the box's
+        own, each from one banded solve.  An end at an end of the chain
+        has no self-energy.
+        """
+        n = self.dim
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"window [{lo}, {hi}) outside 0..{n}")
+        diag = self.diagonal[lo:hi] - complex(z)
+        off = self.offdiagonal
+        if lo > 0 and hi > lo:
+            c = _corner(self.diagonal[:lo] - z, off[:lo - 1], -1) if corners is None \
+                else corners[0]
+            diag[0] -= off[lo - 1] ** 2 * c
+        if lo < hi < n:
+            c = _corner(self.diagonal[hi:] - z, off[hi:], 0) if corners is None \
+                else corners[1]
+            diag[-1] -= off[hi - 1] ** 2 * c
+        return WindowSystem(diag, off[lo:hi - 1],
+                            None if self.phase is None else self.phase[lo:hi])
+
     def solve(self, rhs, z, lo=0):
         """The window block of (M - z I)^-1 applied to rhs, for complex z off the spectrum.
 
         The window is rows and columns lo, ..., lo + m - 1 with m = len(rhs),
         so the result is rows lo, ... of the full solve of rhs padded with
-        zeros; lo = 0 and m = n is the full solve.  By the Schur complement,
-        the block is the inverse of the window's own T - z I less two
-        scalar self-energies at its ends: |e|^2 times the corner entry of
-        the resolvent of the chain beyond that end, each from one banded
-        solve.  The window system is then solved once, by its banded LU.
+        zeros; lo = 0 and m = n is the full solve.  The box's chain beyond
+        the window enters through the self-energies of :meth:`window`.
         """
-        n = self.dim
-        # a complex copy: for n = 1 solve_banded divides it in place
+        return self.window(z, lo, lo + len(rhs)).solve(rhs)
+
+
+@dataclass(frozen=True)
+class WindowSystem:
+    """A window of M - z I with the chain beyond it folded into its end
+    entries: the complex diagonal and real offdiagonal of the window of T,
+    and the window's part of P (None when M is real)."""
+
+    diagonal: np.ndarray
+    offdiagonal: np.ndarray
+    phase: np.ndarray = None
+
+    def solve(self, rhs):
+        """The system's inverse applied to rhs, by its banded LU."""
+        # a complex copy: for a 1 x 1 system solve_banded divides it in place
         b = np.array(rhs, dtype=complex)
-        hi = lo + len(b)
-        if not 0 <= lo <= hi <= n:
-            raise ValueError(f"window [{lo}, {hi}) outside 0..{n}")
-        if hi == lo:
+        if len(b) == 0:
             return b
-        diag = self.diagonal[lo:hi] - z
-        off = self.offdiagonal
-        if lo > 0:
-            diag[0] -= off[lo - 1] ** 2 * _corner(self.diagonal[:lo] - z, off[:lo - 1], -1)
-        if hi < n:
-            diag[-1] -= off[hi - 1] ** 2 * _corner(self.diagonal[hi:] - z, off[hi:], 0)
         if self.phase is None:
-            return _banded_solve(diag, off[lo:hi - 1], b)
-        window = self.phase[lo:hi, None]
+            return _banded_solve(self.diagonal, self.offdiagonal, b)
+        window = self.phase[:, None]
         b *= window.conj()
-        return window * _banded_solve(diag, off[lo:hi - 1], b)
+        return window * _banded_solve(self.diagonal, self.offdiagonal, b)
+
+    def pivots(self):
+        """The LDL^T pivots p_1 = d_1, p_(i+1) = d_(i+1) - e_i^2 / p_i; their
+        product is the determinant.  O(m), no matrix formed."""
+        d = self.diagonal.tolist()
+        e2 = (self.offdiagonal ** 2).tolist()
+        p = d[:1]
+        for di, ei in zip(d[1:], e2):
+            p.append(di - ei / p[-1])
+        return np.array(p, dtype=complex)
 
 
 def _banded_solve(diagonal, offdiagonal, b):

@@ -1,17 +1,30 @@
 """Resolvent sandwiches, smoothed spectral densities, the stationary
-scattering matrix, its defect operator, and an independent transfer-matrix
-oracle for 1-d Schrodinger pairs.
+scattering matrix, its defect operator, the spectral shift, and an
+independent transfer-matrix oracle for 1-d Schrodinger pairs.
 
-Limits onto the real axis are realized as an epsilon ladder: every
-quantity is computed at z = probe + i*eps for a decreasing sequence of
-eps and scalar outputs are Neville-extrapolated to eps = 0.  A pleasant
-exact fact keeps the ladder honest: the smoothed stationary matrix
+The stationary formula
 
-    S_eps = I - 2*pi*i * sqrt(F0') (V0 - V0 T(probe+i*eps) V0) sqrt(F0')
+    S(lam) = I - 2*pi*i * sqrt(F0'(lam)) (V0 - V0 T(lam+i0) V0) sqrt(F0'(lam))
 
-is exactly unitary at every eps > 0 (same algebra as the defect-operator
-identity), so its eigenvalues always live on the unit circle and only
-their phases move with eps.
+is a statement about boundary values at lam + i0.  They are reached on
+one of two paths, picked by the pair's storage.
+
+A band pair whose chain is uniform outside the coupling window is taken
+on the whole lattice: the chain beyond the window becomes two open leads
+with a closed-form retarded corner, the window systems then give T0 and
+T at lam + i0 exactly, F0' has rank 2, and S is the 2 x 2 Fisher-Lee
+matrix, with the spectral shift from the LDL^T pivots of the same two
+window systems (:func:`channel_smatrix`).  No k x k matrix is formed and
+no eps enters.
+
+A dense pair (and the eps study, and the tests, for any pair) goes
+through an epsilon ladder: every quantity is computed at z = probe +
+i*eps for a decreasing sequence of eps and scalar outputs are
+Neville-extrapolated to eps = 0.  A pleasant exact fact keeps the ladder
+honest: the smoothed stationary matrix S_eps is exactly unitary at every
+eps > 0 (same algebra as the defect-operator identity), so its
+eigenvalues always live on the unit circle and only their phases move
+with eps.
 
 The sandwiches G (A - z)^-1 G* of a dense pair come from its cached
 eigensystems, (G U) diag(1/(w - z)) (G U)*.  Those of a band-stored pair
@@ -35,15 +48,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularSandwichError
+from .errors import ProbeOutsideBandError, SingularSandwichError
 from .linalg import probe_gaps
 
 __all__ = [
-    "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult",
+    "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
     "resolvent_sandwich", "smoothed_density", "scattering_bundle",
     "neville", "phase_ladder", "extrapolated_phases",
     "transfer_matrix_smatrix", "birman_krein_check", "smoothed_counting_shift",
-    "birman_krein_extrapolated",
+    "birman_krein_extrapolated", "channel_smatrix",
 ]
 
 C1_RESIDUAL_TOL = 1e-9
@@ -315,6 +328,116 @@ def extrapolated_phases(pair, probe, eps_ladder):
         angles = np.unwrap([np.angle(c) for c in chain])
         out.append(float(np.mod(neville(ladder, angles), 2.0 * np.pi)))
     return np.sort(np.asarray(out)), bundles
+
+
+# ---------------------------------------------------------------------------
+# eps = 0 on the lattice: open leads and the two-channel S-matrix
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChannelSMatrix:
+    """The stationary scattering matrix of a band pair at eps = 0.
+
+    ``smatrix`` is 2 x 2 in the channels of the leads at the lo and hi
+    ends of the coupling window; ``band`` is the open band of the leads.
+    """
+
+    probe: float
+    band: tuple
+    smatrix: np.ndarray
+    phases: np.ndarray               # both, sorted, in [0, 2*pi)
+    unitarity_defect: float
+    a: float                         # max sin(theta/2)
+    band_edges: np.ndarray           # sin(theta/2), descending
+    counting_shift: float            # xi(probe) from the window pivots
+    det_s: complex
+    birman_krein_defect: float       # |det S - exp(-2*pi*i*xi)|
+
+
+def _uniform_lead(pair, lo, hi):
+    """(d, t): the diagonal and hopping magnitude of H0's chain outside the
+    coupling window [lo, hi), which must be exactly uniform.  H equals H0
+    there, as G vanishes off the window."""
+    n = pair.dim
+    if lo < 1 or hi > n - 1:
+        raise ValueError(f"coupling window [{lo}, {hi}) reaches an end of the chain "
+                         f"0..{n - 1}; no lead to attach")
+    b = pair.operators[0]
+    d, t = b.diagonal[0], b.offdiagonal[0]
+    sites = np.r_[0:lo, hi:n]
+    # link i joins sites i and i + 1 and is named by its end away from the window
+    left, right = np.arange(lo), np.arange(hi - 1, n - 1)
+    bad = np.concatenate([sites[b.diagonal[sites] != d], left[b.offdiagonal[left] != t],
+                          right[b.offdiagonal[right] != t] + 1])
+    if bad.size:
+        raise ValueError(f"H0 is not uniform outside the coupling window [{lo}, {hi}): "
+                         f"first differs at site {int(bad.min())}")
+    return float(d), abs(float(t))
+
+
+def _real_times(m, x):
+    """m @ x for complex x, without the complex k x k copy numpy makes of a real m."""
+    if np.iscomplexobj(m):
+        return m @ x
+    return m @ x.real + 1j * (m @ x.imag)
+
+
+def channel_smatrix(pair, probe):
+    """S(probe) at eps = 0 for a band pair on the whole lattice (Fisher-Lee).
+
+    The chain outside the coupling window [lo, hi) of a band pair must be
+    uniform, with diagonal d and hopping t; it is replaced by two
+    semi-infinite leads, whose retarded corner at probe = lam inside the
+    open band (d - 2|t|, d + 2|t|) is
+
+        c = ((d - lam) + i sqrt(4 t^2 - (d - lam)^2)) / (2 t^2).
+
+    The window systems A_j = W_j - lam - t^2 c (e_lo e_lo^T + e_hi e_hi^T)
+    of H0 and H (:meth:`projdiff.linalg.TridiagonalBands.window`) then give
+    T0(lam + i0) and T(lam + i0) exactly, and F0' = X X* / pi with the
+    k x 2 matrix X = G A0^-1 [e_lo, e_hi] |t| sqrt(Im c).  On the range of
+    F0' the stationary formula is the 2 x 2
+
+        S = I - 2i X* (V0 X - V0 G A1^-1 G* V0 X):
+
+    two banded window solves with two right-hand sides each, with G
+    applied through its nonzeros.  The spectral shift is
+    xi = (1/pi) arg det(I + V0 T0(lam + i0)) = (1/pi) arg(det A1 / det A0).
+    At lam + i0, as at every lam + i*y with y > 0, each LDL^T pivot of A0
+    and A1 lies in the open lower half plane (the first one does, and
+    p_(i+1) = d_(i+1) - e_i^2 / p_i keeps it there for e_i != 0), so the
+    sum of pivot arguments is the branch continuous from 0 at lam + i*inf.
+
+    Raises ValueError for a dense pair and for a chain that is not
+    uniform outside the window (naming the first offending site), and
+    :class:`ProbeOutsideBandError` for a probe outside the open band.
+    """
+    if not pair.banded:
+        raise ValueError("the channel S-matrix needs a band pair")
+    lo, hi = pair.coupling_window
+    d, t = _uniform_lead(pair, lo, hi)
+    band = (d - 2.0 * t, d + 2.0 * t)
+    if not band[0] < probe < band[1]:
+        raise ProbeOutsideBandError(probe, band)
+    c = ((d - probe) + 1j * np.sqrt(4.0 * t * t - (d - probe) ** 2)) / (2.0 * t * t)
+    a0, a1 = (b.window(probe, lo, hi, (c, c)) for b in pair.operators)
+    ends = np.zeros((hi - lo, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
+    gw = pair.sparse_g[:, lo:hi]
+    x = gw @ a0.solve(ends) * (t * np.sqrt(c.imag))
+    vx = _real_times(pair.v0, x)
+    tvx = gw @ a1.solve(gw.conj().T @ vx)
+    smat = np.eye(2) - 2j * x.conj().T @ (vx - _real_times(pair.v0, tvx))
+    udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(2), 2))
+    phases = np.sort(np.mod(np.angle(np.linalg.eigvals(smat)), 2.0 * np.pi))
+    edges = np.sort(np.sin(phases / 2.0))[::-1]
+    p0, p1 = a0.pivots(), a1.pivots()
+    if not (np.all(p0.imag < 0) and np.all(p1.imag < 0)):
+        raise ArithmeticError("a window pivot left the lower half plane")
+    xi = float((np.sum(np.angle(p1)) - np.sum(np.angle(p0))) / np.pi)
+    det_s = complex(np.linalg.det(smat))
+    return ChannelSMatrix(float(probe), band, smat, phases, udef, float(edges[0]), edges,
+                          xi, det_s, float(abs(det_s - np.exp(-2j * np.pi * xi))))
 
 
 # ---------------------------------------------------------------------------

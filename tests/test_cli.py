@@ -20,7 +20,7 @@ def test_run_with_config(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path)]) == 0
     body = json.loads(capsys.readouterr().out)
-    assert body["schema"] == 1
+    assert body["schema"] == 2
 
     out_dir = tmp_path / "out"
     assert cli.main(["run", str(path), "--out", str(out_dir)]) == 0
@@ -87,6 +87,17 @@ def test_run_edge_config_exits_2_naming_the_field(tmp_path, capsys, config, path
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["run", str(cfg_path)]) == 2
     assert f"error: {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes, index", [([100, 200, 400], 0), ([200, 100, 400], 1)])
+def test_study_size_the_model_rejects_exits_2_naming_sizes(tmp_path, capsys, sizes, index):
+    # the n axis sets the size, so a size the model rejects names config.sizes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "schrodinger:sech2", "probes": [1.0],
+                                    "model_params": {"half_width": 40.0}, "sizes": sizes}))
+    assert cli.main(["study", str(cfg_path), "--axis", "n"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config.sizes[{index}]: grid too coarse; need n >= 200")
 
 
 def test_verify_all_wiring(monkeypatch, tmp_path, capsys):

@@ -67,7 +67,7 @@ def test_empty_probe_list_is_fine():
                            eps_ladder=(0.1, 0.05))
     report = run_experiment(cfg)
     assert report.body["probes"] == []
-    assert report.body["schema"] == 1
+    assert report.body["schema"] == 2
 
 
 def test_report_deterministic_for_fixed_seed():
@@ -89,7 +89,7 @@ def test_report_payload_and_outputs(tmp_path):
     for rung in payload["scattering"]["rungs"]:
         assert rung["unitarity_defect"] <= 1e-10
     data = json.loads((tmp_path / "report.json").read_text())
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     csv = (tmp_path / "difference_spectrum_0.csv").read_text().splitlines()
     assert csv[0] == "index,value"
     assert csv[1].startswith("0,")

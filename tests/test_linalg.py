@@ -231,6 +231,28 @@ def test_band_solve_on_a_window_matches_the_padded_full_solve():
         bands.solve(np.ones((3, 1)), z, n - 2)
 
 
+def test_window_with_given_corners_matches_the_dense_window():
+    # the window system with given end corners c: the dense window block
+    # less |e|^2 c at each end; its solve and its pivots (their product is
+    # the determinant) against dense algebra
+    rng = np.random.default_rng(9)
+    n, z, corners = 25, 0.3, (0.2 + 0.7j, -0.4 + 0.1j)
+    for sub in (rng.standard_normal(n - 1),
+                rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)):
+        bands = TridiagonalBands.hermitian(rng.uniform(-2, 2, n), sub)
+        for lo, hi in ((6, 19), (12, 13), (0, 7), (18, n)):
+            m = hi - lo
+            dense = bands.dense()[lo:hi, lo:hi] - z * np.eye(m, dtype=complex)
+            if lo > 0:
+                dense[0, 0] -= abs(sub[lo - 1]) ** 2 * corners[0]
+            if hi < n:
+                dense[-1, -1] -= abs(sub[hi - 1]) ** 2 * corners[1]
+            system = bands.window(z, lo, hi, corners)
+            rhs = rng.standard_normal((m, 2))
+            assert np.allclose(system.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-12)
+            assert np.prod(system.pivots()) == pytest.approx(np.linalg.det(dense), rel=1e-11)
+
+
 def test_probe_gaps_reports_nearest_over_all_spectra(monkeypatch):
     gaps = probe_gaps(0.5, [np.array([0.0, 1.0]), np.array([0.25]), np.empty(0)])
     assert gaps == [0.5, 0.25, np.inf]
