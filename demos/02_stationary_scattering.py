@@ -12,7 +12,7 @@ Birman-Krein identity holds to roundoff.
 import numpy as np
 
 from projdiff.models import build_schrodinger_1d, sech2_spec, square_well_spec, thresholds
-from projdiff.scattering import (birman_krein_extrapolated, channel_smatrix,
+from projdiff.scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
                                  extrapolated_phases, transfer_matrix_smatrix)
 
 cfg = thresholds()["sech2"]
@@ -22,7 +22,7 @@ oracle = transfer_matrix_smatrix(sech2_spec(cfg["depth"], 30.0, 999), probe)
 print(f"sech^2 well, depth {cfg['depth']}, probe {probe} (k = {oracle.k}):")
 print(f"  oracle r = {oracle.r:.6f}, t = {oracle.t:.6f}, "
       f"|r|^2 + |t|^2 - 1 = {oracle.flux_defect:.1e}")
-print(f"  oracle eigenphases: {np.round(oracle.phases, 5)}\n")
+print(f"  oracle eigenphases: {np.round(oracle.phases, 5)}, a = {oracle.a:.5f}\n")
 
 pair = build_schrodinger_1d(
     sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
@@ -36,12 +36,11 @@ print(f"oracle phases:              {np.round(oracle.phases, 5)}")
 channel = channel_smatrix(pair, probe)
 print(f"channel phases (eps = 0):   {np.round(channel.phases, 5)}   "
       f"unitarity defect {channel.unitarity_defect:.1e}")
-a_tilde = float(np.max(np.sin(phases / 2.0)))
-a_oracle = float(np.max(np.sin(oracle.phases / 2.0)))
-print(f"a = max sin(theta/2): ladder {a_tilde:.5f} vs oracle {a_oracle:.5f} "
-      f"(difference {abs(a_tilde - a_oracle):.1e})")
-print(f"a = max sin(theta/2): channel {channel.a:.5f} vs oracle {a_oracle:.5f} "
-      f"(difference {abs(channel.a - a_oracle):.1e})")
+_, a_tilde = band_edges(phases)
+print(f"a = max sin(theta/2): ladder {a_tilde:.5f} vs oracle {oracle.a:.5f} "
+      f"(difference {abs(a_tilde - oracle.a):.1e})")
+print(f"a = max sin(theta/2): channel {channel.a:.5f} vs oracle {oracle.a:.5f} "
+      f"(difference {abs(channel.a - oracle.a):.1e})")
 
 print("\nweak square well: determinant against the smoothed counting shift")
 weak = build_schrodinger_1d(square_well_spec(0.3, 1.0, 60.0, 1199))

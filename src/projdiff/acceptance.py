@@ -22,6 +22,10 @@ measured axis (values from ``verify-all``):
 
 They are reported rather than retuned, so verify-all exits nonzero; the
 expected-failure set is ``EXPECTED_RED``.
+
+Criteria 4 and 5 read a and the band edges off one oracle call each;
+``4-oracle-agreement`` compares the channel a with it and runs no eps
+ladder (the tests pin the ladder on that box).
 """
 
 import time
@@ -173,15 +177,11 @@ def criterion_3():
 def criterion_4():
     cfg = thresholds()["sech2"]
     probe = cfg["probe"]
-    oracle = transfer_matrix_smatrix(
-        sech2_spec(cfg["depth"], cfg["oracle_half_width"], 2000), probe)
-    a_oracle = float(np.max(np.sin(oracle.phases / 2.0)))
-
+    a_oracle = transfer_matrix_smatrix(
+        sech2_spec(cfg["depth"], cfg["oracle_half_width"], 2000), probe).a
     scatter = build_schrodinger_1d(
         sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
     a_channel = channel_smatrix(scatter, probe).a
-    phases, _ = extrapolated_phases(scatter, probe, cfg["eps_ladder"])
-    a_ladder = float(np.max(np.sin(phases / 2.0))) if len(phases) else 0.0
 
     reps = []
     for half_width, n in cfg["d_boxes"]:
@@ -196,7 +196,7 @@ def criterion_4():
                {"support_error": support_err, "a": a_oracle,
                 "extremes": reps[-1].extremes}),
         Clause("4-oracle-agreement", abs(a_channel - a_oracle) <= 0.02,
-               {"a_stationary": a_channel, "a_ladder": a_ladder, "a_oracle": a_oracle}),
+               {"a_stationary": a_channel, "a_oracle": a_oracle}),
         Clause("4-hausdorff-decrease", hausdorffs[-1] < hausdorffs[0],
                {"hausdorff": hausdorffs}),
     ]
@@ -240,8 +240,7 @@ def criterion_5():
     probe = cfg["probe"]
     oracle = transfer_matrix_smatrix(
         square_well_spec(cfg["depth"], cfg["width"], 30.0, 2000), probe)
-    edges = np.sort(np.sin(oracle.phases / 2.0) ** 2)[::-1]
-    s1, s2 = float(edges[0]), float(edges[1])
+    s1, s2 = (float(e) for e in oracle.band_edges[:2] ** 2)
     half_width, n = cfg["corner_box"]
     pair = build_schrodinger_1d(square_well_spec(cfg["depth"], cfg["width"],
                                                  half_width, n))
@@ -276,7 +275,7 @@ def criterion_6():
         n_lambda=cfg["fact_n_lambda"])
     fact_ok = (fact["gamma_factorization"] <= 1e-6
                and fact["gamma0_factorization"] <= 1e-6)
-    carleman = build_hankel(carleman_kernel, rule, name="carleman")
+    carleman = build_hankel(carleman_kernel, rule)
     cnorm = float(np.linalg.norm(carleman.matrix, 2))
     carleman_ok = np.pi - 0.05 <= cnorm <= np.pi + 1e-9
 

@@ -57,7 +57,6 @@ class HankelDiscretization:
     rule: object
     kdim: int
     matrix: np.ndarray
-    kernel_name: str = ""
 
     @property
     def n(self):
@@ -67,7 +66,7 @@ class HankelDiscretization:
         return np.linalg.svd(self.matrix, compute_uv=False)
 
 
-def build_hankel(kernel, rule, kdim=1, name=""):
+def build_hankel(kernel, rule, kdim=1):
     """Assemble the weighted Hankel matrix of ``kernel`` on ``rule``.
 
     ``kernel`` maps tau > 0 to a scalar (kdim = 1) or to a Hermitian
@@ -98,7 +97,7 @@ def build_hankel(kernel, rule, kdim=1, name=""):
                 mat[i * kdim:(i + 1) * kdim, j * kdim:(j + 1) * kdim] = scaled
                 if j > i:
                     mat[j * kdim:(j + 1) * kdim, i * kdim:(i + 1) * kdim] = scaled.conj().T
-    return HankelDiscretization(rule, kdim, mat, name)
+    return HankelDiscretization(rule, kdim, mat)
 
 
 def model_hankel_pair(rule=None):
@@ -112,8 +111,8 @@ def model_hankel_pair(rule=None):
     from .projections import fill_metrics, hausdorff_distance
 
     rule = rule or default_hankel_rule()
-    gamma = build_hankel(gamma_kernel, rule, name="gamma")
-    gamma0 = build_hankel(gamma0_kernel, rule, name="gamma0")
+    gamma = build_hankel(gamma_kernel, rule)
+    gamma0 = build_hankel(gamma0_kernel, rule)
     spec = np.linalg.eigvalsh(gamma.matrix)
     spec0 = np.linalg.eigvalsh(gamma0.matrix)
     out = {"gamma": gamma, "gamma0": gamma0,
@@ -150,8 +149,8 @@ def laplace_factorizations(rule=None, n_lambda=200):
     t = rule.nodes
     tau_min = 2.0 * float(t.min())
 
-    gamma = build_hankel(gamma_kernel, rule, name="gamma")
-    gamma0 = build_hankel(gamma0_kernel, rule, name="gamma0")
+    gamma = build_hankel(gamma_kernel, rule)
+    gamma0 = build_hankel(gamma0_kernel, rule)
 
     # chi_(0,1) factor: lambda = exp(-s), s in [0, S] covering 1/tau_min
     s_span = max(10.0, np.log(1.0 / tau_min) + 10.0)
@@ -220,7 +219,7 @@ def kernel_bound_suite(disc, c1):
             f"declared bound violated: ||K({tau[i, j]:.3g})|| = {blocknorm[i, j]:.4g} "
             f"exceeds {c1}/t")
     sv = disc.singular_values()
-    carleman = build_hankel(carleman_kernel, rule, name="carleman")
+    carleman = build_hankel(carleman_kernel, rule)
     cnorm = float(np.linalg.norm(carleman.matrix, 2))
     opnorm = float(sv[0])
     return {
@@ -283,7 +282,7 @@ def nuclear_bound_check(data, t_rule=None):
             return sum(w * data.profile(l) * np.exp(-l * tau) for l, w in zip(lam, wl))
     if t_rule is None:
         t_rule = make_quadrature("halfline-log", 300, half_width=30.0)
-    disc = build_hankel(kernel, t_rule, kdim=data.kdim, name="laplace-profile")
+    disc = build_hankel(kernel, t_rule, kdim=data.kdim)
     nuclear = float(disc.singular_values().sum())
     return {
         "c2": c2,

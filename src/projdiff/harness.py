@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, ProjdiffError
 from .models import preset_defaults, preset_pair
 from .projections import projection_difference, dsquared_block_check
-from .scattering import (birman_krein_extrapolated, channel_smatrix,
+from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
                          extrapolated_phases, scattering_bundle)
 from .zops import product_representation_check
 
@@ -166,11 +166,9 @@ def _ladder_scattering(pair, probe, ladder):
               "identity_residual": b.identity_residual,
               "factor_residual": b.factor_residual,
               "prediction_a": b.prediction_a} for b in bundles]
-    scattering = {
-        "rungs": rungs, "phases_extrapolated": phases,
-        "band_edges": np.sort(np.sin(phases / 2.0))[::-1],
-        "a_extrapolated": float(np.max(np.sin(phases / 2.0))) if len(phases) else 0.0,
-    }
+    edges, a = band_edges(phases)
+    scattering = {"rungs": rungs, "phases_extrapolated": phases,
+                  "band_edges": edges, "a_extrapolated": a}
     det_s, xi, defect = birman_krein_extrapolated(pair, probe, phases, ladder)
     return scattering, {"det_s": det_s, "counting_shift": xi, "defect": defect}
 
@@ -297,7 +295,7 @@ def convergence_study(config, axis):
             metrics.setdefault("unitarity_defect", []).append(b.unitarity_defect)
             metrics.setdefault("identity_residual", []).append(b.identity_residual)
             metrics.setdefault("density_peak", []).append(
-                float(np.max(np.linalg.eigvalsh(b.f0prime))))
+                float(np.max(np.linalg.eigvalsh(b.f0prime), initial=0.0)))
     elif axis == "trule":
         points = [int(s) for s in config.sizes]
         if len(points) < 3:

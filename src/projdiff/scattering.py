@@ -26,6 +26,10 @@ eps > 0 (same algebra as the defect-operator identity), so its
 eigenvalues always live on the unit circle and only their phases move
 with eps.
 
+The transfer-matrix oracle shares neither path: one integration of the
+continuum fundamental system gives S for both incidence sides.  Channel,
+ladder and oracle map phases to band edges through :func:`band_edges`.
+
 The sandwiches G (A - z)^-1 G* of a dense pair come from its cached
 eigensystems, (G U) diag(1/(w - z)) (G U)*.  Those of a band-stored pair
 need only the block of the resolvent on the coupling window, the columns
@@ -56,7 +60,7 @@ __all__ = [
     "resolvent_sandwich", "smoothed_density", "scattering_bundle",
     "neville", "phase_ladder", "extrapolated_phases",
     "transfer_matrix_smatrix", "birman_krein_check", "smoothed_counting_shift",
-    "birman_krein_extrapolated", "channel_smatrix",
+    "birman_krein_extrapolated", "channel_smatrix", "band_edges",
 ]
 
 C1_RESIDUAL_TOL = 1e-9
@@ -64,7 +68,7 @@ COND_LIMIT = 1e12
 INVARIANCE_TOL = 1e-12
 PSD_TOL = 1e-12            # relative negative eigenvalue a PSD square root allows
 MATCH_RADIUS = 0.75        # largest step of a phase chain between rungs
-ORACLE_RTOL = 1e-11        # plane-wave integration of the transfer-matrix oracle
+ORACLE_RTOL = 1e-11        # integration of the transfer-matrix oracle
 TAIL_TOL = 1e-8            # potential at the oracle window's ends
 PHASE_FLOOR = 0.1          # least |ev - 1| of a retained eigenvalue of S
 
@@ -167,9 +171,16 @@ def smoothed_density(pair, probe, eps, sandwich=None):
 
 def _psd_sqrt(m):
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if w.min() < -PSD_TOL * max(abs(w).max(), 1.0):
-        raise ArithmeticError(f"matrix not PSD: min eigenvalue {w.min():.3e}")
+    low = np.min(w, initial=0.0)
+    if low < -PSD_TOL * max(np.max(abs(w), initial=0.0), 1.0):
+        raise ArithmeticError(f"matrix not PSD: min eigenvalue {low:.3e}")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def band_edges(phases):
+    """(sin(theta/2) descending, a = their max or 0): the edges phases predict."""
+    edges = np.sort(np.sin(np.asarray(phases) / 2.0))[::-1]
+    return edges, float(edges[0]) if len(edges) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +219,7 @@ _MATRICES = dict.fromkeys(("f0prime", "fprime", "smatrix", "defect_operator"))
 def _hermitian_norm(m):
     """2-norm of the Hermitian part of ``m``: its largest |eigenvalue|."""
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return float(max(abs(w[0]), abs(w[-1])))
+    return float(np.max(abs(w), initial=0.0))
 
 
 def _top_eigenvalues(smat, mu, vecs, thr):
@@ -257,11 +268,10 @@ def scattering_bundle(pair, probe, eps):
     amat = np.pi ** 2 * root @ v0 @ fp @ v0 @ root
     amat = 0.5 * (amat + amat.conj().T)
     ident = _hermitian_norm(defect - amat)
-    a_pred = float(np.sqrt(max(mu[-1], 0.0)))
-    edges = np.sort(np.sin(phases / 2.0))[::-1]
+    a_pred = float(np.sqrt(np.max(mu, initial=0.0)))
     return ScatteringBundle(float(probe), float(eps), f0p, fp, smat, evs, phases,
-                            thr, udef, amat, ident, a_pred, edges, sw.factor_residual,
-                            inv_resid)
+                            thr, udef, amat, ident, a_pred, band_edges(phases)[0],
+                            sw.factor_residual, inv_resid)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +369,14 @@ def _uniform_lead(pair, lo, hi):
     coupling window [lo, hi), which must be exactly uniform.  H equals H0
     there, as G vanishes off the window."""
     n = pair.dim
-    if lo < 1 or hi > n - 1:
+    if pair.kdim and (lo < 1 or hi > n - 1):
         raise ValueError(f"coupling window [{lo}, {hi}) reaches an end of the chain "
                          f"0..{n - 1}; no lead to attach")
     b = pair.operators[0]
     d, t = b.diagonal[0], b.offdiagonal[0]
     sites = np.r_[0:lo, hi:n]
-    # link i joins sites i and i + 1 and is named by its end away from the window
-    left, right = np.arange(lo), np.arange(hi - 1, n - 1)
+    # link i joins sites i, i + 1; named by its end away from the window (all when k = 0)
+    left, right = np.arange(lo), np.arange(max(hi - 1, 0), n - 1)
     bad = np.concatenate([sites[b.diagonal[sites] != d], left[b.offdiagonal[left] != t],
                           right[b.offdiagonal[right] != t] + 1])
     if bad.size:
@@ -407,6 +417,7 @@ def channel_smatrix(pair, probe):
     and A1 lies in the open lower half plane (the first one does, and
     p_(i+1) = d_(i+1) - e_i^2 / p_i keeps it there for e_i != 0), so the
     sum of pivot arguments is the branch continuous from 0 at lam + i*inf.
+    A pair without coupling (k = 0) has S = I and xi = 0; its chain is lead.
 
     Raises ValueError for a dense pair and for a chain that is not
     uniform outside the window (naming the first offending site), and
@@ -419,6 +430,18 @@ def channel_smatrix(pair, probe):
     band = (d - 2.0 * t, d + 2.0 * t)
     if not band[0] < probe < band[1]:
         raise ProbeOutsideBandError(probe, band)
+    smat, xi = _channel_core(pair, probe, lo, hi, d, t) if pair.kdim \
+        else (np.eye(2, dtype=complex), 0.0)
+    udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(2), 2))
+    phases = np.sort(np.mod(np.angle(np.linalg.eigvals(smat)), 2.0 * np.pi))
+    edges, a = band_edges(phases)
+    det_s = complex(np.linalg.det(smat))
+    return ChannelSMatrix(float(probe), band, smat, phases, udef, a, edges,
+                          xi, det_s, float(abs(det_s - np.exp(-2j * np.pi * xi))))
+
+
+def _channel_core(pair, probe, lo, hi, d, t):
+    """(S, xi) of :func:`channel_smatrix` from the two window systems."""
     c = ((d - probe) + 1j * np.sqrt(4.0 * t * t - (d - probe) ** 2)) / (2.0 * t * t)
     a0, a1 = (b.window(probe, lo, hi, (c, c)) for b in pair.operators)
     ends = np.zeros((hi - lo, 2))
@@ -428,16 +451,10 @@ def channel_smatrix(pair, probe):
     vx = _real_times(pair.v0, x)
     tvx = gw @ a1.solve(gw.conj().T @ vx)
     smat = np.eye(2) - 2j * x.conj().T @ (vx - _real_times(pair.v0, tvx))
-    udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(2), 2))
-    phases = np.sort(np.mod(np.angle(np.linalg.eigvals(smat)), 2.0 * np.pi))
-    edges = np.sort(np.sin(phases / 2.0))[::-1]
     p0, p1 = a0.pivots(), a1.pivots()
     if not (np.all(p0.imag < 0) and np.all(p1.imag < 0)):
         raise ArithmeticError("a window pivot left the lower half plane")
-    xi = float((np.sum(np.angle(p1)) - np.sum(np.angle(p0))) / np.pi)
-    det_s = complex(np.linalg.det(smat))
-    return ChannelSMatrix(float(probe), band, smat, phases, udef, float(edges[0]), edges,
-                          xi, det_s, float(abs(det_s - np.exp(-2j * np.pi * xi))))
+    return smat, float((np.sum(np.angle(p1)) - np.sum(np.angle(p0))) / np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -456,43 +473,25 @@ class TransferMatrixResult:
     k: float
     r: complex
     t: complex
-    r_right: complex
-    t_right: complex
     smatrix: np.ndarray
     phases: np.ndarray
+    a: float                         # max sin(theta/2)
+    band_edges: np.ndarray           # sin(theta/2), descending
     flux_defect: float
     unitarity_defect: float
     fiber_trace: float
 
 
-def _integrate_plane_wave(potential, lam, x_from, x_to, mover):
-    """Integrate -u'' + V u = lam*u starting from the pure exponential
-    exp(i*mover*k*x) at ``x_from``."""
-    from scipy.integrate import solve_ivp   # only this oracle needs it; import lazily
-
-    def rhs(x, y):
-        u = y[0] + 1j * y[2]
-        upp = (potential(x) - lam) * u
-        return [y[1], upp.real, y[3], upp.imag]
-
-    k = np.sqrt(lam)
-    u0 = np.exp(1j * mover * k * x_from)
-    du0 = 1j * mover * k * u0
-    sol = solve_ivp(rhs, [x_from, x_to], [u0.real, du0.real, u0.imag, du0.imag],
-                    rtol=ORACLE_RTOL, atol=ORACLE_RTOL * 1e-2, method="RK45")
-    if not sol.success:
-        raise ArithmeticError(f"plane-wave integration failed: {sol.message}")
-    u = sol.y[0, -1] + 1j * sol.y[2, -1]
-    du = sol.y[1, -1] + 1j * sol.y[3, -1]
-    return u, du
-
-
 def transfer_matrix_smatrix(spec, probe):
     """Stationary 2x2 scattering matrix by integrating -u'' + V u = probe*u.
 
-    Requires probe > 0 and a potential that has decayed at the ends of the
-    window (checked against TAIL_TOL); the integration runs at relative
-    tolerance ORACLE_RTOL.
+    One DOP853 integration (relative tolerance ORACLE_RTOL) of the real
+    fundamental system Phi, Phi(-X) = I, gives the transfer matrix in
+    plane-wave coordinates, M = W(X)^-1 Phi(X) W(-X) with W(x) the (u, u')
+    columns of exp(+-ikx); matching gives r = -M21/M22, t = det M / M22,
+    t' = 1/M22 and r' = M12/M22.  det M = 1 is not substituted, so the
+    unitarity and flux defects measure the integration error.  Requires
+    probe > 0 and a potential decayed to TAIL_TOL at the window's ends.
     """
     if probe <= 0:
         raise ValueError("need probe > 0")
@@ -502,28 +501,31 @@ def transfer_matrix_smatrix(spec, probe):
     if tail > TAIL_TOL:
         raise ValueError(f"potential tail {tail:.2e} not decayed at |x| = {x_edge}")
     k = float(np.sqrt(probe))
-    pot = lambda x: float(spec.potential(np.asarray(x)))
 
-    # left incidence: integrate the pure transmitted right-mover backward from +X
-    u, du = _integrate_plane_wave(pot, probe, x_edge, -x_edge, +1)
-    alpha = (1j * k * u + du) / (2j * k) * np.exp(+1j * k * x_edge)
-    beta = (1j * k * u - du) / (2j * k) * np.exp(-1j * k * x_edge)
-    r, t = beta / alpha, 1.0 / alpha
+    def rhs(x, y):
+        # y = (u1, u2, u1', u2'): two real solutions of u'' = (V - probe) u
+        q = float(spec.potential(np.asarray(x))) - probe
+        return [y[2], y[3], q * y[0], q * y[1]]
 
-    # right incidence: integrate the pure transmitted left-mover forward from -X
-    u, du = _integrate_plane_wave(pot, probe, -x_edge, x_edge, -1)
-    gamma = (1j * k * u - du) / (2j * k) * np.exp(+1j * k * x_edge)
-    delta = (1j * k * u + du) / (2j * k) * np.exp(-1j * k * x_edge)
-    r_right, t_right = delta / gamma, 1.0 / gamma
+    def waves(x):
+        e = np.exp(1j * k * x)
+        return np.array([[e, 1.0 / e], [1j * k * e, -1j * k / e]])
 
-    smat = np.array([[t, r_right], [r, t_right]])
+    from scipy.integrate import solve_ivp   # only this oracle needs it; import lazily
+    sol = solve_ivp(rhs, [-x_edge, x_edge], [1.0, 0.0, 0.0, 1.0],
+                    rtol=ORACLE_RTOL, atol=ORACLE_RTOL * 1e-2, method="DOP853")
+    if not sol.success:
+        raise ArithmeticError(f"transfer-matrix integration failed: {sol.message}")
+    m = np.linalg.solve(waves(x_edge), sol.y[:, -1].reshape(2, 2) @ waves(-x_edge))
+    r, t = -m[1, 0] / m[1, 1], np.linalg.det(m) / m[1, 1]
+    smat = np.array([[t, m[0, 1] / m[1, 1]], [r, 1.0 / m[1, 1]]])
     flux = abs(abs(r) ** 2 + abs(t) ** 2 - 1.0)
     udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(2), 2))
     phases = np.sort(np.mod(np.angle(np.linalg.eigvals(smat)), 2.0 * np.pi))
+    edges, a = band_edges(phases)
     xs = np.linspace(-x_edge, x_edge, 20001)
     vtrace = float(np.trapezoid(np.abs(spec.potential(xs)), xs) / (2.0 * np.pi * k))
-    return TransferMatrixResult(k, r, t, r_right, t_right, smat, phases,
-                                flux, udef, vtrace)
+    return TransferMatrixResult(k, r, t, smat, phases, a, edges, flux, udef, vtrace)
 
 
 # ---------------------------------------------------------------------------

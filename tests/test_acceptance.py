@@ -157,6 +157,24 @@ def test_criterion_1_builds_each_sandwich_once(monkeypatch):
     assert clauses["1-resolvent-factor"].passed
 
 
+
+def test_criterion_4_runs_no_eps_ladder(monkeypatch):
+    # the clause reads the eps = 0 channel a; the ladder on the same box is
+    # pinned by the scattering tests, so criterion 4 runs none
+    from projdiff import scattering
+    calls = []
+    for module in (acceptance, scattering):
+        for name in ("extrapolated_phases", "scattering_bundle"):
+            def spy(*args, _name=name, **kwargs):
+                calls.append(_name)
+                raise AssertionError(f"criterion 4 called {_name}")
+            monkeypatch.setattr(module, name, spy)
+    clauses = {c.name: c for c in acceptance.criterion_4()}
+    assert not calls
+    details = clauses["4-oracle-agreement"].details
+    assert set(details) == {"a_stationary", "a_oracle"}
+    assert details["a_oracle"] == pytest.approx(0.4524982495, abs=1e-9)
+
 # ---------------------------------------------------------------------------
 # the invariance-principle projection identity on the small side
 # ---------------------------------------------------------------------------

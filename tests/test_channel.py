@@ -2,9 +2,6 @@
 window algebra, the plane-wave transfer matrix, the square-well closed
 form and the eps ladder."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -19,8 +16,6 @@ from projdiff.models import (OperatorPair, build_finite_pair, build_krein,
                              thresholds)
 from projdiff.scattering import (birman_krein_extrapolated, channel_smatrix,
                                  extrapolated_phases, transfer_matrix_smatrix)
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def complex_band_pair(seed, n=40, lo=12, hi=25, d=0.7, t=1.3):
@@ -121,10 +116,11 @@ def square_well_closed_form(depth, width, probe):
     return np.exp(2j * np.array([even, odd]))
 
 
-def test_square_well_closed_form_is_the_transfer_matrix_oracle():
-    oracle = transfer_matrix_smatrix(square_well_spec(2.5, 1.0, 30.0, 999), 1.0)
+@pytest.mark.parametrize("probe", [0.3, 1.0, 1.6])
+def test_square_well_closed_form_is_the_transfer_matrix_oracle(probe):
+    oracle = transfer_matrix_smatrix(square_well_spec(2.5, 1.0, 30.0, 999), probe)
     assert eigenvalue_distance(np.exp(1j * oracle.phases),
-                               square_well_closed_form(2.5, 1.0, 1.0)) <= 1e-8
+                               square_well_closed_form(2.5, 1.0, probe)) <= 1e-8
 
 
 @pytest.mark.parametrize("probe", [1.0, 1.6])
@@ -207,6 +203,23 @@ def test_run_reports_channel_errors_as_scattering_errors():
     assert "reaches an end" in payload["scattering_error"]
 
 
+def test_zero_coupling_does_not_scatter():
+    # depth 0 leaves no coupling window (k = 0): S = I and xi = 0, with the
+    # probe still checked against the band of the whole chain
+    pair = build_schrodinger_1d(sech2_spec(0.0, 40.0, 400))
+    assert pair.kdim == 0
+    ch = channel_smatrix(pair, 1.0)
+    assert np.array_equal(ch.smatrix, np.eye(2))
+    assert np.array_equal(ch.phases, [0.0, 0.0]) and ch.a == 0.0
+    assert ch.counting_shift == 0.0 and ch.birman_krein_defect == 0.0
+    with pytest.raises(ProbeOutsideBandError):
+        channel_smatrix(pair, -0.5)
+    cfg = ExperimentConfig(model="schrodinger:sech2", probes=(1.0,),
+                           model_params={"n": 400, "half_width": 40.0, "depth": 0.0})
+    payload = run_experiment(cfg).body["probes"][0]
+    assert "scattering_error" not in payload
+    assert payload["scattering"]["a_extrapolated"] == 0.0
+
 def test_sech2_run_takes_the_channel_path(monkeypatch):
     calls = []
 
@@ -242,10 +255,3 @@ def test_channel_smatrix_forms_no_kxk_array():
         tracemalloc.stop()
     assert peak < k * k * 16
 
-
-def test_demo_02_runs(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    out = subprocess.run([sys.executable, os.path.join(REPO, "demos", "02_stationary_scattering.py")],
-                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert "a = max sin(theta/2): channel" in out.stdout

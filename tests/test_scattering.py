@@ -88,6 +88,15 @@ def test_bundle_zero_v0():
     assert len(b.band_edges) == 0 and b.prediction_a == 0.0
 
 
+def test_bundle_zero_coupling():
+    # V = 0 leaves no coupling space (k = 0): the bundle is empty, not an error
+    pair = build_schrodinger_1d(sech2_spec(0.0, 30.0, 599))
+    assert pair.kdim == 0
+    b = scattering_bundle(pair, 1.0, 0.1)
+    assert b.smatrix.shape == (0, 0)
+    assert len(b.phases) == 0 and len(b.band_edges) == 0
+    assert b.prediction_a == 0.0 and b.unitarity_defect == 0.0
+
 def test_bundle_exact_unitarity_and_identity():
     for seed in (0, 1, 2):
         pair = random_gapped_pair(10, 3, seed=seed)
@@ -183,6 +192,20 @@ def test_transfer_matrix_free_and_flux():
     assert res.flux_defect <= 1e-8
     assert res.unitarity_defect <= 1e-8
 
+
+def test_transfer_matrix_integrates_once(monkeypatch):
+    # both incidence sides come from one fundamental system
+    import scipy.integrate
+    calls = []
+
+    def spy(*args, _original=scipy.integrate.solve_ivp, **kwargs):
+        calls.append(kwargs.get("method"))
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
+    res = transfer_matrix_smatrix(sech2_spec(1.0, 30.0, 999), 1.0)
+    assert calls == ["DOP853"]
+    # reciprocity t = t' holds to the integration error
+    assert abs(res.smatrix[0, 0] - res.smatrix[1, 1]) <= 1e-9
 
 def test_transfer_matrix_square_well_closed_form():
     # inside the well the momentum is q = sqrt(lam + v0); matching plane

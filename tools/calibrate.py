@@ -81,8 +81,7 @@ def calibrate_hankel_window():
 
 def calibrate_sech2_boxes(depth=1.0, probe=1.0, step=0.1):
     print("== sech^2 difference boxes (swap-free, decreasing hausdorff)")
-    oracle = transfer_matrix_smatrix(sech2_spec(depth, 30.0, 999), probe)
-    a = float(np.max(np.sin(oracle.phases / 2.0)))
+    a = transfer_matrix_smatrix(sech2_spec(depth, 30.0, 999), probe).a
 
     def box_stats(half_width):
         n = int(2 * half_width / step) - 1
@@ -108,7 +107,7 @@ def calibrate_square_well(probe=1.0):
     print("== square-well depth for two separated phases at probe 1")
     for depth in (1.5, 2.0, 2.5, 3.0):
         oracle = transfer_matrix_smatrix(square_well_spec(depth, 1.0, 30.0, 999), probe)
-        s = np.sort(np.sin(oracle.phases / 2.0) ** 2)[::-1]
+        s = oracle.band_edges ** 2
         print(f"   depth {depth}: band edges sin^2 = {np.round(s, 3)}")
     depth = 2.5
     print(f"   chosen depth {depth} (separation ~ 0.34)")
