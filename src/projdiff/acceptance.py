@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hankel import (build_hankel, carleman_kernel, default_hankel_rule,
-                     gamma0_kernel, gamma_kernel, kernel_bound_suite,
-                     laplace_factorizations, model_hankel_pair)
+                     kernel_bound_suite, laplace_factorizations, model_hankel_pair)
 from .linalg import probe_gaps, subspace_compressions
 from .models import (build_krein, build_schrodinger_1d, random_gapped_pair,
                      resolvent_transform, sech2_spec, square_well_spec,
@@ -275,24 +274,18 @@ def criterion_6():
         n_lambda=cfg["fact_n_lambda"])
     fact_ok = (fact["gamma_factorization"] <= 1e-6
                and fact["gamma0_factorization"] <= 1e-6)
-    carleman = build_hankel(carleman_kernel, rule)
-    cnorm = float(np.linalg.norm(carleman.matrix, 2))
-    carleman_ok = np.pi - 0.05 <= cnorm <= np.pi + 1e-9
-
     corpus = [
-        (build_hankel(gamma0_kernel, rule), 1.0),          # e^-tau <= 1
-        (build_hankel(gamma_kernel, rule), 1.0),           # 1-e^-tau <= 1
-        (carleman, 1.0),
+        (pairdata["gamma0"], 1.0),                         # e^-tau <= 1
+        (pairdata["gamma"], 1.0),                          # 1-e^-tau <= 1
+        (build_hankel(carleman_kernel, rule), 1.0),
         (build_hankel(lambda tau: np.exp(-tau), rule), 1.0 / np.e),
         (build_hankel(lambda tau: 1.0 / (1.0 + tau) ** 2, rule), 0.25),
     ]
-    bound_ok = True
-    worst_margin = -np.inf
-    for disc, c1 in corpus:
-        suite = kernel_bound_suite(disc, c1)
-        margin = suite["operator_norm"] - suite["bound"]
-        worst_margin = max(worst_margin, margin)
-        bound_ok = bound_ok and suite["bound_holds"]
+    suites = [kernel_bound_suite(disc, c1) for disc, c1 in corpus]
+    bound_ok = all(suite["bound_holds"] for suite in suites)
+    worst_margin = max(suite["operator_norm"] - suite["bound"] for suite in suites)
+    cnorm = suites[2]["operator_norm"]
+    carleman_ok = np.pi - 0.05 <= cnorm <= np.pi + 1e-9
     return [
         Clause("6-spectra-contained", contained,
                {"min": float(spec.min()), "max": float(spec.max())}),

@@ -78,7 +78,6 @@ class ExperimentConfig:
             params = {k: type(v) for k, v in preset_defaults(self.preset).items()}
         except ValueError as exc:
             raise ConfigError(f"config.model: {exc}") from None
-        params.setdefault("n", int)  # every preset takes n, the size-study axis
         if not isinstance(self.model_params, dict):
             raise ConfigError("config.model_params: must be an object")
         for key, value in self.model_params.items():

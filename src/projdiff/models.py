@@ -417,8 +417,8 @@ def preset_names():
 
 def preset_defaults(name):
     """The calibrated keyword defaults of preset ``name``: the overrides
-    :func:`preset_pair` accepts, with ``n`` (a random pair's ``dim``).
-    Raises ValueError for an unknown preset."""
+    :func:`preset_pair` accepts.  Every preset takes ``n``, the size-study
+    axis (a random pair's ``dim``).  Raises ValueError for an unknown preset."""
     cfg = thresholds()
     if name == "krein":
         return {"n": cfg["krein"]["n"], "L": cfg["krein"]["L"]}
@@ -431,7 +431,7 @@ def preset_defaults(name):
                 "half_width": c["scatter_half_width"], "n": c["scatter_n"]}
     if name.startswith("finite:random(") and name.endswith(")"):
         c = cfg["random_pair"]
-        return {"dim": c["dim"], "kdim": c["kdim"], "gap": c["gap"]}
+        return {"n": c["dim"], "kdim": c["kdim"], "gap": c["gap"]}
     raise ValueError(f"unknown preset {name!r}; known: {preset_names()}")
 
 
@@ -449,6 +449,4 @@ def preset_pair(name, **overrides):
         return build_schrodinger_1d(sech2_spec(**p))
     if name == "schrodinger:square-well":
         return build_schrodinger_1d(square_well_spec(**p))
-    if "n" in p:  # size-study axis uses the generic name
-        p["dim"] = p.pop("n")
-    return random_gapped_pair(seed=int(name[len("finite:random("):-1]), **p)
+    return random_gapped_pair(p.pop("n"), seed=int(name[len("finite:random("):-1]), **p)

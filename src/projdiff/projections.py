@@ -124,7 +124,6 @@ class DifferenceReport:
     gap_h: float
     max_gap: float
     coverage_distance: float
-    target: tuple
 
     @property
     def extremes(self):
@@ -148,8 +147,7 @@ def projection_difference(pair, probe, target=None):
     lo, hi = target if target is not None else (-1.0, 1.0)
     max_gap, cover = fill_metrics(spec, lo, hi)
     return DifferenceReport(float(probe), spec, dim_plus, dim_minus,
-                            pairing_defect(spec), g0, g1, max_gap, cover,
-                            (float(lo), float(hi)))
+                            pairing_defect(spec), g0, g1, max_gap, cover)
 
 
 def dsquared_block_check(pair, probe):

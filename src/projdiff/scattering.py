@@ -556,7 +556,6 @@ class BirmanKreinResult:
     det_s: complex
     counting_shift: float
     defect: float
-    integer_shift: int
     eps: float
 
 
@@ -564,16 +563,14 @@ def birman_krein_check(pair, probe, eps):
     """det S versus exp(-2*pi*i*xi) at one smoothing level.
 
     det S is the product of retained stationary phases; xi is the
-    smoothed counting shift at the same eps.  The raw integer shift is
-    carried along for reference.
+    smoothed counting shift at the same eps.
     """
     probe_gaps(probe, pair.eigenvalues)
     bundle = scattering_bundle(pair, probe, eps)
     det_s = complex(np.exp(1j * np.sum(bundle.phases)))
     xi = smoothed_counting_shift(pair, probe, eps)
     defect = abs(det_s - np.exp(-2j * np.pi * xi))
-    return BirmanKreinResult(det_s, xi, float(defect),
-                             integer_counting_shift(pair, probe), float(eps))
+    return BirmanKreinResult(det_s, xi, float(defect), float(eps))
 
 
 def birman_krein_extrapolated(pair, probe, phases, xi_ladder):

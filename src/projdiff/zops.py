@@ -157,22 +157,21 @@ def _psd_clip(m):
 def zop_model_comparison(pair, probe, t_rule=None, eps_ladder=None):
     """Singular values of Z0* Z0 and Z* Z against the model Hankel blocks.
 
-    The models are the Hankel matrices with kernel profile
-    (1 - exp(-tau))/tau tensored with the extrapolated densities F0'(probe)
-    and F'(probe).  Reported: singular values of the differences, a decay
-    exponent fit, partial nuclear sums, and the ladder used.
+    The models are the block Hankel matrices of the kernels gamma(tau) F0'
+    and gamma(tau) F', with gamma(tau) = (1 - exp(-tau))/tau and F0', F'
+    the extrapolated densities at the probe.  Reported: singular values of
+    the differences, a decay exponent fit, partial nuclear sums, and the
+    ladder used.
     """
-    from .hankel import gamma_kernel
+    from .hankel import build_hankel, gamma_kernel
 
     zops = build_z_ops(pair, probe, t_rule)
     eps_ladder = list(eps_ladder) if eps_ladder is not None \
         else [16.0 * zops.gap, 8.0 * zops.gap, 4.0 * zops.gap]
     f0x, fx = _extrapolated_density(pair, probe, eps_ladder)
-    t, w = zops.t_rule.nodes, zops.t_rule.weights
-    sq = np.sqrt(w)
-    profile = sq[:, None] * gamma_kernel(t[:, None] + t[None, :]) * sq[None, :]
-    model0 = np.kron(profile, f0x)
-    model1 = np.kron(profile, fx)
+    model0, model1 = (
+        build_hankel(lambda tau: gamma_kernel(tau)[..., None, None] * f, zops.t_rule).matrix
+        for f in (f0x, fx))
     gram0 = zops.z0.conj().T @ zops.z0
     gram1 = zops.z.conj().T @ zops.z
     out = {"eps_ladder": eps_ladder, "gap": zops.gap, "n_t": zops.n_t,

@@ -77,10 +77,12 @@ def test_seed_override(tmp_path, capsys):
     ({"seed": 1.5}, "config.seed"),
     # parameters a model builder rejects
     *(({"model": "finite:random", "model_params": params}, "config.model_params")
-      for params in ({"gap": 1}, {"gap": -1e-3}, {"dim": -3}, {"dim": 0}, {"kdim": 0})),
+      for params in ({"gap": 1}, {"gap": -1e-3}, {"n": -3}, {"n": 0}, {"kdim": 0})),
     *(({"model": "krein", "model_params": params}, "config.model_params")
       for params in ({"n": 3}, {"L": -1.0})),
     ({"model": "schrodinger:sech2", "model_params": {"n": 100}}, "config.model_params"),
+    # a random pair's size has one name, n, the axis every preset takes
+    ({"model": "finite:random", "model_params": {"dim": 30}}, "config.model_params.dim"),
 ])
 def test_run_edge_config_exits_2_naming_the_field(tmp_path, capsys, config, path):
     cfg_path = tmp_path / "cfg.json"

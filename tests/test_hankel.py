@@ -38,13 +38,64 @@ def test_block_diagonal_kernel_equals_two_scalar_builds():
     small = make_quadrature("halfline-exp-mapped", 24)
     k1 = lambda tau: np.exp(-tau)
     k2 = lambda tau: 1.0 / (1.0 + tau) ** 2
-    block = build_hankel(lambda tau: np.diag([k1(tau), k2(tau)]), small, kdim=2)
+    block = build_hankel(lambda tau: k1(tau)[..., None, None] * np.diag([1.0, 0.0])
+                         + k2(tau)[..., None, None] * np.diag([0.0, 1.0]), small)
     s1 = build_hankel(k1, small)
     s2 = build_hankel(k2, small)
     woven = np.zeros_like(block.matrix)
     woven[0::2, 0::2] = s1.matrix
     woven[1::2, 1::2] = s2.matrix
     assert np.allclose(block.matrix, woven)
+
+
+def _entry_loop_hankel(kernel, rule, k):
+    """Oracle: the block matrix assembled one node pair at a time, with the
+    kernel evaluated at a scalar tau and the lower blocks mirrored."""
+    t, w = rule.nodes, rule.weights
+    n = len(t)
+    sq = np.sqrt(w)
+    mat = np.zeros((n * k, n * k), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            block = sq[i] * sq[j] * np.asarray(kernel(t[i] + t[j]))
+            mat[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
+            mat[j * k:(j + 1) * k, i * k:(i + 1) * k] = block.conj().T
+    return mat
+
+
+def _hermitian_block_kernel(tau):
+    # non-diagonal, complex, and each entry with its own decay in tau
+    tau = np.asarray(tau)[..., None, None]
+    off = (0.3 + 0.4j) * np.exp(-2.0 * tau)
+    return (np.exp(-tau) * np.array([[1.0, 0.0], [0.0, 0.0]])
+            + np.array([[0.0, 0.0], [0.0, 1.0]]) / (1.0 + tau) ** 2
+            + off * np.array([[0.0, 1.0], [0.0, 0.0]])
+            + off.conj() * np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_complex_hermitian_block_kernel_matches_entry_loop():
+    small = make_quadrature("halfline-exp-mapped", 24)
+    disc = build_hankel(_hermitian_block_kernel, small)
+    oracle = _entry_loop_hankel(_hermitian_block_kernel, small, 2)
+    assert disc.matrix.shape == (48, 48)
+    assert np.abs(disc.matrix - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+def test_kernel_of_wrong_shape_rejected():
+    small = make_quadrature("halfline-exp-mapped", 8)
+    with pytest.raises(ValueError):
+        build_hankel(lambda tau: np.ones(tau.shape + (2, 3)), small)
+    with pytest.raises(ValueError):
+        build_hankel(lambda tau: np.exp(-tau).ravel(), small)
+
+
+def test_separable_block_kernel_equals_kron():
+    small = make_quadrature("halfline-exp-mapped", 40)
+    a = np.array([[1.0, 0.5j, 0.2], [0.1, 2.0, -0.3j], [0.0, 0.4, 0.7]])
+    f = a @ a.conj().T
+    block = build_hankel(lambda tau: gamma_kernel(tau)[..., None, None] * f, small).matrix
+    kron = np.kron(build_hankel(gamma_kernel, small).matrix, f)
+    assert np.abs(block - kron).max() <= 1e-15 * np.abs(kron).max()
 
 
 def test_model_pair_spectra(rule):
@@ -93,7 +144,7 @@ def test_factorization_residual_ordering():
 def test_bound_suite_carleman_window(rule):
     carleman = build_hankel(carleman_kernel, rule)
     out = kernel_bound_suite(carleman, 1.0)
-    assert np.pi - 0.05 <= out["carleman_norm"] <= np.pi + 1e-9
+    assert np.pi - 0.05 <= out["operator_norm"] <= np.pi + 1e-9
     assert out["bound_holds"]
 
 
@@ -113,6 +164,21 @@ def test_bound_suite_rejects_false_declaration(rule):
     disc = build_hankel(carleman_kernel, rule)
     with pytest.raises(ValueError):
         kernel_bound_suite(disc, 0.5)   # 1/tau exceeds 0.5/tau
+
+
+def test_bound_suite_block_kernel(rule):
+    # K(t) = exp(-t) U diag(1, 1/2) U* has ||K(t)|| = exp(-t) <= (1/e)/t,
+    # and its Hankel operator has the norm of the scalar exp(-tau) one
+    c, s = np.cos(0.7), np.sin(0.7) * np.exp(0.3j)
+    u = np.array([[c, -s.conjugate()], [s, c]])
+    m = u @ np.diag([1.0, 0.5]) @ u.conj().T
+    disc = build_hankel(lambda tau: np.exp(-tau)[..., None, None] * m, rule)
+    out = kernel_bound_suite(disc, 1.0 / np.e)
+    assert out["bound_holds"]
+    scalar = kernel_bound_suite(build_hankel(lambda tau: np.exp(-tau), rule), 1.0 / np.e)
+    assert out["operator_norm"] == pytest.approx(scalar["operator_norm"], rel=1e-12)
+    with pytest.raises(ValueError):
+        kernel_bound_suite(disc, 0.3)   # t exp(-t) reaches 1/e > 0.3 at t = 1
 
 
 def test_nuclear_bound_zero_profile():
@@ -137,3 +203,15 @@ def test_nuclear_bound_exponential_profile():
     assert out["c2"] == pytest.approx(1.0, abs=1e-6)
     assert out["nuclear_norm"] <= 0.525
     assert out["bound_holds"]
+
+
+def test_nuclear_bound_diagonal_block_profile_adds_scalar_runs():
+    lam_rule = make_quadrature("halfline-log", 300, half_width=16.0)
+    m1 = lambda lam: lam * np.exp(-lam)
+    m2 = lambda lam: 0.5 * lam * np.exp(-2.0 * lam)
+    block = nuclear_bound_check(TraceBoundData(lambda lam: np.diag([m1(lam), m2(lam)]), lam_rule))
+    runs = [nuclear_bound_check(TraceBoundData(lambda lam, m=m: np.array([[m(lam)]]), lam_rule))
+            for m in (m1, m2)]
+    for key in ("c2", "nuclear_norm"):
+        assert block[key] == pytest.approx(runs[0][key] + runs[1][key], rel=1e-12)
+    assert block["bound_holds"]

@@ -266,3 +266,21 @@ def test_sech2_run_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert "difference" in payload and "scattering" in payload
     assert peak < n * n * 8
+
+
+def test_tracer_targets_resolve_on_the_package():
+    # the benchmark tracer wraps functions by name; a renamed or removed
+    # target would silently drop a per-layer metric to zero
+    import importlib
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"projdiff.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr}"
