@@ -20,7 +20,7 @@ from .models import preset_defaults, preset_pair
 from .projections import projection_difference, dsquared_block_check
 from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
                          extrapolated_phases, scattering_bundle)
-from .zops import product_representation_check
+from .zops import default_time_rule, product_representation_check
 
 __all__ = ["ExperimentConfig", "Report", "run_experiment", "convergence_study",
            "write_spectrum_csv"]
@@ -157,14 +157,14 @@ def write_spectrum_csv(path, values):
 _CAPTURED = (ProjdiffError, ArithmeticError, ValueError, np.linalg.LinAlgError)
 
 
+_RUNG_FIELDS = ("eps", "phases", "unitarity_defect", "identity_residual",
+                "factor_residual", "prediction_a")
+
+
 def _ladder_scattering(pair, probe, ladder):
     """The eps-ladder payload of a dense pair: rungs and extrapolated values."""
     phases, bundles = extrapolated_phases(pair, probe, ladder)
-    rungs = [{"eps": b.eps, "phases": b.phases,
-              "unitarity_defect": b.unitarity_defect,
-              "identity_residual": b.identity_residual,
-              "factor_residual": b.factor_residual,
-              "prediction_a": b.prediction_a} for b in bundles]
+    rungs = [{name: getattr(b, name) for name in _RUNG_FIELDS} for b in bundles]
     edges, a = band_edges(phases)
     scattering = {"rungs": rungs, "phases_extrapolated": phases,
                   "band_edges": edges, "a_extrapolated": a}
@@ -252,26 +252,31 @@ def convergence_study(config, axis):
 
     ``axis`` is "n" (discretization sizes, at least 16), "eps" (ladder
     rungs one at a time) or "trule" (time-rule node counts for the product
-    identity).  Needs at least 3 points.  Each metric row carries its
-    first differences and a monotone-decrease flag.  On the "trule" axis
-    the table also carries each point's roundoff floor
-    n_t * eps * max|lambda| / gap (lambda = eigenvalue - probe over both
-    spectra, gap = min|lambda|), and a point that sits at or below its floor
-    counts as decreasing: past convergence the residual is roundoff.
+    identity, at least 2).  Needs a probe (the first is studied) and at
+    least 3 points.  Each metric row carries its first differences and a
+    monotone-decrease flag.  On the "trule" axis the table also carries
+    each point's roundoff floor n_t * eps * max|lambda| / gap (lambda =
+    eigenvalue - probe over both spectra, gap = min|lambda|), and a point
+    that sits at or below its floor counts as decreasing: past convergence
+    the residual is roundoff.
     """
     config.validate()
+    if not config.probes:
+        raise ConfigError("config.probes: need a probe for a study")
     probe = config.probes[0]
     table = {"schema": SCHEMA_VERSION, "axis": axis, "points": [], "metrics": {}}
     metrics = {}
     floors = None
-
-    if axis == "n":
+    if axis in ("n", "trule"):
         points = [int(s) for s in config.sizes]
         if len(points) < 3:
             raise ConfigError("config.sizes: need >= 3 points for a study")
-        for i, n in enumerate(points):
-            if n < 16:
-                raise ConfigError(f"config.sizes[{i}]: model size must be at least 16")
+        least, what = (16, "model size") if axis == "n" else (2, "time-rule node count")
+        for i, s in enumerate(points):
+            if s < least:
+                raise ConfigError(f"config.sizes[{i}]: {what} must be at least {least}")
+
+    if axis == "n":
         for i, n in enumerate(points):
             try:
                 pair = config.build_pair(n=n)
@@ -296,10 +301,6 @@ def convergence_study(config, axis):
             metrics.setdefault("density_peak", []).append(
                 float(np.max(np.linalg.eigvalsh(b.f0prime), initial=0.0)))
     elif axis == "trule":
-        points = [int(s) for s in config.sizes]
-        if len(points) < 3:
-            raise ConfigError("config.sizes: need >= 3 points for a study")
-        from .zops import default_time_rule
         pair = config.build_pair()
         lam = np.abs(np.concatenate(pair.eigenvalues) - probe)
         gap = lam.min()

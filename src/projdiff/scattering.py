@@ -37,18 +37,12 @@ where G is nonzero: the chain outside it enters through two scalar
 boundary self-energies (a Schur complement), and the window system is
 solved once for all of G*.
 
-Each rung needs only Hermitian k x k kernels besides its sandwich.  S is
-unitary, hence normal, and (S-I)*(S-I)/4 is a function of S, so one
-eigensolve of that defect operator gives ||A|| and an S-invariant
-subspace holding every eigenvalue of S far enough from 1 to be retained;
-the phases are those of S compressed to it (a few dimensions), with the
-eigenvalues of the whole S as the fallback when the subspace is not
-invariant to roundoff.  The unitarity defect and the identity residual
-are 2-norms of Hermitian matrices, taken as largest |eigenvalues|.  A
-ladder keeps each rung's scalars and phases, not its k x k matrices.
+A rung's phases come from all k eigenvalues of S; ||A||, the unitarity
+defect and the identity residual are largest |eigenvalues| of Hermitian
+k x k matrices ((S-I)*(S-I)/4 among them).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +59,6 @@ __all__ = [
 
 C1_RESIDUAL_TOL = 1e-9
 COND_LIMIT = 1e12
-INVARIANCE_TOL = 1e-12
 PSD_TOL = 1e-12            # relative negative eigenvalue a PSD square root allows
 MATCH_RADIUS = 0.75        # largest step of a phase chain between rungs
 ORACLE_RTOL = 1e-11        # integration of the transfer-matrix oracle
@@ -183,25 +176,27 @@ def band_edges(phases):
     return edges, float(edges[0]) if len(edges) else 0.0
 
 
+def _summary_2x2(smat):
+    """(unitarity defect, phases sorted in [0, 2*pi), band edges, a) of a 2 x 2 S."""
+    udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(2), 2))
+    phases = np.sort(np.mod(np.angle(np.linalg.eigvals(smat)), 2.0 * np.pi))
+    return (udef, phases) + band_edges(phases)
+
+
 # ---------------------------------------------------------------------------
 # stationary scattering matrix and defect operator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ScatteringBundle:
-    """Everything the stationary machinery produces at one (probe, eps).
-
-    The four k x k matrices are None in the rungs of :func:`phase_ladder`.
-    """
+    """Everything the stationary machinery produces at one (probe, eps)."""
 
     probe: float
     eps: float
     f0prime: np.ndarray
     fprime: np.ndarray
     smatrix: np.ndarray
-    # of the smoothed stationary matrix on the top eigenspace of the defect
-    # operator, or all of them after a fallback
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray          # all k of the smoothed stationary matrix
     phases: np.ndarray               # retained, sorted, in (0, 2*pi)
     retention_threshold: float
     unitarity_defect: float
@@ -210,34 +205,12 @@ class ScatteringBundle:
     prediction_a: float              # ||A||^(1/2) = ||S - I|| / 2
     band_edges: np.ndarray           # sin(theta/2) of retained phases, descending
     factor_residual: float
-    invariance_residual: float       # || S W - W (W* S W) || on that eigenspace W
-
-
-_MATRICES = dict.fromkeys(("f0prime", "fprime", "smatrix", "defect_operator"))
 
 
 def _hermitian_norm(m):
     """2-norm of the Hermitian part of ``m``: its largest |eigenvalue|."""
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return float(np.max(abs(w), initial=0.0))
-
-
-def _top_eigenvalues(smat, mu, vecs, thr):
-    """Eigenvalues of S with |ev - 1| > thr / 2, and the invariance residual.
-
-    (S-I)*(S-I)/4 = (mu, vecs) is a function of the normal S, so the
-    eigenvectors with mu > thr^2 / 16 span an S-invariant subspace W
-    holding every eigenvalue of S with |ev - 1| > thr / 2; they are the
-    eigenvalues of the small W* S W.  When ||S W - W (W* S W)|| is not
-    at roundoff (eigenvalues of S clustered across the cut) the
-    eigenvalues of the whole S are returned instead.
-    """
-    w = vecs[:, mu > thr ** 2 / 16.0]
-    sw = smat @ w
-    c = w.conj().T @ sw
-    resid = float(np.linalg.norm(sw - w @ c, 2))
-    return (np.linalg.eigvals(c) if resid <= INVARIANCE_TOL
-            else np.linalg.eigvals(smat)), resid
 
 
 def scattering_bundle(pair, probe, eps):
@@ -247,8 +220,8 @@ def scattering_bundle(pair, probe, eps):
     defect) are retained as scattering phases.  The finite-eps identity
     (S-I)*(S-I)/4 = A holds exactly; its residual is reported.  The
     unitarity defect and that residual are 2-norms of Hermitian matrices,
-    taken as their largest |eigenvalue|; the phases and ||A|| come from
-    one eigensolve of (S-I)*(S-I)/4 (see :func:`_top_eigenvalues`).
+    taken as their largest |eigenvalue|; ||A||^(1/2) = ||S - I|| / 2 is
+    the square root of the largest eigenvalue of (S-I)*(S-I)/4.
     """
     sw = resolvent_sandwich(pair, probe + 1j * eps)
     f0p, fp = smoothed_density(pair, probe, eps, sandwich=sw)
@@ -261,17 +234,16 @@ def scattering_bundle(pair, probe, eps):
     thr = max(PHASE_FLOOR, 10.0 * udef)
     diff = smat - eye
     defect = 0.25 * diff.conj().T @ diff
-    mu, vecs = np.linalg.eigh(defect)
-    evs, inv_resid = _top_eigenvalues(smat, mu, vecs, thr)
+    evs = np.linalg.eigvals(smat)
     kept = evs[np.abs(evs - 1.0) > thr]
     phases = np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
     amat = np.pi ** 2 * root @ v0 @ fp @ v0 @ root
     amat = 0.5 * (amat + amat.conj().T)
     ident = _hermitian_norm(defect - amat)
-    a_pred = float(np.sqrt(np.max(mu, initial=0.0)))
+    a_pred = float(np.sqrt(np.max(np.linalg.eigvalsh(defect), initial=0.0)))
     return ScatteringBundle(float(probe), float(eps), f0p, fp, smat, evs, phases,
                             thr, udef, amat, ident, a_pred, band_edges(phases)[0],
-                            sw.factor_residual, inv_resid)
+                            sw.factor_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +268,13 @@ def neville(eps_values, samples):
 
 
 def phase_ladder(pair, probe, eps_ladder):
-    """Bundles at every rung of a decreasing eps ladder, without their k x k
-    matrices: a rung keeps its scalars and phases only."""
+    """The bundle at every rung of a nonempty, strictly decreasing eps ladder."""
     ladder = list(eps_ladder)
+    if not ladder:
+        raise ValueError("eps ladder is empty")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    return [replace(scattering_bundle(pair, probe, e), **_MATRICES)
-            for e in ladder]
+    return [scattering_bundle(pair, probe, e) for e in ladder]
 
 
 def _match_chains(bundles):
@@ -312,13 +284,9 @@ def _match_chains(bundles):
     for b in bundles[1:]:
         pool = list(np.exp(1j * b.phases))
         for chain in chains:
-            if len(chain) == 0 or not pool:
-                chain.clear()
-                continue
-            d = [abs(chain[-1] - c) for c in pool]
-            i = int(np.argmin(d))
-            if d[i] <= MATCH_RADIUS:
-                chain.append(pool.pop(i))
+            d = [abs(chain[-1] - c) for c in pool] if chain else []
+            if d and min(d) <= MATCH_RADIUS:
+                chain.append(pool.pop(int(np.argmin(d))))
             else:
                 chain.clear()
     return [c for c in chains if len(c) == len(bundles)]
@@ -331,12 +299,9 @@ def extrapolated_phases(pair, probe, eps_ladder):
     (phases ascending, bundles).
     """
     bundles = phase_ladder(pair, probe, eps_ladder)
-    chains = _match_chains(bundles)
     ladder = [b.eps for b in bundles]
-    out = []
-    for chain in chains:
-        angles = np.unwrap([np.angle(c) for c in chain])
-        out.append(float(np.mod(neville(ladder, angles), 2.0 * np.pi)))
+    out = [float(np.mod(neville(ladder, np.unwrap(np.angle(chain))), 2.0 * np.pi))
+           for chain in _match_chains(bundles)]
     return np.sort(np.asarray(out)), bundles
 
 
@@ -396,9 +361,9 @@ def channel_smatrix(pair, probe):
     """S(probe) at eps = 0 for a band pair on the whole lattice (Fisher-Lee).
 
     The chain outside the coupling window [lo, hi) of a band pair must be
-    uniform, with diagonal d and hopping t; it is replaced by two
-    semi-infinite leads, whose retarded corner at probe = lam inside the
-    open band (d - 2|t|, d + 2|t|) is
+    uniform, with diagonal d and hopping t; it becomes two semi-infinite
+    leads, whose retarded corner at probe = lam inside the open band
+    (d - 2|t|, d + 2|t|) is
 
         c = ((d - lam) + i sqrt(4 t^2 - (d - lam)^2)) / (2 t^2).
 
@@ -432,9 +397,7 @@ def channel_smatrix(pair, probe):
         raise ProbeOutsideBandError(probe, band)
     smat, xi = _channel_core(pair, probe, lo, hi, d, t) if pair.kdim \
         else (np.eye(2, dtype=complex), 0.0)
-    udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(2), 2))
-    phases = np.sort(np.mod(np.angle(np.linalg.eigvals(smat)), 2.0 * np.pi))
-    edges, a = band_edges(phases)
+    udef, phases, edges, a = _summary_2x2(smat)
     det_s = complex(np.linalg.det(smat))
     return ChannelSMatrix(float(probe), band, smat, phases, udef, a, edges,
                           xi, det_s, float(abs(det_s - np.exp(-2j * np.pi * xi))))
@@ -520,9 +483,7 @@ def transfer_matrix_smatrix(spec, probe):
     r, t = -m[1, 0] / m[1, 1], np.linalg.det(m) / m[1, 1]
     smat = np.array([[t, m[0, 1] / m[1, 1]], [r, 1.0 / m[1, 1]]])
     flux = abs(abs(r) ** 2 + abs(t) ** 2 - 1.0)
-    udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(2), 2))
-    phases = np.sort(np.mod(np.angle(np.linalg.eigvals(smat)), 2.0 * np.pi))
-    edges, a = band_edges(phases)
+    udef, phases, edges, a = _summary_2x2(smat)
     xs = np.linspace(-x_edge, x_edge, 20001)
     vtrace = float(np.trapezoid(np.abs(spec.potential(xs)), xs) / (2.0 * np.pi * k))
     return TransferMatrixResult(k, r, t, smat, phases, a, edges, flux, udef, vtrace)
@@ -535,7 +496,7 @@ def transfer_matrix_smatrix(spec, probe):
 def smoothed_counting_shift(pair, probe, eps):
     """Eigenvalue-counting shift trace(E0 - E) smoothed at scale eps.
 
-    Each sharp step 1[eigenvalue < probe] is replaced by the Lorentzian
+    Each sharp step 1[eigenvalue < probe] gives way to the Lorentzian
     step 1/2 + arctan((probe - eigenvalue)/eps)/pi; at eps -> 0 this
     recovers the integer -trace D(probe), while for eps above the local
     level spacing it resolves the weak (distributional) limit of the
@@ -583,7 +544,5 @@ def birman_krein_extrapolated(pair, probe, phases, xi_ladder):
     """
     det_s = complex(np.exp(1j * np.sum(phases)))
     ladder = list(xi_ladder)
-    xi_vals = [smoothed_counting_shift(pair, probe, e) for e in ladder]
-    xi = float(neville(ladder, xi_vals))
-    defect = abs(det_s - np.exp(-2j * np.pi * xi))
-    return det_s, xi, float(defect)
+    xi = float(neville(ladder, [smoothed_counting_shift(pair, probe, e) for e in ladder]))
+    return det_s, xi, float(abs(det_s - np.exp(-2j * np.pi * xi)))

@@ -102,6 +102,22 @@ def test_study_size_the_model_rejects_exits_2_naming_sizes(tmp_path, capsys, siz
         f"error: config.sizes[{index}]: grid too coarse; need n >= 200")
 
 
+@pytest.mark.parametrize("model", ["krein", "finite:random"])
+@pytest.mark.parametrize("axis, config, path", [
+    # a study reads its first probe; run with no probes is a valid empty report
+    ("eps", {"probes": [], "eps_ladder": [0.2, 0.1, 0.05]}, "config.probes"),
+    ("trule", {"probes": [], "sizes": [10, 20, 40]}, "config.probes"),
+    # on the trule axis the sizes are time-rule node counts, at least 2
+    ("trule", {"probes": [0.5], "sizes": [10, 1, 40]}, "config.sizes[1]"),
+])
+def test_study_input_errors_exit_2_naming_the_field(tmp_path, capsys, model, axis,
+                                                     config, path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(config, model=model)))
+    assert cli.main(["study", str(cfg_path), "--axis", axis]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+
 def test_verify_all_wiring(monkeypatch, tmp_path, capsys):
     # exercise the subcommand surface with a stubbed criteria table so the
     # exit-code contract is covered without recomputing the full suite

@@ -70,6 +70,19 @@ def test_empty_probe_list_is_fine():
     assert report.body["schema"] == 2
 
 
+def test_empty_ladder_is_a_scattering_error_on_a_dense_pair():
+    # a dense pair's S comes from the ladder, so an empty one is reported;
+    # a band pair takes S at eps = 0 and never reads the ladder
+    dense = run_experiment(ExperimentConfig(model="finite:random", probes=(0.0,),
+                                            seed=3, eps_ladder=())).body["probes"][0]
+    assert "ladder is empty" in dense["scattering_error"]
+    assert "difference" in dense and "product_identity" in dense
+    band = run_experiment(ExperimentConfig(
+        model="schrodinger:sech2", model_params={"half_width": 38.0, "n": 759},
+        probes=(1.0,), eps_ladder=())).body["probes"][0]
+    assert band["path"] == "channel" and "scattering_error" not in band
+
+
 def test_report_deterministic_for_fixed_seed():
     cfg = ExperimentConfig(model="finite:random", probes=(0.0,), seed=7,
                            eps_ladder=(0.1, 0.05, 0.02))
@@ -129,6 +142,18 @@ def test_study_eps_axis():
     flags = table["metrics"]["density_peak"]
     assert flags["monotone_decreasing"] == bool(np.all(np.diff(peaks) < 0))
     assert np.all(np.array(table["metrics"]["identity_residual"]["values"]) <= 1e-9)
+
+
+def test_study_eps_axis_on_a_band_pair():
+    # the large-k bundle path: k is in the hundreds on this sech2 box
+    ladder = (0.3, 0.2, 0.1, 0.05)
+    cfg = ExperimentConfig(model="schrodinger:sech2",
+                           model_params={"half_width": 38.0, "n": 759},
+                           probes=(1.0,), eps_ladder=ladder)
+    table = convergence_study(cfg, "eps").body
+    assert table["points"] == list(ladder)
+    assert np.all(np.array(table["metrics"]["identity_residual"]["values"]) <= 1e-9)
+    assert np.all(np.isfinite(table["metrics"]["prediction_a"]["values"]))
 
 
 def test_scalar_lorentzian_peak_law():
@@ -284,3 +309,33 @@ def test_tracer_targets_resolve_on_the_package():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr}"
+
+
+def test_calibrate_tool_resolves(monkeypatch):
+    # tools/calibrate.py is run by hand; load it without calibrating and
+    # check that every name it takes from projdiff still exists
+    import ast
+    import importlib
+    import importlib.util
+    import sys
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "calibrate.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool prepends src
+    spec = importlib.util.spec_from_file_location("calibrate_tool", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    with open(path) as fh:
+        imports = [node for node in ast.walk(ast.parse(fh.read()))
+                   if isinstance(node, ast.ImportFrom) and node.module.startswith("projdiff")]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert getattr(tool, alias.name) is getattr(module, alias.name)
+    steps = sorted(name for name in vars(tool) if name.startswith("calibrate_"))
+    assert steps == ["calibrate_hankel_window", "calibrate_krein_corner_and_sigma",
+                     "calibrate_krein_ladder", "calibrate_sech2_boxes",
+                     "calibrate_square_well"]
+    for name in steps + ["main"]:
+        assert callable(getattr(tool, name))

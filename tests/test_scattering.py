@@ -9,7 +9,7 @@ from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1
                              random_gapped_pair, sech2_spec, square_well_spec,
                              thresholds)
 from projdiff.scattering import (birman_krein_check, birman_krein_extrapolated,
-                                 extrapolated_phases, neville,
+                                 extrapolated_phases, neville, phase_ladder,
                                  resolvent_sandwich, scattering_bundle,
                                  smoothed_counting_shift,
                                  smoothed_density, transfer_matrix_smatrix)
@@ -443,15 +443,8 @@ def test_import_leaves_the_ode_solver_unloaded():
 
 
 # ---------------------------------------------------------------------------
-# the bundle's Hermitian kernels and subspace phases against dense ones
+# the bundle's eigenvalues and Hermitian kernels against dense ones
 # ---------------------------------------------------------------------------
-
-def _full_phases(b):
-    """Dense oracle: retained phases from every eigenvalue of the whole S."""
-    evs = np.linalg.eigvals(b.smatrix)
-    kept = evs[np.abs(evs - 1.0) > b.retention_threshold]
-    return evs, np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
-
 
 def _sech2_shipped():
     cfg = thresholds()["sech2"]
@@ -470,42 +463,15 @@ PHASE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PHASE_CASES))
-def test_subspace_phases_match_full_eigenvalues(case):
+def test_bundle_takes_every_eigenvalue_of_s(case):
     pair, probe, ladder = PHASE_CASES[case]()
     for eps in ladder:
         b = scattering_bundle(pair, probe, eps)
-        assert b.invariance_residual <= scattering.INVARIANCE_TOL
-        evs, phases = _full_phases(b)
-        assert len(b.phases) == len(phases)
-        assert np.max(np.abs(b.phases - phases), initial=0.0) <= 1e-13
-        # the subspace holds exactly the eigenvalues of S with |ev - 1| > thr / 2
-        dist = np.abs(b.eigenvalues[:, None] - evs[None, :]).min(axis=1, initial=np.inf)
-        assert np.all(dist <= 1e-13)
-        far = np.abs(evs - 1.0) > b.retention_threshold / 2.0
-        assert len(b.eigenvalues) == np.count_nonzero(far)
+        assert np.array_equal(b.eigenvalues, np.linalg.eigvals(b.smatrix))
+        kept = b.eigenvalues[np.abs(b.eigenvalues - 1.0) > b.retention_threshold]
+        assert np.array_equal(b.phases, np.sort(np.mod(np.angle(kept), 2.0 * np.pi)))
         assert b.prediction_a == pytest.approx(
             0.5 * np.linalg.norm(b.smatrix - np.eye(pair.kdim), 2), abs=1e-13)
-
-
-def test_invariance_fallback_takes_every_eigenvalue(monkeypatch):
-    pair = random_gapped_pair(24, 6, seed=4)
-    b = scattering_bundle(pair, 0.0, 0.01)
-    smat, thr = b.smatrix, b.retention_threshold
-    diff = smat - np.eye(pair.kdim)
-    mu, vecs = np.linalg.eigh(0.25 * diff.conj().T @ diff)
-    assert 0 < np.count_nonzero(mu > thr ** 2 / 16.0) < pair.kdim
-    # an eigenspace tilted off invariance fails the residual test, and the
-    # eigenvalues of the whole S are taken
-    rng = np.random.default_rng(0)
-    tilted = np.linalg.qr(vecs + 1e-8 * rng.standard_normal(vecs.shape))[0]
-    evs, resid = scattering._top_eigenvalues(smat, mu, tilted, thr)
-    assert resid > scattering.INVARIANCE_TOL
-    assert np.array_equal(evs, np.linalg.eigvals(smat))
-    # forced through the bundle: same phases from all k eigenvalues
-    monkeypatch.setattr(scattering, "INVARIANCE_TOL", -1.0)
-    forced = scattering_bundle(pair, 0.0, 0.01)
-    assert len(forced.eigenvalues) == pair.kdim
-    assert np.allclose(forced.phases, b.phases, atol=1e-13)
 
 
 def test_hermitian_norm_matches_the_svd_norm():
@@ -537,17 +503,19 @@ LADDER_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(LADDER_CASES))
-def test_ladder_rungs_keep_no_k_by_k_array(case):
+def test_ladder_rungs_are_the_bundles_at_their_eps(case):
     pair, probe, ladder = LADDER_CASES[case]()
-    k = pair.kdim
     _, bundles = extrapolated_phases(pair, probe, ladder)
-    assert len(bundles) == len(ladder)
-    for b in bundles:
-        sizes = {f.name: np.size(getattr(b, f.name)) for f in dataclasses.fields(b)}
-        assert max(sizes.values()) < k * k, sizes
-        assert b.smatrix is None and b.defect_operator is None
-    # a bundle asked for directly keeps its matrices
-    b = scattering_bundle(pair, probe, ladder[-1])
-    for m in (b.f0prime, b.fprime, b.smatrix, b.defect_operator):
-        assert m.shape == (k, k)
-    assert np.array_equal(b.phases, bundles[-1].phases)
+    assert [b.eps for b in bundles] == ladder
+    for rung, eps in zip(bundles, ladder):
+        direct = scattering_bundle(pair, probe, eps)
+        for f in dataclasses.fields(direct):
+            assert np.array_equal(getattr(rung, f.name), getattr(direct, f.name)), f.name
+
+
+def test_empty_ladder_is_rejected():
+    pair = random_gapped_pair(10, 3, seed=0)
+    with pytest.raises(ValueError, match="empty"):
+        phase_ladder(pair, 0.0, [])
+    with pytest.raises(ValueError, match="empty"):
+        extrapolated_phases(pair, 0.0, [])
