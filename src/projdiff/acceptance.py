@@ -160,8 +160,7 @@ def criterion_3():
     phases, _ = extrapolated_phases(pair, probe, cfg["eps_ladder"])
     phase_defect = (float(np.min(np.abs(np.exp(1j * phases) + 1.0)))
                     if len(phases) else 2.0)
-    det_s, xi, bk_defect = birman_krein_extrapolated(
-        pair, probe, phases, cfg["xi_eps_ladder"])
+    det_s, xi, bk_defect = birman_krein_extrapolated(pair, probe, phases, cfg["eps_ladder"])
     return [
         Clause("3-counting-shift", abs(xi - 0.5) <= 0.1, {"xi": xi}),
         Clause("3-phase", phase_defect <= 0.1, {"|exp(i*theta)+1|": phase_defect}),

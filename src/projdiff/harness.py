@@ -63,11 +63,6 @@ class ExperimentConfig:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         return ExperimentConfig.from_dict(data)
 
-    @property
-    def preset(self):
-        """The preset name the pair is built from; the seed names a random pair."""
-        return f"finite:random({self.seed})" if self.model == "finite:random" else self.model
-
     def validate(self):
         """Every check of every field; returns self."""
         _check_number(self.seed, "seed", int)
@@ -75,7 +70,7 @@ class ExperimentConfig:
             raise ConfigError("config.model: must be a nonempty string")
         try:
             # an override has the type of the calibrated default it replaces
-            params = {k: type(v) for k, v in preset_defaults(self.preset).items()}
+            params = {k: type(v) for k, v in preset_defaults(self.model).items()}
         except ValueError as exc:
             raise ConfigError(f"config.model: {exc}") from None
         if not isinstance(self.model_params, dict):
@@ -107,7 +102,7 @@ class ExperimentConfig:
     def build_pair(self, **overrides):
         """The preset's pair; a parameter the builder rejects is a ConfigError."""
         try:
-            return preset_pair(self.preset, **dict(self.model_params, **overrides))
+            return preset_pair(self.model, self.seed, **dict(self.model_params, **overrides))
         except ValueError as exc:
             raise ConfigError(f"config.model_params: {exc}") from exc
 

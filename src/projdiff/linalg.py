@@ -1,10 +1,10 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
-band-stored matrices), the band format with its shifted banded solve (on
-the whole chain, or on a window through two boundary self-energies, the
-box's own or those of given leads) and the window's LDL^T pivots, the
-compression of subspace projections to their joint span, SVD, semigroup
-action, a Sylvester solver (in closed form for diagonal operands), and the
-probe-gap check on eigenvalue arrays.
+band-stored matrices), the band format with its shifted window systems
+(the chain beyond the window folded into two boundary self-energies, the
+box's own or those of given leads), their banded solve and LDL^T pivots,
+the compression of subspace projections to their joint span, SVD,
+semigroup action, the closed-form Sylvester solver on eigenvalue
+diagonals, and the probe-gap check on eigenvalue arrays.
 
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
@@ -54,10 +54,10 @@ class SpectralDecomposition:
         return r, o
 
 
-def _as_matrix(m, vector_ok=False):
+def _as_array(m, ndim=2):
     m = np.asarray(m)
-    if m.ndim != 2 and not (vector_ok and m.ndim == 1):
-        raise ValueError("expected a 2-d array")
+    if m.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
@@ -102,7 +102,7 @@ def herm_eig(matrix):
     Raises :class:`NonHermitianError` when the relative asymmetry
     ||M - M*|| / ||M|| exceeds HERMITIAN_TOL (see :func:`check_hermitian`).
     """
-    m = _as_matrix(matrix)
+    m = _as_array(matrix)
     check_hermitian(m, HERMITIAN_TOL)
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return SpectralDecomposition(w, v)
@@ -199,16 +199,6 @@ class TridiagonalBands:
         return WindowSystem(diag, off[lo:hi - 1],
                             None if self.phase is None else self.phase[lo:hi])
 
-    def solve(self, rhs, z, lo=0):
-        """The window block of (M - z I)^-1 applied to rhs, for complex z off the spectrum.
-
-        The window is rows and columns lo, ..., lo + m - 1 with m = len(rhs),
-        so the result is rows lo, ... of the full solve of rhs padded with
-        zeros; lo = 0 and m = n is the full solve.  The box's chain beyond
-        the window enters through the self-energies of :meth:`window`.
-        """
-        return self.window(z, lo, lo + len(rhs)).solve(rhs)
-
 
 @dataclass(frozen=True)
 class WindowSystem:
@@ -300,7 +290,7 @@ def probe_gaps(probe, spectra):
 
 def svd(matrix):
     """Singular values (descending) and factors U, s, Vh with M = U s Vh."""
-    m = _as_matrix(matrix)
+    m = _as_array(matrix)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return u, s, vh
 
@@ -332,52 +322,25 @@ def expm_apply(matrix, t, x):
     return out[:, 0] if squeeze else out
 
 
-def _diagonal_of(m):
-    """The diagonal of a Sylvester operand: a 1-d operand is its own, a square
-    matrix that vanishes off its diagonal (an exact test) has one; else None."""
-    if m.ndim == 1:
-        return m
-    if m.shape[0] == m.shape[1] and np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
-        return np.diagonal(m)
-    return None
-
-
 def sylvester_solve(a, b, c):
-    """Solve A X - X B = C for X.
+    """Solve diag(a) X - X diag(b) = C, given the eigenvalue diagonals a and b
+    (1-d; a 2-d operand raises ValueError), by the quotient X_ij = C_ij / (a_i - b_j).
 
-    Requires the spectra of A and B to be separated by at least
-    SYLVESTER_GAP_TOL times the problem scale max(||A||_2, ||B||_2, 1); raises
-    :class:`SpectralCollisionError` carrying the offending gap otherwise.
-    The residual is verified against the contract before returning.
-    A 1-d ``a`` or ``b`` is taken as the diagonal of a diagonal operand.
-    When A and B are both diagonal the solution is the elementwise
-    quotient X_ij = C_ij / (a_i - b_j), and the contract is checked with
-    the diagonals in place of A and B, so the only norms taken are those
-    of the small X and residual.  An empty A or B gives an empty X.
+    Requires a and b separated by at least SYLVESTER_GAP_TOL times the
+    scale max(max|a|, max|b|, 1); raises :class:`SpectralCollisionError`
+    carrying the offending gap otherwise.  The residual is verified against
+    the contract before returning.  An empty a or b gives an empty X.
     """
-    a = _as_matrix(a, vector_ok=True)
-    b = _as_matrix(b, vector_ok=True)
-    c = _as_matrix(c)
-    ea, eb = _diagonal_of(a), _diagonal_of(b)
-    diagonal = ea is not None and eb is not None
-    if diagonal:
-        norm_a, norm_b = (np.max(np.abs(e), initial=0.0) for e in (ea, eb))
-    else:
-        a, b = (np.diag(m) if m.ndim == 1 else m for m in (a, b))
-        ea, eb = np.linalg.eigvals(a), np.linalg.eigvals(b)
-        norm_a, norm_b = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
-    gap = np.min(np.abs(ea[:, None] - eb[None, :]), initial=np.inf)
+    a, b, c = (_as_array(m, ndim) for m, ndim in ((a, 1), (b, 1), (c, 2)))
+    norm_a, norm_b = (np.max(np.abs(e), initial=0.0) for e in (a, b))
+    gap = np.min(np.abs(a[:, None] - b[None, :]), initial=np.inf)
     scale = max(norm_a, norm_b, 1.0)
     if gap < SYLVESTER_GAP_TOL * scale:
         raise SpectralCollisionError(gap, SYLVESTER_GAP_TOL * scale)
-    if c.shape != (len(ea), len(eb)):
+    if c.shape != (len(a), len(b)):
         raise ValueError("C must have the rows of A and the columns of B")
-    if diagonal:
-        x = c / (ea[:, None] - eb[None, :])
-        resid = np.linalg.norm(ea[:, None] * x - x * eb[None, :] - c, 2)
-    else:
-        x = sla.solve_sylvester(a, -b, c)
-        resid = np.linalg.norm(a @ x - x @ b - c, 2)
+    x = c / (a[:, None] - b[None, :])
+    resid = np.linalg.norm(a[:, None] * x - x * b[None, :] - c, 2)
     bound = SYLVESTER_RESIDUAL_TOL * (norm_a + norm_b) * max(np.linalg.norm(x, 2), 1e-300)
     if resid > max(bound, 1e-300):
         raise ArithmeticError(f"sylvester residual {resid:.3e} exceeds contract {bound:.3e}")

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError
+from . import linalg
 from .linalg import TridiagonalBands, check_hermitian, herm_eig, subspace_compressions
 from .quadrature import make_quadrature
 
@@ -33,7 +34,6 @@ __all__ = [
 ]
 
 FACTORIZATION_TOL = 1e-10
-MODEL_HERMITIAN_TOL = 1e-10
 SUPPORT_FLOOR = 1e-14      # |V| at which a grid point joins the coupling space
 MAX_TRIES = 200            # draws of a random gapped pair before giving up
 
@@ -51,9 +51,10 @@ class OperatorPair:
     ``operators`` holds (h0, h), either as dense matrices or, for pairs
     built from bands, as :class:`TridiagonalBands`; the dense ``h0`` and
     ``h`` of a band pair are built on first use, for dense consumers only.
-    ``g`` maps the main space into the coupling space (kdim x dim);
-    ``v0`` is Hermitian on the coupling space.  ``meta`` records the model
-    and any exactly known facts about it.
+    ``g`` maps the main space into the coupling space (kdim x dim), as an
+    array for a dense pair and as a ``csr_array`` of its nonzeros for a
+    band pair; ``v0`` is Hermitian on the coupling space.  ``meta``
+    records the model and any exactly known facts about it.
 
     Eigen-data are computed on first use and cached on the instance.  The
     storage picks the path: the eigenvalues and the eigenvectors near a
@@ -62,7 +63,7 @@ class OperatorPair:
     """
 
     operators: tuple
-    g: np.ndarray
+    g: object
     v0: np.ndarray
     meta: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -93,14 +94,9 @@ class OperatorPair:
         return self._dense[1]
 
     @functools.cached_property
-    def sparse_g(self):
-        """``g`` as a sparse matrix (CSR)."""
-        return sparse.csr_array(self.g)
-
-    @functools.cached_property
     def coupling_window(self):
         """(lo, hi): every nonzero column of ``g`` lies in lo, ..., hi - 1."""
-        cols = self.sparse_g.indices
+        cols = self.g.nonzero()[1]
         return (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
 
     def factorization_residual(self):
@@ -167,7 +163,8 @@ def _hermitize_check(m, name):
     if m.size == 0:
         return m
     try:
-        check_hermitian(m, MODEL_HERMITIAN_TOL)
+        # the tolerance of the pair's eigensolves: a pair that builds diagonalizes
+        check_hermitian(m, linalg.HERMITIAN_TOL)
     except NonHermitianError as exc:
         raise ValueError(f"{name} is not Hermitian") from exc
     return m
@@ -176,22 +173,26 @@ def _hermitize_check(m, name):
 def build_finite_pair(h0, g, v0, meta=None):
     """Assemble an :class:`OperatorPair` from its factorization pieces.
 
-    ``h0`` is a dense Hermitian matrix or a :class:`TridiagonalBands`.
-    From bands, G* V0 G is formed from the nonzeros of ``g``; it must be
-    tridiagonal, and the pair stores the bands of h0 and h, with no n x n
-    array.  Either way ArithmeticError is raised when the factorization
-    residual ||h - h0 - G* V0 G||_F exceeds FACTORIZATION_TOL relative to
+    ``h0`` is a dense Hermitian matrix or a :class:`TridiagonalBands`, and
+    ``g`` a dense or ``scipy.sparse`` array.  From bands, G* V0 G is formed
+    from the nonzeros of ``g``; it must be tridiagonal, and the pair stores
+    the bands of h0 and h and ``g`` as a ``csr_array``, with no n x n or
+    dense k x n array; a dense pair stores ``g`` dense.  Either way
+    ArithmeticError is raised when the factorization residual
+    ||h - h0 - G* V0 G||_F exceeds FACTORIZATION_TOL relative to
     ||h||_F + ||h0||_F.
     """
     banded = isinstance(h0, TridiagonalBands)
     if banded:
         _finite(np.concatenate([h0.diagonal, h0.offdiagonal]), "h0")
         n = h0.dim
+        g = sparse.csr_array(g)
+        _finite(g.data, "g")
     else:
         h0 = _hermitize_check(h0, "h0")
         n = h0.shape[0]
+        g = _finite(g.toarray() if sparse.issparse(g) else g, "g")
     v0 = _hermitize_check(v0, "v0")
-    g = _finite(g, "g")
     if g.ndim != 2 or g.shape[1] != n or v0.shape[0] != g.shape[0]:
         raise ValueError("inconsistent dimensions in (h0, g, v0)")
     if banded:
@@ -212,9 +213,8 @@ def _check_factorization(resid, scale):
 
 
 def _band_pair(b0, g, v0, meta):
-    """The band pair of :func:`build_finite_pair`: G* V0 G from the nonzeros of g."""
-    gs = sparse.csr_array(g)
-    v = (gs.conj().T @ sparse.csr_array(v0)) @ gs
+    """The band pair of :func:`build_finite_pair`: G* V0 G from g, a csr_array."""
+    v = (g.conj().T @ sparse.csr_array(v0)) @ g
     lo, d, up = (v.diagonal(k) for k in (-1, 0, 1))
     if v.count_nonzero() != sum(np.count_nonzero(x) for x in (lo, d, up)):
         raise ArithmeticError("G* V0 G leaves the three central diagonals")
@@ -295,7 +295,7 @@ def build_schrodinger_1d(spec):
     SUPPORT_FLOOR; the pair's potential is the thresholded one, so
     the factorization H = H0 + G* V0 G is exact.  The pair is built from
     the bands of H0 (2/h^2 on the diagonal, -1/h^2 beside it) and stores
-    the bands of H0 and H.
+    the bands of H0 and H, and G, one nonzero per row, as a csr_array.
     """
     if spec.decay_exponent <= 1:
         raise ValueError("decay exponent must exceed 1")
@@ -313,8 +313,8 @@ def build_schrodinger_1d(spec):
     h0 = TridiagonalBands(np.full(n, 2.0) / h ** 2, np.full(n - 1, -1.0) / h ** 2)
     keep = np.abs(v) > SUPPORT_FLOOR
     idx = np.where(keep)[0]
-    g = np.zeros((len(idx), n))
-    g[np.arange(len(idx)), idx] = np.sqrt(np.abs(v[idx]))
+    g = sparse.csr_array((np.sqrt(np.abs(v[idx])), idx, np.arange(len(idx) + 1)),
+                         shape=(len(idx), n))
     v0 = np.diag(np.sign(v[idx]))
     meta = {
         "model": "schrodinger", "grid": x, "step": h, "support": idx,
@@ -412,7 +412,7 @@ def shift_pair(pair, probe):
 
 
 def preset_names():
-    return ["krein", "schrodinger:sech2", "schrodinger:square-well", "finite:random(seed)"]
+    return ["krein", "schrodinger:sech2", "schrodinger:square-well", "finite:random"]
 
 
 def preset_defaults(name):
@@ -429,17 +429,18 @@ def preset_defaults(name):
         c = cfg["square_well"]
         return {"depth": c["depth"], "width": c["width"],
                 "half_width": c["scatter_half_width"], "n": c["scatter_n"]}
-    if name.startswith("finite:random(") and name.endswith(")"):
+    if name == "finite:random":
         c = cfg["random_pair"]
         return {"n": c["dim"], "kdim": c["kdim"], "gap": c["gap"]}
     raise ValueError(f"unknown preset {name!r}; known: {preset_names()}")
 
 
-def preset_pair(name, **overrides):
+def preset_pair(name, seed=0, **overrides):
     """Build a model pair by CLI preset name.
 
-    ``finite:random(seed)`` takes its seed from the name; every preset
-    starts from :func:`preset_defaults`, overridable by keyword.
+    ``seed`` picks the draw of ``finite:random``; the other presets are
+    deterministic.  Every preset starts from :func:`preset_defaults`,
+    overridable by keyword.
     """
     p = preset_defaults(name)
     p.update(overrides)
@@ -449,4 +450,4 @@ def preset_pair(name, **overrides):
         return build_schrodinger_1d(sech2_spec(**p))
     if name == "schrodinger:square-well":
         return build_schrodinger_1d(square_well_spec(**p))
-    return random_gapped_pair(p.pop("n"), seed=int(name[len("finite:random("):-1]), **p)
+    return random_gapped_pair(p.pop("n"), seed=seed, **p)

@@ -133,14 +133,16 @@ class DifferenceReport:
 def projection_difference(pair, probe, target=None):
     """Full spectrum of D(probe) = E(probe) - E0(probe) with metrics.
 
-    All n eigenvalues are returned: those of the r x r compression and
-    n - r exact zeros.  The swap dimensions count eigenvalues within
-    SWAP_CLUSTER_TOL of +1 and -1.  ``target`` is the interval the fill
+    All n eigenvalues are returned: those of the r x r compression,
+    clipped to [-1, 1], where the spectrum of D lies exactly (roundoff
+    would otherwise push a swap eigenvalue past +-1 and out of the fill
+    metrics), and n - r exact zeros.  The swap dimensions count
+    eigenvalues within SWAP_CLUSTER_TOL of +1 and -1.  ``target`` is the interval the fill
     metrics are computed against, defaulting to [-1, 1].
     """
     g0, g1 = probe_gaps(probe, pair.eigenvalues)
     side, a0, a1 = pair.compression(probe)
-    core = -side * np.linalg.eigvalsh(a1 - a0)
+    core = np.clip(-side * np.linalg.eigvalsh(a1 - a0), -1.0, 1.0)
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
     dim_minus = int(np.sum(spec < -1.0 + SWAP_CLUSTER_TOL))

@@ -93,8 +93,8 @@ def _sandwich_one(pair, which, z):
     # block of the resolvent is needed: one banded solve of the window
     # system for all of G*, with G applied through its nonzeros
     lo, hi = pair.coupling_window
-    x = pair.operators[which].solve(g[:, lo:hi].conj().T, z, lo)
-    return pair.sparse_g[:, lo:hi] @ x
+    gw = g[:, lo:hi]
+    return gw @ pair.operators[which].window(z, lo, hi).solve(gw.conj().T.toarray())
 
 
 def _check_conditioning(m):
@@ -409,7 +409,7 @@ def _channel_core(pair, probe, lo, hi, d, t):
     a0, a1 = (b.window(probe, lo, hi, (c, c)) for b in pair.operators)
     ends = np.zeros((hi - lo, 2))
     ends[0, 0] = ends[-1, 1] = 1.0
-    gw = pair.sparse_g[:, lo:hi]
+    gw = pair.g[:, lo:hi]
     x = gw @ a0.solve(ends) * (t * np.sqrt(c.imag))
     vx = _real_times(pair.v0, x)
     tvx = gw @ a1.solve(gw.conj().T @ vx)

@@ -137,7 +137,7 @@ def product_representation_check(pair, probe, t_rule=None):
     residual_direct = float(np.linalg.norm(cross + m1v @ m0.conj().T, 2))
 
     rhs = -(w1 @ pair.v0 @ w0.conj().T)
-    x = sylvester_solve(lam1, lam0, rhs)      # diagonal operands, as their diagonals
+    x = sylvester_solve(lam1, lam0, rhs)
     residual_oracle = float(np.linalg.norm(x + cross, 2))
     return ProductCheck(residual_direct, residual_oracle, gap, n_t)
 

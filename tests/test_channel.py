@@ -50,7 +50,7 @@ def dense_window_oracle(pair, probe, d, t):
     sigma = np.zeros((m, m), dtype=complex)
     sigma[0, 0] += t * t * c
     sigma[-1, -1] += t * t * c
-    gw = pair.g[:, lo:hi]
+    gw = pair.g.toarray()[:, lo:hi]
     t0, t1 = (gw @ np.linalg.solve(dense[lo:hi, lo:hi] - probe * np.eye(m) - sigma,
                                    gw.conj().T)
               for dense in (pair.h0, pair.h))

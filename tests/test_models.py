@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from projdiff import models, scattering
 from projdiff.errors import DecayBoundError, GapViolationError
@@ -237,7 +238,7 @@ def test_band_pair_matches_dense_build(name):
     # self-energies; against dense solves of all of G*
     lo, hi = pair.coupling_window
     assert 0 < lo and hi < n and hi - lo == pair.kdim
-    g = pair.g
+    g = pair.g.toarray()
     for tb, m in ((sb.t0, h0), (sb.t, dense.h)):
         td = g @ np.linalg.solve(m - z * np.eye(n), g.conj().T)
         assert np.linalg.norm(tb - td, 2) <= 1e-12 * np.linalg.norm(td, 2)
@@ -326,10 +327,38 @@ def test_complex_band_pair_matches_dense_build():
     assert np.allclose(sb.t, sd.t, atol=1e-12) and np.allclose(sb.t0, sd.t0, atol=1e-12)
 
 
+def test_band_pairs_hold_g_as_its_nonzeros():
+    # a band pair stores G as a csr_array of its nonzeros, one per row on a
+    # Schrodinger box, and no dense k x n array; a dense pair stores G dense,
+    # in whichever form it is given
+    pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+    assert sparse.issparse(pair.g) and pair.g.format == "csr"
+    assert pair.g.shape == (pair.kdim, 399) and pair.g.nnz == pair.kdim
+    assert np.array_equal(pair.g.indices, pair.meta["support"])
+    assert np.array_equal(pair.g.data,
+                          np.sqrt(np.abs(pair.meta["potential"][pair.meta["support"]])))
+    bands, v0 = TridiagonalBands(np.full(8, 2.0), np.full(7, -1.0)), np.diag([1.0, -1.0])
+    g = np.zeros((2, 8))
+    g[0, 2], g[1, 3] = 0.5, 0.7
+    band = build_finite_pair(bands, g, v0)
+    assert sparse.issparse(band.g) and np.array_equal(band.g.toarray(), g)
+    dense = build_finite_pair(bands.dense(), sparse.csr_array(g), v0)
+    assert isinstance(dense.g, np.ndarray) and np.array_equal(dense.g, g)
+    # a sparse G is checked for finiteness on its stored entries
+    bad = sparse.csr_array(g)
+    bad.data[1] = np.inf
+    for h0 in (bands, bands.dense()):
+        with pytest.raises(ValueError, match="g has non-finite entries"):
+            build_finite_pair(h0, bad, v0)
+
+
 def test_presets():
     assert "krein" in preset_names()
-    pair = preset_pair("finite:random(7)")
-    again = preset_pair("finite:random(7)")
-    assert np.array_equal(pair.h0, again.h0)
+    assert preset_names()[-1] == "finite:random"
+    pair = preset_pair("finite:random", seed=7)
+    again = preset_pair("finite:random", seed=7)
+    assert np.array_equal(pair.h0, again.h0) and np.array_equal(pair.g, again.g)
+    assert pair.meta["seed"] == 7
+    assert not np.array_equal(pair.h0, preset_pair("finite:random", seed=8).h0)
     with pytest.raises(ValueError):
         preset_pair("nonsense")

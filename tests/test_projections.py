@@ -4,6 +4,7 @@ import pytest
 from projdiff.errors import GapViolationError
 from projdiff.linalg import TridiagonalBands, herm_eig
 from projdiff import models, scattering
+from projdiff.harness import ExperimentConfig, run_experiment
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, square_well_spec,
                              thresholds)
@@ -80,6 +81,20 @@ def test_difference_spectrum_in_unit_interval_and_symmetric():
     assert rep.spectrum.min() >= -1.0 - 1e-10
     assert rep.spectrum.max() <= 1.0 + 1e-10
     assert rep.pairing_defect <= 1e-8
+
+
+def test_swap_eigenvalue_stays_in_the_fill_metrics():
+    # D's spectrum lies in [-1, 1] exactly.  On krein at probe 0.33 roundoff
+    # put the -1 swap eigenvalue at -1 - 1.3e-15, where the fill metrics,
+    # which keep values in [-1, 1], dropped it and read max_gap 0.350; the
+    # spectrum is clipped, so the swap bounds the first gap, 0.579
+    payload = run_experiment(ExperimentConfig(model="krein", probes=(0.33,))).body
+    diff = payload["probes"][0]["difference"]
+    assert diff["extremes"][0] == -1.0 and diff["dim_minus"] == 1
+    assert diff["max_gap"] == pytest.approx(0.579, abs=1e-3)
+    for probe in (0.1, 0.2, 0.33, 0.5):
+        spec = projection_difference(build_krein(400, 40.0), probe).spectrum
+        assert -1.0 <= spec.min() and spec.max() <= 1.0
 
 
 def test_dsquared_blocks():
@@ -231,11 +246,11 @@ def test_path_selection_follows_the_band(monkeypatch):
     assert np.allclose(banded.h, dense.h, atol=1e-15)
     for pair, expect_banded in ((banded, True), (dense, False)):
         eigenpairs = _count_calls(monkeypatch, TridiagonalBands, "eigenpairs")
-        solves = _count_calls(monkeypatch, TridiagonalBands, "solve")
+        windows = _count_calls(monkeypatch, TridiagonalBands, "window")
         dense_eigs = _count_calls(monkeypatch, models, "herm_eig")
         projection_difference(pair, 0.1)
         scattering.resolvent_sandwich(pair, 0.1 + 0.05j)
-        assert bool(eigenpairs) == bool(solves) == expect_banded
+        assert bool(eigenpairs) == bool(windows) == expect_banded
         assert bool(dense_eigs) == (not expect_banded)
         monkeypatch.undo()
 

@@ -5,8 +5,10 @@ import scipy.linalg as sla
 from projdiff import harness, projections
 from projdiff import zops as zops_module
 from projdiff.errors import GapViolationError
-from projdiff.models import (build_finite_pair, build_krein, random_gapped_pair,
-                             shift_pair, thresholds)
+from projdiff.harness import ExperimentConfig, run_experiment
+from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
+                             random_gapped_pair, sech2_spec, shift_pair, thresholds)
+from projdiff.projections import projection_difference
 from projdiff.zops import (build_z_ops, default_time_rule,
                            product_representation_check, zop_model_comparison)
 
@@ -176,6 +178,29 @@ def test_core_product_check_matches_dense(case, monkeypatch):
     # both residuals sit at roundoff (~1e-13); the two routes agree far below it
     assert chk.residual_direct == pytest.approx(direct, abs=1e-15)
     assert chk.residual_oracle == pytest.approx(oracle, abs=1e-15)
+
+
+def test_band_pair_product_check_matches_the_dense_build():
+    # the product check reads a band pair's sparse G through @, .conj() and
+    # .T; it gives what the same pair built dense gives.  A box this small
+    # (n <= 600) takes the product-check branch of run on the band pair
+    pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+    dense = build_finite_pair(pair.h0, pair.g.toarray(), pair.v0)
+    assert pair.banded and not dense.banded
+    chk, ref = (product_representation_check(p, 0.9) for p in (pair, dense))
+    assert chk.gap == ref.gap and chk.n_t == ref.n_t
+    assert chk.residual_direct == pytest.approx(ref.residual_direct, abs=1e-15)
+    assert chk.residual_oracle == pytest.approx(ref.residual_oracle, abs=1e-15)
+    cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.9,),
+                           model_params={"half_width": 20.0, "n": 399})
+    payload = run_experiment(cfg).body["probes"][0]
+    assert payload["path"] == "channel" and payload["n"] == 399
+    product = payload["product_identity"]
+    assert product["residual_direct"] == pytest.approx(ref.residual_direct, abs=1e-15)
+    assert product["residual_oracle"] == pytest.approx(ref.residual_oracle, abs=1e-15)
+    assert (product["gap"], product["n_t"]) == (ref.gap, ref.n_t)
+    spectrum = projection_difference(dense, 0.9).spectrum
+    assert np.max(np.abs(payload["difference"]["spectrum"] - spectrum)) <= 1e-12
 
 
 def test_product_check_passes_the_eigenvalue_vectors(monkeypatch):
