@@ -30,9 +30,8 @@ from .scattering import (ChannelSMatrix, ScatteringBundle, TransferMatrixResult,
                          channel_smatrix, extrapolated_phases, resolvent_sandwich,
                          scattering_bundle, smoothed_density,
                          transfer_matrix_smatrix)
-from .hankel import (HankelDiscretization, TraceBoundData, build_hankel,
-                     kernel_bound_suite, laplace_factorizations,
-                     model_hankel_pair, nuclear_bound_check)
+from .hankel import (HankelDiscretization, build_hankel, kernel_bound_suite,
+                     laplace_factorizations, model_hankel_pair, nuclear_bound_check)
 from .zops import ZOperators, build_z_ops, product_representation_check, zop_model_comparison
 from .harness import ExperimentConfig, Report, convergence_study, run_experiment
 

@@ -23,9 +23,8 @@ from .quadrature import make_quadrature, reciprocal_indices
 
 __all__ = [
     "HankelDiscretization", "build_hankel", "model_hankel_pair",
-    "laplace_factorizations", "kernel_bound_suite", "TraceBoundData",
-    "nuclear_bound_check", "carleman_kernel", "gamma_kernel", "gamma0_kernel",
-    "default_hankel_rule",
+    "laplace_factorizations", "kernel_bound_suite", "nuclear_bound_check",
+    "carleman_kernel", "gamma_kernel", "gamma0_kernel", "default_hankel_rule",
 ]
 
 
@@ -215,26 +214,19 @@ def kernel_bound_suite(disc, c1):
     }
 
 
-@dataclass(frozen=True)
-class TraceBoundData:
-    """Hermitian profile M(lambda) with the lambda-rule used for the bound
-    C2 = integral of ||M(lambda)||_1 / lambda."""
-
-    profile: callable          # lambda -> Hermitian k x k matrix
-    lam_rule: object
-
-
-def nuclear_bound_check(data, t_rule=None):
+def nuclear_bound_check(profile, lam_rule, t_rule=None):
     """Nuclear norm of the assembled Hankel matrix against C2/2.
 
-    The kernel is the discrete Laplace transform of the profile,
+    ``profile`` maps lambda to a Hermitian k x k matrix M(lambda), and
+    C2 = integral of ||M(lambda)||_1 / lambda over ``lam_rule``.  The
+    kernel is the discrete Laplace transform of the profile,
     K(t) = sum_q w_q M(lambda_q) exp(-lambda_q t); its trace norm is
     bounded by half the discrete C2 integral, up to 5 percent quadrature
     slack.  A profile whose contribution density fails to decay at the
     lower end of the lambda-rule makes C2 divergent and is rejected.
     """
-    lam, wl = data.lam_rule.nodes, data.lam_rule.weights
-    mq = np.array([np.atleast_2d(data.profile(l)) for l in lam])     # (q, k, k)
+    lam, wl = lam_rule.nodes, lam_rule.weights
+    mq = np.array([np.atleast_2d(profile(l)) for l in lam])     # (q, k, k)
     herm = 0.5 * (mq + mq.conj().swapaxes(-1, -2))
     norms = np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
     contrib = wl * norms / lam

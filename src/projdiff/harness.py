@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ProjdiffError
 from .models import preset_defaults, preset_pair
-from .projections import projection_difference, dsquared_block_check
+from .projections import projection_difference
 from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
                          extrapolated_phases, scattering_bundle)
 from .zops import default_time_rule, product_representation_check
@@ -199,7 +199,7 @@ def _probe_payload(pair, probe, ladder):
             "max_gap": rep.max_gap, "coverage_distance": rep.coverage_distance,
             "gap_h0": rep.gap_h0, "gap_h": rep.gap_h,
         }
-        out["dsquared_residual"] = dsquared_block_check(pair, probe)
+        out["dsquared_residual"] = rep.dsquared_residual
     except _CAPTURED as exc:
         out["difference_error"] = str(exc)
     try:

@@ -1,10 +1,11 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
-band-stored matrices), the band format with its shifted window systems
-(the chain beyond the window folded into two boundary self-energies, the
-box's own or those of given leads), their banded solve and LDL^T pivots,
-the compression of subspace projections to their joint span, SVD,
-semigroup action, the closed-form Sylvester solver on eigenvalue
-diagonals, and the probe-gap check on eigenvalue arrays.
+band-stored matrices), the band format of real symmetric tridiagonal
+matrices with its shifted window systems (the chain beyond the window
+folded into two boundary self-energies, the box's own or those of given
+leads), their banded solve and LDL^T pivots, the compression of
+subspace projections to their joint span, SVD, semigroup action, the
+closed-form Sylvester solver on eigenvalue diagonals, and the probe-gap
+check on eigenvalue arrays.
 
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
@@ -110,52 +111,27 @@ def herm_eig(matrix):
 
 @dataclass(frozen=True)
 class TridiagonalBands:
-    """A Hermitian tridiagonal matrix M = P T P* as the real symmetric bands
-    of T and the unit diagonal P (``phase``, None when M is real)."""
+    """A real symmetric tridiagonal matrix as its diagonal and offdiagonal bands."""
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
-    phase: np.ndarray = None
-
-    @classmethod
-    def hermitian(cls, diagonal, subdiagonal):
-        """Bands of the Hermitian M with real ``diagonal`` and M[k+1, k] = ``subdiagonal``.
-
-        A complex subdiagonal is made real and nonnegative by the diagonal
-        unitary P with P[k+1]/P[k] = e_k/|e_k|.
-        """
-        e = np.asarray(subdiagonal)
-        phase = None
-        if np.iscomplexobj(e):
-            mag = np.abs(e)
-            unit = np.ones_like(e)
-            np.divide(e, mag, out=unit, where=mag > 0)
-            phase = np.concatenate([[1.0 + 0.0j], np.cumprod(unit)])
-            e = mag
-        return cls(np.array(diagonal, dtype=float), e, phase)
 
     @property
     def dim(self):
         return len(self.diagonal)
 
-    def subdiagonal(self):
-        """M[k+1, k]."""
-        if self.phase is None:
-            return self.offdiagonal
-        return self.phase[1:] * self.offdiagonal * self.phase[:-1].conj()
-
     def dense(self):
-        """M as an n x n array."""
-        n, sub = self.dim, self.subdiagonal()
-        m = np.zeros((n, n), dtype=np.result_type(self.diagonal, sub))
+        """The matrix as an n x n array."""
+        n = self.dim
+        m = np.zeros((n, n), dtype=np.result_type(self.diagonal, self.offdiagonal))
         m.flat[::n + 1] = self.diagonal
-        m.flat[n::n + 1] = sub
-        m.flat[1::n + 1] = sub.conj()
+        m.flat[n::n + 1] = self.offdiagonal
+        m.flat[1::n + 1] = self.offdiagonal
         return m
 
     def shifted(self, shift):
         """Bands of M - shift * I."""
-        return TridiagonalBands(self.diagonal - shift, self.offdiagonal, self.phase)
+        return TridiagonalBands(self.diagonal - shift, self.offdiagonal)
 
     def eigenvalues(self):
         """All eigenvalues, ascending."""
@@ -167,16 +143,14 @@ class TridiagonalBands:
             return SpectralDecomposition(np.empty(0), np.empty((self.dim, 0)))
         w, v = sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
                                     select="i", select_range=(lo, hi - 1))
-        if self.phase is not None:
-            v = self.phase[:, None] * v
         return SpectralDecomposition(w, v)
 
     def window(self, z, lo, hi, corners=None):
         """The window system of rows and columns lo, ..., hi - 1 at z.
 
         By the Schur complement, the window block of (M - z I)^-1 is the
-        inverse of the window's own T - z I less a scalar self-energy at
-        each end: |e|^2 c, with e the link out of the window and c the
+        inverse of the window's own M - z I less a scalar self-energy at
+        each end: e^2 c, with e the link out of the window and c the
         corner entry of the resolvent of the chain beyond it.  ``corners``
         gives the two c (lo end, hi end), say of semi-infinite leads that
         replace the chain beyond the window; by default they are the box's
@@ -196,19 +170,16 @@ class TridiagonalBands:
             c = _corner(self.diagonal[hi:] - z, off[hi:], 0) if corners is None \
                 else corners[1]
             diag[-1] -= off[hi - 1] ** 2 * c
-        return WindowSystem(diag, off[lo:hi - 1],
-                            None if self.phase is None else self.phase[lo:hi])
+        return WindowSystem(diag, off[lo:hi - 1])
 
 
 @dataclass(frozen=True)
 class WindowSystem:
     """A window of M - z I with the chain beyond it folded into its end
-    entries: the complex diagonal and real offdiagonal of the window of T,
-    and the window's part of P (None when M is real)."""
+    entries: a complex diagonal and the window's real offdiagonal."""
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
-    phase: np.ndarray = None
 
     def solve(self, rhs):
         """The system's inverse applied to rhs, by its banded LU."""
@@ -216,11 +187,7 @@ class WindowSystem:
         b = np.array(rhs, dtype=complex)
         if len(b) == 0:
             return b
-        if self.phase is None:
-            return _banded_solve(self.diagonal, self.offdiagonal, b)
-        window = self.phase[:, None]
-        b *= window.conj()
-        return window * _banded_solve(self.diagonal, self.offdiagonal, b)
+        return _banded_solve(self.diagonal, self.offdiagonal, b)
 
     def pivots(self):
         """The LDL^T pivots p_1 = d_1, p_(i+1) = d_(i+1) - e_i^2 / p_i; their

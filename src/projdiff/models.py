@@ -6,6 +6,7 @@ Models provided:
 * the half-line resolvent pair with rank-one difference (Nystrom
   discretization of the Dirichlet/Neumann Green kernels on [0, L]),
 * 1-d Schrodinger pairs on a Dirichlet box with a decaying potential,
+  stored as real symmetric tridiagonal bands,
 * seeded random gapped pairs for identity sweeps,
 
 plus the resolvent change of spectral variable and the translation of a
@@ -22,7 +23,7 @@ from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError
 from . import linalg
-from .linalg import TridiagonalBands, check_hermitian, herm_eig, subspace_compressions
+from .linalg import TridiagonalBands, check_hermitian, herm_eig
 from .quadrature import make_quadrature
 
 __all__ = [
@@ -48,13 +49,15 @@ def thresholds():
 class OperatorPair:
     """A pair H0 and H = H0 + G* V0 G with the factorization kept explicit.
 
-    ``operators`` holds (h0, h), either as dense matrices or, for pairs
-    built from bands, as :class:`TridiagonalBands`; the dense ``h0`` and
-    ``h`` of a band pair are built on first use, for dense consumers only.
-    ``g`` maps the main space into the coupling space (kdim x dim), as an
-    array for a dense pair and as a ``csr_array`` of its nonzeros for a
-    band pair; ``v0`` is Hermitian on the coupling space.  ``meta``
-    records the model and any exactly known facts about it.
+    ``operators`` holds (h0, h), either as dense Hermitian matrices or,
+    for pairs built from bands, as real symmetric
+    :class:`TridiagonalBands`; the dense ``h0`` and ``h`` of a band pair
+    are built on first use, for dense consumers only.  ``g`` maps the main
+    space into the coupling space (kdim x dim), as an array for a dense
+    pair and as a real ``csr_array`` of its nonzeros for a band pair;
+    ``v0`` is Hermitian on the coupling space (real symmetric for a band
+    pair).  ``meta`` records the model and any exactly known facts about
+    it.
 
     Eigen-data are computed on first use and cached on the instance.  The
     storage picks the path: the eigenvalues and the eigenvectors near a
@@ -66,7 +69,6 @@ class OperatorPair:
     g: object
     v0: np.ndarray
     meta: dict = field(default_factory=dict)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -136,20 +138,6 @@ class OperatorPair:
                       for e, (lo, hi) in zip(self.eigensystems(), ranges))
         return side, u0, u1
 
-    def compression(self, probe):
-        """(side, A0, A1): the side projections of h0 and h compressed to span[U0, U1].
-
-        With (side, U0, U1) from :meth:`probe_basis`, A0 and A1 are
-        :func:`projdiff.linalg.subspace_compressions` of (U0, U1).  The
-        latest probe's result is kept, so that the difference spectrum and
-        the D^2 check at one probe share one eigensolve and one QR.
-        """
-        if self._memo.get("probe") != probe:
-            side, u0, u1 = self.probe_basis(probe)
-            self._memo.update(probe=probe,
-                              compression=(side, *subspace_compressions(u0, u1)))
-        return self._memo["compression"]
-
 
 def _finite(m, name):
     m = np.asarray(m)
@@ -174,13 +162,14 @@ def build_finite_pair(h0, g, v0, meta=None):
     """Assemble an :class:`OperatorPair` from its factorization pieces.
 
     ``h0`` is a dense Hermitian matrix or a :class:`TridiagonalBands`, and
-    ``g`` a dense or ``scipy.sparse`` array.  From bands, G* V0 G is formed
-    from the nonzeros of ``g``; it must be tridiagonal, and the pair stores
-    the bands of h0 and h and ``g`` as a ``csr_array``, with no n x n or
-    dense k x n array; a dense pair stores ``g`` dense.  Either way
-    ArithmeticError is raised when the factorization residual
-    ||h - h0 - G* V0 G||_F exceeds FACTORIZATION_TOL relative to
-    ||h||_F + ||h0||_F.
+    ``g`` a dense or ``scipy.sparse`` array.  A band pair is real
+    symmetric: ValueError names ``h0``, ``g`` or ``v0`` when one of them
+    is complex.  From bands, G* V0 G is formed from the nonzeros of ``g``;
+    it must be tridiagonal, and the pair stores the bands of h0 and h and
+    ``g`` as a ``csr_array``, with no n x n or dense k x n array; a dense
+    pair stores ``g`` dense.  Either way ArithmeticError is raised when
+    the factorization residual ||h - h0 - G* V0 G||_F exceeds
+    FACTORIZATION_TOL relative to ||h||_F + ||h0||_F.
     """
     banded = isinstance(h0, TridiagonalBands)
     if banded:
@@ -196,6 +185,9 @@ def build_finite_pair(h0, g, v0, meta=None):
     if g.ndim != 2 or g.shape[1] != n or v0.shape[0] != g.shape[0]:
         raise ValueError("inconsistent dimensions in (h0, g, v0)")
     if banded:
+        for name, x in (("h0", h0.diagonal), ("h0", h0.offdiagonal), ("g", g), ("v0", v0)):
+            if np.iscomplexobj(x):
+                raise ValueError(f"{name} is complex; a band pair is real symmetric")
         return _band_pair(h0, g, v0, dict(meta or {}))
     v = g.conj().T @ v0 @ g
     h = h0 + v
@@ -213,19 +205,18 @@ def _check_factorization(resid, scale):
 
 
 def _band_pair(b0, g, v0, meta):
-    """The band pair of :func:`build_finite_pair`: G* V0 G from g, a csr_array."""
-    v = (g.conj().T @ sparse.csr_array(v0)) @ g
+    """The band pair of :func:`build_finite_pair`: G* V0 G from g, a real csr_array."""
+    v = (g.T @ sparse.csr_array(v0)) @ g
     lo, d, up = (v.diagonal(k) for k in (-1, 0, 1))
     if v.count_nonzero() != sum(np.count_nonzero(x) for x in (lo, d, up)):
         raise ArithmeticError("G* V0 G leaves the three central diagonals")
-    sub0 = b0.subdiagonal()
-    b1 = TridiagonalBands.hermitian(b0.diagonal + d.real,
-                                    0.5 * ((sub0 + lo) + (sub0.conj() + up).conj()))
+    off0 = b0.offdiagonal
+    b1 = TridiagonalBands(b0.diagonal + d, off0 + 0.5 * (lo + up))
     # h - h0 - G* V0 G vanishes off the three diagonals, so its Frobenius
     # norm, and those of h0 and h, are O(n) sums over them
-    sub1 = b1.subdiagonal()
-    resid = np.sqrt(sum(np.sum(np.abs(x) ** 2) for x in (
-        b1.diagonal - b0.diagonal - d, sub1 - sub0 - lo, sub1.conj() - sub0.conj() - up)))
+    off1 = b1.offdiagonal
+    resid = np.sqrt(sum(np.sum(x ** 2) for x in (
+        b1.diagonal - b0.diagonal - d, off1 - off0 - lo, off1 - off0 - up)))
     scale = sum(np.sqrt(np.sum(b.diagonal ** 2) + 2.0 * np.sum(b.offdiagonal ** 2))
                 for b in (b0, b1))
     _check_factorization(resid, scale)

@@ -16,9 +16,8 @@ of the r x r compression Q* D Q = R1 R1* - R0 R0*, padded with n - r
 exact zeros, and the D^2 block identity compresses to the same r x r
 blocks.  The eigenvectors come from the pair: a banded solver restricted
 to the needed indices for a band-stored pair, the dense eigensystems for
-a dense one.  The pair keeps the compression of the latest probe, so the
-spectrum and the D^2 check at one probe share it (see
-:class:`projdiff.models.OperatorPair`).
+a dense one.  The difference spectrum reports the D^2 residual of the
+compression it has built, so one probe needs one compression.
 
 The corners E0(side) E(opposite) E0(side) are functions of the same
 small-side bases: their nonzero spectrum is 1 - sigma(C)^2 for the
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import probe_gaps
+from .linalg import probe_gaps, subspace_compressions
 
 __all__ = [
     "DifferenceReport", "spectral_projection", "projection_difference",
@@ -124,10 +123,27 @@ class DifferenceReport:
     gap_h: float
     max_gap: float
     coverage_distance: float
+    dsquared_residual: float         # see dsquared_block_check
 
     @property
     def extremes(self):
         return float(self.spectrum.min()), float(self.spectrum.max())
+
+
+def _side_projections(pair, probe):
+    """(gaps, side, A0, A1): the probe gaps of :func:`projdiff.linalg.probe_gaps`
+    and the side projections of h0 and h compressed to span[U0, U1], with
+    (side, U0, U1) from :meth:`projdiff.models.OperatorPair.probe_basis`."""
+    gaps = probe_gaps(probe, pair.eigenvalues)
+    side, u0, u1 = pair.probe_basis(probe)
+    return (gaps, side, *subspace_compressions(u0, u1))
+
+
+def _dsquared_residual(a0, a1):
+    eye = np.eye(len(a0))
+    d = a1 - a0
+    rhs = a0 @ (eye - a1) @ a0 + (eye - a0) @ a1 @ (eye - a0)
+    return float(np.linalg.norm(d @ d - rhs, 2))
 
 
 def projection_difference(pair, probe, target=None):
@@ -138,10 +154,11 @@ def projection_difference(pair, probe, target=None):
     would otherwise push a swap eigenvalue past +-1 and out of the fill
     metrics), and n - r exact zeros.  The swap dimensions count
     eigenvalues within SWAP_CLUSTER_TOL of +1 and -1.  ``target`` is the interval the fill
-    metrics are computed against, defaulting to [-1, 1].
+    metrics are computed against, defaulting to [-1, 1].  The report
+    carries the residual of :func:`dsquared_block_check` on the same
+    compression.
     """
-    g0, g1 = probe_gaps(probe, pair.eigenvalues)
-    side, a0, a1 = pair.compression(probe)
+    (g0, g1), side, a0, a1 = _side_projections(pair, probe)
     core = np.clip(-side * np.linalg.eigvalsh(a1 - a0), -1.0, 1.0)
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
@@ -149,7 +166,8 @@ def projection_difference(pair, probe, target=None):
     lo, hi = target if target is not None else (-1.0, 1.0)
     max_gap, cover = fill_metrics(spec, lo, hi)
     return DifferenceReport(float(probe), spec, dim_plus, dim_minus,
-                            pairing_defect(spec), g0, g1, max_gap, cover)
+                            pairing_defect(spec), g0, g1, max_gap, cover,
+                            _dsquared_residual(a0, a1))
 
 
 def dsquared_block_check(pair, probe):
@@ -162,12 +180,8 @@ def dsquared_block_check(pair, probe):
     projections are replaced by their complements, so it is checked on
     the r x r compressions of the side projections.
     """
-    probe_gaps(probe, pair.eigenvalues)
-    _, a0, a1 = pair.compression(probe)
-    eye = np.eye(len(a0))
-    d = a1 - a0
-    rhs = a0 @ (eye - a1) @ a0 + (eye - a0) @ a1 @ (eye - a0)
-    return float(np.linalg.norm(d @ d - rhs, 2))
+    _, _, a0, a1 = _side_projections(pair, probe)
+    return _dsquared_residual(a0, a1)
 
 
 def corner_spectrum(pair, probe, sign=+1):

@@ -31,11 +31,12 @@ continuum fundamental system gives S for both incidence sides.  Channel,
 ladder and oracle map phases to band edges through :func:`band_edges`.
 
 The sandwiches G (A - z)^-1 G* of a dense pair come from its cached
-eigensystems, (G U) diag(1/(w - z)) (G U)*.  Those of a band-stored pair
-need only the block of the resolvent on the coupling window, the columns
-where G is nonzero: the chain outside it enters through two scalar
-boundary self-energies (a Schur complement), and the window system is
-solved once for all of G*.
+eigensystems, (G U) diag(1/(w - z)) (G U)*.  A band pair is real
+symmetric, with real G and V0, and its sandwiches need only the block of
+the resolvent on the coupling window, the columns where G is nonzero:
+the chain outside it enters through two scalar boundary self-energies (a
+Schur complement), and the window system is solved once for all of
+G^T = G*.
 
 A rung's phases come from all k eigenvalues of S; ||A||, the unitarity
 defect and the identity residual are largest |eigenvalues| of Hermitian
@@ -94,7 +95,7 @@ def _sandwich_one(pair, which, z):
     # system for all of G*, with G applied through its nonzeros
     lo, hi = pair.coupling_window
     gw = g[:, lo:hi]
-    return gw @ pair.operators[which].window(z, lo, hi).solve(gw.conj().T.toarray())
+    return gw @ pair.operators[which].window(z, lo, hi).solve(gw.T.toarray())
 
 
 def _check_conditioning(m):
@@ -151,14 +152,14 @@ def _imag_part(m):
     return (m - m.conj().T) / 2j
 
 
-def smoothed_density(pair, probe, eps, sandwich=None):
+def smoothed_density(pair, probe, eps):
     """Smoothed densities (F0', F') = Im T0(probe+i*eps)/pi, Im T/pi.
 
     Both are PSD up to roundoff for eps > 0.
     """
     if eps <= 0:
         raise ValueError("need eps > 0")
-    sw = sandwich or resolvent_sandwich(pair, probe + 1j * eps)
+    sw = resolvent_sandwich(pair, probe + 1j * eps)
     return _imag_part(sw.t0) / np.pi, _imag_part(sw.t) / np.pi
 
 
@@ -224,7 +225,7 @@ def scattering_bundle(pair, probe, eps):
     the square root of the largest eigenvalue of (S-I)*(S-I)/4.
     """
     sw = resolvent_sandwich(pair, probe + 1j * eps)
-    f0p, fp = smoothed_density(pair, probe, eps, sandwich=sw)
+    f0p, fp = _imag_part(sw.t0) / np.pi, _imag_part(sw.t) / np.pi
     root = _psd_sqrt(f0p)
     v0 = pair.v0
     core = v0 - v0 @ sw.t @ v0
@@ -351,9 +352,8 @@ def _uniform_lead(pair, lo, hi):
 
 
 def _real_times(m, x):
-    """m @ x for complex x, without the complex k x k copy numpy makes of a real m."""
-    if np.iscomplexobj(m):
-        return m @ x
+    """m @ x for a real m and complex x, without the complex k x k copy
+    numpy makes of m."""
     return m @ x.real + 1j * (m @ x.imag)
 
 
@@ -412,7 +412,7 @@ def _channel_core(pair, probe, lo, hi, d, t):
     gw = pair.g[:, lo:hi]
     x = gw @ a0.solve(ends) * (t * np.sqrt(c.imag))
     vx = _real_times(pair.v0, x)
-    tvx = gw @ a1.solve(gw.conj().T @ vx)
+    tvx = gw @ a1.solve(gw.T @ vx)
     smat = np.eye(2) - 2j * x.conj().T @ (vx - _real_times(pair.v0, tvx))
     p0, p1 = a0.pivots(), a1.pivots()
     if not (np.all(p0.imag < 0) and np.all(p1.imag < 0)):

@@ -18,24 +18,21 @@ from projdiff.scattering import (birman_krein_extrapolated, channel_smatrix,
                                  extrapolated_phases, transfer_matrix_smatrix)
 
 
-def complex_band_pair(seed, n=40, lo=12, hi=25, d=0.7, t=1.3):
-    """A band pair with complex hopping phases: hopping of magnitude t and
-    random phase, diagonal d outside [lo, hi); a random diagonal and hopping
-    magnitude inside; V = G* V0 G with a complex tridiagonal V0 there."""
+def random_band_pair(seed, n=40, lo=12, hi=25, d=0.7, t=1.3):
+    """A real band pair with a random window: hopping t and diagonal d
+    outside [lo, hi); a random diagonal and hopping of random size and
+    sign inside; V = G* V0 G with a random real tridiagonal V0 there."""
     rng = np.random.default_rng(seed)
     diag = np.full(n, d)
     diag[lo:hi] += rng.uniform(-1.0, 1.0, hi - lo)
-    mag = np.full(n - 1, t)
-    mag[lo:hi - 1] *= rng.uniform(0.5, 1.5, hi - lo - 1)
-    # the phases P as TridiagonalBands.hermitian makes them, with the
-    # magnitudes kept exact, so that the leads are exactly uniform
-    phase = np.exp(2j * np.pi * np.concatenate([[0.0], np.cumsum(rng.uniform(size=n - 1))]))
-    h0 = TridiagonalBands(diag, mag, phase)
+    hop = np.full(n - 1, t)
+    hop[lo:hi - 1] *= rng.uniform(0.5, 1.5, hi - lo - 1) * rng.choice([-1.0, 1.0], hi - lo - 1)
+    h0 = TridiagonalBands(diag, hop)
     k = hi - lo
     g = np.zeros((k, n))
     g[np.arange(k), lo + np.arange(k)] = rng.uniform(0.5, 1.5, k)
-    off = 0.3 * (rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1))
-    v0 = np.diag(rng.uniform(-1.0, 1.0, k)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    off = 0.3 * rng.standard_normal(k - 1)
+    v0 = np.diag(rng.uniform(-1.0, 1.0, k)) + np.diag(off, -1) + np.diag(off, 1)
     return build_finite_pair(h0, g, v0)
 
 
@@ -68,6 +65,8 @@ def eigenvalue_distance(a, b):
     return float(max(d.min(axis=0).max(), d.min(axis=1).max()))
 
 
+# "complex": the random window of random_band_pair, with its tridiagonal V0;
+# "sech2": a Schrodinger box, with a diagonal V0
 DENSE_CASES = [("complex", seed, probe) for seed in (0, 1, 2) for probe in (-1.0, 0.5, 2.5)] \
     + [("sech2", 0, probe) for probe in (0.5, 1.0, 1.6)]
 
@@ -75,7 +74,7 @@ DENSE_CASES = [("complex", seed, probe) for seed in (0, 1, 2) for probe in (-1.0
 @pytest.mark.parametrize("kind, seed, probe", DENSE_CASES)
 def test_channel_matches_dense_window_solve(kind, seed, probe):
     if kind == "complex":
-        pair, (d, t) = complex_band_pair(seed), (0.7, 1.3)
+        pair, (d, t) = random_band_pair(seed), (0.7, 1.3)
     else:
         pair = build_schrodinger_1d(sech2_spec(1.0, 25.0, 300))
         h = pair.meta["step"]
@@ -173,13 +172,13 @@ def test_probe_outside_the_band_is_a_typed_error():
 
 
 def test_chain_not_uniform_outside_the_window_is_rejected():
-    pair = complex_band_pair(0)
+    pair = random_band_pair(0)
     b0 = pair.operators[0]
     # one diagonal entry or one link magnitude off by an ulp, on either side
     for band, index, site in ((0, 3, 3), (0, 31, 31), (1, 5, 5), (1, 24, 25), (1, 30, 31)):
         bands = [b0.diagonal.copy(), b0.offdiagonal.copy()]
         bands[band][index] = np.nextafter(bands[band][index], np.inf)
-        bent = OperatorPair((TridiagonalBands(*bands, b0.phase), pair.operators[1]),
+        bent = OperatorPair((TridiagonalBands(*bands), pair.operators[1]),
                             pair.g, pair.v0)
         with pytest.raises(ValueError, match=rf"^H0 is not uniform.*first differs at "
                                              rf"site {site}$"):

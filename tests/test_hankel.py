@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projdiff.errors import DivergentBoundError, KernelSingularityError
-from projdiff.hankel import (TraceBoundData, build_hankel, carleman_kernel,
+from projdiff.hankel import (build_hankel, carleman_kernel,
                              default_hankel_rule, gamma0_kernel, gamma_kernel,
                              kernel_bound_suite, laplace_factorizations,
                              model_hankel_pair, nuclear_bound_check)
@@ -183,23 +183,20 @@ def test_bound_suite_block_kernel(rule):
 
 def test_nuclear_bound_zero_profile():
     lam_rule = make_quadrature("halfline-log", 200, half_width=16.0)
-    data = TraceBoundData(lambda lam: np.zeros((1, 1)), lam_rule)
-    out = nuclear_bound_check(data)
+    out = nuclear_bound_check(lambda lam: np.zeros((1, 1)), lam_rule)
     assert out["c2"] == 0.0 and out["nuclear_norm"] <= 1e-12
 
 
 def test_nuclear_bound_divergent_profile_rejected():
     lam_rule = make_quadrature("halfline-log", 200, half_width=16.0)
-    data = TraceBoundData(lambda lam: np.array([[np.exp(-lam)]]), lam_rule)
     with pytest.raises(DivergentBoundError):
-        nuclear_bound_check(data)
+        nuclear_bound_check(lambda lam: np.array([[np.exp(-lam)]]), lam_rule)
 
 
 def test_nuclear_bound_exponential_profile():
     # M(lam) = lam*exp(-lam): C2 = 1 and the kernel is 1/(1+tau)^2
     lam_rule = make_quadrature("halfline-log", 300, half_width=16.0)
-    data = TraceBoundData(lambda lam: np.array([[lam * np.exp(-lam)]]), lam_rule)
-    out = nuclear_bound_check(data)
+    out = nuclear_bound_check(lambda lam: np.array([[lam * np.exp(-lam)]]), lam_rule)
     assert out["c2"] == pytest.approx(1.0, abs=1e-6)
     assert out["nuclear_norm"] <= 0.525
     assert out["bound_holds"]
@@ -209,8 +206,8 @@ def test_nuclear_bound_diagonal_block_profile_adds_scalar_runs():
     lam_rule = make_quadrature("halfline-log", 300, half_width=16.0)
     m1 = lambda lam: lam * np.exp(-lam)
     m2 = lambda lam: 0.5 * lam * np.exp(-2.0 * lam)
-    block = nuclear_bound_check(TraceBoundData(lambda lam: np.diag([m1(lam), m2(lam)]), lam_rule))
-    runs = [nuclear_bound_check(TraceBoundData(lambda lam, m=m: np.array([[m(lam)]]), lam_rule))
+    block = nuclear_bound_check(lambda lam: np.diag([m1(lam), m2(lam)]), lam_rule)
+    runs = [nuclear_bound_check(lambda lam, m=m: np.array([[m(lam)]]), lam_rule)
             for m in (m1, m2)]
     for key in ("c2", "nuclear_norm"):
         assert block[key] == pytest.approx(runs[0][key] + runs[1][key], rel=1e-12)

@@ -163,21 +163,6 @@ def test_build_finite_pair_rejects_non_finite(piece, bad):
         build_finite_pair(**pieces)
 
 
-def test_tridiagonal_bands_complex_phases():
-    # a complex Hermitian tridiagonal matrix is P T P* with T real symmetric
-    rng = np.random.default_rng(8)
-    off = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    off[2] = 0.0
-    d = rng.standard_normal(6)
-    m = np.diag(d) + np.diag(off, -1) + np.diag(off.conj(), 1)
-    bands = TridiagonalBands.hermitian(d, off)
-    dec = bands.eigenpairs(1, 4)
-    assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m)[1:4], atol=1e-13)
-    v = dec.eigenvectors
-    assert np.linalg.norm(m @ v - v * dec.eigenvalues, 2) <= 1e-13
-    assert bands.eigenpairs(2, 2).eigenvectors.shape == (6, 0)
-
-
 def test_subspace_compressions_match_the_dense_projections():
     # sums and products of the compressions have the 2-norms of the same
     # expressions in the n x n projections, whatever the overlap of the spans
@@ -201,24 +186,33 @@ def test_subspace_compressions_match_the_dense_projections():
 def test_tridiagonal_bands_format():
     rng = np.random.default_rng(12)
     n = 9
-    d = rng.standard_normal(n)
-    sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-    for s in (sub, sub.real):
-        m = np.diag(d) + np.diag(s, -1) + np.diag(s.conj(), 1)
-        bands = TridiagonalBands.hermitian(d, s)
-        assert (bands.phase is None) == np.isrealobj(s)
-        assert np.allclose(bands.subdiagonal(), s, atol=1e-15)
-        assert np.allclose(bands.dense(), m, atol=1e-15)
-        assert np.allclose(bands.eigenvalues(), np.linalg.eigvalsh(m), atol=1e-13)
-        z = 0.3 + 0.02j
-        rhs = rng.standard_normal((n, 3))
-        assert np.allclose(bands.window(z, 0, n).solve(rhs),
-                           np.linalg.solve(m - z * np.eye(n), rhs), atol=1e-12)
-        assert np.array_equal(bands.shifted(0.5).dense(), bands.dense() - 0.5 * np.eye(n))
-    assert np.array_equal(TridiagonalBands.hermitian(d, sub.real).dense(),
-                          np.diag(d) + np.diag(sub.real, -1) + np.diag(sub.real, 1))
+    d, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+    off[2] = 0.0
+    m = np.diag(d) + np.diag(off, -1) + np.diag(off, 1)
+    bands = TridiagonalBands(d, off)
+    assert np.array_equal(bands.dense(), m)
+    assert np.allclose(bands.eigenvalues(), np.linalg.eigvalsh(m), atol=1e-13)
+    dec = bands.eigenpairs(1, 4)
+    assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m)[1:4], atol=1e-13)
+    v = dec.eigenvectors
+    assert np.linalg.norm(m @ v - v * dec.eigenvalues, 2) <= 1e-13
+    assert bands.eigenpairs(2, 2).eigenvectors.shape == (n, 0)
+    z = 0.3 + 0.02j
+    rhs = rng.standard_normal((n, 3))
+    assert np.allclose(bands.window(z, 0, n).solve(rhs),
+                       np.linalg.solve(m - z * np.eye(n), rhs), atol=1e-12)
+    assert np.array_equal(bands.shifted(0.5).dense(), m - 0.5 * np.eye(n))
     one = TridiagonalBands(np.array([2.0]), np.empty(0))
     assert np.allclose(one.window(1j, 0, 1).solve(np.array([[1.0]])), [[1.0 / (2.0 - 1j)]])
+
+
+def _random_bands(rng, n, cut):
+    """Real symmetric bands with a random diagonal and offdiagonal; with
+    ``cut``, one link is zero and the chain falls into two pieces."""
+    off = rng.standard_normal(n - 1)
+    if cut:
+        off[n // 2] = 0.0
+    return TridiagonalBands(rng.uniform(-2, 2, n), off)
 
 
 def test_band_solve_on_a_window_matches_the_padded_full_solve():
@@ -226,9 +220,8 @@ def test_band_solve_on_a_window_matches_the_padded_full_solve():
     # self-energies, against rows of the dense solve of the zero-padded rhs
     rng = np.random.default_rng(8)
     n, z = 25, 0.3 + 0.02j
-    for sub in (rng.standard_normal(n - 1),
-                rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)):
-        bands = TridiagonalBands.hermitian(rng.uniform(-2, 2, n), sub)
+    for cut in (False, True):
+        bands = _random_bands(rng, n, cut)
         inverse = np.linalg.inv(bands.dense() - z * np.eye(n))
         for lo, hi in ((0, n), (0, 7), (18, n), (9, 14), (12, 13), (5, 5)):
             rhs = rng.standard_normal((hi - lo, 3)) + 1j * rng.standard_normal((hi - lo, 3))
@@ -243,20 +236,20 @@ def test_band_solve_on_a_window_matches_the_padded_full_solve():
 
 def test_window_with_given_corners_matches_the_dense_window():
     # the window system with given end corners c: the dense window block
-    # less |e|^2 c at each end; its solve and its pivots (their product is
+    # less e^2 c at each end; its solve and its pivots (their product is
     # the determinant) against dense algebra
     rng = np.random.default_rng(9)
     n, z, corners = 25, 0.3, (0.2 + 0.7j, -0.4 + 0.1j)
-    for sub in (rng.standard_normal(n - 1),
-                rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)):
-        bands = TridiagonalBands.hermitian(rng.uniform(-2, 2, n), sub)
+    for cut in (False, True):
+        bands = _random_bands(rng, n, cut)
+        off = bands.offdiagonal
         for lo, hi in ((6, 19), (12, 13), (0, 7), (18, n)):
             m = hi - lo
             dense = bands.dense()[lo:hi, lo:hi] - z * np.eye(m, dtype=complex)
             if lo > 0:
-                dense[0, 0] -= abs(sub[lo - 1]) ** 2 * corners[0]
+                dense[0, 0] -= off[lo - 1] ** 2 * corners[0]
             if hi < n:
-                dense[-1, -1] -= abs(sub[hi - 1]) ** 2 * corners[1]
+                dense[-1, -1] -= off[hi - 1] ** 2 * corners[1]
             system = bands.window(z, lo, hi, corners)
             rhs = rng.standard_normal((m, 2))
             assert np.allclose(system.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-12)

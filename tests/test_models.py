@@ -249,22 +249,26 @@ WINDOW_CASES = {"box-ends": [[0], [29]], "gap-inside": [[8, 9], [15], [16]],
                 "one-site": [[12]], "interior": [[10], [11, 12]]}
 
 
-@pytest.mark.parametrize("complex_bands", (False, True))
+@pytest.mark.parametrize("cut", (False, True))
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_window_sandwich_edge_cases(case, complex_bands):
+def test_window_sandwich_edge_cases(case, cut):
+    # random real bands and a random real G of either sign; with ``cut``,
+    # link 15 is zero and the chain falls into two pieces, inside the
+    # window of "gap-inside" and "box-ends" and beyond the other windows
     rng = np.random.default_rng(6)
     n, rows = 30, WINDOW_CASES[case]
-    sub = rng.standard_normal(n - 1) + (1j * rng.standard_normal(n - 1) if complex_bands else 0)
-    bands = TridiagonalBands.hermitian(rng.uniform(-2, 2, n), sub)
-    g = np.zeros((len(rows), n), dtype=complex)
+    off = rng.standard_normal(n - 1)
+    if cut:
+        off[15] = 0.0
+    bands = TridiagonalBands(rng.uniform(-2, 2, n), off)
+    g = np.zeros((len(rows), n))
     for i, sites in enumerate(rows):
-        g[i, sites] = rng.uniform(0.2, 0.8, len(sites)) * np.exp(2j * np.pi * rng.random(len(sites)))
+        g[i, sites] = rng.uniform(0.2, 0.8, len(sites)) * rng.choice([-1.0, 1.0], len(sites))
     pair = build_finite_pair(bands, g, np.diag(rng.choice([-1.0, 1.0], len(rows))))
-    assert (bands.phase is not None) == complex_bands
     assert pair.coupling_window == (min(min(r) for r in rows), max(max(r) for r in rows) + 1)
     for z in (0.1 + 0.05j, -1.0 + 0.3j):
         for which, mat in enumerate((pair.h0, pair.h)):
-            ref = g @ np.linalg.solve(mat - z * np.eye(n), g.conj().T)
+            ref = g @ np.linalg.solve(mat - z * np.eye(n), g.T)
             t = scattering._sandwich_one(pair, which, z)
             assert np.linalg.norm(t - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
@@ -306,18 +310,19 @@ def test_band_build_keeps_the_factorization_contract(monkeypatch):
 
 
 def test_complex_band_pair_matches_dense_build():
-    # a complex Hermitian tridiagonal h0 and a coupling on neighbouring sites
+    # random real bands and a coupling on neighbouring sites, the one band
+    # build here whose G* V0 G is off the diagonal
     rng = np.random.default_rng(4)
     n = 30
-    sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-    bands = TridiagonalBands.hermitian(rng.uniform(-2, 2, n), sub)
-    g = np.zeros((2, n), dtype=complex)
-    g[0, [4, 5]] = [0.3 + 0.1j, 0.2]
-    g[1, 9] = 0.6j
+    bands = TridiagonalBands(rng.uniform(-2, 2, n), rng.standard_normal(n - 1))
+    g = np.zeros((2, n))
+    g[0, [4, 5]] = [0.3, -0.2]
+    g[1, 9] = 0.6
     v0 = np.diag([1.0, -1.0])
     pair = build_finite_pair(bands, g, v0)
     dense = build_finite_pair(bands.dense(), g, v0)
     assert pair.banded and not dense.banded
+    assert pair.operators[1].offdiagonal[4] != bands.offdiagonal[4]
     assert np.allclose(pair.h, dense.h, atol=1e-14)
     for w, v in zip(pair.eigenvalues, dense.eigensystems()):
         assert np.allclose(w, v.eigenvalues, atol=1e-12)
@@ -325,6 +330,29 @@ def test_complex_band_pair_matches_dense_build():
                        projection_difference(dense, 0.1).spectrum, atol=1e-12)
     sb, sd = resolvent_sandwich(pair, 0.1 + 0.05j), resolvent_sandwich(dense, 0.1 + 0.05j)
     assert np.allclose(sb.t, sd.t, atol=1e-12) and np.allclose(sb.t0, sd.t0, atol=1e-12)
+
+
+def test_band_pair_rejects_complex_pieces():
+    # a band pair is real symmetric: a complex h0, g or v0 is named; a
+    # complex g or v0 builds a dense pair
+    n = 8
+    bands = TridiagonalBands(np.full(n, 2.0), np.full(n - 1, -1.0))
+    g = np.zeros((2, n))
+    g[0, 2], g[1, 3] = 0.5, 0.7
+    v0 = np.diag([1.0, -1.0])
+    cases = {
+        "h0": (TridiagonalBands(bands.diagonal, bands.offdiagonal * np.exp(0.3j)), g, v0),
+        "g": (bands, g * 1j, v0),
+        "v0": (bands, g, np.array([[1.0, 0.2j], [-0.2j, -1.0]])),
+    }
+    for name, (h0, gc, vc) in cases.items():
+        with pytest.raises(ValueError, match=rf"^{name} is complex"):
+            build_finite_pair(h0, gc, vc)
+        if name != "h0":
+            assert not build_finite_pair(bands.dense(), gc, vc).banded
+    complex_diagonal = TridiagonalBands(bands.diagonal.astype(complex), bands.offdiagonal)
+    with pytest.raises(ValueError, match="^h0 is complex"):
+        build_finite_pair(complex_diagonal, g, v0)
 
 
 def test_band_pairs_hold_g_as_its_nonzeros():

@@ -213,13 +213,13 @@ def test_probe_below_both_spectra_gives_zero():
 
 
 def _tridiagonal_pair(n=40, banded=True):
-    """Tridiagonal h0 with complex off-diagonal and a diagonal coupling, built
-    from its bands or, with ``banded`` False, from the same dense matrix."""
+    """Random real tridiagonal h0 and a diagonal coupling, built from its
+    bands or, with ``banded`` False, from the same dense matrix."""
     rng = np.random.default_rng(3)
-    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    off = rng.standard_normal(n - 1)
     d = rng.uniform(-2, 2, n)
-    h0 = (TridiagonalBands.hermitian(d, off) if banded
-          else np.diag(d) + np.diag(off, -1) + np.diag(off.conj(), 1))
+    h0 = (TridiagonalBands(d, off) if banded
+          else np.diag(d) + np.diag(off, -1) + np.diag(off, 1))
     g = np.diag(rng.uniform(0.2, 0.8, n))
     v0 = np.diag(rng.choice([-1.0, 1.0], n))
     return build_finite_pair(h0, g, v0)
