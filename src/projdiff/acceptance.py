@@ -47,7 +47,7 @@ import numpy as np
 
 from .hankel import (build_hankel, carleman_kernel, default_hankel_rule,
                      kernel_bound_suite, laplace_factorizations, model_hankel_pair)
-from .linalg import probe_gaps, subspace_compressions
+from .linalg import subspace_compressions
 from .models import (build_krein, build_schrodinger_1d, random_gapped_pair,
                      resolvent_transform, sech2_spec, square_well_spec,
                      thresholds)
@@ -349,13 +349,13 @@ def projection_identity_residual(pair, transform, probe):
     compressions A_j, B_j of :func:`projdiff.linalg.subspace_compressions`
     of (U0, U1, W0, W1): ||-s (A1 - A0) + s' (B0 - B1)||_2.  A probe too
     close to either spectrum raises :class:`GapViolationError` (see
-    :func:`projdiff.linalg.probe_gaps`).
+    :meth:`projdiff.models.OperatorPair.probe_split`).
     """
     mu = float(transform.mu(probe))
-    probe_gaps(probe, pair.eigenvalues)
-    probe_gaps(mu, transform.pair.eigenvalues)
-    side, u0, u1 = pair.probe_basis(probe)
-    side_t, w0, w1 = transform.pair.probe_basis(mu)
+    counts, _ = pair.probe_split(probe)
+    counts_t, _ = transform.pair.probe_split(mu)
+    side, u0, u1 = pair.probe_basis(probe, counts)
+    side_t, w0, w1 = transform.pair.probe_basis(mu, counts_t)
     a0, a1, b0, b1 = subspace_compressions(u0, u1, w0, w1)
     return float(np.linalg.norm(-side * (a1 - a0) + side_t * (b0 - b1), 2))
 

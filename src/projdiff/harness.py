@@ -197,7 +197,7 @@ def _probe_payload(pair, probe, ladder):
             "dim_plus": rep.dim_plus, "dim_minus": rep.dim_minus,
             "pairing_defect": rep.pairing_defect,
             "max_gap": rep.max_gap, "coverage_distance": rep.coverage_distance,
-            "gap_h0": rep.gap_h0, "gap_h": rep.gap_h,
+            "gap_h0": rep.gap_h0, "gap_h": rep.gap_h, "path": rep.path,
         }
         out["dsquared_residual"] = rep.dsquared_residual
     except _CAPTURED as exc:

@@ -1,11 +1,12 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
 band-stored matrices), the band format of real symmetric tridiagonal
-matrices with its shifted window systems (the chain beyond the window
-folded into two boundary self-energies, the box's own or those of given
-leads), their banded solve and LDL^T pivots, the compression of
-subspace projections to their joint span, SVD, semigroup action, the
-closed-form Sylvester solver on eigenvalue diagonals, and the probe-gap
-check on eigenvalue arrays.
+matrices with its Sturm counts, its closed-form eigensystem when the
+band is a uniform chain, and its shifted window systems (the chain
+beyond the window folded into two boundary self-energies, the box's own
+or those of given leads), their banded solve and LDL^T pivots, the
+compression of subspace projections to their joint span, SVD, semigroup
+action, the closed-form Sylvester solver on eigenvalue diagonals, and
+the probe-gap check on eigenvalue arrays.
 
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
@@ -16,6 +17,7 @@ rejects exactly what the exact check does.  The banded eigensolver keeps
 the dense one's input contract.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,17 +135,98 @@ class TridiagonalBands:
         """Bands of M - shift * I."""
         return TridiagonalBands(self.diagonal - shift, self.offdiagonal)
 
-    def eigenvalues(self):
-        """All eigenvalues, ascending."""
-        return sla.eigh_tridiagonal(self.diagonal, self.offdiagonal, eigvals_only=True)
+    @functools.cached_property
+    def free_chain(self):
+        """(d, t) when the band is a uniform chain, a constant diagonal d and a
+        constant nonzero offdiagonal t (the discrete Dirichlet Laplacian up to
+        scale and shift), else None.  One O(n) check; the chain's eigenpairs
+        are then known in closed form (DST-I): with theta_j = pi j / (n + 1),
+        j = 1, ..., n, the j-th eigenvalue is d - 2|t| + 4|t| sin^2(theta_j / 2)
+        and its eigenvector sqrt(2 / (n + 1)) sin(i theta_j), i = 1, ..., n,
+        its sign alternating in i when t > 0."""
+        d, e = self.diagonal, self.offdiagonal
+        if len(e) == 0 or e[0] == 0 or np.any(d != d[0]) or np.any(e != e[0]):
+            return None
+        return float(d[0]), float(e[0])
+
+    def _chain_values(self, lo, hi):
+        d, t = self.free_chain
+        j = np.arange(lo + 1, hi + 1)
+        return d - 2.0 * abs(t) + 4.0 * abs(t) * np.sin(0.5 * np.pi * j / (self.dim + 1)) ** 2
+
+    def eigenvalues(self, lo=0, hi=None):
+        """Eigenvalues with ascending indices lo, ..., hi - 1 (all by default).
+
+        Closed form for a free chain.  Otherwise all of them come from one
+        banded solve, and a part of them by bisection, one index at a time:
+        the last bits of a bisected value depend on the range bracketed, so
+        this keeps an eigenvalue's value independent of the range it is
+        asked in.  Meant for a few indices.
+        """
+        n = self.dim
+        hi = n if hi is None else hi
+        if hi <= lo:
+            return np.empty(0)
+        if self.free_chain is not None:
+            return self._chain_values(lo, hi)
+        if (lo, hi) == (0, n):
+            return sla.eigh_tridiagonal(self.diagonal, self.offdiagonal, eigvals_only=True)
+        return np.concatenate([sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
+                                                    eigvals_only=True, select="i",
+                                                    select_range=(k, k))
+                               for k in range(lo, hi)])
 
     def eigenpairs(self, lo, hi):
-        """Eigenpairs with ascending indices lo, ..., hi - 1."""
+        """Eigenpairs with ascending indices lo, ..., hi - 1; closed form for a
+        free chain."""
         if hi <= lo:
             return SpectralDecomposition(np.empty(0), np.empty((self.dim, 0)))
-        w, v = sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
-                                    select="i", select_range=(lo, hi - 1))
-        return SpectralDecomposition(w, v)
+        if self.free_chain is None:
+            w, v = sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
+                                        select="i", select_range=(lo, hi - 1))
+            return SpectralDecomposition(w, v)
+        n, t = self.dim, self.free_chain[1]
+        # i j reduced mod 2(n + 1) in integers, so every sine argument is in [0, 2 pi)
+        ij = np.outer(np.arange(1, n + 1), np.arange(lo + 1, hi + 1)) % (2 * (n + 1))
+        v = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * ij)
+        if t > 0:
+            v[::2] *= -1.0
+        return SpectralDecomposition(self._chain_values(lo, hi), v)
+
+    def count_below(self, x):
+        """The number of eigenvalues below x.
+
+        For a free chain, from the arcsin of the closed form, settled against
+        the closed-form eigenvalues.  Otherwise by Sturm's law of inertia: the
+        number of negative LDL^T pivots of M - x, an O(n) recursion with no
+        matrix formed.  A pivot below the LAPACK floor pivmin =
+        tiny * max(1, max e^2) is replaced by +pivmin, as if x sat a hair
+        lower, so no pivot divides by zero and no quotient overflows.
+        """
+        n = self.dim
+        if self.free_chain is not None:
+            d, t = self.free_chain
+            s = (x - d + 2.0 * abs(t)) / (4.0 * abs(t))
+            if s <= 0.0:
+                return 0
+            if s >= 1.0:
+                return n
+            # j < (2(n + 1) / pi) arcsin(sqrt s) for the eigenvalues below x
+            m = int(np.ceil(2.0 * (n + 1) / np.pi * np.arcsin(np.sqrt(s)))) - 1
+            while m < n and self._chain_values(m, m + 1)[0] < x:
+                m += 1
+            while m > 0 and self._chain_values(m - 1, m)[0] >= x:
+                m -= 1
+            return m
+        e2 = (self.offdiagonal ** 2).tolist()
+        pivmin = np.finfo(float).tiny * max(1.0, max(e2, default=0.0))
+        count, p = 0, 1.0
+        for di, ei in zip((self.diagonal - x).tolist(), [0.0] + e2):
+            p = di - ei / p
+            if -pivmin < p < pivmin:
+                p = pivmin
+            count += p < 0.0
+        return count
 
     def window(self, z, lo, hi, corners=None):
         """The window system of rows and columns lo, ..., hi - 1 at z.

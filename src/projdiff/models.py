@@ -23,7 +23,7 @@ from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError
 from . import linalg
-from .linalg import TridiagonalBands, check_hermitian, herm_eig
+from .linalg import TridiagonalBands, check_hermitian, herm_eig, probe_gaps
 from .quadrature import make_quadrature
 
 __all__ = [
@@ -60,9 +60,15 @@ class OperatorPair:
     it.
 
     Eigen-data are computed on first use and cached on the instance.  The
-    storage picks the path: the eigenvalues and the eigenvectors near a
-    probe of a band pair come from a banded solver, those of a dense pair
-    (tridiagonal or not) from the dense eigensystems.
+    storage picks the path (:attr:`basis_path`).  A dense pair (tridiagonal
+    or not) reads everything off its dense eigensystems.  A band pair
+    solves no full spectrum at a probe: its counts below the probe are
+    Sturm counts, its gaps come from the two eigenvalues beside the probe,
+    and its eigenvectors on the small side from a banded solver restricted
+    to those indices; an operator that is a uniform chain (every
+    Schrodinger H0) takes all three from the closed form (see
+    :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  The full
+    spectra (:attr:`eigenvalues`) stay lazy, for dense consumers only.
     """
 
     operators: tuple
@@ -115,19 +121,52 @@ class OperatorPair:
 
     @functools.cached_property
     def eigenvalues(self):
-        """Ascending eigenvalues of h0 and h."""
+        """Ascending eigenvalues of h0 and h, all of them: for dense consumers
+        and the roundoff floor of the time-rule study; the probe paths read
+        :meth:`counts_below` and :meth:`probe_split` instead."""
         if self.banded:
             return tuple(b.eigenvalues() for b in self.operators)
         return tuple(e.eigenvalues for e in self.eigensystems())
 
-    def probe_basis(self, probe):
+    @property
+    def basis_path(self):
+        """Where the probe basis comes from: "free-chain" when h0 or h is a
+        uniform chain with closed-form eigenpairs, "banded" for other band
+        pairs, "dense" for the dense eigensystems."""
+        if not self.banded:
+            return "dense"
+        return "banded" if all(b.free_chain is None for b in self.operators) else "free-chain"
+
+    def counts_below(self, probe):
+        """(m0, m1): the numbers of eigenvalues of h0 and h below ``probe``;
+        Sturm counts (or the closed form) for a band pair."""
+        if self.banded:
+            return tuple(b.count_below(probe) for b in self.operators)
+        return tuple(int(np.searchsorted(w, probe)) for w in self.eigenvalues)
+
+    def probe_split(self, probe):
+        """((m0, m1), (gap0, gap1)): :meth:`counts_below` and the distance from
+        ``probe`` to the spectra of h0 and h, read off the eigenvalues with
+        indices m - 1 and m, the nearest on each side.  Raises
+        :class:`GapViolationError` carrying the nearest eigenvalue when one is
+        too close (see :func:`projdiff.linalg.probe_gaps`)."""
+        counts = self.counts_below(probe)
+        if self.banded:
+            near = [b.eigenvalues(max(m - 1, 0), min(m + 1, self.dim))
+                    for b, m in zip(self.operators, counts)]
+        else:
+            near = [w[max(m - 1, 0):m + 1] for w, m in zip(self.eigenvalues, counts)]
+        return counts, tuple(probe_gaps(probe, near))
+
+    def probe_basis(self, probe, counts=None):
         """Eigenvectors of h0 and h on the side of ``probe`` holding fewer of them.
 
         Returns (side, u0, u1): side -1 takes the eigenvalues below the
         probe, +1 those above it; the side is shared by both operators.
+        ``counts`` are those of :meth:`counts_below`, computed when not given.
         """
         n = self.dim
-        below = [int(np.searchsorted(w, probe)) for w in self.eigenvalues]
+        below = self.counts_below(probe) if counts is None else counts
         side = -1 if sum(below) <= n else +1
         ranges = [(0, m) if side < 0 else (m, n) for m in below]
         if self.banded:
@@ -267,9 +306,16 @@ class PotentialSpec:
         return -self.half_width + h * np.arange(1, self.n + 1), h
 
 
+def _sech2(x):
+    """sech^2 x = 4 q / (1 + q)^2 with q = exp(-2|x|), which underflows
+    to 0 where cosh x would overflow."""
+    q = np.exp(-2.0 * np.abs(x))
+    return 4.0 * q / (1.0 + q) ** 2
+
+
 def sech2_spec(depth=1.0, half_width=120.0, n=2400):
     # sech^2(x) <= 4 exp(-2|x|) <= 4 (1+|x|)^{-2}, so rho = 2 with C = 4*depth
-    pot = lambda x: -depth / np.cosh(x) ** 2
+    pot = lambda x: -depth * _sech2(x)
     return PotentialSpec(pot, 4.0 * depth, 2.0, float(half_width), int(n))
 
 

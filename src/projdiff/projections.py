@@ -14,10 +14,16 @@ D vanishes off span[U0, U1] (the two-subspace picture of Avron, Seiler
 and Simon), so with the Householder QR [U0 U1] = Q R its spectrum is that
 of the r x r compression Q* D Q = R1 R1* - R0 R0*, padded with n - r
 exact zeros, and the D^2 block identity compresses to the same r x r
-blocks.  The eigenvectors come from the pair: a banded solver restricted
-to the needed indices for a band-stored pair, the dense eigensystems for
-a dense one.  The difference spectrum reports the D^2 residual of the
-compression it has built, so one probe needs one compression.
+blocks.  The eigen-data come from the pair (see
+:class:`projdiff.models.OperatorPair`), and no full spectrum is solved
+for a band-stored pair: m0 and m1 are Sturm counts, the probe gaps are
+read off the two eigenvalues beside the probe, and the eigenvectors come
+from a banded solver restricted to the needed indices, or in closed form
+(DST-I) for a uniform chain such as the free Schrodinger H0.  A dense
+pair reads all three off its dense eigensystems.  The report names the
+path ("free-chain", "banded" or "dense").  The difference spectrum
+reports the D^2 residual of the compression it has built, so one probe
+needs one compression.
 
 The corners E0(side) E(opposite) E0(side) are functions of the same
 small-side bases: their nonzero spectrum is 1 - sigma(C)^2 for the
@@ -124,18 +130,25 @@ class DifferenceReport:
     max_gap: float
     coverage_distance: float
     dsquared_residual: float         # see dsquared_block_check
+    path: str                        # OperatorPair.basis_path
 
     @property
     def extremes(self):
         return float(self.spectrum.min()), float(self.spectrum.max())
 
 
+def _checked_basis(pair, probe):
+    """(gaps, side, U0, U1): the probe gaps and counts of
+    :meth:`projdiff.models.OperatorPair.probe_split`, which applies the
+    probe-gap contract, and the probe basis at those counts."""
+    counts, gaps = pair.probe_split(probe)
+    return (gaps, *pair.probe_basis(probe, counts))
+
+
 def _side_projections(pair, probe):
-    """(gaps, side, A0, A1): the probe gaps of :func:`projdiff.linalg.probe_gaps`
-    and the side projections of h0 and h compressed to span[U0, U1], with
-    (side, U0, U1) from :meth:`projdiff.models.OperatorPair.probe_basis`."""
-    gaps = probe_gaps(probe, pair.eigenvalues)
-    side, u0, u1 = pair.probe_basis(probe)
+    """(gaps, side, A0, A1): the probe gaps and the side projections of h0
+    and h compressed to span[U0, U1] (see :func:`_checked_basis`)."""
+    gaps, side, u0, u1 = _checked_basis(pair, probe)
     return (gaps, side, *subspace_compressions(u0, u1))
 
 
@@ -156,7 +169,7 @@ def projection_difference(pair, probe, target=None):
     eigenvalues within SWAP_CLUSTER_TOL of +1 and -1.  ``target`` is the interval the fill
     metrics are computed against, defaulting to [-1, 1].  The report
     carries the residual of :func:`dsquared_block_check` on the same
-    compression.
+    compression, and the pair's basis path.
     """
     (g0, g1), side, a0, a1 = _side_projections(pair, probe)
     core = np.clip(-side * np.linalg.eigvalsh(a1 - a0), -1.0, 1.0)
@@ -167,7 +180,7 @@ def projection_difference(pair, probe, target=None):
     max_gap, cover = fill_metrics(spec, lo, hi)
     return DifferenceReport(float(probe), spec, dim_plus, dim_minus,
                             pairing_defect(spec), g0, g1, max_gap, cover,
-                            _dsquared_residual(a0, a1))
+                            _dsquared_residual(a0, a1), pair.basis_path)
 
 
 def dsquared_block_check(pair, probe):
@@ -201,8 +214,7 @@ def corner_spectrum(pair, probe, sign=+1):
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    probe_gaps(probe, pair.eigenvalues)
-    side, u0, u1 = pair.probe_basis(probe)
+    _, side, u0, u1 = _checked_basis(pair, probe)
     m0, m1 = u0.shape[1], u1.shape[1]
     sigma = np.linalg.svd(u0.conj().T @ u1, compute_uv=False)
     count, dim = (m0, m0) if side == sign else (m1, pair.dim - m0)

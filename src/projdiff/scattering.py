@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProbeOutsideBandError, SingularSandwichError
-from .linalg import probe_gaps
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
@@ -508,8 +507,9 @@ def smoothed_counting_shift(pair, probe, eps):
 
 
 def integer_counting_shift(pair, probe):
-    w0, w1 = pair.eigenvalues
-    return int(np.sum(w0 < probe) - np.sum(w1 < probe))
+    """Eigenvalues of h0 below ``probe`` less those of h, from the pair's counts."""
+    m0, m1 = pair.counts_below(probe)
+    return m0 - m1
 
 
 @dataclass(frozen=True)
@@ -526,7 +526,7 @@ def birman_krein_check(pair, probe, eps):
     det S is the product of retained stationary phases; xi is the
     smoothed counting shift at the same eps.
     """
-    probe_gaps(probe, pair.eigenvalues)
+    pair.probe_split(probe)
     bundle = scattering_bundle(pair, probe, eps)
     det_s = complex(np.exp(1j * np.sum(bundle.phases)))
     xi = smoothed_counting_shift(pair, probe, eps)

@@ -254,22 +254,49 @@ def test_krein_run_reproduces_known_facts():
 
 def test_one_compression_per_probe(monkeypatch):
     # the difference spectrum and the D^2 check at one probe share one
-    # selected banded eigensolve per operator
-    from projdiff import linalg
+    # selected eigenbasis per operator (closed form for the free chain H0,
+    # a banded solve for H)
+    from projdiff.linalg import TridiagonalBands
     calls = []
-    original = linalg.sla.eigh_tridiagonal
+    original = TridiagonalBands.eigenpairs
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("select", "a"))
-        return original(*args, **kwargs)
+    def spy(self, lo, hi):
+        calls.append((lo, hi))
+        return original(self, lo, hi)
 
-    monkeypatch.setattr(linalg.sla, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(TridiagonalBands, "eigenpairs", spy)
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.5, 1.0),
                            model_params={"n": 400, "half_width": 40.0},
                            eps_ladder=(0.3, 0.2))
     payloads = run_experiment(cfg).body["probes"]
     assert all("difference" in p and "dsquared_residual" in p for p in payloads)
-    assert calls.count("i") == 2 * len(cfg.probes)
+    assert len(calls) == 2 * len(cfg.probes)
+
+
+def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
+    # the band path reads counts, gaps and the small-side bases without a
+    # full spectrum (no eigenvalues-only solve of every index), and takes
+    # the free chain H0 in closed form (no banded eigensolve of it)
+    from projdiff import linalg
+    calls = []
+    original = linalg.sla.eigh_tridiagonal
+
+    def spy(d, e, **kwargs):
+        calls.append((kwargs.get("eigvals_only", False), kwargs.get("select", "a"),
+                      bool(np.all(d == d[0]))))
+        return original(d, e, **kwargs)
+
+    monkeypatch.setattr(linalg.sla, "eigh_tridiagonal", spy)
+    cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.680619,),
+                           eps_ladder=(0.3, 0.2, 0.1, 0.05))
+    pair = cfg.build_pair()
+    assert pair.operators[0].free_chain is not None and pair.operators[1].free_chain is None
+    payload = run_experiment(cfg).body["probes"][0]
+    assert payload["difference"]["path"] == "free-chain"
+    assert calls, "H's selected eigen-data come from the banded solver"
+    assert not [c for c in calls if c[0] and c[1] == "a"]
+    assert not [c for c in calls if c[2]]
+    assert all(select == "i" for _, select, _ in calls)
 
 
 def test_sech2_run_allocates_no_dense_matrix():

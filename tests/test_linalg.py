@@ -215,6 +215,88 @@ def _random_bands(rng, n, cut):
     return TridiagonalBands(rng.uniform(-2, 2, n), off)
 
 
+@pytest.mark.parametrize("t", (-1.3, 0.7))
+@pytest.mark.parametrize("n", (2, 3, 8, 61, 400))
+def test_free_chain_closed_form_matches_the_banded_solver(n, t):
+    # DST-I eigenpairs of a uniform chain against eigh_tridiagonal, on index
+    # ranges from 0, ending at n, and the whole spectrum
+    bands = TridiagonalBands(np.full(n, 0.4), np.full(n - 1, t))
+    assert bands.free_chain == (0.4, t)
+    w, v = sla.eigh_tridiagonal(bands.diagonal, bands.offdiagonal)
+    scale = np.max(np.abs(w))
+    for lo, hi in ((0, min(5, n)), (max(n - 4, 0), n), (0, n), (n // 2, n // 2 + 1), (1, 1)):
+        dec = bands.eigenpairs(lo, hi)
+        assert dec.eigenvectors.shape == (n, hi - lo)
+        assert np.max(np.abs(dec.eigenvalues - w[lo:hi]), initial=0.0) <= 1e-12 * scale
+        assert np.array_equal(bands.eigenvalues(lo, hi), dec.eigenvalues)
+        # each closed-form vector is the solver's up to its sign
+        overlap = np.abs(np.sum(dec.eigenvectors * v[:, lo:hi], axis=0))
+        assert np.max(np.abs(overlap - 1.0), initial=0.0) <= 1e-12
+        u = dec.eigenvectors
+        assert np.linalg.norm(u.T @ u - np.eye(hi - lo)) <= 1e-12
+    assert np.max(np.abs(bands.eigenvalues() - w)) <= 1e-12 * scale
+
+
+def test_free_chain_detection():
+    # exactly constant bands with a nonzero link; one ulp off is not a chain
+    assert TridiagonalBands(np.array([1.0]), np.empty(0)).free_chain is None
+    assert TridiagonalBands(np.full(4, 1.0), np.zeros(3)).free_chain is None
+    d, off = np.full(6, 2.0), np.full(5, -1.0)
+    assert TridiagonalBands(d, off).shifted(0.5).free_chain == (1.5, -1.0)
+    d_ulp, off_ulp = d.copy(), off.copy()
+    d_ulp[3] = np.nextafter(2.0, 3.0)
+    off_ulp[1] = np.nextafter(-1.0, 0.0)
+    assert TridiagonalBands(d_ulp, off).free_chain is None
+    assert TridiagonalBands(d, off_ulp).free_chain is None
+
+
+@pytest.mark.parametrize("cut", (False, True))
+@pytest.mark.parametrize("n", (1, 2, 9, 200))
+def test_sturm_counts_match_the_sorted_spectrum(n, cut):
+    # negative LDL^T pivots of M - x against searchsorted on the full
+    # spectrum, on random real bands (with a zero link when cut), at random
+    # points, the diagonal entries and points just beside the eigenvalues
+    rng = np.random.default_rng(n)
+    bands = _random_bands(rng, n, cut and n > 2)
+    assert bands.free_chain is None
+    w = sla.eigh_tridiagonal(bands.diagonal, bands.offdiagonal, eigvals_only=True)
+    x = np.concatenate([rng.uniform(w[0] - 1.0, w[-1] + 1.0, 200), bands.diagonal,
+                        w + 1e-9, w - 1e-9])
+    x = x[np.min(np.abs(x[:, None] - w[None, :]), axis=1) > 1e-10]
+    assert [bands.count_below(xi) for xi in x] == np.searchsorted(w, x).tolist()
+
+
+def test_sturm_count_through_zero_pivots():
+    # a pivot of exactly zero, first and later, is replaced by +pivmin: no
+    # division by zero, and the count is that of the eigenvalues below x
+    cases = ((np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0]), 0.0),
+             (np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0]), 1.0),
+             (np.array([0.0, 5.0]), np.array([0.0]), 0.0))
+    for d, off, x in cases:
+        w = np.linalg.eigvalsh(TridiagonalBands(d, off).dense())
+        assert TridiagonalBands(d, off).count_below(x) == int(np.sum(w < x - 1e-12))
+
+
+@pytest.mark.parametrize("t", (-100.0, 3.0))
+def test_free_chain_counts_match_the_sorted_spectrum(t):
+    n = 300
+    bands = TridiagonalBands(np.full(n, 2.0 * abs(t)), np.full(n - 1, t))
+    w = sla.eigh_tridiagonal(bands.diagonal, bands.offdiagonal, eigvals_only=True)
+    x = np.concatenate([np.linspace(w[0] - 1.0, w[-1] + 1.0, 997), w + 1e-9, w - 1e-9])
+    x = x[np.min(np.abs(x[:, None] - w[None, :]), axis=1) > 1e-10]
+    assert [bands.count_below(xi) for xi in x] == np.searchsorted(w, x).tolist()
+
+
+def test_selected_eigenvalues_do_not_depend_on_the_range():
+    rng = np.random.default_rng(4)
+    bands = _random_bands(rng, 80, False)
+    w = sla.eigh_tridiagonal(bands.diagonal, bands.offdiagonal, eigvals_only=True)
+    pair = bands.eigenvalues(10, 12)
+    assert np.array_equal(pair, [bands.eigenvalues(10, 11)[0], bands.eigenvalues(11, 12)[0]])
+    assert np.max(np.abs(pair - w[10:12])) <= 1e-12 * np.max(np.abs(w))
+    assert bands.eigenvalues(5, 5).shape == (0,)
+
+
 def test_band_solve_on_a_window_matches_the_padded_full_solve():
     # the window block of the resolvent, through the two boundary
     # self-energies, against rows of the dense solve of the zero-padded rhs

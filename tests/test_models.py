@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -90,6 +92,22 @@ def test_schrodinger_decay_check():
         build_schrodinger_1d(PotentialSpec(slow, 1.0, 2.0, 30.0, 599))
     with pytest.raises(ValueError):
         build_schrodinger_1d(PotentialSpec(slow, 1.0, 0.9, 30.0, 599))
+
+
+def test_sech2_builds_past_the_cosh_overflow():
+    # at half-width 1,216 the grid reaches |x| > 710, where cosh overflows;
+    # sech^2 through exp(-2|x|) underflows to 0 there without a warning
+    spec = sech2_spec(1.0, 1216.0, 24319)
+    x = spec.grid()[0]
+    assert np.max(np.abs(x)) > 710.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = build_schrodinger_1d(spec)
+        v = spec.potential(x)
+    assert np.all(np.isfinite(v)) and v[0] == 0.0 and v.min() >= -1.0
+    inner = np.abs(x) < 300.0
+    assert np.max(np.abs(v[inner] + 1.0 / np.cosh(x[inner]) ** 2)) <= 4 * np.finfo(float).eps
+    assert pair.kdim == int(np.sum(np.abs(v) > models.SUPPORT_FLOOR))
 
 
 def shooting_bound_states(potential, lo, hi, half_width, samples=2001):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from projdiff import linalg
 from projdiff.errors import GapViolationError
 from projdiff.linalg import TridiagonalBands, herm_eig
 from projdiff import models, scattering
@@ -336,10 +337,49 @@ def test_band_corner_forms_no_dense_matrix(monkeypatch):
     assert spec.max() == pytest.approx(0.293925, abs=1e-6)
 
 
+def _gap_eigenvalue(pair, k, index):
+    """Eigenvalue ``index`` of operator ``k`` as the probe-gap check reads it:
+    from the dense spectrum, or for a band operator from its closed form or
+    its selected banded solve, which match the full banded spectrum to
+    roundoff."""
+    if not pair.banded:
+        return pair.eigenvalues[k][index]
+    w = pair.operators[k].eigenvalues(index, index + 1)[0]
+    assert w == pytest.approx(pair.eigenvalues[k][index], rel=1e-12)
+    return w
+
+
 def test_corner_rejects_a_probe_on_an_eigenvalue():
     for pair in (random_gapped_pair(10, 3, seed=4), square_well_box()):
-        for w in (pair.eigenvalues[0][3], pair.eigenvalues[1][3]):
+        for w in (_gap_eigenvalue(pair, 0, 3), _gap_eigenvalue(pair, 1, 3)):
             for sign in (+1, -1):
                 with pytest.raises(GapViolationError) as err:
                     corner_spectrum(pair, w + 1e-12, sign)
                 assert err.value.nearest == w
+
+
+GAP_CASES = {"free-chain": square_well_box, "banded": _tridiagonal_pair,
+             "dense": lambda: random_gapped_pair(24, 3, seed=2)}
+
+
+@pytest.mark.parametrize("path", sorted(GAP_CASES))
+def test_probe_within_the_gap_tolerance_is_rejected(path):
+    # on either side of an eigenvalue of either operator, within
+    # PROBE_GAP_TOL, every probe consumer raises with that eigenvalue as
+    # the nearest; twice the tolerance away the probe is accepted
+    pair = GAP_CASES[path]()
+    assert pair.basis_path == path
+    tol = linalg.PROBE_GAP_TOL
+    for k in (0, 1):
+        for index in (2, pair.dim // 2):
+            w = _gap_eigenvalue(pair, k, index)
+            for offset in (0.5 * tol, -0.5 * tol):
+                for consumer in (projection_difference, dsquared_block_check,
+                                 corner_spectrum):
+                    with pytest.raises(GapViolationError) as err:
+                        consumer(pair, w + offset)
+                    assert err.value.nearest == w
+            probe = w + 2.0 * tol
+            if np.min(np.abs(np.concatenate(pair.eigenvalues) - probe)) > tol:
+                rep = projection_difference(pair, probe)
+                assert min(rep.gap_h0, rep.gap_h) >= tol

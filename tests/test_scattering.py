@@ -261,6 +261,22 @@ def test_counting_shift_smoothing():
     assert xi_small == pytest.approx(integer_counting_shift(pair, 0.0), abs=1e-6)
 
 
+def test_integer_counting_shift_of_band_pairs_matches_the_spectra():
+    # the band pair's counts (closed form for H0, Sturm for H) against the
+    # eigenvalue form on the full banded spectra
+    import scipy.linalg as sla
+    from projdiff.models import build_schrodinger_1d, square_well_spec
+    from projdiff.scattering import integer_counting_shift
+    pair = build_schrodinger_1d(square_well_spec(2.5, 1.0, 20.0, 399))
+    w0, w1 = (sla.eigh_tridiagonal(b.diagonal, b.offdiagonal, eigvals_only=True)
+              for b in pair.operators)
+    for probe in (-2.0, -1.0, 0.01, 0.5, 1.0, 3.7, 500.0):
+        expect = int(np.sum(w0 < probe) - np.sum(w1 < probe))
+        assert integer_counting_shift(pair, probe) == expect
+    assert integer_counting_shift(pair, 0.0) == -1  # the well's one bound state
+    assert "eigenvalues" not in pair.__dict__
+
+
 def test_birman_krein_zero_perturbation():
     pair = zero_v0_pair()
     res = birman_krein_check(pair, 0.0, 0.1)
