@@ -349,13 +349,11 @@ def projection_identity_residual(pair, transform, probe):
     compressions A_j, B_j of :func:`projdiff.linalg.subspace_compressions`
     of (U0, U1, W0, W1): ||-s (A1 - A0) + s' (B0 - B1)||_2.  A probe too
     close to either spectrum raises :class:`GapViolationError` (see
-    :meth:`projdiff.models.OperatorPair.probe_split`).
+    :meth:`projdiff.models.OperatorPair.probe_basis`).
     """
     mu = float(transform.mu(probe))
-    counts, _ = pair.probe_split(probe)
-    counts_t, _ = transform.pair.probe_split(mu)
-    side, u0, u1 = pair.probe_basis(probe, counts)
-    side_t, w0, w1 = transform.pair.probe_basis(mu, counts_t)
+    _, side, u0, u1 = pair.probe_basis(probe)
+    _, side_t, w0, w1 = transform.pair.probe_basis(mu)
     a0, a1, b0, b1 = subspace_compressions(u0, u1, w0, w1)
     return float(np.linalg.norm(-side * (a1 - a0) + side_t * (b0 - b1), 2))
 

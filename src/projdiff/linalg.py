@@ -194,30 +194,12 @@ class TridiagonalBands:
         return SpectralDecomposition(self._chain_values(lo, hi), v)
 
     def count_below(self, x):
-        """The number of eigenvalues below x.
-
-        For a free chain, from the arcsin of the closed form, settled against
-        the closed-form eigenvalues.  Otherwise by Sturm's law of inertia: the
+        """The number of eigenvalues below x, by Sturm's law of inertia: the
         number of negative LDL^T pivots of M - x, an O(n) recursion with no
         matrix formed.  A pivot below the LAPACK floor pivmin =
         tiny * max(1, max e^2) is replaced by +pivmin, as if x sat a hair
         lower, so no pivot divides by zero and no quotient overflows.
         """
-        n = self.dim
-        if self.free_chain is not None:
-            d, t = self.free_chain
-            s = (x - d + 2.0 * abs(t)) / (4.0 * abs(t))
-            if s <= 0.0:
-                return 0
-            if s >= 1.0:
-                return n
-            # j < (2(n + 1) / pi) arcsin(sqrt s) for the eigenvalues below x
-            m = int(np.ceil(2.0 * (n + 1) / np.pi * np.arcsin(np.sqrt(s)))) - 1
-            while m < n and self._chain_values(m, m + 1)[0] < x:
-                m += 1
-            while m > 0 and self._chain_values(m - 1, m)[0] >= x:
-                m -= 1
-            return m
         e2 = (self.offdiagonal ** 2).tolist()
         pivmin = np.finfo(float).tiny * max(1.0, max(e2, default=0.0))
         count, p = 0, 1.0

@@ -66,8 +66,8 @@ class OperatorPair:
     Sturm counts, its gaps come from the two eigenvalues beside the probe,
     and its eigenvectors on the small side from a banded solver restricted
     to those indices; an operator that is a uniform chain (every
-    Schrodinger H0) takes all three from the closed form (see
-    :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  The full
+    Schrodinger H0) takes its eigenvalues and eigenvectors from the closed
+    form (see :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  The full
     spectra (:attr:`eigenvalues`) stay lazy, for dense consumers only.
     """
 
@@ -123,7 +123,7 @@ class OperatorPair:
     def eigenvalues(self):
         """Ascending eigenvalues of h0 and h, all of them: for dense consumers
         and the roundoff floor of the time-rule study; the probe paths read
-        :meth:`counts_below` and :meth:`probe_split` instead."""
+        :meth:`counts_below` and :meth:`probe_basis` instead."""
         if self.banded:
             return tuple(b.eigenvalues() for b in self.operators)
         return tuple(e.eigenvalues for e in self.eigensystems())
@@ -139,34 +139,32 @@ class OperatorPair:
 
     def counts_below(self, probe):
         """(m0, m1): the numbers of eigenvalues of h0 and h below ``probe``;
-        Sturm counts (or the closed form) for a band pair."""
+        Sturm counts for a band pair."""
         if self.banded:
             return tuple(b.count_below(probe) for b in self.operators)
         return tuple(int(np.searchsorted(w, probe)) for w in self.eigenvalues)
 
-    def probe_split(self, probe):
-        """((m0, m1), (gap0, gap1)): :meth:`counts_below` and the distance from
-        ``probe`` to the spectra of h0 and h, read off the eigenvalues with
-        indices m - 1 and m, the nearest on each side.  Raises
-        :class:`GapViolationError` carrying the nearest eigenvalue when one is
-        too close (see :func:`projdiff.linalg.probe_gaps`)."""
-        counts = self.counts_below(probe)
-        if self.banded:
-            near = [b.eigenvalues(max(m - 1, 0), min(m + 1, self.dim))
-                    for b, m in zip(self.operators, counts)]
-        else:
-            near = [w[max(m - 1, 0):m + 1] for w, m in zip(self.eigenvalues, counts)]
-        return counts, tuple(probe_gaps(probe, near))
+    def probe_basis(self, probe):
+        """The probe gaps and the eigenvectors of h0 and h on the side of
+        ``probe`` holding fewer of them.
 
-    def probe_basis(self, probe, counts=None):
-        """Eigenvectors of h0 and h on the side of ``probe`` holding fewer of them.
-
-        Returns (side, u0, u1): side -1 takes the eigenvalues below the
-        probe, +1 those above it; the side is shared by both operators.
-        ``counts`` are those of :meth:`counts_below`, computed when not given.
+        Returns (gaps, side, u0, u1).  The gaps (gap0, gap1) are the
+        distances from ``probe`` to the spectra of h0 and h, read off the
+        eigenvalues with indices m - 1 and m of :meth:`counts_below`, the
+        nearest on each side; one too close raises
+        :class:`GapViolationError` carrying it (see
+        :func:`projdiff.linalg.probe_gaps`).  Side -1 takes the eigenvalues
+        below the probe, +1 those above it; the side is shared by both
+        operators.
         """
         n = self.dim
-        below = self.counts_below(probe) if counts is None else counts
+        below = self.counts_below(probe)
+        if self.banded:
+            near = [b.eigenvalues(max(m - 1, 0), min(m + 1, n))
+                    for b, m in zip(self.operators, below)]
+        else:
+            near = [w[max(m - 1, 0):m + 1] for w, m in zip(self.eigenvalues, below)]
+        gaps = tuple(probe_gaps(probe, near))
         side = -1 if sum(below) <= n else +1
         ranges = [(0, m) if side < 0 else (m, n) for m in below]
         if self.banded:
@@ -175,7 +173,7 @@ class OperatorPair:
         else:
             u0, u1 = (e.eigenvectors[:, lo:hi]
                       for e, (lo, hi) in zip(self.eigensystems(), ranges))
-        return side, u0, u1
+        return gaps, side, u0, u1
 
 
 def _finite(m, name):

@@ -14,12 +14,13 @@ D vanishes off span[U0, U1] (the two-subspace picture of Avron, Seiler
 and Simon), so with the Householder QR [U0 U1] = Q R its spectrum is that
 of the r x r compression Q* D Q = R1 R1* - R0 R0*, padded with n - r
 exact zeros, and the D^2 block identity compresses to the same r x r
-blocks.  The eigen-data come from the pair (see
-:class:`projdiff.models.OperatorPair`), and no full spectrum is solved
-for a band-stored pair: m0 and m1 are Sturm counts, the probe gaps are
-read off the two eigenvalues beside the probe, and the eigenvectors come
-from a banded solver restricted to the needed indices, or in closed form
-(DST-I) for a uniform chain such as the free Schrodinger H0.  A dense
+blocks.  The eigen-data come from the pair in one step (see
+:meth:`projdiff.models.OperatorPair.probe_basis`), and no full spectrum
+is solved for a band-stored pair: m0 and m1 are Sturm counts, the probe
+gaps are read off the two eigenvalues beside the probe, and those
+eigenvalues and the eigenvectors come from a banded solver restricted
+to the needed indices, or in closed form (DST-I) for a uniform chain
+such as the free Schrodinger H0.  A dense
 pair reads all three off its dense eigensystems.  The report names the
 path ("free-chain", "banded" or "dense").  The difference spectrum
 reports the D^2 residual of the compression it has built, so one probe
@@ -137,18 +138,11 @@ class DifferenceReport:
         return float(self.spectrum.min()), float(self.spectrum.max())
 
 
-def _checked_basis(pair, probe):
-    """(gaps, side, U0, U1): the probe gaps and counts of
-    :meth:`projdiff.models.OperatorPair.probe_split`, which applies the
-    probe-gap contract, and the probe basis at those counts."""
-    counts, gaps = pair.probe_split(probe)
-    return (gaps, *pair.probe_basis(probe, counts))
-
-
 def _side_projections(pair, probe):
     """(gaps, side, A0, A1): the probe gaps and the side projections of h0
-    and h compressed to span[U0, U1] (see :func:`_checked_basis`)."""
-    gaps, side, u0, u1 = _checked_basis(pair, probe)
+    and h compressed to span[U0, U1], from
+    :meth:`projdiff.models.OperatorPair.probe_basis`."""
+    gaps, side, u0, u1 = pair.probe_basis(probe)
     return (gaps, side, *subspace_compressions(u0, u1))
 
 
@@ -214,7 +208,7 @@ def corner_spectrum(pair, probe, sign=+1):
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    _, side, u0, u1 = _checked_basis(pair, probe)
+    _, side, u0, u1 = pair.probe_basis(probe)
     m0, m1 = u0.shape[1], u1.shape[1]
     sigma = np.linalg.svd(u0.conj().T @ u1, compute_uv=False)
     count, dim = (m0, m0) if side == sign else (m1, pair.dim - m0)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProbeOutsideBandError, SingularSandwichError
+from .linalg import probe_gaps
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
@@ -526,7 +527,7 @@ def birman_krein_check(pair, probe, eps):
     det S is the product of retained stationary phases; xi is the
     smoothed counting shift at the same eps.
     """
-    pair.probe_split(probe)
+    probe_gaps(probe, pair.eigenvalues)
     bundle = scattering_bundle(pair, probe, eps)
     det_s = complex(np.exp(1j * np.sum(bundle.phases)))
     xi = smoothed_counting_shift(pair, probe, eps)

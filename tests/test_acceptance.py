@@ -242,8 +242,8 @@ def test_small_side_projection_identity_matches_dense(case):
     build, probe, shift = INVARIANCE_CASES[case]
     pair = build()
     transform = resolvent_transform(pair, shift)
-    side = pair.probe_basis(probe)[0]
-    side_t = transform.pair.probe_basis(float(transform.mu(probe)))[0]
+    side = pair.probe_basis(probe)[1]
+    side_t = transform.pair.probe_basis(float(transform.mu(probe)))[1]
     below = sum(int(np.searchsorted(w, probe)) for w in pair.eigenvalues)
     assert (side == side_t) == (below == pair.dim) == (case == "random-16")
     residual = acceptance.projection_identity_residual(pair, transform, probe)

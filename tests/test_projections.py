@@ -196,7 +196,7 @@ def test_subspace_difference_matches_dense(case):
     build, probe, side = ORACLE_CASES[case]
     pair = build()
     if side is not None:
-        assert pair.probe_basis(probe)[0] == side
+        assert pair.probe_basis(probe)[1] == side
     spec, residual = dense_difference(pair, probe)
     rep = projection_difference(pair, probe)
     assert len(rep.spectrum) == pair.dim
@@ -207,7 +207,7 @@ def test_subspace_difference_matches_dense(case):
 
 def test_probe_below_both_spectra_gives_zero():
     pair = build_krein(200, 40.0)
-    side, u0, u1 = pair.probe_basis(-1.0)
+    _, side, u0, u1 = pair.probe_basis(-1.0)
     assert u0.shape == u1.shape == (pair.dim, 0)
     assert np.array_equal(projection_difference(pair, -1.0).spectrum, np.zeros(pair.dim))
     assert dsquared_block_check(pair, -1.0) == 0.0
@@ -263,7 +263,7 @@ def test_banded_eigendata_match_dense():
         for w, e in zip(pair.eigenvalues, dense):
             assert np.max(np.abs(w - e.eigenvalues)) <= 1e-12 * np.max(np.abs(w))
         for probe in (0.1, 1.0):
-            side, u0, u1 = pair.probe_basis(probe)
+            _, side, u0, u1 = pair.probe_basis(probe)
             for u, e in zip((u0, u1), dense):
                 keep = e.eigenvalues < probe if side < 0 else e.eigenvalues > probe
                 v = e.eigenvectors[:, keep]
@@ -311,7 +311,7 @@ def test_small_side_corner_matches_dense(case, sign):
     build, probe, side = CORNER_CASES[case]
     pair = build()
     if side is not None:
-        assert pair.probe_basis(probe)[0] == side
+        assert pair.probe_basis(probe)[1] == side
     spec = corner_spectrum(pair, probe, sign)
     ref = dense_corner(pair, probe, sign)
     assert spec.shape == ref.shape

@@ -262,8 +262,8 @@ def test_counting_shift_smoothing():
 
 
 def test_integer_counting_shift_of_band_pairs_matches_the_spectra():
-    # the band pair's counts (closed form for H0, Sturm for H) against the
-    # eigenvalue form on the full banded spectra
+    # the band pair's Sturm counts against the eigenvalue form on the full
+    # banded spectra
     import scipy.linalg as sla
     from projdiff.models import build_schrodinger_1d, square_well_spec
     from projdiff.scattering import integer_counting_shift
