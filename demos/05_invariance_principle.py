@@ -23,9 +23,7 @@ transform = resolvent_transform(pair, shift)
 mu = float(transform.mu(probe))
 print(f"shift a = {shift}, probe {probe} -> mu = {mu}")
 
-fact = np.linalg.norm(
-    transform.pair.h - transform.pair.h0
-    - transform.pair.g.conj().T @ transform.pair.v0 @ transform.pair.g, 2)
+fact = transform.pair.factorization_residual()
 print(f"transformed factorization residual: {fact:.2e} "
       "(iterated resolvent identity)")
 

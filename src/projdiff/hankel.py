@@ -95,26 +95,21 @@ def model_hankel_pair(rule=None):
     """The two model Hankel operators and their spectral comparison.
 
     Returns a dict with the discretizations, their spectra (both within
-    [0, pi] up to roundoff), top eigenvalues, fill metrics against
-    [0, pi], and the Hausdorff distance between the two spectra, which
-    the unitary-equivalence statement drives to zero.
+    [0, pi] up to roundoff), top eigenvalues, and the Hausdorff distance
+    between the two spectra, which the unitary-equivalence statement
+    drives to zero.
     """
-    from .projections import fill_metrics, hausdorff_distance
+    from .projections import hausdorff_distance
 
     rule = rule or default_hankel_rule()
     gamma = build_hankel(gamma_kernel, rule)
     gamma0 = build_hankel(gamma0_kernel, rule)
     spec = np.linalg.eigvalsh(gamma.matrix)
     spec0 = np.linalg.eigvalsh(gamma0.matrix)
-    out = {"gamma": gamma, "gamma0": gamma0,
-           "spectrum_gamma": spec, "spectrum_gamma0": spec0,
-           "top_gamma": float(spec[-1]), "top_gamma0": float(spec0[-1]),
-           "hausdorff": hausdorff_distance(spec, spec0)}
-    for label, s in (("gamma", spec), ("gamma0", spec0)):
-        mg, cover = fill_metrics(s, 0.0, np.pi)
-        out[f"max_gap_{label}"] = mg
-        out[f"coverage_{label}"] = cover
-    return out
+    return {"gamma": gamma, "gamma0": gamma0,
+            "spectrum_gamma": spec, "spectrum_gamma0": spec0,
+            "top_gamma": float(spec[-1]), "top_gamma0": float(spec0[-1]),
+            "hausdorff": hausdorff_distance(spec, spec0)}
 
 
 def _laplace_sum(t_rule, lam_nodes, lam_weights):

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ProjdiffError
+from .linalg import probe_gaps
 from .models import preset_defaults, preset_pair
 from .projections import projection_difference
 from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
@@ -251,9 +252,10 @@ def convergence_study(config, axis):
     least 3 points.  Each metric row carries its first differences and a
     monotone-decrease flag.  On the "trule" axis the table also carries
     each point's roundoff floor n_t * eps * max|lambda| / gap (lambda =
-    eigenvalue - probe over both spectra, gap = min|lambda|), and a point
-    that sits at or below its floor counts as decreasing: past convergence
-    the residual is roundoff.
+    eigenvalue - probe over both spectra, gap = min|lambda| under the
+    probe-gap contract, so a probe on an eigenvalue raises
+    :class:`GapViolationError`), and a point that sits at or below its
+    floor counts as decreasing: past convergence the residual is roundoff.
     """
     config.validate()
     if not config.probes:
@@ -297,8 +299,8 @@ def convergence_study(config, axis):
                 float(np.max(np.linalg.eigvalsh(b.f0prime), initial=0.0)))
     elif axis == "trule":
         pair = config.build_pair()
+        gap = min(probe_gaps(probe, pair.eigenvalues))
         lam = np.abs(np.concatenate(pair.eigenvalues) - probe)
-        gap = lam.min()
         floors = np.asarray(points) * np.finfo(float).eps * lam.max() / gap
         table["roundoff_floor"] = floors
         for n_t in points:

@@ -23,8 +23,9 @@ to the needed indices, or in closed form (DST-I) for a uniform chain
 such as the free Schrodinger H0.  A dense
 pair reads all three off its dense eigensystems.  The report names the
 path ("free-chain", "banded" or "dense").  The difference spectrum
-reports the D^2 residual of the compression it has built, so one probe
-needs one compression.
+reports the D^2 residual of the compression it has built, and
+:func:`dsquared_block_check` reads it there, so every probe builds its
+compression in one place.
 
 The corners E0(side) E(opposite) E0(side) are functions of the same
 small-side bases: their nonzero spectrum is 1 - sigma(C)^2 for the
@@ -63,9 +64,10 @@ def spectral_projection(decomp, probe):
 
 
 def hausdorff_distance(a, b):
-    """Hausdorff distance between two finite point sets on the line."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    """Hausdorff distance between two finite point sets on the line or,
+    for complex points, in the plane."""
+    a = np.atleast_1d(np.asarray(a))
+    b = np.atleast_1d(np.asarray(b))
     if len(a) == 0 and len(b) == 0:
         return 0.0
     if len(a) == 0 or len(b) == 0:
@@ -138,14 +140,6 @@ class DifferenceReport:
         return float(self.spectrum.min()), float(self.spectrum.max())
 
 
-def _side_projections(pair, probe):
-    """(gaps, side, A0, A1): the probe gaps and the side projections of h0
-    and h compressed to span[U0, U1], from
-    :meth:`projdiff.models.OperatorPair.probe_basis`."""
-    gaps, side, u0, u1 = pair.probe_basis(probe)
-    return (gaps, side, *subspace_compressions(u0, u1))
-
-
 def _dsquared_residual(a0, a1):
     eye = np.eye(len(a0))
     d = a1 - a0
@@ -165,7 +159,8 @@ def projection_difference(pair, probe, target=None):
     carries the residual of :func:`dsquared_block_check` on the same
     compression, and the pair's basis path.
     """
-    (g0, g1), side, a0, a1 = _side_projections(pair, probe)
+    (g0, g1), side, u0, u1 = pair.probe_basis(probe)
+    a0, a1 = subspace_compressions(u0, u1)
     core = np.clip(-side * np.linalg.eigvalsh(a1 - a0), -1.0, 1.0)
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
@@ -185,10 +180,10 @@ def dsquared_block_check(pair, probe):
     an exact algebraic identity, so the residual is a roundoff check.  Both
     sides vanish off span[U0, U1] and the identity is unchanged when both
     projections are replaced by their complements, so it is checked on
-    the r x r compressions of the side projections.
+    the r x r compressions of the side projections that
+    :func:`projection_difference` builds, and read off its report.
     """
-    _, _, a0, a1 = _side_projections(pair, probe)
-    return _dsquared_residual(a0, a1)
+    return projection_difference(pair, probe).dsquared_residual
 
 
 def corner_spectrum(pair, probe, sign=+1):

@@ -29,14 +29,10 @@ __all__ = ["QuadratureRule", "make_quadrature", "reciprocal_indices"]
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights with a record of the supporting interval.
-
-    ``support`` is ``("bounded", a, b)`` or ``("halfline",)``.
-    """
+    """Nodes and positive weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    support: tuple
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -100,7 +96,7 @@ def make_quadrature(kind, n, **params):
         if not b > a:
             raise ValueError("need b > a")
         nodes, weights = _legendre(n, a, b)
-        return QuadratureRule(nodes, weights, ("bounded", a, b))
+        return QuadratureRule(nodes, weights)
     if kind == "halfline-exp-mapped":
         scale = float(params.pop("scale", 1.0))
         _reject_extras(kind, params)
@@ -109,7 +105,7 @@ def make_quadrature(kind, n, **params):
         u, wu = _legendre(n, 0.0, 1.0)
         nodes = -scale * np.log1p(-u)
         weights = scale * wu / (1.0 - u)
-        return QuadratureRule(nodes, weights, ("halfline",))
+        return QuadratureRule(nodes, weights)
     if kind == "halfline-log":
         half_width = float(params.pop("half_width", 20.0))
         center = float(params.pop("center", 0.0))
@@ -118,7 +114,7 @@ def make_quadrature(kind, n, **params):
             raise ValueError("half_width must be positive")
         v, wv = _legendre(n, center - half_width, center + half_width)
         nodes = np.exp(v)
-        return QuadratureRule(nodes, wv * nodes, ("halfline",))
+        return QuadratureRule(nodes, wv * nodes)
     raise ValueError(f"unsupported quadrature kind: {kind!r}")
 
 

@@ -41,6 +41,12 @@ G^T = G*.
 A rung's phases come from all k eigenvalues of S; ||A||, the unitarity
 defect and the identity residual are largest |eigenvalues| of Hermitian
 k x k matrices ((S-I)*(S-I)/4 among them).
+
+Off the channel path, the Birman-Krein relation det S = exp(-2*pi*i*xi)
+has one implementation, :func:`birman_krein_extrapolated`, returning
+(det S, xi, defect); one smoothing level is its one-rung case
+(:func:`birman_krein_check`).  The integer counting shift m0 - m1 is
+read off :meth:`projdiff.models.OperatorPair.counts_below`.
 """
 
 from dataclasses import dataclass
@@ -498,41 +504,26 @@ def smoothed_counting_shift(pair, probe, eps):
 
     Each sharp step 1[eigenvalue < probe] gives way to the Lorentzian
     step 1/2 + arctan((probe - eigenvalue)/eps)/pi; at eps -> 0 this
-    recovers the integer -trace D(probe), while for eps above the local
-    level spacing it resolves the weak (distributional) limit of the
-    counting shift.
+    recovers the integer -trace D(probe) = m0 - m1 of
+    :meth:`projdiff.models.OperatorPair.counts_below`, while for eps
+    above the local level spacing it resolves the weak (distributional)
+    limit of the counting shift.
     """
     w0, w1 = pair.eigenvalues
     step = lambda w: 0.5 + np.arctan((probe - w) / eps) / np.pi
     return float(np.sum(step(w0)) - np.sum(step(w1)))
 
 
-def integer_counting_shift(pair, probe):
-    """Eigenvalues of h0 below ``probe`` less those of h, from the pair's counts."""
-    m0, m1 = pair.counts_below(probe)
-    return m0 - m1
-
-
-@dataclass(frozen=True)
-class BirmanKreinResult:
-    det_s: complex
-    counting_shift: float
-    defect: float
-    eps: float
-
-
 def birman_krein_check(pair, probe, eps):
-    """det S versus exp(-2*pi*i*xi) at one smoothing level.
+    """det S versus exp(-2*pi*i*xi) at one smoothing level: (det S, xi, defect).
 
-    det S is the product of retained stationary phases; xi is the
-    smoothed counting shift at the same eps.
+    The one-rung case of :func:`birman_krein_extrapolated`: det S is the
+    product of the retained phases of S_eps, and xi the smoothed counting
+    shift at the same eps.  The probe must keep its gap to both spectra.
     """
     probe_gaps(probe, pair.eigenvalues)
-    bundle = scattering_bundle(pair, probe, eps)
-    det_s = complex(np.exp(1j * np.sum(bundle.phases)))
-    xi = smoothed_counting_shift(pair, probe, eps)
-    defect = abs(det_s - np.exp(-2j * np.pi * xi))
-    return BirmanKreinResult(det_s, xi, float(defect), float(eps))
+    phases = scattering_bundle(pair, probe, eps).phases
+    return birman_krein_extrapolated(pair, probe, phases, [eps])
 
 
 def birman_krein_extrapolated(pair, probe, phases, xi_ladder):

@@ -160,8 +160,7 @@ def zop_model_comparison(pair, probe, t_rule=None, eps_ladder=None):
     The models are the block Hankel matrices of the kernels gamma(tau) F0'
     and gamma(tau) F', with gamma(tau) = (1 - exp(-tau))/tau and F0', F'
     the extrapolated densities at the probe.  Reported: singular values of
-    the differences, a decay exponent fit, partial nuclear sums, and the
-    ladder used.
+    the differences, a decay exponent fit, and the ladder used.
     """
     from .hankel import build_hankel, gamma_kernel
 
@@ -180,7 +179,6 @@ def zop_model_comparison(pair, probe, t_rule=None, eps_ladder=None):
     for label, gram, model in (("z0", gram0, model0), ("z", gram1, model1)):
         sv = np.linalg.svd(gram - model, compute_uv=False)
         out[f"sigma_{label}"] = sv
-        out[f"nuclear_partial_{label}"] = np.cumsum(sv)[:20]
         lead = sv[:10][sv[:10] > 1e-14]
         if len(lead) >= 3:
             idx = np.arange(1, len(lead) + 1)

@@ -3,8 +3,9 @@
 Each test prints the pass/fail line(s) for its criterion.  The fill-in
 clauses of ``acceptance.EXPECTED_RED`` (difference-spectrum edges and
 gaps, support against [-a, a], the corner spectrum) fail at the pinned
-sizes by a measured margin along a measured axis; each xfail reason
-names both.  They are strict, so any change in that status is flagged.
+sizes by a measured margin along a measured axis; each xfail takes its
+reason from the ledger.  They are strict, so any change in that status
+is flagged.
 The measured values are printed either way.
 """
 
@@ -55,16 +56,21 @@ def _assert_all(cache, number):
     assert not failed, f"failed clauses: {failed}"
 
 
+_MARKED = []
+
+
+def _expected_red(*names):
+    """Strict xfail for the ledger clauses ``names``, with their reasons."""
+    _MARKED.extend(names)
+    return pytest.mark.xfail(strict=True,
+                             reason="; ".join(acceptance.EXPECTED_RED[n] for n in names))
+
+
 def test_criterion_1_exact_identities(cache):
     _assert_all(cache, 1)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="the axis is the box length L and where probe 0.5 falls "
-                          "between box levels, not n: at L=40 the edge deficit is "
-                          "0.2339 (n=200) -> 0.2337 (n=400), tolerance 0.05, and the "
-                          "max gap 0.6118 -> 0.6120 rises, tolerance 0.1; "
-                          "2-size-improvement compares two discretizations of one box")
+@_expected_red("2-edge-fill", "2-max-gap", "2-size-improvement")
 def test_criterion_2_fill_headline(cache):
     _assert_all(cache, 2)
 
@@ -73,12 +79,7 @@ def test_criterion_3_counting_shift_and_phase(cache):
     _assert_all(cache, 3)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="support error 0.157 against a = 0.4525, tolerance 0.05: "
-                          "discretization gap 0.0006 (h = 0.1 lattice a = 0.45308 "
-                          "against the oracle's 0.45250); box gap 0.158 (top of |D| "
-                          "0.2951 at half-width 76 against 0.45308), about +0.013 per "
-                          "box doubling; half-width 152 holds a swap eigenvalue +1")
+@_expected_red("4-support-match")
 def test_criterion_4_support_match(cache):
     clause = _clause(cache, 4, "4-support-match")
     assert clause.passed
@@ -94,22 +95,13 @@ def test_criterion_4_hausdorff_decrease(cache):
     assert clause.passed
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="discretization gap 0.0017 (h = 0.1 lattice "
-                          "sin^2(theta_2/2) = 0.4477 against the oracle's 0.4494); box "
-                          "gap: the knee is NaN, only 2 corner eigenvalues (0.2939, "
-                          "0.2398) exceed the 0.02 fit floor and the fit needs 6")
+@_expected_red("5-knee-location")
 def test_criterion_5_knee(cache):
     clause = _clause(cache, 5, "5-knee-location")
     assert clause.passed
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="corner top 0.2939 against sin^2(theta_1/2) = 0.7906, "
-                          "tolerance 0.05: discretization gap 0.083 (the h = 0.1 "
-                          "lattice's own S gives 0.7075), so no box at this step "
-                          "passes; box gap 0.414 (0.2939 against 0.7075; best top "
-                          "0.294 -> 0.428 over half-widths 60 -> 960)")
+@_expected_red("5-top-eigenvalue")
 def test_criterion_5_top_eigenvalue(cache):
     clause = _clause(cache, 5, "5-top-eigenvalue")
     assert clause.passed
@@ -166,12 +158,8 @@ def test_criterion_9_runtime_and_determinism(cache):
 
 def test_expected_red_set_matches():
     # the ledger of structurally red clauses is in one place; make sure the
-    # xfail markers in this module track it
-    marked = {
-        "2-edge-fill", "2-max-gap", "2-size-improvement",
-        "4-support-match", "5-knee-location", "5-top-eigenvalue",
-    }
-    assert marked == acceptance.EXPECTED_RED
+    # xfail markers in this module mark each of its clauses once
+    assert sorted(_MARKED) == sorted(acceptance.EXPECTED_RED)
 
 
 def test_criterion_1_builds_each_sandwich_once(monkeypatch):

@@ -118,6 +118,17 @@ def test_study_input_errors_exit_2_naming_the_field(tmp_path, capsys, model, axi
     assert capsys.readouterr().err.startswith(f"error: {path}:")
 
 
+def test_study_trule_with_the_probe_on_an_eigenvalue_exits_2(tmp_path, capsys):
+    from projdiff.harness import ExperimentConfig
+    on = float(ExperimentConfig(model="finite:random", seed=0)
+               .build_pair().eigenvalues[0][5])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "finite:random", "seed": 0, "probes": [on],
+                                    "sizes": [40, 80, 160]}))
+    assert cli.main(["study", str(cfg_path), "--axis", "trule"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: eigenvalue {on:.12g} within")
+
+
 def test_verify_all_wiring(monkeypatch, tmp_path, capsys):
     # exercise the subcommand surface with a stubbed criteria table so the
     # exit-code contract is covered without recomputing the full suite

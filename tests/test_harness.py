@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -210,6 +211,17 @@ def test_study_trule_axis_decreases_to_plateau():
     assert np.all(direct[:2] > floor[:2])
 
 
+def test_study_trule_axis_rejects_a_probe_on_an_eigenvalue():
+    # the roundoff floors divide by the probe gap, so the gap contract is
+    # applied before any floor: no division by zero, a typed error instead
+    from projdiff.errors import GapViolationError
+    base = ExperimentConfig(model="finite:random", seed=0, sizes=(40, 80, 160))
+    on = float(base.build_pair().eigenvalues[0][5])
+    with pytest.raises(GapViolationError) as err:
+        convergence_study(dataclasses.replace(base, probes=(on,)), "trule")
+    assert err.value.nearest == on
+
+
 def test_study_n_axis_shapes():
     cfg = ExperimentConfig(model="krein", probes=(0.5,),
                            eps_ladder=(0.1, 0.05), sizes=(48, 64, 96))
@@ -322,8 +334,10 @@ def test_sech2_run_allocates_no_dense_matrix():
 
 def test_tracer_targets_resolve_on_the_package():
     # the benchmark tracer wraps functions by name; a renamed or removed
-    # target would silently drop a per-layer metric to zero
-    import importlib
+    # target would break the traced mode (perfbench/run.py --trace 1) or
+    # silently drop a per-layer metric to zero.  Each target is looked up
+    # as the tracer does: a function on its module, a Class.method in the
+    # class's own namespace; then the tracer is installed and taken off.
     import importlib.util
 
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -331,11 +345,32 @@ def test_tracer_targets_resolve_on_the_package():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    for module_name, attr, _ in tracer.TARGETS:
+
+    def lookup(module_name, attr):
         owner = importlib.import_module(f"projdiff.{module_name}")
-        for part in attr.split("."):
-            owner = getattr(owner, part)
-        assert callable(owner), f"{module_name}.{attr}"
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = vars(getattr(owner, cls_name))
+            assert attr in owner, f"{module_name}.{cls_name}.{attr}"
+            return owner[attr]
+        return getattr(owner, attr)
+
+    originals = {(m, a): lookup(m, a) for m, a, _ in tracer.TARGETS}
+    assert all(callable(f) for f in originals.values())
+    from projdiff import projections, random_gapped_pair
+    pair = random_gapped_pair(12, 3, 4)
+    expect = projections.dsquared_block_check(pair, 0.0)
+    traced = tracer.Tracer().install()
+    try:
+        assert all(lookup(m, a) is not f for (m, a), f in originals.items())
+        assert projections.dsquared_block_check(pair, 0.0) == expect
+    finally:
+        traced.uninstall()
+    assert all(lookup(m, a) is f for (m, a), f in originals.items())
+    # the D^2 check reads the difference report: its span nests one
+    # projections.difference span
+    ops = [(op, parent) for op, _, _, _, parent in traced.spans]
+    assert ops == [("projections.dsquared", -1), ("projections.difference", 0)]
 
 
 def test_calibrate_tool_resolves(monkeypatch):

@@ -107,6 +107,18 @@ def test_dsquared_blocks():
     assert dsquared_block_check(rnd, 0.0) <= 1e-10 * rnd.dim
 
 
+@pytest.mark.parametrize("build, probe", [
+    (lambda: random_gapped_pair(24, 3, 5, gap=1e-3), 0.0),
+    (lambda: build_krein(200, 40.0), 0.5),
+    (lambda: build_schrodinger_1d(sech2_spec(1.0, 20.0, 399)), 0.7),
+])
+def test_dsquared_block_check_reads_the_difference_report(build, probe):
+    # one compression per probe: the D^2 check is the residual the
+    # difference spectrum reports, bit for bit
+    pair = build()
+    assert dsquared_block_check(pair, probe) == projection_difference(pair, probe).dsquared_residual
+
+
 def test_corner_zero_perturbation():
     pair = diag_pair([-1.0, 1.0, 2.0], [0.0, 0.0, 0.0])
     spec = corner_spectrum(pair, 0.5, sign=+1)
@@ -158,6 +170,41 @@ def test_fill_and_hausdorff_helpers():
     assert hausdorff_distance([0.0, 1.0], [0.0, 1.0]) == 0.0
     assert hausdorff_distance([0.0], [2.0]) == 2.0
     assert interval_hausdorff(np.array([0.0, 1.5]), -1.0, 1.0) == pytest.approx(1.0)
+
+
+def _float_hausdorff(a, b):
+    """The real-line Hausdorff distance with its points cast to float."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if len(a) == 0 and len(b) == 0:
+        return 0.0
+    if len(a) == 0 or len(b) == 0:
+        return np.inf
+    d = np.abs(a[:, None] - b[None, :])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def test_hausdorff_distance_of_complex_points_matches_the_hand_formula():
+    rng = np.random.default_rng(8)
+    for m, k in ((1, 1), (1, 4), (5, 3), (7, 7)):
+        a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+        b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+        d = np.abs(a[:, None] - b[None, :])
+        assert hausdorff_distance(a, b) == float(max(d.min(axis=1).max(),
+                                                     d.min(axis=0).max()))
+    # a rotation by pi puts every point at distance 2 from its nearest
+    assert hausdorff_distance([1j], [-1j]) == 2.0
+
+
+def test_hausdorff_distance_of_real_points_is_unchanged():
+    rng = np.random.default_rng(9)
+    cases = [([0.0, 1.0], [0.0, 1.0]), ([0], [2]), (3, [1, 5]), ([], []), ([], [1.0]),
+             ([1.0], []), (np.arange(4), np.arange(4) + 0.5),
+             (rng.standard_normal(6), rng.standard_normal(9)),
+             (rng.standard_normal(1), rng.standard_normal(3))]
+    for a, b in cases:
+        got, expect = hausdorff_distance(a, b), _float_hausdorff(a, b)
+        assert got == expect and type(got) is type(expect), (a, b)
 
 
 # ---------------------------------------------------------------------------

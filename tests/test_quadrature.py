@@ -39,11 +39,11 @@ def test_halfline_error_decreases_with_n():
 
 def test_rule_invariants_enforced():
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([1.0, 1.0]), np.array([1.0, 1.0]), ("halfline",))
+        QuadratureRule(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([1.0, 2.0]), np.array([1.0, -1.0]), ("halfline",))
+        QuadratureRule(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([1.0, np.inf]), np.array([1.0, 1.0]), ("halfline",))
+        QuadratureRule(np.array([1.0, np.inf]), np.array([1.0, 1.0]))
 
 
 def test_unsupported_kind_and_params():

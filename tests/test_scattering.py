@@ -256,9 +256,9 @@ def test_fiber_trace_consistency():
 def test_counting_shift_smoothing():
     pair = random_gapped_pair(10, 3, seed=44)
     # eps -> 0 recovers the integer counting shift
-    from projdiff.scattering import integer_counting_shift
+    m0, m1 = pair.counts_below(0.0)
     xi_small = smoothed_counting_shift(pair, 0.0, 1e-9)
-    assert xi_small == pytest.approx(integer_counting_shift(pair, 0.0), abs=1e-6)
+    assert xi_small == pytest.approx(m0 - m1, abs=1e-6)
 
 
 def test_integer_counting_shift_of_band_pairs_matches_the_spectra():
@@ -266,23 +266,39 @@ def test_integer_counting_shift_of_band_pairs_matches_the_spectra():
     # banded spectra
     import scipy.linalg as sla
     from projdiff.models import build_schrodinger_1d, square_well_spec
-    from projdiff.scattering import integer_counting_shift
     pair = build_schrodinger_1d(square_well_spec(2.5, 1.0, 20.0, 399))
     w0, w1 = (sla.eigh_tridiagonal(b.diagonal, b.offdiagonal, eigvals_only=True)
               for b in pair.operators)
     for probe in (-2.0, -1.0, 0.01, 0.5, 1.0, 3.7, 500.0):
-        expect = int(np.sum(w0 < probe) - np.sum(w1 < probe))
-        assert integer_counting_shift(pair, probe) == expect
-    assert integer_counting_shift(pair, 0.0) == -1  # the well's one bound state
+        m0, m1 = pair.counts_below(probe)
+        assert m0 - m1 == int(np.sum(w0 < probe) - np.sum(w1 < probe))
+    m0, m1 = pair.counts_below(0.0)
+    assert m0 - m1 == -1  # the well's one bound state
     assert "eigenvalues" not in pair.__dict__
 
 
 def test_birman_krein_zero_perturbation():
     pair = zero_v0_pair()
-    res = birman_krein_check(pair, 0.0, 0.1)
-    assert res.det_s == pytest.approx(1.0)
-    assert res.counting_shift == pytest.approx(0.0, abs=1e-12)
-    assert res.defect <= 1e-12
+    det_s, xi, defect = birman_krein_check(pair, 0.0, 0.1)
+    assert det_s == pytest.approx(1.0)
+    assert xi == pytest.approx(0.0, abs=1e-12)
+    assert defect <= 1e-12
+
+
+@pytest.mark.parametrize("build, probe, eps", [
+    (lambda: random_gapped_pair(12, 3, seed=44), 0.0, 0.1),
+    (lambda: build_krein(200, 40.0), 0.5, 0.05),
+])
+def test_birman_krein_check_is_the_one_rung_extrapolation(build, probe, eps):
+    pair = build()
+    got = birman_krein_check(pair, probe, eps)
+    phases = scattering_bundle(pair, probe, eps).phases
+    assert got == birman_krein_extrapolated(pair, probe, phases, [eps])
+    # the hand formula: det S = exp(i sum theta), xi the smoothed shift at eps
+    det_s = complex(np.exp(1j * np.sum(phases)))
+    xi = smoothed_counting_shift(pair, probe, eps)
+    assert got == (det_s, xi, float(abs(det_s - np.exp(-2j * np.pi * xi))))
+    assert all(type(v) is t for v, t in zip(got, (complex, float, float)))
 
 
 def test_birman_krein_weak_square_well():

@@ -40,8 +40,7 @@ from projdiff.models import (build_krein, build_schrodinger_1d, sech2_spec,
 from projdiff.projections import (corner_spectrum, interval_hausdorff,
                                   projection_difference)
 from projdiff.quadrature import make_quadrature
-from projdiff.scattering import (extrapolated_phases, integer_counting_shift,
-                                 transfer_matrix_smatrix)
+from projdiff.scattering import extrapolated_phases, transfer_matrix_smatrix
 from projdiff.zops import zop_model_comparison
 
 THRESHOLDS_PATH = os.path.join(os.path.dirname(__file__), "..",
@@ -86,7 +85,8 @@ def calibrate_sech2_boxes(depth=1.0, probe=1.0, step=0.1):
     def box_stats(half_width):
         n = int(2 * half_width / step) - 1
         pair = build_schrodinger_1d(sech2_spec(depth, half_width, n))
-        shifts = integer_counting_shift(pair, probe)
+        m0, m1 = pair.counts_below(probe)
+        shifts = m0 - m1
         rep = projection_difference(pair, probe)
         return n, shifts, interval_hausdorff(rep.spectrum, -a, a)
 
