@@ -21,7 +21,7 @@ probe = cfg["probe"]
 oracle = transfer_matrix_smatrix(sech2_spec(cfg["depth"], 30.0, 999), probe)
 print(f"sech^2 well, depth {cfg['depth']}, probe {probe} (k = {oracle.k}):")
 print(f"  oracle r = {oracle.r:.6f}, t = {oracle.t:.6f}, "
-      f"|r|^2 + |t|^2 - 1 = {oracle.flux_defect:.1e}")
+      f"integration error estimate {oracle.integration_error:.1e}")
 print(f"  oracle eigenphases: {np.round(oracle.phases, 5)}, a = {oracle.a:.5f}\n")
 
 pair = build_schrodinger_1d(

@@ -22,6 +22,7 @@ Criteria 4 and 5 read a and the band edges off one oracle call each;
 ladder (the tests pin the ladder on that box).
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -103,19 +104,24 @@ def _fmt(v):
 # 1. exact identities at machine precision
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _identity_pairs():
+    """(pair, probe) for the seeded random pairs at probe 0 and the rank-one
+    resolvent model build_krein(200, 40.0) at 0.5: built once for criteria
+    1 and 7, so the second reuses the pairs' cached eigen-data."""
+    cfg = thresholds()["random_pair"]
+    pairs = [(random_gapped_pair(cfg["dim"], cfg["kdim"], seed, gap=cfg["gap"]), 0.0)
+             for seed in range(cfg["count"])]
+    return tuple(pairs + [(build_krein(200, 40.0), 0.5)])
+
+
 def criterion_1():
     """Resolvent factor identity, block decomposition of D^2, the
     defect-operator identity and the Sylvester-certified product identity
     on 20 seeded random pairs and the rank-one resolvent model."""
-    cfg = thresholds()["random_pair"]
     t0 = time.monotonic()
-    pairs = [random_gapped_pair(cfg["dim"], cfg["kdim"], seed, gap=cfg["gap"])
-             for seed in range(cfg["count"])]
-    pairs.append(build_krein(200, 40.0))
-    probes = [0.0] * cfg["count"] + [0.5]
-
     worst = {"factor": 0.0, "block": 0.0, "defect_identity": 0.0, "product": 0.0}
-    for pair, probe in zip(pairs, probes):
+    for pair, probe in _identity_pairs():
         for eps in (1e-1, 1e-2):
             b = scattering_bundle(pair, probe, eps)
             worst["factor"] = max(worst["factor"], b.factor_residual)
@@ -323,13 +329,8 @@ def criterion_6():
 # ---------------------------------------------------------------------------
 
 def criterion_7():
-    cfg = thresholds()["random_pair"]
-    worst = 0.0
-    for seed in range(cfg["count"]):
-        pair = random_gapped_pair(cfg["dim"], cfg["kdim"], seed, gap=cfg["gap"])
-        rep = projection_difference(pair, 0.0)
-        worst = max(worst, rep.pairing_defect)
-    worst = max(worst, projection_difference(build_krein(200, 40.0), 0.5).pairing_defect)
+    worst = max(projection_difference(pair, probe).pairing_defect
+                for pair, probe in _identity_pairs())
     sech_cfg = thresholds()["sech2"]
     hw, n = sech_cfg["d_boxes"][0]
     pair = build_schrodinger_1d(sech2_spec(sech_cfg["depth"], hw, n))

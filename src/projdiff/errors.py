@@ -63,6 +63,22 @@ class SingularSandwichError(ProjdiffError):
         super().__init__(f"I + V0 T0 has condition number {self.cond:.3e}")
 
 
+class OracleConvergenceError(ProjdiffError):
+    """The transfer-matrix oracle's cells reached their width floor or the
+    level cap with local errors above their target.
+
+    Carries the summed local ``estimate`` and ``target`` of the cells
+    still unaccepted, and the ``limit`` that stopped the refinement.
+    """
+
+    def __init__(self, estimate, target, limit):
+        self.estimate = float(estimate)
+        self.target = float(target)
+        self.limit = str(limit)
+        super().__init__(f"transfer-matrix oracle stopped at the {self.limit}: local error "
+                         f"{self.estimate:.3e} against target {self.target:.3e}")
+
+
 class OverflowGuardError(ProjdiffError):
     """Semigroup exponent would overflow on a mode the input actually excites."""
 

@@ -289,8 +289,11 @@ def build_krein(n=400, L=40.0):
 class PotentialSpec:
     """A real potential with its declared decay envelope and grid.
 
-    The envelope |V(x)| <= decay_constant * (1+|x|)**(-decay_exponent)
-    is verified on the grid when the pair is built.
+    ``potential`` is evaluated on arrays of x (elementwise, any shape), as
+    both shipped specs are: the grid, and the transfer-matrix oracle's cells,
+    sample it in one call.  The envelope |V(x)| <= decay_constant *
+    (1+|x|)**(-decay_exponent) is verified on the grid when the pair is
+    built.
     """
 
     potential: callable

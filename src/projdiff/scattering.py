@@ -26,9 +26,14 @@ eps > 0 (same algebra as the defect-operator identity), so its
 eigenvalues always live on the unit circle and only their phases move
 with eps.
 
-The transfer-matrix oracle shares neither path: one integration of the
-continuum fundamental system gives S for both incidence sides.  Channel,
-ladder and oracle map phases to band edges through :func:`band_edges`.
+The transfer-matrix oracle shares neither path: the continuum fundamental
+system, one product of 4th-order Magnus cells (closed-form 2 x 2
+exponentials, in numpy alone), gives S for both incidence sides.  The cells
+are refined until their local error estimates (step against two half
+steps, plus a Simpson-against-Gauss quadrature gap that sees jumps of V)
+meet their share of ORACLE_TOL, and the result reports the summed
+estimate.  Channel, ladder and oracle map phases to band edges through
+:func:`band_edges`.
 
 The sandwiches G (A - z)^-1 G* of a dense pair come from its cached
 eigensystems, (G U) diag(1/(w - z)) (G U)*.  A band pair is real
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProbeOutsideBandError, SingularSandwichError
+from .errors import OracleConvergenceError, ProbeOutsideBandError, SingularSandwichError
 from .linalg import probe_gaps
 
 __all__ = [
@@ -68,7 +73,8 @@ C1_RESIDUAL_TOL = 1e-9
 COND_LIMIT = 1e12
 PSD_TOL = 1e-12            # relative negative eigenvalue a PSD square root allows
 MATCH_RADIUS = 0.75        # largest step of a phase chain between rungs
-ORACLE_RTOL = 1e-11        # integration of the transfer-matrix oracle
+ORACLE_TOL = 1e-11         # summed local error of the transfer-matrix oracle's cells
+ORACLE_MAX_CELLS = 1 << 18  # cells one refinement level of the oracle may hold
 TAIL_TOL = 1e-8            # potential at the oracle window's ends
 PHASE_FLOOR = 0.1          # least |ev - 1| of a retained eigenvalue of S
 
@@ -436,7 +442,10 @@ class TransferMatrixResult:
 
     ``smatrix`` is [[t, r'], [r, t']] in the (left-in, right-in) channel
     basis; ``fiber_trace`` is the trace of the fiber density F0'(probe)
-    = integral of |V| / (2*pi*k).
+    = integral of |V| / (2*pi*k).  Every Magnus cell has determinant 1, so
+    the flux and unitarity defects show roundoff only; ``integration_error``
+    is the summed local error estimate of the cells (see
+    :func:`transfer_matrix_smatrix`).
     """
 
     k: float
@@ -449,18 +458,112 @@ class TransferMatrixResult:
     flux_defect: float
     unitarity_defect: float
     fiber_trace: float
+    integration_error: float
+
+
+# sample points of a cell [x, x + w] in units of w: the two Gauss nodes of
+# the cell, those of its left and its right half, and Simpson's three
+_GAUSS = np.sqrt(3.0) / 6.0
+_SAMPLES = np.array([0.5 - _GAUSS, 0.5 + _GAUSS,
+                     0.25 - 0.5 * _GAUSS, 0.25 + 0.5 * _GAUSS,
+                     0.75 - 0.5 * _GAUSS, 0.75 + 0.5 * _GAUSS, 0.0, 0.5, 1.0])[:, None]
+
+
+def _magnus_cells(q1, q2, w):
+    """exp(Omega) - I for cells of width w, with q = V - probe at their Gauss nodes.
+
+    The 4th-order Magnus generator of y' = [[0, 1], [q, 0]] y is
+    Omega = [[al, w], [ga, -al]], al = sqrt(3) w^2 (q1 - q2) / 12,
+    ga = w (q1 + q2) / 2.  It is traceless, so with s^2 = al^2 + w ga,
+    exp(Omega) = cosh(s) I + sinh(s)/s Omega, taken for either sign of s^2
+    in real arithmetic, with cosh(s) - 1 = 2 sinh(s/2)^2 so that the result
+    minus I keeps its relative accuracy on a narrow cell.
+    """
+    al = (np.sqrt(3.0) / 12.0) * w * w * (q1 - q2)
+    ga = 0.5 * w * (q1 + q2)
+    s2 = al * al + w * ga
+    s = np.sqrt(np.abs(s2))
+    grow = s2 > 0
+    sh, cm1 = np.sin(s), -2.0 * np.sin(0.5 * s) ** 2
+    sh[grow], cm1[grow] = np.sinh(s[grow]), 2.0 * np.sinh(0.5 * s[grow]) ** 2
+    shs = np.divide(sh, s, out=np.ones_like(s), where=s > 0)
+    out = np.empty(w.shape + (2, 2))
+    out[:, 0, 0] = cm1 + shs * al
+    out[:, 0, 1] = shs * w
+    out[:, 1, 0] = shs * ga
+    out[:, 1, 1] = cm1 - shs * al
+    return out
+
+
+def _fundamental_matrix(potential, probe, x_edge, cells):
+    """(Phi(X), summed local error) for u'' = (V - probe) u, Phi(-X) = I.
+
+    Cells are halved level by level from ``cells`` equal cells of [-X, X],
+    every cell of a level at once.  A cell's local error is the gap between
+    its Magnus step and the product of its two halves' steps (2 x 2 max norm),
+    plus the gap |Simpson - Gauss| between two quadratures of the integral
+    of q over it, which sees a jump of V that falls between the Gauss nodes.
+    A cell is accepted, as the product of its halves, once its local error
+    is at most its share w/2X of ORACLE_TOL.  At a jump both gaps are first
+    order in w, as is the error itself, so no width meets a share
+    proportional to w there; such a cell is accepted instead once it is
+    narrow enough that the bound 2 w max(1, |q|) on the increments of its
+    exact and its computed propagator is at most tol/2X, the share of a
+    unit length, and that bound counts as its local error.  Cells that
+    reach the width floor (two spacings of the float x) or a level with
+    more than ORACLE_MAX_CELLS cells unaccepted raise
+    :class:`OracleConvergenceError`.  The accepted cells are multiplied in
+    a pairwise tree, in order of x.
+    """
+    share = ORACLE_TOL / (2.0 * x_edge)
+    width = np.full(cells, 2.0 * x_edge / cells)
+    start = -x_edge + width * np.arange(cells)
+    kept_start, kept_step, error = [], [], 0.0
+    while start.size:
+        q = potential(start + _SAMPLES * width) - probe
+        half = 0.5 * width
+        full = _magnus_cells(q[0], q[1], width)
+        left, right = _magnus_cells(q[2], q[3], half), _magnus_cells(q[4], q[5], half)
+        step = left + right + right @ left            # (I + right)(I + left) - I
+        gap = width * np.abs((q[6] + 4.0 * q[7] + q[8]) / 6.0 - 0.5 * (q[0] + q[1]))
+        local = np.max(np.abs(full - step), axis=(1, 2)) + gap
+        bound = 2.0 * width * np.maximum(1.0, np.max(np.abs(q), axis=0))
+        fine, narrow = local <= share * width, bound <= share
+        done = fine | narrow
+        error += float(np.sum(np.where(fine, local, bound)[done]))
+        kept_start.append(start[done])
+        kept_step.append(step[done])
+        start, width, local = start[~done], width[~done], local[~done]
+        limit = ("cell-width floor" if np.any(width <= 2.0 * np.spacing(np.abs(start) + width))
+                 else "level cap" if 2 * start.size > ORACLE_MAX_CELLS else None)
+        if limit:
+            raise OracleConvergenceError(np.sum(local), share * np.sum(width), limit)
+        start, width = np.concatenate([start, start + 0.5 * width]), np.repeat(0.5 * width, 2)
+    order = np.argsort(np.concatenate(kept_start))
+    prod = np.concatenate(kept_step)[order] + np.eye(2)
+    while len(prod) > 1:
+        pairs = prod[1::2] @ prod[0:len(prod) - 1:2]
+        prod = np.concatenate([pairs, prod[-1:]]) if len(prod) % 2 else pairs
+    return prod[0], error
 
 
 def transfer_matrix_smatrix(spec, probe):
     """Stationary 2x2 scattering matrix by integrating -u'' + V u = probe*u.
 
-    One DOP853 integration (relative tolerance ORACLE_RTOL) of the real
-    fundamental system Phi, Phi(-X) = I, gives the transfer matrix in
-    plane-wave coordinates, M = W(X)^-1 Phi(X) W(-X) with W(x) the (u, u')
-    columns of exp(+-ikx); matching gives r = -M21/M22, t = det M / M22,
-    t' = 1/M22 and r' = M12/M22.  det M = 1 is not substituted, so the
-    unitarity and flux defects measure the integration error.  Requires
-    probe > 0 and a potential decayed to TAIL_TOL at the window's ends.
+    The real fundamental system Phi, Phi(-X) = I, comes from a product of
+    4th-order Magnus cells (Blanes, Casas, Oteo and Ros, Phys. Rep. 470,
+    2009), each the closed-form exponential of its generator.  The cells
+    start as the n + 1 cells of the spec's grid, the resolution it declares
+    for V, so that no feature of V hides between the samples of a coarse
+    cell, and are refined until the summed local error estimate, reported
+    as ``integration_error``, is about ORACLE_TOL (see
+    :func:`_fundamental_matrix`).  In plane-wave
+    coordinates the transfer matrix is M = W(X)^-1 Phi(X) W(-X), with W(x)
+    the (u, u') columns of exp(+-ikx); matching gives r = -M21/M22,
+    t = det M / M22, t' = 1/M22 and r' = M12/M22.  Requires probe > 0 and
+    a potential, evaluated on arrays, decayed to TAIL_TOL at the window's
+    ends; raises :class:`OracleConvergenceError` when the cells cannot
+    meet their error target.
     """
     if probe <= 0:
         raise ValueError("need probe > 0")
@@ -471,28 +574,20 @@ def transfer_matrix_smatrix(spec, probe):
         raise ValueError(f"potential tail {tail:.2e} not decayed at |x| = {x_edge}")
     k = float(np.sqrt(probe))
 
-    def rhs(x, y):
-        # y = (u1, u2, u1', u2'): two real solutions of u'' = (V - probe) u
-        q = float(spec.potential(np.asarray(x))) - probe
-        return [y[2], y[3], q * y[0], q * y[1]]
-
     def waves(x):
         e = np.exp(1j * k * x)
         return np.array([[e, 1.0 / e], [1j * k * e, -1j * k / e]])
 
-    from scipy.integrate import solve_ivp   # only this oracle needs it; import lazily
-    sol = solve_ivp(rhs, [-x_edge, x_edge], [1.0, 0.0, 0.0, 1.0],
-                    rtol=ORACLE_RTOL, atol=ORACLE_RTOL * 1e-2, method="DOP853")
-    if not sol.success:
-        raise ArithmeticError(f"transfer-matrix integration failed: {sol.message}")
-    m = np.linalg.solve(waves(x_edge), sol.y[:, -1].reshape(2, 2) @ waves(-x_edge))
+    phi, error = _fundamental_matrix(spec.potential, float(probe), float(x_edge),
+                                     spec.n + 1)
+    m = np.linalg.solve(waves(x_edge), phi @ waves(-x_edge))
     r, t = -m[1, 0] / m[1, 1], np.linalg.det(m) / m[1, 1]
     smat = np.array([[t, m[0, 1] / m[1, 1]], [r, 1.0 / m[1, 1]]])
     flux = abs(abs(r) ** 2 + abs(t) ** 2 - 1.0)
     udef, phases, edges, a = _summary_2x2(smat)
     xs = np.linspace(-x_edge, x_edge, 20001)
     vtrace = float(np.trapezoid(np.abs(spec.potential(xs)), xs) / (2.0 * np.pi * k))
-    return TransferMatrixResult(k, r, t, smat, phases, a, edges, flux, udef, vtrace)
+    return TransferMatrixResult(k, r, t, smat, phases, a, edges, flux, udef, vtrace, error)
 
 
 # ---------------------------------------------------------------------------

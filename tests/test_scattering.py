@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projdiff import models, scattering
-from projdiff.errors import SingularSandwichError
+from projdiff.errors import OracleConvergenceError, SingularSandwichError
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, square_well_spec,
                              thresholds)
@@ -193,19 +193,55 @@ def test_transfer_matrix_free_and_flux():
     assert res.unitarity_defect <= 1e-8
 
 
-def test_transfer_matrix_integrates_once(monkeypatch):
-    # both incidence sides come from one fundamental system
-    import scipy.integrate
-    calls = []
+def dop853_fundamental(spec, probe):
+    """Phi(X) of u'' = (V - probe) u with Phi(-X) = I by scipy's DOP853 at
+    relative tolerance 1e-13: the slow reference path of the Magnus cells."""
+    from scipy.integrate import solve_ivp
 
-    def spy(*args, _original=scipy.integrate.solve_ivp, **kwargs):
-        calls.append(kwargs.get("method"))
-        return _original(*args, **kwargs)
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
-    res = transfer_matrix_smatrix(sech2_spec(1.0, 30.0, 999), 1.0)
-    assert calls == ["DOP853"]
+    def rhs(x, y):
+        q = float(spec.potential(np.asarray(x))) - probe
+        return [y[2], y[3], q * y[0], q * y[1]]
+    x_edge = spec.half_width
+    sol = solve_ivp(rhs, [-x_edge, x_edge], [1.0, 0.0, 0.0, 1.0],
+                    rtol=1e-13, atol=1e-15, method="DOP853")
+    assert sol.success
+    return sol.y[:, -1].reshape(2, 2)
+
+
+def test_transfer_matrix_integrates_once():
+    # both incidence sides come from one fundamental system, which the
+    # Magnus cells give as the DOP853 reference does
+    spec = sech2_spec(1.0, 30.0, 999)
+    phi, error = scattering._fundamental_matrix(spec.potential, 1.0, spec.half_width,
+                                                spec.n + 1)
+    assert np.max(np.abs(phi - dop853_fundamental(spec, 1.0))) <= 1e-10
+    assert error <= 1e-10
+    res = transfer_matrix_smatrix(spec, 1.0)
     # reciprocity t = t' holds to the integration error
     assert abs(res.smatrix[0, 0] - res.smatrix[1, 1]) <= 1e-9
+
+
+def sech2_closed_form(depth, probe):
+    """S = [[t, r], [r, t]] of the continuum well -depth sech^2 x, with
+    l(l + 1) = depth: t = G(1+l-ik) G(-l-ik) / (G(1-ik) G(-ik)) and
+    r = i t sin(pi l) / sinh(pi k)."""
+    from scipy.special import loggamma
+    k = np.sqrt(probe)
+    ell = 0.5 * (np.sqrt(1.0 + 4.0 * depth) - 1.0)
+    t = np.exp(loggamma(1 + ell - 1j * k) + loggamma(-ell - 1j * k)
+               - loggamma(1 - 1j * k) - loggamma(-1j * k))
+    r = 1j * t * np.sin(np.pi * ell) / np.sinh(np.pi * k)
+    return np.array([[t, r], [r, t]])
+
+
+@pytest.mark.parametrize("depth", [1.0, 2.5])
+@pytest.mark.parametrize("probe", [0.3, 1.0, 1.6])
+def test_transfer_matrix_sech2_closed_form(depth, probe):
+    res = transfer_matrix_smatrix(sech2_spec(depth, 30.0, 999), probe)
+    err = np.max(np.abs(res.smatrix - sech2_closed_form(depth, probe)))
+    assert err <= 1e-11
+    assert err <= res.integration_error <= 1e-10
+
 
 def test_transfer_matrix_square_well_closed_form():
     # inside the well the momentum is q = sqrt(lam + v0); matching plane
@@ -215,7 +251,28 @@ def test_transfer_matrix_square_well_closed_form():
     denom = np.cos(2 * q * b) - 0.5j * (k / q + q / k) * np.sin(2 * q * b)
     t_exact = np.exp(-2j * k * b) / denom
     res = transfer_matrix_smatrix(square_well_spec(v0, b, 20.0, 399), lam)
-    assert abs(res.t - t_exact) <= 1e-6
+    assert abs(res.t - t_exact) <= 1e-11
+    assert abs(res.t - t_exact) <= res.integration_error
+
+
+def test_transfer_matrix_raises_when_cells_cannot_converge(monkeypatch):
+    # a target below roundoff fails on every cell, and the level cap stops
+    # the doubling with the reached estimate and the target
+    monkeypatch.setattr(scattering, "ORACLE_TOL", 1e-30)
+    monkeypatch.setattr(scattering, "ORACLE_MAX_CELLS", 64)
+    with pytest.raises(OracleConvergenceError) as info:
+        transfer_matrix_smatrix(sech2_spec(1.0, 30.0, 999), 1.0)
+    assert info.value.limit == "level cap"
+    assert info.value.estimate > info.value.target > 0.0
+    monkeypatch.undo()
+    # a jump of V at |x| ~ 900 in a box of half-width 1000 needs cells
+    # narrower than twice the spacing of floats there
+    far_well = models.PotentialSpec(
+        lambda x: np.where(np.abs(x - 900.0) < 0.5, -2.5, 0.0), 2.5, 2.0, 1000.0, 999)
+    with pytest.raises(OracleConvergenceError) as info:
+        transfer_matrix_smatrix(far_well, 1.0)
+    assert info.value.limit == "cell-width floor"
+    assert info.value.estimate > info.value.target
 
 
 def test_transfer_matrix_rejects_bad_input():
@@ -457,7 +514,8 @@ def test_spectral_sandwich_reuses_the_eigensystems(monkeypatch):
 
 
 def test_import_leaves_the_ode_solver_unloaded():
-    # scipy.integrate serves only the transfer-matrix oracle, which imports it
+    # the transfer-matrix oracle is numpy only: scipy.integrate stays
+    # unloaded after an oracle call
     import os
     import subprocess
     import sys
@@ -471,7 +529,7 @@ def test_import_leaves_the_ode_solver_unloaded():
             "print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["False", "False"]
 
 
 # ---------------------------------------------------------------------------
