@@ -538,7 +538,7 @@ def _fundamental_matrix(potential, probe, x_edge, cells):
                  else "level cap" if 2 * start.size > ORACLE_MAX_CELLS else None)
         if limit:
             raise OracleConvergenceError(np.sum(local), share * np.sum(width), limit)
-        start, width = np.concatenate([start, start + 0.5 * width]), np.repeat(0.5 * width, 2)
+        start, width = np.concatenate([start, start + 0.5 * width]), np.tile(0.5 * width, 2)
     order = np.argsort(np.concatenate(kept_start))
     prod = np.concatenate(kept_step)[order] + np.eye(2)
     while len(prod) > 1:
