@@ -20,6 +20,11 @@ the strict-xfail markers of the tests read their reasons there.
 Criteria 4 and 5 read a and the band edges off one oracle call each;
 ``4-oracle-agreement`` compares the channel a with it and runs no eps
 ladder (the tests pin the ladder on that box).
+
+Shared inputs are built once per process by cached helpers: ``_krein(n)``
+(D reports at n = 200 and 400 for criterion 2, the n = 400 pair for 3 and
+8), ``_identity_pairs()`` (20 random pairs and ``_krein(200)`` with their
+D reports, for 1 and 7) and ``_sech2_box`` (d_boxes reports, for 4 and 7).
 """
 
 import functools
@@ -34,7 +39,7 @@ from .linalg import subspace_compressions
 from .models import (build_krein, build_schrodinger_1d, random_gapped_pair,
                      resolvent_transform, sech2_spec, square_well_spec,
                      thresholds)
-from .projections import (corner_spectrum, dsquared_block_check, hausdorff_distance,
+from .projections import (corner_spectrum, fill_metrics, hausdorff_distance,
                           interval_hausdorff, projection_difference)
 from .quadrature import make_quadrature
 from .scattering import (birman_krein_extrapolated, channel_smatrix,
@@ -105,14 +110,29 @@ def _fmt(v):
 # ---------------------------------------------------------------------------
 
 @functools.cache
+def _krein(n):
+    """(build_krein(n, L), the calibrated probe, the D report there)."""
+    cfg = thresholds()["krein"]
+    pair = build_krein(n, cfg["L"])
+    return pair, cfg["probe"], projection_difference(pair, cfg["probe"])
+
+
+@functools.cache
 def _identity_pairs():
-    """(pair, probe) for the seeded random pairs at probe 0 and the rank-one
-    resolvent model build_krein(200, 40.0) at 0.5: built once for criteria
-    1 and 7, so the second reuses the pairs' cached eigen-data."""
+    """(pair, probe, D report) of the seeded random pairs at probe 0 and of
+    ``_krein(200)``; criterion 7 reuses criterion 1's eigen-data."""
     cfg = thresholds()["random_pair"]
-    pairs = [(random_gapped_pair(cfg["dim"], cfg["kdim"], seed, gap=cfg["gap"]), 0.0)
+    pairs = [random_gapped_pair(cfg["dim"], cfg["kdim"], seed, gap=cfg["gap"])
              for seed in range(cfg["count"])]
-    return tuple(pairs + [(build_krein(200, 40.0), 0.5)])
+    return tuple([(p, 0.0, projection_difference(p, 0.0)) for p in pairs] + [_krein(200)])
+
+
+@functools.cache
+def _sech2_box(half_width, n):
+    """The D report (not the pair, which is large) of a sech^2 d_boxes box."""
+    cfg = thresholds()["sech2"]
+    pair = build_schrodinger_1d(sech2_spec(cfg["depth"], half_width, n))
+    return projection_difference(pair, cfg["probe"])
 
 
 def criterion_1():
@@ -121,13 +141,12 @@ def criterion_1():
     on 20 seeded random pairs and the rank-one resolvent model."""
     t0 = time.monotonic()
     worst = {"factor": 0.0, "block": 0.0, "defect_identity": 0.0, "product": 0.0}
-    for pair, probe in _identity_pairs():
+    for pair, probe, rep in _identity_pairs():
         for eps in (1e-1, 1e-2):
             b = scattering_bundle(pair, probe, eps)
             worst["factor"] = max(worst["factor"], b.factor_residual)
             worst["defect_identity"] = max(worst["defect_identity"], b.identity_residual)
-        worst["block"] = max(worst["block"],
-                             dsquared_block_check(pair, probe) / pair.dim)
+        worst["block"] = max(worst["block"], rep.dsquared_residual / pair.dim)
         chk = product_representation_check(pair, probe)
         worst["product"] = max(worst["product"], chk.residual_oracle / pair.dim)
     elapsed = time.monotonic() - t0
@@ -148,21 +167,16 @@ def criterion_1():
 # 2. rank-one resolvent model: difference-spectrum fill at pinned sizes
 # ---------------------------------------------------------------------------
 
-def _krein_fill(n, L, probe):
-    rep = projection_difference(build_krein(n, L), probe)
+def _krein_fill(n):
+    """(edge deficit, max gap on [-0.95, 0.95]) of the ``_krein(n)`` report."""
+    rep = _krein(n)[2]
     lo, hi = rep.extremes
-    spec = rep.spectrum
-    window = np.sort(spec[(spec >= -0.95) & (spec <= 0.95)])
-    max_gap = float(np.max(np.diff(window))) if len(window) > 1 else 1.9
-    edge = max(abs(lo + 1.0), abs(hi - 1.0))
-    return edge, max_gap, rep
+    return max(abs(lo + 1.0), abs(hi - 1.0)), fill_metrics(rep.spectrum, -0.95, 0.95)[0]
 
 
 def criterion_2():
-    cfg = thresholds()["krein"]
-    probe = cfg["probe"]
-    edge4, gap4, _ = _krein_fill(400, cfg["L"], probe)
-    edge2, gap2, _ = _krein_fill(200, cfg["L"], probe)
+    edge4, gap4 = _krein_fill(400)
+    edge2, gap2 = _krein_fill(200)
     return [
         Clause("2-edge-fill", edge4 <= 0.05, {"edge_deficit_n400": edge4}),
         Clause("2-max-gap", gap4 <= 0.1, {"max_gap_n400": gap4}),
@@ -178,8 +192,7 @@ def criterion_2():
 
 def criterion_3():
     cfg = thresholds()["krein"]
-    pair = build_krein(cfg["n"], cfg["L"])
-    probe = cfg["probe"]
+    pair, probe, _ = _krein(cfg["n"])
     phases, _ = extrapolated_phases(pair, probe, cfg["eps_ladder"])
     phase_defect = (float(np.min(np.abs(np.exp(1j * phases) + 1.0)))
                     if len(phases) else 2.0)
@@ -204,11 +217,7 @@ def criterion_4():
         sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
     a_channel = channel_smatrix(scatter, probe).a
 
-    reps = []
-    for half_width, n in cfg["d_boxes"]:
-        spec = sech2_spec(cfg["depth"], half_width, n)
-        reps.append(projection_difference(build_schrodinger_1d(spec), probe,
-                                          target=(-a_oracle, a_oracle)))
+    reps = [_sech2_box(half_width, n) for half_width, n in cfg["d_boxes"]]
     support_err = max(abs(reps[-1].extremes[0] + a_oracle),
                       abs(reps[-1].extremes[1] - a_oracle))
     hausdorffs = [interval_hausdorff(r.spectrum, -a_oracle, a_oracle) for r in reps]
@@ -329,12 +338,9 @@ def criterion_6():
 # ---------------------------------------------------------------------------
 
 def criterion_7():
-    worst = max(projection_difference(pair, probe).pairing_defect
-                for pair, probe in _identity_pairs())
-    sech_cfg = thresholds()["sech2"]
-    hw, n = sech_cfg["d_boxes"][0]
-    pair = build_schrodinger_1d(sech2_spec(sech_cfg["depth"], hw, n))
-    worst = max(worst, projection_difference(pair, sech_cfg["probe"]).pairing_defect)
+    reps = [rep for _, _, rep in _identity_pairs()]
+    reps.append(_sech2_box(*thresholds()["sech2"]["d_boxes"][0]))
+    worst = max(rep.pairing_defect for rep in reps)
     return [Clause("7-pairing-symmetry", worst <= 1e-6, {"worst_defect": worst})]
 
 
@@ -364,8 +370,7 @@ def projection_identity_residual(pair, transform, probe):
 
 def criterion_8():
     cfg = thresholds()["krein"]
-    pair = build_krein(cfg["n"], cfg["L"])
-    probe = cfg["probe"]
+    pair, probe, _ = _krein(cfg["n"])
     shift = cfg["resolvent_shift"]
     transform = resolvent_transform(pair, shift)
     mu = float(transform.mu(probe))

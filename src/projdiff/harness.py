@@ -20,7 +20,7 @@ from .linalg import probe_gaps
 from .models import preset_defaults, preset_pair
 from .projections import projection_difference
 from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
-                         extrapolated_phases, scattering_bundle)
+                         extrapolated_phases, phase_ladder)
 from .zops import default_time_rule, product_representation_check
 
 __all__ = ["ExperimentConfig", "Report", "run_experiment", "convergence_study",
@@ -290,8 +290,7 @@ def convergence_study(config, axis):
         if len(points) < 3:
             raise ConfigError("config.eps_ladder: need >= 3 rungs for a study")
         pair = config.build_pair()
-        for eps in points:
-            b = scattering_bundle(pair, probe, eps)
+        for b in phase_ladder(pair, probe, points):
             metrics.setdefault("prediction_a", []).append(b.prediction_a)
             metrics.setdefault("unitarity_defect", []).append(b.unitarity_defect)
             metrics.setdefault("identity_residual", []).append(b.identity_residual)

@@ -260,7 +260,7 @@ def _band_pair(b0, g, v0, meta):
     return OperatorPair((b0, b1), g, v0, meta)
 
 
-def build_krein(n=400, L=40.0):
+def build_krein(n, L):
     """Half-line resolvent pair with a rank-one difference.
 
     H0 is the Nystrom matrix of the kernel sinh(min(x,y))*exp(-max(x,y))
@@ -314,13 +314,13 @@ def _sech2(x):
     return 4.0 * q / (1.0 + q) ** 2
 
 
-def sech2_spec(depth=1.0, half_width=120.0, n=2400):
+def sech2_spec(depth, half_width, n):
     # sech^2(x) <= 4 exp(-2|x|) <= 4 (1+|x|)^{-2}, so rho = 2 with C = 4*depth
     pot = lambda x: -depth * _sech2(x)
     return PotentialSpec(pot, 4.0 * depth, 2.0, float(half_width), int(n))
 
 
-def square_well_spec(depth=1.0, width=1.0, half_width=120.0, n=2400):
+def square_well_spec(depth, width, half_width, n):
     pot = lambda x: np.where(np.abs(x) < width, -depth, 0.0)
     c = depth * (1.0 + width) ** 2
     return PotentialSpec(pot, c, 2.0, float(half_width), int(n))

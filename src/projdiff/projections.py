@@ -79,19 +79,17 @@ def hausdorff_distance(a, b):
 def fill_metrics(values, lo, hi):
     """(max gap, one-sided Hausdorff) of a value set against [lo, hi].
 
-    Max gap is between consecutive sorted values inside the interval;
-    the one-sided Hausdorff distance is sup over the interval of the
-    distance to the value set, measuring coverage only.
+    Max gap is between consecutive sorted values inside the interval, or
+    hi - lo when fewer than two lie inside (a lone value bounds no gap); the
+    one-sided Hausdorff distance is sup over the interval of the distance
+    to the value set, measuring coverage only.
     """
     inside = np.sort(values[(values >= lo) & (values <= hi)])
     if len(inside) == 0:
         return float(hi - lo), float(hi - lo)
     gaps = np.diff(inside)
-    max_gap = float(gaps.max()) if len(gaps) else 0.0
-    cover = max(inside[0] - lo, hi - inside[-1])
-    if len(gaps):
-        cover = max(cover, 0.5 * gaps.max())
-    return max_gap, float(cover)
+    cover = max(inside[0] - lo, hi - inside[-1], 0.5 * gaps.max(initial=0.0))
+    return (float(gaps.max()) if len(gaps) else float(hi - lo)), float(cover)
 
 
 def interval_hausdorff(values, lo, hi):
@@ -147,17 +145,17 @@ def _dsquared_residual(a0, a1):
     return float(np.linalg.norm(d @ d - rhs, 2))
 
 
-def projection_difference(pair, probe, target=None):
+def projection_difference(pair, probe):
     """Full spectrum of D(probe) = E(probe) - E0(probe) with metrics.
 
     All n eigenvalues are returned: those of the r x r compression,
     clipped to [-1, 1], where the spectrum of D lies exactly (roundoff
     would otherwise push a swap eigenvalue past +-1 and out of the fill
     metrics), and n - r exact zeros.  The swap dimensions count
-    eigenvalues within SWAP_CLUSTER_TOL of +1 and -1.  ``target`` is the interval the fill
-    metrics are computed against, defaulting to [-1, 1].  The report
-    carries the residual of :func:`dsquared_block_check` on the same
-    compression, and the pair's basis path.
+    eigenvalues within SWAP_CLUSTER_TOL of +1 and -1, and the fill metrics
+    are taken against [-1, 1].  The report carries the residual of
+    :func:`dsquared_block_check` on the same compression, and the pair's
+    basis path.
     """
     (g0, g1), side, u0, u1 = pair.probe_basis(probe)
     a0, a1 = subspace_compressions(u0, u1)
@@ -165,10 +163,8 @@ def projection_difference(pair, probe, target=None):
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
     dim_minus = int(np.sum(spec < -1.0 + SWAP_CLUSTER_TOL))
-    lo, hi = target if target is not None else (-1.0, 1.0)
-    max_gap, cover = fill_metrics(spec, lo, hi)
     return DifferenceReport(float(probe), spec, dim_plus, dim_minus,
-                            pairing_defect(spec), g0, g1, max_gap, cover,
+                            pairing_defect(spec), g0, g1, *fill_metrics(spec, -1.0, 1.0),
                             _dsquared_residual(a0, a1), pair.basis_path)
 
 

@@ -9,6 +9,7 @@ is flagged.
 The measured values are printed either way.
 """
 
+import collections
 import time
 
 import numpy as np
@@ -196,6 +197,57 @@ def test_criterion_4_runs_no_eps_ladder(monkeypatch):
     details = clauses["4-oracle-agreement"].details
     assert set(details) == {"a_stationary", "a_oracle"}
     assert details["a_oracle"] == pytest.approx(0.4524982495, abs=1e-9)
+
+
+def _clear_shared_inputs():
+    for helper in (acceptance._krein, acceptance._identity_pairs, acceptance._sech2_box):
+        helper.cache_clear()
+
+
+def test_run_all_builds_each_shared_input_once(monkeypatch):
+    # criteria 2, 3 and 8 share the n = 400 model; criteria 1, 2 and 7 the
+    # n = 200 one; criteria 1 and 7 the random pairs' D reports; criteria 4
+    # and 7 the sech^2 boxes' D reports.  D reports are counted by the
+    # module whose name they are made through: acceptance's own,
+    # projections' (dsquared_block_check) and harness's (criterion 9)
+    from projdiff import harness
+    _clear_shared_inputs()
+    kreins, boxes, reports = [], [], collections.Counter()
+    spies = [(acceptance, "build_krein", lambda n, L: kreins.append(n)),
+             (acceptance, "build_schrodinger_1d",
+              lambda spec: boxes.append([spec.half_width, spec.n]))]
+    spies += [(module, "projection_difference",
+               lambda pair, probe, _name=module.__name__: reports.update([_name]))
+              for module in (acceptance, projections, harness)]
+    for module, name, record in spies:
+        def spy(*args, _original=getattr(module, name), _record=record, **kwargs):
+            _record(*args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    acceptance.run_all(echo=None)
+    assert sorted(kreins) == [200, 400]
+    d_boxes = acceptance.thresholds()["sech2"]["d_boxes"]
+    assert sorted(b for b in boxes if b in d_boxes) == sorted(d_boxes)
+    assert reports == {"projdiff.acceptance": 24, "projdiff.harness": 2}
+
+
+def _clause_json(clauses):
+    from projdiff.harness import Report
+    return Report({"clauses": [
+        {"name": c.name, "passed": c.passed,
+         "details": {} if c.name == "1-runtime" else c.details} for c in clauses]}).to_json()
+
+
+def test_each_criterion_alone_matches_run_all():
+    # the shared inputs are cached, so a criterion run first must build
+    # them exactly as the one that runs first inside run_all
+    _clear_shared_inputs()
+    _, clauses = acceptance.run_all(echo=None)
+    for number in sorted(acceptance.CRITERIA):
+        _clear_shared_inputs()
+        alone = acceptance.CRITERIA[number]()
+        inside = [c for c in clauses if c.name.split("-")[0] == str(number)]
+        assert _clause_json(alone) == _clause_json(inside), number
 
 # ---------------------------------------------------------------------------
 # the invariance-principle projection identity on the small side

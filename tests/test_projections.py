@@ -170,6 +170,14 @@ def test_fill_and_hausdorff_helpers():
     assert hausdorff_distance([0.0, 1.0], [0.0, 1.0]) == 0.0
     assert hausdorff_distance([0.0], [2.0]) == 2.0
     assert interval_hausdorff(np.array([0.0, 1.5]), -1.0, 1.0) == pytest.approx(1.0)
+    # a lone value bounds no gap, so it fills no more than none: a 1 x 1
+    # pair's D at probe 0 is [1.0]
+    assert fill_metrics(np.array([]), -1.0, 1.0) == (2.0, 2.0)
+    assert fill_metrics(np.array([0.2]), -1.0, 1.0) == (2.0, pytest.approx(1.2))
+    assert fill_metrics(np.array([0.5]), -0.95, 0.95)[0] == pytest.approx(1.9)
+    rep = projection_difference(random_gapped_pair(1, 1, seed=0), 0.0)
+    assert rep.spectrum.tolist() == [1.0]
+    assert (rep.max_gap, rep.coverage_distance) == (2.0, 2.0)
 
 
 def _float_hausdorff(a, b):
