@@ -6,15 +6,20 @@ self-adjoint with spectrum in [-1, 1].  Its +-1 eigenspaces are the exact
 swap subspaces; the rest of the nonzero spectrum pairs exactly as +-x,
 which the pairing-defect metric quantifies.
 
-D is computed on a small subspace, never as an n x n matrix.  Let U0 and
+D is computed from principal angles, never as an n x n matrix.  U0 and
 U1 hold the eigenvectors of H0 and H on the side of the probe with fewer
-of them (m0 + m1 = r <= n).  Below the probe D = U1 U1* - U0 U0*; above
-it D = (I - E0) - (I - E) is the same with the sign flipped.  Either way
-D vanishes off span[U0, U1] (the two-subspace picture of Avron, Seiler
-and Simon), so with the Householder QR [U0 U1] = Q R its spectrum is that
-of the r x r compression Q* D Q = R1 R1* - R0 R0*, padded with n - r
-exact zeros, and the D^2 block identity compresses to the same r x r
-blocks.  The eigen-data come from the pair in one step (see
+of them (m0 + m1 = r <= n) and span Ran P0 and Ran P1; D is P1 - P0
+below the probe and P0 - P1 above it.  With C = U0* U1, the singular
+values s0 of W0 = U0 - U1 C* = (I - P1) U0 and s1 of W1 = U1 - U0 C are
+the sines of the principal angles seen from each side, the dimension
+excess showing as ones, to roundoff in absolute terms (Bjorck and Golub,
+Math. Comp. 27, 1973), where sqrt(1 - sigma(C)^2) cancels.  The nonzero
+spectrum of P1 - P0 is +s1 and -s0 (Halmos's two-subspace theorem),
+padded with n - r exact zeros.  The D^2 block identity compressed to
+each basis reads W0* W0 = I - C C* and W1* W1 = I - C* C, and the
+corners E0(side) E(opposite) E0(side) are W0* W0 or, up to zeros, W1* W1.
+
+The eigen-data come from the pair in one step (see
 :meth:`projdiff.models.OperatorPair.probe_basis`), and no full spectrum
 is solved for a band-stored pair: m0 and m1 are Sturm counts, the probe
 gaps are read off the two eigenvalues beside the probe, and those
@@ -22,23 +27,15 @@ eigenvalues and the eigenvectors come from a banded solver restricted
 to the needed indices, or in closed form (DST-I) for a uniform chain
 such as the free Schrodinger H0.  A dense
 pair reads all three off its dense eigensystems.  The report names the
-path ("free-chain", "banded" or "dense").  The difference spectrum
-reports the D^2 residual of the compression it has built, and
-:func:`dsquared_block_check` reads it there, so every probe builds its
-compression in one place.
-
-The corners E0(side) E(opposite) E0(side) are functions of the same
-small-side bases: their nonzero spectrum is 1 - sigma(C)^2 for the
-cross-Gram C = U0* U1 (the principal angles between the two subspaces),
-so one SVD of the m0 x m1 matrix C gives them.  No library function
-forms the n x n spectral projection; it is kept for tests and demos.
+path ("free-chain", "banded" or "dense").  No library function forms the
+n x n spectral projection; it is kept for tests and demos.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import probe_gaps, subspace_compressions
+from .linalg import probe_gaps
 
 __all__ = [
     "DifferenceReport", "spectral_projection", "projection_difference",
@@ -130,7 +127,7 @@ class DifferenceReport:
     gap_h: float
     max_gap: float
     coverage_distance: float
-    dsquared_residual: float         # see dsquared_block_check
+    dsquared_residual: float         # both bases' D^2 blocks; dsquared_block_check
     path: str                        # OperatorPair.basis_path
 
     @property
@@ -138,34 +135,40 @@ class DifferenceReport:
         return float(self.spectrum.min()), float(self.spectrum.max())
 
 
-def _dsquared_residual(a0, a1):
-    eye = np.eye(len(a0))
-    d = a1 - a0
-    rhs = a0 @ (eye - a1) @ a0 + (eye - a0) @ a1 @ (eye - a0)
-    return float(np.linalg.norm(d @ d - rhs, 2))
+def _principal_sines(pair, probe):
+    """(gaps, side, s0, s1, residual) at ``probe``: the sines s0, s1 of the
+    module docstring and the larger 2-norm residual of its two D^2 blocks."""
+    gaps, side, u0, u1 = pair.probe_basis(probe)
+    c = u0.conj().T @ u1
+    sines, residual = [], 0.0
+    for u, v, g in ((u0, u1, c.conj().T), (u1, u0, c)):
+        w = u - v @ g                                  # (I - P_v) u
+        sines.append(np.linalg.svd(w, compute_uv=False))
+        block = w.conj().T @ w - np.eye(w.shape[1]) + g.conj().T @ g
+        residual = max(residual, float(np.linalg.norm(block, 2)))
+    return gaps, side, sines[0], sines[1], residual
 
 
 def projection_difference(pair, probe):
     """Full spectrum of D(probe) = E(probe) - E0(probe) with metrics.
 
-    All n eigenvalues are returned: those of the r x r compression,
-    clipped to [-1, 1], where the spectrum of D lies exactly (roundoff
-    would otherwise push a swap eigenvalue past +-1 and out of the fill
-    metrics), and n - r exact zeros.  The swap dimensions count
-    eigenvalues within SWAP_CLUSTER_TOL of +1 and -1, and the fill metrics
-    are taken against [-1, 1].  The report carries the residual of
-    :func:`dsquared_block_check` on the same compression, and the pair's
-    basis path.
+    All n eigenvalues are returned: the r signed principal sines
+    -side * [s1, -s0], clipped to [-1, 1], where the spectrum of D lies
+    exactly (roundoff would otherwise push a swap eigenvalue past +-1 and
+    out of the fill metrics), and n - r exact zeros.  The swap dimensions
+    count eigenvalues within SWAP_CLUSTER_TOL of +1 and -1, and the fill
+    metrics are taken against [-1, 1].  The report carries the D^2 block
+    residual of the same step (see :func:`dsquared_block_check`) and the
+    pair's basis path.
     """
-    (g0, g1), side, u0, u1 = pair.probe_basis(probe)
-    a0, a1 = subspace_compressions(u0, u1)
-    core = np.clip(-side * np.linalg.eigvalsh(a1 - a0), -1.0, 1.0)
+    (g0, g1), side, s0, s1, residual = _principal_sines(pair, probe)
+    core = np.clip(-side * np.concatenate([s1, -s0]), -1.0, 1.0)
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
     dim_minus = int(np.sum(spec < -1.0 + SWAP_CLUSTER_TOL))
     return DifferenceReport(float(probe), spec, dim_plus, dim_minus,
                             pairing_defect(spec), g0, g1, *fill_metrics(spec, -1.0, 1.0),
-                            _dsquared_residual(a0, a1), pair.basis_path)
+                            residual, pair.basis_path)
 
 
 def dsquared_block_check(pair, probe):
@@ -173,11 +176,11 @@ def dsquared_block_check(pair, probe):
 
     D^2 equals the sum of the two compressed corners
     E0(below) E(above) E0(below) + E0(above) E(below) E0(above); this is
-    an exact algebraic identity, so the residual is a roundoff check.  Both
-    sides vanish off span[U0, U1] and the identity is unchanged when both
-    projections are replaced by their complements, so it is checked on
-    the r x r compressions of the side projections that
-    :func:`projection_difference` builds, and read off its report.
+    an exact algebraic identity, so the residual is a roundoff check.
+    Compressed to each small-side basis it reads W0* W0 = I - C C* and
+    W1* W1 = I - C* C, whose residuals are (U0* U0 - I) + C (U1* U1 - I) C*
+    and its mirror: an orthonormality defect of either basis shows.  It
+    is read off the report of :func:`projection_difference`.
     """
     return projection_difference(pair, probe).dsquared_residual
 
@@ -189,19 +192,14 @@ def corner_spectrum(pair, probe, sign=+1):
     probe, -1 onto the one below.  Eigenvalues lie in [0, 1], and in the
     limit they fill [0, ||A(0)||] with A the scattering defect operator.
 
-    Computed from the small-side cross-Gram C = U0* U1 of
-    :meth:`projdiff.models.OperatorPair.probe_basis`.  When the small side
-    is ``sign``, U0 spans Ran E0(side) and U1 the complement of
-    Ran E(opposite), so the corner is I - C C*.  Otherwise U1 spans
-    Ran E(opposite) and U0 the complement of Ran E0(side), so the nonzero
-    corner spectrum is that of I - C* C.  Either way it is 1 - sigma(C)^2,
-    padded with exact zeros to dim Ran E0(side).
+    Computed from the principal sines of the small-side bases.  When the
+    small side is ``sign``, U0 spans Ran E0(side) and U1 the complement
+    of Ran E(opposite), so the corner is W0* W0, with spectrum s0^2.
+    Otherwise U1 spans Ran E(opposite), and the nonzero corner spectrum
+    is that of W1* W1, s1^2, padded with zeros to dim Ran E0(side).
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    _, side, u0, u1 = pair.probe_basis(probe)
-    m0, m1 = u0.shape[1], u1.shape[1]
-    sigma = np.linalg.svd(u0.conj().T @ u1, compute_uv=False)
-    count, dim = (m0, m0) if side == sign else (m1, pair.dim - m0)
-    core = 1.0 - np.concatenate([sigma, np.zeros(count - len(sigma))]) ** 2
-    return np.sort(np.concatenate([core, np.zeros(dim - count)]))
+    _, side, s0, s1, _ = _principal_sines(pair, probe)
+    core, dim = (s0, len(s0)) if side == sign else (s1, pair.dim - len(s0))
+    return np.sort(np.concatenate([core ** 2, np.zeros(dim - len(core))]))

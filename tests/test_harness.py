@@ -267,22 +267,32 @@ def test_krein_run_reproduces_known_facts():
 def test_one_compression_per_probe(monkeypatch):
     # the difference spectrum and the D^2 check at one probe share one
     # selected eigenbasis per operator (closed form for the free chain H0,
-    # a banded solve for H)
+    # a banded solve for H), and they and the corners take the principal
+    # angles of the two bases without a QR of their joint span
     from projdiff.linalg import TridiagonalBands
-    calls = []
-    original = TridiagonalBands.eigenpairs
+    from projdiff.projections import corner_spectrum
+    calls, qr_calls = [], []
+    original, original_qr = TridiagonalBands.eigenpairs, np.linalg.qr
 
     def spy(self, lo, hi):
         calls.append((lo, hi))
         return original(self, lo, hi)
 
+    def qr_spy(a, *args, **kwargs):
+        qr_calls.append(np.shape(a))
+        return original_qr(a, *args, **kwargs)
+
     monkeypatch.setattr(TridiagonalBands, "eigenpairs", spy)
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.5, 1.0),
                            model_params={"n": 400, "half_width": 40.0},
                            eps_ladder=(0.3, 0.2))
     payloads = run_experiment(cfg).body["probes"]
     assert all("difference" in p and "dsquared_residual" in p for p in payloads)
     assert len(calls) == 2 * len(cfg.probes)
+    assert qr_calls == []
+    corner_spectrum(cfg.build_pair(), 0.5, +1)
+    assert qr_calls == []
 
 
 def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
@@ -313,23 +323,26 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
 
 def test_sech2_run_allocates_no_dense_matrix():
     # no n x n array on the band path: the traced peak of the whole run
-    # stays below one n x n float64.  On this box the coupling dimension
-    # (100) and the eigenvectors on the small side of the probe (56 and
-    # 57) are small next to n, so the run's own arrays peak near
-    # 0.44 n^2 * 8 bytes and a single n x n float64 alone crosses the budget.
+    # stays below one n x n float64.  On the first box the coupling
+    # dimension (100) and the eigenvectors on the small side of the probe
+    # (56 and 57) are small next to n, so the run's own arrays peak near
+    # 0.26 n^2 * 8 bytes and a single n x n float64 alone crosses the
+    # budget.  On the second the small side holds r = 365 eigenvectors,
+    # and the probe's n x r arrays bring the peak to about 0.82 n^2 * 8 bytes.
     import tracemalloc
     n = 1200
-    cfg = ExperimentConfig(model="schrodinger:sech2",
-                           model_params={"n": n, "half_width": 200.0},
-                           probes=(0.2,), eps_ladder=(0.3, 0.2, 0.1, 0.05))
-    tracemalloc.start()
-    try:
-        payload = run_experiment(cfg).body["probes"][0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "difference" in payload and "scattering" in payload
-    assert peak < n * n * 8
+    for half_width, probe in ((200.0, 0.2), (300.0, 0.9)):
+        cfg = ExperimentConfig(model="schrodinger:sech2",
+                               model_params={"n": n, "half_width": half_width},
+                               probes=(probe,), eps_ladder=(0.3, 0.2, 0.1, 0.05))
+        tracemalloc.start()
+        try:
+            payload = run_experiment(cfg).body["probes"][0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "difference" in payload and "scattering" in payload
+        assert peak < n * n * 8, (half_width, peak / (n * n * 8))
 
 
 def test_tracer_targets_resolve_on_the_package():
@@ -373,21 +386,30 @@ def test_tracer_targets_resolve_on_the_package():
     assert ops == [("projections.dsquared", -1), ("projections.difference", 0)]
 
 
+CALIBRATE_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "tools", "calibrate.py")
+
+
+def _load_calibrate_tool(monkeypatch):
+    """tools/calibrate.py as a module, loaded without calibrating."""
+    import importlib.util
+    import sys
+
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool prepends src
+    spec = importlib.util.spec_from_file_location("calibrate_tool", CALIBRATE_PATH)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_calibrate_tool_resolves(monkeypatch):
     # tools/calibrate.py is run by hand; load it without calibrating and
     # check that every name it takes from projdiff still exists
     import ast
     import importlib
-    import importlib.util
-    import sys
 
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "tools", "calibrate.py")
-    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool prepends src
-    spec = importlib.util.spec_from_file_location("calibrate_tool", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    with open(path) as fh:
+    tool = _load_calibrate_tool(monkeypatch)
+    with open(CALIBRATE_PATH) as fh:
         imports = [node for node in ast.walk(ast.parse(fh.read()))
                    if isinstance(node, ast.ImportFrom) and node.module.startswith("projdiff")]
     assert imports
@@ -401,3 +423,11 @@ def test_calibrate_tool_resolves(monkeypatch):
                      "calibrate_square_well"]
     for name in steps + ["main"]:
         assert callable(getattr(tool, name))
+
+
+def test_calibrate_writer_keeps_the_shipped_layout(monkeypatch):
+    # an unchanged calibration rewrites thresholds.json byte for byte
+    tool = _load_calibrate_tool(monkeypatch)
+    with open(tool.THRESHOLDS_PATH) as fh:
+        shipped = fh.read()
+    assert tool.thresholds_text(json.loads(shipped)) + "\n" == shipped

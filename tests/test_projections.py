@@ -113,10 +113,33 @@ def test_dsquared_blocks():
     (lambda: build_schrodinger_1d(sech2_spec(1.0, 20.0, 399)), 0.7),
 ])
 def test_dsquared_block_check_reads_the_difference_report(build, probe):
-    # one compression per probe: the D^2 check is the residual the
-    # difference spectrum reports, bit for bit
+    # one principal-angle step per probe: the D^2 check is the residual
+    # the difference spectrum reports, bit for bit
     pair = build()
     assert dsquared_block_check(pair, probe) == projection_difference(pair, probe).dsquared_residual
+
+
+@pytest.mark.parametrize("spoiled", (0, 1))
+@pytest.mark.parametrize("build, probe", [
+    (lambda: build_krein(200, 40.0), 0.5),
+    (lambda: random_gapped_pair(24, 3, 5), 0.0),
+])
+def test_dsquared_residual_sees_a_defect_in_either_basis(monkeypatch, build, probe, spoiled):
+    # the block identity compressed to each basis is an orthonormality
+    # check of both: a first column of U0 or of U1 scaled by 1 + 1e-6
+    # moves the residual from roundoff to about 2e-6
+    pair = build()
+    assert projection_difference(pair, probe).dsquared_residual <= 1e-13
+    original = models.OperatorPair.probe_basis
+
+    def spoil(self, p):
+        gaps, side, *bases = original(self, p)
+        bases[spoiled] = bases[spoiled].copy()
+        bases[spoiled][:, 0] *= 1.0 + 1e-6
+        return (gaps, side, *bases)
+
+    monkeypatch.setattr(models.OperatorPair, "probe_basis", spoil)
+    assert projection_difference(pair, probe).dsquared_residual >= 1e-6
 
 
 def test_corner_zero_perturbation():

@@ -133,6 +133,17 @@ def calibrate_krein_corner_and_sigma():
             "measured_corner_top": top, "measured_sigma_ratio": ratio}
 
 
+def thresholds_text(value, indent=0):
+    """JSON text in the layout of thresholds.json: objects indented by two
+    spaces per level, every other value (lists included) on one line."""
+    if not isinstance(value, dict):
+        return json.dumps(value)
+    pad = " " * (indent + 2)
+    items = [f"{pad}{json.dumps(key)}: {thresholds_text(item, indent + 2)}"
+             for key, item in value.items()]
+    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--write", action="store_true",
@@ -158,8 +169,7 @@ def main():
 
     if args.write:
         with open(THRESHOLDS_PATH, "w") as fh:
-            json.dump(current, fh, indent=2)
-            fh.write("\n")
+            fh.write(thresholds_text(current) + "\n")
         print(f"\nwrote {os.path.normpath(THRESHOLDS_PATH)}")
     else:
         print("\n(dry run; pass --write to regenerate thresholds.json)")
