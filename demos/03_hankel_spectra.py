@@ -20,7 +20,7 @@ print(f"{'window':>7} {'top gamma':>10} {'top gamma0':>11} {'carleman':>9} "
 for half_width in (40.0, 80.0, 160.0):
     rule = make_quadrature("halfline-log", 300, half_width=half_width)
     data = model_hankel_pair(rule)
-    cnorm = np.linalg.norm(build_hankel(carleman_kernel, rule).matrix, 2)
+    cnorm = build_hankel(carleman_kernel, rule).singular_values()[0]
     print(f"{2*half_width:>7.0f} {data['top_gamma']:>10.5f} "
           f"{data['top_gamma0']:>11.5f} {cnorm:>9.5f} {data['hausdorff']:>10.4f}")
 print(f"  (pi = {np.pi:.5f}; the top deficit scales like pi^5 / (2 W^2) "

@@ -22,8 +22,8 @@ Criteria 4 and 5 read a and the band edges off one oracle call each;
 ladder (the tests pin the ladder on that box).
 
 Shared inputs are built once per process by cached helpers: ``_krein(n)``
-(D reports at n = 200 and 400 for criterion 2, the n = 400 pair for 3 and
-8), ``_identity_pairs()`` (20 random pairs and ``_krein(200)`` with their
+(D reports at n = 200 and 400, for 2), ``_krein_phases()`` (n = 400 phases,
+for 3 and 8), ``_identity_pairs()`` (20 random pairs and ``_krein(200)`` with
 D reports, for 1 and 7) and ``_sech2_box`` (d_boxes reports, for 4 and 7).
 """
 
@@ -118,6 +118,14 @@ def _krein(n):
 
 
 @functools.cache
+def _krein_phases():
+    """(pair, probe, extrapolated phases) of the calibrated ``_krein`` pair."""
+    cfg = thresholds()["krein"]
+    pair, probe, _ = _krein(cfg["n"])
+    return pair, probe, extrapolated_phases(pair, probe, cfg["eps_ladder"])[0]
+
+
+@functools.cache
 def _identity_pairs():
     """(pair, probe, D report) of the seeded random pairs at probe 0 and of
     ``_krein(200)``; criterion 7 reuses criterion 1's eigen-data."""
@@ -192,8 +200,7 @@ def criterion_2():
 
 def criterion_3():
     cfg = thresholds()["krein"]
-    pair, probe, _ = _krein(cfg["n"])
-    phases, _ = extrapolated_phases(pair, probe, cfg["eps_ladder"])
+    pair, probe, phases = _krein_phases()
     phase_defect = (float(np.min(np.abs(np.exp(1j * phases) + 1.0)))
                     if len(phases) else 2.0)
     det_s, xi, bk_defect = birman_krein_extrapolated(pair, probe, phases, cfg["eps_ladder"])
@@ -370,12 +377,10 @@ def projection_identity_residual(pair, transform, probe):
 
 def criterion_8():
     cfg = thresholds()["krein"]
-    pair, probe, _ = _krein(cfg["n"])
-    shift = cfg["resolvent_shift"]
-    transform = resolvent_transform(pair, shift)
+    pair, probe, phases = _krein_phases()
+    transform = resolvent_transform(pair, cfg["resolvent_shift"])
     mu = float(transform.mu(probe))
 
-    phases, _ = extrapolated_phases(pair, probe, cfg["eps_ladder"])
     phases_t, _ = extrapolated_phases(transform.pair, mu, cfg["eps_ladder"])
     phase_dist = (hausdorff_distance(np.exp(1j * phases), np.exp(1j * phases_t))
                   if len(phases) and len(phases_t) else 2.0)

@@ -12,13 +12,16 @@ The model operators with kernels exp(-tau)/tau and (1-exp(-tau))/tau
 both have spectrum [0, pi]; their sum is the Carleman kernel 1/tau with
 norm pi.  Their spectral structure lives in log t, so the grids used
 here are log-symmetric (see ``halfline-log`` in the quadrature module).
+Each discretization is Hermitian: its norms and spectrum are one ``eigvalsh``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergentBoundError, KernelSingularityError
+from .linalg import HERMITIAN_TOL, check_hermitian
 from .quadrature import make_quadrature, reciprocal_indices
 
 __all__ = [
@@ -54,17 +57,20 @@ def default_hankel_rule(n=300, half_width=160.0):
 
 @dataclass(frozen=True)
 class HankelDiscretization:
-    """Weighted kernel-sample matrix with its rule."""
+    """Weighted kernel-sample matrix and its rule; Hermitian (checked), one cached eigvalsh."""
 
     rule: object
     matrix: np.ndarray
 
-    @property
-    def n(self):
-        return self.rule.n
+    def __post_init__(self):
+        check_hermitian(self.matrix, HERMITIAN_TOL)
 
-    def singular_values(self):
-        return np.linalg.svd(self.matrix, compute_uv=False)
+    @functools.cached_property
+    def eigenvalues(self):
+        return np.linalg.eigvalsh(self.matrix)
+
+    def singular_values(self):                         # |eigenvalues|, descending
+        return np.sort(np.abs(self.eigenvalues))[::-1]
 
 
 def build_hankel(kernel, rule):
@@ -73,7 +79,8 @@ def build_hankel(kernel, rule):
     ``kernel`` maps the array tau of node sums to an array of shape
     ``tau.shape`` or ``tau.shape + (k, k)`` with Hermitian k x k blocks;
     the matrix has block (i, j) = sqrt(w_i w_j) K(t_i + t_j).  Non-finite
-    kernel values at sampled points raise :class:`KernelSingularityError`.
+    kernel values at sampled points raise :class:`KernelSingularityError`,
+    and blocks that are not Hermitian :class:`NonHermitianError`.
     """
     t, w = rule.nodes, rule.weights
     n = len(t)
@@ -102,10 +109,8 @@ def model_hankel_pair(rule=None):
     from .projections import hausdorff_distance
 
     rule = rule or default_hankel_rule()
-    gamma = build_hankel(gamma_kernel, rule)
-    gamma0 = build_hankel(gamma0_kernel, rule)
-    spec = np.linalg.eigvalsh(gamma.matrix)
-    spec0 = np.linalg.eigvalsh(gamma0.matrix)
+    gamma, gamma0 = (build_hankel(kernel, rule) for kernel in (gamma_kernel, gamma0_kernel))
+    spec, spec0 = gamma.eigenvalues, gamma0.eigenvalues
     return {"gamma": gamma, "gamma0": gamma0,
             "spectrum_gamma": spec, "spectrum_gamma0": spec0,
             "top_gamma": float(spec[-1]), "top_gamma0": float(spec0[-1]),
@@ -127,13 +132,12 @@ def laplace_factorizations(rule=None, n_lambda=200):
     of (0, 1) and e^-tau/tau of the indicator of (1, inf); quadratures
     over those lambda ranges must reproduce the built Hankel matrices.
     Also checks, on a reciprocal-symmetric log grid (200 nodes, log
-    half-width 12), that the dilation involution (Uf)(x) = f(1/x)/x is an
-    exact matrix involution and reports its commutation residual with the
-    squared Laplace operator.
+    half-width 12), that the dilation involution (Uf)(x) = f(1/x)/x, the
+    node permutation ``reciprocal_indices``, is an exact involution and
+    reports its commutation residuals with N^2 and the Carleman matrix.
     """
     rule = rule or make_quadrature("halfline-exp-mapped", 160)
-    t = rule.nodes
-    tau_min = 2.0 * float(t.min())
+    tau_min = 2.0 * float(rule.nodes.min())
 
     gamma = build_hankel(gamma_kernel, rule)
     gamma0 = build_hankel(gamma0_kernel, rule)
@@ -153,19 +157,16 @@ def laplace_factorizations(rule=None, n_lambda=200):
 
     # dilation involution on a reciprocal-symmetric grid
     u_rule = make_quadrature("halfline-log", 200, half_width=12.0)
-    sigma_idx = reciprocal_indices(u_rule)
-    m = u_rule.n
-    # in the weighted representation the involution is the flip permutation
-    umat = np.zeros((m, m))
-    umat[np.arange(m), sigma_idx] = 1.0
-    tu, wu = u_rule.nodes, u_rule.weights
-    squ = np.sqrt(wu)
+    sigma = reciprocal_indices(u_rule)
+    flip = np.ix_(sigma, np.argsort(sigma))            # U a U = a[flip]
+    tu, squ = u_rule.nodes, np.sqrt(u_rule.weights)
     nmat = squ[:, None] * np.exp(-np.outer(tu, tu)) * squ[None, :]
     n2 = nmat @ nmat
-    resid_u = float(np.linalg.norm(umat @ umat - np.eye(m), 2))
-    resid_un2u = float(np.linalg.norm(umat @ n2 @ umat - n2, 2))
+    eye = np.eye(u_rule.n)
+    resid_u = float(np.linalg.norm(eye[flip] - eye, 2))
+    resid_un2u = float(np.linalg.norm(n2[flip] - n2, 2))
     carleman = build_hankel(carleman_kernel, u_rule).matrix
-    resid_ucu = float(np.linalg.norm(umat @ carleman @ umat - carleman, 2))
+    resid_ucu = float(np.linalg.norm(carleman[flip] - carleman, 2))
 
     return {
         "gamma_factorization": resid_gamma,
@@ -181,18 +182,16 @@ def kernel_bound_suite(disc, c1):
     """Norm bound ||K_disc|| <= pi * c1 for a kernel with ||K(t)|| <= c1/t.
 
     The declared envelope is sample-verified on the grid, with each block
-    2-norm the root of the top eigenvalue of B* B, before the bound is
-    asserted.  Returns ``operator_norm``, ``bound`` (pi * c1),
+    2-norm the largest |eigenvalue| of the Hermitian block, before the
+    bound is asserted.  Returns ``operator_norm``, ``bound`` (pi * c1),
     ``bound_holds`` and the ``singular_values`` (the decay curve is the
-    compactness proxy).
+    compactness proxy), all read off the discretization's eigenvalues.
     """
-    rule = disc.rule
-    t, w, n = rule.nodes, rule.weights, rule.n
+    t, w, n = disc.rule.nodes, disc.rule.weights, disc.rule.n
     k = disc.matrix.shape[0] // n
     tau = t[:, None] + t[None, :]
     blocks = disc.matrix.reshape(n, k, n, k).transpose(0, 2, 1, 3)
-    top = np.linalg.eigvalsh(blocks.conj().swapaxes(-1, -2) @ blocks)[..., -1]
-    blocknorm = np.sqrt(np.clip(top, 0.0, None)) / np.sqrt(np.outer(w, w))
+    blocknorm = np.abs(np.linalg.eigvalsh(blocks)).max(axis=-1) / np.sqrt(np.outer(w, w))
     margin = blocknorm * tau - c1
     if np.any(margin > 1e-9 * max(c1, 1.0)):
         i, j = np.unravel_index(np.argmax(margin), margin.shape)
@@ -217,8 +216,9 @@ def nuclear_bound_check(profile, lam_rule, t_rule=None):
     kernel is the discrete Laplace transform of the profile,
     K(t) = sum_q w_q M(lambda_q) exp(-lambda_q t); its trace norm is
     bounded by half the discrete C2 integral, up to 5 percent quadrature
-    slack.  A profile whose contribution density fails to decay at the
-    lower end of the lambda-rule makes C2 divergent and is rejected.
+    slack; it is the sum of the matrix's |eigenvalues|.  A profile whose
+    contribution density fails to decay at the lower end of the
+    lambda-rule makes C2 divergent and is rejected.
     """
     lam, wl = lam_rule.nodes, lam_rule.weights
     mq = np.array([np.atleast_2d(profile(l)) for l in lam])     # (q, k, k)
@@ -238,13 +238,9 @@ def nuclear_bound_check(profile, lam_rule, t_rule=None):
             f"toward lambda -> 0 (mid density {mid_density:.3g})")
 
     def kernel(tau):
-        out = np.zeros(tau.shape + mq.shape[1:], dtype=mq.dtype)
-        for l, w, m in zip(lam, wl, mq):
-            out += np.exp(-l * tau)[..., None, None] * (w * m)
-        return out
+        return sum(np.exp(-l * tau)[..., None, None] * (w * m) for l, w, m in zip(lam, wl, mq))
 
-    if t_rule is None:
-        t_rule = make_quadrature("halfline-log", 300, half_width=30.0)
+    t_rule = t_rule or make_quadrature("halfline-log", 300, half_width=30.0)
     nuclear = float(build_hankel(kernel, t_rule).singular_values().sum())
     return {
         "c2": c2,

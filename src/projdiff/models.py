@@ -449,28 +449,32 @@ def shift_pair(pair, probe):
     return OperatorPair(operators, pair.g, pair.v0, dict(pair.meta, shifted_by=float(probe)))
 
 
+# preset: (thresholds.json section, {keyword: key there}, builder(seed, **keywords))
+_BOX = {"half_width": "scatter_half_width", "n": "scatter_n"}
+_PRESETS = {
+    "krein": ("krein", {"n": "n", "L": "L"}, lambda seed, **p: build_krein(**p)),
+    "schrodinger:sech2": ("sech2", {"depth": "depth", **_BOX},
+                          lambda seed, **p: build_schrodinger_1d(sech2_spec(**p))),
+    "schrodinger:square-well": ("square_well", {"depth": "depth", "width": "width", **_BOX},
+                                lambda seed, **p: build_schrodinger_1d(square_well_spec(**p))),
+    "finite:random": ("random_pair", {"n": "dim", "kdim": "kdim", "gap": "gap"},
+                      lambda seed, n, **p: random_gapped_pair(n, seed=seed, **p)),
+}
+
+
 def preset_names():
-    return ["krein", "schrodinger:sech2", "schrodinger:square-well", "finite:random"]
+    return list(_PRESETS)
 
 
 def preset_defaults(name):
     """The calibrated keyword defaults of preset ``name``: the overrides
     :func:`preset_pair` accepts.  Every preset takes ``n``, the size-study
     axis (a random pair's ``dim``).  Raises ValueError for an unknown preset."""
-    cfg = thresholds()
-    if name == "krein":
-        return {"n": cfg["krein"]["n"], "L": cfg["krein"]["L"]}
-    if name == "schrodinger:sech2":
-        c = cfg["sech2"]
-        return {"depth": c["depth"], "half_width": c["scatter_half_width"], "n": c["scatter_n"]}
-    if name == "schrodinger:square-well":
-        c = cfg["square_well"]
-        return {"depth": c["depth"], "width": c["width"],
-                "half_width": c["scatter_half_width"], "n": c["scatter_n"]}
-    if name == "finite:random":
-        c = cfg["random_pair"]
-        return {"n": c["dim"], "kdim": c["kdim"], "gap": c["gap"]}
-    raise ValueError(f"unknown preset {name!r}; known: {preset_names()}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {preset_names()}")
+    section, keys, _ = _PRESETS[name]
+    cfg = thresholds()[section]
+    return {param: cfg[key] for param, key in keys.items()}
 
 
 def preset_pair(name, seed=0, **overrides):
@@ -482,10 +486,4 @@ def preset_pair(name, seed=0, **overrides):
     """
     p = preset_defaults(name)
     p.update(overrides)
-    if name == "krein":
-        return build_krein(**p)
-    if name == "schrodinger:sech2":
-        return build_schrodinger_1d(sech2_spec(**p))
-    if name == "schrodinger:square-well":
-        return build_schrodinger_1d(square_well_spec(**p))
-    return random_gapped_pair(p.pop("n"), seed=seed, **p)
+    return _PRESETS[name][2](seed, **p)

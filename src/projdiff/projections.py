@@ -135,18 +135,10 @@ class DifferenceReport:
         return float(self.spectrum.min()), float(self.spectrum.max())
 
 
-def _principal_sines(pair, probe):
-    """(gaps, side, s0, s1, residual) at ``probe``: the sines s0, s1 of the
-    module docstring and the larger 2-norm residual of its two D^2 blocks."""
-    gaps, side, u0, u1 = pair.probe_basis(probe)
-    c = u0.conj().T @ u1
-    sines, residual = [], 0.0
-    for u, v, g in ((u0, u1, c.conj().T), (u1, u0, c)):
-        w = u - v @ g                                  # (I - P_v) u
-        sines.append(np.linalg.svd(w, compute_uv=False))
-        block = w.conj().T @ w - np.eye(w.shape[1]) + g.conj().T @ g
-        residual = max(residual, float(np.linalg.norm(block, 2)))
-    return gaps, side, sines[0], sines[1], residual
+def _side_sines(u, v, g):
+    """(W, its singular values) for W = u - v g: (W0, s0) or (W1, s1)."""
+    w = u - v @ g
+    return w, np.linalg.svd(w, compute_uv=False)
 
 
 def projection_difference(pair, probe):
@@ -161,7 +153,12 @@ def projection_difference(pair, probe):
     residual of the same step (see :func:`dsquared_block_check`) and the
     pair's basis path.
     """
-    (g0, g1), side, s0, s1, residual = _principal_sines(pair, probe)
+    (g0, g1), side, u0, u1 = pair.probe_basis(probe)
+    c = u0.conj().T @ u1
+    (w0, s0), (w1, s1) = _side_sines(u0, u1, c.conj().T), _side_sines(u1, u0, c)
+    blocks = (w.conj().T @ w - np.eye(w.shape[1]) + g.conj().T @ g     # the D^2 blocks
+              for w, g in ((w0, c.conj().T), (w1, c)))
+    residual = max(float(np.linalg.norm(block, 2)) for block in blocks)
     core = np.clip(-side * np.concatenate([s1, -s0]), -1.0, 1.0)
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
@@ -192,14 +189,18 @@ def corner_spectrum(pair, probe, sign=+1):
     probe, -1 onto the one below.  Eigenvalues lie in [0, 1], and in the
     limit they fill [0, ||A(0)||] with A the scattering defect operator.
 
-    Computed from the principal sines of the small-side bases.  When the
+    Computed from the principal sines of one small-side basis.  When the
     small side is ``sign``, U0 spans Ran E0(side) and U1 the complement
     of Ran E(opposite), so the corner is W0* W0, with spectrum s0^2.
-    Otherwise U1 spans Ran E(opposite), and the nonzero corner spectrum
-    is that of W1* W1, s1^2, padded with zeros to dim Ran E0(side).
+    Otherwise U1 spans Ran E(opposite), and the corner is W1* W1: s1^2,
+    padded with zeros to dim Ran E0(side).  Only that W is formed.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    _, side, s0, s1, _ = _principal_sines(pair, probe)
-    core, dim = (s0, len(s0)) if side == sign else (s1, pair.dim - len(s0))
+    _, side, u0, u1 = pair.probe_basis(probe)
+    c = u0.conj().T @ u1
+    if side == sign:                                   # W0* W0
+        core, dim = _side_sines(u0, u1, c.conj().T)[1], u0.shape[1]
+    else:                                              # W1* W1, padded
+        core, dim = _side_sines(u1, u0, c)[1], pair.dim - u0.shape[1]
     return np.sort(np.concatenate([core ** 2, np.zeros(dim - len(core))]))

@@ -20,7 +20,8 @@ the eigenvectors, both operators of that equation are diagonal, so its
 solution is the closed-form quotient X_ij = C_ij / (a_i - b_j) of the
 right-hand side by the eigenvalue gaps.  Both the check and the oracle
 are evaluated on the m1 x m0 core between the eigenvectors U1 of H below
-p and U0 of H0 above it, never as n x n matrices.
+p and U0 of H0 above it, never as n x n matrices, and the check sums
+the k coupling indices before the time nodes: it forms no time factor.
 """
 
 from dataclasses import dataclass
@@ -84,7 +85,7 @@ class ZOperators:
 
 def _time_factor(lam, coupling, t_rule, sign):
     """M with columns sqrt(w_i) exp(sign*t_i*lam) (basis* G*) per time node,
-    so that Z = basis @ M."""
+    so that Z = basis @ M: an r x (n_t * k) array, for build_z_ops only."""
     decay = np.exp(np.outer(sign * lam, t_rule.nodes))     # (r, n_t)
     r, k = coupling.shape
     cols = decay[:, :, None] * coupling[:, None, :]        # (r, n_t, k)
@@ -124,22 +125,21 @@ def product_representation_check(pair, probe, t_rule=None):
     quadrature route).  With Z0 = U0 M0, Z = U1 M1 and C = U1* U0, both
     sides are U1 (.) U0* of an m1 x m0 core, and U0, U1 have orthonormal
     columns, so ``residual_direct`` is the 2-norm of the core
-    C + M1 (V0 x I) M0*.  The oracle's right-hand side U1* (h - h0) U0 is
-    (U1* G*) V0 (G U0).
+    C + M1 (V0 x I) M0* = C + (W1 V0 W0*) o Q, with W = U* G*, o the
+    entrywise product and Q_ba = sum_i w_i exp(t_i (lam1_b - lam0_a)).
+    The oracle's right-hand side -U1* (h - h0) U0 is -(W1 V0 W0*).
     """
     gap, (lam0, u0, w0), (lam1, u1, w1) = _split_systems(pair, probe)
     t_rule = t_rule or default_time_rule(gap)
-    m0 = _time_factor(lam0, w0, t_rule, -1.0)
-    m1 = _time_factor(lam1, w1, t_rule, +1.0)
+    t, w = t_rule.nodes, t_rule.weights
     cross = u1.conj().T @ u0                           # core of E(below) E0(above)
-    k, n_t = pair.kdim, t_rule.n
-    m1v = (m1.reshape(len(lam1), n_t, k) @ pair.v0).reshape(len(lam1), n_t * k)
-    residual_direct = float(np.linalg.norm(cross + m1v @ m0.conj().T, 2))
+    core = w1 @ pair.v0 @ w0.conj().T                  # W1 V0 W0*
+    quad = (np.exp(np.outer(lam1, t)) * w) @ np.exp(-np.outer(t, lam0))
+    residual_direct = float(np.linalg.norm(cross + core * quad, 2))
 
-    rhs = -(w1 @ pair.v0 @ w0.conj().T)
-    x = sylvester_solve(lam1, lam0, rhs)
+    x = sylvester_solve(lam1, lam0, -core)
     residual_oracle = float(np.linalg.norm(x + cross, 2))
-    return ProductCheck(residual_direct, residual_oracle, gap, n_t)
+    return ProductCheck(residual_direct, residual_oracle, gap, t_rule.n)
 
 
 def _extrapolated_density(pair, probe, eps_ladder):

@@ -200,22 +200,26 @@ def test_criterion_4_runs_no_eps_ladder(monkeypatch):
 
 
 def _clear_shared_inputs():
-    for helper in (acceptance._krein, acceptance._identity_pairs, acceptance._sech2_box):
+    for helper in (acceptance._krein, acceptance._krein_phases, acceptance._identity_pairs,
+                   acceptance._sech2_box):
         helper.cache_clear()
 
 
 def test_run_all_builds_each_shared_input_once(monkeypatch):
-    # criteria 2, 3 and 8 share the n = 400 model; criteria 1, 2 and 7 the
-    # n = 200 one; criteria 1 and 7 the random pairs' D reports; criteria 4
-    # and 7 the sech^2 boxes' D reports.  D reports are counted by the
-    # module whose name they are made through: acceptance's own,
-    # projections' (dsquared_block_check) and harness's (criterion 9)
+    # criteria 2, 3 and 8 share the n = 400 model, and 3 and 8 its
+    # extrapolated phases; criteria 1, 2 and 7 the n = 200 one; criteria 1
+    # and 7 the random pairs' D reports; criteria 4 and 7 the sech^2 boxes'
+    # D reports.  D reports are counted by the module whose name they are
+    # made through: acceptance's own, projections' (dsquared_block_check)
+    # and harness's (criterion 9)
     from projdiff import harness
     _clear_shared_inputs()
-    kreins, boxes, reports = [], [], collections.Counter()
+    kreins, boxes, phased, reports = [], [], [], collections.Counter()
     spies = [(acceptance, "build_krein", lambda n, L: kreins.append(n)),
              (acceptance, "build_schrodinger_1d",
-              lambda spec: boxes.append([spec.half_width, spec.n]))]
+              lambda spec: boxes.append([spec.half_width, spec.n])),
+             (acceptance, "extrapolated_phases",
+              lambda pair, probe, ladder: phased.append(pair))]
     spies += [(module, "projection_difference",
                lambda pair, probe, _name=module.__name__: reports.update([_name]))
               for module in (acceptance, projections, harness)]
@@ -226,6 +230,7 @@ def test_run_all_builds_each_shared_input_once(monkeypatch):
         monkeypatch.setattr(module, name, spy)
     acceptance.run_all(echo=None)
     assert sorted(kreins) == [200, 400]
+    assert sum(pair is acceptance._krein(400)[0] for pair in phased) == 1
     d_boxes = acceptance.thresholds()["sech2"]["d_boxes"]
     assert sorted(b for b in boxes if b in d_boxes) == sorted(d_boxes)
     assert reports == {"projdiff.acceptance": 24, "projdiff.harness": 2}

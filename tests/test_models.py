@@ -8,7 +8,7 @@ from projdiff import models, scattering
 from projdiff.errors import DecayBoundError, GapViolationError
 from projdiff.linalg import TridiagonalBands
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
-                             preset_names, preset_pair, random_gapped_pair,
+                             preset_defaults, preset_names, preset_pair, random_gapped_pair,
                              resolvent_transform, sech2_spec, shift_pair,
                              square_well_spec, thresholds)
 from projdiff.projections import projection_difference
@@ -396,6 +396,27 @@ def test_band_pairs_hold_g_as_its_nonzeros():
     for h0 in (bands, bands.dense()):
         with pytest.raises(ValueError, match="g has non-finite entries"):
             build_finite_pair(h0, bad, v0)
+
+
+def test_preset_defaults_read_their_thresholds_sections():
+    # the keyword defaults of each preset, as the thresholds file names them
+    cfg = thresholds()
+    krein, sech2, well, rand = (cfg[k] for k in ("krein", "sech2", "square_well",
+                                                 "random_pair"))
+    expected = {
+        "krein": {"n": krein["n"], "L": krein["L"]},
+        "schrodinger:sech2": {"depth": sech2["depth"], "half_width": sech2["scatter_half_width"],
+                              "n": sech2["scatter_n"]},
+        "schrodinger:square-well": {"depth": well["depth"], "width": well["width"],
+                                    "half_width": well["scatter_half_width"],
+                                    "n": well["scatter_n"]},
+        "finite:random": {"n": rand["dim"], "kdim": rand["kdim"], "gap": rand["gap"]},
+    }
+    assert preset_names() == list(expected)
+    for name, defaults in expected.items():
+        assert preset_defaults(name) == defaults
+    with pytest.raises(ValueError, match="unknown preset"):
+        preset_defaults("nonsense")
 
 
 def test_presets():

@@ -415,6 +415,18 @@ def test_band_corner_forms_no_dense_matrix(monkeypatch):
     assert spec.max() == pytest.approx(0.293925, abs=1e-6)
 
 
+@pytest.mark.parametrize("sign", (+1, -1))
+@pytest.mark.parametrize("case", ["krein-400", "square-well-box"])
+def test_corner_decomposes_one_side(monkeypatch, case, sign):
+    # a corner reads s0 or s1, so it forms and decomposes only that side's
+    # W; the two cases have opposite small sides, so both branches run
+    build, probe, _ = CORNER_CASES[case]
+    pair = build()
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    corner_spectrum(pair, probe, sign)
+    assert len(svds) == 1
+
+
 def _gap_eigenvalue(pair, k, index):
     """Eigenvalue ``index`` of operator ``k`` as the probe-gap check reads it:
     from the dense spectrum, or for a band operator from its closed form or

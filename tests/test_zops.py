@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -201,6 +203,37 @@ def test_band_pair_product_check_matches_the_dense_build():
     assert (product["gap"], product["n_t"]) == (ref.gap, ref.n_t)
     spectrum = projection_difference(dense, 0.9).spectrum
     assert np.max(np.abs(payload["difference"]["spectrum"] - spectrum)) <= 1e-12
+
+
+def test_product_check_forms_no_time_factor(monkeypatch):
+    # the k = 337 coupling of this box is summed before the time nodes, so
+    # no m x (n_t * k) factor is built: the check traces 3.5 MB, where the
+    # two time factors took 136 MB
+    pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+    pair.eigensystems()
+    calls = []
+    original = zops_module._time_factor
+    monkeypatch.setattr(zops_module, "_time_factor",
+                        lambda *args: calls.append(1) or original(*args))
+    tracemalloc.start()
+    try:
+        chk = product_representation_check(pair, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.kdim == 337 and chk.n_t == 120
+    assert calls == [] and peak < 16e6
+    assert chk.residual_oracle <= 1e-12 and chk.residual_direct <= 1e-6
+
+
+def test_study_trule_on_a_band_preset():
+    cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.9,), sizes=(10, 20, 40),
+                           model_params={"half_width": 20.0, "n": 399})
+    metrics = harness.convergence_study(cfg, "trule").body["metrics"]
+    direct = metrics["residual_direct"]["values"]
+    assert np.all(np.asarray(metrics["residual_oracle"]["values"]) <= 1e-8 * 399)
+    assert direct[0] > direct[1] > direct[2]
+    assert metrics["residual_direct"]["monotone_decreasing"]
 
 
 def test_product_check_passes_the_eigenvalue_vectors(monkeypatch):
