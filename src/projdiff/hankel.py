@@ -182,16 +182,18 @@ def kernel_bound_suite(disc, c1):
     """Norm bound ||K_disc|| <= pi * c1 for a kernel with ||K(t)|| <= c1/t.
 
     The declared envelope is sample-verified on the grid, with each block
-    2-norm the largest |eigenvalue| of the Hermitian block, before the
-    bound is asserted.  Returns ``operator_norm``, ``bound`` (pi * c1),
-    ``bound_holds`` and the ``singular_values`` (the decay curve is the
-    compactness proxy), all read off the discretization's eigenvalues.
+    2-norm the largest |eigenvalue| of the Hermitian block (the |sample|
+    itself when k = 1), before the bound is asserted.  Returns
+    ``operator_norm``, ``bound`` (pi * c1), ``bound_holds`` and the
+    ``singular_values`` (the decay curve is the compactness proxy), all
+    read off the discretization's eigenvalues.
     """
     t, w, n = disc.rule.nodes, disc.rule.weights, disc.rule.n
     k = disc.matrix.shape[0] // n
     tau = t[:, None] + t[None, :]
     blocks = disc.matrix.reshape(n, k, n, k).transpose(0, 2, 1, 3)
-    blocknorm = np.abs(np.linalg.eigvalsh(blocks)).max(axis=-1) / np.sqrt(np.outer(w, w))
+    eigs = blocks[..., 0] if k == 1 else np.linalg.eigvalsh(blocks)
+    blocknorm = np.abs(eigs).max(axis=-1) / np.sqrt(np.outer(w, w))
     margin = blocknorm * tau - c1
     if np.any(margin > 1e-9 * max(c1, 1.0)):
         i, j = np.unravel_index(np.argmax(margin), margin.shape)

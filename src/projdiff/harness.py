@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ProjdiffError
-from .linalg import probe_gaps
 from .models import preset_defaults, preset_pair
 from .projections import projection_difference
 from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
@@ -298,7 +297,7 @@ def convergence_study(config, axis):
                 float(np.max(np.linalg.eigvalsh(b.f0prime), initial=0.0)))
     elif axis == "trule":
         pair = config.build_pair()
-        gap = min(probe_gaps(probe, pair.eigenvalues))
+        gap = min(pair.probe_gaps(probe)[1])
         lam = np.abs(np.concatenate(pair.eigenvalues) - probe)
         floors = np.asarray(points) * np.finfo(float).eps * lam.max() / gap
         table["roundoff_floor"] = floors

@@ -302,7 +302,8 @@ def probe_gaps(probe, spectra):
 
     Raises :class:`GapViolationError` carrying the eigenvalue nearest to
     the probe, over all arrays, when it lies within PROBE_GAP_TOL.  This
-    is the one place the probe-gap contract is applied.
+    is the one place the probe-gap contract is applied; every pair reaches
+    it through :meth:`projdiff.models.OperatorPair.probe_gaps`.
     """
     gaps, nearest = [], None
     for w in spectra:

@@ -23,7 +23,7 @@ from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError
 from . import linalg
-from .linalg import TridiagonalBands, check_hermitian, herm_eig, probe_gaps
+from .linalg import SpectralDecomposition, TridiagonalBands, check_hermitian, herm_eig
 from .quadrature import make_quadrature
 
 __all__ = [
@@ -59,16 +59,16 @@ class OperatorPair:
     pair).  ``meta`` records the model and any exactly known facts about
     it.
 
-    Eigen-data are computed on first use and cached on the instance.  The
-    storage picks the path (:attr:`basis_path`).  A dense pair (tridiagonal
-    or not) reads everything off its dense eigensystems.  A band pair
-    solves no full spectrum at a probe: its counts below the probe are
-    Sturm counts, its gaps come from the two eigenvalues beside the probe,
-    and its eigenvectors on the small side from a banded solver restricted
-    to those indices; an operator that is a uniform chain (every
-    Schrodinger H0) takes its eigenvalues and eigenvectors from the closed
-    form (see :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  The full
-    spectra (:attr:`eigenvalues`) stay lazy, for dense consumers only.
+    Eigen-data are computed on first use and cached on the instance.  Every
+    probe consumer reads them through :meth:`probe_gaps` and
+    :meth:`eigenpairs`, which branch on the storage (:attr:`basis_path`).
+    A dense pair reads its dense eigensystems.  A band pair forms no dense
+    matrix and solves no full spectrum at a probe: it takes Sturm counts,
+    the two eigenvalues beside the probe, and eigenpairs from a banded
+    solver restricted to the requested indices, in closed form for a
+    uniform chain such as every Schrodinger H0 (see
+    :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  The full spectra
+    (:attr:`eigenvalues`) stay lazy, for dense consumers only.
     """
 
     operators: tuple
@@ -123,7 +123,7 @@ class OperatorPair:
     def eigenvalues(self):
         """Ascending eigenvalues of h0 and h, all of them: for dense consumers
         and the roundoff floor of the time-rule study; the probe paths read
-        :meth:`counts_below` and :meth:`probe_basis` instead."""
+        :meth:`probe_gaps` and :meth:`eigenpairs` instead."""
         if self.banded:
             return tuple(b.eigenvalues() for b in self.operators)
         return tuple(e.eigenvalues for e in self.eigensystems())
@@ -144,19 +144,11 @@ class OperatorPair:
             return tuple(b.count_below(probe) for b in self.operators)
         return tuple(int(np.searchsorted(w, probe)) for w in self.eigenvalues)
 
-    def probe_basis(self, probe):
-        """The probe gaps and the eigenvectors of h0 and h on the side of
-        ``probe`` holding fewer of them.
-
-        Returns (gaps, side, u0, u1).  The gaps (gap0, gap1) are the
+    def probe_gaps(self, probe):
+        """((m0, m1), (gap0, gap1)): the counts of :meth:`counts_below` and the
         distances from ``probe`` to the spectra of h0 and h, read off the
-        eigenvalues with indices m - 1 and m of :meth:`counts_below`, the
-        nearest on each side; one too close raises
-        :class:`GapViolationError` carrying it (see
-        :func:`projdiff.linalg.probe_gaps`).  Side -1 takes the eigenvalues
-        below the probe, +1 those above it; the side is shared by both
-        operators.
-        """
+        eigenvalues with indices m - 1 and m; one too close raises
+        :class:`GapViolationError` (see :func:`projdiff.linalg.probe_gaps`)."""
         n = self.dim
         below = self.counts_below(probe)
         if self.banded:
@@ -164,15 +156,26 @@ class OperatorPair:
                     for b, m in zip(self.operators, below)]
         else:
             near = [w[max(m - 1, 0):m + 1] for w, m in zip(self.eigenvalues, below)]
-        gaps = tuple(probe_gaps(probe, near))
-        side = -1 if sum(below) <= n else +1
-        ranges = [(0, m) if side < 0 else (m, n) for m in below]
+        return below, tuple(linalg.probe_gaps(probe, near))
+
+    def eigenpairs(self, which, lo, hi):
+        """Eigenpairs of h0 (``which`` = 0) or h (1) with ascending indices lo,
+        ..., hi - 1: banded, closed form for a free chain (see
+        :meth:`TridiagonalBands.eigenpairs`), or a slice of the dense eigensystem."""
         if self.banded:
-            u0, u1 = (b.eigenpairs(lo, hi).eigenvectors
-                      for b, (lo, hi) in zip(self.operators, ranges))
-        else:
-            u0, u1 = (e.eigenvectors[:, lo:hi]
-                      for e, (lo, hi) in zip(self.eigensystems(), ranges))
+            return self.operators[which].eigenpairs(lo, hi)
+        e = self.eigensystems()[which]
+        return SpectralDecomposition(e.eigenvalues[lo:hi], e.eigenvectors[:, lo:hi])
+
+    def probe_basis(self, probe):
+        """(gaps, side, u0, u1): the gaps of :meth:`probe_gaps` and the
+        eigenvectors of h0 and h on the side of ``probe`` holding fewer of
+        them, side -1 below it and +1 above, shared by both operators."""
+        n = self.dim
+        below, gaps = self.probe_gaps(probe)
+        side = -1 if sum(below) <= n else +1
+        u0, u1 = (self.eigenpairs(which, *((0, m) if side < 0 else (m, n))).eigenvectors
+                  for which, m in enumerate(below))
         return gaps, side, u0, u1
 
 

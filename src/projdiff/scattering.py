@@ -59,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleConvergenceError, ProbeOutsideBandError, SingularSandwichError
-from .linalg import probe_gaps
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
@@ -616,7 +615,7 @@ def birman_krein_check(pair, probe, eps):
     product of the retained phases of S_eps, and xi the smoothed counting
     shift at the same eps.  The probe must keep its gap to both spectra.
     """
-    probe_gaps(probe, pair.eigenvalues)
+    pair.probe_gaps(probe)
     phases = scattering_bundle(pair, probe, eps).phases
     return birman_krein_extrapolated(pair, probe, phases, [eps])
 

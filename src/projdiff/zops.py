@@ -22,13 +22,16 @@ right-hand side by the eigenvalue gaps.  Both the check and the oracle
 are evaluated on the m1 x m0 core between the eigenvectors U1 of H below
 p and U0 of H0 above it, never as n x n matrices, and the check sums
 the k coupling indices before the time nodes: it forms no time factor.
+The counts, the gap and U0, U1 come from the pair's probe step
+(:meth:`projdiff.models.OperatorPair.probe_gaps` and ``eigenpairs``), so
+a band pair is diagonalized only on those indices, never densely.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import probe_gaps, sylvester_solve
+from .linalg import sylvester_solve
 from .quadrature import make_quadrature
 from .scattering import neville, smoothed_density
 
@@ -41,17 +44,14 @@ TIME_SCALE_OVER_GAP = 2.0
 def _split_systems(pair, probe):
     """(gap, (lam0, u0, w0), (lam1, u1, w1)): the eigenpairs of h0 above the
     probe and of h below it, with lam = eigenvalue - probe and w = u* G*,
-    and the spectral gap at the probe."""
-    e0, e1 = pair.eigensystems()
-    gap = min(probe_gaps(probe, (e0.eigenvalues, e1.eigenvalues)))
+    and the spectral gap at the probe, from the pair's probe step."""
+    (m0, m1), gaps = pair.probe_gaps(probe)
     gstar = pair.g.conj().T
     sides = []
-    for e, sign in ((e0, +1), (e1, -1)):
-        lam = e.eigenvalues - probe
-        keep = sign * lam > 0
-        u = e.eigenvectors[:, keep]
-        sides.append((lam[keep], u, u.conj().T @ gstar))
-    return gap, sides[0], sides[1]
+    for e in (pair.eigenpairs(0, m0, pair.dim), pair.eigenpairs(1, 0, m1)):
+        u = e.eigenvectors
+        sides.append((e.eigenvalues - probe, u, u.conj().T @ gstar))
+    return min(gaps), sides[0], sides[1]
 
 
 def default_time_rule(gap, n_t=120):

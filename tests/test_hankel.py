@@ -185,6 +185,21 @@ def test_bound_suite_block_kernel(rule):
         kernel_bound_suite(disc, 0.3)   # t exp(-t) reaches 1/e > 0.3 at t = 1
 
 
+def test_scalar_bound_suite_takes_no_block_eigensolve(rule, monkeypatch):
+    # a 1 x 1 block is its own eigenvalue, so a scalar kernel's block norms
+    # are the moduli of its samples; with the spectrum cached first, the
+    # suite takes no eigvalsh at all (the block kernel test covers k = 2)
+    disc = build_hankel(gamma0_kernel, rule)
+    disc.eigenvalues
+    ndims, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs:
+                        ndims.append(np.ndim(a)) or eigvalsh(a, *args, **kwargs))
+    assert kernel_bound_suite(disc, 1.0)["bound_holds"]
+    with pytest.raises(ValueError):
+        kernel_bound_suite(disc, 0.5)   # exp(-t)/t exceeds 0.5/t for t < log 2
+    assert ndims == []
+
+
 def test_nuclear_bound_zero_profile():
     lam_rule = make_quadrature("halfline-log", 200, half_width=16.0)
     out = nuclear_bound_check(lambda lam: np.zeros((1, 1)), lam_rule)

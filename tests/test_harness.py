@@ -267,8 +267,10 @@ def test_krein_run_reproduces_known_facts():
 def test_one_compression_per_probe(monkeypatch):
     # the difference spectrum and the D^2 check at one probe share one
     # selected eigenbasis per operator (closed form for the free chain H0,
-    # a banded solve for H), and they and the corners take the principal
-    # angles of the two bases without a QR of their joint span
+    # a banded solve for H), the product check (n <= 600) takes the two
+    # sides it needs from the same probe step, and the difference and the
+    # corners take the principal angles of the two bases without a QR of
+    # their joint span
     from projdiff.linalg import TridiagonalBands
     from projdiff.projections import corner_spectrum
     calls, qr_calls = [], []
@@ -289,9 +291,14 @@ def test_one_compression_per_probe(monkeypatch):
                            eps_ladder=(0.3, 0.2))
     payloads = run_experiment(cfg).body["probes"]
     assert all("difference" in p and "dsquared_residual" in p for p in payloads)
-    assert len(calls) == 2 * len(cfg.probes)
+    # per probe, with m0 = m1 = m: the difference's small side, (0, m) for
+    # H0 and for H, then the product check's H0 above the probe and H below
+    pair = cfg.build_pair()
+    assert [pair.counts_below(p) for p in cfg.probes] == [(18, 18), (25, 25)]
+    assert calls == [(0, 18), (0, 18), (18, 400), (0, 18),
+                     (0, 25), (0, 25), (25, 400), (0, 25)]
     assert qr_calls == []
-    corner_spectrum(cfg.build_pair(), 0.5, +1)
+    corner_spectrum(pair, 0.5, +1)
     assert qr_calls == []
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from projdiff import harness, projections
+from projdiff import harness, linalg, models, projections
 from projdiff import zops as zops_module
 from projdiff.errors import GapViolationError
 from projdiff.harness import ExperimentConfig, run_experiment
@@ -184,33 +184,59 @@ def test_core_product_check_matches_dense(case, monkeypatch):
 
 def test_band_pair_product_check_matches_the_dense_build():
     # the product check reads a band pair's sparse G through @, .conj() and
-    # .T; it gives what the same pair built dense gives.  A box this small
+    # .T; it gives what the same pair built dense gives, to roundoff: the
+    # band pair takes its gap from the two bisected eigenvalues beside the
+    # probe and its eigenvectors from the banded solver and the closed form,
+    # the dense build from its dense eigensystems.  A box this small
     # (n <= 600) takes the product-check branch of run on the band pair
     pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
     dense = build_finite_pair(pair.h0, pair.g.toarray(), pair.v0)
     assert pair.banded and not dense.banded
     chk, ref = (product_representation_check(p, 0.9) for p in (pair, dense))
-    assert chk.gap == ref.gap and chk.n_t == ref.n_t
+    assert chk.gap == min(pair.probe_gaps(0.9)[1]) and chk.n_t == ref.n_t
+    # the band-against-dense eigenvalue bound of tests/test_projections.py
+    scale = max(np.max(np.abs(w)) for w in dense.eigenvalues)
+    assert abs(chk.gap - ref.gap) <= 1e-12 * scale
     assert chk.residual_direct == pytest.approx(ref.residual_direct, abs=1e-15)
-    assert chk.residual_oracle == pytest.approx(ref.residual_oracle, abs=1e-15)
+    assert chk.residual_oracle <= 1e-12 and ref.residual_oracle <= 1e-12
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.9,),
                            model_params={"half_width": 20.0, "n": 399})
     payload = run_experiment(cfg).body["probes"][0]
     assert payload["path"] == "channel" and payload["n"] == 399
     product = payload["product_identity"]
-    assert product["residual_direct"] == pytest.approx(ref.residual_direct, abs=1e-15)
-    assert product["residual_oracle"] == pytest.approx(ref.residual_oracle, abs=1e-15)
-    assert (product["gap"], product["n_t"]) == (ref.gap, ref.n_t)
+    assert (product["residual_direct"], product["residual_oracle"]) == \
+        (chk.residual_direct, chk.residual_oracle)
+    assert (product["gap"], product["n_t"]) == (chk.gap, chk.n_t)
     spectrum = projection_difference(dense, 0.9).spectrum
     assert np.max(np.abs(payload["difference"]["spectrum"] - spectrum)) <= 1e-12
 
 
+def test_band_pair_probe_consumers_form_no_dense_matrix(monkeypatch):
+    # the product check, the Z-operators and the time-rule study read a band
+    # pair's counts, gap and eigenpairs off its probe step: no dense h0 or h
+    # is formed and no full Hermitian eigensolve runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense eigen-data of a band pair")
+
+    monkeypatch.setattr(linalg, "herm_eig", forbidden)
+    monkeypatch.setattr(models, "herm_eig", forbidden)
+    monkeypatch.setattr(linalg.TridiagonalBands, "dense", forbidden)
+    pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+    assert product_representation_check(pair, 0.9).residual_oracle <= 1e-12
+    zops = build_z_ops(pair, 0.9)
+    assert zops.z0.shape == zops.z.shape == (399, 120 * 337)
+    del zops                            # two 399 x 40,440 arrays, 129 MB each
+    cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.9,), sizes=(10, 20, 40),
+                           model_params={"half_width": 20.0, "n": 399})
+    metrics = harness.convergence_study(cfg, "trule").body["metrics"]
+    assert np.all(np.asarray(metrics["residual_oracle"]["values"]) <= 1e-12)
+
+
 def test_product_check_forms_no_time_factor(monkeypatch):
     # the k = 337 coupling of this box is summed before the time nodes, so
-    # no m x (n_t * k) factor is built: the check traces 3.5 MB, where the
-    # two time factors took 136 MB
+    # no m x (n_t * k) factor is built: the check traces 3.7 MB, the band
+    # pair's eigen-data included, where the two time factors took 136 MB
     pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
-    pair.eigensystems()
     calls = []
     original = zops_module._time_factor
     monkeypatch.setattr(zops_module, "_time_factor",

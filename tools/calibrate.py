@@ -10,7 +10,7 @@ other entry as it is.
 What gets calibrated and why:
 
 * resolvent-model smoothing ladder -- rungs must stay above the local
-  level spacing (about 0.039 at n = 400, L = 40) or the extrapolation
+  level spacing (0.037 at probe 0.5, n = 400, L = 40) or the extrapolation
   leaves the continuum regime; the chosen ladder is scored by the
   extrapolated phase defect against the known limit -1.
 * Hankel log-window -- the top-eigenvalue deficit scales like
@@ -50,7 +50,8 @@ THRESHOLDS_PATH = os.path.join(os.path.dirname(__file__), "..",
 def calibrate_krein_ladder():
     print("== resolvent-model ladder (probe 0.5, n = 400, L = 40)")
     pair = build_krein(400, 40.0)
-    spacing = np.min(np.abs(np.diff(np.sort(pair.eigensystems()[0].eigenvalues))))
+    (m0, _), _ = pair.probe_gaps(0.5)
+    spacing = float(np.diff(pair.eigenpairs(0, m0 - 1, m0 + 1).eigenvalues)[0])
     best, best_defect = None, np.inf
     for ladder in ([0.3, 0.2, 0.1], [0.2, 0.15, 0.1, 0.05],
                    [0.2, 0.1, 0.05], [0.1, 0.05, 0.03, 0.02]):
@@ -59,7 +60,7 @@ def calibrate_krein_ladder():
         print(f"   ladder {ladder}: |e^(i theta) + 1| = {defect:.2e}")
         if defect < best_defect:
             best, best_defect = ladder, defect
-    print(f"   chosen: {best} (level spacing near the probe ~ 0.039)")
+    print(f"   chosen: {best} (H0 level spacing at the probe {spacing:.4f})")
     return {"eps_ladder": best}
 
 
