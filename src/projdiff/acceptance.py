@@ -35,11 +35,10 @@ import numpy as np
 
 from .hankel import (build_hankel, carleman_kernel, default_hankel_rule,
                      kernel_bound_suite, laplace_factorizations, model_hankel_pair)
-from .linalg import subspace_compressions
 from .models import (build_krein, build_schrodinger_1d, random_gapped_pair,
                      resolvent_transform, sech2_spec, square_well_spec,
                      thresholds)
-from .projections import (corner_spectrum, fill_metrics, hausdorff_distance,
+from .projections import (_side_sines, corner_spectrum, fill_metrics, hausdorff_distance,
                           interval_hausdorff, projection_difference)
 from .quadrature import make_quadrature
 from .scattering import (birman_krein_extrapolated, channel_smatrix,
@@ -257,13 +256,11 @@ def counting_knee(values):
     y = np.arange(1, len(vals) + 1, dtype=float)
 
     def sse(mask):
-        if mask.sum() < 2:
-            return 0.0
         coef = np.polyfit(x[mask], y[mask], 1)
         return float(np.sum((np.polyval(coef, x[mask]) - y[mask]) ** 2))
 
     best, best_err = float("nan"), np.inf
-    for split in range(2, len(vals) - 2):
+    for split in range(2, len(vals) - 2):          # at least 2 points a side
         left = np.zeros(len(vals), dtype=bool)
         left[:split] = True
         err = sse(left) + sse(~left)
@@ -356,26 +353,36 @@ def criterion_7():
 # ---------------------------------------------------------------------------
 
 def projection_identity_residual(pair, transform, probe):
-    """||(E(probe) - E0(probe)) - (F0(mu) - F1(mu))||_2 on the small side.
+    """d0 + d1, a bound on ||(E(probe) - E0(probe)) - (F0(mu) - F1(mu))||_2.
 
-    F0 and F1 are the spectral projections of the transformed pair at
-    mu = transform.mu(probe).  With (s, U0, U1) the pair's probe basis at
-    the probe and (s', W0, W1) the transformed pair's at mu, the two
-    differences are -s (U1 U1* - U0 U0*) and s' (W0 W0* - W1 W1*), both
-    zero off span[U0, U1, W0, W1]; so the residual is that of the
-    compressions A_j, B_j of :func:`projdiff.linalg.subspace_compressions`
-    of (U0, U1, W0, W1): ||-s (A1 - A0) + s' (B0 - B1)||_2.  A probe too
-    close to either spectrum raises :class:`GapViolationError` (see
-    :meth:`projdiff.models.OperatorPair.probe_basis`).
+    F_j are the transformed pair's spectral projections below
+    mu = transform.mu(probe).  The map reverses order, so each operator's
+    projection is invariant on its own, E_j(probe) = I - F_j(mu), and D
+    changes by the difference of the two deviations.  d_j is
+    ||E_j(probe) - (I - F_j(mu))||_2: the largest principal sine between
+    U_j of the pair's probe basis and the transformed eigenvectors on the
+    mirrored side of mu, or 1 when their counts differ (the dimension
+    excess).  A probe too close to either spectrum raises
+    :class:`GapViolationError`.
     """
     mu = float(transform.mu(probe))
-    _, side, u0, u1 = pair.probe_basis(probe)
-    _, side_t, w0, w1 = transform.pair.probe_basis(mu)
-    a0, a1, b0, b1 = subspace_compressions(u0, u1, w0, w1)
-    return float(np.linalg.norm(-side * (a1 - a0) + side_t * (b0 - b1), 2))
+    _, side, *bases = pair.probe_basis(probe)
+    counts, _ = transform.pair.probe_gaps(mu)
+    total = 0.0
+    for j, (u, m) in enumerate(zip(bases, counts)):
+        mirrored = (m, pair.dim) if side < 0 else (0, m)
+        w = transform.pair.eigenpairs(j, *mirrored).eigenvectors
+        if u.shape[1] != w.shape[1]:
+            total += 1.0
+        else:
+            total += float(np.max(_side_sines(u, w, w.conj().T @ u)[1], initial=0.0))
+    return total
 
 
 def criterion_8():
+    """Invariance principle under x -> 1/(x - a): the phases agree, each
+    spectral projection is invariant on its own (E_j(probe) = I - F_j(mu),
+    see :func:`projection_identity_residual`), the factorization holds."""
     cfg = thresholds()["krein"]
     pair, probe, phases = _krein_phases()
     transform = resolvent_transform(pair, cfg["resolvent_shift"])

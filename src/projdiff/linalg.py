@@ -3,10 +3,9 @@ band-stored matrices), the band format of real symmetric tridiagonal
 matrices with its Sturm counts, its closed-form eigensystem when the
 band is a uniform chain, and its shifted window systems (the chain
 beyond the window folded into two boundary self-energies, the box's own
-or those of given leads), their banded solve and LDL^T pivots, the
-compression of subspace projections to their joint span, SVD, semigroup
-action, the closed-form Sylvester solver on eigenvalue diagonals, and
-the probe-gap check on eigenvalue arrays.
+or those of given leads), their banded solve and LDL^T pivots, SVD,
+semigroup action, the closed-form Sylvester solver on eigenvalue
+diagonals, and the probe-gap check on eigenvalue arrays.
 
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
@@ -27,7 +26,7 @@ from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                      SpectralCollisionError)
 
 __all__ = ["SpectralDecomposition", "TridiagonalBands", "WindowSystem", "check_hermitian",
-           "herm_eig", "subspace_compressions", "probe_gaps", "svd", "expm_apply",
+           "herm_eig", "probe_gaps", "svd", "expm_apply",
            "sylvester_solve"]
 
 # each tolerance is read at call time by the one function that applies it
@@ -280,21 +279,6 @@ def _corner(diagonal, offdiagonal, end):
     unit = np.zeros(len(diagonal), dtype=complex)
     unit[end] = 1.0
     return _banded_solve(diagonal, offdiagonal, unit)[end]
-
-
-def subspace_compressions(*bases):
-    """The projections onto the spans of ``bases``, compressed to their joint span.
-
-    Each basis has orthonormal columns.  With the Householder QR
-    [B_1 ... B_m] = Q R and R = [R_1 ... R_m], B_j B_j* = Q R_j R_j* Q*, so
-    the R_j R_j* are those projections in the orthonormal basis Q, each
-    square of the total column count (or of the dimension, when smaller).
-    Sums and products of them have the 2-norms of the same sums and
-    products of the n x n projections.
-    """
-    r = np.linalg.qr(np.hstack(bases), mode="r")
-    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
-    return [rj @ rj.conj().T for rj in np.split(r, cuts, axis=1)]
 
 
 def probe_gaps(probe, spectra):

@@ -122,7 +122,7 @@ class OperatorPair:
     @functools.cached_property
     def eigenvalues(self):
         """Ascending eigenvalues of h0 and h, all of them: for dense consumers
-        and the roundoff floor of the time-rule study; the probe paths read
+        such as the smoothed counting shift; the probe paths read
         :meth:`probe_gaps` and :meth:`eigenpairs` instead."""
         if self.banded:
             return tuple(b.eigenvalues() for b in self.operators)
@@ -402,9 +402,11 @@ class ResolventTransform:
     """The pair mapped through x -> 1/(x - shift), with its factorization.
 
     The spectral parameter moves by mu = 1/(lambda - shift); because the
-    map is strictly decreasing on spectra above ``shift``, projection
-    differences transform with the operator roles swapped:
-    E(lambda) - E0(lambda) = E_trans_h0(mu) - E_trans_h(mu).
+    map is strictly decreasing on spectra above ``shift``, each operator's
+    spectral projection maps to the complement of its transformed one,
+    E_j(lambda) = I - F_j(mu), and projection differences transform with
+    the operator roles swapped:
+    E(lambda) - E0(lambda) = F_0(mu) - F_1(mu).
     """
 
     pair: OperatorPair
@@ -421,8 +423,7 @@ def resolvent_transform(pair, shift):
     h - h0 = g* w0 g with g = G h0 and w0 = -V0 + V0 (G h G*) V0, an
     iterated resolvent identity.
     """
-    e0, e1 = pair.eigensystems()
-    bottom = min(e0.eigenvalues[0], e1.eigenvalues[0])
+    bottom = min(pair.eigenpairs(which, 0, 1).eigenvalues[0] for which in (0, 1))
     if not shift < bottom - 1e-6:
         raise GapViolationError(shift, bottom)
     eye = np.eye(pair.dim)

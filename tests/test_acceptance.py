@@ -17,8 +17,10 @@ import pytest
 
 from projdiff import acceptance, projections
 from projdiff.errors import GapViolationError
-from projdiff.models import (build_krein, build_schrodinger_1d, random_gapped_pair,
-                             resolvent_transform, sech2_spec, square_well_spec)
+from projdiff.linalg import SpectralDecomposition
+from projdiff.models import (OperatorPair, ResolventTransform, build_krein,
+                             build_schrodinger_1d, random_gapped_pair, resolvent_transform,
+                             sech2_spec, square_well_spec)
 from projdiff.projections import spectral_projection
 from projdiff.scattering import channel_smatrix, transfer_matrix_smatrix
 
@@ -106,6 +108,20 @@ def test_criterion_5_knee(cache):
 def test_criterion_5_top_eigenvalue(cache):
     clause = _clause(cache, 5, "5-top-eigenvalue")
     assert clause.passed
+
+
+def test_counting_knee_finds_the_break_of_a_two_slope_count():
+    # 8 values from 0.79 down to 0.45, then 59 more densely down to 0.03:
+    # the counting function changes slope at 0.45
+    values = np.concatenate([np.linspace(0.79, 0.45, 8), np.linspace(0.45, 0.03, 60)[1:]])
+    assert acceptance.counting_knee(values) == 0.45
+
+
+def test_counting_knee_needs_six_values_above_the_floor():
+    floor = acceptance.KNEE_FLOOR
+    below = np.full(20, 0.5 * floor)
+    assert np.isnan(acceptance.counting_knee(np.concatenate([np.linspace(0.8, 0.1, 5), below])))
+    assert np.isfinite(acceptance.counting_knee(np.linspace(0.8, 0.1, 6)))
 
 
 def test_criteria_4_and_5_discretization_gaps():
@@ -255,12 +271,22 @@ def test_each_criterion_alone_matches_run_all():
         assert _clause_json(alone) == _clause_json(inside), number
 
 # ---------------------------------------------------------------------------
-# the invariance-principle projection identity on the small side
+# the invariance-principle projection identity, one operator at a time
 # ---------------------------------------------------------------------------
 
-def dense_identity_residual(pair, transform, probe):
-    """Dense oracle: ||(E(probe) - E0(probe)) - (F0(mu) - F1(mu))||_2 from the
-    four n x n spectral projections."""
+def dense_operator_residual(pair, transform, probe):
+    """Dense oracle: sum over j of ||E_j(probe) - (I - F_j(mu))||_2 from the
+    n x n spectral projections of each operator and its transform."""
+    mu = float(transform.mu(probe))
+    eye = np.eye(pair.dim)
+    return sum(float(np.linalg.norm(spectral_projection(e, probe)
+                                    - (eye - spectral_projection(f, mu)), 2))
+               for e, f in zip(pair.eigensystems(), transform.pair.eigensystems()))
+
+
+def dense_difference_residual(pair, transform, probe):
+    """Dense ||(E(probe) - E0(probe)) - (F0(mu) - F1(mu))||_2, which the
+    per-operator residual bounds."""
     mu = float(transform.mu(probe))
     e0, e1 = pair.eigensystems()
     f0, f1 = transform.pair.eigensystems()
@@ -269,10 +295,9 @@ def dense_identity_residual(pair, transform, probe):
     return float(np.linalg.norm(d_orig - d_tr, 2))
 
 
-# (pair constructor, probe, resolvent shift); the transform reverses the
-# order of the spectra, so its small side is the opposite one, except when
-# the below-counts sum to n (the random seed 16 at probe 0), where both
-# sides are "below"
+# (pair constructor, probe, resolvent shift); random seed 16 at probe 0 is
+# the case whose below-counts sum to n, where the pair and its transform
+# both take the side below
 INVARIANCE_CASES = {
     "krein-400": (lambda: build_krein(400, 40.0), 0.5, -0.5),
     "krein-200-probe-0.3": (lambda: build_krein(200, 40.0), 0.3, -0.5),
@@ -287,13 +312,56 @@ def test_small_side_projection_identity_matches_dense(case):
     build, probe, shift = INVARIANCE_CASES[case]
     pair = build()
     transform = resolvent_transform(pair, shift)
-    side = pair.probe_basis(probe)[1]
-    side_t = transform.pair.probe_basis(float(transform.mu(probe)))[1]
-    below = sum(int(np.searchsorted(w, probe)) for w in pair.eigenvalues)
-    assert (side == side_t) == (below == pair.dim) == (case == "random-16")
     residual = acceptance.projection_identity_residual(pair, transform, probe)
     assert residual <= 1e-12
-    assert abs(residual - dense_identity_residual(pair, transform, probe)) <= 1e-13
+    assert abs(residual - dense_operator_residual(pair, transform, probe)) <= 1e-13
+    # ||D - D_t||_2 <= d0 + d1, up to the roundoff of the dense oracle
+    assert dense_difference_residual(pair, transform, probe) <= residual + 1e-13
+
+
+def _spoiled_eigenpairs(monkeypatch, target, which, angle):
+    """Make ``target.eigenpairs(which, ...)`` rotate its last eigenvector by
+    ``angle`` toward the next eigenvector outside the requested range."""
+    original = OperatorPair.eigenpairs
+
+    def spoiled(self, j, lo, hi):
+        e = original(self, j, lo, hi)
+        if self is not target or j != which:
+            return e
+        k = hi if hi < self.dim else lo - 1
+        x = original(self, j, k, k + 1).eigenvectors[:, 0]
+        v = e.eigenvectors.copy()
+        v[:, -1] = np.cos(angle) * v[:, -1] + np.sin(angle) * x
+        return SpectralDecomposition(e.eigenvalues, v)
+
+    monkeypatch.setattr(OperatorPair, "eigenpairs", spoiled)
+
+
+@pytest.mark.parametrize("which", (0, 1))
+@pytest.mark.parametrize("case", ("krein-400", "random-0", "random-16"))
+def test_projection_identity_sees_a_spoiled_transformed_basis(monkeypatch, case, which):
+    # a 1e-6 rotation of one transformed eigenvector out of its side of mu
+    # moves that operator's largest principal sine to 1e-6; the residual
+    # reads it to roundoff (1e-6 - 3e-16 on random-0 and random-16), six
+    # orders above the clause's 1e-12
+    build, probe, shift = INVARIANCE_CASES[case]
+    pair = build()
+    transform = resolvent_transform(pair, shift)
+    _spoiled_eigenpairs(monkeypatch, transform.pair, which, 1e-6)
+    residual = acceptance.projection_identity_residual(pair, transform, probe)
+    assert abs(residual - 1e-6) <= 1e-13
+
+
+def test_projection_identity_counts_a_count_mismatch_as_one():
+    # a transform whose mu is off by a few levels pairs bases of different
+    # sizes, each a sine of 1
+    build, probe, shift = INVARIANCE_CASES["krein-400"]
+    pair = build()
+    transform = resolvent_transform(pair, shift)
+    counts = transform.pair.probe_gaps(float(transform.mu(probe)))[0]
+    off = ResolventTransform(transform.pair, shift - 0.05)
+    assert transform.pair.probe_gaps(float(off.mu(probe)))[0] != counts
+    assert acceptance.projection_identity_residual(pair, off, probe) >= 1.0
 
 
 def test_projection_identity_keeps_the_gap_contract():
@@ -306,16 +374,19 @@ def test_projection_identity_keeps_the_gap_contract():
 
 
 def test_criterion_8_forms_no_spectral_projection(monkeypatch):
+    # nor a QR: the residual takes the principal sines of each operator's
+    # basis against its transformed one
     def forbidden(*args, **kwargs):
-        raise AssertionError("criterion 8 formed an n x n spectral projection")
+        raise AssertionError("criterion 8 formed an n x n spectral projection or a QR")
 
     monkeypatch.setattr(projections, "spectral_projection", forbidden)
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
     clauses = {c.name: c for c in acceptance.criterion_8()}
     monkeypatch.undo()
     assert all(c.passed for c in clauses.values())
     cfg = acceptance.thresholds()["krein"]
     pair = build_krein(cfg["n"], cfg["L"])
-    dense = dense_identity_residual(pair, resolvent_transform(pair, cfg["resolvent_shift"]),
+    dense = dense_operator_residual(pair, resolvent_transform(pair, cfg["resolvent_shift"]),
                                     cfg["probe"])
     residual = clauses["8-projection-identity"].details["residual"]
     assert abs(residual - dense) <= 1e-13

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from projdiff.errors import ConfigError
-from projdiff.harness import (ExperimentConfig, convergence_study,
+from projdiff.harness import (ExperimentConfig, Report, convergence_study,
                               run_experiment, write_spectrum_csv)
 
 
@@ -238,6 +238,36 @@ def test_study_needs_three_points():
         convergence_study(cfg, "n")
     with pytest.raises(ConfigError):
         convergence_study(cfg, "bogus")
+
+
+_EPS_STUDY = ExperimentConfig(model="finite:random", probes=(0.0,), eps_ladder=(0.1, 0.05))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ExperimentConfig.from_dict([("model", "krein")]), ConfigError,
+     "expected an object"),
+    (lambda: ExperimentConfig.from_dict({"model": ""}), ConfigError,
+     "config.model: must be a nonempty string"),
+    (lambda: Report({"x": object()}).to_json(), TypeError, "not JSON-serializable"),
+    (lambda: convergence_study(_EPS_STUDY, "eps"), ConfigError, "need >= 3 rungs"),
+], ids=["config-not-an-object", "empty-model-name", "unserializable-value",
+        "eps-study-two-rungs"])
+def test_harness_inputs_are_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_report_writes_numpy_scalars_as_numbers():
+    body = {"count": np.int64(3), "value": np.float32(0.5)}
+    assert json.loads(Report(body).to_json()) == {"count": 3, "value": 0.5}
+
+
+def test_study_writes_its_table_to_the_out_dir(tmp_path):
+    cfg = ExperimentConfig(model="finite:random", probes=(0.0,), sizes=(5, 10, 20),
+                           out_dir=str(tmp_path / "out"))
+    report = convergence_study(cfg, "trule")
+    with open(tmp_path / "out" / "study_trule.json") as fh:
+        assert fh.read() == report.to_json() + "\n"
 
 
 def test_write_spectrum_csv_roundtrip(tmp_path):

@@ -6,8 +6,7 @@ from projdiff import linalg
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                              SpectralCollisionError)
 from projdiff.linalg import (HERMITIAN_TOL, TridiagonalBands, check_hermitian,
-                             expm_apply, herm_eig, probe_gaps, subspace_compressions, svd,
-                             sylvester_solve)
+                             expm_apply, herm_eig, probe_gaps, svd, sylvester_solve)
 from projdiff.models import build_finite_pair
 
 
@@ -161,26 +160,6 @@ def test_build_finite_pair_rejects_non_finite(piece, bad):
         pieces["h0"], pieces["v0"] = np.diag([2.0, 1.0]), np.array([[bad]])
     with pytest.raises(ValueError, match=f"{piece} has non-finite entries"):
         build_finite_pair(**pieces)
-
-
-def test_subspace_compressions_match_the_dense_projections():
-    # sums and products of the compressions have the 2-norms of the same
-    # expressions in the n x n projections, whatever the overlap of the spans
-    rng = np.random.default_rng(21)
-    n = 30
-    shared = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    bases = []
-    for m in (3, 4, 0, 5):
-        raw = np.hstack([shared, rng.standard_normal((n, m))])[:, :m]
-        bases.append(np.linalg.qr(raw)[0] if m else np.empty((n, 0)))
-    comp = subspace_compressions(*bases)
-    dense = [b @ b.conj().T for b in bases]
-    assert all(a.shape == (12, 12) for a in comp)
-    for pick in (lambda p: p[1] - p[0], lambda p: p[0] @ p[1] - 2.0 * p[3],
-                 lambda p: p[2] + p[3] @ p[0] @ p[3]):
-        ref = np.linalg.norm(pick(dense), 2)
-        assert abs(np.linalg.norm(pick(comp), 2) - ref) <= 1e-13 * max(ref, 1.0)
-    assert [a.shape for a in subspace_compressions(np.empty((n, 0)))] == [(0, 0)]
 
 
 def test_tridiagonal_bands_format():

@@ -172,6 +172,24 @@ def test_resolvent_transform_rejects_shift_in_spectrum():
         resolvent_transform(pair, 0.5)
 
 
+def test_resolvent_transform_of_a_band_pair_runs_no_dense_eigensolve(monkeypatch):
+    # the shift is checked against the two lowest eigenvalues, taken from
+    # the bands (closed form for the free chain H0), not from eigensystems
+    pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("resolvent_transform diagonalized a band pair densely")
+
+    monkeypatch.setattr(models, "herm_eig", forbidden)
+    bottom = min(b.eigenvalues(0, 1)[0] for b in pair.operators)
+    tr = resolvent_transform(pair, bottom - 1.0)
+    with pytest.raises(GapViolationError) as err:
+        resolvent_transform(pair, bottom)
+    monkeypatch.undo()
+    assert err.value.nearest == pytest.approx(bottom, abs=1e-12)
+    assert tr.pair.factorization_residual() <= 1e-9
+
+
 def test_resolvent_transform_reverses_order():
     pair = random_gapped_pair(6, 2, seed=9)
     tr = resolvent_transform(pair, -3.0)

@@ -203,6 +203,11 @@ def test_fill_and_hausdorff_helpers():
     assert (rep.max_gap, rep.coverage_distance) == (2.0, 2.0)
 
 
+def test_interval_hausdorff_of_an_empty_set_is_the_interval_length():
+    assert interval_hausdorff(np.array([]), -0.5, 1.0) == 1.5
+    assert interval_hausdorff([], 1.0, 1.0) == 0.0
+
+
 def _float_hausdorff(a, b):
     """The real-line Hausdorff distance with its points cast to float."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -394,6 +399,27 @@ def test_small_side_corner_matches_dense(case, sign):
     ref = dense_corner(pair, probe, sign)
     assert spec.shape == ref.shape
     assert np.max(np.abs(spec - ref), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("build, probe", [
+    (lambda: build_krein(400, 40.0), 0.5),
+    (lambda: build_schrodinger_1d(sech2_spec(1.0, 20.0, 399)), 0.9),
+    (lambda: random_gapped_pair(24, 3, 0), 0.0),
+], ids=["krein-400", "sech2-box-399", "random-0"])
+def test_corner_is_the_box_identity_quotient(build, probe):
+    # for H0 u0 = mu u0 and H u1 = e u1, <u0, u1> = -<u0, V u1> / (mu - e),
+    # so the corner E0(above) E(below) E0(above) is Q Q* with
+    # Q[mu, e] = -<u0(mu), V u1(e)> / (mu - e), and the product check's
+    # Sylvester quotient X = (-W1 V0 W0*) / (e - mu) is -Q*
+    pair = build()
+    (m0, m1), _ = pair.probe_gaps(probe)
+    above0, below1 = pair.eigenpairs(0, m0, pair.dim), pair.eigenpairs(1, 0, m1)
+    w0, w1 = (e.eigenvectors.conj().T @ pair.g.conj().T for e in (above0, below1))
+    x = linalg.sylvester_solve(below1.eigenvalues - probe, above0.eigenvalues - probe,
+                               -w1 @ pair.v0 @ w0.conj().T)
+    squares = np.linalg.svd(x, compute_uv=False) ** 2
+    expected = np.sort(np.concatenate([squares, np.zeros(pair.dim - m0 - len(squares))]))
+    assert np.max(np.abs(corner_spectrum(pair, probe, +1) - expected)) <= 1e-12
 
 
 def test_corner_sign_checked_before_any_eigensolve(monkeypatch):

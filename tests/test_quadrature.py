@@ -46,6 +46,19 @@ def test_rule_invariants_enforced():
         QuadratureRule(np.array([1.0, np.inf]), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: QuadratureRule(np.array([1.0, 2.0]), np.array([1.0])), "matching 1-d"),
+    (lambda: make_quadrature("bounded-legendre", 10, a=1.0, b=1.0), "b > a"),
+    (lambda: make_quadrature("bounded-legendre", 10, a=1.0, b=0.0), "b > a"),
+    (lambda: make_quadrature("halfline-exp-mapped", 10, scale=0.0), "scale must be positive"),
+    (lambda: make_quadrature("halfline-log", 10, half_width=-1.0), "half_width must be positive"),
+], ids=["mismatched-weights", "empty-interval", "reversed-interval", "zero-scale",
+        "negative-half-width"])
+def test_rule_parameters_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_unsupported_kind_and_params():
     with pytest.raises(ValueError):
         make_quadrature("chebyshev", 10)

@@ -609,3 +609,13 @@ def test_empty_ladder_is_rejected():
         phase_ladder(pair, 0.0, [])
     with pytest.raises(ValueError, match="empty"):
         extrapolated_phases(pair, 0.0, [])
+
+@pytest.mark.parametrize("call, match", [
+    (lambda pair: smoothed_density(pair, 0.0, 0.0), "eps > 0"),
+    (lambda pair: smoothed_density(pair, 0.0, -0.1), "eps > 0"),
+    (lambda pair: phase_ladder(pair, 0.0, [0.1, 0.2]), "strictly decreasing"),
+    (lambda pair: phase_ladder(pair, 0.0, [0.1, 0.1]), "strictly decreasing"),
+], ids=["density-eps-zero", "density-eps-negative", "ladder-increasing", "ladder-repeated"])
+def test_smoothing_inputs_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(random_gapped_pair(10, 3, seed=0))

@@ -262,6 +262,28 @@ def test_study_trule_on_a_band_preset():
     assert metrics["residual_direct"]["monotone_decreasing"]
 
 
+def test_study_trule_reads_only_the_spectral_ends(monkeypatch):
+    # the roundoff floor needs max|lambda - probe| over both spectra, which
+    # an end of one of them attains: no full spectrum of the box is solved
+    cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.9,), sizes=(10, 20, 40),
+                           model_params={"half_width": 20.0, "n": 399})
+    calls = []
+    original = linalg.TridiagonalBands.eigenvalues
+
+    def spy(self, lo=0, hi=None):
+        calls.append((lo, self.dim if hi is None else hi))
+        return original(self, lo, hi)
+
+    monkeypatch.setattr(linalg.TridiagonalBands, "eigenvalues", spy)
+    table = harness.convergence_study(cfg, "trule").body
+    monkeypatch.undo()
+    assert calls and (0, 399) not in calls
+    pair = cfg.build_pair()
+    lam = np.abs(np.concatenate(pair.eigenvalues) - 0.9)
+    floor = np.asarray(table["points"]) * np.finfo(float).eps * lam.max() / lam.min()
+    assert np.allclose(table["roundoff_floor"], floor, rtol=1e-12, atol=0)
+
+
 def test_product_check_passes_the_eigenvalue_vectors(monkeypatch):
     # the oracle's diagonal operands go to sylvester_solve as their
     # diagonals; no diagonal matrix is formed
