@@ -366,10 +366,10 @@ def projection_identity_residual(pair, transform, probe):
     :class:`GapViolationError`.
     """
     mu = float(transform.mu(probe))
-    _, side, *bases = pair.probe_basis(probe)
+    _, side, bases = pair.probe_basis(probe)
     counts, _ = transform.pair.probe_gaps(mu)
     total = 0.0
-    for j, (u, m) in enumerate(zip(bases, counts)):
+    for j, (u, m) in enumerate(zip(pair.unfold(bases), counts)):
         mirrored = (m, pair.dim) if side < 0 else (0, m)
         w = transform.pair.eigenpairs(j, *mirrored).eigenvectors
         if u.shape[1] != w.shape[1]:

@@ -67,7 +67,6 @@ def main(argv=None):
     except (ProjdiffError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

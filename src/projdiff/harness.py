@@ -135,7 +135,7 @@ class Report:
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}

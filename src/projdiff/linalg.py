@@ -1,7 +1,8 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
 band-stored matrices), the band format of real symmetric tridiagonal
 matrices with its Sturm counts, its closed-form eigensystem when the
-band is a uniform chain, and its shifted window systems (the chain
+band is a uniform chain, its even and odd blocks when the band is
+mirror-symmetric, and its shifted window systems (the chain
 beyond the window folded into two boundary self-energies, the box's own
 or those of given leads), their banded solve and LDL^T pivots, SVD,
 semigroup action, the closed-form Sylvester solver on eigenvalue
@@ -25,8 +26,8 @@ import scipy.linalg as sla
 from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                      SpectralCollisionError)
 
-__all__ = ["SpectralDecomposition", "TridiagonalBands", "WindowSystem", "check_hermitian",
-           "herm_eig", "probe_gaps", "svd", "expm_apply",
+__all__ = ["SpectralDecomposition", "TridiagonalBands", "ParityBlock", "WindowSystem",
+           "check_hermitian", "herm_eig", "probe_gaps", "svd", "expm_apply",
            "sylvester_solve"]
 
 # each tolerance is read at call time by the one function that applies it
@@ -148,10 +149,29 @@ class TridiagonalBands:
             return None
         return float(d[0]), float(e[0])
 
-    def _chain_values(self, lo, hi):
+    def _chain_values(self, j):
+        """Free-chain eigenvalues of the modes j (1-based, ascending in j)."""
         d, t = self.free_chain
-        j = np.arange(lo + 1, hi + 1)
         return d - 2.0 * abs(t) + 4.0 * abs(t) * np.sin(0.5 * np.pi * j / (self.dim + 1)) ** 2
+
+    def _chain_vectors(self, i, j):
+        """Entries i of the free chain's eigenvectors j (both 1-based)."""
+        n, t = self.dim, self.free_chain[1]
+        # i j reduced mod 2(n + 1) in integers, so every sine argument is in [0, 2 pi)
+        v = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(i, j) % (2 * (n + 1))))
+        if t > 0:
+            v[i % 2 == 1] *= -1.0
+        return v
+
+    @functools.cached_property
+    def parity_blocks(self):
+        """(even, odd) :class:`ParityBlock` when the band is mirror-symmetric,
+        both bands equal to their own reversal, so that M commutes with the
+        reflection x -> x[::-1]; else None.  One exact O(n) check; n >= 2."""
+        d, e = self.diagonal, self.offdiagonal
+        if self.dim < 2 or not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
+            return None
+        return ParityBlock(self, +1), ParityBlock(self, -1)
 
     def eigenvalues(self, lo=0, hi=None):
         """Eigenvalues with ascending indices lo, ..., hi - 1 (all by default).
@@ -167,7 +187,7 @@ class TridiagonalBands:
         if hi <= lo:
             return np.empty(0)
         if self.free_chain is not None:
-            return self._chain_values(lo, hi)
+            return self._chain_values(np.arange(lo + 1, hi + 1))
         if (lo, hi) == (0, n):
             return sla.eigh_tridiagonal(self.diagonal, self.offdiagonal, eigvals_only=True)
         return np.concatenate([sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
@@ -184,13 +204,9 @@ class TridiagonalBands:
             w, v = sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
                                         select="i", select_range=(lo, hi - 1))
             return SpectralDecomposition(w, v)
-        n, t = self.dim, self.free_chain[1]
-        # i j reduced mod 2(n + 1) in integers, so every sine argument is in [0, 2 pi)
-        ij = np.outer(np.arange(1, n + 1), np.arange(lo + 1, hi + 1)) % (2 * (n + 1))
-        v = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * ij)
-        if t > 0:
-            v[::2] *= -1.0
-        return SpectralDecomposition(self._chain_values(lo, hi), v)
+        j = np.arange(lo + 1, hi + 1)
+        return SpectralDecomposition(self._chain_values(j),
+                                     self._chain_vectors(np.arange(1, self.dim + 1), j))
 
     def count_below(self, x):
         """The number of eigenvalues below x, by Sturm's law of inertia: the
@@ -235,6 +251,78 @@ class TridiagonalBands:
                 else corners[1]
             diag[-1] -= off[hi - 1] ** 2 * c
         return WindowSystem(diag, off[lo:hi - 1])
+
+
+@dataclass(frozen=True)
+class ParityBlock:
+    """The even (``parity`` +1) or odd (-1) block of a mirror-symmetric band
+    ``parent`` (Cantoni and Butler, Linear Algebra Appl. 13, 1976): the
+    parent on the vectors x with x[::-1] = parity * x, in the orthonormal
+    coordinates of their first half, y_i = sqrt(2) x_i, except that the
+    middle entry of an even vector of odd length is kept as it is.
+
+    For n = 2m the folded bands are the first m rows with parity * e_m
+    added to the last diagonal entry.  For n = 2m + 1 the even block keeps
+    the middle site, its last link times sqrt(2), and the odd block drops
+    it.  The block offers the parent's probe-step methods on the folded
+    bands, about n / 2 long; a free chain's blocks keep its closed form,
+    the DST-I modes of that parity, folded.
+    """
+
+    parent: TridiagonalBands
+    parity: int
+
+    @property
+    def dim(self):
+        return (self.parent.dim + (self.parity > 0)) // 2
+
+    @functools.cached_property
+    def bands(self):
+        """The block as a :class:`TridiagonalBands` of length :attr:`dim`."""
+        d, e = self.parent.diagonal, self.parent.offdiagonal
+        m = self.parent.dim // 2
+        if self.parent.dim % 2 == 0:
+            diag = d[:m].copy()
+            diag[-1] += self.parity * e[m - 1]
+            return TridiagonalBands(diag, e[:m - 1])
+        if self.parity < 0:
+            return TridiagonalBands(d[:m], e[:m - 1])
+        off = e[:m].copy()
+        off[-1] *= np.sqrt(2.0)
+        return TridiagonalBands(d[:m + 1], off)
+
+    def _modes(self, lo, hi):
+        """The parent chain's mode numbers j of the block's indices lo, ...,
+        hi - 1.  Mode j has parity (-1)^(j + 1), times (-1)^(n + 1) when
+        t > 0 (the alternating sign), so each block takes every other j."""
+        flip = self.parent.free_chain[1] > 0 and self.parent.dim % 2 == 0
+        return (1 if (self.parity > 0) != flip else 2) + 2 * np.arange(lo, hi)
+
+    def count_below(self, x):
+        return self.bands.count_below(x)
+
+    def eigenvalues(self, lo, hi):
+        """See :meth:`TridiagonalBands.eigenvalues`."""
+        if self.parent.free_chain is None:
+            return self.bands.eigenvalues(lo, hi)
+        return self.parent._chain_values(self._modes(lo, hi))
+
+    def eigenpairs(self, lo, hi):
+        """Eigenpairs with the block's ascending indices lo, ..., hi - 1, as
+        vectors of length :attr:`dim`; see :meth:`TridiagonalBands.eigenpairs`."""
+        if self.parent.free_chain is None:
+            return self.bands.eigenpairs(lo, hi)
+        j = self._modes(lo, hi)
+        v = self.parent._chain_vectors(np.arange(1, self.dim + 1), j)
+        v[:self.parent.dim // 2] *= np.sqrt(2.0)
+        return SpectralDecomposition(self.parent._chain_values(j), v)
+
+    def unfold(self, y):
+        """The parent-space vectors of the block vectors ``y`` (its rows)."""
+        n = self.parent.dim
+        half = y[:n // 2] / np.sqrt(2.0)
+        middle = y[n // 2:] if self.parity > 0 else np.zeros_like(y[:n % 2])
+        return np.concatenate([half, middle, self.parity * half[::-1]])
 
 
 @dataclass(frozen=True)

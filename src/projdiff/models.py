@@ -67,8 +67,11 @@ class OperatorPair:
     the two eigenvalues beside the probe, and eigenpairs from a banded
     solver restricted to the requested indices, in closed form for a
     uniform chain such as every Schrodinger H0 (see
-    :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  The full spectra
-    (:attr:`eigenvalues`) stay lazy, for dense consumers only.
+    :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  When both bands
+    are mirror-symmetric, as on a centred box with an even potential, the
+    probe step does this on the even and odd blocks (:attr:`parity_blocks`),
+    each about half as long.  The full spectra (:attr:`eigenvalues`) stay
+    lazy, for dense consumers only.
     """
 
     operators: tuple
@@ -128,35 +131,65 @@ class OperatorPair:
             return tuple(b.eigenvalues() for b in self.operators)
         return tuple(e.eigenvalues for e in self.eigensystems())
 
+    @functools.cached_property
+    def parity_blocks(self):
+        """((h0+, h+), (h0-, h-)): the even and odd
+        :class:`projdiff.linalg.ParityBlock` of both band operators when
+        both are mirror-symmetric (see :attr:`TridiagonalBands.parity_blocks`),
+        else None.  The reflection then commutes with h0 and h, so D splits
+        into an even and an odd block, and the probe step runs on each
+        block's folded bands."""
+        blocks = [b.parity_blocks for b in self.operators] if self.banded else [None]
+        return None if any(b is None for b in blocks) else tuple(zip(*blocks))
+
     @property
     def basis_path(self):
         """Where the probe basis comes from: "free-chain" when h0 or h is a
         uniform chain with closed-form eigenpairs, "banded" for other band
-        pairs, "dense" for the dense eigensystems."""
+        pairs, "dense" for the dense eigensystems; a band path taken on the
+        parity blocks ends in "+parity"."""
         if not self.banded:
             return "dense"
-        return "banded" if all(b.free_chain is None for b in self.operators) else "free-chain"
+        path = "banded" if all(b.free_chain is None for b in self.operators) else "free-chain"
+        return path + "+parity" if self.parity_blocks else path
+
+    @property
+    def _band_blocks(self):
+        """The (h0, h) blocks of a band pair's probe step: its parity blocks,
+        or its two bands as one block."""
+        return self.parity_blocks or (self.operators,)
+
+    def _block_counts(self, probe):
+        """[(m0, m1)] per block of the probe step: Sturm counts for a band
+        pair, one block of dense counts otherwise."""
+        if not self.banded:
+            return [tuple(int(np.searchsorted(w, probe)) for w in self.eigenvalues)]
+        return [tuple(b.count_below(probe) for b in ops) for ops in self._band_blocks]
 
     def counts_below(self, probe):
         """(m0, m1): the numbers of eigenvalues of h0 and h below ``probe``;
-        Sturm counts for a band pair."""
+        Sturm counts for a band pair, summed over its parity blocks."""
+        return tuple(map(sum, zip(*self._block_counts(probe))))
+
+    def _probe_step(self, probe):
+        """(counts, gaps): the :meth:`_block_counts` and the gaps of
+        :meth:`probe_gaps`."""
+        counts = self._block_counts(probe)
         if self.banded:
-            return tuple(b.count_below(probe) for b in self.operators)
-        return tuple(int(np.searchsorted(w, probe)) for w in self.eigenvalues)
+            near = [np.concatenate([b.eigenvalues(max(m - 1, 0), min(m + 1, b.dim))
+                                    for b, m in zip(ops, below)])
+                    for ops, below in zip(zip(*self._band_blocks), zip(*counts))]
+        else:
+            near = [w[max(m - 1, 0):m + 1] for w, m in zip(self.eigenvalues, counts[0])]
+        return counts, tuple(linalg.probe_gaps(probe, near))
 
     def probe_gaps(self, probe):
         """((m0, m1), (gap0, gap1)): the counts of :meth:`counts_below` and the
         distances from ``probe`` to the spectra of h0 and h, read off the
-        eigenvalues with indices m - 1 and m; one too close raises
-        :class:`GapViolationError` (see :func:`projdiff.linalg.probe_gaps`)."""
-        n = self.dim
-        below = self.counts_below(probe)
-        if self.banded:
-            near = [b.eigenvalues(max(m - 1, 0), min(m + 1, n))
-                    for b, m in zip(self.operators, below)]
-        else:
-            near = [w[max(m - 1, 0):m + 1] for w, m in zip(self.eigenvalues, below)]
-        return below, tuple(linalg.probe_gaps(probe, near))
+        eigenvalues with indices m - 1 and m of each block; one too close
+        raises :class:`GapViolationError` (see :func:`projdiff.linalg.probe_gaps`)."""
+        counts, gaps = self._probe_step(probe)
+        return tuple(map(sum, zip(*counts))), gaps
 
     def eigenpairs(self, which, lo, hi):
         """Eigenpairs of h0 (``which`` = 0) or h (1) with ascending indices lo,
@@ -168,15 +201,31 @@ class OperatorPair:
         return SpectralDecomposition(e.eigenvalues[lo:hi], e.eigenvectors[:, lo:hi])
 
     def probe_basis(self, probe):
-        """(gaps, side, u0, u1): the gaps of :meth:`probe_gaps` and the
-        eigenvectors of h0 and h on the side of ``probe`` holding fewer of
-        them, side -1 below it and +1 above, shared by both operators."""
-        n = self.dim
-        below, gaps = self.probe_gaps(probe)
-        side = -1 if sum(below) <= n else +1
-        u0, u1 = (self.eigenpairs(which, *((0, m) if side < 0 else (m, n))).eigenvectors
-                  for which, m in enumerate(below))
-        return gaps, side, u0, u1
+        """(gaps, side, bases): the gaps of :meth:`probe_gaps`, the side of
+        ``probe`` holding fewer eigenvectors of h0 and h together (-1 below
+        it, +1 above), and per block of the probe step the eigenvectors
+        (u0, u1) of h0 and h on that side.  The blocks are the whole pair,
+        or the even and odd :attr:`parity_blocks` in their own coordinates
+        (see :meth:`unfold`)."""
+        counts, gaps = self._probe_step(probe)
+        side = -1 if sum(map(sum, counts)) <= self.dim else +1
+        if self.banded:
+            blocks = [[(b.eigenpairs, b.dim) for b in ops] for ops in self._band_blocks]
+        else:
+            blocks = [[(functools.partial(self.eigenpairs, j), self.dim) for j in (0, 1)]]
+        bases = tuple(tuple(solve(*((0, m) if side < 0 else (m, dim))).eigenvectors
+                            for (solve, dim), m in zip(ops, below))
+                      for ops, below in zip(blocks, counts))
+        return gaps, side, bases
+
+    def unfold(self, bases):
+        """(u0, u1) in the pair's space from the ``bases`` of :meth:`probe_basis`:
+        the parity blocks' vectors mapped back
+        (:meth:`projdiff.linalg.ParityBlock.unfold`) and joined."""
+        if self.parity_blocks is None:
+            return bases[0]
+        return tuple(np.hstack([b.unfold(u) for b, u in zip(ops, us)])
+                     for ops, us in zip(zip(*self.parity_blocks), zip(*bases)))
 
 
 def _finite(m, name):
@@ -306,8 +355,10 @@ class PotentialSpec:
     n: int
 
     def grid(self):
+        """(x, h): the n interior points of [-X, X] at step h = 2X / (n + 1),
+        centred half-integer multiples of h, so that x[::-1] == -x exactly."""
         h = 2.0 * self.half_width / (self.n + 1)
-        return -self.half_width + h * np.arange(1, self.n + 1), h
+        return h * (np.arange(1, self.n + 1) - 0.5 * (self.n + 1)), h
 
 
 def _sech2(x):

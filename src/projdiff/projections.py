@@ -26,8 +26,18 @@ gaps are read off the two eigenvalues beside the probe, and those
 eigenvalues and the eigenvectors come from a banded solver restricted
 to the needed indices, or in closed form (DST-I) for a uniform chain
 such as the free Schrodinger H0.  A dense
-pair reads all three off its dense eigensystems.  The report names the
-path ("free-chain", "banded" or "dense").  No library function forms the
+pair reads all three off its dense eigensystems.
+
+When both bands are mirror-symmetric, as every Schrodinger preset is on
+its centred box, the reflection x -> -x commutes with H0 and H, and D is
+the direct sum of its even and odd parts (Cantoni and Butler, Linear
+Algebra Appl. 13, 1976).  The probe step then runs on the two parity
+blocks, each on folded bands about n / 2 long (see
+:class:`projdiff.linalg.ParityBlock`), H0's still in closed form.  The
+small side is chosen over the whole pair; each block has its own C, W0
+and W1, its sines are joined to the other's, and the D^2 residual is the
+larger of the two.  The report names the path ("free-chain", "banded" or
+"dense", with "+parity" when split).  No library function forms the
 n x n spectral projection; it is kept for tests and demos.
 """
 
@@ -153,13 +163,16 @@ def projection_difference(pair, probe):
     residual of the same step (see :func:`dsquared_block_check`) and the
     pair's basis path.
     """
-    (g0, g1), side, u0, u1 = pair.probe_basis(probe)
-    c = u0.conj().T @ u1
-    (w0, s0), (w1, s1) = _side_sines(u0, u1, c.conj().T), _side_sines(u1, u0, c)
-    blocks = (w.conj().T @ w - np.eye(w.shape[1]) + g.conj().T @ g     # the D^2 blocks
-              for w, g in ((w0, c.conj().T), (w1, c)))
-    residual = max(float(np.linalg.norm(block, 2)) for block in blocks)
-    core = np.clip(-side * np.concatenate([s1, -s0]), -1.0, 1.0)
+    (g0, g1), side, bases = pair.probe_basis(probe)
+    s0, s1, residual = [], [], 0.0
+    for u0, u1 in bases:
+        c = u0.conj().T @ u1
+        for u, v, g, sines in ((u0, u1, c.conj().T, s0), (u1, u0, c, s1)):
+            w, s = _side_sines(u, v, g)
+            sines.append(s)
+            block = w.conj().T @ w - np.eye(w.shape[1]) + g.conj().T @ g     # a D^2 block
+            residual = max(residual, float(np.linalg.norm(block, 2)))
+    core = np.clip(-side * np.concatenate(s1 + [-s for s in s0]), -1.0, 1.0)
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
     dim_minus = int(np.sum(spec < -1.0 + SWAP_CLUSTER_TOL))
@@ -193,14 +206,18 @@ def corner_spectrum(pair, probe, sign=+1):
     small side is ``sign``, U0 spans Ran E0(side) and U1 the complement
     of Ran E(opposite), so the corner is W0* W0, with spectrum s0^2.
     Otherwise U1 spans Ran E(opposite), and the corner is W1* W1: s1^2,
-    padded with zeros to dim Ran E0(side).  Only that W is formed.
+    padded with zeros to dim Ran E0(side).  Only that W is formed, one
+    per block of the probe step.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    _, side, u0, u1 = pair.probe_basis(probe)
-    c = u0.conj().T @ u1
-    if side == sign:                                   # W0* W0
-        core, dim = _side_sines(u0, u1, c.conj().T)[1], u0.shape[1]
-    else:                                              # W1* W1, padded
-        core, dim = _side_sines(u1, u0, c)[1], pair.dim - u0.shape[1]
-    return np.sort(np.concatenate([core ** 2, np.zeros(dim - len(core))]))
+    _, side, bases = pair.probe_basis(probe)
+    core = []
+    for u0, u1 in bases:
+        c = u0.conj().T @ u1
+        core.append(_side_sines(u0, u1, c.conj().T)[1] if side == sign       # W0* W0
+                    else _side_sines(u1, u0, c)[1])                         # W1* W1, padded
+    m0 = sum(u0.shape[1] for u0, _ in bases)
+    dim = m0 if side == sign else pair.dim - m0
+    core = np.concatenate(core) ** 2
+    return np.sort(np.concatenate([core, np.zeros(dim - len(core))]))

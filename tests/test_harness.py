@@ -262,6 +262,11 @@ def test_report_writes_numpy_scalars_as_numbers():
     assert json.loads(Report(body).to_json()) == {"count": 3, "value": 0.5}
 
 
+def test_report_writes_numpy_booleans_as_booleans():
+    body = {"flag": np.bool_(True), "flags": np.array([True, False])}
+    assert json.loads(Report(body).to_json()) == {"flag": True, "flags": [True, False]}
+
+
 def test_study_writes_its_table_to_the_out_dir(tmp_path):
     cfg = ExperimentConfig(model="finite:random", probes=(0.0,), sizes=(5, 10, 20),
                            out_dir=str(tmp_path / "out"))
@@ -296,18 +301,19 @@ def test_krein_run_reproduces_known_facts():
 
 def test_one_compression_per_probe(monkeypatch):
     # the difference spectrum and the D^2 check at one probe share one
-    # selected eigenbasis per operator (closed form for the free chain H0,
-    # a banded solve for H), the product check (n <= 600) takes the two
-    # sides it needs from the same probe step, and the difference and the
-    # corners take the principal angles of the two bases without a QR of
-    # their joint span
+    # selected eigenbasis per operator and parity block (closed form for
+    # the free chain H0, a banded solve of each folded block for H), the
+    # product check (n <= 600) takes the two sides it needs from the same
+    # probe step on the whole bands, and the difference and the corners
+    # take the principal angles of the two bases without a QR of their
+    # joint span
     from projdiff.linalg import TridiagonalBands
     from projdiff.projections import corner_spectrum
     calls, qr_calls = [], []
     original, original_qr = TridiagonalBands.eigenpairs, np.linalg.qr
 
     def spy(self, lo, hi):
-        calls.append((lo, hi))
+        calls.append((self.dim, lo, hi))
         return original(self, lo, hi)
 
     def qr_spy(a, *args, **kwargs):
@@ -321,12 +327,16 @@ def test_one_compression_per_probe(monkeypatch):
                            eps_ladder=(0.3, 0.2))
     payloads = run_experiment(cfg).body["probes"]
     assert all("difference" in p and "dsquared_residual" in p for p in payloads)
-    # per probe, with m0 = m1 = m: the difference's small side, (0, m) for
-    # H0 and for H, then the product check's H0 above the probe and H below
+    # per probe, with m0 = m1 = m split into m+ and m- over the parity
+    # blocks: the difference's small side, (0, m+) and (0, m-) of H's
+    # folded bands (n / 2 long), then the product check's H0 above the
+    # probe and H below on the whole bands
     pair = cfg.build_pair()
     assert [pair.counts_below(p) for p in cfg.probes] == [(18, 18), (25, 25)]
-    assert calls == [(0, 18), (0, 18), (18, 400), (0, 18),
-                     (0, 25), (0, 25), (25, 400), (0, 25)]
+    assert [pair._block_counts(p) for p in cfg.probes] == [[(9, 9), (9, 9)],
+                                                            [(13, 13), (12, 12)]]
+    assert calls == [(200, 0, 9), (200, 0, 9), (400, 18, 400), (400, 0, 18),
+                     (200, 0, 13), (200, 0, 12), (400, 25, 400), (400, 0, 25)]
     assert qr_calls == []
     corner_spectrum(pair, 0.5, +1)
     assert qr_calls == []
@@ -334,28 +344,31 @@ def test_one_compression_per_probe(monkeypatch):
 
 def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
     # the band path reads counts, gaps and the small-side bases without a
-    # full spectrum (no eigenvalues-only solve of every index), and takes
-    # the free chain H0 in closed form (no banded eigensolve of it)
+    # full spectrum (no eigenvalues-only solve of every index), takes the
+    # free chain H0 and its parity blocks in closed form (no banded
+    # eigensolve of them), and solves H on its folded blocks, n / 2 long
     from projdiff import linalg
     calls = []
     original = linalg.sla.eigh_tridiagonal
-
-    def spy(d, e, **kwargs):
-        calls.append((kwargs.get("eigvals_only", False), kwargs.get("select", "a"),
-                      bool(np.all(d == d[0]))))
-        return original(d, e, **kwargs)
-
-    monkeypatch.setattr(linalg.sla, "eigh_tridiagonal", spy)
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.680619,),
                            eps_ladder=(0.3, 0.2, 0.1, 0.05))
     pair = cfg.build_pair()
+    h0_blocks = [b.bands for b in pair.operators[0].parity_blocks]
+
+    def spy(d, e, **kwargs):
+        calls.append((kwargs.get("eigvals_only", False), kwargs.get("select", "a"), len(d),
+                      any(np.array_equal(d, b.diagonal) for b in [pair.operators[0], *h0_blocks])))
+        return original(d, e, **kwargs)
+
+    monkeypatch.setattr(linalg.sla, "eigh_tridiagonal", spy)
     assert pair.operators[0].free_chain is not None and pair.operators[1].free_chain is None
     payload = run_experiment(cfg).body["probes"][0]
-    assert payload["difference"]["path"] == "free-chain"
+    assert payload["difference"]["path"] == "free-chain+parity"
     assert calls, "H's selected eigen-data come from the banded solver"
     assert not [c for c in calls if c[0] and c[1] == "a"]
-    assert not [c for c in calls if c[2]]
-    assert all(select == "i" for _, select, _ in calls)
+    assert not [c for c in calls if c[3]]
+    assert all(select == "i" for _, select, _, _ in calls)
+    assert {length for *_, length, _ in calls} == {pair.dim // 2}
 
 
 def test_sech2_run_allocates_no_dense_matrix():

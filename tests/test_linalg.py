@@ -229,6 +229,70 @@ def test_free_chain_detection():
     assert TridiagonalBands(d, off_ulp).free_chain is None
 
 
+def _mirror_bands(n, t=None, seed=0):
+    """Mirror-symmetric bands: a free chain (diagonal 0.4, link t) or, with
+    t None, random bands made equal to their reversal."""
+    if t is not None:
+        return TridiagonalBands(np.full(n, 0.4), np.full(n - 1, t))
+    rng = np.random.default_rng(seed)
+    d, off = rng.uniform(-2, 2, n), rng.standard_normal(n - 1)
+    return TridiagonalBands(0.5 * (d + d[::-1]), 0.5 * (off + off[::-1]))
+
+
+@pytest.mark.parametrize("t", (None, -1.3, 0.7))
+@pytest.mark.parametrize("n", (2, 3, 8, 9, 60, 61))
+def test_parity_blocks_split_the_spectrum(n, t):
+    # the even and odd blocks hold the whole spectrum between them, their
+    # Sturm counts add up, and their eigenvectors, unfolded, are orthonormal
+    # eigenvectors of the parent of that parity
+    bands = _mirror_bands(n, t, seed=n)
+    m, w = bands.dense(), np.linalg.eigvalsh(bands.dense())
+    blocks = bands.parity_blocks
+    assert [b.dim for b in blocks] == [(n + 1) // 2, n // 2]
+    values = np.concatenate([b.eigenvalues(0, b.dim) for b in blocks])
+    assert np.max(np.abs(np.sort(values) - w)) <= 1e-12 * np.max(np.abs(w))
+    for x in np.linspace(w[0] - 0.1, w[-1] + 0.1, 37):
+        if np.min(np.abs(w - x)) > 1e-9:
+            assert sum(b.count_below(x) for b in blocks) == bands.count_below(x)
+    for b in blocks:
+        dec = b.eigenpairs(0, b.dim)
+        assert np.max(np.abs(dec.eigenvalues - b.eigenvalues(0, b.dim))) <= 1e-12
+        v = b.unfold(dec.eigenvectors)
+        assert v.shape == (n, b.dim)
+        assert np.array_equal(v[::-1], b.parity * v)
+        assert np.linalg.norm(m @ v - v * dec.eigenvalues, 2) <= 1e-12
+        assert np.linalg.norm(v.T @ v - np.eye(b.dim), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("t", (-1.3, 0.7))
+@pytest.mark.parametrize("n", (2, 3, 8, 61, 400))
+def test_free_chain_blocks_keep_the_closed_form(n, t):
+    # a free chain's blocks read the DST-I modes of their parity, folded:
+    # the banded solver on the folded bands agrees, vectors up to sign
+    for b in _mirror_bands(n, t).parity_blocks:
+        w, v = sla.eigh_tridiagonal(b.bands.diagonal, b.bands.offdiagonal)
+        for lo, hi in ((0, min(3, b.dim)), (b.dim // 2, b.dim), (1, 1)):
+            dec = b.eigenpairs(lo, hi)
+            assert dec.eigenvectors.shape == (b.dim, hi - lo)
+            assert np.max(np.abs(dec.eigenvalues - w[lo:hi]), initial=0.0) <= 1e-12
+            overlap = np.abs(np.sum(dec.eigenvectors * v[:, lo:hi], axis=0))
+            assert np.max(np.abs(overlap - 1.0), initial=0.0) <= 1e-12
+
+
+def test_parity_block_detection():
+    # both bands exactly equal to their reversal, n >= 2; one ulp off in
+    # one entry of either band is no mirror
+    assert TridiagonalBands(np.array([1.0]), np.empty(0)).parity_blocks is None
+    for n in (6, 7):
+        bands = _mirror_bands(n, seed=n)
+        assert bands.parity_blocks is not None
+        for band in ("diagonal", "offdiagonal"):
+            d, off = bands.diagonal.copy(), bands.offdiagonal.copy()
+            x = d if band == "diagonal" else off
+            x[1] = np.nextafter(x[1], np.inf)
+            assert TridiagonalBands(d, off).parity_blocks is None
+
+
 @pytest.mark.parametrize("cut", (False, True))
 @pytest.mark.parametrize("n", (1, 2, 9, 200))
 def test_sturm_counts_match_the_sorted_spectrum(n, cut):

@@ -107,10 +107,14 @@ def test_dsquared_blocks():
     assert dsquared_block_check(rnd, 0.0) <= 1e-10 * rnd.dim
 
 
+def sech2_box_399():
+    return build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+
+
 @pytest.mark.parametrize("build, probe", [
     (lambda: random_gapped_pair(24, 3, 5, gap=1e-3), 0.0),
     (lambda: build_krein(200, 40.0), 0.5),
-    (lambda: build_schrodinger_1d(sech2_spec(1.0, 20.0, 399)), 0.7),
+    (sech2_box_399, 0.7),
 ])
 def test_dsquared_block_check_reads_the_difference_report(build, probe):
     # one principal-angle step per probe: the D^2 check is the residual
@@ -120,23 +124,29 @@ def test_dsquared_block_check_reads_the_difference_report(build, probe):
 
 
 @pytest.mark.parametrize("spoiled", (0, 1))
-@pytest.mark.parametrize("build, probe", [
-    (lambda: build_krein(200, 40.0), 0.5),
-    (lambda: random_gapped_pair(24, 3, 5), 0.0),
-])
-def test_dsquared_residual_sees_a_defect_in_either_basis(monkeypatch, build, probe, spoiled):
+@pytest.mark.parametrize("build, probe, block", [
+    (lambda: build_krein(200, 40.0), 0.5, 0),
+    (lambda: random_gapped_pair(24, 3, 5), 0.0, 0),
+    (sech2_box_399, 0.7, 0),
+    (sech2_box_399, 0.7, 1),
+], ids=["krein", "random", "sech2-even-block", "sech2-odd-block"])
+def test_dsquared_residual_sees_a_defect_in_either_basis(monkeypatch, build, probe, block,
+                                                          spoiled):
     # the block identity compressed to each basis is an orthonormality
     # check of both: a first column of U0 or of U1 scaled by 1 + 1e-6
-    # moves the residual from roundoff to about 2e-6
+    # moves the residual from roundoff to about 2e-6, also when it is the
+    # basis of one parity block of a mirror-symmetric pair
     pair = build()
     assert projection_difference(pair, probe).dsquared_residual <= 1e-13
     original = models.OperatorPair.probe_basis
 
     def spoil(self, p):
-        gaps, side, *bases = original(self, p)
-        bases[spoiled] = bases[spoiled].copy()
-        bases[spoiled][:, 0] *= 1.0 + 1e-6
-        return (gaps, side, *bases)
+        gaps, side, bases = original(self, p)
+        bases = [list(b) for b in bases]
+        assert block < len(bases)
+        bases[block][spoiled] = bases[block][spoiled].copy()
+        bases[block][spoiled][:, 0] *= 1.0 + 1e-6
+        return gaps, side, tuple(map(tuple, bases))
 
     monkeypatch.setattr(models.OperatorPair, "probe_basis", spoil)
     assert projection_difference(pair, probe).dsquared_residual >= 1e-6
@@ -290,7 +300,7 @@ def test_subspace_difference_matches_dense(case):
 
 def test_probe_below_both_spectra_gives_zero():
     pair = build_krein(200, 40.0)
-    _, side, u0, u1 = pair.probe_basis(-1.0)
+    _, side, ((u0, u1),) = pair.probe_basis(-1.0)
     assert u0.shape == u1.shape == (pair.dim, 0)
     assert np.array_equal(projection_difference(pair, -1.0).spectrum, np.zeros(pair.dim))
     assert dsquared_block_check(pair, -1.0) == 0.0
@@ -346,8 +356,8 @@ def test_banded_eigendata_match_dense():
         for w, e in zip(pair.eigenvalues, dense):
             assert np.max(np.abs(w - e.eigenvalues)) <= 1e-12 * np.max(np.abs(w))
         for probe in (0.1, 1.0):
-            _, side, u0, u1 = pair.probe_basis(probe)
-            for u, e in zip((u0, u1), dense):
+            _, side, bases = pair.probe_basis(probe)
+            for u, e in zip(pair.unfold(bases), dense):
                 keep = e.eigenvalues < probe if side < 0 else e.eigenvalues > probe
                 v = e.eigenvectors[:, keep]
                 assert u.shape == v.shape
@@ -445,36 +455,107 @@ def test_band_corner_forms_no_dense_matrix(monkeypatch):
 @pytest.mark.parametrize("case", ["krein-400", "square-well-box"])
 def test_corner_decomposes_one_side(monkeypatch, case, sign):
     # a corner reads s0 or s1, so it forms and decomposes only that side's
-    # W; the two cases have opposite small sides, so both branches run
+    # W, one per block of the probe step (two parity blocks on the
+    # mirror-symmetric box); the two cases have opposite small sides, so
+    # both branches run
     build, probe, _ = CORNER_CASES[case]
     pair = build()
     svds = _count_calls(monkeypatch, np.linalg, "svd")
     corner_spectrum(pair, probe, sign)
-    assert len(svds) == 1
+    assert len(svds) == (1 if pair.parity_blocks is None else 2)
 
 
-def _gap_eigenvalue(pair, k, index):
-    """Eigenvalue ``index`` of operator ``k`` as the probe-gap check reads it:
-    from the dense spectrum, or for a band operator from its closed form or
-    its selected banded solve, which match the full banded spectrum to
-    roundoff."""
+def _gap_eigenvalues(pair, k, index):
+    """Eigenvalue ``index`` of operator ``k`` as the probe-gap check reads
+    it: from the dense spectrum, or for a band operator from its closed form
+    or its selected banded solve.  On a mirror-symmetric pair these are
+    eigenvalue index // 2 of each parity block, one value per block.  Each
+    matches the full spectrum to roundoff relative to its largest value."""
     if not pair.banded:
-        return pair.eigenvalues[k][index]
-    w = pair.operators[k].eigenvalues(index, index + 1)[0]
-    assert w == pytest.approx(pair.eigenvalues[k][index], rel=1e-12)
-    return w
+        return [pair.eigenvalues[k][index]]
+    full = pair.eigenvalues[k]
+    if pair.parity_blocks is None:
+        w = pair.operators[k].eigenvalues(index, index + 1)[0]
+        assert w == pytest.approx(full[index], rel=1e-12)
+        return [w]
+    values = [ops[k].eigenvalues(index // 2, index // 2 + 1)[0] for ops in pair.parity_blocks]
+    for w in values:
+        assert np.min(np.abs(full - w)) <= 1e-12 * np.max(np.abs(full))
+    return values
 
 
 def test_corner_rejects_a_probe_on_an_eigenvalue():
     for pair in (random_gapped_pair(10, 3, seed=4), square_well_box()):
-        for w in (_gap_eigenvalue(pair, 0, 3), _gap_eigenvalue(pair, 1, 3)):
-            for sign in (+1, -1):
-                with pytest.raises(GapViolationError) as err:
-                    corner_spectrum(pair, w + 1e-12, sign)
-                assert err.value.nearest == w
+        for k in (0, 1):
+            for w in _gap_eigenvalues(pair, k, 3):
+                for sign in (+1, -1):
+                    with pytest.raises(GapViolationError) as err:
+                        corner_spectrum(pair, w + 1e-12, sign)
+                    assert err.value.nearest == w
 
 
-GAP_CASES = {"free-chain": square_well_box, "banded": _tridiagonal_pair,
+def well_pair(n, t, centre=0.5, depth=-3.0, diagonal=None):
+    """A free chain H0 (diagonal 2|t|, link t, spectrum in [0, 4|t|]) and
+    H = H0 + V with a Gaussian well (``depth`` < 0) or barrier V centred at
+    site centre * (n - 1): both mirror-symmetric at the default centre.
+    ``diagonal`` replaces H0's diagonal."""
+    v = depth * np.exp(-((np.arange(n) - centre * (n - 1)) / 6.0) ** 2)
+    d = np.full(n, 2.0 * abs(t)) if diagonal is None else diagonal
+    h0 = TridiagonalBands(d, np.full(n - 1, float(t)))
+    return build_finite_pair(h0, np.diag(np.sqrt(np.abs(v))), np.sign(depth) * np.eye(n))
+
+
+def _unsplit(pair):
+    """``pair`` with its parity blocks set aside (the cached property
+    filled with None), so its probe step runs on the whole bands."""
+    pair.__dict__["parity_blocks"] = None
+    return pair
+
+
+@pytest.mark.parametrize("depth, probe", [(-3.0, 1.3), (-3.0, 3.1), (3.0, 1.3), (3.0, 3.1)])
+@pytest.mark.parametrize("t", (-1.0, 1.0))
+@pytest.mark.parametrize("n", (40, 41))
+def test_parity_blocks_match_the_unsplit_band_path_and_the_dense_pair(n, t, depth, probe):
+    # a centred well or barrier on a free chain, at even and odd n and for
+    # both signs of the link (t > 0 flips the parity of every other DST-I
+    # mode at even n); the probes take the small side below (1.3) and
+    # above (3.1).  D's spectrum, its swap dimensions, its D^2 residual and
+    # both corners agree with the whole bands' probe step and with the
+    # dense projections
+    split, whole = well_pair(n, t, depth=depth), _unsplit(well_pair(n, t, depth=depth))
+    assert split.basis_path == "free-chain+parity" and whole.basis_path == "free-chain"
+    assert len(split.probe_basis(probe)[2]) == 2 and len(whole.probe_basis(probe)[2]) == 1
+    rep, ref = projection_difference(split, probe), projection_difference(whole, probe)
+    dense_spec, dense_residual = dense_difference(split, probe)
+    assert np.max(np.abs(rep.spectrum - ref.spectrum)) <= 1e-12
+    assert np.max(np.abs(rep.spectrum - dense_spec)) <= 1e-12
+    assert (rep.dim_plus, rep.dim_minus) == (ref.dim_plus, ref.dim_minus)
+    assert rep.dim_plus + rep.dim_minus > 0
+    assert rep.dsquared_residual <= 1e-13 and ref.dsquared_residual <= 1e-13
+    assert abs(rep.gap_h0 - ref.gap_h0) <= 1e-12 and abs(rep.gap_h - ref.gap_h) <= 1e-12
+    for sign in (+1, -1):
+        corner = corner_spectrum(split, probe, sign)
+        assert np.max(np.abs(corner - corner_spectrum(whole, probe, sign))) <= 1e-12
+        assert np.max(np.abs(corner - dense_corner(split, probe, sign))) <= 1e-12
+
+
+def test_one_ulp_off_the_mirror_falls_back_to_one_block():
+    # one diagonal entry of H0 one ulp up: neither band split, nor H0 a
+    # free chain, and the whole bands' probe step gives the mirror pair's D
+    n, probe = 40, 1.3
+    d = np.full(n, 2.0)
+    d[3] = np.nextafter(2.0, 3.0)
+    pair, mirror = well_pair(n, -1.0, diagonal=d), well_pair(n, -1.0)
+    assert pair.parity_blocks is None and pair.basis_path == "banded"
+    assert pair.operators[0].parity_blocks is None
+    assert len(pair.probe_basis(probe)[2]) == 1
+    spec = projection_difference(pair, probe).spectrum
+    assert np.max(np.abs(spec - projection_difference(mirror, probe).spectrum)) <= 1e-12
+    assert np.max(np.abs(spec - dense_difference(pair, probe)[0])) <= 1e-12
+
+
+GAP_CASES = {"free-chain": lambda: well_pair(40, -1.0, centre=0.3),
+             "free-chain+parity": square_well_box, "banded": _tridiagonal_pair,
              "dense": lambda: random_gapped_pair(24, 3, seed=2)}
 
 
@@ -482,20 +563,21 @@ GAP_CASES = {"free-chain": square_well_box, "banded": _tridiagonal_pair,
 def test_probe_within_the_gap_tolerance_is_rejected(path):
     # on either side of an eigenvalue of either operator, within
     # PROBE_GAP_TOL, every probe consumer raises with that eigenvalue as
-    # the nearest; twice the tolerance away the probe is accepted
+    # the nearest (on a mirror-symmetric pair, an eigenvalue of either
+    # parity block); twice the tolerance away the probe is accepted
     pair = GAP_CASES[path]()
     assert pair.basis_path == path
     tol = linalg.PROBE_GAP_TOL
     for k in (0, 1):
         for index in (2, pair.dim // 2):
-            w = _gap_eigenvalue(pair, k, index)
-            for offset in (0.5 * tol, -0.5 * tol):
-                for consumer in (projection_difference, dsquared_block_check,
-                                 corner_spectrum):
-                    with pytest.raises(GapViolationError) as err:
-                        consumer(pair, w + offset)
-                    assert err.value.nearest == w
-            probe = w + 2.0 * tol
-            if np.min(np.abs(np.concatenate(pair.eigenvalues) - probe)) > tol:
-                rep = projection_difference(pair, probe)
-                assert min(rep.gap_h0, rep.gap_h) >= tol
+            for w in _gap_eigenvalues(pair, k, index):
+                for offset in (0.5 * tol, -0.5 * tol):
+                    for consumer in (projection_difference, dsquared_block_check,
+                                     corner_spectrum):
+                        with pytest.raises(GapViolationError) as err:
+                            consumer(pair, w + offset)
+                        assert err.value.nearest == w
+                probe = w + 2.0 * tol
+                if np.min(np.abs(np.concatenate(pair.eigenvalues) - probe)) > tol:
+                    rep = projection_difference(pair, probe)
+                    assert min(rep.gap_h0, rep.gap_h) >= tol
