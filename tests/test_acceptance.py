@@ -352,6 +352,20 @@ def test_projection_identity_sees_a_spoiled_transformed_basis(monkeypatch, case,
     assert abs(residual - 1e-6) <= 1e-13
 
 
+@pytest.mark.parametrize("n", (399, 400))
+def test_projection_identity_unfolds_the_parity_blocks(n):
+    # a mirror-symmetric band pair gives its bases per parity block; the
+    # residual reads them unfolded to the pair's space, and agrees with the
+    # same pair on the whole bands' probe step
+    pair, whole = (build_schrodinger_1d(sech2_spec(1.0, 20.0, n)) for _ in range(2))
+    whole.__dict__["parity_blocks"] = None
+    assert pair.basis_path == "free-chain+parity" and whole.basis_path == "free-chain"
+    transform = resolvent_transform(pair, -2.0)
+    residual = acceptance.projection_identity_residual(pair, transform, 0.7)
+    assert residual <= 1e-12
+    assert abs(residual - acceptance.projection_identity_residual(whole, transform, 0.7)) <= 1e-13
+
+
 def test_projection_identity_counts_a_count_mismatch_as_one():
     # a transform whose mu is off by a few levels pairs bases of different
     # sizes, each a sine of 1

@@ -107,14 +107,10 @@ def test_dsquared_blocks():
     assert dsquared_block_check(rnd, 0.0) <= 1e-10 * rnd.dim
 
 
-def sech2_box_399():
-    return build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
-
-
 @pytest.mark.parametrize("build, probe", [
     (lambda: random_gapped_pair(24, 3, 5, gap=1e-3), 0.0),
     (lambda: build_krein(200, 40.0), 0.5),
-    (sech2_box_399, 0.7),
+    (lambda: build_schrodinger_1d(sech2_spec(1.0, 20.0, 399)), 0.7),
 ])
 def test_dsquared_block_check_reads_the_difference_report(build, probe):
     # one principal-angle step per probe: the D^2 check is the residual
@@ -123,33 +119,46 @@ def test_dsquared_block_check_reads_the_difference_report(build, probe):
     assert dsquared_block_check(pair, probe) == projection_difference(pair, probe).dsquared_residual
 
 
-@pytest.mark.parametrize("spoiled", (0, 1))
-@pytest.mark.parametrize("build, probe, block", [
-    (lambda: build_krein(200, 40.0), 0.5, 0),
-    (lambda: random_gapped_pair(24, 3, 5), 0.0, 0),
-    (sech2_box_399, 0.7, 0),
-    (sech2_box_399, 0.7, 1),
-], ids=["krein", "random", "sech2-even-block", "sech2-odd-block"])
-def test_dsquared_residual_sees_a_defect_in_either_basis(monkeypatch, build, probe, block,
-                                                          spoiled):
-    # the block identity compressed to each basis is an orthonormality
-    # check of both: a first column of U0 or of U1 scaled by 1 + 1e-6
-    # moves the residual from roundoff to about 2e-6, also when it is the
-    # basis of one parity block of a mirror-symmetric pair
-    pair = build()
-    assert projection_difference(pair, probe).dsquared_residual <= 1e-13
+def _spoil_one_basis(monkeypatch, block, spoiled):
+    """Make ``probe_basis`` scale the first column of U0 (``spoiled`` = 0)
+    or U1 (1) of one block by 1 + 1e-6."""
     original = models.OperatorPair.probe_basis
 
     def spoil(self, p):
         gaps, side, bases = original(self, p)
         bases = [list(b) for b in bases]
-        assert block < len(bases)
         bases[block][spoiled] = bases[block][spoiled].copy()
         bases[block][spoiled][:, 0] *= 1.0 + 1e-6
         return gaps, side, tuple(map(tuple, bases))
 
     monkeypatch.setattr(models.OperatorPair, "probe_basis", spoil)
+
+
+@pytest.mark.parametrize("spoiled", (0, 1))
+@pytest.mark.parametrize("build, probe", [
+    (lambda: build_krein(200, 40.0), 0.5),
+    (lambda: random_gapped_pair(24, 3, 5), 0.0),
+])
+def test_dsquared_residual_sees_a_defect_in_either_basis(monkeypatch, build, probe, spoiled):
+    # the block identity compressed to each basis is an orthonormality
+    # check of both: a first column of U0 or of U1 scaled by 1 + 1e-6
+    # moves the residual from roundoff to about 2e-6
+    pair = build()
+    assert projection_difference(pair, probe).dsquared_residual <= 1e-13
+    _spoil_one_basis(monkeypatch, 0, spoiled)
     assert projection_difference(pair, probe).dsquared_residual >= 1e-6
+
+
+@pytest.mark.parametrize("spoiled", (0, 1))
+@pytest.mark.parametrize("block", (0, 1))
+def test_dsquared_residual_sees_a_defect_in_one_parity_block(monkeypatch, block, spoiled):
+    # on a mirror-symmetric pair the residual is the larger of the two
+    # blocks': a defect in either basis of either block shows
+    pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+    assert len(pair.probe_basis(0.7)[2]) == 2
+    assert projection_difference(pair, 0.7).dsquared_residual <= 1e-13
+    _spoil_one_basis(monkeypatch, block, spoiled)
+    assert projection_difference(pair, 0.7).dsquared_residual >= 1e-6
 
 
 def test_corner_zero_perturbation():
