@@ -42,8 +42,7 @@ from .projections import (_side_sines, corner_spectrum, fill_metrics, hausdorff_
                           interval_hausdorff, projection_difference)
 from .quadrature import make_quadrature
 from .scattering import (birman_krein_extrapolated, channel_smatrix,
-                         extrapolated_phases, scattering_bundle,
-                         transfer_matrix_smatrix)
+                         extrapolated_phases, phase_ladder, transfer_matrix_smatrix)
 from .zops import product_representation_check
 
 __all__ = ["Clause", "EXPECTED_RED", "run_all", "CRITERIA", "projection_identity_residual"]
@@ -149,8 +148,7 @@ def criterion_1():
     t0 = time.monotonic()
     worst = {"factor": 0.0, "block": 0.0, "defect_identity": 0.0, "product": 0.0}
     for pair, probe, rep in _identity_pairs():
-        for eps in (1e-1, 1e-2):
-            b = scattering_bundle(pair, probe, eps)
+        for b in phase_ladder(pair, probe, (1e-1, 1e-2)):
             worst["factor"] = max(worst["factor"], b.factor_residual)
             worst["defect_identity"] = max(worst["defect_identity"], b.identity_residual)
         worst["block"] = max(worst["block"], rep.dsquared_residual / pair.dim)

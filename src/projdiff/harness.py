@@ -23,9 +23,9 @@ from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
 from .zops import default_time_rule, product_representation_check
 
 __all__ = ["ExperimentConfig", "Report", "run_experiment", "convergence_study",
-           "write_spectrum_csv"]
+           "difference_spectrum", "write_spectrum_csv"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,12 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
+def difference_spectrum(difference):
+    """All n values of D from a ``difference`` payload: its ``sines`` and
+    ``zero_count`` zeros, sorted."""
+    return np.sort(np.concatenate([difference["sines"], np.zeros(difference["zero_count"])]))
+
+
 def write_spectrum_csv(path, values):
     with open(path, "w") as fh:
         fh.write("index,value\n")
@@ -181,6 +187,11 @@ def _channel_scattering(pair, probe):
 def _probe_payload(pair, probe, ladder):
     """Everything computed at one probe; module errors are captured.
 
+    The ``difference`` payload holds the r principal sines of D and the
+    count n - r of its zero eigenvalues (:func:`difference_spectrum` joins
+    them); its extremes, swap dimensions and fill metrics are those of all
+    n values.
+
     The pair's storage picks the scattering path: a band pair's S and xi
     are taken at eps = 0 from open leads ("channel"), a dense pair's are
     extrapolated along the eps ladder ("ladder").
@@ -193,7 +204,8 @@ def _probe_payload(pair, probe, ladder):
     try:
         rep = projection_difference(pair, probe)
         out["difference"] = {
-            "spectrum": rep.spectrum, "extremes": rep.extremes,
+            "sines": rep.sines, "zero_count": pair.dim - len(rep.sines),
+            "extremes": rep.extremes,
             "dim_plus": rep.dim_plus, "dim_minus": rep.dim_minus,
             "pairing_defect": rep.pairing_defect,
             "max_gap": rep.max_gap, "coverage_distance": rep.coverage_distance,
@@ -238,7 +250,7 @@ def run_experiment(config):
             if "difference" in payload:
                 write_spectrum_csv(
                     os.path.join(config.out_dir, f"difference_spectrum_{i}.csv"),
-                    payload["difference"]["spectrum"])
+                    difference_spectrum(payload["difference"]))
     return report
 
 

@@ -256,7 +256,10 @@ def build_finite_pair(h0, g, v0, meta=None):
     is complex.  From bands, G* V0 G is formed from the nonzeros of ``g``;
     it must be tridiagonal, and the pair stores the bands of h0 and h and
     ``g`` as a ``csr_array``, with no n x n or dense k x n array; a dense
-    pair stores ``g`` dense.  Either way ArithmeticError is raised when
+    pair stores ``g`` dense, and h0 and h as their Hermitian parts
+    (M + M*) / 2, each equal to its conjugate transpose exactly, so that
+    their eigensolves need no second certificate (see
+    :func:`projdiff.linalg.herm_eig`).  Either way ArithmeticError is raised when
     the factorization residual ||h - h0 - G* V0 G||_F exceeds
     FACTORIZATION_TOL relative to ||h||_F + ||h0||_F.
     """
@@ -280,12 +283,19 @@ def build_finite_pair(h0, g, v0, meta=None):
         return _band_pair(h0, g, v0, dict(meta or {}))
     v = g.conj().T @ v0 @ g
     h = h0 + v
-    pair = OperatorPair((h0, 0.5 * (h + h.conj().T)), g, v0, dict(meta or {}))
+    # both operators are stored exactly Hermitian, so that their eigensolves
+    # certify them by one exact comparison (see herm_eig)
+    pair = OperatorPair((_hermitian_part(h0), _hermitian_part(h)), g, v0, dict(meta or {}))
     # Frobenius bounds the operator norm from above, and is O(n^2) to check
     resid = np.linalg.norm(pair.h - h0 - v)
     scale = np.linalg.norm(pair.h) + np.linalg.norm(h0)
     _check_factorization(resid, scale)
     return pair
+
+
+def _hermitian_part(m):
+    """(M + M*) / 2, which equals its conjugate transpose exactly."""
+    return 0.5 * (m + m.conj().T)
 
 
 def _check_factorization(resid, scale):
@@ -324,11 +334,19 @@ def build_krein(n, L):
         raise ValueError("need n >= 16 and L >= 10")
     rule = make_quadrature("bounded-legendre", n, a=0.0, b=float(L))
     x, sq = rule.nodes, np.sqrt(rule.weights)
-    lo = np.minimum.outer(x, x)
-    hi = np.maximum.outer(x, x)
-    # sinh(lo)*exp(-hi) written to avoid overflow of sinh at large argument
-    kernel = 0.5 * (np.exp(lo - hi) - np.exp(-lo - hi))
-    h0 = sq[:, None] * kernel * sq[None, :]
+    # sinh(min)*exp(-max) = (exp(-|x - y|) - exp(-(x + y)))/2, which cannot
+    # overflow, built in two n x n buffers
+    h0 = np.subtract.outer(x, x)
+    np.abs(h0, out=h0)
+    np.negative(h0, out=h0)
+    np.exp(h0, out=h0)
+    far = np.add.outer(x, x)
+    np.negative(far, out=far)
+    np.exp(far, out=far)
+    h0 -= far
+    h0 *= 0.5
+    h0 *= sq[:, None]
+    h0 *= sq[None, :]
     u = sq * np.exp(-x)
     meta = {
         "model": "krein", "n": n, "L": float(L), "rule": rule,
@@ -480,11 +498,9 @@ def resolvent_transform(pair, shift):
     eye = np.eye(pair.dim)
     h0t = np.linalg.solve(pair.h0 - shift * eye, eye)
     ht = np.linalg.solve(pair.h - shift * eye, eye)
-    h0t = 0.5 * (h0t + h0t.conj().T)
-    ht = 0.5 * (ht + ht.conj().T)
+    h0t, ht = _hermitian_part(h0t), _hermitian_part(ht)
     g = pair.g @ h0t
-    w0 = -pair.v0 + pair.v0 @ (pair.g @ ht @ pair.g.conj().T) @ pair.v0
-    w0 = 0.5 * (w0 + w0.conj().T)
+    w0 = _hermitian_part(-pair.v0 + pair.v0 @ (pair.g @ ht @ pair.g.conj().T) @ pair.v0)
     meta = {"model": "resolvent-transform", "base": pair.meta.get("model"), "shift": shift}
     transformed = OperatorPair((h0t, ht), g, w0, meta)
     return ResolventTransform(transformed, float(shift))

@@ -129,7 +129,8 @@ class DifferenceReport:
     """Spectrum of D(probe) with swap dimensions and fill metrics."""
 
     probe: float
-    spectrum: np.ndarray
+    spectrum: np.ndarray             # all n values, sorted
+    sines: np.ndarray                # the r signed principal sines, sorted
     dim_plus: int
     dim_minus: int
     pairing_defect: float
@@ -157,7 +158,8 @@ def projection_difference(pair, probe):
     All n eigenvalues are returned: the r signed principal sines
     -side * [s1, -s0], clipped to [-1, 1], where the spectrum of D lies
     exactly (roundoff would otherwise push a swap eigenvalue past +-1 and
-    out of the fill metrics), and n - r exact zeros.  The swap dimensions
+    out of the fill metrics), and n - r exact zeros; the r sines also on
+    their own (``sines``).  The swap dimensions
     count eigenvalues within SWAP_CLUSTER_TOL of +1 and -1, and the fill
     metrics are taken against [-1, 1].  The report carries the D^2 block
     residual of the same step (see :func:`dsquared_block_check`) and the
@@ -176,7 +178,7 @@ def projection_difference(pair, probe):
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
     dim_minus = int(np.sum(spec < -1.0 + SWAP_CLUSTER_TOL))
-    return DifferenceReport(float(probe), spec, dim_plus, dim_minus,
+    return DifferenceReport(float(probe), spec, np.sort(core), dim_plus, dim_minus,
                             pairing_defect(spec), g0, g1, *fill_metrics(spec, -1.0, 1.0),
                             residual, pair.basis_path)
 

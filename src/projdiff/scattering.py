@@ -43,9 +43,16 @@ the chain outside it enters through two scalar boundary self-energies (a
 Schur complement), and the window system is solved once for all of
 G^T = G*.
 
-A rung's phases come from all k eigenvalues of S; ||A||, the unitarity
-defect and the identity residual are largest |eigenvalues| of Hermitian
-k x k matrices ((S-I)*(S-I)/4 among them).
+The ladder computes all its rungs at once: T0 and T at every rung form
+(R, k, k) stacks, from G U formed once per operator, and each k x k step
+(the conditioning inverse, the factor residual, the PSD root, S, the
+unitarity defect, its eigenvalues, the defect identity) is one stacked
+numpy call.  Every rung keeps its checks, and the first rung to fail
+one, in ladder order, raises that check's error; one bundle is the
+one-rung ladder and one sandwich the one-point stack.  A rung's phases
+come from all k eigenvalues of S; ||A||, the unitarity defect and the
+identity residual are largest |eigenvalues| of Hermitian k x k matrices
+((S-I)*(S-I)/4 among them).
 
 Off the channel path, the Birman-Krein relation det S = exp(-2*pi*i*xi)
 has one implementation, :func:`birman_krein_extrapolated`, returning
@@ -93,20 +100,45 @@ class ResolventSandwich:
 
 
 def _sandwich_one(pair, which, z):
-    """G (A - z)^-1 G* for A = h0 (``which`` = 0) or h (1)."""
-    g = pair.g
+    """G (A - z)^-1 G* for A = h0 (``which`` = 0) or h (1), at a point z or at
+    every point of an array z, stacked as z.shape + (k, k)."""
+    g, z = pair.g, np.asarray(z)
     if not pair.banded:
         # spectral form (G U) diag(1/(w - z)) (G U)* from the pair's cached
-        # eigensystem, so a dense pair pays one eigensolve and no n x n solve
+        # eigensystem, so a dense pair pays one eigensolve and no n x n solve;
+        # G U is formed once for every point
         e = pair.eigensystems()[which]
         gu = g @ e.eigenvectors
-        return (gu / (e.eigenvalues - z)) @ gu.conj().T
+        return (gu / (e.eigenvalues - z[..., None])[..., None, :]) @ gu.conj().T
     # G reads only the coupling window of the chain, so only the window
     # block of the resolvent is needed: one banded solve of the window
     # system for all of G*, with G applied through its nonzeros
     lo, hi = pair.coupling_window
     gw = g[:, lo:hi]
-    return gw @ pair.operators[which].window(z, lo, hi).solve(gw.T.toarray())
+    rhs, window = gw.T.toarray(), pair.operators[which].window
+    blocks = [gw @ window(x, lo, hi).solve(rhs) for x in z.ravel()]
+    return np.array(blocks).reshape(z.shape + (pair.kdim, pair.kdim))
+
+
+class _RungFailure(Exception):
+    """The first rung of a stack to fail a check (``rung``), and its ``error``."""
+
+    def __init__(self, rung, error):
+        super().__init__(rung, error)
+        self.rung, self.error = rung, error
+
+
+def _fail_first(bad, error):
+    """Raise :class:`_RungFailure` for the first rung flagged in ``bad``;
+    ``error(r)`` makes rung r's error."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise _RungFailure(int(hits[0]), error(int(hits[0])))
+
+
+def _ct(m):
+    """The conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _check_conditioning(m):
@@ -134,6 +166,42 @@ def _check_conditioning(m):
     return inverse
 
 
+def _stack_inverse(m):
+    """The inverses of a stack of matrices, each under the contract of
+    :func:`_check_conditioning`: the stack is inverted in one call and its
+    fast bound taken rung by rung; only the rungs it cannot accept, or
+    every rung when an LU of the stack meets an exact zero pivot, go to
+    :func:`_check_conditioning`."""
+    try:
+        inverse = np.linalg.inv(m)
+        bound = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        inverse, bound = np.empty_like(m), np.full(len(m), np.inf)
+    for r in np.flatnonzero(~(bound <= 1e-2 * COND_LIMIT)):
+        try:
+            inverse[r] = _check_conditioning(m[r])
+        except SingularSandwichError as exc:
+            raise _RungFailure(int(r), exc) from None
+    return inverse
+
+
+def _sandwich_stack(pair, z):
+    """(T0, T, factor residuals) at the points of a 1-d array z, each of
+    them checked as :func:`resolvent_sandwich` documents; the first point
+    to fail, in order, raises :class:`_RungFailure`."""
+    _fail_first(~(z.imag > 0), lambda r: ValueError("need Im z > 0"))
+    t0 = _sandwich_one(pair, 0, z)
+    t = _sandwich_one(pair, 1, z)
+    minv = _stack_inverse(np.eye(pair.kdim) + pair.v0 @ t0)
+    resid = np.linalg.norm(t - t0 @ minv, 2, axis=(-2, -1))
+    colmax = np.max(np.linalg.norm(t, axis=-2), axis=-1, initial=0.0)
+    for r in np.flatnonzero(resid > C1_RESIDUAL_TOL * np.maximum(1.0, (1.0 - 1e-8) * colmax)):
+        if resid[r] > C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t[r], 2)):
+            raise _RungFailure(int(r), ArithmeticError(
+                f"resolvent factor identity residual {resid[r]:.3e}"))
+    return t0, t, resid
+
+
 def resolvent_sandwich(pair, z):
     """Both sandwiches at a point in the upper half plane.
 
@@ -143,24 +211,19 @@ def resolvent_sandwich(pair, z):
     :class:`SingularSandwichError` (see :func:`_check_conditioning`).  The
     residual passes at once when it is below the tolerance scaled by the
     largest column norm of T, a lower bound on ||T||_2, which is computed
-    only when that test fails.
+    only when that test fails.  This is the one-point case of the stack
+    the eps ladder takes (:func:`phase_ladder`).
     """
     z = complex(z)
-    if not z.imag > 0:
-        raise ValueError("need Im z > 0")
-    t0 = _sandwich_one(pair, 0, z)
-    t = _sandwich_one(pair, 1, z)
-    minv = _check_conditioning(np.eye(pair.kdim) + pair.v0 @ t0)
-    resid = float(np.linalg.norm(t - t0 @ minv, 2))
-    colmax = np.max(np.linalg.norm(t, axis=0), initial=0.0)
-    if (resid > C1_RESIDUAL_TOL * max(1.0, (1.0 - 1e-8) * colmax)
-            and resid > C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t, 2))):
-        raise ArithmeticError(f"resolvent factor identity residual {resid:.3e}")
-    return ResolventSandwich(z, t0, t, resid)
+    try:
+        t0, t, resid = _sandwich_stack(pair, np.array([z]))
+    except _RungFailure as fail:
+        raise fail.error from None
+    return ResolventSandwich(z, t0[0], t[0], float(resid[0]))
 
 
 def _imag_part(m):
-    return (m - m.conj().T) / 2j
+    return (m - _ct(m)) / 2j
 
 
 def smoothed_density(pair, probe, eps):
@@ -175,11 +238,15 @@ def smoothed_density(pair, probe, eps):
 
 
 def _psd_sqrt(m):
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    low = np.min(w, initial=0.0)
-    if low < -PSD_TOL * max(np.max(abs(w), initial=0.0), 1.0):
-        raise ArithmeticError(f"matrix not PSD: min eigenvalue {low:.3e}")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    """The PSD square root of each matrix of a stack; the first rung with an
+    eigenvalue below -PSD_TOL times its largest |eigenvalue| (or 1) raises
+    :class:`_RungFailure`."""
+    w, v = np.linalg.eigh(0.5 * (m + _ct(m)))
+    low = np.min(w, axis=-1, initial=0.0)
+    scale = np.maximum(np.max(abs(w), axis=-1, initial=0.0), 1.0)
+    _fail_first(low < -PSD_TOL * scale,
+                lambda r: ArithmeticError(f"matrix not PSD: min eigenvalue {low[r]:.3e}"))
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _ct(v)
 
 
 def band_edges(phases):
@@ -220,13 +287,15 @@ class ScatteringBundle:
 
 
 def _hermitian_norm(m):
-    """2-norm of the Hermitian part of ``m``: its largest |eigenvalue|."""
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return float(np.max(abs(w), initial=0.0))
+    """2-norm of the Hermitian part of a matrix, or of each matrix of a
+    stack: its largest |eigenvalue|."""
+    w = np.linalg.eigvalsh(0.5 * (m + _ct(m)))
+    return np.max(abs(w), axis=-1, initial=0.0)
 
 
 def scattering_bundle(pair, probe, eps):
-    """Assemble the smoothed stationary matrix and defect operator.
+    """Assemble the smoothed stationary matrix and defect operator: the
+    one-rung case of :func:`phase_ladder`.
 
     Eigenvalues with |ev - 1| above max(PHASE_FLOOR, 10 * unitarity
     defect) are retained as scattering phases.  The finite-eps identity
@@ -235,27 +304,50 @@ def scattering_bundle(pair, probe, eps):
     taken as their largest |eigenvalue|; ||A||^(1/2) = ||S - I|| / 2 is
     the square root of the largest eigenvalue of (S-I)*(S-I)/4.
     """
-    sw = resolvent_sandwich(pair, probe + 1j * eps)
-    f0p, fp = _imag_part(sw.t0) / np.pi, _imag_part(sw.t) / np.pi
+    return phase_ladder(pair, probe, [eps])[0]
+
+
+def _bundle_stack(pair, probe, eps):
+    """The bundle at every rung of the 1-d array ``eps``, each k x k step one
+    stacked call over the rungs; the first rung to fail a check raises
+    :class:`_RungFailure`."""
+    t0, t, resid = _sandwich_stack(pair, probe + 1j * eps)
+    f0p, fp = _imag_part(t0) / np.pi, _imag_part(t) / np.pi
     root = _psd_sqrt(f0p)
     v0 = pair.v0
-    core = v0 - v0 @ sw.t @ v0
+    core = v0 - v0 @ t @ v0
     eye = np.eye(pair.kdim)
     smat = eye - 2j * np.pi * root @ core @ root
-    udef = _hermitian_norm(smat.conj().T @ smat - eye)
-    thr = max(PHASE_FLOOR, 10.0 * udef)
+    udef = _hermitian_norm(_ct(smat) @ smat - eye)
+    thr = np.maximum(PHASE_FLOOR, 10.0 * udef)
     diff = smat - eye
-    defect = 0.25 * diff.conj().T @ diff
+    defect = 0.25 * _ct(diff) @ diff
     evs = np.linalg.eigvals(smat)
-    kept = evs[np.abs(evs - 1.0) > thr]
-    phases = np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
     amat = np.pi ** 2 * root @ v0 @ fp @ v0 @ root
-    amat = 0.5 * (amat + amat.conj().T)
+    amat = 0.5 * (amat + _ct(amat))
     ident = _hermitian_norm(defect - amat)
-    a_pred = float(np.sqrt(np.max(np.linalg.eigvalsh(defect), initial=0.0)))
-    return ScatteringBundle(float(probe), float(eps), f0p, fp, smat, evs, phases,
-                            thr, udef, amat, ident, a_pred, band_edges(phases)[0],
-                            sw.factor_residual)
+    a_pred = np.sqrt(np.max(np.linalg.eigvalsh(defect), axis=-1, initial=0.0))
+    bundles = []
+    for r, e in enumerate(eps):
+        kept = evs[r][np.abs(evs[r] - 1.0) > thr[r]]
+        phases = np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
+        bundles.append(ScatteringBundle(
+            float(probe), float(e), f0p[r], fp[r], smat[r], evs[r], phases, float(thr[r]),
+            float(udef[r]), amat[r], float(ident[r]), float(a_pred[r]),
+            band_edges(phases)[0], float(resid[r])))
+    return bundles
+
+
+def _ladder_bundles(pair, probe, eps):
+    """:func:`_bundle_stack`, raising the error of the first failing rung in
+    ladder order: the rungs before a failing one are rerun, since one of
+    them may fail a later check."""
+    try:
+        return _bundle_stack(pair, probe, eps)
+    except _RungFailure as fail:
+        if fail.rung:
+            _ladder_bundles(pair, probe, eps[:fail.rung])
+        raise fail.error from None
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +372,20 @@ def neville(eps_values, samples):
 
 
 def phase_ladder(pair, probe, eps_ladder):
-    """The bundle at every rung of a nonempty, strictly decreasing eps ladder."""
+    """The bundle at every rung of a nonempty, strictly decreasing eps ladder.
+
+    All rungs are computed at once: T0 and T as (R, k, k) stacks from G U
+    formed once per operator (or one window solve per rung for a band
+    pair), then one stacked call per k x k step.  Every rung's checks are
+    those of :func:`resolvent_sandwich` and :func:`scattering_bundle`, and
+    the first rung to fail one, in ladder order, raises its error.
+    """
     ladder = list(eps_ladder)
     if not ladder:
         raise ValueError("eps ladder is empty")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    return [scattering_bundle(pair, probe, e) for e in ladder]
+    return _ladder_bundles(pair, probe, np.asarray(ladder, dtype=float))
 
 
 def _match_chains(bundles):

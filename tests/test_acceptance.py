@@ -180,19 +180,23 @@ def test_expected_red_set_matches():
 
 
 def test_criterion_1_builds_each_sandwich_once(monkeypatch):
-    # the factor residual is read from the bundle, which holds the one
-    # sandwich (two resolvent blocks, T0 and T) built at each (pair, eps)
+    # the factor residual is read from the bundles, which hold the one
+    # sandwich (two resolvent blocks, T0 and T) built at each (pair, eps):
+    # one ladder call per pair takes both smoothing levels, each block as
+    # one stack over the two levels
     from projdiff import scattering
-    blocks, bundles = [], []
+    blocks, ladders = [], []
     for module, name, calls in ((scattering, "_sandwich_one", blocks),
-                                (acceptance, "scattering_bundle", bundles)):
+                                (acceptance, "phase_ladder", ladders)):
         def spy(*args, _original=getattr(module, name), _calls=calls, **kwargs):
             _calls.append(args[1:])
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
     clauses = {c.name: c for c in acceptance.criterion_1()}
     count = acceptance.thresholds()["random_pair"]["count"]
-    assert len(blocks) == 2 * len(bundles) == 4 * (count + 1)
+    assert len(blocks) == 2 * len(ladders) == 2 * (count + 1)
+    assert all(list(ladder) == [1e-1, 1e-2] for _, ladder in ladders)
+    assert all(np.shape(z) == (2,) for _, z in blocks)
     assert clauses["1-resolvent-factor"].passed
 
 
@@ -203,7 +207,7 @@ def test_criterion_4_runs_no_eps_ladder(monkeypatch):
     from projdiff import scattering
     calls = []
     for module in (acceptance, scattering):
-        for name in ("extrapolated_phases", "scattering_bundle"):
+        for name in ("extrapolated_phases", "phase_ladder"):
             def spy(*args, _name=name, **kwargs):
                 calls.append(_name)
                 raise AssertionError(f"criterion 4 called {_name}")

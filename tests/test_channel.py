@@ -234,7 +234,7 @@ def test_sech2_run_takes_the_channel_path(monkeypatch):
         return forbidden
 
     for module, name in ((scattering, "scattering_bundle"), (scattering, "resolvent_sandwich"),
-                         (harness, "phase_ladder")):
+                         (scattering, "phase_ladder"), (harness, "phase_ladder")):
         monkeypatch.setattr(module, name, spy(name))
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.9,),
                            model_params={"n": 400, "half_width": 40.0})

@@ -20,7 +20,7 @@ def test_run_with_config(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path)]) == 0
     body = json.loads(capsys.readouterr().out)
-    assert body["schema"] == 2
+    assert body["schema"] == 3
 
     out_dir = tmp_path / "out"
     assert cli.main(["run", str(path), "--out", str(out_dir)]) == 0

@@ -7,7 +7,8 @@ import pytest
 
 from projdiff.errors import ConfigError
 from projdiff.harness import (ExperimentConfig, Report, convergence_study,
-                              run_experiment, write_spectrum_csv)
+                              difference_spectrum, run_experiment, write_spectrum_csv)
+from projdiff.projections import projection_difference
 
 
 def test_config_validation_field_paths():
@@ -68,7 +69,7 @@ def test_empty_probe_list_is_fine():
                            eps_ladder=(0.1, 0.05))
     report = run_experiment(cfg)
     assert report.body["probes"] == []
-    assert report.body["schema"] == 2
+    assert report.body["schema"] == 3
 
 
 def test_empty_ladder_is_a_scattering_error_on_a_dense_pair():
@@ -103,10 +104,18 @@ def test_report_payload_and_outputs(tmp_path):
     for rung in payload["scattering"]["rungs"]:
         assert rung["unitarity_defect"] <= 1e-10
     data = json.loads((tmp_path / "report.json").read_text())
-    assert data["schema"] == 2
+    assert data["schema"] == 3
     csv = (tmp_path / "difference_spectrum_0.csv").read_text().splitlines()
     assert csv[0] == "index,value"
     assert csv[1].startswith("0,")
+    # the payload holds the r sines and a zero count; the CSV all n values
+    rep = projection_difference(cfg.build_pair(), 0.0)
+    diff = payload["difference"]
+    assert np.array_equal(diff["sines"], rep.sines)
+    assert len(diff["sines"]) + diff["zero_count"] == payload["n"] == len(csv) - 1
+    assert [float(line.split(",")[1]) for line in csv[1:]] == rep.spectrum.tolist()
+    assert np.array_equal(difference_spectrum(diff), rep.spectrum)
+    assert diff["extremes"] == rep.extremes and diff["max_gap"] == rep.max_gap
 
 
 def test_probe_errors_captured_not_fatal():
@@ -293,7 +302,7 @@ def test_krein_run_reproduces_known_facts():
     phases = payload["scattering"]["phases_extrapolated"]
     assert len(phases) == 1
     assert abs(np.exp(1j * phases[0]) + 1.0) <= 0.05
-    spec = np.asarray(payload["difference"]["spectrum"])
+    spec = difference_spectrum(payload["difference"])
     assert spec.min() >= -1.0 - 1e-10 and spec.max() <= 1.0 + 1e-10
     assert payload["difference"]["pairing_defect"] <= 1e-6
     assert payload["product_identity"]["residual_oracle"] <= 1e-8 * payload["n"]

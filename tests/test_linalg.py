@@ -43,6 +43,25 @@ def test_herm_eig_rejects_asymmetry():
     assert err.value.defect > 0
 
 
+def test_herm_eig_takes_the_hermitian_part_of_a_near_hermitian_matrix(monkeypatch):
+    # an exactly Hermitian matrix goes to the solver as it is, with no
+    # asymmetry check; one within HERMITIAN_TOL of Hermitian is checked and
+    # its Hermitian part diagonalized
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    exact = 0.5 * (a + a.conj().T)
+    near = exact.copy()
+    near[0, 1] += 1e-14
+    checked = []
+    monkeypatch.setattr(linalg, "check_hermitian",
+                        lambda m, tol: checked.append(m.shape) or check_hermitian(m, tol))
+    for m, ref in ((exact, exact), (near, 0.5 * (near + near.conj().T))):
+        dec = herm_eig(m)
+        w, v = np.linalg.eigh(ref)
+        assert np.array_equal(dec.eigenvalues, w) and np.array_equal(dec.eigenvectors, v)
+    assert checked == [(6, 6)]
+
+
 def _exact_defect(m):
     return np.linalg.norm(m - m.conj().T, 2) / np.linalg.norm(m, 2)
 
@@ -490,8 +509,32 @@ def test_sylvester_diagonal_runs_no_dense_solver(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted)
     sylvester_solve(a, b, c)
-    # only the m x k residual and solution
-    assert two_norms == [(40, 6), (40, 6)]
+    # the residual's Frobenius bound accepts: no 2-norm is taken
+    assert two_norms == []
+
+
+def test_sylvester_residual_check_rejects_a_spoiled_solution():
+    # the check passes the quotient at once; a spoiled X goes to the exact
+    # 2-norms, which accept a residual between the Frobenius bound and the
+    # contract and raise the contract's ArithmeticError beyond it
+    a, b, c = _diagonal_sylvester_case(1)
+    x = sylvester_solve(a, b, c)
+    scale = linalg.SYLVESTER_RESIDUAL_TOL * (np.max(np.abs(a)) + np.max(np.abs(b)))
+    linalg._check_sylvester_residual(a, b, c, x, scale)
+    colmax, two = np.max(np.linalg.norm(x, axis=0)), np.linalg.norm(x, 2)
+    assert two > 1.01 * colmax
+    for resid, passes in ((0.5 * scale * (colmax + two), True), (10.0 * scale * two, False)):
+        spoiled = x.copy()
+        spoiled[2, 1] += resid / (a[2] - b[1])
+        exact = np.linalg.norm(a[:, None] * spoiled - spoiled * b[None, :] - c, 2)
+        assert exact == pytest.approx(resid, rel=1e-6)
+        if passes:
+            linalg._check_sylvester_residual(a, b, c, spoiled, scale)
+            continue
+        bound = scale * np.linalg.norm(spoiled, 2)
+        with pytest.raises(ArithmeticError,
+                           match=f"^sylvester residual {exact:.3e} exceeds contract {bound:.3e}$"):
+            linalg._check_sylvester_residual(a, b, c, spoiled, scale)
 
 
 def test_sylvester_diagonal_collision_decision_matches_dense():

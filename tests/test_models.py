@@ -309,6 +309,22 @@ def test_window_sandwich_edge_cases(case, cut):
             assert np.linalg.norm(t - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
 
+@pytest.mark.parametrize("n", [16, 400])
+def test_krein_kernel_is_the_outer_product_formula(n, monkeypatch):
+    # the kernel built in place equals the outer-product formula bit for bit;
+    # the pair stores its exactly Hermitian part
+    built, original = [], models.build_finite_pair
+    monkeypatch.setattr(models, "build_finite_pair",
+                        lambda h0, *args: built.append(h0) or original(h0, *args))
+    pair = build_krein(n, 40.0)
+    x, sq = pair.meta["rule"].nodes, np.sqrt(pair.meta["rule"].weights)
+    lo, hi = np.minimum.outer(x, x), np.maximum.outer(x, x)
+    ref = sq[:, None] * (0.5 * (np.exp(lo - hi) - np.exp(-lo - hi))) * sq[None, :]
+    assert np.array_equal(built[0], ref)
+    assert np.array_equal(pair.h0, 0.5 * (ref + ref.T))
+    assert np.array_equal(pair.h0, pair.h0.T) and np.array_equal(pair.h, pair.h.T)
+
+
 def test_window_sandwich_without_coupling():
     bands = TridiagonalBands(np.full(8, 2.0), np.full(7, -1.0))
     empty = build_finite_pair(bands, np.zeros((0, 8)), np.zeros((0, 0)))

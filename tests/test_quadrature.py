@@ -77,6 +77,34 @@ def test_log_rule_reciprocal_symmetry():
         reciprocal_indices(shifted)
 
 
+def _legendre_reference(n, x0):
+    """(node, weight) of the n-point Gauss-Legendre rule nearest x0, to 40 digits:
+    Newton steps on P_n from the three-term recurrence, then 2 / ((1 - x^2) P_n'^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x0))
+        for _ in range(8):
+            p_prev, p = mpmath.mpf(1), x
+            for j in range(2, n + 1):
+                p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+            dp = n * (x * p - p_prev) / (x * x - 1)
+            x -= p / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 120, 400])
+def test_legendre_rule_matches_a_40_digit_reference(n):
+    # the end and middle nodes: nodes to 1e-16 absolute, weights to 1e-11
+    # relative (numpy's leggauss is 1.1e-11 and 5.7e-10 off at n = 120, 400)
+    from projdiff.quadrature import _leggauss
+    x, w = _leggauss(n)
+    assert np.array_equal(x[::-1], -x)
+    for i in sorted({0, 1, n // 2 - 1, n // 2, n - 2, n - 1}):
+        node, weight = _legendre_reference(n, x[i])
+        assert abs(float(x[i] - node)) <= 1e-16
+        assert abs(float((w[i] - weight) / weight)) <= 1e-11
+
+
 def test_legendre_rule_is_built_once_and_read_only():
     from projdiff.quadrature import _leggauss
     x, w = _leggauss(120)
@@ -84,10 +112,25 @@ def test_legendre_rule_is_built_once_and_read_only():
     assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         x[0] = 0.0
+    # numpy's rule, to its own accuracy (see the 40-digit reference test)
     ref_x, ref_w = np.polynomial.legendre.leggauss(120)
-    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert np.max(np.abs(x - ref_x)) <= 1e-15
+    assert np.max(np.abs(w - ref_w) / ref_w) <= 1e-9
     # rules get fresh arrays, so changing one leaves the cache intact
     rule = make_quadrature("bounded-legendre", 120, a=-1.0, b=1.0)
-    assert np.array_equal(rule.nodes, ref_x)
+    assert np.array_equal(rule.nodes, x)
     rule.nodes[0] = 5.0
-    assert np.array_equal(_leggauss(120)[0], ref_x)
+    assert np.array_equal(_leggauss(120)[0], x) and x[0] != 5.0
+
+
+def test_legendre_rule_runs_no_dense_eigensolver(monkeypatch):
+    # the nodes come from the tridiagonal Jacobi matrix, never a dense one
+    from projdiff.quadrature import _leggauss
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense eigensolver in the Gauss-Legendre rule")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    x, w = _leggauss.__wrapped__(57)
+    assert len(x) == 57 and abs(w.sum() - 2.0) <= 1e-14

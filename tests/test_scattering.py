@@ -433,8 +433,9 @@ def test_well_conditioned_sandwich_runs_no_cond_svd(monkeypatch):
     for name in ("inv", "solve"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     sw = resolvent_sandwich(pair, 0.1 + 0.05j)
-    # one 2-norm: the reported residual; ||T||_2 is not needed
-    assert two_norms == [(pair.kdim, pair.kdim)]
+    # one 2-norm: the reported residual, on the ladder's stack of one point;
+    # ||T||_2 is not needed
+    assert two_norms == [(1, pair.kdim, pair.kdim)]
     # I + V0 T0 is factorized once: the residual reuses the check's inverse
     assert factorizations == ["inv"]
     monkeypatch.undo()
@@ -509,7 +510,8 @@ def test_spectral_sandwich_reuses_the_eigensystems(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     monkeypatch.setattr(models, "herm_eig", lambda *a, **k: eigs.append(a))
     resolvent_sandwich(pair, 0.5 + 0.05j)
-    assert factorizations == [("inv", (pair.kdim, pair.kdim))]
+    # on the ladder's stack of one point
+    assert factorizations == [("inv", (1, pair.kdim, pair.kdim))]
     assert not eigs
 
 
@@ -586,6 +588,7 @@ def test_hermitian_norm_matches_the_svd_norm():
 
 
 LADDER_CASES = {
+    "krein": lambda: (build_krein(200, 40.0), 0.5, [0.2, 0.15, 0.1, 0.05]),
     "random": lambda: (random_gapped_pair(24, 6, seed=3), 0.0, [0.1, 0.05, 0.01]),
     "sech2-759": lambda: (build_schrodinger_1d(sech2_spec(1.0, 38.0, 759)), 1.0,
                           [0.3, 0.2, 0.1, 0.05]),
@@ -601,6 +604,85 @@ def test_ladder_rungs_are_the_bundles_at_their_eps(case):
         direct = scattering_bundle(pair, probe, eps)
         for f in dataclasses.fields(direct):
             assert np.array_equal(getattr(rung, f.name), getattr(direct, f.name)), f.name
+
+
+def _spoil_sandwiches(monkeypatch, spoil):
+    """Pass every stacked sandwich, of h0 (``which`` = 0) or h (1) at the
+    points z, through ``spoil(which, t)``, which may change it in place."""
+    original = scattering._sandwich_one
+
+    def spoiled(pair, which, z):
+        t = original(pair, which, z)
+        if np.ndim(z):
+            spoil(which, t)
+        return t
+
+    monkeypatch.setattr(scattering, "_sandwich_one", spoiled)
+
+
+def test_ladder_raises_the_singular_rung(monkeypatch):
+    # the second rung sits 1e-15 above an eigenvalue of H; the first passes
+    pair = random_gapped_pair(12, 4, seed=8)
+    lam = pair.eigenvalues[1][5]
+    phase_ladder(pair, lam, [0.1])
+    with pytest.raises(SingularSandwichError) as err:
+        phase_ladder(pair, lam, [0.1, 1e-15])
+    assert err.value.cond > scattering.COND_LIMIT
+    # an exactly singular I + V0 T0 at the second rung: the stack's LU
+    # fails, and the rungs are inverted one by one
+    def singular(which, t):
+        if which == 0 and len(t) > 1:
+            t[1] = -pair.v0
+    _spoil_sandwiches(monkeypatch, singular)
+    with pytest.raises(SingularSandwichError) as err:
+        phase_ladder(pair, 0.0, [0.1, 0.05])
+    assert err.value.cond == np.inf
+    # with the first rung the only one, nothing is singular
+    assert phase_ladder(pair, 0.0, [0.1])[0].factor_residual <= 1e-12
+
+
+def _conjugate_rung(rung):
+    """A spoil that conjugates T0 and T at one rung, when the stack reaches
+    it: with V0 real, the factor identity still holds, and F0' = Im T0 / pi
+    is negative definite there."""
+    def spoil(which, t):
+        if len(t) > rung:
+            t[rung] = t[rung].conj()
+    return spoil
+
+
+def test_ladder_raises_the_non_psd_rung(monkeypatch):
+    pair = random_gapped_pair(12, 4, seed=8)
+    top = np.max(np.linalg.eigvalsh(scattering_bundle(pair, 0.0, 0.1).f0prime))
+    _spoil_sandwiches(monkeypatch, _conjugate_rung(1))
+    with pytest.raises(ArithmeticError, match=f"not PSD: min eigenvalue {-top:.3e}$"):
+        phase_ladder(pair, 0.0, [0.2, 0.1, 0.05])
+
+
+def test_ladder_raises_the_first_failing_rung_in_ladder_order(monkeypatch):
+    # rung 1 fails the conditioning check, an earlier step than the PSD
+    # root that rung 0 fails: rung 0's error is the one raised
+    pair = random_gapped_pair(12, 4, seed=8)
+    lam = pair.eigenvalues[1][5]
+    _spoil_sandwiches(monkeypatch, _conjugate_rung(0))
+    with pytest.raises(ArithmeticError, match="not PSD"):
+        phase_ladder(pair, lam, [0.1, 1e-15])
+
+
+def test_ladder_raises_the_rung_past_the_factor_tolerance(monkeypatch):
+    # a tolerance between the two largest residuals (relative to
+    # max(1, ||T||_2)) fails exactly one rung, whose residual is named
+    pair = random_gapped_pair(12, 4, seed=8)
+    ladder = [0.2, 0.1, 0.05, 0.02]
+    bundles = phase_ladder(pair, 0.1, ladder)
+    ratios = [b.factor_residual / max(1.0, np.linalg.norm(
+        resolvent_sandwich(pair, 0.1 + 1j * b.eps).t, 2)) for b in bundles]
+    second, first = np.sort(ratios)[-2:]
+    assert first > second > 0
+    monkeypatch.setattr(scattering, "C1_RESIDUAL_TOL", 0.5 * (first + second))
+    worst = bundles[int(np.argmax(ratios))].factor_residual
+    with pytest.raises(ArithmeticError, match=f"factor identity residual {worst:.3e}$"):
+        phase_ladder(pair, 0.1, ladder)
 
 
 def test_empty_ladder_is_rejected():

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from projdiff import harness, linalg, models, projections
 from projdiff import zops as zops_module
 from projdiff.errors import GapViolationError
-from projdiff.harness import ExperimentConfig, run_experiment
+from projdiff.harness import ExperimentConfig, difference_spectrum, run_experiment
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, shift_pair, thresholds)
 from projdiff.projections import projection_difference
@@ -208,7 +208,7 @@ def test_band_pair_product_check_matches_the_dense_build():
         (chk.residual_direct, chk.residual_oracle)
     assert (product["gap"], product["n_t"]) == (chk.gap, chk.n_t)
     spectrum = projection_difference(dense, 0.9).spectrum
-    assert np.max(np.abs(payload["difference"]["spectrum"] - spectrum)) <= 1e-12
+    assert np.max(np.abs(difference_spectrum(payload["difference"]) - spectrum)) <= 1e-12
 
 
 def test_band_pair_probe_consumers_form_no_dense_matrix(monkeypatch):
