@@ -158,10 +158,10 @@ def projection_difference(pair, probe):
     All n eigenvalues are returned: the r signed principal sines
     -side * [s1, -s0], clipped to [-1, 1], where the spectrum of D lies
     exactly (roundoff would otherwise push a swap eigenvalue past +-1 and
-    out of the fill metrics), and n - r exact zeros; the r sines also on
-    their own (``sines``).  The swap dimensions
-    count eigenvalues within SWAP_CLUSTER_TOL of +1 and -1, and the fill
-    metrics are taken against [-1, 1].  The report carries the D^2 block
+    out of the fill metrics), and n - r exact zeros; ``sines`` holds the r
+    sines alone.  The swap dimensions count eigenvalues within
+    SWAP_CLUSTER_TOL of +1 and -1, and the fill metrics are taken against
+    [-1, 1].  The report carries the D^2 block
     residual of the same step (see :func:`dsquared_block_check`) and the
     pair's basis path.
     """
