@@ -29,6 +29,18 @@ class SpectralCollisionError(ProjdiffError):
         super().__init__(f"spectral gap {self.gap:.3e} below required {self.required:.3e}")
 
 
+class ResidualError(ProjdiffError, ArithmeticError):
+    """A computed result misses its residual contract.
+
+    Carries the measured ``residual`` and the ``bound`` it exceeds.
+    """
+
+    def __init__(self, message, residual, bound):
+        self.residual = float(residual)
+        self.bound = float(bound)
+        super().__init__(message)
+
+
 class GapViolationError(ProjdiffError):
     """An eigenvalue sits too close to the probe energy.
 

@@ -1,8 +1,9 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
 band-stored matrices), the band format of real symmetric tridiagonal
-matrices with its Sturm counts, its closed-form eigensystem when the
-band is a uniform chain, its even and odd blocks when the band is
-mirror-symmetric, and its shifted window systems (the chain
+matrices with its Sturm counts, its eigenpairs by index (coarse bisection,
+inverse iteration and a certified Rayleigh-Ritz step), its closed-form
+eigensystem when the band is a uniform chain, its even and odd blocks when
+the band is mirror-symmetric, and its shifted window systems (the chain
 beyond the window folded into two boundary self-energies, the box's own
 or those of given leads), their banded solve and LDL^T pivots, SVD,
 semigroup action, the closed-form Sylvester solver on eigenvalue
@@ -14,7 +15,8 @@ residuals are checked before results are returned.  The Hermitian input
 contract is certified by cheap O(n^2) norm bounds and falls back to the
 exact SVD quotient only when the bounds cannot decide, so it accepts and
 rejects exactly what the exact check does.  The banded eigensolver keeps
-the dense one's input contract.
+the dense one's input contract, and certifies each eigenpair it returns by
+its residual (BAND_RESIDUAL_TOL).
 """
 
 import functools
@@ -22,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
-                     SpectralCollisionError)
+                     ResidualError, SpectralCollisionError)
 
 __all__ = ["SpectralDecomposition", "TridiagonalBands", "ParityBlock", "WindowSystem",
            "check_hermitian", "herm_eig", "probe_gaps", "svd", "expm_apply",
@@ -35,6 +38,13 @@ HERMITIAN_TOL = 1e-12
 PROBE_GAP_TOL = 1e-8
 SYLVESTER_GAP_TOL = 1e-8
 SYLVESTER_RESIDUAL_TOL = 1e-9
+# banded eigenpairs, both relative to ||T||_1: the absolute tolerance of the
+# bisection that gives the inverse-iteration shifts, and the certificate
+# ||T v - theta v|| of each Rayleigh-Ritz pair (the rounding of the
+# Rayleigh-Ritz rotation alone grows like sqrt(m) eps: about 2 eps at
+# m = 400, up to 33 eps on full ranges of m = 2000)
+BAND_BISECTION_TOL = 1e-9
+BAND_RESIDUAL_TOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -183,10 +193,13 @@ class TridiagonalBands:
         """Eigenvalues with ascending indices lo, ..., hi - 1 (all by default).
 
         Closed form for a free chain.  Otherwise all of them come from one
-        banded solve, and a part of them by bisection, one index at a time:
-        the last bits of a bisected value depend on the range bracketed, so
-        this keeps an eigenvalue's value independent of the range it is
-        asked in.  Meant for a few indices.
+        banded solve, and a part of them by bisection to full accuracy, one
+        index at a time: the last bits of a bisected value depend on the
+        range bracketed, so this keeps an eigenvalue's value independent of
+        the range it is asked in.  Meant for a few indices, such as the two
+        beside a probe that the probe-gap contract reads.  The values of
+        :meth:`eigenpairs` are Ritz values instead, equal to these to
+        roundoff.
         """
         n = self.dim
         hi = n if hi is None else hi
@@ -203,24 +216,92 @@ class TridiagonalBands:
 
     def eigenpairs(self, lo, hi):
         """Eigenpairs with ascending indices lo, ..., hi - 1; closed form for a
-        free chain."""
+        free chain.
+
+        Otherwise in four steps (Parlett, The Symmetric Eigenvalue Problem,
+        ch. 4 and 11).  LAPACK ``dstebz`` bisects the requested eigenvalues
+        only to an absolute BAND_BISECTION_TOL * ||T||_1, enough for the
+        inverse iteration of ``dstein`` to converge on them.  A Rayleigh-Ritz
+        step on the span of its vectors (see :meth:`_ritz`) then gives the
+        eigenvalues to roundoff.  Every pair must satisfy the certificate
+        ||T v - theta v|| <= BAND_RESIDUAL_TOL * ||T||_1: the pairs that
+        fail it get one more ``dstein`` pass, shifted by their Ritz values,
+        and the span its Rayleigh-Ritz step again; a pair that fails then
+        raises :class:`ResidualError`.  A failed bisection raises
+        ``LinAlgError``.
+        """
         if hi <= lo:
             return SpectralDecomposition(np.empty(0), np.empty((self.dim, 0)))
-        if self.free_chain is None:
-            w, v = sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
-                                        select="i", select_range=(lo, hi - 1))
-            return SpectralDecomposition(w, v)
-        j = np.arange(lo + 1, hi + 1)
-        return SpectralDecomposition(self._chain_values(j),
-                                     self._chain_vectors(np.arange(1, self.dim + 1), j))
+        if self.free_chain is not None:
+            j = np.arange(lo + 1, hi + 1)
+            return SpectralDecomposition(self._chain_values(j),
+                                         self._chain_vectors(np.arange(1, self.dim + 1), j))
+        d, e = self.diagonal, self.offdiagonal
+        if self.dim == 1:
+            # dstebz rejects an empty offdiagonal
+            return SpectralDecomposition(d.astype(float), np.ones((1, 1)))
+        norm1 = np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))
+        m, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi,
+                                                 BAND_BISECTION_TOL * norm1, "B")
+        if info or m != hi - lo:
+            raise np.linalg.LinAlgError(f"dstebz failed (info {info}, {m} of {hi - lo} "
+                                        f"eigenvalues)")
+        w, block = w[:m], block[:m]
+        theta, v, resid = self._ritz(_stein(d, e, w, block, split))
+        bound = BAND_RESIDUAL_TOL * norm1
+        bad = np.flatnonzero(resid > bound)
+        if len(bad):
+            # dstebz orders its values by split block, the Ritz values ascend:
+            # the ascending shifts carry their blocks to them, and dstein
+            # wants the shifts grouped by block, ascending within one
+            block = block[np.argsort(w, kind="stable")]
+            bad = bad[np.lexsort((theta[bad], block[bad]))]
+            v[:, bad] = _stein(d, e, theta[bad], block[bad], split)
+            theta, v, resid = self._ritz(v)
+            worst = int(np.argmax(resid))
+            if resid[worst] > bound:
+                raise ResidualError(f"banded eigenpair residual {resid[worst]:.3e} exceeds "
+                                    f"contract {bound:.3e}", resid[worst], bound)
+        return SpectralDecomposition(theta, v)
+
+    def _ritz(self, v):
+        """(Ritz values, Ritz vectors, residual norms) of the span of the
+        columns v, ascending.  The vectors are V Q, with Q from the pencil
+        (V^T T V, V^T V) reduced by the Cholesky factor of the Gram matrix,
+        which takes up the loss of orthogonality of v, so V Q is orthonormal
+        to roundoff even where v is not.  Each value is the Rayleigh quotient
+        of its vector, from the T V Q the residual needs anyway: it rounds
+        less than an eigenvalue of the reduced matrix, whose entries are sums
+        of length n."""
+        linv = np.linalg.inv(np.linalg.cholesky(v.T @ v))
+        q = np.linalg.eigh(linv @ (v.T @ self._apply(v)) @ linv.T)[1]
+        v = v @ (linv.T @ q)
+        tv = self._apply(v)
+        theta = np.einsum("ij,ij->j", v, tv) / np.einsum("ij,ij->j", v, v)
+        tv -= v * theta
+        order = np.argsort(theta, kind="stable")
+        return theta[order], v[:, order], np.linalg.norm(tv, axis=0)[order]
+
+    def _apply(self, v):
+        """T v for the columns v, from the bands."""
+        d, e = self.diagonal[:, None], self.offdiagonal[:, None]
+        tv = d * v
+        tv[:-1] += e * v[1:]
+        tv[1:] += e * v[:-1]
+        return tv
 
     def count_below(self, x):
-        """The number of eigenvalues below x, by Sturm's law of inertia: the
-        number of negative LDL^T pivots of M - x, an O(n) recursion with no
-        matrix formed.  A pivot below the LAPACK floor pivmin =
-        tiny * max(1, max e^2) is replaced by +pivmin, as if x sat a hair
-        lower, so no pivot divides by zero and no quotient overflows.
+        """The number of eigenvalues below x.  A free chain counts its
+        closed-form eigenvalues below x, one ``searchsorted``, so the count
+        agrees with the values :meth:`eigenvalues` gives.  Other bands count
+        by Sturm's law of inertia: the number of negative LDL^T pivots of
+        M - x, an O(n) recursion with no matrix formed.  A pivot below the
+        LAPACK floor pivmin = tiny * max(1, max e^2) is replaced by +pivmin,
+        as if x sat a hair lower, so no pivot divides by zero and no
+        quotient overflows.
         """
+        if self.free_chain is not None:
+            return int(np.searchsorted(self.eigenvalues(), x))
         e2 = (self.offdiagonal ** 2).tolist()
         pivmin = np.finfo(float).tiny * max(1.0, max(e2, default=0.0))
         count, p = 0, 1.0
@@ -305,7 +386,11 @@ class ParityBlock:
         return (1 if (self.parity > 0) != flip else 2) + 2 * np.arange(lo, hi)
 
     def count_below(self, x):
-        return self.bands.count_below(x)
+        """See :meth:`TridiagonalBands.count_below`; a free chain's block
+        counts its own closed-form eigenvalues."""
+        if self.parent.free_chain is None:
+            return self.bands.count_below(x)
+        return int(np.searchsorted(self.eigenvalues(0, self.dim), x))
 
     def eigenvalues(self, lo, hi):
         """See :meth:`TridiagonalBands.eigenvalues`."""
@@ -356,6 +441,15 @@ class WindowSystem:
         for di, ei in zip(d[1:], e2):
             p.append(di - ei / p[-1])
         return np.array(p, dtype=complex)
+
+
+def _stein(d, e, w, block, split):
+    """dstein's eigenvectors of the bands (d, e) at the shifts w of the split
+    blocks ``block``.  Its info is not read: a vector that has not converged
+    in dstein's iterations is returned as it is, and the residual
+    certificate of :meth:`TridiagonalBands.eigenpairs` judges it."""
+    # the wrapper takes iblock at full length n; dstein reads its first m
+    return lapack.dstein(d, e, w, np.resize(block, len(d)), split)[0]
 
 
 def _banded_solve(diagonal, offdiagonal, b):
@@ -457,7 +551,7 @@ def sylvester_solve(a, b, c):
 
 
 def _check_sylvester_residual(a, b, c, x, scale):
-    """Raise ArithmeticError when R = diag(a) X - X diag(b) - C has
+    """Raise :class:`ResidualError` when R = diag(a) X - X diag(b) - C has
     ||R||_2 > scale * ||X||_2.
 
     Fast accept in O(mk), as in :func:`check_hermitian`: ||R||_F bounds
@@ -473,4 +567,5 @@ def _check_sylvester_residual(a, b, c, x, scale):
     resid = np.linalg.norm(resid, 2)
     bound = scale * max(np.linalg.norm(x, 2), 1e-300)
     if resid > max(bound, 1e-300):
-        raise ArithmeticError(f"sylvester residual {resid:.3e} exceeds contract {bound:.3e}")
+        raise ResidualError(f"sylvester residual {resid:.3e} exceeds contract {bound:.3e}",
+                            resid, bound)

@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 from scipy import sparse
 
-from .errors import DecayBoundError, GapViolationError, NonHermitianError
+from .errors import DecayBoundError, GapViolationError, NonHermitianError, ResidualError
 from . import linalg
 from .linalg import SpectralDecomposition, TridiagonalBands, check_hermitian, herm_eig
 from .quadrature import make_quadrature
@@ -237,7 +237,8 @@ def _finite(m, name):
 
 def _hermitize_check(m, name):
     m = _finite(m, name)
-    if m.size == 0:
+    # a matrix equal to its conjugate transpose passes by that one comparison
+    if m.size == 0 or np.array_equal(m, m.conj().T):
         return m
     try:
         # the tolerance of the pair's eigensolves: a pair that builds diagonalizes
@@ -259,7 +260,7 @@ def build_finite_pair(h0, g, v0, meta=None):
     pair stores ``g`` dense, and h0 and h as their Hermitian parts
     (M + M*) / 2, each equal to its conjugate transpose exactly, so that
     their eigensolves need no second certificate (see
-    :func:`projdiff.linalg.herm_eig`).  Either way ArithmeticError is raised when
+    :func:`projdiff.linalg.herm_eig`).  Either way :class:`ResidualError` is raised when
     the factorization residual ||h - h0 - G* V0 G||_F exceeds
     FACTORIZATION_TOL relative to ||h||_F + ||h0||_F.
     """
@@ -294,13 +295,16 @@ def build_finite_pair(h0, g, v0, meta=None):
 
 
 def _hermitian_part(m):
-    """(M + M*) / 2, which equals its conjugate transpose exactly."""
-    return 0.5 * (m + m.conj().T)
+    """(M + M*) / 2, which equals its conjugate transpose exactly; M itself
+    when it already does, the same values without the arithmetic."""
+    mh = m.conj().T
+    return m if np.array_equal(m, mh) else 0.5 * (m + mh)
 
 
 def _check_factorization(resid, scale):
-    if resid > FACTORIZATION_TOL * max(scale, 1.0):
-        raise ArithmeticError(f"factorization residual {resid:.3e}")
+    bound = FACTORIZATION_TOL * max(scale, 1.0)
+    if resid > bound:
+        raise ResidualError(f"factorization residual {resid:.3e}", resid, bound)
 
 
 def _band_pair(b0, g, v0, meta):

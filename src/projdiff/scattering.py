@@ -65,7 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleConvergenceError, ProbeOutsideBandError, SingularSandwichError
+from .errors import (OracleConvergenceError, ProbeOutsideBandError, ResidualError,
+                     SingularSandwichError)
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
@@ -196,9 +197,10 @@ def _sandwich_stack(pair, z):
     resid = np.linalg.norm(t - t0 @ minv, 2, axis=(-2, -1))
     colmax = np.max(np.linalg.norm(t, axis=-2), axis=-1, initial=0.0)
     for r in np.flatnonzero(resid > C1_RESIDUAL_TOL * np.maximum(1.0, (1.0 - 1e-8) * colmax)):
-        if resid[r] > C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t[r], 2)):
-            raise _RungFailure(int(r), ArithmeticError(
-                f"resolvent factor identity residual {resid[r]:.3e}"))
+        bound = C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t[r], 2))
+        if resid[r] > bound:
+            raise _RungFailure(int(r), ResidualError(
+                f"resolvent factor identity residual {resid[r]:.3e}", resid[r], bound))
     return t0, t, resid
 
 

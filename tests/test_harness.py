@@ -356,20 +356,36 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
     # full spectrum (no eigenvalues-only solve of every index), takes the
     # free chain H0 and its parity blocks in closed form (no banded
     # eigensolve of them), and solves H on its folded blocks, n / 2 long
+    # eigenvalues come from eigh_tridiagonal, eigenpairs from LAPACK's
+    # dstebz (range 2: by index; 0 would be all) and dstein: all are spied
     from projdiff import linalg
     calls = []
     original = linalg.sla.eigh_tridiagonal
+    original_stebz, original_stein = linalg.lapack.dstebz, linalg.lapack.dstein
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.680619,),
                            eps_ladder=(0.3, 0.2, 0.1, 0.05))
     pair = cfg.build_pair()
     h0_blocks = [b.bands for b in pair.operators[0].parity_blocks]
 
-    def spy(d, e, **kwargs):
-        calls.append((kwargs.get("eigvals_only", False), kwargs.get("select", "a"), len(d),
+    def record(eigvals_only, select, d):
+        calls.append((eigvals_only, select, len(d),
                       any(np.array_equal(d, b.diagonal) for b in [pair.operators[0], *h0_blocks])))
+
+    def spy(d, e, **kwargs):
+        record(kwargs.get("eigvals_only", False), kwargs.get("select", "a"), d)
         return original(d, e, **kwargs)
 
+    def spy_stebz(d, e, select, *args):
+        record(True, {0: "a", 1: "v", 2: "i"}[select], d)
+        return original_stebz(d, e, select, *args)
+
+    def spy_stein(d, e, *args):
+        record(False, "i", d)
+        return original_stein(d, e, *args)
+
     monkeypatch.setattr(linalg.sla, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(linalg.lapack, "dstebz", spy_stebz)
+    monkeypatch.setattr(linalg.lapack, "dstein", spy_stein)
     assert pair.operators[0].free_chain is not None and pair.operators[1].free_chain is None
     payload = run_experiment(cfg).body["probes"][0]
     assert payload["difference"]["path"] == "free-chain+parity"

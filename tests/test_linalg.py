@@ -4,10 +4,10 @@ import scipy.linalg as sla
 
 from projdiff import linalg
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
-                             SpectralCollisionError)
+                             ProjdiffError, ResidualError, SpectralCollisionError)
 from projdiff.linalg import (HERMITIAN_TOL, TridiagonalBands, check_hermitian,
                              expm_apply, herm_eig, probe_gaps, svd, sylvester_solve)
-from projdiff.models import build_finite_pair
+from projdiff.models import build_finite_pair, preset_pair
 
 
 def random_hermitian(n, seed):
@@ -357,6 +357,149 @@ def test_selected_eigenvalues_do_not_depend_on_the_range():
     assert np.array_equal(pair, [bands.eigenvalues(10, 11)[0], bands.eigenvalues(11, 12)[0]])
     assert np.max(np.abs(pair - w[10:12])) <= 1e-12 * np.max(np.abs(w))
     assert bands.eigenvalues(5, 5).shape == (0,)
+
+
+@pytest.mark.parametrize("t", (-100.0, 3.0))
+@pytest.mark.parametrize("n", (300, 301))
+def test_free_chain_block_counts_match_their_sorted_spectrum(n, t):
+    # a free chain and its blocks count their closed-form eigenvalues below
+    # x, which agree with the sorted spectrum of the banded solver, on n
+    # odd and even and both signs of the link
+    bands = TridiagonalBands(np.full(n, 2.0 * abs(t)), np.full(n - 1, t))
+    w = sla.eigh_tridiagonal(bands.diagonal, bands.offdiagonal, eigvals_only=True)
+    x = np.concatenate([np.linspace(w[0] - 1.0, w[-1] + 1.0, 997), w + 1e-9, w - 1e-9])
+    x = x[np.min(np.abs(x[:, None] - w[None, :]), axis=1) > 1e-10]
+    assert [bands.count_below(xi) for xi in x] == np.searchsorted(w, x).tolist()
+    for b in bands.parity_blocks:
+        wb = sla.eigh_tridiagonal(b.bands.diagonal, b.bands.offdiagonal, eigvals_only=True)
+        assert [b.count_below(xi) for xi in x] == np.searchsorted(wb, x).tolist()
+        for k in (0, b.dim // 2, b.dim - 1):
+            # the count steps at the closed-form value itself
+            value = b.eigenvalues(k, k + 1)[0]
+            assert (b.count_below(value), b.count_below(np.nextafter(value, np.inf))) == (k, k + 1)
+
+
+def _band_norm1(bands):
+    e = np.abs(bands.offdiagonal)
+    return np.max(np.abs(bands.diagonal) + np.r_[e, 0.0] + np.r_[0.0, e])
+
+
+def _band_times(bands, v):
+    tv = bands.diagonal[:, None] * v
+    tv[:-1] += bands.offdiagonal[:, None] * v[1:]
+    tv[1:] += bands.offdiagonal[:, None] * v[:-1]
+    return tv
+
+
+def _assert_eigenpairs_match_the_bisection_oracle(bands, lo, hi, sine=1e-12):
+    """The eigenpairs against eigh_tridiagonal's tol-0 bisection and inverse
+    iteration: span sine <= ``sine``, Ritz values within 2 eps ||T||_1,
+    orthonormal to 1e-14, and every pair within its certificate."""
+    dec = bands.eigenpairs(lo, hi)
+    w, v = sla.eigh_tridiagonal(bands.diagonal, bands.offdiagonal,
+                                select="i", select_range=(lo, hi - 1))
+    u, scale = dec.eigenvectors, _band_norm1(bands)
+    assert u.shape == (bands.dim, hi - lo)
+    assert np.max(np.abs(dec.eigenvalues - w)) <= 2.0 * np.finfo(float).eps * scale
+    assert np.linalg.norm(v - u @ (u.T @ v), 2) <= sine
+    assert np.linalg.norm(u.T @ u - np.eye(hi - lo), 2) <= 1e-14
+    resid = np.linalg.norm(_band_times(bands, u) - u * dec.eigenvalues, axis=0)
+    assert np.max(resid) <= linalg.BAND_RESIDUAL_TOL * scale
+    return dec
+
+
+@pytest.fixture(scope="module")
+def shipped_h_blocks():
+    """H's even and odd blocks on the shipped sech^2 and square-well boxes."""
+    return {name: preset_pair(name).operators[1].parity_blocks
+            for name in ("schrodinger:sech2", "schrodinger:square-well")}
+
+
+@pytest.mark.parametrize("probe", (0.62, 1.0, 1.19))
+def test_banded_eigenpairs_match_the_oracle_on_the_shipped_blocks(shipped_h_blocks, probe):
+    # the probe step's solve (0, m) on each block, and ranges with lo > 0
+    for blocks in shipped_h_blocks.values():
+        for b in blocks:
+            m = b.count_below(probe)
+            for lo, hi in ((0, m), (m // 2, m + 3)):
+                _assert_eigenpairs_match_the_bisection_oracle(b.bands, lo, hi)
+
+
+def test_banded_eigenpairs_match_the_oracle_on_edge_bands():
+    rng = np.random.default_rng(21)
+    # n = 1 (no offdiagonal for dstebz) and n = 2
+    for n in (1, 2):
+        bands = _random_bands(rng, n, False)
+        for lo, hi in ((0, n), (n - 1, n)):
+            _assert_eigenpairs_match_the_bisection_oracle(bands, lo, hi)
+    # a zero link: dstebz and dstein work on the two pieces
+    split = _random_bands(rng, 200, True)
+    for lo, hi in ((0, 200), (50, 150), (90, 110)):
+        _assert_eigenpairs_match_the_bisection_oracle(split, lo, hi)
+    # Wilkinson's W21+: its top eigenvalues come in pairs 1e-13 apart; each
+    # range holds both members of every pair it touches
+    w21 = TridiagonalBands(np.abs(np.arange(21) - 10.0), np.ones(20))
+    for lo, hi in ((0, 21), (0, 19), (17, 21), (19, 21)):
+        dec = _assert_eigenpairs_match_the_bisection_oracle(w21, lo, hi)
+    assert np.min(np.diff(dec.eigenvalues)) < 1e-12
+
+
+def _spy_dstein(monkeypatch):
+    """Record the number of shifts of every dstein call."""
+    shifts, original = [], linalg.lapack.dstein
+
+    def spy(d, e, w, *args):
+        shifts.append(len(w))
+        return original(d, e, w, *args)
+
+    monkeypatch.setattr(linalg.lapack, "dstein", spy)
+    return shifts
+
+
+def test_banded_eigenpairs_rerun_the_failing_pairs(shipped_h_blocks, monkeypatch):
+    # shifts bisected only to 1e-5 ||T||_1 leave pairs over the certificate;
+    # a second dstein pass on those, shifted by their Ritz values, brings
+    # every pair within it.  A pair kept from the first pass may sit
+    # anywhere under the certificate, so the span is held to the sin-theta
+    # bound the certificate gives (Davis and Kahan): the residuals'
+    # Frobenius norm over the gap to the next eigenvalue
+    bands = shipped_h_blocks["schrodinger:sech2"][0].bands
+    m = bands.count_below(1.0)
+    monkeypatch.setattr(linalg, "BAND_BISECTION_TOL", 1e-5)
+    shifts = _spy_dstein(monkeypatch)
+    gap = bands.eigenvalues(m, m + 1)[0] - bands.eigenvalues(m - 1, m)[0]
+    sine = np.sqrt(m) * linalg.BAND_RESIDUAL_TOL * _band_norm1(bands) / gap
+    _assert_eigenpairs_match_the_bisection_oracle(bands, 0, m, sine)
+    assert len(shifts) == 2 and shifts[0] == m and 0 < shifts[1] <= m
+
+
+def test_banded_eigenpairs_raise_on_a_failed_bisection(monkeypatch):
+    # dstebz's info 4 (no eigenvalue computed) is a LinAlgError, not an
+    # empty result
+    bands = _random_bands(np.random.default_rng(6), 20, False)
+    original = linalg.lapack.dstebz
+
+    def failed(*args):
+        _, w, block, split, _ = original(*args)
+        return 0, w, block, split, 4
+
+    monkeypatch.setattr(linalg.lapack, "dstebz", failed)
+    with pytest.raises(np.linalg.LinAlgError, match=r"dstebz failed \(info 4, 0 of 5"):
+        bands.eigenpairs(2, 7)
+
+
+def test_banded_eigenpairs_raise_the_residual_error(monkeypatch):
+    # a certificate no pair can meet: one second pass, then ResidualError
+    # carrying the worst residual and the bound
+    rng = np.random.default_rng(5)
+    bands = _random_bands(rng, 40, False)
+    monkeypatch.setattr(linalg, "BAND_RESIDUAL_TOL", 0.0)
+    shifts = _spy_dstein(monkeypatch)
+    with pytest.raises(ResidualError, match="^banded eigenpair residual .* exceeds contract") as err:
+        bands.eigenpairs(3, 9)
+    assert shifts == [6, 6]
+    assert err.value.residual > err.value.bound == 0.0
+    assert isinstance(err.value, ProjdiffError) and isinstance(err.value, ArithmeticError)
 
 
 def test_band_solve_on_a_window_matches_the_padded_full_solve():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from projdiff import models, scattering
-from projdiff.errors import DecayBoundError, GapViolationError
+from projdiff import linalg, models, scattering
+from projdiff.errors import DecayBoundError, GapViolationError, ProjdiffError, ResidualError
 from projdiff.linalg import TridiagonalBands
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              preset_defaults, preset_names, preset_pair, random_gapped_pair,
@@ -334,6 +334,76 @@ def test_window_sandwich_without_coupling():
     silent = build_finite_pair(bands, np.zeros((2, 8)), np.eye(2))
     assert silent.coupling_window == (0, 0)
     assert np.array_equal(scattering._sandwich_one(silent, 1, 0.5 + 0.1j), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: preset_pair("schrodinger:sech2", n=399, half_width=38.0),
+    lambda: build_krein(64, 20.0),
+    lambda: random_gapped_pair(12, 3, seed=4)], ids=["schrodinger", "krein", "random"])
+def test_builds_keep_their_bits_and_certify_exact_inputs_by_one_comparison(build, monkeypatch):
+    # every build stores what it stored with the Hermitian part always taken:
+    # the bands and v0 as given, a dense h0 and h as (M + M*) / 2; an input
+    # equal to its conjugate transpose skips the norm-bound certificate
+    inputs, checked = [], []
+    original_build, original_check = models.build_finite_pair, models.check_hermitian
+
+    def capture(h0, g, v0, meta=None):
+        inputs.append((h0, g, v0))
+        return original_build(h0, g, v0, meta)
+
+    def check(m, tol):
+        checked.append(m)
+        return original_check(m, tol)
+
+    monkeypatch.setattr(models, "build_finite_pair", capture)
+    monkeypatch.setattr(models, "check_hermitian", check)
+    pair = build()
+    (h0, g, v0), = inputs
+    assert pair.v0 is v0
+    exact = [m for m in (v0, h0) if not pair.banded or m is v0]
+    exact = [m for m in exact if np.array_equal(m, m.conj().T)]
+    assert not any(c is m for c in checked for m in exact)
+    if pair.banded:
+        assert pair.operators[0] is h0
+        return
+    h = h0 + g.conj().T @ v0 @ g
+    for stored, m in ((pair.h0, h0), (pair.h, h)):
+        assert stored.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+
+
+def test_non_hermitian_inputs_still_raise_the_named_error():
+    h0, g, v0 = np.diag([1.0, 2.0, 3.0]), np.eye(3)[:2], np.diag([1.0, -1.0])
+    for name in ("h0", "v0"):
+        pieces = {"h0": h0.copy(), "g": g, "v0": v0.copy()}
+        pieces[name][0, 1] = 1e-6
+        with pytest.raises(ValueError, match=f"^{name} is not Hermitian$"):
+            build_finite_pair(**pieces)
+        # one ulp off is within HERMITIAN_TOL: certified by the norm bounds
+        pieces[name][0, 1] = np.nextafter(pieces[name][1, 0], 1.0)
+        build_finite_pair(**pieces)
+
+
+def test_residual_contracts_raise_residual_error(monkeypatch):
+    # the factorization, Sylvester and resolvent factor identity residuals
+    # raise ResidualError, an ArithmeticError carrying the residual and the
+    # bound it exceeds, with their messages as before
+    dense = random_gapped_pair(10, 3, seed=2)
+    bands = TridiagonalBands(np.full(8, 2.0), np.full(7, -1.0))
+    g = np.zeros((2, 8))
+    g[0, 2], g[1, 3] = 0.5, 0.7
+    monkeypatch.setattr(models, "FACTORIZATION_TOL", -1.0)
+    with pytest.raises(ResidualError, match="^factorization residual") as err:
+        build_finite_pair(bands, g, np.diag([1.0, -1.0]))
+    assert err.value.residual > 0.0 > err.value.bound
+    a, b, c = np.array([1.0, 2.0]), np.array([-1.0]), np.array([[1.0], [2.0]])
+    with pytest.raises(ResidualError, match="^sylvester residual .* exceeds contract") as err:
+        linalg._check_sylvester_residual(a, b, c, np.zeros_like(c), 1.0)
+    assert err.value.residual == pytest.approx(np.sqrt(5.0)) and err.value.bound == 1e-300
+    monkeypatch.setattr(scattering, "C1_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ResidualError, match="^resolvent factor identity residual") as err:
+        resolvent_sandwich(dense, 0.1 + 0.05j)
+    assert err.value.residual > err.value.bound == 0.0
+    assert isinstance(err.value, ArithmeticError) and isinstance(err.value, ProjdiffError)
 
 
 def test_band_build_keeps_the_factorization_contract(monkeypatch):
