@@ -360,8 +360,7 @@ def test_builds_keep_their_bits_and_certify_exact_inputs_by_one_comparison(build
     pair = build()
     (h0, g, v0), = inputs
     assert pair.v0 is v0
-    exact = [m for m in (v0, h0) if not pair.banded or m is v0]
-    exact = [m for m in exact if np.array_equal(m, m.conj().T)]
+    exact = [m for m in ((v0,) if pair.banded else (v0, h0)) if np.array_equal(m, m.conj().T)]
     assert not any(c is m for c in checked for m in exact)
     if pair.banded:
         assert pair.operators[0] is h0
