@@ -3,7 +3,8 @@ band-stored matrices), the band format of real symmetric tridiagonal
 matrices with its Sturm counts, its eigenpairs by index (coarse bisection,
 inverse iteration and a certified Rayleigh-Ritz step), its closed-form
 eigensystem when the band is a uniform chain, its even and odd blocks when
-the band is mirror-symmetric, and its shifted window systems (the chain
+the band is mirror-symmetric (bands of their own, half as long, that keep a
+uniform chain's closed form), and its shifted window systems (the chain
 beyond the window folded into two boundary self-energies, the box's own
 or those of given leads), their banded solve and LDL^T pivots, SVD,
 semigroup action, the closed-form Sylvester solver on eigenvalue
@@ -53,18 +54,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self):
-        return len(self.eigenvalues)
-
-    def residuals(self, matrix):
-        """(relative eigen-residual, orthonormality defect) against ``matrix``."""
-        v = self.eigenvectors
-        scale = max(np.linalg.norm(matrix, 2), 1e-300)
-        r = np.linalg.norm(matrix @ v - v * self.eigenvalues, 2) / scale
-        o = np.linalg.norm(v.conj().T @ v - np.eye(self.dim), 2)
-        return r, o
 
 
 def _as_array(m, ndim=2):
@@ -165,6 +154,11 @@ class TridiagonalBands:
             return None
         return float(d[0]), float(e[0])
 
+    def _modes(self, lo, hi):
+        """The closed-form mode numbers j (1-based) of the indices lo, ...,
+        hi - 1."""
+        return np.arange(lo + 1, hi + 1)
+
     def _chain_values(self, j):
         """Free-chain eigenvalues of the modes j (1-based, ascending in j)."""
         d, t = self.free_chain
@@ -184,10 +178,15 @@ class TridiagonalBands:
         """(even, odd) :class:`ParityBlock` when the band is mirror-symmetric,
         both bands equal to their own reversal, so that M commutes with the
         reflection x -> x[::-1]; else None.  One exact O(n) check; n >= 2."""
-        d, e = self.diagonal, self.offdiagonal
+        d, e, m = self.diagonal, self.offdiagonal, self.dim // 2
         if self.dim < 2 or not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
             return None
-        return ParityBlock(self, +1), ParityBlock(self, -1)
+        if self.dim % 2 == 0:
+            return tuple(ParityBlock(np.r_[d[:m - 1], d[m - 1] + p * e[m - 1]], e[:m - 1], self, p)
+                         for p in (+1, -1))
+        off = e[:m].copy()
+        off[-1] *= np.sqrt(2.0)
+        return ParityBlock(d[:m + 1], off, self, +1), ParityBlock(d[:m], e[:m - 1], self, -1)
 
     def eigenvalues(self, lo=0, hi=None):
         """Eigenvalues with ascending indices lo, ..., hi - 1 (all by default).
@@ -199,14 +198,15 @@ class TridiagonalBands:
         the range it is asked in.  Meant for a few indices, such as the two
         beside a probe that the probe-gap contract reads.  The values of
         :meth:`eigenpairs` are Ritz values instead, equal to these to
-        roundoff.
+        roundoff.  A range outside 0 <= lo <= hi <= n raises ValueError.
         """
         n = self.dim
         hi = n if hi is None else hi
-        if hi <= lo:
+        _check_range(lo, hi, n)
+        if hi == lo:
             return np.empty(0)
         if self.free_chain is not None:
-            return self._chain_values(np.arange(lo + 1, hi + 1))
+            return self._chain_values(self._modes(lo, hi))
         if (lo, hi) == (0, n):
             return sla.eigh_tridiagonal(self.diagonal, self.offdiagonal, eigvals_only=True)
         return np.concatenate([sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
@@ -224,16 +224,18 @@ class TridiagonalBands:
         inverse iteration of ``dstein`` to converge on them.  A Rayleigh-Ritz
         step on the span of its vectors (see :meth:`_ritz`) then gives the
         eigenvalues to roundoff.  Every pair must satisfy the certificate
-        ||T v - theta v|| <= BAND_RESIDUAL_TOL * ||T||_1: the pairs that
-        fail it get one more ``dstein`` pass, shifted by their Ritz values,
-        and the span its Rayleigh-Ritz step again; a pair that fails then
-        raises :class:`ResidualError`.  A failed bisection raises
-        ``LinAlgError``.
+        ||T v - theta v|| <= BAND_RESIDUAL_TOL * ||T||_1.  When one fails
+        it, the four steps run once more on the whole range, with the
+        bisection to full accuracy (``dstebz`` at abstol 0, as in
+        ``eigh_tridiagonal``); a pair that fails then raises
+        :class:`ResidualError`.  A failed bisection raises ``LinAlgError``,
+        and a range outside 0 <= lo <= hi <= n a ValueError.
         """
-        if hi <= lo:
+        _check_range(lo, hi, self.dim)
+        if hi == lo:
             return SpectralDecomposition(np.empty(0), np.empty((self.dim, 0)))
         if self.free_chain is not None:
-            j = np.arange(lo + 1, hi + 1)
+            j = self._modes(lo, hi)
             return SpectralDecomposition(self._chain_values(j),
                                          self._chain_vectors(np.arange(1, self.dim + 1), j))
         d, e = self.diagonal, self.offdiagonal
@@ -241,28 +243,18 @@ class TridiagonalBands:
             # dstebz rejects an empty offdiagonal
             return SpectralDecomposition(d.astype(float), np.ones((1, 1)))
         norm1 = np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))
-        m, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi,
-                                                 BAND_BISECTION_TOL * norm1, "B")
-        if info or m != hi - lo:
-            raise np.linalg.LinAlgError(f"dstebz failed (info {info}, {m} of {hi - lo} "
-                                        f"eigenvalues)")
-        w, block = w[:m], block[:m]
-        theta, v, resid = self._ritz(_stein(d, e, w, block, split))
         bound = BAND_RESIDUAL_TOL * norm1
-        bad = np.flatnonzero(resid > bound)
-        if len(bad):
-            # dstebz orders its values by split block, the Ritz values ascend:
-            # the ascending shifts carry their blocks to them, and dstein
-            # wants the shifts grouped by block, ascending within one
-            block = block[np.argsort(w, kind="stable")]
-            bad = bad[np.lexsort((theta[bad], block[bad]))]
-            v[:, bad] = _stein(d, e, theta[bad], block[bad], split)
-            theta, v, resid = self._ritz(v)
+        for abstol in (BAND_BISECTION_TOL * norm1, 0.0):
+            m, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi, abstol, "B")
+            if info or m != hi - lo:
+                raise np.linalg.LinAlgError(f"dstebz failed (info {info}, {m} of {hi - lo} "
+                                            f"eigenvalues)")
+            theta, v, resid = self._ritz(_stein(d, e, w[:m], block[:m], split))
             worst = int(np.argmax(resid))
-            if resid[worst] > bound:
-                raise ResidualError(f"banded eigenpair residual {resid[worst]:.3e} exceeds "
-                                    f"contract {bound:.3e}", resid[worst], bound)
-        return SpectralDecomposition(theta, v)
+            if resid[worst] <= bound:
+                return SpectralDecomposition(theta, v)
+        raise ResidualError(f"banded eigenpair residual {resid[worst]:.3e} exceeds "
+                            f"contract {bound:.3e}", resid[worst], bound)
 
     def _ritz(self, v):
         """(Ritz values, Ritz vectors, residual norms) of the span of the
@@ -325,8 +317,7 @@ class TridiagonalBands:
         has no self-energy.
         """
         n = self.dim
-        if not 0 <= lo <= hi <= n:
-            raise ValueError(f"window [{lo}, {hi}) outside 0..{n}")
+        _check_range(lo, hi, n, "window")
         diag = self.diagonal[lo:hi] - complex(z)
         off = self.offdiagonal
         if lo > 0 and hi > lo:
@@ -341,7 +332,7 @@ class TridiagonalBands:
 
 
 @dataclass(frozen=True)
-class ParityBlock:
+class ParityBlock(TridiagonalBands):
     """The even (``parity`` +1) or odd (-1) block of a mirror-symmetric band
     ``parent`` (Cantoni and Butler, Linear Algebra Appl. 13, 1976): the
     parent on the vectors x with x[::-1] = parity * x, in the orthonormal
@@ -351,62 +342,35 @@ class ParityBlock:
     For n = 2m the folded bands are the first m rows with parity * e_m
     added to the last diagonal entry.  For n = 2m + 1 the even block keeps
     the middle site, its last link times sqrt(2), and the odd block drops
-    it.  The block offers the parent's probe-step methods on the folded
-    bands, about n / 2 long; a free chain's blocks keep its closed form,
-    the DST-I modes of that parity, folded.
+    it.  The block is a band of its own, about n / 2 long, and runs the
+    band's methods; a free chain's blocks keep its closed form, the DST-I
+    modes of that parity, folded.
     """
 
     parent: TridiagonalBands
     parity: int
 
     @property
-    def dim(self):
-        return (self.parent.dim + (self.parity > 0)) // 2
-
-    @functools.cached_property
-    def bands(self):
-        """The block as a :class:`TridiagonalBands` of length :attr:`dim`."""
-        d, e = self.parent.diagonal, self.parent.offdiagonal
-        m = self.parent.dim // 2
-        if self.parent.dim % 2 == 0:
-            diag = d[:m].copy()
-            diag[-1] += self.parity * e[m - 1]
-            return TridiagonalBands(diag, e[:m - 1])
-        if self.parity < 0:
-            return TridiagonalBands(d[:m], e[:m - 1])
-        off = e[:m].copy()
-        off[-1] *= np.sqrt(2.0)
-        return TridiagonalBands(d[:m + 1], off)
+    def free_chain(self):
+        """The parent's: its closed form gives the block's eigenpairs."""
+        return self.parent.free_chain
 
     def _modes(self, lo, hi):
         """The parent chain's mode numbers j of the block's indices lo, ...,
         hi - 1.  Mode j has parity (-1)^(j + 1), times (-1)^(n + 1) when
         t > 0 (the alternating sign), so each block takes every other j."""
-        flip = self.parent.free_chain[1] > 0 and self.parent.dim % 2 == 0
+        flip = self.free_chain[1] > 0 and self.parent.dim % 2 == 0
         return (1 if (self.parity > 0) != flip else 2) + 2 * np.arange(lo, hi)
 
-    def count_below(self, x):
-        """See :meth:`TridiagonalBands.count_below`; a free chain's block
-        counts its own closed-form eigenvalues."""
-        if self.parent.free_chain is None:
-            return self.bands.count_below(x)
-        return int(np.searchsorted(self.eigenvalues(0, self.dim), x))
+    def _chain_values(self, j):
+        """The parent's."""
+        return self.parent._chain_values(j)
 
-    def eigenvalues(self, lo, hi):
-        """See :meth:`TridiagonalBands.eigenvalues`."""
-        if self.parent.free_chain is None:
-            return self.bands.eigenvalues(lo, hi)
-        return self.parent._chain_values(self._modes(lo, hi))
-
-    def eigenpairs(self, lo, hi):
-        """Eigenpairs with the block's ascending indices lo, ..., hi - 1, as
-        vectors of length :attr:`dim`; see :meth:`TridiagonalBands.eigenpairs`."""
-        if self.parent.free_chain is None:
-            return self.bands.eigenpairs(lo, hi)
-        j = self._modes(lo, hi)
-        v = self.parent._chain_vectors(np.arange(1, self.dim + 1), j)
+    def _chain_vectors(self, i, j):
+        """The parent's, in the block's coordinates: the first half times sqrt(2)."""
+        v = self.parent._chain_vectors(i, j)
         v[:self.parent.dim // 2] *= np.sqrt(2.0)
-        return SpectralDecomposition(self.parent._chain_values(j), v)
+        return v
 
     def unfold(self, y):
         """The parent-space vectors of the block vectors ``y`` (its rows)."""
@@ -441,6 +405,12 @@ class WindowSystem:
         for di, ei in zip(d[1:], e2):
             p.append(di - ei / p[-1])
         return np.array(p, dtype=complex)
+
+
+def _check_range(lo, hi, n, what="index range"):
+    """Raise ValueError unless 0 <= lo <= hi <= n."""
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"{what} [{lo}, {hi}) outside 0..{n}")
 
 
 def _stein(d, e, w, block, split):

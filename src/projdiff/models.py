@@ -194,9 +194,11 @@ class OperatorPair:
     def eigenpairs(self, which, lo, hi):
         """Eigenpairs of h0 (``which`` = 0) or h (1) with ascending indices lo,
         ..., hi - 1: banded, closed form for a free chain (see
-        :meth:`TridiagonalBands.eigenpairs`), or a slice of the dense eigensystem."""
+        :meth:`TridiagonalBands.eigenpairs`), or a slice of the dense eigensystem.
+        A range outside 0 <= lo <= hi <= dim raises ValueError."""
         if self.banded:
             return self.operators[which].eigenpairs(lo, hi)
+        linalg._check_range(lo, hi, self.dim)
         e = self.eigensystems()[which]
         return SpectralDecomposition(e.eigenvalues[lo:hi], e.eigenvectors[:, lo:hi])
 

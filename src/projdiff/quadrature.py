@@ -16,11 +16,11 @@ Three node/weight families cover everything the lab integrates:
   mapped integrand (1-u)^(scale*lam_max) magnifies the O(eps) errors of
   the nodes and weights, so nodes beyond that point do not help.
 * ``halfline-log`` -- t = exp(v) with v Gauss-Legendre on
-  [center - half_width, center + half_width].  Covers many decades of
-  dynamic range; this is the natural grid for Hankel/Carleman kernels
-  whose spectral structure lives in log t.  With center = 0 the node
-  set is closed under t -> 1/t (Legendre nodes are symmetric), which
-  the dilation-involution checks rely on.
+  [-half_width, half_width].  Covers many decades of dynamic range; this
+  is the natural grid for Hankel/Carleman kernels whose spectral
+  structure lives in log t.  The node set is closed under t -> 1/t
+  (Legendre nodes are symmetric), which the dilation-involution checks
+  rely on.
 """
 
 import functools
@@ -56,11 +56,6 @@ class QuadratureRule:
     @property
     def n(self):
         return len(self.nodes)
-
-    def integrate(self, f):
-        """Apply the rule to a callable or to an array of node samples."""
-        vals = f(self.nodes) if callable(f) else np.asarray(f)
-        return float(np.real_if_close(np.sum(self.weights * vals)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -105,7 +100,7 @@ def make_quadrature(kind, n, **params):
     kind : str
         One of ``bounded-legendre`` (params ``a``, ``b``),
         ``halfline-exp-mapped`` (param ``scale``),
-        ``halfline-log`` (params ``half_width``, ``center``).
+        ``halfline-log`` (param ``half_width``).
     n : int
         Node count, at least 2.
     """
@@ -130,11 +125,10 @@ def make_quadrature(kind, n, **params):
         return QuadratureRule(nodes, weights)
     if kind == "halfline-log":
         half_width = float(params.pop("half_width", 20.0))
-        center = float(params.pop("center", 0.0))
         _reject_extras(kind, params)
         if half_width <= 0:
             raise ValueError("half_width must be positive")
-        v, wv = _legendre(n, center - half_width, center + half_width)
+        v, wv = _legendre(n, -half_width, half_width)
         nodes = np.exp(v)
         return QuadratureRule(nodes, wv * nodes)
     raise ValueError(f"unsupported quadrature kind: {kind!r}")
@@ -148,8 +142,7 @@ def _reject_extras(kind, params):
 def reciprocal_indices(rule):
     """Index permutation sigma with nodes[sigma[i]] = 1/nodes[i].
 
-    Only log rules centered at 0 are closed under inversion; anything
-    else raises.
+    Only log rules are closed under inversion; any other rule raises.
     """
     nodes = rule.nodes
     sigma = len(nodes) - 1 - np.arange(len(nodes))

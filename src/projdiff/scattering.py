@@ -142,47 +142,36 @@ def _ct(m):
     return m.conj().swapaxes(-1, -2)
 
 
-def _check_conditioning(m):
-    """The inverse of m; :class:`SingularSandwichError` when cond_2(m)
-    exceeds COND_LIMIT.
-
-    Fast accept: cond_2(m) <= ||m||_F ||m^-1||_F.  The computed inverse has
-    relative error about k * eps * cond, far below the factor 100 margin,
-    so inputs within that factor of the limit (and singular ones) go to
-    the exact SVD condition number, which decides.  The inverse is numpy's
-    rather than scipy's: scipy's LAPACK runs on a second BLAS thread pool,
-    and alternating the two pools slowed the calls on either side of the
-    switch several-fold.
-    """
-    try:
-        inverse = np.linalg.inv(m)
-        bound = np.linalg.norm(m) * np.linalg.norm(inverse)
-    except np.linalg.LinAlgError:
-        inverse, bound = None, np.inf
-    if not bound <= 1e-2 * COND_LIMIT:
-        cond = np.linalg.cond(m)
-        # an LU that meets an exact zero pivot leaves cond far beyond any limit
-        if cond > COND_LIMIT or inverse is None:
-            raise SingularSandwichError(cond)
-    return inverse
-
-
 def _stack_inverse(m):
-    """The inverses of a stack of matrices, each under the contract of
-    :func:`_check_conditioning`: the stack is inverted in one call and its
-    fast bound taken rung by rung; only the rungs it cannot accept, or
-    every rung when an LU of the stack meets an exact zero pivot, go to
-    :func:`_check_conditioning`."""
+    """The inverses of a stack of matrices; the first rung whose cond_2
+    exceeds COND_LIMIT raises :class:`_RungFailure` with a
+    :class:`SingularSandwichError`.
+
+    The stack is inverted in one call, and each rung accepted at once when
+    its bound cond_2 <= ||m||_F ||m^-1||_F is within a factor 100 of the
+    limit: the computed inverse has relative error about k * eps * cond,
+    far below that margin.  The rungs it cannot accept, or every rung when
+    an LU of the stack meets an exact zero pivot, take the exact SVD
+    condition number, which decides, and are inverted alone.  The inverse
+    is numpy's rather than scipy's: scipy's LAPACK runs on a second BLAS
+    thread pool, and alternating the two pools slowed the calls on either
+    side of the switch several-fold.
+    """
     try:
         inverse = np.linalg.inv(m)
         bound = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
     except np.linalg.LinAlgError:
         inverse, bound = np.empty_like(m), np.full(len(m), np.inf)
     for r in np.flatnonzero(~(bound <= 1e-2 * COND_LIMIT)):
+        cond = np.linalg.cond(m[r])
         try:
-            inverse[r] = _check_conditioning(m[r])
-        except SingularSandwichError as exc:
-            raise _RungFailure(int(r), exc) from None
+            inverse[r] = np.linalg.inv(m[r])
+            singular = cond > COND_LIMIT
+        except np.linalg.LinAlgError:
+            # an LU that meets an exact zero pivot leaves cond far beyond any limit
+            singular = True
+        if singular:
+            raise _RungFailure(int(r), SingularSandwichError(cond))
     return inverse
 
 
@@ -210,7 +199,7 @@ def resolvent_sandwich(pair, z):
     The resolvent identity T = T0 (I + V0 T0)^-1 is verified, with the
     inverse the conditioning check computes, and its residual (2-norm)
     returned; a condition number of I + V0 T0 beyond COND_LIMIT raises
-    :class:`SingularSandwichError` (see :func:`_check_conditioning`).  The
+    :class:`SingularSandwichError` (see :func:`_stack_inverse`).  The
     residual passes at once when it is below the tolerance scaled by the
     largest column norm of T, a lower bound on ||T||_2, which is computed
     only when that test fails.  This is the one-point case of the stack

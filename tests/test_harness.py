@@ -337,15 +337,16 @@ def test_one_compression_per_probe(monkeypatch):
     payloads = run_experiment(cfg).body["probes"]
     assert all("difference" in p and "dsquared_residual" in p for p in payloads)
     # per probe, with m0 = m1 = m split into m+ and m- over the parity
-    # blocks: the difference's small side, (0, m+) and (0, m-) of H's
-    # folded bands (n / 2 long), then the product check's H0 above the
-    # probe and H below on the whole bands
+    # blocks: the difference's small side, (0, m+) of H0's and H's even
+    # blocks, then (0, m-) of their odd blocks (n / 2 long; H0's in closed
+    # form), then the product check's H0 above the probe and H below on
+    # the whole bands
     pair = cfg.build_pair()
     assert [pair.counts_below(p) for p in cfg.probes] == [(18, 18), (25, 25)]
     assert [pair._block_counts(p) for p in cfg.probes] == [[(9, 9), (9, 9)],
                                                             [(13, 13), (12, 12)]]
-    assert calls == [(200, 0, 9), (200, 0, 9), (400, 18, 400), (400, 0, 18),
-                     (200, 0, 13), (200, 0, 12), (400, 25, 400), (400, 0, 25)]
+    assert calls == [(200, 0, 9)] * 4 + [(400, 18, 400), (400, 0, 18)] \
+        + [(200, 0, 13)] * 2 + [(200, 0, 12)] * 2 + [(400, 25, 400), (400, 0, 25)]
     assert qr_calls == []
     corner_spectrum(pair, 0.5, +1)
     assert qr_calls == []
@@ -365,7 +366,7 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.680619,),
                            eps_ladder=(0.3, 0.2, 0.1, 0.05))
     pair = cfg.build_pair()
-    h0_blocks = [b.bands for b in pair.operators[0].parity_blocks]
+    h0_blocks = pair.operators[0].parity_blocks
 
     def record(eigvals_only, select, d):
         calls.append((eigvals_only, select, len(d),

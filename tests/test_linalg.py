@@ -7,7 +7,7 @@ from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuard
                              ProjdiffError, ResidualError, SpectralCollisionError)
 from projdiff.linalg import (HERMITIAN_TOL, TridiagonalBands, check_hermitian,
                              expm_apply, herm_eig, probe_gaps, svd, sylvester_solve)
-from projdiff.models import build_finite_pair, preset_pair
+from projdiff.models import build_finite_pair, build_krein, preset_pair
 
 
 def random_hermitian(n, seed):
@@ -32,7 +32,9 @@ def test_herm_eig_vs_characteristic_polynomial():
     roots = np.sort(np.roots([1.0, a, b, c]).real)
     dec = herm_eig(m)
     assert np.allclose(dec.eigenvalues, roots, atol=1e-10)
-    r, o = dec.residuals(m)
+    v = dec.eigenvectors
+    r = np.linalg.norm(m @ v - v * dec.eigenvalues, 2) / np.linalg.norm(m, 2)
+    o = np.linalg.norm(v.conj().T @ v - np.eye(3), 2)
     assert r <= 1e-10 and o <= 1e-10
 
 
@@ -289,7 +291,7 @@ def test_free_chain_blocks_keep_the_closed_form(n, t):
     # a free chain's blocks read the DST-I modes of their parity, folded:
     # the banded solver on the folded bands agrees, vectors up to sign
     for b in _mirror_bands(n, t).parity_blocks:
-        w, v = sla.eigh_tridiagonal(b.bands.diagonal, b.bands.offdiagonal)
+        w, v = sla.eigh_tridiagonal(b.diagonal, b.offdiagonal)
         for lo, hi in ((0, min(3, b.dim)), (b.dim // 2, b.dim), (1, 1)):
             dec = b.eigenpairs(lo, hi)
             assert dec.eigenvectors.shape == (b.dim, hi - lo)
@@ -371,7 +373,7 @@ def test_free_chain_block_counts_match_their_sorted_spectrum(n, t):
     x = x[np.min(np.abs(x[:, None] - w[None, :]), axis=1) > 1e-10]
     assert [bands.count_below(xi) for xi in x] == np.searchsorted(w, x).tolist()
     for b in bands.parity_blocks:
-        wb = sla.eigh_tridiagonal(b.bands.diagonal, b.bands.offdiagonal, eigvals_only=True)
+        wb = sla.eigh_tridiagonal(b.diagonal, b.offdiagonal, eigvals_only=True)
         assert [b.count_below(xi) for xi in x] == np.searchsorted(wb, x).tolist()
         for k in (0, b.dim // 2, b.dim - 1):
             # the count steps at the closed-form value itself
@@ -422,7 +424,7 @@ def test_banded_eigenpairs_match_the_oracle_on_the_shipped_blocks(shipped_h_bloc
         for b in blocks:
             m = b.count_below(probe)
             for lo, hi in ((0, m), (m // 2, m + 3)):
-                _assert_eigenpairs_match_the_bisection_oracle(b.bands, lo, hi)
+                _assert_eigenpairs_match_the_bisection_oracle(b, lo, hi)
 
 
 def test_banded_eigenpairs_match_the_oracle_on_edge_bands():
@@ -458,19 +460,55 @@ def _spy_dstein(monkeypatch):
 
 def test_banded_eigenpairs_rerun_the_failing_pairs(shipped_h_blocks, monkeypatch):
     # shifts bisected only to 1e-5 ||T||_1 leave pairs over the certificate;
-    # a second dstein pass on those, shifted by their Ritz values, brings
-    # every pair within it.  A pair kept from the first pass may sit
-    # anywhere under the certificate, so the span is held to the sin-theta
-    # bound the certificate gives (Davis and Kahan): the residuals'
-    # Frobenius norm over the gap to the next eigenvalue
-    bands = shipped_h_blocks["schrodinger:sech2"][0].bands
+    # a second pass on the whole range, bisected to full accuracy, brings
+    # every pair within it.  A pair may sit anywhere under the certificate,
+    # so the span is held to the sin-theta bound the certificate gives
+    # (Davis and Kahan): the residuals' Frobenius norm over the gap to the
+    # next eigenvalue
+    bands = shipped_h_blocks["schrodinger:sech2"][0]
     m = bands.count_below(1.0)
     monkeypatch.setattr(linalg, "BAND_BISECTION_TOL", 1e-5)
     shifts = _spy_dstein(monkeypatch)
     gap = bands.eigenvalues(m, m + 1)[0] - bands.eigenvalues(m - 1, m)[0]
     sine = np.sqrt(m) * linalg.BAND_RESIDUAL_TOL * _band_norm1(bands) / gap
     _assert_eigenpairs_match_the_bisection_oracle(bands, 0, m, sine)
-    assert len(shifts) == 2 and shifts[0] == m and 0 < shifts[1] <= m
+    assert shifts == [m, m]
+
+
+@pytest.mark.parametrize("seed", (0, 2, 10))
+def test_banded_eigenpairs_on_graded_bands(monkeypatch, seed):
+    # diagonal entries over eight decades, links scaled to their geometric
+    # mean: BAND_BISECTION_TOL is relative to ||T||_1, so at 1e-8 the
+    # shifts of the small eigenvalues are too coarse for dstein, and the
+    # lower two thirds of the spectrum miss the certificate on the first
+    # pass; the second, at full accuracy, meets the oracle
+    n = 801
+    rng = np.random.default_rng(seed)
+    d = np.logspace(0, 8, n) * rng.uniform(0.5, 1.5, n)
+    bands = TridiagonalBands(d, rng.standard_normal(n - 1) * np.sqrt(d[:-1] * d[1:]) * 0.3)
+    monkeypatch.setattr(linalg, "BAND_BISECTION_TOL", 1e-8)
+    shifts = _spy_dstein(monkeypatch)
+    for lo, hi in ((0, 267), (267, 534)):
+        _assert_eigenpairs_match_the_bisection_oracle(bands, lo, hi)
+    assert shifts == [267] * 4
+
+
+def test_eigenpair_ranges_are_validated():
+    # 0 <= lo <= hi <= n on a free chain, other bands, a parity block and a
+    # dense pair alike; lo == hi gives an empty result
+    chain = TridiagonalBands(np.full(5, 2.0), np.full(4, -1.0))
+    bands = _random_bands(np.random.default_rng(3), 7, False)
+    block = _mirror_bands(9).parity_blocks[1]
+    pair = build_krein(16, 10.0)
+    solvers = [(chain.eigenpairs, 5), (chain.eigenvalues, 5), (bands.eigenpairs, 7),
+               (bands.eigenvalues, 7), (block.eigenpairs, 4), (block.eigenvalues, 4),
+               (lambda lo, hi: pair.eigenpairs(0, lo, hi), 16)]
+    for solve, n in solvers:
+        for lo, hi in ((3, n + 5), (0, n + 1), (-1, 1), (2, 1)):
+            with pytest.raises(ValueError, match=rf"^index range \[{lo}, {hi}\) outside 0\.\.{n}$"):
+                solve(lo, hi)
+        empty = solve(2, 2)
+        assert len(getattr(empty, "eigenvalues", empty)) == 0
 
 
 def test_banded_eigenpairs_raise_on_a_failed_bisection(monkeypatch):

@@ -4,11 +4,15 @@ import pytest
 from projdiff.quadrature import QuadratureRule, make_quadrature, reciprocal_indices
 
 
+def _integrate(rule, f):
+    return np.sum(rule.weights * f(rule.nodes))
+
+
 def test_bounded_legendre_exactness():
     rule = make_quadrature("bounded-legendre", 5, a=0.0, b=1.0)
-    assert abs(rule.integrate(lambda x: x ** 4) - 0.2) < 1e-14
+    assert abs(_integrate(rule, lambda x: x ** 4) - 0.2) < 1e-14
     # degree 2n-1 = 9 still exact
-    assert abs(rule.integrate(lambda x: x ** 9) - 0.1) < 1e-13
+    assert abs(_integrate(rule, lambda x: x ** 9) - 0.1) < 1e-13
 
 
 def test_bounded_weights_sum_to_length():
@@ -18,14 +22,14 @@ def test_bounded_weights_sum_to_length():
 
 def test_halfline_exponential_integrals():
     rule = make_quadrature("halfline-exp-mapped", 60)
-    assert abs(rule.integrate(np.exp(-rule.nodes)) - 1.0) < 1e-8
-    assert abs(rule.integrate(np.exp(-2.0 * rule.nodes)) - 0.5) < 1e-8
+    assert abs(_integrate(rule, lambda x: np.exp(-x)) - 1.0) < 1e-8
+    assert abs(_integrate(rule, lambda x: np.exp(-2.0 * x)) - 0.5) < 1e-8
 
 
 def test_log_rule_scale_spread_integrand():
     # the log rule targets integrands spread over many scales
     rule = make_quadrature("halfline-log", 200, half_width=25.0)
-    value = rule.integrate(1.0 / (1.0 + rule.nodes ** 2))
+    value = _integrate(rule, lambda x: 1.0 / (1.0 + x ** 2))
     assert abs(value - np.pi / 2.0) < 1e-8
 
 
@@ -33,7 +37,7 @@ def test_halfline_error_decreases_with_n():
     errs = []
     for n in (20, 40, 80):
         rule = make_quadrature("halfline-exp-mapped", n)
-        errs.append(abs(rule.integrate(np.exp(-rule.nodes) * rule.nodes) - 1.0))
+        errs.append(abs(_integrate(rule, lambda x: np.exp(-x) * x) - 1.0))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -72,7 +76,8 @@ def test_log_rule_reciprocal_symmetry():
     rule = make_quadrature("halfline-log", 40, half_width=10.0)
     sigma = reciprocal_indices(rule)
     assert np.allclose(rule.nodes[sigma] * rule.nodes, 1.0)
-    shifted = make_quadrature("halfline-log", 40, half_width=10.0, center=1.0)
+    # the same rule shifted to log t in [-9, 11]
+    shifted = QuadratureRule(rule.nodes * np.e, rule.weights * np.e)
     with pytest.raises(ValueError):
         reciprocal_indices(shifted)
 

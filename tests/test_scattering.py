@@ -391,12 +391,13 @@ def test_sandwich_conditioning_decision_matches_exact_cond():
         cond = np.linalg.cond(m)
         if cond > scattering.COND_LIMIT:
             rejects += 1
-            with pytest.raises(SingularSandwichError) as err:
-                scattering._check_conditioning(m)
-            assert err.value.cond == cond
+            with pytest.raises(scattering._RungFailure) as err:
+                scattering._stack_inverse(m[None])
+            assert isinstance(err.value.error, SingularSandwichError)
+            assert err.value.error.cond == cond
         else:
             # an accepted matrix comes back with its inverse, for the residual
-            inverse = scattering._check_conditioning(m)
+            inverse = scattering._stack_inverse(m[None])[0]
             assert np.array_equal(inverse, np.linalg.inv(m))
             bound = np.linalg.norm(m) * np.linalg.norm(inverse)
             if bound <= 1e-2 * scattering.COND_LIMIT:
@@ -406,6 +407,27 @@ def test_sandwich_conditioning_decision_matches_exact_cond():
     assert min(fast, exact_accepts, rejects) > 0
     with pytest.raises(SingularSandwichError):
         resolvent_sandwich(pair, lam + 1e-15j)
+
+
+def test_stack_inverse_fails_the_singular_rung_with_its_exact_cond():
+    # an exactly singular rung among good ones: the LU of the stack meets a
+    # zero pivot, so every rung is judged alone, and the singular rung, not
+    # the good one before it, fails with its own SVD condition number.
+    # Rungs the bound cannot accept but cond does (1e11) come back with
+    # their inverses taken alone, the others with the stacked ones
+    rng = np.random.default_rng(7)
+    good = [_matrix_with_cond(4, c, rng) for c in (3.0, 1e11, 50.0)]
+    singular = good[0].copy()
+    singular[:, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(singular)
+    with pytest.raises(scattering._RungFailure) as err:
+        scattering._stack_inverse(np.array([good[0], singular, good[2]]))
+    assert err.value.rung == 1 and isinstance(err.value.error, SingularSandwichError)
+    assert err.value.error.cond == np.linalg.cond(singular)
+    inverse = scattering._stack_inverse(np.array(good))
+    for m, inv in zip(good, inverse):
+        assert np.array_equal(inv, np.linalg.inv(m))
 
 
 def test_well_conditioned_sandwich_runs_no_cond_svd(monkeypatch):
