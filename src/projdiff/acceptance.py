@@ -358,22 +358,19 @@ def projection_identity_residual(pair, transform, probe):
     projection is invariant on its own, E_j(probe) = I - F_j(mu), and D
     changes by the difference of the two deviations.  d_j is
     ||E_j(probe) - (I - F_j(mu))||_2: the largest principal sine between
-    U_j of the pair's probe basis and the transformed eigenvectors on the
+    U_j of the pair's probe basis and that of the transformed pair on the
     mirrored side of mu, or 1 when their counts differ (the dimension
     excess).  A probe too close to either spectrum raises
     :class:`GapViolationError`.
     """
     mu = float(transform.mu(probe))
     _, side, bases = pair.probe_basis(probe)
-    counts, _ = transform.pair.probe_gaps(mu)
+    _, _, mirrored = transform.pair.probe_basis(mu, (-side, -side))
     total = 0.0
-    for j, (u, m) in enumerate(zip(pair.unfold(bases), counts)):
-        mirrored = (m, pair.dim) if side < 0 else (0, m)
-        w = transform.pair.eigenpairs(j, *mirrored).eigenvectors
-        if u.shape[1] != w.shape[1]:
-            total += 1.0
-        else:
-            total += float(np.max(_side_sines(u, w, w.conj().T @ u)[1], initial=0.0))
+    for e, f in zip(pair.unfold(bases), transform.pair.unfold(mirrored)):
+        u, w = e.eigenvectors, f.eigenvectors
+        total += 1.0 if u.shape != w.shape else \
+            float(np.max(_side_sines(u, w, w.conj().T @ u)[1], initial=0.0))
     return total
 
 

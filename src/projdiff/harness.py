@@ -160,6 +160,8 @@ _CAPTURED = (ProjdiffError, ArithmeticError, ValueError, np.linalg.LinAlgError)
 
 _RUNG_FIELDS = ("eps", "phases", "unitarity_defect", "identity_residual",
                 "factor_residual", "prediction_a")
+_DIFFERENCE_FIELDS = ("sines", "extremes", "dim_plus", "dim_minus", "pairing_defect",
+                      "max_gap", "coverage_distance", "gap_h0", "gap_h", "path")
 
 
 def _ladder_scattering(pair, probe, ladder):
@@ -203,14 +205,8 @@ def _probe_payload(pair, probe, ladder):
         out.update(path="ladder", eps_ladder=list(ladder))
     try:
         rep = projection_difference(pair, probe)
-        out["difference"] = {
-            "sines": rep.sines, "zero_count": pair.dim - len(rep.sines),
-            "extremes": rep.extremes,
-            "dim_plus": rep.dim_plus, "dim_minus": rep.dim_minus,
-            "pairing_defect": rep.pairing_defect,
-            "max_gap": rep.max_gap, "coverage_distance": rep.coverage_distance,
-            "gap_h0": rep.gap_h0, "gap_h": rep.gap_h, "path": rep.path,
-        }
+        out["difference"] = {name: getattr(rep, name) for name in _DIFFERENCE_FIELDS}
+        out["difference"]["zero_count"] = pair.dim - len(rep.sines)
         out["dsquared_residual"] = rep.dsquared_residual
     except _CAPTURED as exc:
         out["difference_error"] = str(exc)
@@ -222,10 +218,7 @@ def _probe_payload(pair, probe, ladder):
         out["scattering_error"] = str(exc)
     if pair.dim <= 600:
         try:
-            chk = product_representation_check(pair, probe)
-            out["product_identity"] = {"residual_direct": chk.residual_direct,
-                                       "residual_oracle": chk.residual_oracle,
-                                       "gap": chk.gap, "n_t": chk.n_t}
+            out["product_identity"] = asdict(product_representation_check(pair, probe))
         except _CAPTURED as exc:
             out["product_identity_error"] = str(exc)
     return out

@@ -443,10 +443,13 @@ def probe_gaps(probe, spectra):
     """Distance from ``probe`` to each eigenvalue array (inf for an empty one).
 
     Raises :class:`GapViolationError` carrying the eigenvalue nearest to
-    the probe, over all arrays, when it lies within PROBE_GAP_TOL.  This
-    is the one place the probe-gap contract is applied; every pair reaches
-    it through :meth:`projdiff.models.OperatorPair.probe_gaps`.
+    the probe, over all arrays, when it lies within PROBE_GAP_TOL, and
+    ValueError for a probe that is not finite.  This is the one place the
+    probe-gap contract is applied; every pair reaches it through
+    :meth:`projdiff.models.OperatorPair.probe_gaps`.
     """
+    if not np.isfinite(probe):
+        raise ValueError(f"probe {probe} is not finite")
     gaps, nearest = [], None
     for w in spectra:
         w = np.asarray(w)

@@ -10,7 +10,9 @@ Models provided:
 * seeded random gapped pairs for identity sweeps,
 
 plus the resolvent change of spectral variable and the translation of a
-pair, the test oracle of the probe-relative paths.
+pair, the test oracle of the probe-relative paths.  A pair's eigen-data at
+a probe come from one step, :meth:`OperatorPair.probe_basis`, on the whole
+pair or on its parity blocks.
 """
 
 import functools
@@ -60,13 +62,14 @@ class OperatorPair:
     it.
 
     Eigen-data are computed on first use and cached on the instance.  Every
-    probe consumer reads them through :meth:`probe_gaps` and
-    :meth:`eigenpairs`, which branch on the storage (:attr:`basis_path`).
-    A dense pair reads its dense eigensystems.  A band pair forms no dense
-    matrix and solves no full spectrum at a probe: it takes Sturm counts,
-    the two eigenvalues beside the probe, and eigenpairs from a banded
-    solver restricted to the requested indices, in closed form for a
-    uniform chain such as every Schrodinger H0 (see
+    probe consumer reads its eigenpairs through one step, :meth:`probe_basis`
+    (counts and gaps alone through :meth:`probe_gaps`), which branches on
+    the storage (:attr:`basis_path`).  A dense pair reads its dense
+    eigensystems.  A band pair forms no dense matrix and solves no full
+    spectrum at a probe: it takes Sturm counts, the two eigenvalues beside
+    the probe, and eigenpairs from a banded solver restricted to the
+    requested indices, in closed form for a uniform chain such as every
+    Schrodinger H0 (see
     :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  When both bands
     are mirror-symmetric, as on a centred box with an even potential, the
     probe step does this on the even and odd blocks (:attr:`parity_blocks`),
@@ -159,34 +162,25 @@ class OperatorPair:
         or its two bands as one block."""
         return self.parity_blocks or (self.operators,)
 
-    def _block_counts(self, probe):
-        """[(m0, m1)] per block of the probe step: Sturm counts for a band
-        pair, one block of dense counts otherwise."""
-        if not self.banded:
-            return [tuple(int(np.searchsorted(w, probe)) for w in self.eigenvalues)]
-        return [tuple(b.count_below(probe) for b in ops) for ops in self._band_blocks]
-
-    def counts_below(self, probe):
-        """(m0, m1): the numbers of eigenvalues of h0 and h below ``probe``;
-        Sturm counts for a band pair, summed over its parity blocks."""
-        return tuple(map(sum, zip(*self._block_counts(probe))))
-
     def _probe_step(self, probe):
-        """(counts, gaps): the :meth:`_block_counts` and the gaps of
-        :meth:`probe_gaps`."""
-        counts = self._block_counts(probe)
+        """(counts, gaps): [(m0, m1)] per block of the probe step (Sturm
+        counts for a band pair, one block of dense counts otherwise) and
+        the gaps of :meth:`probe_gaps`."""
         if self.banded:
+            counts = [tuple(b.count_below(probe) for b in ops) for ops in self._band_blocks]
             near = [np.concatenate([b.eigenvalues(max(m - 1, 0), min(m + 1, b.dim))
                                     for b, m in zip(ops, below)])
                     for ops, below in zip(zip(*self._band_blocks), zip(*counts))]
         else:
+            counts = [tuple(int(np.searchsorted(w, probe)) for w in self.eigenvalues)]
             near = [w[max(m - 1, 0):m + 1] for w, m in zip(self.eigenvalues, counts[0])]
         return counts, tuple(linalg.probe_gaps(probe, near))
 
     def probe_gaps(self, probe):
-        """((m0, m1), (gap0, gap1)): the counts of :meth:`counts_below` and the
-        distances from ``probe`` to the spectra of h0 and h, read off the
-        eigenvalues with indices m - 1 and m of each block; one too close
+        """((m0, m1), (gap0, gap1)): the numbers of eigenvalues of h0 and h
+        below ``probe`` (Sturm counts for a band pair, summed over its parity
+        blocks) and the distances from ``probe`` to the two spectra, read off
+        the eigenvalues with indices m - 1 and m of each block; one too close
         raises :class:`GapViolationError` (see :func:`projdiff.linalg.probe_gaps`)."""
         counts, gaps = self._probe_step(probe)
         return tuple(map(sum, zip(*counts))), gaps
@@ -202,32 +196,34 @@ class OperatorPair:
         e = self.eigensystems()[which]
         return SpectralDecomposition(e.eigenvalues[lo:hi], e.eigenvectors[:, lo:hi])
 
-    def probe_basis(self, probe):
+    def probe_basis(self, probe, sides=None):
         """(gaps, side, bases): the gaps of :meth:`probe_gaps`, the side of
         ``probe`` holding fewer eigenvectors of h0 and h together (-1 below
-        it, +1 above), and per block of the probe step the eigenvectors
-        (u0, u1) of h0 and h on that side.  The blocks are the whole pair,
-        or the even and odd :attr:`parity_blocks` in their own coordinates
-        (see :meth:`unfold`)."""
+        it, +1 above), and per block of the probe step the eigenpairs
+        (e0, e1) of h0 and h, as :class:`SpectralDecomposition`, on the sides
+        ``sides`` = (s0, s1) of the probe, by default both on ``side``.  The
+        blocks are the whole pair, or the even and odd :attr:`parity_blocks`
+        in their own coordinates (see :meth:`unfold`)."""
         counts, gaps = self._probe_step(probe)
         side = -1 if sum(map(sum, counts)) <= self.dim else +1
-        if self.banded:
-            blocks = [[(b.eigenpairs, b.dim) for b in ops] for ops in self._band_blocks]
-        else:
-            blocks = [[(functools.partial(self.eigenpairs, j), self.dim) for j in (0, 1)]]
-        bases = tuple(tuple(solve(*((0, m) if side < 0 else (m, dim))).eigenvectors
-                            for (solve, dim), m in zip(ops, below))
+        blocks = ([[(b.eigenpairs, b.dim) for b in ops] for ops in self._band_blocks]
+                  if self.banded else
+                  [[(functools.partial(self.eigenpairs, j), self.dim) for j in (0, 1)]])
+        bases = tuple(tuple(solve(*((0, m) if s < 0 else (m, dim)))
+                            for (solve, dim), m, s in zip(ops, below, sides or (side, side)))
                       for ops, below in zip(blocks, counts))
         return gaps, side, bases
 
     def unfold(self, bases):
-        """(u0, u1) in the pair's space from the ``bases`` of :meth:`probe_basis`:
-        the parity blocks' vectors mapped back
+        """(e0, e1) in the pair's space from the ``bases`` of :meth:`probe_basis`:
+        the parity blocks' eigenvalues joined and their vectors mapped back
         (:meth:`projdiff.linalg.ParityBlock.unfold`) and joined."""
         if self.parity_blocks is None:
             return bases[0]
-        return tuple(np.hstack([b.unfold(u) for b, u in zip(ops, us)])
-                     for ops, us in zip(zip(*self.parity_blocks), zip(*bases)))
+        return tuple(SpectralDecomposition(np.concatenate([e.eigenvalues for e in es]),
+                                           np.hstack([b.unfold(e.eigenvectors)
+                                                      for b, e in zip(ops, es)]))
+                     for ops, es in zip(zip(*self.parity_blocks), zip(*bases)))
 
 
 def _finite(m, name):

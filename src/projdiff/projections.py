@@ -17,7 +17,9 @@ Math. Comp. 27, 1973), where sqrt(1 - sigma(C)^2) cancels.  The nonzero
 spectrum of P1 - P0 is +s1 and -s0 (Halmos's two-subspace theorem),
 padded with n - r exact zeros.  The D^2 block identity compressed to
 each basis reads W0* W0 = I - C C* and W1* W1 = I - C* C, and the
-corners E0(side) E(opposite) E0(side) are W0* W0 or, up to zeros, W1* W1.
+corners E0(side) E(opposite) E0(side) are W0* W0 or, up to zeros, W1* W1:
+their nonzero eigenvalues are the squares of D's eigenvalues of one sign,
+which the corners read off the D report.
 
 The eigen-data come from the pair in one step (see
 :meth:`projdiff.models.OperatorPair.probe_basis`), and no full spectrum
@@ -140,6 +142,7 @@ class DifferenceReport:
     coverage_distance: float
     dsquared_residual: float         # both bases' D^2 blocks; dsquared_block_check
     path: str                        # OperatorPair.basis_path
+    counts: tuple                    # (m0, m1), eigenvalues of H0 and H below the probe
 
     @property
     def extremes(self):
@@ -162,12 +165,14 @@ def projection_difference(pair, probe):
     sines alone.  The swap dimensions count eigenvalues within
     SWAP_CLUSTER_TOL of +1 and -1, and the fill metrics are taken against
     [-1, 1].  The report carries the D^2 block
-    residual of the same step (see :func:`dsquared_block_check`) and the
-    pair's basis path.
+    residual of the same step (see :func:`dsquared_block_check`), the
+    pair's basis path and the counts below the probe, from the bases'
+    column counts.
     """
     (g0, g1), side, bases = pair.probe_basis(probe)
     s0, s1, residual = [], [], 0.0
-    for u0, u1 in bases:
+    for e0, e1 in bases:
+        u0, u1 = e0.eigenvectors, e1.eigenvectors
         c = u0.conj().T @ u1
         for u, v, g, sines in ((u0, u1, c.conj().T, s0), (u1, u0, c, s1)):
             w, s = _side_sines(u, v, g)
@@ -178,9 +183,11 @@ def projection_difference(pair, probe):
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))
     dim_minus = int(np.sum(spec < -1.0 + SWAP_CLUSTER_TOL))
+    cols = [sum(e.eigenvectors.shape[1] for e in es) for es in zip(*bases)]
+    counts = tuple(m if side < 0 else pair.dim - m for m in cols)
     return DifferenceReport(float(probe), spec, np.sort(core), dim_plus, dim_minus,
                             pairing_defect(spec), g0, g1, *fill_metrics(spec, -1.0, 1.0),
-                            residual, pair.basis_path)
+                            residual, pair.basis_path, counts)
 
 
 def dsquared_block_check(pair, probe):
@@ -204,22 +211,16 @@ def corner_spectrum(pair, probe, sign=+1):
     probe, -1 onto the one below.  Eigenvalues lie in [0, 1], and in the
     limit they fill [0, ||A(0)||] with A the scattering defect operator.
 
-    Computed from the principal sines of one small-side basis.  When the
-    small side is ``sign``, U0 spans Ran E0(side) and U1 the complement
-    of Ran E(opposite), so the corner is W0* W0, with spectrum s0^2.
-    Otherwise U1 spans Ran E(opposite), and the corner is W1* W1: s1^2,
-    padded with zeros to dim Ran E0(side).  Only that W is formed, one
-    per block of the probe step.
+    Read off the report of :func:`projection_difference`.  When the small
+    side is ``sign``, U0 spans Ran E0(side) and U1 the complement of
+    Ran E(opposite), so the corner is W0* W0, with spectrum s0^2; otherwise
+    U1 spans Ran E(opposite), and the corner is W1* W1: s1^2, padded with
+    zeros to dim Ran E0(side).  Either way these are the squares of D's
+    sines of sign ``sign``.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    _, side, bases = pair.probe_basis(probe)
-    core = []
-    for u0, u1 in bases:
-        c = u0.conj().T @ u1
-        core.append(_side_sines(u0, u1, c.conj().T)[1] if side == sign       # W0* W0
-                    else _side_sines(u1, u0, c)[1])                         # W1* W1, padded
-    m0 = sum(u0.shape[1] for u0, _ in bases)
-    dim = m0 if side == sign else pair.dim - m0
-    core = np.concatenate(core) ** 2
+    rep = projection_difference(pair, probe)
+    dim = rep.counts[0] if sign < 0 else pair.dim - rep.counts[0]
+    core = rep.sines[sign * rep.sines > 0] ** 2
     return np.sort(np.concatenate([core, np.zeros(dim - len(core))]))

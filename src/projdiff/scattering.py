@@ -58,7 +58,7 @@ Off the channel path, the Birman-Krein relation det S = exp(-2*pi*i*xi)
 has one implementation, :func:`birman_krein_extrapolated`, returning
 (det S, xi, defect); one smoothing level is its one-rung case
 (:func:`birman_krein_check`).  The integer counting shift m0 - m1 is
-read off :meth:`projdiff.models.OperatorPair.counts_below`.
+read off :meth:`projdiff.models.OperatorPair.probe_gaps`.
 """
 
 from dataclasses import dataclass
@@ -179,7 +179,8 @@ def _sandwich_stack(pair, z):
     """(T0, T, factor residuals) at the points of a 1-d array z, each of
     them checked as :func:`resolvent_sandwich` documents; the first point
     to fail, in order, raises :class:`_RungFailure`."""
-    _fail_first(~(z.imag > 0), lambda r: ValueError("need Im z > 0"))
+    _fail_first(~(np.isfinite(z) & (z.imag > 0)),
+                lambda r: ValueError(f"need a finite z with Im z > 0, got {z[r]}"))
     t0 = _sandwich_one(pair, 0, z)
     t = _sandwich_one(pair, 1, z)
     minv = _stack_inverse(np.eye(pair.kdim) + pair.v0 @ t0)
@@ -654,8 +655,8 @@ def transfer_matrix_smatrix(spec, probe):
     ends; raises :class:`OracleConvergenceError` when the cells cannot
     meet their error target.
     """
-    if probe <= 0:
-        raise ValueError("need probe > 0")
+    if not 0 < probe < np.inf:
+        raise ValueError(f"need a finite probe > 0, got {probe}")
     x_edge = spec.half_width
     tail = max(abs(float(spec.potential(np.asarray(x_edge)))),
                abs(float(spec.potential(np.asarray(-x_edge)))))
@@ -689,7 +690,7 @@ def smoothed_counting_shift(pair, probe, eps):
     Each sharp step 1[eigenvalue < probe] gives way to the Lorentzian
     step 1/2 + arctan((probe - eigenvalue)/eps)/pi; at eps -> 0 this
     recovers the integer -trace D(probe) = m0 - m1 of
-    :meth:`projdiff.models.OperatorPair.counts_below`, while for eps
+    :meth:`projdiff.models.OperatorPair.probe_gaps`, while for eps
     above the local level spacing it resolves the weak (distributional)
     limit of the counting shift.
     """

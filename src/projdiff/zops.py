@@ -22,9 +22,10 @@ right-hand side by the eigenvalue gaps.  Both the check and the oracle
 are evaluated on the m1 x m0 core between the eigenvectors U1 of H below
 p and U0 of H0 above it, never as n x n matrices, and the check sums
 the k coupling indices before the time nodes: it forms no time factor.
-The counts, the gap and U0, U1 come from the pair's probe step
-(:meth:`projdiff.models.OperatorPair.probe_gaps` and ``eigenpairs``), so
-a band pair is diagonalized only on those indices, never densely.
+The gap and U0, U1 come from the pair's probe step
+(:meth:`projdiff.models.OperatorPair.probe_basis`), the one D uses, so a
+band pair is diagonalized only on those indices, never densely, and a
+mirror-symmetric one on its parity blocks.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ import numpy as np
 
 from .linalg import sylvester_solve
 from .quadrature import make_quadrature
-from .scattering import neville, smoothed_density
+from .scattering import neville, phase_ladder
 
 __all__ = ["ZOperators", "build_z_ops", "product_representation_check",
            "zop_model_comparison", "default_time_rule"]
@@ -44,14 +45,12 @@ TIME_SCALE_OVER_GAP = 2.0
 def _split_systems(pair, probe):
     """(gap, (lam0, u0, w0), (lam1, u1, w1)): the eigenpairs of h0 above the
     probe and of h below it, with lam = eigenvalue - probe and w = u* G*,
-    and the spectral gap at the probe, from the pair's probe step."""
-    (m0, m1), gaps = pair.probe_gaps(probe)
-    gstar = pair.g.conj().T
-    sides = []
-    for e in (pair.eigenpairs(0, m0, pair.dim), pair.eigenpairs(1, 0, m1)):
-        u = e.eigenvectors
-        sides.append((e.eigenvalues - probe, u, u.conj().T @ gstar))
-    return min(gaps), sides[0], sides[1]
+    and the spectral gap at the probe, from the pair's probe step (on a
+    mirror-symmetric band pair, its parity blocks', unfolded)."""
+    gaps, _, bases = pair.probe_basis(probe, (+1, -1))
+    e0, e1 = ((e.eigenvalues - probe, e.eigenvectors, e.eigenvectors.conj().T @ pair.g.conj().T)
+              for e in pair.unfold(bases))
+    return min(gaps), e0, e1
 
 
 def default_time_rule(gap, n_t=120):
@@ -142,13 +141,6 @@ def product_representation_check(pair, probe, t_rule=None):
     return ProductCheck(residual_direct, residual_oracle, gap, t_rule.n)
 
 
-def _extrapolated_density(pair, probe, eps_ladder):
-    """Entrywise ladder extrapolation of the smoothed densities at the probe."""
-    lad = list(eps_ladder)
-    f0_rungs, f_rungs = zip(*(smoothed_density(pair, probe, eps) for eps in lad))
-    return _psd_clip(neville(lad, f0_rungs)), _psd_clip(neville(lad, f_rungs))
-
-
 def _psd_clip(m):
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
@@ -159,15 +151,18 @@ def zop_model_comparison(pair, probe, t_rule=None, eps_ladder=None):
 
     The models are the block Hankel matrices of the kernels gamma(tau) F0'
     and gamma(tau) F', with gamma(tau) = (1 - exp(-tau))/tau and F0', F'
-    the extrapolated densities at the probe.  Reported: singular values of
-    the differences, a decay exponent fit, and the ladder used.
+    the smoothed densities of the :func:`phase_ladder` bundles, extrapolated
+    entrywise to eps = 0.  Reported: singular values of the differences, a
+    decay exponent fit, and the ladder used.
     """
     from .hankel import build_hankel, gamma_kernel
 
     zops = build_z_ops(pair, probe, t_rule)
     eps_ladder = list(eps_ladder) if eps_ladder is not None \
         else [16.0 * zops.gap, 8.0 * zops.gap, 4.0 * zops.gap]
-    f0x, fx = _extrapolated_density(pair, probe, eps_ladder)
+    bundles = phase_ladder(pair, probe, eps_ladder)
+    f0x, fx = (_psd_clip(neville(eps_ladder, [getattr(b, name) for b in bundles]))
+               for name in ("f0prime", "fprime"))
     model0, model1 = (
         build_hankel(lambda tau: gamma_kernel(tau)[..., None, None] * f, zops.t_rule).matrix
         for f in (f0x, fx))

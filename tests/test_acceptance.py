@@ -230,7 +230,7 @@ def test_run_all_builds_each_shared_input_once(monkeypatch):
     # extrapolated phases; criteria 1, 2 and 7 the n = 200 one; criteria 1
     # and 7 the random pairs' D reports; criteria 4 and 7 the sech^2 boxes'
     # D reports.  D reports are counted by the module whose name they are
-    # made through: acceptance's own, projections' (dsquared_block_check)
+    # made through: acceptance's own, projections' (criterion 5's corner)
     # and harness's (criterion 9)
     from projdiff import harness
     _clear_shared_inputs()
@@ -253,7 +253,8 @@ def test_run_all_builds_each_shared_input_once(monkeypatch):
     assert sum(pair is acceptance._krein(400)[0] for pair in phased) == 1
     d_boxes = acceptance.thresholds()["sech2"]["d_boxes"]
     assert sorted(b for b in boxes if b in d_boxes) == sorted(d_boxes)
-    assert reports == {"projdiff.acceptance": 24, "projdiff.harness": 2}
+    assert reports == {"projdiff.acceptance": 24, "projdiff.projections": 1,
+                       "projdiff.harness": 2}
 
 
 def _clause_json(clauses):

@@ -313,9 +313,9 @@ def test_one_compression_per_probe(monkeypatch):
     # selected eigenbasis per operator and parity block (closed form for
     # the free chain H0, a banded solve of each folded block for H), the
     # product check (n <= 600) takes the two sides it needs from the same
-    # probe step on the whole bands, and the difference and the corners
-    # take the principal angles of the two bases without a QR of their
-    # joint span
+    # probe step on the same parity blocks, and the difference and the
+    # corners take the principal angles of the two bases without a QR of
+    # their joint span
     from projdiff.linalg import TridiagonalBands
     from projdiff.projections import corner_spectrum
     calls, qr_calls = [], []
@@ -340,13 +340,14 @@ def test_one_compression_per_probe(monkeypatch):
     # blocks: the difference's small side, (0, m+) of H0's and H's even
     # blocks, then (0, m-) of their odd blocks (n / 2 long; H0's in closed
     # form), then the product check's H0 above the probe and H below on
-    # the whole bands
+    # the even blocks, then on the odd ones
     pair = cfg.build_pair()
-    assert [pair.counts_below(p) for p in cfg.probes] == [(18, 18), (25, 25)]
-    assert [pair._block_counts(p) for p in cfg.probes] == [[(9, 9), (9, 9)],
-                                                            [(13, 13), (12, 12)]]
-    assert calls == [(200, 0, 9)] * 4 + [(400, 18, 400), (400, 0, 18)] \
-        + [(200, 0, 13)] * 2 + [(200, 0, 12)] * 2 + [(400, 25, 400), (400, 0, 25)]
+    assert [pair.probe_gaps(p)[0] for p in cfg.probes] == [(18, 18), (25, 25)]
+    assert [pair._probe_step(p)[0] for p in cfg.probes] == [[(9, 9), (9, 9)],
+                                                             [(13, 13), (12, 12)]]
+    assert calls == [(200, 0, 9)] * 4 + [(200, 9, 200), (200, 0, 9)] * 2 \
+        + [(200, 0, 13)] * 2 + [(200, 0, 12)] * 2 \
+        + [(200, 13, 200), (200, 0, 13), (200, 12, 200), (200, 0, 12)]
     assert qr_calls == []
     corner_spectrum(pair, 0.5, +1)
     assert qr_calls == []

@@ -4,7 +4,7 @@ import pytest
 from projdiff import linalg
 from projdiff.errors import GapViolationError
 from projdiff.linalg import TridiagonalBands, herm_eig
-from projdiff import models, scattering
+from projdiff import models, projections, scattering
 from projdiff.harness import ExperimentConfig, run_experiment
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, square_well_spec,
@@ -124,11 +124,13 @@ def _spoil_one_basis(monkeypatch, block, spoiled):
     or U1 (1) of one block by 1 + 1e-6."""
     original = models.OperatorPair.probe_basis
 
-    def spoil(self, p):
-        gaps, side, bases = original(self, p)
+    def spoil(self, p, sides=None):
+        gaps, side, bases = original(self, p, sides)
         bases = [list(b) for b in bases]
-        bases[block][spoiled] = bases[block][spoiled].copy()
-        bases[block][spoiled][:, 0] *= 1.0 + 1e-6
+        e = bases[block][spoiled]
+        u = e.eigenvectors.copy()
+        u[:, 0] *= 1.0 + 1e-6
+        bases[block][spoiled] = linalg.SpectralDecomposition(e.eigenvalues, u)
         return gaps, side, tuple(map(tuple, bases))
 
     monkeypatch.setattr(models.OperatorPair, "probe_basis", spoil)
@@ -309,8 +311,8 @@ def test_subspace_difference_matches_dense(case):
 
 def test_probe_below_both_spectra_gives_zero():
     pair = build_krein(200, 40.0)
-    _, side, ((u0, u1),) = pair.probe_basis(-1.0)
-    assert u0.shape == u1.shape == (pair.dim, 0)
+    _, side, ((e0, e1),) = pair.probe_basis(-1.0)
+    assert e0.eigenvectors.shape == e1.eigenvectors.shape == (pair.dim, 0)
     assert np.array_equal(projection_difference(pair, -1.0).spectrum, np.zeros(pair.dim))
     assert dsquared_block_check(pair, -1.0) == 0.0
 
@@ -366,10 +368,12 @@ def test_banded_eigendata_match_dense():
             assert np.max(np.abs(w - e.eigenvalues)) <= 1e-12 * np.max(np.abs(w))
         for probe in (0.1, 1.0):
             _, side, bases = pair.probe_basis(probe)
-            for u, e in zip(pair.unfold(bases), dense):
+            for f, e in zip(pair.unfold(bases), dense):
                 keep = e.eigenvalues < probe if side < 0 else e.eigenvalues > probe
-                v = e.eigenvectors[:, keep]
+                u, v = f.eigenvectors, e.eigenvectors[:, keep]
                 assert u.shape == v.shape
+                assert np.max(np.abs(np.sort(f.eigenvalues) - e.eigenvalues[keep])) \
+                    <= 1e-12 * np.max(np.abs(e.eigenvalues))
                 assert np.linalg.norm(u @ u.conj().T - v @ v.conj().T, 2) <= 1e-10
 
 
@@ -462,16 +466,28 @@ def test_band_corner_forms_no_dense_matrix(monkeypatch):
 
 @pytest.mark.parametrize("sign", (+1, -1))
 @pytest.mark.parametrize("case", ["krein-400", "square-well-box"])
-def test_corner_decomposes_one_side(monkeypatch, case, sign):
-    # a corner reads s0 or s1, so it forms and decomposes only that side's
-    # W, one per block of the probe step (two parity blocks on the
-    # mirror-symmetric box); the two cases have opposite small sides, so
-    # both branches run
+def test_corner_reads_one_difference_report(monkeypatch, case, sign):
+    # a corner is read off one D report: the squares of D's sines of sign
+    # ``sign``, bit for bit, padded with zeros to dim Ran E0(side); the two
+    # cases have opposite small sides, so both the s0 and the s1 corner run
     build, probe, _ = CORNER_CASES[case]
     pair = build()
-    svds = _count_calls(monkeypatch, np.linalg, "svd")
-    corner_spectrum(pair, probe, sign)
-    assert len(svds) == (1 if pair.parity_blocks is None else 2)
+    reports = []
+    original = projection_difference
+
+    def spy(*args):
+        reports.append(original(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(projections, "projection_difference", spy)
+    spec = corner_spectrum(pair, probe, sign)
+    assert len(reports) == 1
+    rep = reports[0]
+    nonzero = np.sort(rep.sines[sign * rep.sines > 0] ** 2)
+    assert np.array_equal(spec[len(spec) - len(nonzero):], nonzero)
+    m0 = rep.counts[0]
+    assert len(spec) == (m0 if sign < 0 else pair.dim - m0)
+    assert rep.counts == pair.probe_gaps(probe)[0]
 
 
 def _gap_eigenvalues(pair, k, index):
@@ -590,3 +606,25 @@ def test_probe_within_the_gap_tolerance_is_rejected(path):
                 if np.min(np.abs(np.concatenate(pair.eigenvalues) - probe)) > tol:
                     rep = projection_difference(pair, probe)
                     assert min(rep.gap_h0, rep.gap_h) >= tol
+
+
+@pytest.mark.parametrize("probe", (np.nan, np.inf, -np.inf), ids=["nan", "inf", "-inf"])
+def test_non_finite_probe_is_rejected_by_name(probe):
+    # a probe that is not finite fails every probe consumer with a
+    # ValueError naming it: no distance to a NaN probe is below the gap
+    # tolerance, so the gap check alone would let it through to a false
+    # swap on a band pair, or to a failure deep in an SVD, a quadrature or
+    # the oracle's refinement
+    from projdiff.zops import product_representation_check
+    band = build_schrodinger_1d(sech2_spec(1.0, 40.0, 400))
+    dense = build_krein(64, 10.0)
+    name = str(probe)
+    for pair in (band, dense):
+        for consumer in (projection_difference, dsquared_block_check, corner_spectrum,
+                         product_representation_check):
+            with pytest.raises(ValueError, match=f"probe {name} is not finite"):
+                consumer(pair, probe)
+    with pytest.raises(ValueError, match=f"got \\(?{name}"):
+        scattering.resolvent_sandwich(dense, probe + 0.1j)
+    with pytest.raises(ValueError, match=f"need a finite probe > 0, got {name}"):
+        scattering.transfer_matrix_smatrix(sech2_spec(1.0, 30.0, 999), probe)

@@ -313,7 +313,7 @@ def test_fiber_trace_consistency():
 def test_counting_shift_smoothing():
     pair = random_gapped_pair(10, 3, seed=44)
     # eps -> 0 recovers the integer counting shift
-    m0, m1 = pair.counts_below(0.0)
+    (m0, m1), _ = pair.probe_gaps(0.0)
     xi_small = smoothed_counting_shift(pair, 0.0, 1e-9)
     assert xi_small == pytest.approx(m0 - m1, abs=1e-6)
 
@@ -327,9 +327,9 @@ def test_integer_counting_shift_of_band_pairs_matches_the_spectra():
     w0, w1 = (sla.eigh_tridiagonal(b.diagonal, b.offdiagonal, eigvals_only=True)
               for b in pair.operators)
     for probe in (-2.0, -1.0, 0.01, 0.5, 1.0, 3.7, 500.0):
-        m0, m1 = pair.counts_below(probe)
+        (m0, m1), _ = pair.probe_gaps(probe)
         assert m0 - m1 == int(np.sum(w0 < probe) - np.sum(w1 < probe))
-    m0, m1 = pair.counts_below(0.0)
+    (m0, m1), _ = pair.probe_gaps(0.0)
     assert m0 - m1 == -1  # the well's one bound state
     assert "eigenvalues" not in pair.__dict__
 

@@ -9,7 +9,8 @@ from projdiff import zops as zops_module
 from projdiff.errors import GapViolationError
 from projdiff.harness import ExperimentConfig, difference_spectrum, run_experiment
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
-                             random_gapped_pair, sech2_spec, shift_pair, thresholds)
+                             random_gapped_pair, sech2_spec, shift_pair, square_well_spec,
+                             thresholds)
 from projdiff.projections import projection_difference
 from projdiff.zops import (build_z_ops, default_time_rule,
                            product_representation_check, zop_model_comparison)
@@ -209,6 +210,46 @@ def test_band_pair_product_check_matches_the_dense_build():
     assert (product["gap"], product["n_t"]) == (chk.gap, chk.n_t)
     spectrum = projection_difference(dense, 0.9).spectrum
     assert np.max(np.abs(difference_spectrum(payload["difference"]) - spectrum)) <= 1e-12
+
+
+def test_split_band_pair_product_check_solves_only_the_parity_blocks(monkeypatch):
+    # on a mirror-symmetric band pair the product check takes H0 above the
+    # probe and H below it from the probe step D uses: the even and odd
+    # blocks, n / 2 long; no eigenpairs of the whole bands are solved
+    pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+    assert pair.parity_blocks is not None
+    solved = []
+    original = linalg.TridiagonalBands.eigenpairs
+
+    def spy(self, lo, hi):
+        solved.append(type(self))
+        return original(self, lo, hi)
+
+    monkeypatch.setattr(linalg.TridiagonalBands, "eigenpairs", spy)
+    product_representation_check(pair, 0.9)
+    assert solved == [linalg.ParityBlock] * 4
+
+
+@pytest.mark.parametrize("build, probe", [
+    (lambda: build_schrodinger_1d(sech2_spec(1.0, 20.0, 399)), 0.9),
+    (lambda: build_schrodinger_1d(square_well_spec(2.5, 1.0, 20.0, 399)), 1.0),
+    (lambda: models.preset_pair("schrodinger:sech2"), 1.0),
+], ids=["sech2-399", "square-well-399", "sech2-2400"])
+def test_split_band_pair_product_check_matches_the_whole_bands(build, probe):
+    # the parity blocks' eigenpairs, unfolded, give the whole bands'
+    # product check to roundoff: the quadrature residual within 1e-14
+    # absolute, the gap within the band-against-dense eigenvalue bound.
+    # The Sylvester residual is roundoff on both routes (5e-15 to 3.4e-14),
+    # so each is held to the roundoff bound of the other band tests
+    pair, whole = build(), build()
+    whole.__dict__["parity_blocks"] = None      # its probe step runs on the whole bands
+    assert pair.basis_path.endswith("+parity") and not whole.basis_path.endswith("+parity")
+    chk, ref = product_representation_check(pair, probe), product_representation_check(whole, probe)
+    assert abs(chk.residual_direct - ref.residual_direct) <= 1e-14
+    assert chk.residual_oracle <= 1e-12 and ref.residual_oracle <= 1e-12
+    assert chk.n_t == ref.n_t
+    scale = max(abs(b.eigenvalues(b.dim - 1, b.dim)[0]) for b in pair.operators)
+    assert abs(chk.gap - ref.gap) <= 1e-12 * scale
 
 
 def test_band_pair_probe_consumers_form_no_dense_matrix(monkeypatch):

@@ -86,9 +86,9 @@ def calibrate_sech2_boxes(depth=1.0, probe=1.0, step=0.1):
     def box_stats(half_width):
         n = int(2 * half_width / step) - 1
         pair = build_schrodinger_1d(sech2_spec(depth, half_width, n))
-        m0, m1 = pair.counts_below(probe)
-        shifts = m0 - m1
         rep = projection_difference(pair, probe)
+        m0, m1 = rep.counts
+        shifts = m0 - m1
         return n, shifts, interval_hausdorff(rep.spectrum, -a, a)
 
     small = [(hw,) + box_stats(hw) for hw in (36.0, 38.0, 40.0, 42.0, 44.0)]
