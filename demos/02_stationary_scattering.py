@@ -18,7 +18,7 @@ from projdiff.scattering import (band_edges, birman_krein_extrapolated, channel_
 cfg = thresholds()["sech2"]
 probe = cfg["probe"]
 
-oracle = transfer_matrix_smatrix(sech2_spec(cfg["depth"], 30.0, 999), probe)
+oracle = transfer_matrix_smatrix(sech2_spec(cfg["depth"], cfg["oracle_half_width"], 999), probe)
 print(f"sech^2 well, depth {cfg['depth']}, probe {probe} (k = {oracle.k}):")
 print(f"  oracle r = {oracle.r:.6f}, t = {oracle.t:.6f}, "
       f"integration error estimate {oracle.integration_error:.1e}")

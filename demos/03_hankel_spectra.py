@@ -5,7 +5,8 @@ equivalent operators with purely a.c. spectrum [0, pi]; their sum is the
 Carleman kernel 1/tau with norm pi.  The spectral structure lives in
 log t, so the discretization grid is log-symmetric, and widening the
 log-window drives the tops toward pi and the two spectra toward each
-other.
+other.  The final rule and the factorization check use the sizes that
+the ``hankel`` section of thresholds.json pins for acceptance criterion 6.
 """
 
 import numpy as np
@@ -13,12 +14,15 @@ import numpy as np
 from projdiff.hankel import (build_hankel, carleman_kernel, laplace_factorizations,
                              model_hankel_pair)
 from projdiff.harness import write_spectrum_csv
-from projdiff.quadrature import make_quadrature
+from projdiff.models import thresholds
+from projdiff.quadrature import exp_mapped_rule, log_rule
+
+cfg = thresholds()["hankel"]
 
 print(f"{'window':>7} {'top gamma':>10} {'top gamma0':>11} {'carleman':>9} "
       f"{'hausdorff':>10}")
 for half_width in (40.0, 80.0, 160.0):
-    rule = make_quadrature("halfline-log", 300, half_width=half_width)
+    rule = log_rule(cfg["n"], half_width)
     data = model_hankel_pair(rule)
     cnorm = build_hankel(carleman_kernel, rule).singular_values()[0]
     print(f"{2*half_width:>7.0f} {data['top_gamma']:>10.5f} "
@@ -26,7 +30,7 @@ for half_width in (40.0, 80.0, 160.0):
 print(f"  (pi = {np.pi:.5f}; the top deficit scales like pi^5 / (2 W^2) "
       "for a log-window of length W)\n")
 
-rule = make_quadrature("halfline-log", 300, half_width=160.0)
+rule = log_rule(cfg["n"], cfg["log_half_width"])
 data = model_hankel_pair(rule)
 write_spectrum_csv("gamma_spectrum.csv", data["spectrum_gamma"])
 write_spectrum_csv("gamma0_spectrum.csv", data["spectrum_gamma0"])
@@ -34,7 +38,7 @@ sigma = data["gamma0"].singular_values()
 write_spectrum_csv("gamma0_singular_values.csv", sigma)
 print("wrote gamma_spectrum.csv, gamma0_spectrum.csv, gamma0_singular_values.csv")
 
-fact = laplace_factorizations()
+fact = laplace_factorizations(exp_mapped_rule(cfg["fact_n_t"], 1.0), cfg["fact_n_lambda"])
 print("\nLaplace-transform factorizations (quadrature over the profile):")
 print(f"  |Gamma  - N chi_(0,1) N|   = {fact['gamma_factorization']:.2e}")
 print(f"  |Gamma0 - N chi_(1,inf) N| = {fact['gamma0_factorization']:.2e}")

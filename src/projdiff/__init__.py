@@ -24,7 +24,7 @@ from .models import (OperatorPair, PotentialSpec, build_finite_pair, build_krein
                      shift_pair, square_well_spec, thresholds)
 from .projections import (DifferenceReport, corner_spectrum, dsquared_block_check,
                           projection_difference, spectral_projection)
-from .quadrature import QuadratureRule, make_quadrature
+from .quadrature import QuadratureRule, exp_mapped_rule, legendre_rule, log_rule
 from .scattering import (ChannelSMatrix, ScatteringBundle, TransferMatrixResult,
                          birman_krein_check, birman_krein_extrapolated,
                          channel_smatrix, extrapolated_phases, resolvent_sandwich,

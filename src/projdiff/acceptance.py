@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hankel import (build_hankel, carleman_kernel, default_hankel_rule,
-                     kernel_bound_suite, laplace_factorizations, model_hankel_pair)
+from .hankel import (build_hankel, carleman_kernel, kernel_bound_suite,
+                     laplace_factorizations, model_hankel_pair)
 from .models import (build_krein, build_schrodinger_1d, random_gapped_pair,
                      resolvent_transform, sech2_spec, square_well_spec,
                      thresholds)
 from .projections import (_side_sines, corner_spectrum, fill_metrics, hausdorff_distance,
                           interval_hausdorff, projection_difference)
-from .quadrature import make_quadrature
+from .quadrature import exp_mapped_rule, log_rule
 from .scattering import (birman_krein_extrapolated, channel_smatrix,
                          extrapolated_phases, phase_ladder, transfer_matrix_smatrix)
 from .zops import product_representation_check
@@ -216,7 +216,7 @@ def criterion_4():
     cfg = thresholds()["sech2"]
     probe = cfg["probe"]
     a_oracle = transfer_matrix_smatrix(
-        sech2_spec(cfg["depth"], cfg["oracle_half_width"], 2000), probe).a
+        sech2_spec(cfg["depth"], cfg["oracle_half_width"], cfg["oracle_n"]), probe).a
     scatter = build_schrodinger_1d(
         sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
     a_channel = channel_smatrix(scatter, probe).a
@@ -270,8 +270,8 @@ def counting_knee(values):
 def criterion_5():
     cfg = thresholds()["square_well"]
     probe = cfg["probe"]
-    oracle = transfer_matrix_smatrix(
-        square_well_spec(cfg["depth"], cfg["width"], 30.0, 2000), probe)
+    oracle = transfer_matrix_smatrix(square_well_spec(
+        cfg["depth"], cfg["width"], cfg["oracle_half_width"], cfg["oracle_n"]), probe)
     s1, s2 = (float(e) for e in oracle.band_edges[:2] ** 2)
     half_width, n = cfg["corner_box"]
     pair = build_schrodinger_1d(square_well_spec(cfg["depth"], cfg["width"],
@@ -296,15 +296,13 @@ def criterion_5():
 
 def criterion_6():
     cfg = thresholds()["hankel"]
-    rule = default_hankel_rule(cfg["n"], cfg["log_half_width"])
+    rule = log_rule(cfg["n"], cfg["log_half_width"])
     pairdata = model_hankel_pair(rule)
     spec = np.concatenate([pairdata["spectrum_gamma"], pairdata["spectrum_gamma0"]])
     contained = bool(spec.min() >= -1e-8 and spec.max() <= np.pi + 1e-8)
     tops_ok = (pairdata["top_gamma"] >= np.pi - 0.1
                and pairdata["top_gamma0"] >= np.pi - 0.1)
-    fact = laplace_factorizations(
-        make_quadrature("halfline-exp-mapped", cfg["fact_n_t"]),
-        n_lambda=cfg["fact_n_lambda"])
+    fact = laplace_factorizations(exp_mapped_rule(cfg["fact_n_t"], 1.0), cfg["fact_n_lambda"])
     fact_ok = (fact["gamma_factorization"] <= 1e-6
                and fact["gamma0_factorization"] <= 1e-6)
     corpus = [

@@ -11,7 +11,8 @@ k x k blocks); a scalar kernel is the k = 1 case.
 The model operators with kernels exp(-tau)/tau and (1-exp(-tau))/tau
 both have spectrum [0, pi]; their sum is the Carleman kernel 1/tau with
 norm pi.  Their spectral structure lives in log t, so the grids used
-here are log-symmetric (see ``halfline-log`` in the quadrature module).
+here are log-symmetric (``quadrature.log_rule``, sized by the ``hankel``
+section of thresholds.json).
 Each discretization is Hermitian: its norms and spectrum are one ``eigvalsh``.
 """
 
@@ -22,12 +23,12 @@ import numpy as np
 
 from .errors import DivergentBoundError, KernelSingularityError
 from .linalg import HERMITIAN_TOL, check_hermitian
-from .quadrature import make_quadrature, reciprocal_indices
+from .quadrature import legendre_rule, log_rule, reciprocal_indices
 
 __all__ = [
     "HankelDiscretization", "build_hankel", "model_hankel_pair",
     "laplace_factorizations", "kernel_bound_suite", "nuclear_bound_check",
-    "carleman_kernel", "gamma_kernel", "gamma0_kernel", "default_hankel_rule",
+    "carleman_kernel", "gamma_kernel", "gamma0_kernel",
 ]
 
 
@@ -42,17 +43,6 @@ def gamma0_kernel(tau):
 def gamma_kernel(tau):
     # -expm1 keeps (1 - e^-tau)/tau accurate for tiny tau
     return -np.expm1(-tau) / tau
-
-
-def default_hankel_rule(n=300, half_width=160.0):
-    """Log-symmetric rule wide enough for the Carleman spectral window.
-
-    The top of the discretized Carleman spectrum reaches pi with deficit
-    about pi^5 / (2 * W^2) for a log-window of length W, so W = 320 puts
-    the deficit near 1e-3 while n = 300 keeps the node spacing in log t
-    below the aliasing threshold of the sech-shaped Mellin symbol.
-    """
-    return make_quadrature("halfline-log", n, half_width=half_width)
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ def build_hankel(kernel, rule):
     return HankelDiscretization(rule, blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k))
 
 
-def model_hankel_pair(rule=None):
+def model_hankel_pair(rule):
     """The two model Hankel operators and their spectral comparison.
 
     Returns a dict with the discretizations, their spectra (both within
@@ -108,7 +98,6 @@ def model_hankel_pair(rule=None):
     """
     from .projections import hausdorff_distance
 
-    rule = rule or default_hankel_rule()
     gamma, gamma0 = (build_hankel(kernel, rule) for kernel in (gamma_kernel, gamma0_kernel))
     spec, spec0 = gamma.eigenvalues, gamma0.eigenvalues
     return {"gamma": gamma, "gamma0": gamma0,
@@ -125,18 +114,18 @@ def _laplace_sum(t_rule, lam_nodes, lam_weights):
     return sq[:, None] * ((e * lam_weights) @ e.T) * sq[None, :]
 
 
-def laplace_factorizations(rule=None, n_lambda=200):
+def laplace_factorizations(rule, n_lambda):
     """Check the Laplace-transform factorizations of the model kernels.
 
     The kernel (1-e^-tau)/tau is the Laplace transform of the indicator
     of (0, 1) and e^-tau/tau of the indicator of (1, inf); quadratures
-    over those lambda ranges must reproduce the built Hankel matrices.
-    Also checks, on a reciprocal-symmetric log grid (200 nodes, log
-    half-width 12), that the dilation involution (Uf)(x) = f(1/x)/x, the
-    node permutation ``reciprocal_indices``, is an exact involution and
-    reports its commutation residuals with N^2 and the Carleman matrix.
+    over those lambda ranges, of ``n_lambda`` nodes each, must reproduce
+    the Hankel matrices built on ``rule``.  Also checks, on a
+    reciprocal-symmetric log grid (200 nodes, log half-width 12), that the
+    dilation involution (Uf)(x) = f(1/x)/x, the node permutation
+    ``reciprocal_indices``, is an exact involution and reports its
+    commutation residuals with N^2 and the Carleman matrix.
     """
-    rule = rule or make_quadrature("halfline-exp-mapped", 160)
     tau_min = 2.0 * float(rule.nodes.min())
 
     gamma = build_hankel(gamma_kernel, rule)
@@ -144,19 +133,19 @@ def laplace_factorizations(rule=None, n_lambda=200):
 
     # chi_(0,1) factor: lambda = exp(-s), s in [0, S] covering 1/tau_min
     s_span = max(10.0, np.log(1.0 / tau_min) + 10.0)
-    srule = make_quadrature("bounded-legendre", n_lambda, a=0.0, b=s_span)
+    srule = legendre_rule(n_lambda, 0.0, s_span)
     lam_in = np.exp(-srule.nodes)
     w_in = srule.weights * lam_in
     resid_gamma = float(np.linalg.norm(gamma.matrix - _laplace_sum(rule, lam_in, w_in), 2))
 
     # chi_(1,inf) factor: lambda = 1 + sigma, sigma on a log grid
     sig_half = max(8.0, np.log(1.0 / tau_min) + 6.0)
-    sig = make_quadrature("halfline-log", n_lambda, half_width=sig_half)
+    sig = log_rule(n_lambda, sig_half)
     resid_gamma0 = float(np.linalg.norm(
         gamma0.matrix - _laplace_sum(rule, 1.0 + sig.nodes, sig.weights), 2))
 
     # dilation involution on a reciprocal-symmetric grid
-    u_rule = make_quadrature("halfline-log", 200, half_width=12.0)
+    u_rule = log_rule(200, 12.0)
     sigma = reciprocal_indices(u_rule)
     flip = np.ix_(sigma, np.argsort(sigma))            # U a U = a[flip]
     tu, squ = u_rule.nodes, np.sqrt(u_rule.weights)
@@ -242,7 +231,7 @@ def nuclear_bound_check(profile, lam_rule, t_rule=None):
     def kernel(tau):
         return sum(np.exp(-l * tau)[..., None, None] * (w * m) for l, w, m in zip(lam, wl, mq))
 
-    t_rule = t_rule or make_quadrature("halfline-log", 300, half_width=30.0)
+    t_rule = t_rule or log_rule(300, 30.0)
     nuclear = float(build_hankel(kernel, t_rule).singular_values().sum())
     return {
         "c2": c2,

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ProjdiffError
-from .models import preset_defaults, preset_pair
+from .models import preset_defaults, preset_pair, thresholds
 from .projections import projection_difference
 from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
                          extrapolated_phases, phase_ladder)
@@ -31,12 +31,13 @@ SCHEMA_VERSION = 3
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; validate() raises ConfigError with the
-    offending field path."""
+    offending field path.  The default probe and ladder are the krein
+    section's calibrated ones."""
 
     model: str = "krein"
     model_params: dict = field(default_factory=dict)
-    probes: tuple = (0.5,)
-    eps_ladder: tuple = (0.2, 0.15, 0.1, 0.05)
+    probes: tuple = field(default_factory=lambda: (thresholds()["krein"]["probe"],))
+    eps_ladder: tuple = field(default_factory=lambda: tuple(thresholds()["krein"]["eps_ladder"]))
     sizes: tuple = ()
     out_dir: str = ""
     seed: int = 0

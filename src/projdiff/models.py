@@ -26,7 +26,7 @@ from scipy import sparse
 from .errors import DecayBoundError, GapViolationError, NonHermitianError, ResidualError
 from . import linalg
 from .linalg import SpectralDecomposition, TridiagonalBands, check_hermitian, herm_eig
-from .quadrature import make_quadrature
+from .quadrature import legendre_rule
 
 __all__ = [
     "OperatorPair", "PotentialSpec", "ResolventTransform",
@@ -334,7 +334,7 @@ def build_krein(n, L):
     """
     if n < 16 or L < 10:
         raise ValueError("need n >= 16 and L >= 10")
-    rule = make_quadrature("bounded-legendre", n, a=0.0, b=float(L))
+    rule = legendre_rule(n, 0.0, L)
     x, sq = rule.nodes, np.sqrt(rule.weights)
     # sinh(min)*exp(-max) = (exp(-|x - y|) - exp(-(x + y)))/2, which cannot
     # overflow, built in two n x n buffers
@@ -363,9 +363,9 @@ class PotentialSpec:
 
     ``potential`` is evaluated on arrays of x (elementwise, any shape), as
     both shipped specs are: the grid, and the transfer-matrix oracle's cells,
-    sample it in one call.  The envelope |V(x)| <= decay_constant *
-    (1+|x|)**(-decay_exponent) is verified on the grid when the pair is
-    built.
+    sample it in one call, through :meth:`samples`.  The envelope
+    |V(x)| <= decay_constant * (1+|x|)**(-decay_exponent) is verified on
+    the grid when the pair is built.
     """
 
     potential: callable
@@ -373,6 +373,16 @@ class PotentialSpec:
     decay_exponent: float
     half_width: float
     n: int
+
+    def samples(self, x):
+        """V on the array x as floats; a non-finite value raises ValueError
+        naming the first (smallest) such x."""
+        v = np.asarray(self.potential(x), dtype=float)
+        bad = ~np.isfinite(v)
+        if np.any(bad):
+            first = float(np.min(np.broadcast_to(x, v.shape)[bad]))
+            raise ValueError(f"potential not finite at x = {first:.6g}")
+        return v
 
     def grid(self):
         """(x, h): the n interior points of [-X, X] at step h = 2X / (n + 1),
@@ -414,7 +424,7 @@ def build_schrodinger_1d(spec):
     if spec.n < 200:
         raise ValueError("grid too coarse; need n >= 200")
     x, h = spec.grid()
-    v = np.asarray(spec.potential(x), dtype=float)
+    v = spec.samples(x)
     envelope = spec.decay_constant * (1.0 + np.abs(x)) ** (-spec.decay_exponent)
     bad = np.abs(v) > envelope * (1 + 1e-12)
     if np.any(bad):

@@ -93,6 +93,7 @@ def fill_metrics(values, lo, hi):
     one-sided Hausdorff distance is sup over the interval of the distance
     to the value set, measuring coverage only.
     """
+    values = np.asarray(values, dtype=float)
     inside = np.sort(values[(values >= lo) & (values <= hi)])
     if len(inside) == 0:
         return float(hi - lo), float(hi - lo)

@@ -1,21 +1,23 @@
 """Quadrature rules on bounded intervals and the half line.
 
-Three node/weight families cover everything the lab integrates:
+Three node/weight families cover everything the lab integrates, one
+constructor each; every one needs n >= 2 nodes:
 
-* ``bounded-legendre`` -- Gauss-Legendre mapped to [a, b]; exact for
+* :func:`legendre_rule` -- Gauss-Legendre mapped to [a, b]; exact for
   polynomials of degree <= 2n - 1.  The rule on [-1, 1] comes from the
   eigenvalues of the tridiagonal Legendre Jacobi matrix (Golub and
   Welsch) and one Newton step, in O(n^2); up to n = 400 its nodes are
   within 1e-16 and its weights within about 2e-12 relative of the exact
-  ones.
-* ``halfline-exp-mapped`` -- the substitution t = -scale*log(1 - u)
+  ones.  The Krein Nystrom pair is built on it.
+* :func:`exp_mapped_rule` -- the substitution t = -scale*log(1 - u)
   composed with Gauss-Legendre on (0, 1).  Integrands decaying like
   exp(-t/scale) become polynomials in u, so convergence is spectral.
   Past convergence the error sits on a roundoff floor that rises with n,
   about n * eps * scale * lam_max for an integrand exp(-lam_max*t): the
   mapped integrand (1-u)^(scale*lam_max) magnifies the O(eps) errors of
-  the nodes and weights, so nodes beyond that point do not help.
-* ``halfline-log`` -- t = exp(v) with v Gauss-Legendre on
+  the nodes and weights, so nodes beyond that point do not help.  The
+  time rule of the product identity is one.
+* :func:`log_rule` -- t = exp(v) with v Gauss-Legendre on
   [-half_width, half_width].  Covers many decades of dynamic range; this
   is the natural grid for Hankel/Carleman kernels whose spectral
   structure lives in log t.  The node set is closed under t -> 1/t
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-__all__ = ["QuadratureRule", "make_quadrature", "reciprocal_indices"]
+__all__ = ["QuadratureRule", "legendre_rule", "exp_mapped_rule", "log_rule",
+           "reciprocal_indices"]
 
 
 @dataclass(frozen=True)
@@ -88,55 +91,37 @@ def _leggauss(n):
 
 
 def _legendre(n, a, b):
+    if n < 2:
+        raise ValueError("need at least 2 nodes")
     x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def make_quadrature(kind, n, **params):
-    """Build a :class:`QuadratureRule` of the requested kind.
-
-    Parameters
-    ----------
-    kind : str
-        One of ``bounded-legendre`` (params ``a``, ``b``),
-        ``halfline-exp-mapped`` (param ``scale``),
-        ``halfline-log`` (param ``half_width``).
-    n : int
-        Node count, at least 2.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    if kind == "bounded-legendre":
-        a = float(params.pop("a", 0.0))
-        b = float(params.pop("b", 1.0))
-        _reject_extras(kind, params)
-        if not b > a:
-            raise ValueError("need b > a")
-        nodes, weights = _legendre(n, a, b)
-        return QuadratureRule(nodes, weights)
-    if kind == "halfline-exp-mapped":
-        scale = float(params.pop("scale", 1.0))
-        _reject_extras(kind, params)
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        u, wu = _legendre(n, 0.0, 1.0)
-        nodes = -scale * np.log1p(-u)
-        weights = scale * wu / (1.0 - u)
-        return QuadratureRule(nodes, weights)
-    if kind == "halfline-log":
-        half_width = float(params.pop("half_width", 20.0))
-        _reject_extras(kind, params)
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
-        v, wv = _legendre(n, -half_width, half_width)
-        nodes = np.exp(v)
-        return QuadratureRule(nodes, wv * nodes)
-    raise ValueError(f"unsupported quadrature kind: {kind!r}")
+def legendre_rule(n, a, b):
+    """Gauss-Legendre rule with n nodes on [a, b], b > a."""
+    a, b = float(a), float(b)
+    if not b > a:
+        raise ValueError("need b > a")
+    return QuadratureRule(*_legendre(n, a, b))
 
 
-def _reject_extras(kind, params):
-    if params:
-        raise ValueError(f"unknown parameters for {kind}: {sorted(params)}")
+def exp_mapped_rule(n, scale):
+    """Half-line rule t = -scale*log(1 - u), u Gauss-Legendre on (0, 1)."""
+    scale = float(scale)
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    u, wu = _legendre(n, 0.0, 1.0)
+    return QuadratureRule(-scale * np.log1p(-u), scale * wu / (1.0 - u))
+
+
+def log_rule(n, half_width):
+    """Half-line rule t = exp(v), v Gauss-Legendre on [-half_width, half_width]."""
+    half_width = float(half_width)
+    if half_width <= 0:
+        raise ValueError("half_width must be positive")
+    v, wv = _legendre(n, -half_width, half_width)
+    nodes = np.exp(v)
+    return QuadratureRule(nodes, wv * nodes)
 
 
 def reciprocal_indices(rule):

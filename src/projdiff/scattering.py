@@ -223,8 +223,7 @@ def smoothed_density(pair, probe, eps):
 
     Both are PSD up to roundoff for eps > 0.
     """
-    if eps <= 0:
-        raise ValueError("need eps > 0")
+    _eps_ladder([eps])
     sw = resolvent_sandwich(pair, probe + 1j * eps)
     return _imag_part(sw.t0) / np.pi, _imag_part(sw.t) / np.pi
 
@@ -355,6 +354,8 @@ def neville(eps_values, samples):
     e = np.asarray(eps_values, dtype=float).reshape((-1,) + (1,) * (v.ndim - 1))
     if len(e) != len(v) or len(e) < 1:
         raise ValueError("need matching nonempty eps/sample sequences")
+    if len(np.unique(e)) < len(e):
+        raise ValueError("need distinct eps values")
     m = len(e)
     for j in range(1, m):
         v[: m - j] = (e[: m - j] * v[1: m - j + 1] - e[j:] * v[: m - j]) \
@@ -363,8 +364,21 @@ def neville(eps_values, samples):
     return out.real if np.isrealobj(np.asarray(samples)) else out
 
 
+def _eps_ladder(eps_ladder):
+    """The ladder as a list, or ValueError unless it is nonempty, strictly
+    decreasing and positive (a NaN rung fails one of the last two)."""
+    ladder = list(eps_ladder)
+    if not ladder:
+        raise ValueError("eps ladder is empty")
+    if any(not b < a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("eps ladder must be strictly decreasing")
+    if not ladder[-1] > 0:
+        raise ValueError("need eps > 0")
+    return ladder
+
+
 def phase_ladder(pair, probe, eps_ladder):
-    """The bundle at every rung of a nonempty, strictly decreasing eps ladder.
+    """The bundle at every rung of an eps ladder (see :func:`_eps_ladder`).
 
     All rungs are computed at once: T0 and T as (R, k, k) stacks from G U
     formed once per operator (or one window solve per rung for a band
@@ -372,12 +386,7 @@ def phase_ladder(pair, probe, eps_ladder):
     those of :func:`resolvent_sandwich` and :func:`scattering_bundle`, and
     the first rung to fail one, in ladder order, raises its error.
     """
-    ladder = list(eps_ladder)
-    if not ladder:
-        raise ValueError("eps ladder is empty")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-    return _ladder_bundles(pair, probe, np.asarray(ladder, dtype=float))
+    return _ladder_bundles(pair, probe, np.asarray(_eps_ladder(eps_ladder), dtype=float))
 
 
 def _match_chains(bundles):
@@ -652,14 +661,14 @@ def transfer_matrix_smatrix(spec, probe):
     the (u, u') columns of exp(+-ikx); matching gives r = -M21/M22,
     t = det M / M22, t' = 1/M22 and r' = M12/M22.  Requires probe > 0 and
     a potential, evaluated on arrays, decayed to TAIL_TOL at the window's
-    ends; raises :class:`OracleConvergenceError` when the cells cannot
-    meet their error target.
+    ends; a non-finite sample of it raises ValueError naming its x, and
+    :class:`OracleConvergenceError` is raised when the cells cannot meet
+    their error target.
     """
     if not 0 < probe < np.inf:
         raise ValueError(f"need a finite probe > 0, got {probe}")
     x_edge = spec.half_width
-    tail = max(abs(float(spec.potential(np.asarray(x_edge)))),
-               abs(float(spec.potential(np.asarray(-x_edge)))))
+    tail = float(np.max(np.abs(spec.samples(np.array([-x_edge, x_edge])))))
     if tail > TAIL_TOL:
         raise ValueError(f"potential tail {tail:.2e} not decayed at |x| = {x_edge}")
     k = float(np.sqrt(probe))
@@ -668,7 +677,7 @@ def transfer_matrix_smatrix(spec, probe):
         e = np.exp(1j * k * x)
         return np.array([[e, 1.0 / e], [1j * k * e, -1j * k / e]])
 
-    phi, error = _fundamental_matrix(spec.potential, float(probe), float(x_edge),
+    phi, error = _fundamental_matrix(spec.samples, float(probe), float(x_edge),
                                      spec.n + 1)
     m = np.linalg.solve(waves(x_edge), phi @ waves(-x_edge))
     r, t = -m[1, 0] / m[1, 1], np.linalg.det(m) / m[1, 1]
@@ -676,7 +685,7 @@ def transfer_matrix_smatrix(spec, probe):
     flux = abs(abs(r) ** 2 + abs(t) ** 2 - 1.0)
     udef, phases, edges, a = _summary_2x2(smat)
     xs = np.linspace(-x_edge, x_edge, 20001)
-    vtrace = float(np.trapezoid(np.abs(spec.potential(xs)), xs) / (2.0 * np.pi * k))
+    vtrace = float(np.trapezoid(np.abs(spec.samples(xs)), xs) / (2.0 * np.pi * k))
     return TransferMatrixResult(k, r, t, smat, phases, a, edges, flux, udef, vtrace, error)
 
 
@@ -717,9 +726,10 @@ def birman_krein_extrapolated(pair, probe, phases, xi_ladder):
     ``phases`` are the extrapolated phases from :func:`extrapolated_phases`;
     the smoothed counting shift is extrapolated separately along
     ``xi_ladder``, which must stay in the regime eps > local level spacing,
-    where the smoothed shift tracks its continuum limit.
+    where the smoothed shift tracks its continuum limit, and meets the
+    contract of :func:`_eps_ladder`.
     """
+    ladder = _eps_ladder(xi_ladder)
     det_s = complex(np.exp(1j * np.sum(phases)))
-    ladder = list(xi_ladder)
     xi = float(neville(ladder, [smoothed_counting_shift(pair, probe, e) for e in ladder]))
     return det_s, xi, float(abs(det_s - np.exp(-2j * np.pi * xi)))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sylvester_solve
-from .quadrature import make_quadrature
+from .quadrature import exp_mapped_rule
 from .scattering import neville, phase_ladder
 
 __all__ = ["ZOperators", "build_z_ops", "product_representation_check",
@@ -64,7 +64,7 @@ def default_time_rule(gap, n_t=120):
     steep mapped integrand magnifies the O(eps) errors of the nodes and
     weights, so nodes beyond convergence do not help.
     """
-    return make_quadrature("halfline-exp-mapped", n_t, scale=TIME_SCALE_OVER_GAP / gap)
+    return exp_mapped_rule(n_t, TIME_SCALE_OVER_GAP / gap)
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,8 @@ def test_criteria_4_and_5_discretization_gaps():
                                                    half_width, n))
     assert corner.meta["step"] == pytest.approx(0.1)
     lattice = channel_smatrix(corner, well["probe"]).band_edges ** 2
-    oracle = transfer_matrix_smatrix(
-        square_well_spec(well["depth"], well["width"], 30.0, 2000), well["probe"])
+    oracle = transfer_matrix_smatrix(square_well_spec(
+        well["depth"], well["width"], well["oracle_half_width"], well["oracle_n"]), well["probe"])
     assert lattice == pytest.approx([0.7075, 0.4477], abs=1e-3)
     assert oracle.band_edges[:2] ** 2 == pytest.approx([0.7906, 0.4494], abs=1e-3)
     assert oracle.band_edges[0] ** 2 - lattice[0] > 0.05
@@ -146,7 +146,7 @@ def test_criteria_4_and_5_discretization_gaps():
     assert box.meta["step"] == pytest.approx(0.1)
     a_lattice = channel_smatrix(box, sech["probe"]).a
     a_oracle = transfer_matrix_smatrix(
-        sech2_spec(sech["depth"], sech["oracle_half_width"], 2000), sech["probe"]).a
+        sech2_spec(sech["depth"], sech["oracle_half_width"], sech["oracle_n"]), sech["probe"]).a
     assert (a_lattice, a_oracle) == pytest.approx((0.45308, 0.45250), abs=1e-5)
 
 

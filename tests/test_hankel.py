@@ -5,17 +5,28 @@ import pytest
 
 from projdiff.acceptance import criterion_6
 from projdiff.errors import DivergentBoundError, KernelSingularityError, NonHermitianError
-from projdiff.hankel import (build_hankel, carleman_kernel,
-                             default_hankel_rule, gamma0_kernel, gamma_kernel,
+from projdiff.hankel import (build_hankel, carleman_kernel, gamma0_kernel, gamma_kernel,
                              kernel_bound_suite, laplace_factorizations,
                              model_hankel_pair, nuclear_bound_check)
 from projdiff.models import thresholds
-from projdiff.quadrature import make_quadrature, reciprocal_indices
+from projdiff.quadrature import exp_mapped_rule, log_rule, reciprocal_indices
+
+
+def _pinned_rule():
+    """Criterion 6's log rule, at the sizes of the thresholds file."""
+    cfg = thresholds()["hankel"]
+    return log_rule(cfg["n"], cfg["log_half_width"])
+
+
+def _pinned_factorizations():
+    """Criterion 6's Laplace factorization check, at its pinned sizes."""
+    cfg = thresholds()["hankel"]
+    return laplace_factorizations(exp_mapped_rule(cfg["fact_n_t"], 1.0), cfg["fact_n_lambda"])
 
 
 @pytest.fixture(scope="module")
 def rule():
-    return default_hankel_rule(300, 160.0)
+    return _pinned_rule()
 
 
 def test_zero_kernel(rule):
@@ -24,7 +35,7 @@ def test_zero_kernel(rule):
 
 
 def test_kernel_entry_value():
-    small = make_quadrature("halfline-exp-mapped", 32)
+    small = exp_mapped_rule(32, 1.0)
     disc = build_hankel(gamma0_kernel, small)
     i, j = 10, 20
     w = small.weights
@@ -39,7 +50,7 @@ def test_singular_kernel_rejected(rule):
 
 
 def test_block_diagonal_kernel_equals_two_scalar_builds():
-    small = make_quadrature("halfline-exp-mapped", 24)
+    small = exp_mapped_rule(24, 1.0)
     k1 = lambda tau: np.exp(-tau)
     k2 = lambda tau: 1.0 / (1.0 + tau) ** 2
     block = build_hankel(lambda tau: k1(tau)[..., None, None] * np.diag([1.0, 0.0])
@@ -78,7 +89,7 @@ def _hermitian_block_kernel(tau):
 
 
 def test_complex_hermitian_block_kernel_matches_entry_loop():
-    small = make_quadrature("halfline-exp-mapped", 24)
+    small = exp_mapped_rule(24, 1.0)
     disc = build_hankel(_hermitian_block_kernel, small)
     oracle = _entry_loop_hankel(_hermitian_block_kernel, small, 2)
     assert disc.matrix.shape == (48, 48)
@@ -86,7 +97,7 @@ def test_complex_hermitian_block_kernel_matches_entry_loop():
 
 
 def test_kernel_of_wrong_shape_rejected():
-    small = make_quadrature("halfline-exp-mapped", 8)
+    small = exp_mapped_rule(8, 1.0)
     with pytest.raises(ValueError):
         build_hankel(lambda tau: np.ones(tau.shape + (2, 3)), small)
     with pytest.raises(ValueError):
@@ -94,7 +105,7 @@ def test_kernel_of_wrong_shape_rejected():
 
 
 def test_separable_block_kernel_equals_kron():
-    small = make_quadrature("halfline-exp-mapped", 40)
+    small = exp_mapped_rule(40, 1.0)
     a = np.array([[1.0, 0.5j, 0.2], [0.1, 2.0, -0.3j], [0.0, 0.4, 0.7]])
     f = a @ a.conj().T
     block = build_hankel(lambda tau: gamma_kernel(tau)[..., None, None] * f, small).matrix
@@ -121,7 +132,7 @@ def test_kernel_additivity(rule):
 
 
 def test_laplace_factorizations_default():
-    out = laplace_factorizations()
+    out = _pinned_factorizations()
     assert out["gamma_factorization"] <= 1e-6
     assert out["gamma0_factorization"] <= 1e-6
     assert out["involution_squared"] == 0.0
@@ -134,7 +145,7 @@ def test_factorization_residual_ordering():
     # on a wide log grid the outer lambda-rule is the accuracy bottleneck,
     # so its residual decreases as the lambda-node count doubles; the inner
     # factor is already converged at 100 nodes and only stays at its floor
-    t_rule = make_quadrature("halfline-log", 300, half_width=25.0)
+    t_rule = log_rule(300, 25.0)
     gnorm = np.linalg.norm(build_hankel(gamma_kernel, t_rule).matrix, 2)
     outer, inner = [], []
     for n_lambda in (100, 200, 400):
@@ -159,7 +170,7 @@ def test_bound_suite_gamma0_and_exp(rule):
     assert out["operator_norm"] <= np.pi / np.e + 1e-6
     # the exact norm of this rank-one kernel is 1/2; single-scale integrands
     # deserve the exp-mapped rule, where the quadrature is spectrally accurate
-    narrow = make_quadrature("halfline-exp-mapped", 120)
+    narrow = exp_mapped_rule(120, 1.0)
     out = kernel_bound_suite(build_hankel(lambda tau: np.exp(-tau), narrow), 1.0 / np.e)
     assert out["operator_norm"] == pytest.approx(0.5, abs=1e-8)
 
@@ -201,20 +212,20 @@ def test_scalar_bound_suite_takes_no_block_eigensolve(rule, monkeypatch):
 
 
 def test_nuclear_bound_zero_profile():
-    lam_rule = make_quadrature("halfline-log", 200, half_width=16.0)
+    lam_rule = log_rule(200, 16.0)
     out = nuclear_bound_check(lambda lam: np.zeros((1, 1)), lam_rule)
     assert out["c2"] == 0.0 and out["nuclear_norm"] <= 1e-12
 
 
 def test_nuclear_bound_divergent_profile_rejected():
-    lam_rule = make_quadrature("halfline-log", 200, half_width=16.0)
+    lam_rule = log_rule(200, 16.0)
     with pytest.raises(DivergentBoundError):
         nuclear_bound_check(lambda lam: np.array([[np.exp(-lam)]]), lam_rule)
 
 
 def test_nuclear_bound_exponential_profile():
     # M(lam) = lam*exp(-lam): C2 = 1 and the kernel is 1/(1+tau)^2
-    lam_rule = make_quadrature("halfline-log", 300, half_width=16.0)
+    lam_rule = log_rule(300, 16.0)
     out = nuclear_bound_check(lambda lam: np.array([[lam * np.exp(-lam)]]), lam_rule)
     assert out["c2"] == pytest.approx(1.0, abs=1e-6)
     assert out["nuclear_norm"] <= 0.525
@@ -222,7 +233,7 @@ def test_nuclear_bound_exponential_profile():
 
 
 def test_nuclear_bound_diagonal_block_profile_adds_scalar_runs():
-    lam_rule = make_quadrature("halfline-log", 300, half_width=16.0)
+    lam_rule = log_rule(300, 16.0)
     m1 = lambda lam: lam * np.exp(-lam)
     m2 = lambda lam: 0.5 * lam * np.exp(-2.0 * lam)
     block = nuclear_bound_check(lambda lam: np.diag([m1(lam), m2(lam)]), lam_rule)
@@ -234,15 +245,14 @@ def test_nuclear_bound_diagonal_block_profile_adds_scalar_runs():
 
 
 def test_non_hermitian_block_kernel_rejected():
-    small = make_quadrature("halfline-exp-mapped", 24)
+    small = exp_mapped_rule(24, 1.0)
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NonHermitianError):
         build_hankel(lambda tau: np.exp(-tau)[..., None, None] * shear, small)
 
 
 def _criterion_6_corpus():
-    cfg = thresholds()["hankel"]
-    rule = default_hankel_rule(cfg["n"], cfg["log_half_width"])
+    rule = _pinned_rule()
     kernels = (gamma0_kernel, gamma_kernel, carleman_kernel,
                lambda tau: np.exp(-tau), lambda tau: 1.0 / (1.0 + tau) ** 2)
     return [build_hankel(kernel, rule) for kernel in kernels]
@@ -294,8 +304,8 @@ def test_criterion_6_takes_one_eigensolve_per_hankel_matrix(monkeypatch):
 def test_involution_matches_the_permutation_matrix_form():
     # the permutation applied by indexing gives, bit for bit, what the
     # products with the permutation matrix give
-    out = laplace_factorizations()
-    u_rule = make_quadrature("halfline-log", 200, half_width=12.0)
+    out = _pinned_factorizations()
+    u_rule = log_rule(200, 12.0)
     m = u_rule.n
     umat = np.zeros((m, m))
     umat[np.arange(m), reciprocal_indices(u_rule)] = 1.0

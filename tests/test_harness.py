@@ -8,6 +8,7 @@ import pytest
 from projdiff.errors import ConfigError
 from projdiff.harness import (ExperimentConfig, Report, convergence_study,
                               difference_spectrum, run_experiment, write_spectrum_csv)
+from projdiff.models import thresholds
 from projdiff.projections import projection_difference
 
 
@@ -55,6 +56,14 @@ def test_constructed_config_gets_every_check():
                          ({"out_dir": 7}, r"config\.out_dir")):
         with pytest.raises(ConfigError, match=path):
             run_experiment(ExperimentConfig(**kwargs))
+
+
+def test_default_config_is_the_calibrated_krein_probe_and_ladder():
+    krein = thresholds()["krein"]
+    cfg = ExperimentConfig()
+    assert (cfg.model, cfg.probes, cfg.eps_ladder) == \
+        ("krein", (krein["probe"],), tuple(krein["eps_ladder"]))
+    assert cfg.validate() is cfg
 
 
 def test_config_from_json_error(tmp_path):

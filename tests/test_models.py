@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -92,6 +93,22 @@ def test_schrodinger_decay_check():
         build_schrodinger_1d(PotentialSpec(slow, 1.0, 2.0, 30.0, 599))
     with pytest.raises(ValueError):
         build_schrodinger_1d(PotentialSpec(slow, 1.0, 0.9, 30.0, 599))
+
+
+def test_schrodinger_rejects_a_non_finite_potential_by_name():
+    # NaN fails the envelope comparison and the support cut alike, so
+    # without a check the sites would be built as V = 0
+    spec = sech2_spec(1.0, 20.0, 399)
+    pot = spec.potential
+    patch = dataclasses.replace(
+        spec, potential=lambda x: np.where(np.abs(x - 0.3) < 0.06, np.nan, pot(x)))
+    x = spec.grid()[0]
+    first = x[np.abs(x - 0.3) < 0.06].min()
+    with pytest.raises(ValueError, match=f"potential not finite at x = {first:.6g}$"):
+        build_schrodinger_1d(patch)
+    # of a 2-d sample array, as the oracle's cells take, the smallest such x
+    with pytest.raises(ValueError, match="x = 0.26$"):
+        patch.samples(np.array([[0.5, 0.28], [0.26, -3.0]]))
 
 
 def test_sech2_builds_past_the_cosh_overflow():

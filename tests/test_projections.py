@@ -224,6 +224,12 @@ def test_fill_and_hausdorff_helpers():
     assert (rep.max_gap, rep.coverage_distance) == (2.0, 2.0)
 
 
+def test_fill_metrics_takes_a_list_as_its_siblings_do():
+    assert fill_metrics([0.1, 0.5], -1.0, 1.0) == fill_metrics(np.array([0.1, 0.5]), -1.0, 1.0)
+    assert fill_metrics([], -1.0, 1.0) == (2.0, 2.0)
+    assert interval_hausdorff([0.1, 0.5], -1.0, 1.0) == pytest.approx(1.1)
+
+
 def test_interval_hausdorff_of_an_empty_set_is_the_interval_length():
     assert interval_hausdorff(np.array([]), -0.5, 1.0) == 1.5
     assert interval_hausdorff([], 1.0, 1.0) == 0.0

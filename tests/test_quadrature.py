@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from projdiff.quadrature import QuadratureRule, make_quadrature, reciprocal_indices
+from projdiff.quadrature import (QuadratureRule, exp_mapped_rule, legendre_rule, log_rule,
+                                 reciprocal_indices)
 
 
 def _integrate(rule, f):
@@ -9,26 +10,26 @@ def _integrate(rule, f):
 
 
 def test_bounded_legendre_exactness():
-    rule = make_quadrature("bounded-legendre", 5, a=0.0, b=1.0)
+    rule = legendre_rule(5, 0.0, 1.0)
     assert abs(_integrate(rule, lambda x: x ** 4) - 0.2) < 1e-14
     # degree 2n-1 = 9 still exact
     assert abs(_integrate(rule, lambda x: x ** 9) - 0.1) < 1e-13
 
 
 def test_bounded_weights_sum_to_length():
-    rule = make_quadrature("bounded-legendre", 17, a=-2.0, b=3.0)
+    rule = legendre_rule(17, -2.0, 3.0)
     assert abs(rule.weights.sum() - 5.0) < 1e-12
 
 
 def test_halfline_exponential_integrals():
-    rule = make_quadrature("halfline-exp-mapped", 60)
+    rule = exp_mapped_rule(60, 1.0)
     assert abs(_integrate(rule, lambda x: np.exp(-x)) - 1.0) < 1e-8
     assert abs(_integrate(rule, lambda x: np.exp(-2.0 * x)) - 0.5) < 1e-8
 
 
 def test_log_rule_scale_spread_integrand():
     # the log rule targets integrands spread over many scales
-    rule = make_quadrature("halfline-log", 200, half_width=25.0)
+    rule = log_rule(200, 25.0)
     value = _integrate(rule, lambda x: 1.0 / (1.0 + x ** 2))
     assert abs(value - np.pi / 2.0) < 1e-8
 
@@ -36,7 +37,7 @@ def test_log_rule_scale_spread_integrand():
 def test_halfline_error_decreases_with_n():
     errs = []
     for n in (20, 40, 80):
-        rule = make_quadrature("halfline-exp-mapped", n)
+        rule = exp_mapped_rule(n, 1.0)
         errs.append(abs(_integrate(rule, lambda x: np.exp(-x) * x) - 1.0))
     assert errs[0] > errs[1] > errs[2]
 
@@ -52,10 +53,10 @@ def test_rule_invariants_enforced():
 
 @pytest.mark.parametrize("call, match", [
     (lambda: QuadratureRule(np.array([1.0, 2.0]), np.array([1.0])), "matching 1-d"),
-    (lambda: make_quadrature("bounded-legendre", 10, a=1.0, b=1.0), "b > a"),
-    (lambda: make_quadrature("bounded-legendre", 10, a=1.0, b=0.0), "b > a"),
-    (lambda: make_quadrature("halfline-exp-mapped", 10, scale=0.0), "scale must be positive"),
-    (lambda: make_quadrature("halfline-log", 10, half_width=-1.0), "half_width must be positive"),
+    (lambda: legendre_rule(10, 1.0, 1.0), "b > a"),
+    (lambda: legendre_rule(10, 1.0, 0.0), "b > a"),
+    (lambda: exp_mapped_rule(10, 0.0), "scale must be positive"),
+    (lambda: log_rule(10, -1.0), "half_width must be positive"),
 ], ids=["mismatched-weights", "empty-interval", "reversed-interval", "zero-scale",
         "negative-half-width"])
 def test_rule_parameters_are_rejected(call, match):
@@ -63,17 +64,32 @@ def test_rule_parameters_are_rejected(call, match):
         call()
 
 
-def test_unsupported_kind_and_params():
-    with pytest.raises(ValueError):
-        make_quadrature("chebyshev", 10)
-    with pytest.raises(ValueError):
-        make_quadrature("bounded-legendre", 10, a=0.0, b=1.0, bogus=3)
-    with pytest.raises(ValueError):
-        make_quadrature("bounded-legendre", 1, a=0.0, b=1.0)
+@pytest.mark.parametrize("make", [lambda n: legendre_rule(n, 0.0, 1.0),
+                                  lambda n: exp_mapped_rule(n, 1.0),
+                                  lambda n: log_rule(n, 1.0)],
+                         ids=["legendre", "exp-mapped", "log"])
+def test_each_constructor_needs_two_nodes(make):
+    assert make(2).n == 2
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="need at least 2 nodes"):
+            make(n)
+
+
+def test_half_line_rules_map_the_legendre_rule():
+    # each half-line rule is the Legendre rule on (0, 1) or [-W, W] pushed
+    # through its substitution, bit for bit
+    u = legendre_rule(30, 0.0, 1.0)
+    rule = exp_mapped_rule(30, 2.5)
+    assert np.array_equal(rule.nodes, -2.5 * np.log1p(-u.nodes))
+    assert np.array_equal(rule.weights, 2.5 * u.weights / (1.0 - u.nodes))
+    v = legendre_rule(30, -7.0, 7.0)
+    rule = log_rule(30, 7)
+    assert np.array_equal(rule.nodes, np.exp(v.nodes))
+    assert np.array_equal(rule.weights, v.weights * np.exp(v.nodes))
 
 
 def test_log_rule_reciprocal_symmetry():
-    rule = make_quadrature("halfline-log", 40, half_width=10.0)
+    rule = log_rule(40, 10.0)
     sigma = reciprocal_indices(rule)
     assert np.allclose(rule.nodes[sigma] * rule.nodes, 1.0)
     # the same rule shifted to log t in [-9, 11]
@@ -122,7 +138,7 @@ def test_legendre_rule_is_built_once_and_read_only():
     assert np.max(np.abs(x - ref_x)) <= 1e-15
     assert np.max(np.abs(w - ref_w) / ref_w) <= 1e-9
     # rules get fresh arrays, so changing one leaves the cache intact
-    rule = make_quadrature("bounded-legendre", 120, a=-1.0, b=1.0)
+    rule = legendre_rule(120, -1.0, 1.0)
     assert np.array_equal(rule.nodes, x)
     rule.nodes[0] = 5.0
     assert np.array_equal(_leggauss(120)[0], x) and x[0] != 5.0

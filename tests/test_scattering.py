@@ -283,6 +283,22 @@ def test_transfer_matrix_rejects_bad_input():
         transfer_matrix_smatrix(broad, 1.0)
 
 
+def test_transfer_matrix_rejects_a_non_finite_potential_by_name():
+    # a NaN patch refined to the level cap ("local error nan"), and a NaN
+    # tail passed the tail check; each now names its first sampled x
+    spec = sech2_spec(1.0, 20.0, 399)
+    pot = spec.potential
+    patch = dataclasses.replace(
+        spec, potential=lambda x: np.where(np.abs(x - 0.3) < 0.06, np.nan, pot(x)))
+    with pytest.raises(ValueError, match="potential not finite at x = ") as info:
+        transfer_matrix_smatrix(patch, 1.0)
+    assert abs(float(str(info.value).rsplit("= ", 1)[1]) - 0.3) < 0.06
+    tail = dataclasses.replace(
+        spec, potential=lambda x: np.where(np.abs(x) > 19.95, np.nan, pot(x)))
+    with pytest.raises(ValueError, match="potential not finite at x = -20$"):
+        transfer_matrix_smatrix(tail, 1.0)
+
+
 def test_sech2_phases_match_oracle():
     cfg = thresholds()["sech2"]
     pair = build_schrodinger_1d(
@@ -717,9 +733,21 @@ def test_empty_ladder_is_rejected():
 @pytest.mark.parametrize("call, match", [
     (lambda pair: smoothed_density(pair, 0.0, 0.0), "eps > 0"),
     (lambda pair: smoothed_density(pair, 0.0, -0.1), "eps > 0"),
+    (lambda pair: smoothed_density(pair, 0.0, np.nan), "eps > 0"),
     (lambda pair: phase_ladder(pair, 0.0, [0.1, 0.2]), "strictly decreasing"),
     (lambda pair: phase_ladder(pair, 0.0, [0.1, 0.1]), "strictly decreasing"),
-], ids=["density-eps-zero", "density-eps-negative", "ladder-increasing", "ladder-repeated"])
+    (lambda pair: phase_ladder(pair, 0.0, [0.1, np.nan]), "strictly decreasing"),
+    (lambda pair: phase_ladder(pair, 0.0, [0.1, 0.0]), "need eps > 0"),
+    # the xi ladder meets the phase ladder's contract: [0.1, 0.1] gave
+    # xi = nan, [0.1, 0.0] divided by zero and [0.1, -0.1] a meaningless xi
+    (lambda pair: birman_krein_extrapolated(pair, 0.0, [], []), "eps ladder is empty"),
+    (lambda pair: birman_krein_extrapolated(pair, 0.0, [], [0.1, 0.1]), "strictly decreasing"),
+    (lambda pair: birman_krein_extrapolated(pair, 0.0, [], [0.1, 0.0]), "need eps > 0"),
+    (lambda pair: birman_krein_extrapolated(pair, 0.0, [], [0.1, -0.1]), "need eps > 0"),
+    (lambda pair: neville([0.1, 0.1], [1.0, 2.0]), "distinct eps"),   # returned inf
+], ids=["density-eps-zero", "density-eps-negative", "density-eps-nan", "ladder-increasing",
+        "ladder-repeated", "ladder-nan", "ladder-zero", "xi-ladder-empty", "xi-ladder-repeated",
+        "xi-ladder-zero", "xi-ladder-negative", "neville-repeated"])
 def test_smoothing_inputs_are_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call(random_gapped_pair(10, 3, seed=0))

@@ -13,9 +13,12 @@ What gets calibrated and why:
   level spacing (0.037 at probe 0.5, n = 400, L = 40) or the extrapolation
   leaves the continuum regime; the chosen ladder is scored by the
   extrapolated phase defect against the known limit -1.
-* Hankel log-window -- the top-eigenvalue deficit scales like
-  pi^5/(2 W^2); W = 320 puts the tops and the Carleman norm well inside
-  their acceptance margins at n = 300.
+* Hankel log-window -- the top of the discretized Carleman spectrum
+  reaches pi with deficit about pi^5/(2 W^2) for a log-window of length
+  W = 2 * hankel.log_half_width, so W = 320 puts the deficit near 1e-3,
+  and the tops and the Carleman norm well inside their acceptance
+  margins, while hankel.n = 300 keeps the node spacing in log t below
+  the aliasing threshold of the sech-shaped Mellin symbol.
 * sech^2 difference boxes -- box half-widths are scanned for zero
   integer counting shift at the probe (no swap eigenvalues at +-1) and
   for a decreasing interval Hausdorff distance under doubling.
@@ -23,6 +26,10 @@ What gets calibrated and why:
   the well depth giving two well-separated phases.
 * resolvent-model corner top and the model-comparison sigma ratio --
   measured at their pinned sizes and stored with a safety margin.
+
+Every size a step does not regenerate (the resolvent-model box and
+probe, the Hankel node count, the sech^2 and square-well probes and
+oracle boxes) is read from the thresholds file.
 """
 
 import argparse
@@ -39,7 +46,7 @@ from projdiff.models import (build_krein, build_schrodinger_1d, sech2_spec,
                              square_well_spec)
 from projdiff.projections import (corner_spectrum, interval_hausdorff,
                                   projection_difference)
-from projdiff.quadrature import make_quadrature
+from projdiff.quadrature import log_rule
 from projdiff.scattering import extrapolated_phases, transfer_matrix_smatrix
 from projdiff.zops import zop_model_comparison
 
@@ -47,15 +54,16 @@ THRESHOLDS_PATH = os.path.join(os.path.dirname(__file__), "..",
                                "src", "projdiff", "thresholds.json")
 
 
-def calibrate_krein_ladder():
-    print("== resolvent-model ladder (probe 0.5, n = 400, L = 40)")
-    pair = build_krein(400, 40.0)
-    (m0, _), _ = pair.probe_gaps(0.5)
+def calibrate_krein_ladder(cfg):
+    probe = cfg["probe"]
+    print(f"== resolvent-model ladder (probe {probe}, n = {cfg['n']}, L = {cfg['L']:g})")
+    pair = build_krein(cfg["n"], cfg["L"])
+    (m0, _), _ = pair.probe_gaps(probe)
     spacing = float(np.diff(pair.eigenpairs(0, m0 - 1, m0 + 1).eigenvalues)[0])
     best, best_defect = None, np.inf
     for ladder in ([0.3, 0.2, 0.1], [0.2, 0.15, 0.1, 0.05],
                    [0.2, 0.1, 0.05], [0.1, 0.05, 0.03, 0.02]):
-        phases, _ = extrapolated_phases(pair, 0.5, ladder)
+        phases, _ = extrapolated_phases(pair, probe, ladder)
         defect = abs(np.exp(1j * phases[0]) + 1.0) if len(phases) else 2.0
         print(f"   ladder {ladder}: |e^(i theta) + 1| = {defect:.2e}")
         if defect < best_defect:
@@ -64,11 +72,11 @@ def calibrate_krein_ladder():
     return {"eps_ladder": best}
 
 
-def calibrate_hankel_window():
-    print("== Hankel log-window at n = 300")
+def calibrate_hankel_window(cfg):
+    print(f"== Hankel log-window at n = {cfg['n']}")
     rows = {}
     for hw in (80.0, 120.0, 160.0, 200.0):
-        rule = make_quadrature("halfline-log", 300, half_width=hw)
+        rule = log_rule(cfg["n"], hw)
         data = model_hankel_pair(rule)
         cnorm = float(build_hankel(carleman_kernel, rule).singular_values()[0])
         rows[hw] = (data["top_gamma0"], cnorm, data["hausdorff"])
@@ -79,9 +87,10 @@ def calibrate_hankel_window():
     return {"log_half_width": chosen}
 
 
-def calibrate_sech2_boxes(depth=1.0, probe=1.0, step=0.1):
+def calibrate_sech2_boxes(cfg, step=0.1):
     print("== sech^2 difference boxes (swap-free, decreasing hausdorff)")
-    a = transfer_matrix_smatrix(sech2_spec(depth, 30.0, 999), probe).a
+    depth, probe = cfg["depth"], cfg["probe"]
+    a = transfer_matrix_smatrix(sech2_spec(depth, cfg["oracle_half_width"], 999), probe).a
 
     def box_stats(half_width):
         n = int(2 * half_width / step) - 1
@@ -104,10 +113,12 @@ def calibrate_sech2_boxes(depth=1.0, probe=1.0, step=0.1):
     return {"d_boxes": boxes}
 
 
-def calibrate_square_well(probe=1.0):
-    print("== square-well depth for two separated phases at probe 1")
+def calibrate_square_well(cfg):
+    probe, width = cfg["probe"], cfg["width"]
+    print(f"== square-well depth for two separated phases at probe {probe:g}")
     for depth in (1.5, 2.0, 2.5, 3.0):
-        oracle = transfer_matrix_smatrix(square_well_spec(depth, 1.0, 30.0, 999), probe)
+        oracle = transfer_matrix_smatrix(
+            square_well_spec(depth, width, cfg["oracle_half_width"], 999), probe)
         s = oracle.band_edges ** 2
         print(f"   depth {depth}: band edges sin^2 = {np.round(s, 3)}")
     depth = 2.5
@@ -115,20 +126,20 @@ def calibrate_square_well(probe=1.0):
     print("== square-well corner box (swap-free)")
     for hw in (40.0, 60.0, 80.0):
         n = int(2 * hw / 0.1) - 1
-        pair = build_schrodinger_1d(square_well_spec(depth, 1.0, hw, n))
+        pair = build_schrodinger_1d(square_well_spec(depth, width, hw, n))
         spec = corner_spectrum(pair, probe, sign=+1)
         swaps = int(np.sum(spec > 1 - 1e-6))
         print(f"   X = {hw:4.0f} (n = {n}): swaps {swaps}, top {spec.max():.4f}")
     return {"depth": depth, "corner_box": [60.0, 1199]}
 
 
-def calibrate_krein_corner_and_sigma():
+def calibrate_krein_corner_and_sigma(cfg):
     print("== resolvent-model corner top and model-comparison ratio")
-    spec = corner_spectrum(build_krein(400, 40.0), 0.5, sign=+1)
+    spec = corner_spectrum(build_krein(cfg["n"], cfg["L"]), cfg["probe"], sign=+1)
     top = float(spec.max())
-    out = zop_model_comparison(build_krein(300, 40.0), 0.5)
+    out = zop_model_comparison(build_krein(300, cfg["L"]), cfg["probe"])
     ratio = float(out["sigma_z0"][10] / out["sigma_z0"][0])
-    print(f"   corner top at n = 400: {top:.4f} -> threshold 0.55")
+    print(f"   corner top at n = {cfg['n']}: {top:.4f} -> threshold 0.55")
     print(f"   sigma_10/sigma_1 at n = 300: {ratio:.2e} -> threshold 0.2")
     return {"krein_corner_top_min": 0.55, "krein_sigma_ratio": 0.2,
             "measured_corner_top": top, "measured_sigma_ratio": ratio}
@@ -154,11 +165,11 @@ def main():
     with open(THRESHOLDS_PATH) as fh:
         current = json.load(fh)
 
-    krein = calibrate_krein_ladder()
-    hankel = calibrate_hankel_window()
-    sech2 = calibrate_sech2_boxes()
-    well = calibrate_square_well()
-    corner = calibrate_krein_corner_and_sigma()
+    krein = calibrate_krein_ladder(current["krein"])
+    hankel = calibrate_hankel_window(current["hankel"])
+    sech2 = calibrate_sech2_boxes(current["sech2"])
+    well = calibrate_square_well(current["square_well"])
+    corner = calibrate_krein_corner_and_sigma(current["krein"])
 
     current["krein"]["eps_ladder"] = krein["eps_ladder"]
     current["hankel"]["log_half_width"] = hankel["log_half_width"]
