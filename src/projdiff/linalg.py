@@ -65,19 +65,20 @@ def _as_array(m, ndim=2):
     return m
 
 
-def check_hermitian(matrix, tol):
-    """Raise :class:`NonHermitianError` when ||M - M*||_2 / ||M||_2 exceeds ``tol``.
+def check_hermitian(matrix):
+    """Raise :class:`NonHermitianError` when ||M - M*||_2 / ||M||_2 exceeds HERMITIAN_TOL.
 
     Fast accept in O(n^2): the Frobenius norm of the asymmetry bounds its
     2-norm from above and the largest column norm bounds ||M||_2 from
-    below, so ||M - M*||_F <= tol * max_j ||M e_j|| proves the exact check
-    passes.  Both are taken after scaling by the largest entry, so squares
-    of tiny or huge entries neither underflow nor overflow, and a relative
-    margin of 1e-8 covers their roundoff, so near-ties go to the exact
-    check.  Otherwise the exact quotient is computed with SVDs; it
-    decides, and is the defect the error carries.  Zero and empty matrices
-    are accepted.
+    below, so ||M - M*||_F <= HERMITIAN_TOL * max_j ||M e_j|| proves the
+    exact check passes.  Both are taken after scaling by the largest
+    entry, so squares of tiny or huge entries neither underflow nor
+    overflow, and a relative margin of 1e-8 covers their roundoff, so
+    near-ties go to the exact check.  Otherwise the exact quotient is
+    computed with SVDs; it decides, and is the defect the error carries.
+    Zero and empty matrices are accepted.
     """
+    tol = HERMITIAN_TOL
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -110,7 +111,7 @@ def herm_eig(matrix):
     """
     m = _as_array(matrix)
     if not np.array_equal(m, m.conj().T):
-        check_hermitian(m, HERMITIAN_TOL)
+        check_hermitian(m)
         m = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, v)

@@ -240,7 +240,7 @@ def _hermitize_check(m, name):
         return m
     try:
         # the tolerance of the pair's eigensolves: a pair that builds diagonalizes
-        check_hermitian(m, linalg.HERMITIAN_TOL)
+        check_hermitian(m)
     except NonHermitianError as exc:
         raise ValueError(f"{name} is not Hermitian") from exc
     return m
@@ -310,7 +310,9 @@ def _band_pair(b0, g, v0, meta):
     v = (g.T @ sparse.csr_array(v0)) @ g
     lo, d, up = (v.diagonal(k) for k in (-1, 0, 1))
     if v.count_nonzero() != sum(np.count_nonzero(x) for x in (lo, d, up)):
-        raise ArithmeticError("G* V0 G leaves the three central diagonals")
+        c = v.tocoo()
+        mass = np.linalg.norm(c.data[abs(c.row - c.col) > 1])
+        raise ResidualError("G* V0 G leaves the three central diagonals", mass, 0.0)
     off0 = b0.offdiagonal
     b1 = TridiagonalBands(b0.diagonal + d, off0 + 0.5 * (lo + up))
     # h - h0 - G* V0 G vanishes off the three diagonals, so its Frobenius

@@ -21,8 +21,7 @@ constructor each; every one needs n >= 2 nodes:
   [-half_width, half_width].  Covers many decades of dynamic range; this
   is the natural grid for Hankel/Carleman kernels whose spectral
   structure lives in log t.  The node set is closed under t -> 1/t
-  (Legendre nodes are symmetric), which the dilation-involution checks
-  rely on.
+  (Legendre nodes are symmetric): nodes[::-1] * nodes = 1 to roundoff.
 """
 
 import functools
@@ -31,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-__all__ = ["QuadratureRule", "legendre_rule", "exp_mapped_rule", "log_rule",
-           "reciprocal_indices"]
+__all__ = ["QuadratureRule", "legendre_rule", "exp_mapped_rule", "log_rule"]
 
 
 @dataclass(frozen=True)
@@ -123,14 +121,3 @@ def log_rule(n, half_width):
     nodes = np.exp(v)
     return QuadratureRule(nodes, wv * nodes)
 
-
-def reciprocal_indices(rule):
-    """Index permutation sigma with nodes[sigma[i]] = 1/nodes[i].
-
-    Only log rules are closed under inversion; any other rule raises.
-    """
-    nodes = rule.nodes
-    sigma = len(nodes) - 1 - np.arange(len(nodes))
-    if not np.allclose(nodes[sigma] * nodes, 1.0, rtol=1e-12, atol=0.0):
-        raise ValueError("rule is not reciprocal-symmetric")
-    return sigma

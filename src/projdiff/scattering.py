@@ -235,8 +235,9 @@ def _psd_sqrt(m):
     w, v = np.linalg.eigh(0.5 * (m + _ct(m)))
     low = np.min(w, axis=-1, initial=0.0)
     scale = np.maximum(np.max(abs(w), axis=-1, initial=0.0), 1.0)
-    _fail_first(low < -PSD_TOL * scale,
-                lambda r: ArithmeticError(f"matrix not PSD: min eigenvalue {low[r]:.3e}"))
+    bound = PSD_TOL * scale
+    _fail_first(low < -bound, lambda r: ResidualError(
+        f"matrix not PSD: min eigenvalue {low[r]:.3e}", -low[r], bound[r]))
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _ct(v)
 
 
@@ -526,8 +527,9 @@ def _channel_core(pair, probe, lo, hi, d, t):
     tvx = gw @ a1.solve(gw.T @ vx)
     smat = np.eye(2) - 2j * x.conj().T @ (vx - _real_times(pair.v0, tvx))
     p0, p1 = a0.pivots(), a1.pivots()
-    if not (np.all(p0.imag < 0) and np.all(p1.imag < 0)):
-        raise ArithmeticError("a window pivot left the lower half plane")
+    top = np.max(np.r_[p0.imag, p1.imag])
+    if not top < 0:
+        raise ResidualError("a window pivot left the lower half plane", top, 0.0)
     return smat, float((np.sum(np.angle(p1)) - np.sum(np.angle(p0))) / np.pi)
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from projdiff import harness, scattering
-from projdiff.errors import ProbeOutsideBandError
+from projdiff.errors import ProbeOutsideBandError, ResidualError
 from projdiff.harness import ExperimentConfig, run_experiment
-from projdiff.linalg import TridiagonalBands
+from projdiff.linalg import TridiagonalBands, WindowSystem
 from projdiff.models import (OperatorPair, build_finite_pair, build_krein,
                              build_schrodinger_1d, sech2_spec, square_well_spec,
                              thresholds)
@@ -193,6 +193,24 @@ def test_chain_not_uniform_outside_the_window_is_rejected():
         channel_smatrix(build_schrodinger_1d(sech2_spec(1.0, 10.0, 400)), 1.0)
     with pytest.raises(ValueError, match="band pair"):
         channel_smatrix(build_krein(40, 10.0), 0.5)
+
+
+def test_window_pivot_off_the_lower_half_plane_is_a_residual_error(monkeypatch):
+    # the lead corners keep every window pivot below the real axis; a last
+    # pivot lifted to Im = 0.25 raises, carrying that imaginary part
+    pair = random_band_pair(0)
+    pivots = WindowSystem.pivots
+
+    def lifted(self):
+        p = pivots(self)
+        p[-1] = p[-1].real + 0.25j
+        return p
+
+    channel_smatrix(pair, 0.5)
+    monkeypatch.setattr(WindowSystem, "pivots", lifted)
+    with pytest.raises(ResidualError, match="^a window pivot left the lower half plane$") as err:
+        channel_smatrix(pair, 0.5)
+    assert (err.value.residual, err.value.bound) == (0.25, 0.0)
 
 
 def test_run_reports_channel_errors_as_scattering_errors():

@@ -9,7 +9,7 @@ from projdiff.hankel import (build_hankel, carleman_kernel, gamma0_kernel, gamma
                              kernel_bound_suite, laplace_factorizations,
                              model_hankel_pair, nuclear_bound_check)
 from projdiff.models import thresholds
-from projdiff.quadrature import exp_mapped_rule, log_rule, reciprocal_indices
+from projdiff.quadrature import exp_mapped_rule, log_rule
 
 
 def _pinned_rule():
@@ -135,10 +135,7 @@ def test_laplace_factorizations_default():
     out = _pinned_factorizations()
     assert out["gamma_factorization"] <= 1e-6
     assert out["gamma0_factorization"] <= 1e-6
-    assert out["involution_squared"] == 0.0
-    # the Carleman kernel commutes with the dilation involution exactly
-    # on a reciprocal-symmetric grid
-    assert out["carleman_conjugation"] <= 1e-12
+    assert set(out) == {"gamma_factorization", "gamma0_factorization", "n_lambda"}
 
 
 def test_factorization_residual_ordering():
@@ -211,33 +208,39 @@ def test_scalar_bound_suite_takes_no_block_eigensolve(rule, monkeypatch):
     assert ndims == []
 
 
-def test_nuclear_bound_zero_profile():
+@pytest.fixture(scope="module")
+def t_rule():
+    """The half-line rule the nuclear-bound kernels are assembled on."""
+    return log_rule(300, 30.0)
+
+
+def test_nuclear_bound_zero_profile(t_rule):
     lam_rule = log_rule(200, 16.0)
-    out = nuclear_bound_check(lambda lam: np.zeros((1, 1)), lam_rule)
+    out = nuclear_bound_check(lambda lam: np.zeros((1, 1)), lam_rule, t_rule)
     assert out["c2"] == 0.0 and out["nuclear_norm"] <= 1e-12
 
 
-def test_nuclear_bound_divergent_profile_rejected():
+def test_nuclear_bound_divergent_profile_rejected(t_rule):
     lam_rule = log_rule(200, 16.0)
     with pytest.raises(DivergentBoundError):
-        nuclear_bound_check(lambda lam: np.array([[np.exp(-lam)]]), lam_rule)
+        nuclear_bound_check(lambda lam: np.array([[np.exp(-lam)]]), lam_rule, t_rule)
 
 
-def test_nuclear_bound_exponential_profile():
+def test_nuclear_bound_exponential_profile(t_rule):
     # M(lam) = lam*exp(-lam): C2 = 1 and the kernel is 1/(1+tau)^2
     lam_rule = log_rule(300, 16.0)
-    out = nuclear_bound_check(lambda lam: np.array([[lam * np.exp(-lam)]]), lam_rule)
+    out = nuclear_bound_check(lambda lam: np.array([[lam * np.exp(-lam)]]), lam_rule, t_rule)
     assert out["c2"] == pytest.approx(1.0, abs=1e-6)
     assert out["nuclear_norm"] <= 0.525
     assert out["bound_holds"]
 
 
-def test_nuclear_bound_diagonal_block_profile_adds_scalar_runs():
+def test_nuclear_bound_diagonal_block_profile_adds_scalar_runs(t_rule):
     lam_rule = log_rule(300, 16.0)
     m1 = lambda lam: lam * np.exp(-lam)
     m2 = lambda lam: 0.5 * lam * np.exp(-2.0 * lam)
-    block = nuclear_bound_check(lambda lam: np.diag([m1(lam), m2(lam)]), lam_rule)
-    runs = [nuclear_bound_check(lambda lam, m=m: np.array([[m(lam)]]), lam_rule)
+    block = nuclear_bound_check(lambda lam: np.diag([m1(lam), m2(lam)]), lam_rule, t_rule)
+    runs = [nuclear_bound_check(lambda lam, m=m: np.array([[m(lam)]]), lam_rule, t_rule)
             for m in (m1, m2)]
     for key in ("c2", "nuclear_norm"):
         assert block[key] == pytest.approx(runs[0][key] + runs[1][key], rel=1e-12)
@@ -298,21 +301,4 @@ def test_criterion_6_takes_one_eigensolve_per_hankel_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     assert all(clause.passed for clause in criterion_6())
     assert len(seen) == len(set(seen)) == 5
-    assert len(svds) == 5
-
-
-def test_involution_matches_the_permutation_matrix_form():
-    # the permutation applied by indexing gives, bit for bit, what the
-    # products with the permutation matrix give
-    out = _pinned_factorizations()
-    u_rule = log_rule(200, 12.0)
-    m = u_rule.n
-    umat = np.zeros((m, m))
-    umat[np.arange(m), reciprocal_indices(u_rule)] = 1.0
-    tu, squ = u_rule.nodes, np.sqrt(u_rule.weights)
-    nmat = squ[:, None] * np.exp(-np.outer(tu, tu)) * squ[None, :]
-    n2 = nmat @ nmat
-    carleman = build_hankel(carleman_kernel, u_rule).matrix
-    assert out["involution_squared"] == np.linalg.norm(umat @ umat - np.eye(m), 2)
-    assert out["laplace_conjugation"] == np.linalg.norm(umat @ n2 @ umat - n2, 2)
-    assert out["carleman_conjugation"] == np.linalg.norm(umat @ carleman @ umat - carleman, 2)
+    assert len(svds) == 2

@@ -56,7 +56,7 @@ def test_herm_eig_takes_the_hermitian_part_of_a_near_hermitian_matrix(monkeypatc
     near[0, 1] += 1e-14
     checked = []
     monkeypatch.setattr(linalg, "check_hermitian",
-                        lambda m, tol: checked.append(m.shape) or check_hermitian(m, tol))
+                        lambda m: checked.append(m.shape) or check_hermitian(m))
     for m, ref in ((exact, exact), (near, 0.5 * (near + near.conj().T))):
         dec = herm_eig(m)
         w, v = np.linalg.eigh(ref)
@@ -98,19 +98,19 @@ def _asymmetric_sweep(tol, seed):
 def test_check_hermitian_matches_exact_decision(monkeypatch):
     inconclusive_accepts = fast_accepts = rejects = 0
     for tol in (HERMITIAN_TOL, 1e-10):
+        monkeypatch.setattr(linalg, "HERMITIAN_TOL", tol)
         for ratio, m in _asymmetric_sweep(tol, seed=int(-np.log10(tol))):
             exact = _exact_defect(m)
             if exact > tol:
                 rejects += 1
                 with pytest.raises(NonHermitianError) as err:
-                    check_hermitian(m, tol)
+                    check_hermitian(m)
                 assert err.value.defect == pytest.approx(exact, rel=1e-12)
                 assert err.value.tol == tol
-                monkeypatch.setattr(linalg, "HERMITIAN_TOL", tol)
                 with pytest.raises(NonHermitianError):
                     herm_eig(m)
             else:
-                check_hermitian(m, tol)
+                check_hermitian(m)
                 if _fast_bound(m) <= tol:
                     fast_accepts += 1
                 else:
@@ -128,21 +128,21 @@ def test_check_hermitian_fast_accept_runs_no_svd(monkeypatch):
         return norm(x, ord, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", no_two_norm)
-    check_hermitian(m, HERMITIAN_TOL)
-    check_hermitian(m + 1e-3 * HERMITIAN_TOL * np.triu(m), HERMITIAN_TOL)
+    check_hermitian(m)
+    check_hermitian(m + 1e-3 * HERMITIAN_TOL * np.triu(m))
 
 
 def test_check_hermitian_edge_inputs():
     for m in (np.zeros((0, 0)), np.zeros((4, 4)), np.zeros((3, 3), dtype=complex)):
-        check_hermitian(m, HERMITIAN_TOL)
+        check_hermitian(m)
         herm_eig(m)
     # squares of tiny entries underflow unless the bounds are scaled first
     for scale in (1e-170, 1e170):
         with pytest.raises(NonHermitianError):
-            check_hermitian(scale * np.array([[1.0, 1.0], [0.0, 1.0]]), HERMITIAN_TOL)
-        check_hermitian(scale * np.array([[1.0, 1.0], [1.0, 1.0]]), HERMITIAN_TOL)
+            check_hermitian(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        check_hermitian(scale * np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
-        check_hermitian(np.ones((2, 3)), HERMITIAN_TOL)
+        check_hermitian(np.ones((2, 3)))
     with pytest.raises(ValueError):
         herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 

@@ -368,9 +368,9 @@ def test_builds_keep_their_bits_and_certify_exact_inputs_by_one_comparison(build
         inputs.append((h0, g, v0))
         return original_build(h0, g, v0, meta)
 
-    def check(m, tol):
+    def check(m):
         checked.append(m)
-        return original_check(m, tol)
+        return original_check(m)
 
     monkeypatch.setattr(models, "build_finite_pair", capture)
     monkeypatch.setattr(models, "check_hermitian", check)
@@ -433,8 +433,11 @@ def test_band_build_keeps_the_factorization_contract(monkeypatch):
     # a coupling on sites two apart puts G* V0 G off the band
     far = np.zeros((1, n))
     far[0, [2, 4]] = 0.5
-    with pytest.raises(ArithmeticError, match="three central diagonals"):
+    with pytest.raises(ResidualError, match="three central diagonals") as err:
         build_finite_pair(bands, far, np.array([[1.0]]))
+    # the off-band Frobenius mass: entries (2, 4) and (4, 2), each 0.25
+    assert err.value.residual == pytest.approx(0.25 * np.sqrt(2.0), rel=1e-15)
+    assert err.value.bound == 0.0
     # the residual check runs on the band path too
     monkeypatch.setattr(models, "FACTORIZATION_TOL", -1.0)
     with pytest.raises(ArithmeticError, match="factorization residual"):

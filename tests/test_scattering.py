@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projdiff import models, scattering
-from projdiff.errors import OracleConvergenceError, SingularSandwichError
+from projdiff.errors import OracleConvergenceError, ResidualError, SingularSandwichError
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, square_well_spec,
                              thresholds)
@@ -693,8 +693,11 @@ def test_ladder_raises_the_non_psd_rung(monkeypatch):
     pair = random_gapped_pair(12, 4, seed=8)
     top = np.max(np.linalg.eigvalsh(scattering_bundle(pair, 0.0, 0.1).f0prime))
     _spoil_sandwiches(monkeypatch, _conjugate_rung(1))
-    with pytest.raises(ArithmeticError, match=f"not PSD: min eigenvalue {-top:.3e}$"):
+    with pytest.raises(ResidualError, match=f"not PSD: min eigenvalue {-top:.3e}$") as err:
         phase_ladder(pair, 0.0, [0.2, 0.1, 0.05])
+    # the residual is -min eigenvalue, the bound PSD_TOL times the largest |eigenvalue|
+    assert err.value.residual == pytest.approx(top, rel=1e-12)
+    assert err.value.bound == pytest.approx(scattering.PSD_TOL * max(top, 1.0), rel=1e-12)
 
 
 def test_ladder_raises_the_first_failing_rung_in_ladder_order(monkeypatch):

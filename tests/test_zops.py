@@ -122,12 +122,12 @@ def test_model_comparison_flat_density_ratio_decreases():
 
 
 def test_model_comparison_krein():
-    cfg = thresholds()["zops"]
-    pair = build_krein(300, 40.0)
+    cfg = thresholds()
+    pair = build_krein(cfg["zops"]["krein_sigma_n"], cfg["krein"]["L"])
     out = zop_model_comparison(pair, 0.5)
     sv = out["sigma_z0"]
     assert np.all(np.diff(sv[:10]) <= 1e-12)          # decay
-    assert sv[10] / sv[0] <= cfg["krein_sigma_ratio"]
+    assert sv[10] / sv[0] <= cfg["zops"]["krein_sigma_ratio"]
     # richer smoothing ladder gives a closer model
     coarse = zop_model_comparison(pair, 0.5, eps_ladder=[16 * out["gap"], 8 * out["gap"]])
     assert out["sigma_z0"][0] <= coarse["sigma_z0"][0]

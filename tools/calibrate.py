@@ -29,7 +29,8 @@ What gets calibrated and why:
 
 Every size a step does not regenerate (the resolvent-model box and
 probe, the Hankel node count, the sech^2 and square-well probes and
-oracle boxes) is read from the thresholds file.
+oracle boxes, the model-comparison size zops.krein_sigma_n) is read from
+the thresholds file.
 """
 
 import argparse
@@ -133,14 +134,14 @@ def calibrate_square_well(cfg):
     return {"depth": depth, "corner_box": [60.0, 1199]}
 
 
-def calibrate_krein_corner_and_sigma(cfg):
+def calibrate_krein_corner_and_sigma(cfg, sigma_n):
     print("== resolvent-model corner top and model-comparison ratio")
     spec = corner_spectrum(build_krein(cfg["n"], cfg["L"]), cfg["probe"], sign=+1)
     top = float(spec.max())
-    out = zop_model_comparison(build_krein(300, cfg["L"]), cfg["probe"])
+    out = zop_model_comparison(build_krein(sigma_n, cfg["L"]), cfg["probe"])
     ratio = float(out["sigma_z0"][10] / out["sigma_z0"][0])
     print(f"   corner top at n = {cfg['n']}: {top:.4f} -> threshold 0.55")
-    print(f"   sigma_10/sigma_1 at n = 300: {ratio:.2e} -> threshold 0.2")
+    print(f"   sigma_10/sigma_1 at n = {sigma_n}: {ratio:.2e} -> threshold 0.2")
     return {"krein_corner_top_min": 0.55, "krein_sigma_ratio": 0.2,
             "measured_corner_top": top, "measured_sigma_ratio": ratio}
 
@@ -169,7 +170,8 @@ def main():
     hankel = calibrate_hankel_window(current["hankel"])
     sech2 = calibrate_sech2_boxes(current["sech2"])
     well = calibrate_square_well(current["square_well"])
-    corner = calibrate_krein_corner_and_sigma(current["krein"])
+    corner = calibrate_krein_corner_and_sigma(current["krein"],
+                                              current["zops"]["krein_sigma_n"])
 
     current["krein"]["eps_ladder"] = krein["eps_ladder"]
     current["hankel"]["log_half_width"] = hankel["log_half_width"]
