@@ -110,9 +110,6 @@ class DecayBoundError(ProjdiffError):
 class DivergentBoundError(ProjdiffError):
     """Discrete trace-bound integral does not converge at the lower end of the rule."""
 
-    def __init__(self, message):
-        super().__init__(message)
-
 
 class ConfigError(ProjdiffError):
     """Invalid experiment configuration; message carries the field path."""

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigError, ProjdiffError
 from .models import preset_defaults, preset_pair, thresholds
 from .projections import projection_difference
-from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
-                         extrapolated_phases, phase_ladder)
+from .scattering import (_eps_ladder, band_edges, birman_krein_extrapolated,
+                         channel_smatrix, extrapolated_phases, phase_ladder)
 from .zops import default_time_rule, product_representation_check
 
 __all__ = ["ExperimentConfig", "Report", "run_experiment", "convergence_study",
@@ -87,11 +87,11 @@ class ExperimentConfig:
         for name in ("probes", "eps_ladder"):
             for i, x in enumerate(getattr(self, name)):
                 _check_number(x, f"{name}[{i}]", float)
-        lad = list(self.eps_ladder)
-        if any(e <= 0 for e in lad):
-            raise ConfigError("config.eps_ladder: entries must be positive")
-        if any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ConfigError("config.eps_ladder: must be strictly decreasing")
+        if self.eps_ladder:   # empty for band pairs, which take no ladder
+            try:
+                _eps_ladder(self.eps_ladder)
+            except ValueError as exc:
+                raise ConfigError(f"config.eps_ladder: {exc}") from None
         for i, s in enumerate(self.sizes):
             _check_number(s, f"sizes[{i}]", int)
             if s < 1:

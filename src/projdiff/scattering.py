@@ -47,12 +47,14 @@ The ladder computes all its rungs at once: T0 and T at every rung form
 (R, k, k) stacks, from G U formed once per operator, and each k x k step
 (the conditioning inverse, the factor residual, the PSD root, S, the
 unitarity defect, its eigenvalues, the defect identity) is one stacked
-numpy call.  Every rung keeps its checks, and the first rung to fail
-one, in ladder order, raises that check's error; one bundle is the
-one-rung ladder and one sandwich the one-point stack.  A rung's phases
-come from all k eigenvalues of S; ||A||, the unitarity defect and the
-identity residual are largest |eigenvalues| of Hermitian k x k matrices
-((S-I)*(S-I)/4 among them).
+numpy call.  Every rung keeps its checks, which flag the failing rungs
+in that one pass; the first flagged rung, in ladder order, raises its
+check's error (at one rung: conditioning, then factor residual, then
+PSD), and nothing is rerun.  One bundle is the one-rung ladder and one
+sandwich the one-point stack.  A rung's phases come from all k
+eigenvalues of S; ||A||, the unitarity defect and the identity residual
+are largest |eigenvalues| of Hermitian k x k matrices ((S-I)*(S-I)/4
+among them).
 
 Off the channel path, the Birman-Krein relation det S = exp(-2*pi*i*xi)
 has one implementation, :func:`birman_krein_extrapolated`, returning
@@ -121,20 +123,14 @@ def _sandwich_one(pair, which, z):
     return np.array(blocks).reshape(z.shape + (pair.kdim, pair.kdim))
 
 
-class _RungFailure(Exception):
-    """The first rung of a stack to fail a check (``rung``), and its ``error``."""
-
-    def __init__(self, rung, error):
-        super().__init__(rung, error)
-        self.rung, self.error = rung, error
-
-
-def _fail_first(bad, error):
-    """Raise :class:`_RungFailure` for the first rung flagged in ``bad``;
-    ``error(r)`` makes rung r's error."""
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        raise _RungFailure(int(hits[0]), error(int(hits[0])))
+def _raise_first(checks):
+    """Raise the error of the earliest rung flagged by any of ``checks``,
+    pairs (flags, error) of a boolean per rung and ``error(r)``, which makes
+    rung r's error; at one rung, the check listed first wins."""
+    hits = [(int(np.argmax(flags)), i) for i, (flags, _) in enumerate(checks) if np.any(flags)]
+    if hits:
+        rung, i = min(hits)
+        raise checks[i][1](rung)
 
 
 def _ct(m):
@@ -143,9 +139,9 @@ def _ct(m):
 
 
 def _stack_inverse(m):
-    """The inverses of a stack of matrices; the first rung whose cond_2
-    exceeds COND_LIMIT raises :class:`_RungFailure` with a
-    :class:`SingularSandwichError`.
+    """(inverses, check) for a stack of matrices: the check flags each rung
+    whose cond_2 exceeds COND_LIMIT, with a :class:`SingularSandwichError`,
+    and a flagged rung's inverse is zero.
 
     The stack is inverted in one call, and each rung accepted at once when
     its bound cond_2 <= ||m||_F ||m^-1||_F is within a factor 100 of the
@@ -159,39 +155,41 @@ def _stack_inverse(m):
     """
     try:
         inverse = np.linalg.inv(m)
-        bound = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+        cond = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
     except np.linalg.LinAlgError:
-        inverse, bound = np.empty_like(m), np.full(len(m), np.inf)
-    for r in np.flatnonzero(~(bound <= 1e-2 * COND_LIMIT)):
-        cond = np.linalg.cond(m[r])
+        inverse, cond = np.zeros_like(m), np.full(len(m), np.inf)
+    singular = np.zeros(len(m), dtype=bool)
+    # the bound is replaced by the exact cond on every rung it cannot accept
+    for r in np.flatnonzero(~(cond <= 1e-2 * COND_LIMIT)):
+        cond[r] = np.linalg.cond(m[r])
         try:
             inverse[r] = np.linalg.inv(m[r])
-            singular = cond > COND_LIMIT
+            singular[r] = cond[r] > COND_LIMIT
         except np.linalg.LinAlgError:
             # an LU that meets an exact zero pivot leaves cond far beyond any limit
-            singular = True
-        if singular:
-            raise _RungFailure(int(r), SingularSandwichError(cond))
-    return inverse
+            singular[r] = True
+    inverse[singular] = 0.0
+    return inverse, (singular, lambda r: SingularSandwichError(cond[r]))
 
 
 def _sandwich_stack(pair, z):
-    """(T0, T, factor residuals) at the points of a 1-d array z, each of
-    them checked as :func:`resolvent_sandwich` documents; the first point
-    to fail, in order, raises :class:`_RungFailure`."""
-    _fail_first(~(np.isfinite(z) & (z.imag > 0)),
-                lambda r: ValueError(f"need a finite z with Im z > 0, got {z[r]}"))
+    """(T0, T, factor residuals, checks) at the points of a 1-d array z:
+    the checks of :func:`resolvent_sandwich`, conditioning then factor
+    residual, each flagging its failing points.  A z not finite or not in
+    the upper half plane raises ValueError at once."""
+    _raise_first([(~(np.isfinite(z) & (z.imag > 0)),
+                   lambda r: ValueError(f"need a finite z with Im z > 0, got {z[r]}"))])
     t0 = _sandwich_one(pair, 0, z)
     t = _sandwich_one(pair, 1, z)
-    minv = _stack_inverse(np.eye(pair.kdim) + pair.v0 @ t0)
+    minv, conditioning = _stack_inverse(np.eye(pair.kdim) + pair.v0 @ t0)
     resid = np.linalg.norm(t - t0 @ minv, 2, axis=(-2, -1))
     colmax = np.max(np.linalg.norm(t, axis=-2), axis=-1, initial=0.0)
-    for r in np.flatnonzero(resid > C1_RESIDUAL_TOL * np.maximum(1.0, (1.0 - 1e-8) * colmax)):
-        bound = C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t[r], 2))
-        if resid[r] > bound:
-            raise _RungFailure(int(r), ResidualError(
-                f"resolvent factor identity residual {resid[r]:.3e}", resid[r], bound))
-    return t0, t, resid
+    bound = C1_RESIDUAL_TOL * np.maximum(1.0, (1.0 - 1e-8) * colmax)
+    for r in np.flatnonzero(resid > bound):
+        bound[r] = C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t[r], 2))
+    factor = (resid > bound, lambda r: ResidualError(
+        f"resolvent factor identity residual {resid[r]:.3e}", resid[r], bound[r]))
+    return t0, t, resid, [conditioning, factor]
 
 
 def resolvent_sandwich(pair, z):
@@ -207,10 +205,8 @@ def resolvent_sandwich(pair, z):
     the eps ladder takes (:func:`phase_ladder`).
     """
     z = complex(z)
-    try:
-        t0, t, resid = _sandwich_stack(pair, np.array([z]))
-    except _RungFailure as fail:
-        raise fail.error from None
+    t0, t, resid, checks = _sandwich_stack(pair, np.array([z]))
+    _raise_first(checks)
     return ResolventSandwich(z, t0[0], t[0], float(resid[0]))
 
 
@@ -229,16 +225,16 @@ def smoothed_density(pair, probe, eps):
 
 
 def _psd_sqrt(m):
-    """The PSD square root of each matrix of a stack; the first rung with an
-    eigenvalue below -PSD_TOL times its largest |eigenvalue| (or 1) raises
-    :class:`_RungFailure`."""
+    """(PSD square roots, check) for a stack of matrices, the roots taken of
+    the eigenvalues clipped at 0: the check flags each rung with an
+    eigenvalue below -PSD_TOL times its largest |eigenvalue| (or 1)."""
     w, v = np.linalg.eigh(0.5 * (m + _ct(m)))
     low = np.min(w, axis=-1, initial=0.0)
     scale = np.maximum(np.max(abs(w), axis=-1, initial=0.0), 1.0)
     bound = PSD_TOL * scale
-    _fail_first(low < -bound, lambda r: ResidualError(
+    check = (low < -bound, lambda r: ResidualError(
         f"matrix not PSD: min eigenvalue {low[r]:.3e}", -low[r], bound[r]))
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _ct(v)
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _ct(v), check
 
 
 def band_edges(phases):
@@ -301,11 +297,12 @@ def scattering_bundle(pair, probe, eps):
 
 def _bundle_stack(pair, probe, eps):
     """The bundle at every rung of the 1-d array ``eps``, each k x k step one
-    stacked call over the rungs; the first rung to fail a check raises
-    :class:`_RungFailure`."""
-    t0, t, resid = _sandwich_stack(pair, probe + 1j * eps)
+    stacked call over the rungs; the first rung to fail a check, in ladder
+    order, raises its error."""
+    t0, t, resid, checks = _sandwich_stack(pair, probe + 1j * eps)
     f0p, fp = _imag_part(t0) / np.pi, _imag_part(t) / np.pi
-    root = _psd_sqrt(f0p)
+    root, psd = _psd_sqrt(f0p)
+    _raise_first(checks + [psd])
     v0 = pair.v0
     core = v0 - v0 @ t @ v0
     eye = np.eye(pair.kdim)
@@ -328,18 +325,6 @@ def _bundle_stack(pair, probe, eps):
             float(udef[r]), amat[r], float(ident[r]), float(a_pred[r]),
             band_edges(phases)[0], float(resid[r])))
     return bundles
-
-
-def _ladder_bundles(pair, probe, eps):
-    """:func:`_bundle_stack`, raising the error of the first failing rung in
-    ladder order: the rungs before a failing one are rerun, since one of
-    them may fail a later check."""
-    try:
-        return _bundle_stack(pair, probe, eps)
-    except _RungFailure as fail:
-        if fail.rung:
-            _ladder_bundles(pair, probe, eps[:fail.rung])
-        raise fail.error from None
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +352,7 @@ def neville(eps_values, samples):
 
 def _eps_ladder(eps_ladder):
     """The ladder as a list, or ValueError unless it is nonempty, strictly
-    decreasing and positive (a NaN rung fails one of the last two)."""
+    decreasing, positive and finite (a NaN rung fails one of the middle two)."""
     ladder = list(eps_ladder)
     if not ladder:
         raise ValueError("eps ladder is empty")
@@ -375,6 +360,8 @@ def _eps_ladder(eps_ladder):
         raise ValueError("eps ladder must be strictly decreasing")
     if not ladder[-1] > 0:
         raise ValueError("need eps > 0")
+    if not np.isfinite(ladder[0]):
+        raise ValueError(f"eps ladder must be finite, got {ladder[0]}")
     return ladder
 
 
@@ -384,10 +371,11 @@ def phase_ladder(pair, probe, eps_ladder):
     All rungs are computed at once: T0 and T as (R, k, k) stacks from G U
     formed once per operator (or one window solve per rung for a band
     pair), then one stacked call per k x k step.  Every rung's checks are
-    those of :func:`resolvent_sandwich` and :func:`scattering_bundle`, and
-    the first rung to fail one, in ladder order, raises its error.
+    those of :func:`resolvent_sandwich` and :func:`scattering_bundle`; each
+    check flags its failing rungs in the same pass, and the first flagged
+    rung, in ladder order, raises its error, with no rung computed twice.
     """
-    return _ladder_bundles(pair, probe, np.asarray(_eps_ladder(eps_ladder), dtype=float))
+    return _bundle_stack(pair, probe, np.asarray(_eps_ladder(eps_ladder), dtype=float))
 
 
 def _match_chains(bundles):

@@ -19,6 +19,9 @@ def test_config_validation_field_paths():
         ExperimentConfig.from_dict({"eps_ladder": [0.1, 0.2]})
     with pytest.raises(ConfigError, match="eps_ladder"):
         ExperimentConfig.from_dict({"eps_ladder": [0.1, -0.2]})
+    for ladder, message in (([0.1, 0.1], "strictly decreasing"), ([0.2, 0.0], "need eps > 0")):
+        with pytest.raises(ConfigError, match=r"config\.eps_ladder: .*" + message):
+            ExperimentConfig.from_dict({"eps_ladder": ladder})
     with pytest.raises(ConfigError, match="probes"):
         ExperimentConfig.from_dict({"probes": ["x"]})
     with pytest.raises(ConfigError, match=r"config\.sizes\[1\]"):

@@ -405,15 +405,16 @@ def test_sandwich_conditioning_decision_matches_exact_cond():
         cases.append(np.eye(pair.kdim) + pair.v0 @ t0)
     for m in cases:
         cond = np.linalg.cond(m)
+        inverse, (flags, error) = scattering._stack_inverse(m[None])
+        assert flags.tolist() == [cond > scattering.COND_LIMIT]
         if cond > scattering.COND_LIMIT:
             rejects += 1
-            with pytest.raises(scattering._RungFailure) as err:
-                scattering._stack_inverse(m[None])
-            assert isinstance(err.value.error, SingularSandwichError)
-            assert err.value.error.cond == cond
+            assert isinstance(error(0), SingularSandwichError)
+            assert error(0).cond == cond
+            assert not np.any(inverse)
         else:
             # an accepted matrix comes back with its inverse, for the residual
-            inverse = scattering._stack_inverse(m[None])[0]
+            inverse = inverse[0]
             assert np.array_equal(inverse, np.linalg.inv(m))
             bound = np.linalg.norm(m) * np.linalg.norm(inverse)
             if bound <= 1e-2 * scattering.COND_LIMIT:
@@ -437,11 +438,17 @@ def test_stack_inverse_fails_the_singular_rung_with_its_exact_cond():
     singular[:, 2] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(singular)
-    with pytest.raises(scattering._RungFailure) as err:
-        scattering._stack_inverse(np.array([good[0], singular, good[2]]))
-    assert err.value.rung == 1 and isinstance(err.value.error, SingularSandwichError)
-    assert err.value.error.cond == np.linalg.cond(singular)
-    inverse = scattering._stack_inverse(np.array(good))
+    mixed = [good[0], singular, good[2]]
+    inverse, (flags, error) = scattering._stack_inverse(np.array(mixed))
+    assert flags.tolist() == [False, True, False]
+    assert isinstance(error(1), SingularSandwichError)
+    assert error(1).cond == np.linalg.cond(singular)
+    # the flagged rung's inverse is zero, the others' are taken alone
+    assert not np.any(inverse[1])
+    for r in (0, 2):
+        assert np.array_equal(inverse[r], np.linalg.inv(mixed[r]))
+    inverse, (flags, _) = scattering._stack_inverse(np.array(good))
+    assert not np.any(flags)
     for m, inv in zip(good, inverse):
         assert np.array_equal(inv, np.linalg.inv(m))
 
@@ -710,6 +717,28 @@ def test_ladder_raises_the_first_failing_rung_in_ladder_order(monkeypatch):
         phase_ladder(pair, lam, [0.1, 1e-15])
 
 
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_failing_ladder_computes_its_stack_once(monkeypatch, conjugated):
+    # rung 1 fails the conditioning check (and, conjugated, rung 0 the PSD
+    # check): every check flags its rungs in one pass, so each operator's
+    # stack of sandwiches is computed once, and no rung before the failing
+    # one is rerun
+    pair = random_gapped_pair(12, 4, seed=8)
+    lam = pair.eigenvalues[1][5]
+    if conjugated:
+        _spoil_sandwiches(monkeypatch, _conjugate_rung(0))
+    original, calls = scattering._sandwich_one, []
+
+    def counted(pair, which, z):
+        calls.append((which, np.shape(z)))
+        return original(pair, which, z)
+
+    monkeypatch.setattr(scattering, "_sandwich_one", counted)
+    with pytest.raises(ResidualError if conjugated else SingularSandwichError):
+        phase_ladder(pair, lam, [0.1, 1e-15])
+    assert calls == [(0, (2,)), (1, (2,))]
+
+
 def test_ladder_raises_the_rung_past_the_factor_tolerance(monkeypatch):
     # a tolerance between the two largest residuals (relative to
     # max(1, ||T||_2)) fails exactly one rung, whose residual is named
@@ -748,9 +777,16 @@ def test_empty_ladder_is_rejected():
     (lambda pair: birman_krein_extrapolated(pair, 0.0, [], [0.1, 0.0]), "need eps > 0"),
     (lambda pair: birman_krein_extrapolated(pair, 0.0, [], [0.1, -0.1]), "need eps > 0"),
     (lambda pair: neville([0.1, 0.1], [1.0, 2.0]), "distinct eps"),   # returned inf
+    # an infinite rung returned xi = nan, or failed at z = nan + inf*i
+    (lambda pair: birman_krein_extrapolated(pair, 0.0, [], [np.inf, 0.1]),
+     "eps ladder must be finite"),
+    (lambda pair: phase_ladder(pair, 0.0, [np.inf, 0.1]), "eps ladder must be finite"),
+    (lambda pair: scattering_bundle(pair, 0.0, np.inf), "eps ladder must be finite"),
+    (lambda pair: smoothed_density(pair, 0.0, np.inf), "eps ladder must be finite"),
 ], ids=["density-eps-zero", "density-eps-negative", "density-eps-nan", "ladder-increasing",
         "ladder-repeated", "ladder-nan", "ladder-zero", "xi-ladder-empty", "xi-ladder-repeated",
-        "xi-ladder-zero", "xi-ladder-negative", "neville-repeated"])
+        "xi-ladder-zero", "xi-ladder-negative", "neville-repeated", "xi-ladder-inf",
+        "ladder-inf", "bundle-eps-inf", "density-eps-inf"])
 def test_smoothing_inputs_are_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call(random_gapped_pair(10, 3, seed=0))
