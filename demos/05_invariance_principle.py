@@ -27,8 +27,8 @@ fact = transform.pair.factorization_residual()
 print(f"transformed factorization residual: {fact:.2e} "
       "(iterated resolvent identity)")
 
-e0, e1 = pair.eigensystems()
-f0, f1 = transform.pair.eigensystems()
+e0, e1 = (b.eigensystem for b in pair.operators)
+f0, f1 = (b.eigensystem for b in transform.pair.operators)
 d_orig = spectral_projection(e1, probe) - spectral_projection(e0, probe)
 d_tr = spectral_projection(f0, mu) - spectral_projection(f1, mu)
 print(f"projection-difference identity residual: "

@@ -305,8 +305,8 @@ def convergence_study(config, axis):
         pair = config.build_pair()
         gap = min(pair.probe_gaps(probe)[1])
         # max|lambda| is reached at an end of one of the two spectra
-        lam = max(abs(pair.eigenpairs(which, k, k + 1).eigenvalues[0] - probe)
-                  for which in (0, 1) for k in (0, pair.dim - 1))
+        lam = max(abs(b.eigenvalues(k, k + 1)[0] - probe)
+                  for b in pair.operators for k in (0, pair.dim - 1))
         floors = np.asarray(points) * np.finfo(float).eps * lam / gap
         table["roundoff_floor"] = floors
         for n_t in points:

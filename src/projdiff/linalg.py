@@ -1,14 +1,15 @@
 """Numerical substrate: Hermitian eigensolves (dense, and banded for
-band-stored matrices), the band format of real symmetric tridiagonal
-matrices with its Sturm counts, its eigenpairs by index (coarse bisection,
-inverse iteration and a certified Rayleigh-Ritz step), its closed-form
-eigensystem when the band is a uniform chain, its even and odd blocks when
-the band is mirror-symmetric (bands of their own, half as long, that keep a
-uniform chain's closed form), and its shifted window systems (the chain
-beyond the window folded into two boundary self-energies, the box's own
-or those of given leads), their banded solve and LDL^T pivots, SVD,
-semigroup action, the closed-form Sylvester solver on eigenvalue
-diagonals, and the probe-gap check on eigenvalue arrays.
+band-stored matrices), a dense Hermitian operator that answers the band
+format's index queries from its eigensystem, the band format of real
+symmetric tridiagonal matrices with its Sturm counts, its eigenpairs by
+index (coarse bisection, inverse iteration and a certified Rayleigh-Ritz
+step), its closed-form eigensystem when the band is a uniform chain, its
+even and odd blocks when the band is mirror-symmetric (bands of their own,
+half as long, that keep a uniform chain's closed form), and its shifted
+window systems (the chain beyond the window folded into two boundary
+self-energies, the box's own or those of given leads), their banded solve
+and LDL^T pivots, SVD, semigroup action, the closed-form Sylvester solver
+on eigenvalue diagonals, and the probe-gap check on eigenvalue arrays.
 
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
@@ -30,8 +31,8 @@ from scipy.linalg import lapack
 from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                      ResidualError, SpectralCollisionError)
 
-__all__ = ["SpectralDecomposition", "TridiagonalBands", "ParityBlock", "WindowSystem",
-           "check_hermitian", "herm_eig", "probe_gaps", "svd", "expm_apply",
+__all__ = ["SpectralDecomposition", "DenseHermitian", "TridiagonalBands", "ParityBlock",
+           "WindowSystem", "check_hermitian", "herm_eig", "probe_gaps", "svd", "expm_apply",
            "sylvester_solve"]
 
 # each tolerance is read at call time by the one function that applies it
@@ -102,8 +103,8 @@ def check_hermitian(matrix):
 def herm_eig(matrix):
     """Eigendecomposition of a Hermitian matrix.
 
-    A matrix equal to its conjugate transpose, as both operators of every
-    dense pair are stored (see :func:`projdiff.models.build_finite_pair`),
+    A matrix equal to its conjugate transpose, as every
+    :class:`DenseHermitian` is (see :func:`projdiff.models.build_finite_pair`),
     is certified by that one exact comparison and diagonalized as it is.
     Any other matrix raises :class:`NonHermitianError` when the relative
     asymmetry ||M - M*|| / ||M|| exceeds HERMITIAN_TOL (see
@@ -115,6 +116,46 @@ def herm_eig(matrix):
         m = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, v)
+
+
+@dataclass(frozen=True)
+class DenseHermitian:
+    """A dense matrix exactly equal to its conjugate transpose, as both
+    operators of a dense pair are, with the index queries of
+    :class:`TridiagonalBands` answered from its eigensystem."""
+
+    matrix: np.ndarray
+    free_chain = parity_blocks = None
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
+
+    def dense(self):
+        return self.matrix
+
+    def shifted(self, shift):
+        """M - shift * I."""
+        return DenseHermitian(self.matrix - shift * np.eye(self.dim))
+
+    @functools.cached_property
+    def eigensystem(self):
+        """The full :class:`SpectralDecomposition`, by :func:`herm_eig` on first use."""
+        return herm_eig(self.matrix)
+
+    def count_below(self, x):
+        """The number of eigenvalues below x."""
+        return int(np.searchsorted(self.eigensystem.eigenvalues, x))
+
+    def eigenvalues(self, lo=0, hi=None):
+        """Eigenvalues with ascending indices lo, ..., hi - 1 (all by default)."""
+        return self.eigenpairs(lo, self.dim if hi is None else hi).eigenvalues
+
+    def eigenpairs(self, lo, hi):
+        """Eigenpairs with ascending indices lo, ..., hi - 1, 0 <= lo <= hi <= n."""
+        _check_range(lo, hi, self.dim)
+        e = self.eigensystem
+        return SpectralDecomposition(e.eigenvalues[lo:hi], e.eigenvectors[:, lo:hi])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError, ResidualError
 from . import linalg
-from .linalg import SpectralDecomposition, TridiagonalBands, check_hermitian, herm_eig
+from .linalg import DenseHermitian, SpectralDecomposition, TridiagonalBands, check_hermitian
 from .quadrature import legendre_rule
 
 __all__ = [
@@ -51,30 +51,30 @@ def thresholds():
 class OperatorPair:
     """A pair H0 and H = H0 + G* V0 G with the factorization kept explicit.
 
-    ``operators`` holds (h0, h), either as dense Hermitian matrices or,
-    for pairs built from bands, as real symmetric
-    :class:`TridiagonalBands`; the dense ``h0`` and ``h`` of a band pair
-    are built on first use, for dense consumers only.  ``g`` maps the main
-    space into the coupling space (kdim x dim), as an array for a dense
-    pair and as a real ``csr_array`` of its nonzeros for a band pair;
-    ``v0`` is Hermitian on the coupling space (real symmetric for a band
-    pair).  ``meta`` records the model and any exactly known facts about
-    it.
+    ``operators`` holds (h0, h), either as
+    :class:`projdiff.linalg.DenseHermitian` or, for pairs built from bands,
+    as real symmetric :class:`TridiagonalBands`; both answer the same index
+    queries (counts below a value, eigenvalues and eigenpairs by index).
+    The dense ``h0`` and ``h`` of a band pair are built on first use, for
+    dense consumers only.  ``g`` maps the main space into the coupling
+    space (kdim x dim), as an array for a dense pair and as a real
+    ``csr_array`` of its nonzeros for a band pair; ``v0`` is Hermitian on
+    the coupling space (real symmetric for a band pair).  ``meta`` records
+    the model and any exactly known facts about it.
 
-    Eigen-data are computed on first use and cached on the instance.  Every
+    Eigen-data are computed on first use and cached on the operators.  Every
     probe consumer reads its eigenpairs through one step, :meth:`probe_basis`
-    (counts and gaps alone through :meth:`probe_gaps`), which branches on
-    the storage (:attr:`basis_path`).  A dense pair reads its dense
-    eigensystems.  A band pair forms no dense matrix and solves no full
-    spectrum at a probe: it takes Sturm counts, the two eigenvalues beside
-    the probe, and eigenpairs from a banded solver restricted to the
-    requested indices, in closed form for a uniform chain such as every
-    Schrodinger H0 (see
+    (counts and gaps alone through :meth:`probe_gaps`), which asks each
+    operator for its count below the probe, the two eigenvalues beside it
+    and the eigenpairs on one side of it.  A dense operator reads them off
+    its eigensystem, solved once.  A band forms no dense matrix and solves
+    no full spectrum at a probe: it takes Sturm counts and eigenpairs from
+    a banded solver restricted to the requested indices, in closed form for
+    a uniform chain such as every Schrodinger H0 (see
     :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  When both bands
     are mirror-symmetric, as on a centred box with an even potential, the
     probe step does this on the even and odd blocks (:attr:`parity_blocks`),
-    each about half as long.  The full spectra (:attr:`eigenvalues`) stay
-    lazy, for dense consumers only.
+    each about half as long.  :attr:`basis_path` names the path taken.
     """
 
     operators: tuple
@@ -97,7 +97,7 @@ class OperatorPair:
 
     @functools.cached_property
     def _dense(self):
-        return tuple(b.dense() for b in self.operators) if self.banded else self.operators
+        return tuple(b.dense() for b in self.operators)
 
     @property
     def h0(self):
@@ -117,22 +117,12 @@ class OperatorPair:
         v = self.g.conj().T @ self.v0 @ self.g
         return np.linalg.norm(self.h - self.h0 - v, 2)
 
-    def eigensystems(self):
-        """Dense eigendecompositions of h0 and h."""
-        return self._eigensystems
-
-    @functools.cached_property
-    def _eigensystems(self):
-        return herm_eig(self.h0), herm_eig(self.h)
-
     @functools.cached_property
     def eigenvalues(self):
-        """Ascending eigenvalues of h0 and h, all of them: for dense consumers
-        such as the smoothed counting shift; the probe paths read
-        :meth:`probe_gaps` and :meth:`eigenpairs` instead."""
-        if self.banded:
-            return tuple(b.eigenvalues() for b in self.operators)
-        return tuple(e.eigenvalues for e in self.eigensystems())
+        """Ascending eigenvalues of h0 and h, all of them: for consumers of
+        whole spectra such as the smoothed counting shift; the probe paths
+        read :meth:`probe_basis` instead."""
+        return tuple(b.eigenvalues() for b in self.operators)
 
     @functools.cached_property
     def parity_blocks(self):
@@ -142,7 +132,7 @@ class OperatorPair:
         else None.  The reflection then commutes with h0 and h, so D splits
         into an even and an odd block, and the probe step runs on each
         block's folded bands."""
-        blocks = [b.parity_blocks for b in self.operators] if self.banded else [None]
+        blocks = [b.parity_blocks for b in self.operators]
         return None if any(b is None for b in blocks) else tuple(zip(*blocks))
 
     @property
@@ -157,23 +147,18 @@ class OperatorPair:
         return path + "+parity" if self.parity_blocks else path
 
     @property
-    def _band_blocks(self):
-        """The (h0, h) blocks of a band pair's probe step: its parity blocks,
-        or its two bands as one block."""
+    def _blocks(self):
+        """The (h0, h) blocks of the probe step: the parity blocks, or the
+        two operators as one block."""
         return self.parity_blocks or (self.operators,)
 
     def _probe_step(self, probe):
-        """(counts, gaps): [(m0, m1)] per block of the probe step (Sturm
-        counts for a band pair, one block of dense counts otherwise) and
-        the gaps of :meth:`probe_gaps`."""
-        if self.banded:
-            counts = [tuple(b.count_below(probe) for b in ops) for ops in self._band_blocks]
-            near = [np.concatenate([b.eigenvalues(max(m - 1, 0), min(m + 1, b.dim))
-                                    for b, m in zip(ops, below)])
-                    for ops, below in zip(zip(*self._band_blocks), zip(*counts))]
-        else:
-            counts = [tuple(int(np.searchsorted(w, probe)) for w in self.eigenvalues)]
-            near = [w[max(m - 1, 0):m + 1] for w, m in zip(self.eigenvalues, counts[0])]
+        """(counts, gaps): [(m0, m1)] per block of the probe step and the
+        gaps of :meth:`probe_gaps`."""
+        counts = [tuple(b.count_below(probe) for b in ops) for ops in self._blocks]
+        near = [np.concatenate([b.eigenvalues(max(m - 1, 0), min(m + 1, b.dim))
+                                for b, m in zip(ops, below)])
+                for ops, below in zip(zip(*self._blocks), zip(*counts))]
         return counts, tuple(linalg.probe_gaps(probe, near))
 
     def probe_gaps(self, probe):
@@ -185,17 +170,6 @@ class OperatorPair:
         counts, gaps = self._probe_step(probe)
         return tuple(map(sum, zip(*counts))), gaps
 
-    def eigenpairs(self, which, lo, hi):
-        """Eigenpairs of h0 (``which`` = 0) or h (1) with ascending indices lo,
-        ..., hi - 1: banded, closed form for a free chain (see
-        :meth:`TridiagonalBands.eigenpairs`), or a slice of the dense eigensystem.
-        A range outside 0 <= lo <= hi <= dim raises ValueError."""
-        if self.banded:
-            return self.operators[which].eigenpairs(lo, hi)
-        linalg._check_range(lo, hi, self.dim)
-        e = self.eigensystems()[which]
-        return SpectralDecomposition(e.eigenvalues[lo:hi], e.eigenvectors[:, lo:hi])
-
     def probe_basis(self, probe, sides=None):
         """(gaps, side, bases): the gaps of :meth:`probe_gaps`, the side of
         ``probe`` holding fewer eigenvectors of h0 and h together (-1 below
@@ -206,12 +180,9 @@ class OperatorPair:
         in their own coordinates (see :meth:`unfold`)."""
         counts, gaps = self._probe_step(probe)
         side = -1 if sum(map(sum, counts)) <= self.dim else +1
-        blocks = ([[(b.eigenpairs, b.dim) for b in ops] for ops in self._band_blocks]
-                  if self.banded else
-                  [[(functools.partial(self.eigenpairs, j), self.dim) for j in (0, 1)]])
-        bases = tuple(tuple(solve(*((0, m) if s < 0 else (m, dim)))
-                            for (solve, dim), m, s in zip(ops, below, sides or (side, side)))
-                      for ops, below in zip(blocks, counts))
+        bases = tuple(tuple(b.eigenpairs(*((0, m) if s < 0 else (m, b.dim)))
+                            for b, m, s in zip(ops, below, sides or (side, side)))
+                      for ops, below in zip(self._blocks, counts))
         return gaps, side, bases
 
     def unfold(self, bases):
@@ -255,11 +226,12 @@ def build_finite_pair(h0, g, v0, meta=None):
     is complex.  From bands, G* V0 G is formed from the nonzeros of ``g``;
     it must be tridiagonal, and the pair stores the bands of h0 and h and
     ``g`` as a ``csr_array``, with no n x n or dense k x n array; a dense
-    pair stores ``g`` dense, and h0 and h as their Hermitian parts
+    pair stores ``g`` dense, and h0 and h as the
+    :class:`projdiff.linalg.DenseHermitian` of their Hermitian parts
     (M + M*) / 2, each equal to its conjugate transpose exactly, so that
     their eigensolves need no second certificate (see
-    :func:`projdiff.linalg.herm_eig`).  Either way :class:`ResidualError` is raised when
-    the factorization residual ||h - h0 - G* V0 G||_F exceeds
+    :func:`projdiff.linalg.herm_eig`).  Either way :class:`ResidualError`
+    is raised when the factorization residual ||h - h0 - G* V0 G||_F exceeds
     FACTORIZATION_TOL relative to ||h||_F + ||h0||_F.
     """
     banded = isinstance(h0, TridiagonalBands)
@@ -284,7 +256,8 @@ def build_finite_pair(h0, g, v0, meta=None):
     h = h0 + v
     # both operators are stored exactly Hermitian, so that their eigensolves
     # certify them by one exact comparison (see herm_eig)
-    pair = OperatorPair((_hermitian_part(h0), _hermitian_part(h)), g, v0, dict(meta or {}))
+    pair = OperatorPair(tuple(DenseHermitian(_hermitian_part(m)) for m in (h0, h)),
+                        g, v0, dict(meta or {}))
     # Frobenius bounds the operator norm from above, and is O(n^2) to check
     resid = np.linalg.norm(pair.h - h0 - v)
     scale = np.linalg.norm(pair.h) + np.linalg.norm(h0)
@@ -454,13 +427,16 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
     gapped at the probes), G is Gaussian, V0 is a random sign matrix
     scaled to keep ||V|| about 1/2.  H is resampled until its spectrum
     is also gapped; the accepted try index is recorded in meta.  Raises
-    ValueError for dim < 1, kdim < 1 or gap <= 0, and when MAX_TRIES
-    draws find no gapped pair.
+    ValueError for dim < 1, kdim < 1, gap <= 0 or a probe that is not
+    finite, and when MAX_TRIES draws find no gapped pair.
     """
     if dim < 1 or kdim < 1 or not gap > 0:
         raise ValueError(f"need dim >= 1, kdim >= 1 and gap > 0, got {dim}, {kdim}, {gap}")
-    rng = np.random.default_rng(seed)
     probes = np.atleast_1d(np.asarray(probes, dtype=float))
+    bad = probes[~np.isfinite(probes)]
+    if bad.size:
+        raise ValueError(f"probe {bad[0]} is not finite")
+    rng = np.random.default_rng(seed)
 
     def gapped(values):
         return np.all(np.abs(values[:, None] - probes[None, :]) > gap)
@@ -506,7 +482,7 @@ def resolvent_transform(pair, shift):
     h - h0 = g* w0 g with g = G h0 and w0 = -V0 + V0 (G h G*) V0, an
     iterated resolvent identity.
     """
-    bottom = min(pair.eigenpairs(which, 0, 1).eigenvalues[0] for which in (0, 1))
+    bottom = min(b.eigenvalues(0, 1)[0] for b in pair.operators)
     if not shift < bottom - 1e-6:
         raise GapViolationError(shift, bottom)
     eye = np.eye(pair.dim)
@@ -516,7 +492,7 @@ def resolvent_transform(pair, shift):
     g = pair.g @ h0t
     w0 = _hermitian_part(-pair.v0 + pair.v0 @ (pair.g @ ht @ pair.g.conj().T) @ pair.v0)
     meta = {"model": "resolvent-transform", "base": pair.meta.get("model"), "shift": shift}
-    transformed = OperatorPair((h0t, ht), g, w0, meta)
+    transformed = OperatorPair((DenseHermitian(h0t), DenseHermitian(ht)), g, w0, meta)
     return ResolventTransform(transformed, float(shift))
 
 
@@ -526,11 +502,7 @@ def shift_pair(pair, probe):
     Bands shift in O(n); a dense pair stores h0 - probe*I and h - probe*I.
     The translated pair computes its own eigen-data.
     """
-    if pair.banded:
-        operators = tuple(b.shifted(probe) for b in pair.operators)
-    else:
-        eye = np.eye(pair.dim)
-        operators = (pair.h0 - probe * eye, pair.h - probe * eye)
+    operators = tuple(b.shifted(probe) for b in pair.operators)
     return OperatorPair(operators, pair.g, pair.v0, dict(pair.meta, shifted_by=float(probe)))
 
 

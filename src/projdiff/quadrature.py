@@ -88,6 +88,14 @@ def _leggauss(n):
     return x, w
 
 
+def _finite(name, value):
+    """``value`` as a float; ValueError naming it when it is not finite."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _legendre(n, a, b):
     if n < 2:
         raise ValueError("need at least 2 nodes")
@@ -96,16 +104,17 @@ def _legendre(n, a, b):
 
 
 def legendre_rule(n, a, b):
-    """Gauss-Legendre rule with n nodes on [a, b], b > a."""
-    a, b = float(a), float(b)
+    """Gauss-Legendre rule with n nodes on [a, b], b > a, both finite."""
+    a, b = _finite("a", a), _finite("b", b)
     if not b > a:
         raise ValueError("need b > a")
     return QuadratureRule(*_legendre(n, a, b))
 
 
 def exp_mapped_rule(n, scale):
-    """Half-line rule t = -scale*log(1 - u), u Gauss-Legendre on (0, 1)."""
-    scale = float(scale)
+    """Half-line rule t = -scale*log(1 - u), u Gauss-Legendre on (0, 1);
+    the scale is finite and positive."""
+    scale = _finite("scale", scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
     u, wu = _legendre(n, 0.0, 1.0)
@@ -113,8 +122,9 @@ def exp_mapped_rule(n, scale):
 
 
 def log_rule(n, half_width):
-    """Half-line rule t = exp(v), v Gauss-Legendre on [-half_width, half_width]."""
-    half_width = float(half_width)
+    """Half-line rule t = exp(v), v Gauss-Legendre on [-half_width, half_width];
+    the half width is finite and positive."""
+    half_width = _finite("half_width", half_width)
     if half_width <= 0:
         raise ValueError("half_width must be positive")
     v, wv = _legendre(n, -half_width, half_width)

@@ -35,13 +35,13 @@ meet their share of ORACLE_TOL, and the result reports the summed
 estimate.  Channel, ladder and oracle map phases to band edges through
 :func:`band_edges`.
 
-The sandwiches G (A - z)^-1 G* of a dense pair come from its cached
-eigensystems, (G U) diag(1/(w - z)) (G U)*.  A band pair is real
-symmetric, with real G and V0, and its sandwiches need only the block of
-the resolvent on the coupling window, the columns where G is nonzero:
-the chain outside it enters through two scalar boundary self-energies (a
-Schur complement), and the window system is solved once for all of
-G^T = G*.
+The sandwiches G (A - z)^-1 G* of a dense pair come from the cached
+eigensystems of its operators, (G U) diag(1/(w - z)) (G U)*.  A band pair
+is real symmetric, with real G and V0, and its sandwiches need only the
+block of the resolvent on the coupling window, the columns where G is
+nonzero: the chain outside it enters through two scalar boundary
+self-energies (a Schur complement), and the window system is solved once
+for all of G^T = G*.
 
 The ladder computes all its rungs at once: T0 and T at every rung form
 (R, k, k) stacks, from G U formed once per operator, and each k x k step
@@ -104,13 +104,14 @@ class ResolventSandwich:
 
 def _sandwich_one(pair, which, z):
     """G (A - z)^-1 G* for A = h0 (``which`` = 0) or h (1), at a point z or at
-    every point of an array z, stacked as z.shape + (k, k)."""
+    every point of an array z, stacked as z.shape + (k, k), from a dense
+    operator's cached eigensystem or from a band's window system."""
     g, z = pair.g, np.asarray(z)
     if not pair.banded:
-        # spectral form (G U) diag(1/(w - z)) (G U)* from the pair's cached
-        # eigensystem, so a dense pair pays one eigensolve and no n x n solve;
-        # G U is formed once for every point
-        e = pair.eigensystems()[which]
+        # spectral form (G U) diag(1/(w - z)) (G U)* from the operator's
+        # cached eigensystem, so a dense pair pays one eigensolve and no
+        # n x n solve; G U is formed once for every point
+        e = pair.operators[which].eigensystem
         gu = g @ e.eigenvectors
         return (gu / (e.eigenvalues - z[..., None])[..., None, :]) @ gu.conj().T
     # G reads only the coupling window of the chain, so only the window
@@ -691,8 +692,10 @@ def smoothed_counting_shift(pair, probe, eps):
     recovers the integer -trace D(probe) = m0 - m1 of
     :meth:`projdiff.models.OperatorPair.probe_gaps`, while for eps
     above the local level spacing it resolves the weak (distributional)
-    limit of the counting shift.
+    limit of the counting shift.  An eps that is not finite and positive
+    raises ValueError (see :func:`_eps_ladder`).
     """
+    _eps_ladder([eps])
     w0, w1 = pair.eigenvalues
     step = lambda w: 0.5 + np.arctan((probe - w) / eps) / np.pi
     return float(np.sum(step(w0)) - np.sum(step(w1)))

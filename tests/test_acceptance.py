@@ -17,12 +17,14 @@ import pytest
 
 from projdiff import acceptance, projections
 from projdiff.errors import GapViolationError
-from projdiff.linalg import SpectralDecomposition
-from projdiff.models import (OperatorPair, ResolventTransform, build_krein,
-                             build_schrodinger_1d, random_gapped_pair, resolvent_transform,
-                             sech2_spec, square_well_spec)
+from projdiff.linalg import DenseHermitian, SpectralDecomposition
+from projdiff.models import (ResolventTransform, build_krein, build_schrodinger_1d,
+                             random_gapped_pair, resolvent_transform, sech2_spec,
+                             square_well_spec)
 from projdiff.projections import spectral_projection
 from projdiff.scattering import channel_smatrix, transfer_matrix_smatrix
+
+from oracles import dense_eigensystems
 
 
 class _Cache:
@@ -286,15 +288,15 @@ def dense_operator_residual(pair, transform, probe):
     eye = np.eye(pair.dim)
     return sum(float(np.linalg.norm(spectral_projection(e, probe)
                                     - (eye - spectral_projection(f, mu)), 2))
-               for e, f in zip(pair.eigensystems(), transform.pair.eigensystems()))
+               for e, f in zip(dense_eigensystems(pair), dense_eigensystems(transform.pair)))
 
 
 def dense_difference_residual(pair, transform, probe):
     """Dense ||(E(probe) - E0(probe)) - (F0(mu) - F1(mu))||_2, which the
     per-operator residual bounds."""
     mu = float(transform.mu(probe))
-    e0, e1 = pair.eigensystems()
-    f0, f1 = transform.pair.eigensystems()
+    e0, e1 = dense_eigensystems(pair)
+    f0, f1 = dense_eigensystems(transform.pair)
     d_orig = spectral_projection(e1, probe) - spectral_projection(e0, probe)
     d_tr = spectral_projection(f0, mu) - spectral_projection(f1, mu)
     return float(np.linalg.norm(d_orig - d_tr, 2))
@@ -324,22 +326,23 @@ def test_small_side_projection_identity_matches_dense(case):
     assert dense_difference_residual(pair, transform, probe) <= residual + 1e-13
 
 
-def _spoiled_eigenpairs(monkeypatch, target, which, angle):
-    """Make ``target.eigenpairs(which, ...)`` rotate its last eigenvector by
-    ``angle`` toward the next eigenvector outside the requested range."""
-    original = OperatorPair.eigenpairs
+def _spoiled_eigenpairs(monkeypatch, target, angle):
+    """Make the dense operator ``target``'s ``eigenpairs`` rotate its last
+    eigenvector by ``angle`` toward the next eigenvector outside the
+    requested range."""
+    original = DenseHermitian.eigenpairs
 
-    def spoiled(self, j, lo, hi):
-        e = original(self, j, lo, hi)
-        if self is not target or j != which:
+    def spoiled(self, lo, hi):
+        e = original(self, lo, hi)
+        if self is not target:
             return e
         k = hi if hi < self.dim else lo - 1
-        x = original(self, j, k, k + 1).eigenvectors[:, 0]
+        x = original(self, k, k + 1).eigenvectors[:, 0]
         v = e.eigenvectors.copy()
         v[:, -1] = np.cos(angle) * v[:, -1] + np.sin(angle) * x
         return SpectralDecomposition(e.eigenvalues, v)
 
-    monkeypatch.setattr(OperatorPair, "eigenpairs", spoiled)
+    monkeypatch.setattr(DenseHermitian, "eigenpairs", spoiled)
 
 
 @pytest.mark.parametrize("which", (0, 1))
@@ -352,7 +355,7 @@ def test_projection_identity_sees_a_spoiled_transformed_basis(monkeypatch, case,
     build, probe, shift = INVARIANCE_CASES[case]
     pair = build()
     transform = resolvent_transform(pair, shift)
-    _spoiled_eigenpairs(monkeypatch, transform.pair, which, 1e-6)
+    _spoiled_eigenpairs(monkeypatch, transform.pair.operators[which], 1e-6)
     residual = acceptance.projection_identity_residual(pair, transform, probe)
     assert abs(residual - 1e-6) <= 1e-13
 

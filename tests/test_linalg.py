@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from projdiff import linalg
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                              ProjdiffError, ResidualError, SpectralCollisionError)
-from projdiff.linalg import (HERMITIAN_TOL, TridiagonalBands, check_hermitian,
+from projdiff.linalg import (HERMITIAN_TOL, DenseHermitian, TridiagonalBands, check_hermitian,
                              expm_apply, herm_eig, probe_gaps, svd, sylvester_solve)
 from projdiff.models import build_finite_pair, build_krein, preset_pair
 
@@ -495,20 +495,58 @@ def test_banded_eigenpairs_on_graded_bands(monkeypatch, seed):
 
 def test_eigenpair_ranges_are_validated():
     # 0 <= lo <= hi <= n on a free chain, other bands, a parity block and a
-    # dense pair alike; lo == hi gives an empty result
+    # dense operator alike; lo == hi gives an empty result
     chain = TridiagonalBands(np.full(5, 2.0), np.full(4, -1.0))
     bands = _random_bands(np.random.default_rng(3), 7, False)
     block = _mirror_bands(9).parity_blocks[1]
-    pair = build_krein(16, 10.0)
+    dense = build_krein(16, 10.0).operators[0]
     solvers = [(chain.eigenpairs, 5), (chain.eigenvalues, 5), (bands.eigenpairs, 7),
                (bands.eigenvalues, 7), (block.eigenpairs, 4), (block.eigenvalues, 4),
-               (lambda lo, hi: pair.eigenpairs(0, lo, hi), 16)]
+               (dense.eigenpairs, 16), (dense.eigenvalues, 16)]
     for solve, n in solvers:
         for lo, hi in ((3, n + 5), (0, n + 1), (-1, 1), (2, 1)):
             with pytest.raises(ValueError, match=rf"^index range \[{lo}, {hi}\) outside 0\.\.{n}$"):
                 solve(lo, hi)
         empty = solve(2, 2)
         assert len(getattr(empty, "eigenvalues", empty)) == 0
+
+
+@pytest.mark.parametrize("name", ("schrodinger:sech2", "schrodinger:square-well"))
+def test_dense_operator_answers_the_band_queries(name):
+    # the dense matrix of H's bands, wrapped, answers the band format's
+    # index queries from its eigensystem: the same counts, values to
+    # roundoff and spans on the probe step's ranges, the same range
+    # contract, and no closed form or parity blocks
+    bands = preset_pair(name, n=399).operators[1]
+    dense = DenseHermitian(bands.dense())
+    n, scale = bands.dim, _band_norm1(bands)
+    assert dense.dim == n == 399 and np.array_equal(dense.dense(), bands.dense())
+    assert dense.free_chain is None and dense.parity_blocks is None
+    assert bands.free_chain is None and bands.parity_blocks is not None
+    w = bands.eigenvalues()
+    for x in (w[0] - 1.0, *(0.5 * (w[:-1] + w[1:]))[::23], w[-1] + 1.0):
+        assert dense.count_below(x) == bands.count_below(x)
+        assert dense.shifted(0.5).count_below(x - 0.5) == dense.count_below(x)
+    assert np.array_equal(dense.shifted(0.5).dense(), bands.shifted(0.5).dense())
+    assert np.max(np.abs(dense.eigenvalues() - w)) <= 1e-12 * scale
+    for probe in (0.62, 1.19):
+        m = bands.count_below(probe)
+        for lo, hi in ((0, m), (m, n), (m - 1, m + 1)):
+            values = dense.eigenvalues(lo, hi)
+            assert np.max(np.abs(values - bands.eigenvalues(lo, hi))) <= 1e-12 * scale
+            e, f = dense.eigenpairs(lo, hi), bands.eigenpairs(lo, hi)
+            assert np.array_equal(e.eigenvalues, values)
+            assert e.eigenvectors.shape == f.eigenvectors.shape == (n, hi - lo)
+            u, v = e.eigenvectors, f.eigenvectors
+            assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-12
+    for solver in (dense, bands):
+        for lo, hi in ((3, n + 5), (0, n + 1), (-1, 1), (2, 1)):
+            for query in (solver.eigenpairs, solver.eigenvalues):
+                with pytest.raises(ValueError,
+                                   match=rf"^index range \[{lo}, {hi}\) outside 0\.\.{n}$"):
+                    query(lo, hi)
+        assert solver.eigenpairs(7, 7).eigenvectors.shape == (n, 0)
+        assert solver.eigenvalues(7, 7).shape == (0,)
 
 
 def test_banded_eigenpairs_raise_on_a_failed_bisection(monkeypatch):

@@ -15,6 +15,8 @@ from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1
 from projdiff.projections import projection_difference
 from projdiff.scattering import resolvent_sandwich
 
+from oracles import dense_eigensystems
+
 
 def test_zero_perturbation():
     h0 = np.diag([1.0, 2.0, 3.0]).astype(complex)
@@ -57,11 +59,11 @@ def test_krein_spectra_in_unit_interval():
     # Nystrom eigenvalues overshoot the continuum interval [0, 1] by the
     # quadrature error: about 4e-3 at n = 200 and below 1e-8 at n = 400
     pair = build_krein(200, 40.0)
-    e0, e1 = pair.eigensystems()
+    e0, e1 = dense_eigensystems(pair)
     for w in (e0.eigenvalues, e1.eigenvalues):
         assert w.min() >= -1e-8 and w.max() <= 1.0 + 5e-3
     pair = build_krein(400, 40.0)
-    e0, e1 = pair.eigensystems()
+    e0, e1 = dense_eigensystems(pair)
     for w in (e0.eigenvalues, e1.eigenvalues):
         assert w.min() >= -1e-8 and w.max() <= 1.0 + 1e-8
 
@@ -70,7 +72,7 @@ def test_krein_counting_shift_averages_to_half():
     # -trace D(lambda) is an exact integer at each probe; its average over
     # probes in (0.2, 0.8) approaches the continuum counting shift 1/2
     pair = build_krein(300, 30.0)
-    e0, e1 = pair.eigensystems()
+    e0, e1 = dense_eigensystems(pair)
     probes = np.linspace(0.2, 0.8, 401)
     shifts = [np.sum(e0.eigenvalues < p) - np.sum(e1.eigenvalues < p) for p in probes]
     assert set(shifts) <= {0, 1}
@@ -148,7 +150,7 @@ def test_square_well_single_bound_state_matches_shooting():
     depth, width = 0.3, 1.0
     spec = square_well_spec(depth, width, 30.0, 599)
     pair = build_schrodinger_1d(spec)
-    e1 = pair.eigensystems()[1].eigenvalues
+    e1 = dense_eigensystems(pair)[1].eigenvalues
     count = int(np.sum(e1 < -1e-6))
     oracle = shooting_bound_states(lambda x: -depth * (abs(x) < width),
                                    -depth + 1e-4, -1e-4, 30.0)
@@ -161,6 +163,14 @@ def test_resolvent_transform_scalar_map():
     tr = resolvent_transform(pair, 0.0)
     assert np.allclose(np.sort(np.linalg.eigvalsh(tr.pair.h0)), [0.5, 1.0])
     assert tr.mu(1.5) == pytest.approx(1.0 / 1.5)
+
+
+@pytest.mark.parametrize("probe", (np.nan, np.inf, -np.inf))
+def test_random_pair_rejects_a_non_finite_probe(probe):
+    # a nan probe drew MAX_TRIES pairs and then reported that none was
+    # gapped; an infinite one built a pair and recorded the probe in meta
+    with pytest.raises(ValueError, match=rf"^probe {probe} is not finite$"):
+        random_gapped_pair(12, 4, seed=8, probes=(0.0, probe))
 
 
 def test_resolvent_transform_projection_identity_random():
@@ -197,7 +207,7 @@ def test_resolvent_transform_of_a_band_pair_runs_no_dense_eigensolve(monkeypatch
     def forbidden(*args, **kwargs):
         raise AssertionError("resolvent_transform diagonalized a band pair densely")
 
-    monkeypatch.setattr(models, "herm_eig", forbidden)
+    monkeypatch.setattr(linalg, "herm_eig", forbidden)
     bottom = min(b.eigenvalues(0, 1)[0] for b in pair.operators)
     tr = resolvent_transform(pair, bottom - 1.0)
     with pytest.raises(GapViolationError) as err:
@@ -210,7 +220,7 @@ def test_resolvent_transform_of_a_band_pair_runs_no_dense_eigensolve(monkeypatch
 def test_resolvent_transform_reverses_order():
     pair = random_gapped_pair(6, 2, seed=9)
     tr = resolvent_transform(pair, -3.0)
-    w = np.sort(pair.eigensystems()[0].eigenvalues)
+    w = np.sort(dense_eigensystems(pair)[0].eigenvalues)
     mapped = 1.0 / (w - (-3.0))
     assert np.all(np.diff(mapped) < 0)
     assert np.allclose(np.sort(mapped), np.sort(np.linalg.eigvalsh(tr.pair.h0)),
@@ -465,7 +475,7 @@ def test_complex_band_pair_matches_dense_build():
     assert pair.banded and not dense.banded
     assert pair.operators[1].offdiagonal[4] != bands.offdiagonal[4]
     assert np.allclose(pair.h, dense.h, atol=1e-14)
-    for w, v in zip(pair.eigenvalues, dense.eigensystems()):
+    for w, v in zip(pair.eigenvalues, dense_eigensystems(dense)):
         assert np.allclose(w, v.eigenvalues, atol=1e-12)
     assert np.allclose(projection_difference(pair, 0.1).spectrum,
                        projection_difference(dense, 0.1).spectrum, atol=1e-12)

@@ -56,8 +56,16 @@ def test_rule_invariants_enforced():
     (lambda: legendre_rule(10, 1.0, 0.0), "b > a"),
     (lambda: exp_mapped_rule(10, 0.0), "scale must be positive"),
     (lambda: log_rule(10, -1.0), "half_width must be positive"),
+    # each non-finite parameter is named before any arithmetic: these gave
+    # "non-finite quadrature data", -inf after an overflow warning
+    (lambda: legendre_rule(8, -np.inf, 1.0), r"^a must be finite, got -inf$"),
+    (lambda: legendre_rule(8, 0.0, np.nan), r"^b must be finite, got nan$"),
+    (lambda: exp_mapped_rule(8, np.nan), r"^scale must be finite, got nan$"),
+    (lambda: exp_mapped_rule(8, np.inf), r"^scale must be finite, got inf$"),
+    (lambda: log_rule(8, np.inf), r"^half_width must be finite, got inf$"),
 ], ids=["mismatched-weights", "empty-interval", "reversed-interval", "zero-scale",
-        "negative-half-width"])
+        "negative-half-width", "infinite-a", "nan-b", "nan-scale", "infinite-scale",
+        "infinite-half-width"])
 def test_rule_parameters_are_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()

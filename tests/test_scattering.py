@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from projdiff import models, scattering
+from projdiff import linalg, models, scattering
 from projdiff.errors import OracleConvergenceError, ResidualError, SingularSandwichError
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
                              random_gapped_pair, sech2_spec, square_well_spec,
@@ -13,6 +13,8 @@ from projdiff.scattering import (birman_krein_check, birman_krein_extrapolated,
                                  resolvent_sandwich, scattering_bundle,
                                  smoothed_counting_shift,
                                  smoothed_density, transfer_matrix_smatrix)
+
+from oracles import dense_eigensystems
 
 
 def scalar_pair(h0_value, coupling):
@@ -65,7 +67,7 @@ def test_density_psd_and_trace_sum_rule():
     eps = 0.05
     grid = np.linspace(-60.0, 60.0, 12001)
     vals = []
-    e0, _ = pair.eigensystems()
+    e0, _ = dense_eigensystems(pair)
     gv = pair.g @ e0.eigenvectors
     weights = np.sum(np.abs(gv) ** 2, axis=0)
     for lam in grid:
@@ -538,11 +540,12 @@ def test_spectral_sandwich_matches_dense_solve(case):
 
 
 def test_spectral_sandwich_reuses_the_eigensystems(monkeypatch):
-    # T0 and T come from the pair's two cached eigensolves; the only
+    # T0 and T come from the operators' two cached eigensolves; the only
     # factorization left is the k x k inverse of I + V0 T0, which the
     # conditioning check and the factor-identity residual share
     pair = build_krein(200, 40.0)
-    pair.eigensystems()
+    for b in pair.operators:
+        b.eigensystem
     factorizations, eigs = [], []
 
     def spy(name, original):
@@ -553,7 +556,7 @@ def test_spectral_sandwich_reuses_the_eigensystems(monkeypatch):
 
     for name in ("solve", "inv"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(models, "herm_eig", lambda *a, **k: eigs.append(a))
+    monkeypatch.setattr(linalg, "herm_eig", lambda *a, **k: eigs.append(a))
     resolvent_sandwich(pair, 0.5 + 0.05j)
     # on the ladder's stack of one point
     assert factorizations == [("inv", (1, pair.kdim, pair.kdim))]
@@ -783,10 +786,17 @@ def test_empty_ladder_is_rejected():
     (lambda pair: phase_ladder(pair, 0.0, [np.inf, 0.1]), "eps ladder must be finite"),
     (lambda pair: scattering_bundle(pair, 0.0, np.inf), "eps ladder must be finite"),
     (lambda pair: smoothed_density(pair, 0.0, np.inf), "eps ladder must be finite"),
+    # the counting shift meets the same contract: eps 0 divided by zero,
+    # -0.1 gave the negative of the 0.1 value, nan gave nan and inf 0
+    (lambda pair: smoothed_counting_shift(pair, 0.0, 0.0), "need eps > 0"),
+    (lambda pair: smoothed_counting_shift(pair, 0.0, -0.1), "need eps > 0"),
+    (lambda pair: smoothed_counting_shift(pair, 0.0, np.nan), "need eps > 0"),
+    (lambda pair: smoothed_counting_shift(pair, 0.0, np.inf), "eps ladder must be finite"),
 ], ids=["density-eps-zero", "density-eps-negative", "density-eps-nan", "ladder-increasing",
         "ladder-repeated", "ladder-nan", "ladder-zero", "xi-ladder-empty", "xi-ladder-repeated",
         "xi-ladder-zero", "xi-ladder-negative", "neville-repeated", "xi-ladder-inf",
-        "ladder-inf", "bundle-eps-inf", "density-eps-inf"])
+        "ladder-inf", "bundle-eps-inf", "density-eps-inf", "counting-shift-eps-zero",
+        "counting-shift-eps-negative", "counting-shift-eps-nan", "counting-shift-eps-inf"])
 def test_smoothing_inputs_are_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call(random_gapped_pair(10, 3, seed=0))

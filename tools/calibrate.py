@@ -60,7 +60,7 @@ def calibrate_krein_ladder(cfg):
     print(f"== resolvent-model ladder (probe {probe}, n = {cfg['n']}, L = {cfg['L']:g})")
     pair = build_krein(cfg["n"], cfg["L"])
     (m0, _), _ = pair.probe_gaps(probe)
-    spacing = float(np.diff(pair.eigenpairs(0, m0 - 1, m0 + 1).eigenvalues)[0])
+    spacing = float(np.diff(pair.operators[0].eigenvalues(m0 - 1, m0 + 1))[0])
     best, best_defect = None, np.inf
     for ladder in ([0.3, 0.2, 0.1], [0.2, 0.15, 0.1, 0.05],
                    [0.2, 0.1, 0.05], [0.1, 0.05, 0.03, 0.02]):
