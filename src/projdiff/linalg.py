@@ -165,6 +165,17 @@ class TridiagonalBands:
     diagonal: np.ndarray
     offdiagonal: np.ndarray
 
+    def __post_init__(self):
+        """Require 1-d bands, n >= 1 diagonal entries and n - 1 offdiagonal ones.
+        Their values are checked where a pair is built (build_finite_pair)."""
+        d, e = self.diagonal, self.offdiagonal
+        if np.ndim(d) != 1 or np.ndim(e) != 1:
+            raise ValueError(f"band diagonal and offdiagonal must be 1-d, got "
+                             f"{np.ndim(d)}-d and {np.ndim(e)}-d")
+        if len(d) == 0 or len(e) != len(d) - 1:
+            raise ValueError(f"band offdiagonal has length {len(e)} and diagonal {len(d)}; "
+                             f"need a diagonal of n >= 1 entries and an offdiagonal of n - 1")
+
     @property
     def dim(self):
         return len(self.diagonal)
@@ -263,11 +274,12 @@ class TridiagonalBands:
         Otherwise in four steps (Parlett, The Symmetric Eigenvalue Problem,
         ch. 4 and 11).  LAPACK ``dstebz`` bisects the requested eigenvalues
         only to an absolute BAND_BISECTION_TOL * ||T||_1, enough for the
-        inverse iteration of ``dstein`` to converge on them.  A Rayleigh-Ritz
-        step on the span of its vectors (see :meth:`_ritz`) then gives the
-        eigenvalues to roundoff.  Every pair must satisfy the certificate
-        ||T v - theta v|| <= BAND_RESIDUAL_TOL * ||T||_1.  When one fails
-        it, the four steps run once more on the whole range, with the
+        inverse iteration of ``dstein`` to converge on them (its info is not
+        read: the certificate below judges a vector it leaves unconverged).
+        A Rayleigh-Ritz step on the span of its vectors (see :meth:`_ritz`)
+        then gives the eigenvalues to roundoff.  Every pair must satisfy the
+        certificate ||T v - theta v|| <= BAND_RESIDUAL_TOL * ||T||_1.  When
+        one fails it, the four steps run once more on the whole range, with the
         bisection to full accuracy (``dstebz`` at abstol 0, as in
         ``eigh_tridiagonal``); a pair that fails then raises
         :class:`ResidualError`.  A failed bisection raises ``LinAlgError``,
@@ -284,19 +296,26 @@ class TridiagonalBands:
         if self.dim == 1:
             # dstebz rejects an empty offdiagonal
             return SpectralDecomposition(d.astype(float), np.ones((1, 1)))
-        norm1 = np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))
-        bound = BAND_RESIDUAL_TOL * norm1
-        for abstol in (BAND_BISECTION_TOL * norm1, 0.0):
+        bound = BAND_RESIDUAL_TOL * self._norm1
+        for abstol in (BAND_BISECTION_TOL * self._norm1, 0.0):
             m, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi, abstol, "B")
             if info or m != hi - lo:
                 raise np.linalg.LinAlgError(f"dstebz failed (info {info}, {m} of {hi - lo} "
                                             f"eigenvalues)")
-            theta, v, resid = self._ritz(_stein(d, e, w[:m], block[:m], split))
+            # the wrapper takes iblock at full length n; dstein reads its first m
+            v = lapack.dstein(d, e, w[:m], np.resize(block[:m], self.dim), split)[0]
+            theta, v, resid = self._ritz(v)
             worst = int(np.argmax(resid))
             if resid[worst] <= bound:
                 return SpectralDecomposition(theta, v)
         raise ResidualError(f"banded eigenpair residual {resid[worst]:.3e} exceeds "
                             f"contract {bound:.3e}", resid[worst], bound)
+
+    @functools.cached_property
+    def _norm1(self):
+        """||M||_1, the largest absolute row sum; it bounds every |eigenvalue|."""
+        d, e = self.diagonal, self.offdiagonal
+        return np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))
 
     def _ritz(self, v):
         """(Ritz values, Ritz vectors, residual norms) of the span of the
@@ -328,23 +347,24 @@ class TridiagonalBands:
         """The number of eigenvalues below x.  A free chain counts its
         closed-form eigenvalues below x, one ``searchsorted``, so the count
         agrees with the values :meth:`eigenvalues` gives.  Other bands count
-        by Sturm's law of inertia: the number of negative LDL^T pivots of
-        M - x, an O(n) recursion with no matrix formed.  A pivot below the
-        LAPACK floor pivmin = tiny * max(1, max e^2) is replaced by +pivmin,
-        as if x sat a hair lower, so no pivot divides by zero and no
-        quotient overflows.
+        n less LAPACK ``dstebz``'s Sturm count of the eigenvalues of -M in
+        (-1 - ||M||_1, -x], at an abstol as wide, so its bisection stops at
+        the first midpoint; as it takes a pivot below its floor as negative,
+        an eigenvalue at x is not below x.  x >= ||M||_1 + 1 or NaN gives
+        n without a call; a failed count raises ``LinAlgError``.
         """
         if self.free_chain is not None:
             return int(np.searchsorted(self.eigenvalues(), x))
-        e2 = (self.offdiagonal ** 2).tolist()
-        pivmin = np.finfo(float).tiny * max(1.0, max(e2, default=0.0))
-        count, p = 0, 1.0
-        for di, ei in zip((self.diagonal - x).tolist(), [0.0] + e2):
-            p = di - ei / p
-            if -pivmin < p < pivmin:
-                p = pivmin
-            count += p < 0.0
-        return count
+        n, d, vl = self.dim, self.diagonal, -1.0 - self._norm1
+        if not x < -vl:
+            return n
+        if n == 1:
+            # dstebz rejects an empty offdiagonal
+            return int(d[0] < x)
+        m, *_, info = lapack.dstebz(-d, self.offdiagonal, 1, vl, -x, 0, 0, -x - vl, "E")
+        if info:
+            raise np.linalg.LinAlgError(f"dstebz count failed (info {info})")
+        return n - m
 
     def window(self, z, lo, hi, corners=None):
         """The window system of rows and columns lo, ..., hi - 1 at z.
@@ -431,12 +451,17 @@ class WindowSystem:
     offdiagonal: np.ndarray
 
     def solve(self, rhs):
-        """The system's inverse applied to rhs, by its banded LU."""
+        """The system's inverse applied to rhs (a vector or columns), by the
+        banded LU of ``solve_banded``, into a complex copy of rhs."""
         # a complex copy: for a 1 x 1 system solve_banded divides it in place
         b = np.array(rhs, dtype=complex)
         if len(b) == 0:
             return b
-        return _banded_solve(self.diagonal, self.offdiagonal, b)
+        ab = np.zeros((3, len(self.diagonal)), dtype=complex)
+        ab[0, 1:] = self.offdiagonal
+        ab[1, :] = self.diagonal
+        ab[2, :-1] = self.offdiagonal
+        return sla.solve_banded((1, 1), ab, b, overwrite_b=True)
 
     def pivots(self):
         """The LDL^T pivots p_1 = d_1, p_(i+1) = d_(i+1) - e_i^2 / p_i; their
@@ -455,30 +480,12 @@ def _check_range(lo, hi, n, what="index range"):
         raise ValueError(f"{what} [{lo}, {hi}) outside 0..{n}")
 
 
-def _stein(d, e, w, block, split):
-    """dstein's eigenvectors of the bands (d, e) at the shifts w of the split
-    blocks ``block``.  Its info is not read: a vector that has not converged
-    in dstein's iterations is returned as it is, and the residual
-    certificate of :meth:`TridiagonalBands.eigenpairs` judges it."""
-    # the wrapper takes iblock at full length n; dstein reads its first m
-    return lapack.dstein(d, e, w, np.resize(block, len(d)), split)[0]
-
-
-def _banded_solve(diagonal, offdiagonal, b):
-    """Solve the symmetric tridiagonal system (``diagonal``, ``offdiagonal``) x = b,
-    overwriting b."""
-    ab = np.zeros((3, len(diagonal)), dtype=complex)
-    ab[0, 1:] = offdiagonal
-    ab[1, :] = diagonal
-    ab[2, :-1] = offdiagonal
-    return sla.solve_banded((1, 1), ab, b, overwrite_b=True)
-
-
 def _corner(diagonal, offdiagonal, end):
-    """Entry (end, end) of the inverse of the symmetric tridiagonal (``diagonal``, ``offdiagonal``)."""
-    unit = np.zeros(len(diagonal), dtype=complex)
+    """Entry (end, end) of the inverse of the symmetric tridiagonal (``diagonal``,
+    ``offdiagonal``): the one-column solve of its :class:`WindowSystem` on a unit vector."""
+    unit = np.zeros(len(diagonal))
     unit[end] = 1.0
-    return _banded_solve(diagonal, offdiagonal, unit)[end]
+    return WindowSystem(diagonal, offdiagonal).solve(unit)[end]
 
 
 def probe_gaps(probe, spectra):

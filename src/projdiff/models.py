@@ -340,7 +340,8 @@ class PotentialSpec:
     both shipped specs are: the grid, and the transfer-matrix oracle's cells,
     sample it in one call, through :meth:`samples`.  The envelope
     |V(x)| <= decay_constant * (1+|x|)**(-decay_exponent) is verified on
-    the grid when the pair is built.
+    the grid when the pair is built.  A half-width X that is not finite and
+    positive raises ValueError naming it.
     """
 
     potential: callable
@@ -348,6 +349,10 @@ class PotentialSpec:
     decay_exponent: float
     half_width: float
     n: int
+
+    def __post_init__(self):
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
 
     def samples(self, x):
         """V on the array x as floats; a non-finite value raises ValueError
@@ -480,8 +485,11 @@ def resolvent_transform(pair, shift):
 
     The transformed difference factorizes over the same coupling space:
     h - h0 = g* w0 g with g = G h0 and w0 = -V0 + V0 (G h G*) V0, an
-    iterated resolvent identity.
+    iterated resolvent identity.  A shift that is not finite raises
+    ValueError, one not below both spectra :class:`GapViolationError`.
     """
+    if not np.isfinite(shift):
+        raise ValueError(f"shift {shift} is not finite")
     bottom = min(b.eigenvalues(0, 1)[0] for b in pair.operators)
     if not shift < bottom - 1e-6:
         raise GapViolationError(shift, bottom)

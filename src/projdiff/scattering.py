@@ -692,9 +692,12 @@ def smoothed_counting_shift(pair, probe, eps):
     recovers the integer -trace D(probe) = m0 - m1 of
     :meth:`projdiff.models.OperatorPair.probe_gaps`, while for eps
     above the local level spacing it resolves the weak (distributional)
-    limit of the counting shift.  An eps that is not finite and positive
-    raises ValueError (see :func:`_eps_ladder`).
+    limit of the counting shift.  A probe that is not finite, or an eps
+    that is not finite and positive (see :func:`_eps_ladder`), raises
+    ValueError.
     """
+    if not np.isfinite(probe):
+        raise ValueError(f"probe {probe} is not finite")
     _eps_ladder([eps])
     w0, w1 = pair.eigenvalues
     step = lambda w: 0.5 + np.arctan((probe - w) / eps) / np.pi

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -6,11 +8,19 @@ from projdiff import cli
 from projdiff.acceptance import Clause
 
 
-def test_presets_listing(capsys):
+def test_presets_listing(monkeypatch, capsys):
     assert cli.main(["presets"]) == 0
     out = capsys.readouterr().out
     for name in ("krein", "schrodinger:sech2", "schrodinger:square-well"):
         assert name in out
+    # run as a script, the module exits with main's status; it is dropped
+    # from sys.modules first, as runpy warns when it runs one already imported
+    monkeypatch.delitem(sys.modules, "projdiff.cli")
+    monkeypatch.setattr(sys, "argv", ["projdiff", "presets"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("projdiff.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == out
 
 
 def test_run_with_config(tmp_path, capsys):
@@ -83,6 +93,10 @@ def test_seed_override(tmp_path, capsys):
     ({"model": "schrodinger:sech2", "model_params": {"n": 100}}, "config.model_params"),
     # a random pair's size has one name, n, the axis every preset takes
     ({"model": "finite:random", "model_params": {"dim": 30}}, "config.model_params.dim"),
+    # a box half-width that is not positive
+    *(({"model": model, "model_params": {"half_width": half_width}}, "config.model_params")
+      for model, half_width in (("schrodinger:sech2", -120.0), ("schrodinger:sech2", 0.0),
+                                ("schrodinger:square-well", -30.0))),
 ])
 def test_run_edge_config_exits_2_naming_the_field(tmp_path, capsys, config, path):
     cfg_path = tmp_path / "cfg.json"

@@ -373,9 +373,11 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
     # free chain H0 and its parity blocks in closed form (no banded
     # eigensolve of them), and solves H on its folded blocks, n / 2 long
     # eigenvalues come from eigh_tridiagonal, eigenpairs from LAPACK's
-    # dstebz (range 2: by index; 0 would be all) and dstein: all are spied
+    # dstebz (range 2: by index; 0 would be all) and dstein: all are spied.
+    # Sturm counts are dstebz's range-1 calls on -M over (vl, vu], at an
+    # abstol of at least vu - vl: recorded apart, with M negated back
     from projdiff import linalg
-    calls = []
+    calls, counts = [], []
     original = linalg.sla.eigh_tridiagonal
     original_stebz, original_stein = linalg.lapack.dstebz, linalg.lapack.dstein
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.680619,),
@@ -392,7 +394,12 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
         return original(d, e, **kwargs)
 
     def spy_stebz(d, e, select, *args):
-        record(True, {0: "a", 1: "v", 2: "i"}[select], d)
+        if select == 1:
+            vl, vu, _, _, abstol, _ = args
+            counts.append((abstol >= vu - vl, len(d), any(
+                np.array_equal(-d, b.diagonal) for b in [pair.operators[0], *h0_blocks])))
+        else:
+            record(True, {0: "a", 1: "v", 2: "i"}[select], d)
         return original_stebz(d, e, select, *args)
 
     def spy_stein(d, e, *args):
@@ -410,6 +417,8 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
     assert not [c for c in calls if c[3]]
     assert all(select == "i" for _, select, _, _ in calls)
     assert {length for *_, length, _ in calls} == {pair.dim // 2}
+    # the probe step counts on both H blocks, and on no H0 block
+    assert counts == [(True, pair.dim // 2, False)] * 2
 
 
 def test_sech2_run_allocates_no_dense_matrix():

@@ -5,8 +5,9 @@ import scipy.linalg as sla
 from projdiff import linalg
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                              ProjdiffError, ResidualError, SpectralCollisionError)
-from projdiff.linalg import (HERMITIAN_TOL, DenseHermitian, TridiagonalBands, check_hermitian,
-                             expm_apply, herm_eig, probe_gaps, svd, sylvester_solve)
+from projdiff.linalg import (HERMITIAN_TOL, DenseHermitian, ParityBlock, TridiagonalBands,
+                             check_hermitian, expm_apply, herm_eig, probe_gaps, svd,
+                             sylvester_solve)
 from projdiff.models import build_finite_pair, build_krein, preset_pair
 
 
@@ -237,6 +238,22 @@ def test_free_chain_closed_form_matches_the_banded_solver(n, t):
     assert np.max(np.abs(bands.eigenvalues() - w)) <= 1e-12 * scale
 
 
+def test_bands_of_the_wrong_shape_are_rejected():
+    # 1-d bands, n >= 1 diagonal entries and n - 1 links: five links on a
+    # diagonal of five counted with four of them, and a ParityBlock, a band
+    # of its own, is held to the same shape
+    parent = TridiagonalBands(np.full(4, 2.0), np.full(3, -1.0))
+    cases = (((np.arange(5.0), np.ones(5)), "offdiagonal has length 5 and diagonal 5"),
+             ((np.arange(5.0), np.ones(3)), "offdiagonal has length 3 and diagonal 5"),
+             ((np.empty(0), np.empty(0)), "offdiagonal has length 0 and diagonal 0"),
+             ((np.ones((2, 2)), np.ones(1)), "must be 1-d, got 2-d and 1-d"),
+             ((np.ones(3), np.ones((2, 1))), "must be 1-d, got 1-d and 2-d"))
+    for bands, message in cases:
+        for build in (TridiagonalBands, lambda d, e: ParityBlock(d, e, parent, +1)):
+            with pytest.raises(ValueError, match=f"^band .*{message}"):
+                build(*bands)
+
+
 def test_free_chain_detection():
     # exactly constant bands with a nonzero link; one ulp off is not a chain
     assert TridiagonalBands(np.array([1.0]), np.empty(0)).free_chain is None
@@ -314,25 +331,47 @@ def test_parity_block_detection():
             assert TridiagonalBands(d, off).parity_blocks is None
 
 
-@pytest.mark.parametrize("cut", (False, True))
-@pytest.mark.parametrize("n", (1, 2, 9, 200))
-def test_sturm_counts_match_the_sorted_spectrum(n, cut):
-    # negative LDL^T pivots of M - x against searchsorted on the full
-    # spectrum, on random real bands (with a zero link when cut), at random
-    # points, the diagonal entries and points just beside the eigenvalues
-    rng = np.random.default_rng(n)
-    bands = _random_bands(rng, n, cut and n > 2)
+def _assert_counts_match_the_sorted_spectrum(bands, rng, scale=1.0):
+    """count_below against searchsorted on the full spectrum, at random
+    points, the diagonal entries and points scale * 1e-9 beside the
+    eigenvalues; points within scale * 1e-10 of one are left out."""
     assert bands.free_chain is None
     w = sla.eigh_tridiagonal(bands.diagonal, bands.offdiagonal, eigvals_only=True)
     x = np.concatenate([rng.uniform(w[0] - 1.0, w[-1] + 1.0, 200), bands.diagonal,
-                        w + 1e-9, w - 1e-9])
-    x = x[np.min(np.abs(x[:, None] - w[None, :]), axis=1) > 1e-10]
+                        w + 1e-9 * scale, w - 1e-9 * scale])
+    x = x[np.min(np.abs(x[:, None] - w[None, :]), axis=1) > 1e-10 * scale]
     assert [bands.count_below(xi) for xi in x] == np.searchsorted(w, x).tolist()
 
 
+@pytest.mark.parametrize("cut", (False, True))
+@pytest.mark.parametrize("n", (1, 2, 9, 200))
+def test_sturm_counts_match_the_sorted_spectrum(n, cut):
+    # dstebz's Sturm counts against searchsorted on the full spectrum, on
+    # random real bands (with a zero link when cut), and on the same bands
+    # graded by D^1/2 M D^1/2, D from 1 to 1e7, where the points keep their
+    # distance relative to ||M||
+    rng = np.random.default_rng(n)
+    bands = _random_bands(rng, n, cut and n > 2)
+    _assert_counts_match_the_sorted_spectrum(bands, rng)
+    root = np.sqrt(np.logspace(0, 7, n))
+    graded = TridiagonalBands(bands.diagonal * root ** 2,
+                              bands.offdiagonal * root[:-1] * root[1:])
+    _assert_counts_match_the_sorted_spectrum(graded, rng, _band_norm1(graded))
+
+
+@pytest.mark.parametrize("name", ("schrodinger:sech2", "schrodinger:square-well"))
+def test_sturm_counts_match_the_sorted_spectrum_on_shipped_h_blocks(name):
+    # the counts the probe step reads: the even and odd blocks of the
+    # shipped boxes' H (1,200 rows each), which are not free chains
+    blocks = preset_pair(name).operators[1].parity_blocks
+    for block in blocks:
+        _assert_counts_match_the_sorted_spectrum(block, np.random.default_rng(block.dim))
+
+
 def test_sturm_count_through_zero_pivots():
-    # a pivot of exactly zero, first and later, is replaced by +pivmin: no
-    # division by zero, and the count is that of the eigenvalues below x
+    # a pivot of exactly zero, first and later: dstebz takes a pivot below
+    # its floor as negative, which on -M keeps an eigenvalue at x out of the
+    # count, so the count is that of the eigenvalues strictly below x
     cases = ((np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0]), 0.0),
              (np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0]), 1.0),
              (np.array([0.0, 5.0]), np.array([0.0]), 0.0))
@@ -562,6 +601,9 @@ def test_banded_eigenpairs_raise_on_a_failed_bisection(monkeypatch):
     monkeypatch.setattr(linalg.lapack, "dstebz", failed)
     with pytest.raises(np.linalg.LinAlgError, match=r"dstebz failed \(info 4, 0 of 5"):
         bands.eigenpairs(2, 7)
+    # and so is a failed Sturm count, dstebz's range-1 call
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dstebz count failed \(info 4\)$"):
+        bands.count_below(0.3)
 
 
 def test_banded_eigenpairs_raise_the_residual_error(monkeypatch):

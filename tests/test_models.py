@@ -199,6 +199,24 @@ def test_resolvent_transform_rejects_shift_in_spectrum():
         resolvent_transform(pair, 0.5)
 
 
+@pytest.mark.parametrize("shift", (np.nan, np.inf, -np.inf))
+def test_resolvent_transform_rejects_a_non_finite_shift(shift):
+    # nan failed the bottom check as a probe; -inf passed it and built a
+    # pair of NaN operators
+    with pytest.raises(ValueError, match=rf"^shift {shift} is not finite$"):
+        resolvent_transform(build_krein(64, 10.0), shift)
+
+
+@pytest.mark.parametrize("half_width", (-120.0, 0.0, np.nan, np.inf))
+def test_potential_spec_rejects_a_half_width_not_finite_and_positive(half_width):
+    # -120 built the +120 box with a negative step; 0 divided by zero
+    for spec in (lambda: sech2_spec(1.0, half_width, 400),
+                 lambda: square_well_spec(1.0, 2.0, half_width, 400)):
+        with pytest.raises(ValueError, match=rf"^half_width must be finite and positive, "
+                                             rf"got {half_width}$"):
+            spec()
+
+
 def test_resolvent_transform_of_a_band_pair_runs_no_dense_eigensolve(monkeypatch):
     # the shift is checked against the two lowest eigenvalues, taken from
     # the bands (closed form for the free chain H0), not from eigensystems

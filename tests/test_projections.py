@@ -637,3 +637,10 @@ def test_non_finite_probe_is_rejected_by_name(probe):
         scattering.resolvent_sandwich(dense, probe + 0.1j)
     with pytest.raises(ValueError, match=f"need a finite probe > 0, got {name}"):
         scattering.transfer_matrix_smatrix(sech2_spec(1.0, 30.0, 999), probe)
+    # the smoothed counting shift and its extrapolation, which reads it on
+    # every rung, took any probe: nan gave nan, and +-inf gave 0.0
+    rnd = random_gapped_pair(24, 3, 0)
+    with pytest.raises(ValueError, match=f"^probe {name} is not finite$"):
+        scattering.smoothed_counting_shift(rnd, probe, 0.1)
+    with pytest.raises(ValueError, match=f"^probe {name} is not finite$"):
+        scattering.birman_krein_extrapolated(rnd, probe, [], [0.1, 0.05])
