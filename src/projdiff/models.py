@@ -17,7 +17,7 @@ pair or on its parity blocks.
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -59,8 +59,8 @@ class OperatorPair:
     dense consumers only.  ``g`` maps the main space into the coupling
     space (kdim x dim), as an array for a dense pair and as a real
     ``csr_array`` of its nonzeros for a band pair; ``v0`` is Hermitian on
-    the coupling space (real symmetric for a band pair).  ``meta`` records
-    the model and any exactly known facts about it.
+    the coupling space (real symmetric for a band pair).  It holds its
+    factorization only; a model's grid or rule comes from its inputs.
 
     Eigen-data are computed on first use and cached on the operators.  Every
     probe consumer reads its eigenpairs through one step, :meth:`probe_basis`
@@ -80,7 +80,6 @@ class OperatorPair:
     operators: tuple
     g: object
     v0: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self):
@@ -217,8 +216,8 @@ def _hermitize_check(m, name):
     return m
 
 
-def build_finite_pair(h0, g, v0, meta=None):
-    """Assemble an :class:`OperatorPair` from its factorization pieces.
+def build_finite_pair(h0, g, v0):
+    """Assemble an :class:`OperatorPair` from its factorization, and from nothing else.
 
     ``h0`` is a dense Hermitian matrix or a :class:`TridiagonalBands`, and
     ``g`` a dense or ``scipy.sparse`` array.  A band pair is real
@@ -251,13 +250,12 @@ def build_finite_pair(h0, g, v0, meta=None):
         for name, x in (("h0", h0.diagonal), ("h0", h0.offdiagonal), ("g", g), ("v0", v0)):
             if np.iscomplexobj(x):
                 raise ValueError(f"{name} is complex; a band pair is real symmetric")
-        return _band_pair(h0, g, v0, dict(meta or {}))
+        return _band_pair(h0, g, v0)
     v = g.conj().T @ v0 @ g
     h = h0 + v
     # both operators are stored exactly Hermitian, so that their eigensolves
     # certify them by one exact comparison (see herm_eig)
-    pair = OperatorPair(tuple(DenseHermitian(_hermitian_part(m)) for m in (h0, h)),
-                        g, v0, dict(meta or {}))
+    pair = OperatorPair(tuple(DenseHermitian(_hermitian_part(m)) for m in (h0, h)), g, v0)
     # Frobenius bounds the operator norm from above, and is O(n^2) to check
     resid = np.linalg.norm(pair.h - h0 - v)
     scale = np.linalg.norm(pair.h) + np.linalg.norm(h0)
@@ -278,7 +276,7 @@ def _check_factorization(resid, scale):
         raise ResidualError(f"factorization residual {resid:.3e}", resid, bound)
 
 
-def _band_pair(b0, g, v0, meta):
+def _band_pair(b0, g, v0):
     """The band pair of :func:`build_finite_pair`: G* V0 G from g, a real csr_array."""
     v = (g.T @ sparse.csr_array(v0)) @ g
     lo, d, up = (v.diagonal(k) for k in (-1, 0, 1))
@@ -296,7 +294,7 @@ def _band_pair(b0, g, v0, meta):
     scale = sum(np.sqrt(np.sum(b.diagonal ** 2) + 2.0 * np.sum(b.offdiagonal ** 2))
                 for b in (b0, b1))
     _check_factorization(resid, scale)
-    return OperatorPair((b0, b1), g, v0, meta)
+    return OperatorPair((b0, b1), g, v0)
 
 
 def build_krein(n, L):
@@ -325,11 +323,7 @@ def build_krein(n, L):
     h0 *= sq[:, None]
     h0 *= sq[None, :]
     u = sq * np.exp(-x)
-    meta = {
-        "model": "krein", "n": n, "L": float(L), "rule": rule,
-        "exact": {"spectrum": (0.0, 1.0), "counting_shift": 0.5, "smatrix": -1.0},
-    }
-    return build_finite_pair(h0, u[None, :], np.array([[1.0]]), meta)
+    return build_finite_pair(h0, u[None, :], np.array([[1.0]]))
 
 
 @dataclass(frozen=True)
@@ -366,7 +360,10 @@ class PotentialSpec:
 
     def grid(self):
         """(x, h): the n interior points of [-X, X] at step h = 2X / (n + 1),
-        centred half-integer multiples of h, so that x[::-1] == -x exactly."""
+        x[k] = h (k + 1 - (n + 1) / 2), so that x[::-1] == -x exactly.  For
+        even n they are half-integer multiples of h; for odd n integer
+        multiples, with a node at 0, so a node can fall on a jump of V (the
+        square-well corner box, X = 60 and n = 1199, has nodes at x = +-1)."""
         h = 2.0 * self.half_width / (self.n + 1)
         return h * (np.arange(1, self.n + 1) - 0.5 * (self.n + 1)), h
 
@@ -413,27 +410,22 @@ def build_schrodinger_1d(spec):
             f"|V({x[i]:.4g})| = {abs(v[i]):.4g} exceeds declared envelope {envelope[i]:.4g}")
     n = spec.n
     h0 = TridiagonalBands(np.full(n, 2.0) / h ** 2, np.full(n - 1, -1.0) / h ** 2)
-    keep = np.abs(v) > SUPPORT_FLOOR
-    idx = np.where(keep)[0]
+    idx = np.flatnonzero(np.abs(v) > SUPPORT_FLOOR)
     g = sparse.csr_array((np.sqrt(np.abs(v[idx])), idx, np.arange(len(idx) + 1)),
                          shape=(len(idx), n))
     v0 = np.diag(np.sign(v[idx]))
-    meta = {
-        "model": "schrodinger", "grid": x, "step": h, "support": idx,
-        "potential": np.where(keep, v, 0.0), "spec": spec,
-    }
-    return build_finite_pair(h0, g, v0, meta)
+    return build_finite_pair(h0, g, v0)
 
 
 def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
     """Seeded random pair with both spectra bounded away from every probe.
 
     H0 is diagonal with entries uniform in [-1, 1] (resampled until
-    gapped at the probes), G is Gaussian, V0 is a random sign matrix
-    scaled to keep ||V|| about 1/2.  H is resampled until its spectrum
-    is also gapped; the accepted try index is recorded in meta.  Raises
-    ValueError for dim < 1, kdim < 1, gap <= 0 or a probe that is not
-    finite, and when MAX_TRIES draws find no gapped pair.
+    gapped at the probes), V0 is a random sign matrix and G is complex
+    Gaussian scaled to ||G|| = 0.7, so that ||G* V0 G|| <= 0.49; the whole
+    draw repeats until H is also gapped.  Raises ValueError for dim < 1,
+    kdim < 1, gap <= 0 or a probe that is not finite, and when MAX_TRIES
+    draws find no gapped pair.
     """
     if dim < 1 or kdim < 1 or not gap > 0:
         raise ValueError(f"need dim >= 1, kdim >= 1 and gap > 0, got {dim}, {kdim}, {gap}")
@@ -446,7 +438,7 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
     def gapped(values):
         return np.all(np.abs(values[:, None] - probes[None, :]) > gap)
 
-    for attempt in range(MAX_TRIES):
+    for _ in range(MAX_TRIES):
         d = rng.uniform(-1.0, 1.0, size=dim)
         if not gapped(d):
             continue
@@ -455,9 +447,7 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
         v0 = np.diag(rng.choice([-1.0, 1.0], size=kdim))
         h = np.diag(d) + g.conj().T @ v0 @ g
         if gapped(np.linalg.eigvalsh(h)):
-            meta = {"model": "finite:random", "seed": seed, "attempt": attempt,
-                    "probes": probes.tolist(), "gap": gap}
-            return build_finite_pair(np.diag(d).astype(complex), g, v0, meta)
+            return build_finite_pair(np.diag(d).astype(complex), g, v0)
     raise ValueError(f"no gapped pair found in {MAX_TRIES} tries for seed {seed}")
 
 
@@ -499,8 +489,7 @@ def resolvent_transform(pair, shift):
     h0t, ht = _hermitian_part(h0t), _hermitian_part(ht)
     g = pair.g @ h0t
     w0 = _hermitian_part(-pair.v0 + pair.v0 @ (pair.g @ ht @ pair.g.conj().T) @ pair.v0)
-    meta = {"model": "resolvent-transform", "base": pair.meta.get("model"), "shift": shift}
-    transformed = OperatorPair((DenseHermitian(h0t), DenseHermitian(ht)), g, w0, meta)
+    transformed = OperatorPair((DenseHermitian(h0t), DenseHermitian(ht)), g, w0)
     return ResolventTransform(transformed, float(shift))
 
 
@@ -511,7 +500,7 @@ def shift_pair(pair, probe):
     The translated pair computes its own eigen-data.
     """
     operators = tuple(b.shifted(probe) for b in pair.operators)
-    return OperatorPair(operators, pair.g, pair.v0, dict(pair.meta, shifted_by=float(probe)))
+    return OperatorPair(operators, pair.g, pair.v0)
 
 
 # preset: (thresholds.json section, {keyword: key there}, builder(seed, **keywords))

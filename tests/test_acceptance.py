@@ -133,9 +133,9 @@ def test_criteria_4_and_5_discretization_gaps():
     # gap is 0.0006
     well = acceptance.thresholds()["square_well"]
     half_width, n = well["corner_box"]
-    corner = build_schrodinger_1d(square_well_spec(well["depth"], well["width"],
-                                                   half_width, n))
-    assert corner.meta["step"] == pytest.approx(0.1)
+    spec = square_well_spec(well["depth"], well["width"], half_width, n)
+    corner = build_schrodinger_1d(spec)
+    assert spec.grid()[1] == pytest.approx(0.1)
     lattice = channel_smatrix(corner, well["probe"]).band_edges ** 2
     oracle = transfer_matrix_smatrix(square_well_spec(
         well["depth"], well["width"], well["oracle_half_width"], well["oracle_n"]), well["probe"])
@@ -144,8 +144,9 @@ def test_criteria_4_and_5_discretization_gaps():
     assert oracle.band_edges[0] ** 2 - lattice[0] > 0.05
     sech = acceptance.thresholds()["sech2"]
     half_width, n = sech["d_boxes"][-1]
-    box = build_schrodinger_1d(sech2_spec(sech["depth"], half_width, n))
-    assert box.meta["step"] == pytest.approx(0.1)
+    spec = sech2_spec(sech["depth"], half_width, n)
+    box = build_schrodinger_1d(spec)
+    assert spec.grid()[1] == pytest.approx(0.1)
     a_lattice = channel_smatrix(box, sech["probe"]).a
     a_oracle = transfer_matrix_smatrix(
         sech2_spec(sech["depth"], sech["oracle_half_width"], sech["oracle_n"]), sech["probe"]).a

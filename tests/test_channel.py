@@ -76,8 +76,8 @@ def test_channel_matches_dense_window_solve(kind, seed, probe):
     if kind == "complex":
         pair, (d, t) = random_band_pair(seed), (0.7, 1.3)
     else:
-        pair = build_schrodinger_1d(sech2_spec(1.0, 25.0, 300))
-        h = pair.meta["step"]
+        spec = sech2_spec(1.0, 25.0, 300)
+        pair, h = build_schrodinger_1d(spec), spec.grid()[1]
         d, t = 2.0 / h ** 2, 1.0 / h ** 2
     ch = channel_smatrix(pair, probe)
     s2, smat, top, det = dense_window_oracle(pair, probe, d, t)
@@ -167,8 +167,8 @@ def test_birman_krein_at_eps_zero(probe):
 
 
 def test_probe_outside_the_band_is_a_typed_error():
-    pair = build_schrodinger_1d(sech2_spec(1.0, 40.0, 400))
-    top = 4.0 / pair.meta["step"] ** 2
+    spec = sech2_spec(1.0, 40.0, 400)
+    pair, top = build_schrodinger_1d(spec), 4.0 / spec.grid()[1] ** 2
     for probe in (-0.5, 0.0, top, top + 1.0):
         with pytest.raises(ProbeOutsideBandError) as err:
             channel_smatrix(pair, probe)

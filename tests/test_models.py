@@ -13,6 +13,7 @@ from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1
                              resolvent_transform, sech2_spec, shift_pair,
                              square_well_spec, thresholds)
 from projdiff.projections import projection_difference
+from projdiff.quadrature import legendre_rule
 from projdiff.scattering import resolvent_sandwich
 
 from oracles import dense_eigensystems
@@ -44,7 +45,7 @@ def test_random_pair_factorization_residual():
 
 def test_krein_kernel_value_and_rank_one():
     pair = build_krein(64, 20.0)
-    rule = pair.meta["rule"]
+    rule = legendre_rule(64, 0.0, 20.0)
     x, w = rule.nodes, rule.weights
     # kernel at (x_i, x_j) recovered from the weighted matrix
     i, j = 10, 40
@@ -95,6 +96,19 @@ def test_schrodinger_decay_check():
         build_schrodinger_1d(PotentialSpec(slow, 1.0, 2.0, 30.0, 599))
     with pytest.raises(ValueError):
         build_schrodinger_1d(PotentialSpec(slow, 1.0, 0.9, 30.0, 599))
+
+
+@pytest.mark.parametrize("n", (399, 400))
+def test_grid_node_placement_follows_the_parity_of_n(n):
+    # x[k] = h (k + 1 - (n + 1) / 2): exactly antisymmetric, with a node at
+    # 0 iff n is odd; integer multiples of h for odd n, half-integer for even
+    x, h = sech2_spec(1.0, 20.0, n).grid()
+    assert h == 40.0 / (n + 1) and x.size == n
+    assert np.array_equal(x[::-1], -x)
+    assert (0.0 in x) == (n % 2 == 1)
+    k = x / h + (0.0 if n % 2 else 0.5)
+    assert np.max(np.abs(k - np.round(k))) <= 1e-9
+    assert np.array_equal(np.round(k), np.arange(n) - (n - 1) // 2)
 
 
 def test_schrodinger_rejects_a_non_finite_potential_by_name():
@@ -168,7 +182,7 @@ def test_resolvent_transform_scalar_map():
 @pytest.mark.parametrize("probe", (np.nan, np.inf, -np.inf))
 def test_random_pair_rejects_a_non_finite_probe(probe):
     # a nan probe drew MAX_TRIES pairs and then reported that none was
-    # gapped; an infinite one built a pair and recorded the probe in meta
+    # gapped; an infinite one built a pair as if the probe were absent
     with pytest.raises(ValueError, match=rf"^probe {probe} is not finite$"):
         random_gapped_pair(12, 4, seed=8, probes=(0.0, probe))
 
@@ -251,7 +265,6 @@ def test_shift_pair_translation():
     eye = np.eye(pair.dim)
     assert np.array_equal(shifted.h0, pair.h0 - 0.25 * eye)
     assert np.array_equal(shifted.h, pair.h - 0.25 * eye)
-    assert shifted.meta["shifted_by"] == 0.25
     # the translated pair is diagonalized afresh
     for w, w_shifted in zip(pair.eigenvalues, shifted.eigenvalues):
         assert np.allclose(w_shifted, w - 0.25, atol=1e-12)
@@ -301,7 +314,7 @@ def test_band_pair_matches_dense_build(name):
     n, step = spec.n, spec.grid()[1]
     h0 = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
           + np.diag(np.full(n - 1, -1.0), -1)) / step ** 2
-    dense = build_finite_pair(h0, pair.g, pair.v0, pair.meta)
+    dense = build_finite_pair(h0, pair.g, pair.v0)
     assert pair.banded and not dense.banded
     assert np.array_equal(pair.h0, dense.h0) and np.array_equal(pair.h, dense.h)
     for w, v in zip(pair.eigenvalues, dense.eigenvalues):
@@ -362,7 +375,8 @@ def test_krein_kernel_is_the_outer_product_formula(n, monkeypatch):
     monkeypatch.setattr(models, "build_finite_pair",
                         lambda h0, *args: built.append(h0) or original(h0, *args))
     pair = build_krein(n, 40.0)
-    x, sq = pair.meta["rule"].nodes, np.sqrt(pair.meta["rule"].weights)
+    rule = legendre_rule(n, 0.0, 40.0)
+    x, sq = rule.nodes, np.sqrt(rule.weights)
     lo, hi = np.minimum.outer(x, x), np.maximum.outer(x, x)
     ref = sq[:, None] * (0.5 * (np.exp(lo - hi) - np.exp(-lo - hi))) * sq[None, :]
     assert np.array_equal(built[0], ref)
@@ -392,9 +406,9 @@ def test_builds_keep_their_bits_and_certify_exact_inputs_by_one_comparison(build
     inputs, checked = [], []
     original_build, original_check = models.build_finite_pair, models.check_hermitian
 
-    def capture(h0, g, v0, meta=None):
+    def capture(h0, g, v0):
         inputs.append((h0, g, v0))
-        return original_build(h0, g, v0, meta)
+        return original_build(h0, g, v0)
 
     def check(m):
         checked.append(m)
@@ -528,12 +542,16 @@ def test_band_pairs_hold_g_as_its_nonzeros():
     # a band pair stores G as a csr_array of its nonzeros, one per row on a
     # Schrodinger box, and no dense k x n array; a dense pair stores G dense,
     # in whichever form it is given
-    pair = build_schrodinger_1d(sech2_spec(1.0, 20.0, 399))
+    spec = sech2_spec(1.0, 20.0, 399)
+    pair = build_schrodinger_1d(spec)
     assert sparse.issparse(pair.g) and pair.g.format == "csr"
     assert pair.g.shape == (pair.kdim, 399) and pair.g.nnz == pair.kdim
-    assert np.array_equal(pair.g.indices, pair.meta["support"])
-    assert np.array_equal(pair.g.data,
-                          np.sqrt(np.abs(pair.meta["potential"][pair.meta["support"]])))
+    # the support is where |V| on the grid exceeds the floor, short of the box
+    v = spec.samples(spec.grid()[0])
+    support = np.flatnonzero(np.abs(v) > models.SUPPORT_FLOOR)
+    assert 0 < support.size < 399
+    assert np.array_equal(pair.g.indices, support)
+    assert np.array_equal(pair.g.data, np.sqrt(np.abs(v[support])))
     bands, v0 = TridiagonalBands(np.full(8, 2.0), np.full(7, -1.0)), np.diag([1.0, -1.0])
     g = np.zeros((2, 8))
     g[0, 2], g[1, 3] = 0.5, 0.7
@@ -576,7 +594,12 @@ def test_presets():
     pair = preset_pair("finite:random", seed=7)
     again = preset_pair("finite:random", seed=7)
     assert np.array_equal(pair.h0, again.h0) and np.array_equal(pair.g, again.g)
-    assert pair.meta["seed"] == 7
+    # the preset is the seeded draw at its calibrated sizes
+    p = preset_defaults("finite:random")
+    direct = random_gapped_pair(p["n"], p["kdim"], 7, gap=p["gap"])
+    for a, b in zip((pair.h0, pair.h, pair.g, pair.v0),
+                    (direct.h0, direct.h, direct.g, direct.v0)):
+        assert np.array_equal(a, b)
     assert not np.array_equal(pair.h0, preset_pair("finite:random", seed=8).h0)
     with pytest.raises(ValueError):
         preset_pair("nonsense")

@@ -573,6 +573,32 @@ def test_parity_blocks_match_the_unsplit_band_path_and_the_dense_pair(n, t, dept
         assert np.max(np.abs(corner - dense_corner(split, probe, sign))) <= 1e-12
 
 
+def _random_chain_pair(coupling):
+    """A band pair off the free chain: a random chain of 60 sites, coupled
+    by ``coupling`` * I at sites 20-22."""
+    rng = np.random.default_rng(3)
+    bands = TridiagonalBands(rng.uniform(-2.0, 2.0, 60), rng.uniform(0.5, 1.5, 59))
+    return build_finite_pair(bands, np.eye(60)[20:23], coupling * np.eye(3))
+
+
+@pytest.mark.parametrize("build, probe, path, index", [
+    (lambda: build_krein(400, 40.0), 0.13, "dense", -1),
+    (lambda: random_gapped_pair(24, 3, 2), 0.0, "dense", 1),
+    (lambda: _random_chain_pair(-4.0), 0.0, "banded", 1),
+    (lambda: _random_chain_pair(4.0), 0.0, "banded", -2),
+    (corner_box, 1.19, "free-chain+parity", 1),
+    (lambda: _unsplit(corner_box()), 1.19, "free-chain", 1)],
+    ids=["krein", "random", "chain-well", "chain-barrier", "corner-split", "corner-whole"])
+def test_index_of_the_pair_of_projections(build, probe, path, index):
+    # in finite dimension dim ker(D - 1) - dim ker(D + 1) = rank E - rank E0
+    # (Avron, Seiler and Simon, J. Funct. Anal. 120, 1994), on every basis
+    # path and with a nonzero index on each
+    rep = projection_difference(build(), probe)
+    m0, m1 = rep.counts
+    assert rep.path == path
+    assert rep.dim_plus - rep.dim_minus == m1 - m0 == index
+
+
 def test_one_ulp_off_the_mirror_falls_back_to_one_block():
     # one diagonal entry of H0 one ulp up: neither band split, nor H0 a
     # free chain, and the whole bands' probe step gives the mirror pair's D

@@ -91,7 +91,8 @@ def calibrate_hankel_window(cfg):
 def calibrate_sech2_boxes(cfg, step=0.1):
     print("== sech^2 difference boxes (swap-free, decreasing hausdorff)")
     depth, probe = cfg["depth"], cfg["probe"]
-    a = transfer_matrix_smatrix(sech2_spec(depth, cfg["oracle_half_width"], 999), probe).a
+    a = transfer_matrix_smatrix(
+        sech2_spec(depth, cfg["oracle_half_width"], cfg["oracle_n"]), probe).a
 
     def box_stats(half_width):
         n = int(2 * half_width / step) - 1
@@ -119,7 +120,7 @@ def calibrate_square_well(cfg):
     print(f"== square-well depth for two separated phases at probe {probe:g}")
     for depth in (1.5, 2.0, 2.5, 3.0):
         oracle = transfer_matrix_smatrix(
-            square_well_spec(depth, width, cfg["oracle_half_width"], 999), probe)
+            square_well_spec(depth, width, cfg["oracle_half_width"], cfg["oracle_n"]), probe)
         s = oracle.band_edges ** 2
         print(f"   depth {depth}: band edges sin^2 = {np.round(s, 3)}")
     depth = 2.5

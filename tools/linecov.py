@@ -10,8 +10,10 @@ demo tests) are not traced.
 
     python3 tools/linecov.py [pytest arguments]
 
-The arguments default to the tier-1 run, ``-q --continue-on-collection-errors``;
-the exit status is pytest's.  It takes about 1.5 times as long as the suite.
+The arguments default to the tier-1 run, ``-q --continue-on-collection-errors``.
+The exit status is pytest's when that is nonzero, else 1 when some module
+lists a never-run line, else 0.  It takes about 1.5 times as long as the
+suite.
 """
 
 import os
@@ -78,6 +80,7 @@ def main(argv):
         sys.settrace(None)
 
     print("\nexecutable lines never run:")
+    uncovered = False
     for fname in sorted(os.listdir(PACKAGE)):
         if not fname.endswith(".py"):
             continue
@@ -85,7 +88,8 @@ def main(argv):
         missed = executable_lines(path) - executed.get(path, set())
         rel = os.path.relpath(path, ROOT)
         print(f"{rel}: {ranges(missed)}" if missed else f"{rel}: none")
-    return int(status)
+        uncovered |= bool(missed)
+    return int(status) or int(uncovered)
 
 
 if __name__ == "__main__":
