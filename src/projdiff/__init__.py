@@ -17,19 +17,16 @@ The library side is organized by machinery:
   -- experiment driver and the verification suite.
 """
 
-from .linalg import SpectralDecomposition, expm_apply, herm_eig, svd, sylvester_solve
+from .linalg import SpectralDecomposition, herm_eig, sylvester_solve
 from .models import (OperatorPair, PotentialSpec, build_finite_pair, build_krein,
                      build_schrodinger_1d, preset_names, preset_pair,
                      random_gapped_pair, resolvent_transform, sech2_spec,
-                     shift_pair, square_well_spec, thresholds)
-from .projections import (DifferenceReport, corner_spectrum, dsquared_block_check,
-                          projection_difference, spectral_projection)
+                     square_well_spec, thresholds)
+from .projections import DifferenceReport, corner_spectrum, projection_difference
 from .quadrature import QuadratureRule, exp_mapped_rule, legendre_rule, log_rule
 from .scattering import (ChannelSMatrix, ScatteringBundle, TransferMatrixResult,
-                         birman_krein_check, birman_krein_extrapolated,
-                         channel_smatrix, extrapolated_phases, resolvent_sandwich,
-                         scattering_bundle, smoothed_density,
-                         transfer_matrix_smatrix)
+                         birman_krein_extrapolated, channel_smatrix,
+                         extrapolated_phases, transfer_matrix_smatrix)
 from .hankel import (HankelDiscretization, build_hankel, kernel_bound_suite,
                      laplace_factorizations, model_hankel_pair, nuclear_bound_check)
 from .zops import ZOperators, build_z_ops, product_representation_check, zop_model_comparison

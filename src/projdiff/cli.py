@@ -59,7 +59,6 @@ def main(argv=None):
             print(f"{len(clauses) - len(failed)}/{len(clauses)} clauses passed"
                   + (f"; failed: {', '.join(failed)}" if failed else ""))
             if args.out:
-                os.makedirs(args.out, exist_ok=True)
                 Report({"schema": 1, "clauses": [
                     {"name": c.name, "passed": c.passed, "details": c.details}
                     for c in clauses]}).write(os.path.join(args.out, "acceptance.json"))

@@ -128,6 +128,8 @@ class Report:
         return json.dumps(self.body, sort_keys=True, indent=2, default=_jsonable)
 
     def write(self, path):
+        """Write :meth:`to_json` and a newline to ``path``, making its directory."""
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
@@ -165,30 +167,40 @@ _DIFFERENCE_FIELDS = ("sines", "extremes", "dim_plus", "dim_minus", "pairing_def
                       "max_gap", "coverage_distance", "gap_h0", "gap_h", "path")
 
 
+def _difference(pair, probe):
+    """The ``difference`` payload and the D^2 block residual."""
+    rep = projection_difference(pair, probe)
+    difference = {name: getattr(rep, name) for name in _DIFFERENCE_FIELDS}
+    difference["zero_count"] = pair.dim - len(rep.sines)
+    return {"difference": difference, "dsquared_residual": rep.dsquared_residual}
+
+
 def _ladder_scattering(pair, probe, ladder):
     """The eps-ladder payload of a dense pair: rungs and extrapolated values."""
     phases, bundles = extrapolated_phases(pair, probe, ladder)
     rungs = [{name: getattr(b, name) for name in _RUNG_FIELDS} for b in bundles]
     edges, a = band_edges(phases)
-    scattering = {"rungs": rungs, "phases_extrapolated": phases,
-                  "band_edges": edges, "a_extrapolated": a}
     det_s, xi, defect = birman_krein_extrapolated(pair, probe, phases, ladder)
-    return scattering, {"det_s": det_s, "counting_shift": xi, "defect": defect}
+    return {"scattering": {"rungs": rungs, "phases_extrapolated": phases,
+                           "band_edges": edges, "a_extrapolated": a},
+            "birman_krein": {"det_s": det_s, "counting_shift": xi, "defect": defect}}
 
 
 def _channel_scattering(pair, probe):
     """The eps = 0 payload of a band pair (:func:`channel_smatrix`), under
     the ladder payload's names."""
     ch = channel_smatrix(pair, probe)
-    scattering = {"phases_extrapolated": ch.phases, "band_edges": ch.band_edges,
-                  "a_extrapolated": ch.a, "smatrix": ch.smatrix,
-                  "unitarity_defect": ch.unitarity_defect}
-    return scattering, {"det_s": ch.det_s, "counting_shift": ch.counting_shift,
-                        "defect": ch.birman_krein_defect}
+    return {"scattering": {"phases_extrapolated": ch.phases, "band_edges": ch.band_edges,
+                           "a_extrapolated": ch.a, "smatrix": ch.smatrix,
+                           "unitarity_defect": ch.unitarity_defect},
+            "birman_krein": {"det_s": ch.det_s, "counting_shift": ch.counting_shift,
+                             "defect": ch.birman_krein_defect}}
 
 
 def _probe_payload(pair, probe, ladder):
-    """Everything computed at one probe; module errors are captured.
+    """Everything computed at one probe, stage by stage: ``difference``,
+    ``scattering`` and, for n <= 600, ``product_identity``.  A module error
+    in a stage is reported as ``<stage>_error``; the other stages still run.
 
     The ``difference`` payload holds the r principal sines of D and the
     count n - r of its zero eigenvalues (:func:`difference_spectrum` joins
@@ -199,29 +211,20 @@ def _probe_payload(pair, probe, ladder):
     are taken at eps = 0 from open leads ("channel"), a dense pair's are
     extrapolated along the eps ladder ("ladder").
     """
-    out = {"probe": probe, "n": pair.dim}
-    if pair.banded:
-        out["path"] = "channel"
-    else:
-        out.update(path="ladder", eps_ladder=list(ladder))
-    try:
-        rep = projection_difference(pair, probe)
-        out["difference"] = {name: getattr(rep, name) for name in _DIFFERENCE_FIELDS}
-        out["difference"]["zero_count"] = pair.dim - len(rep.sines)
-        out["dsquared_residual"] = rep.dsquared_residual
-    except _CAPTURED as exc:
-        out["difference_error"] = str(exc)
-    try:
-        out["scattering"], out["birman_krein"] = (
-            _channel_scattering(pair, probe) if pair.banded
-            else _ladder_scattering(pair, probe, ladder))
-    except _CAPTURED as exc:
-        out["scattering_error"] = str(exc)
+    out = {"probe": probe, "n": pair.dim, "path": "channel" if pair.banded else "ladder"}
+    if not pair.banded:
+        out["eps_ladder"] = list(ladder)
+    stages = {"difference": lambda: _difference(pair, probe),
+              "scattering": lambda: (_channel_scattering(pair, probe) if pair.banded
+                                     else _ladder_scattering(pair, probe, ladder))}
     if pair.dim <= 600:
+        stages["product_identity"] = lambda: {
+            "product_identity": asdict(product_representation_check(pair, probe))}
+    for stage, compute in stages.items():
         try:
-            out["product_identity"] = asdict(product_representation_check(pair, probe))
+            out.update(compute())
         except _CAPTURED as exc:
-            out["product_identity_error"] = str(exc)
+            out[f"{stage}_error"] = str(exc)
     return out
 
 
@@ -238,7 +241,6 @@ def run_experiment(config):
         body["probes"].append(_probe_payload(pair, probe, list(config.eps_ladder)))
     report = Report(body)
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         report.write(os.path.join(config.out_dir, "report.json"))
         for i, payload in enumerate(body["probes"]):
             if "difference" in payload:
@@ -254,8 +256,8 @@ def convergence_study(config, axis):
     ``axis`` is "n" (discretization sizes, at least 16), "eps" (ladder
     rungs one at a time) or "trule" (time-rule node counts for the product
     identity, at least 2).  Needs a probe (the first is studied) and at
-    least 3 points.  Each metric row carries its first differences and a
-    monotone-decrease flag.  On the "trule" axis the table also carries
+    least 3 points.  Each metric carries its values, their first differences
+    and a monotone-decrease flag.  On the "trule" axis the table also carries
     each point's roundoff floor n_t * eps * max|lambda| / gap (lambda =
     eigenvalue - probe over both spectra, gap = min|lambda| under the
     probe-gap contract, so a probe on an eigenvalue raises
@@ -267,7 +269,7 @@ def convergence_study(config, axis):
         raise ConfigError("config.probes: need a probe for a study")
     probe = config.probes[0]
     table = {"schema": SCHEMA_VERSION, "axis": axis, "points": [], "metrics": {}}
-    metrics = {}
+    rows = []   # one {metric: value} per point
     floors = None
     if axis in ("n", "trule"):
         points = [int(s) for s in config.sizes]
@@ -286,21 +288,17 @@ def convergence_study(config, axis):
                 # the rejected size came from config.sizes, not model_params
                 raise ConfigError(f"config.sizes[{i}]: {exc.__cause__}") from exc.__cause__
             rep = projection_difference(pair, probe)
-            metrics.setdefault("max_gap", []).append(rep.max_gap)
-            metrics.setdefault("coverage_distance", []).append(rep.coverage_distance)
-            metrics.setdefault("edge_deficit", []).append(
-                max(abs(rep.extremes[0] + 1.0), abs(rep.extremes[1] - 1.0)))
+            rows.append({"max_gap": rep.max_gap, "coverage_distance": rep.coverage_distance,
+                         "edge_deficit": max(abs(rep.extremes[0] + 1.0),
+                                             abs(rep.extremes[1] - 1.0))})
     elif axis == "eps":
         points = list(config.eps_ladder)
         if len(points) < 3:
             raise ConfigError("config.eps_ladder: need >= 3 rungs for a study")
-        pair = config.build_pair()
-        for b in phase_ladder(pair, probe, points):
-            metrics.setdefault("prediction_a", []).append(b.prediction_a)
-            metrics.setdefault("unitarity_defect", []).append(b.unitarity_defect)
-            metrics.setdefault("identity_residual", []).append(b.identity_residual)
-            metrics.setdefault("density_peak", []).append(
-                float(np.max(np.linalg.eigvalsh(b.f0prime), initial=0.0)))
+        rows = [{"prediction_a": b.prediction_a, "unitarity_defect": b.unitarity_defect,
+                 "identity_residual": b.identity_residual,
+                 "density_peak": float(np.max(np.linalg.eigvalsh(b.f0prime), initial=0.0))}
+                for b in phase_ladder(config.build_pair(), probe, points)]
     elif axis == "trule":
         pair = config.build_pair()
         gap = min(pair.probe_gaps(probe)[1])
@@ -311,13 +309,14 @@ def convergence_study(config, axis):
         table["roundoff_floor"] = floors
         for n_t in points:
             chk = product_representation_check(pair, probe, default_time_rule(gap, n_t=n_t))
-            metrics.setdefault("residual_direct", []).append(chk.residual_direct)
-            metrics.setdefault("residual_oracle", []).append(chk.residual_oracle)
+            rows.append({"residual_direct": chk.residual_direct,
+                         "residual_oracle": chk.residual_oracle})
     else:
         raise ConfigError(f"study axis must be one of n|eps|trule, got {axis!r}")
 
     table["points"] = points
-    for name, values in metrics.items():
+    for name in rows[0]:
+        values = [row[name] for row in rows]
         diffs = np.diff(np.asarray(values, dtype=float))
         decreasing = diffs < 0
         if floors is not None:
@@ -329,6 +328,5 @@ def convergence_study(config, axis):
         }
     report = Report(table)
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         report.write(os.path.join(config.out_dir, f"study_{axis}.json"))
     return report

@@ -244,14 +244,16 @@ class TridiagonalBands:
     def eigenvalues(self, lo=0, hi=None):
         """Eigenvalues with ascending indices lo, ..., hi - 1 (all by default).
 
-        Closed form for a free chain.  Otherwise all of them come from one
-        banded solve, and a part of them by bisection to full accuracy, one
-        index at a time: the last bits of a bisected value depend on the
-        range bracketed, so this keeps an eigenvalue's value independent of
-        the range it is asked in.  Meant for a few indices, such as the two
-        beside a probe that the probe-gap contract reads.  The values of
-        :meth:`eigenpairs` are Ritz values instead, equal to these to
-        roundoff.  A range outside 0 <= lo <= hi <= n raises ValueError.
+        Closed form for a free chain.  Otherwise the full range comes from
+        one banded solve (``eigh_tridiagonal``'s default driver), and a part
+        of it by bisection to full accuracy, one index at a time: the last
+        bits of a bisected value depend on the range bracketed, so a partial
+        range gives each index the same bits whatever range it is asked in,
+        and agrees with the full range only to roundoff.  Meant for a few
+        indices, such as the two beside a probe that the probe-gap contract
+        reads.  The values of :meth:`eigenpairs` are Ritz values instead,
+        equal to these to roundoff.  A range outside 0 <= lo <= hi <= n
+        raises ValueError.
         """
         n = self.dim
         hi = n if hi is None else hi

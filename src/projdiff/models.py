@@ -62,19 +62,23 @@ class OperatorPair:
     the coupling space (real symmetric for a band pair).  It holds its
     factorization only; a model's grid or rule comes from its inputs.
 
-    Eigen-data are computed on first use and cached on the operators.  Every
-    probe consumer reads its eigenpairs through one step, :meth:`probe_basis`
-    (counts and gaps alone through :meth:`probe_gaps`), which asks each
-    operator for its count below the probe, the two eigenvalues beside it
-    and the eigenpairs on one side of it.  A dense operator reads them off
-    its eigensystem, solved once.  A band forms no dense matrix and solves
-    no full spectrum at a probe: it takes Sturm counts and eigenpairs from
-    a banded solver restricted to the requested indices, in closed form for
-    a uniform chain such as every Schrodinger H0 (see
-    :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  When both bands
-    are mirror-symmetric, as on a centred box with an even potential, the
-    probe step does this on the even and odd blocks (:attr:`parity_blocks`),
-    each about half as long.  :attr:`basis_path` names the path taken.
+    Every probe consumer reads its eigenpairs through one step,
+    :meth:`probe_basis` (counts and gaps alone through :meth:`probe_gaps`),
+    which asks each operator for its count below the probe, the two
+    eigenvalues beside it and the eigenpairs on one side of it.  A dense
+    operator reads them off its eigensystem, solved on first use and cached
+    on the operator.  A band forms no dense matrix and solves no full
+    spectrum at a probe: it takes Sturm counts and eigenpairs from a banded
+    solver restricted to the requested indices, in closed form for a
+    uniform chain such as every Schrodinger H0 (see
+    :attr:`projdiff.linalg.TridiagonalBands.free_chain`).  A band caches no
+    eigen-data, so it solves again on every call: two consumers at one
+    probe, such as the difference and the product check, solve twice.
+    When both bands are mirror-symmetric, as on a centred box with an even
+    potential, the probe step does this on the even and odd blocks
+    (:attr:`parity_blocks`), each about half as long.  :attr:`basis_path`
+    names the path taken.  The pair caches its dense ``h0`` and ``h`` and
+    its whole spectra (:attr:`eigenvalues`), each computed on first use.
     """
 
     operators: tuple

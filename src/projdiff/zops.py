@@ -146,7 +146,7 @@ def _psd_clip(m):
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def zop_model_comparison(pair, probe, t_rule=None, eps_ladder=None):
+def zop_model_comparison(pair, probe, eps_ladder=None):
     """Singular values of Z0* Z0 and Z* Z against the model Hankel blocks.
 
     The models are the block Hankel matrices of the kernels gamma(tau) F0'
@@ -157,7 +157,7 @@ def zop_model_comparison(pair, probe, t_rule=None, eps_ladder=None):
     """
     from .hankel import build_hankel, gamma_kernel
 
-    zops = build_z_ops(pair, probe, t_rule)
+    zops = build_z_ops(pair, probe)
     eps_ladder = list(eps_ladder) if eps_ladder is not None \
         else [16.0 * zops.gap, 8.0 * zops.gap, 4.0 * zops.gap]
     bundles = phase_ladder(pair, probe, eps_ladder)

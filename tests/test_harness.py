@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from projdiff.errors import ConfigError
+from projdiff.errors import ConfigError, GapViolationError
 from projdiff.harness import (ExperimentConfig, Report, convergence_study,
                               difference_spectrum, run_experiment, write_spectrum_csv)
 from projdiff.models import thresholds
@@ -142,8 +142,13 @@ def test_probe_errors_captured_not_fatal():
                            eps_ladder=(0.1, 0.05))
     report = run_experiment(cfg)
     payload = report.body["probes"][0]
-    assert "difference_error" in payload
+    # each stage captures its own error; the others still run
+    message = str(GapViolationError(bad_probe, bad_probe))
+    assert payload["difference_error"] == payload["product_identity_error"] == message
+    assert message.startswith("eigenvalue -0.878394574084 within forbidden distance")
+    assert "difference" not in payload and "product_identity" not in payload
     assert "scattering" in payload  # smoothing regularizes the bundle
+    assert "birman_krein" in payload and "scattering_error" not in payload
 
 
 def test_jobs_field_is_unknown():
