@@ -8,7 +8,8 @@ from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuard
 from projdiff.linalg import (HERMITIAN_TOL, DenseHermitian, ParityBlock, TridiagonalBands,
                              check_hermitian, expm_apply, herm_eig, probe_gaps, svd,
                              sylvester_solve)
-from projdiff.models import build_finite_pair, build_krein, preset_pair
+from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d, preset_pair,
+                             sech2_spec, square_well_spec, thresholds)
 
 
 def random_hermitian(n, seed):
@@ -390,6 +391,50 @@ def test_free_chain_counts_match_the_sorted_spectrum(t):
     assert [bands.count_below(xi) for xi in x] == np.searchsorted(w, x).tolist()
 
 
+def _shipped_band_blocks():
+    """Every band block of the shipped sech^2 and square-well boxes that is
+    not a free chain: H's parity blocks on the two presets, the sech^2
+    d_boxes and the square-well corner box, with the probes they are read at."""
+    sech, well = thresholds()["sech2"], thresholds()["square_well"]
+    specs = [sech2_spec(sech["depth"], sech["scatter_half_width"], sech["scatter_n"]),
+             square_well_spec(well["depth"], well["width"], well["scatter_half_width"],
+                              well["scatter_n"]),
+             *(sech2_spec(sech["depth"], hw, n) for hw, n in sech["d_boxes"]),
+             square_well_spec(well["depth"], well["width"], *well["corner_box"])]
+    return [b for spec in specs for op in build_schrodinger_1d(spec).operators
+            for b in op.parity_blocks if b.free_chain is None]
+
+
+def test_selected_eigenvalues_match_scipys_bisection_bit_for_bit():
+    # eigenvalues(lo, hi) against scipy's eigh_tridiagonal by index, one
+    # index at a time: the values beside each probe the shipped runs read,
+    # and every 97th index, on every shipped block that is not a free chain
+    blocks = _shipped_band_blocks()
+    assert len(blocks) == 10
+    for b in blocks:
+        ranges = [(k, k + 1) for k in (*range(0, b.dim, 97), b.dim - 1)]
+        for probe in (0.62, 1.0, 1.19):
+            m = b.count_below(probe)
+            ranges.append((max(m - 1, 0), min(m + 1, b.dim)))
+        for lo, hi in ranges:
+            oracle = [sla.eigh_tridiagonal(b.diagonal, b.offdiagonal, eigvals_only=True,
+                                           select="i", select_range=(k, k)) for k in range(lo, hi)]
+            assert np.array_equal(b.eigenvalues(lo, hi), np.concatenate(oracle))
+
+
+@pytest.mark.parametrize("d0", (0.7, -3.0, 0.0))
+def test_one_site_bands(d0):
+    # no offdiagonal: the count steps just above d0, the one eigenpair is
+    # (d0, [1]) by index and over the full range
+    bands = TridiagonalBands(np.array([d0]), np.empty(0))
+    above = np.nextafter(d0, np.inf)
+    assert [bands.count_below(x) for x in (d0 - 1.0, d0, above, d0 + 1.0)] == [0, 0, 1, 1]
+    assert np.array_equal(bands.eigenvalues(), [d0])
+    assert np.array_equal(bands.eigenvalues(0, 1), [d0])
+    dec = bands.eigenpairs(0, 1)
+    assert np.array_equal(dec.eigenvalues, [d0]) and np.array_equal(dec.eigenvectors, [[1.0]])
+
+
 def test_selected_eigenvalues_do_not_depend_on_the_range():
     rng = np.random.default_rng(4)
     bands = _random_bands(rng, 80, False)
@@ -675,6 +720,22 @@ def test_probe_gaps_reports_nearest_over_all_spectra(monkeypatch):
     assert probe_gaps(0.0, [np.array([linalg.PROBE_GAP_TOL])]) == [linalg.PROBE_GAP_TOL]
     monkeypatch.setattr(linalg, "PROBE_GAP_TOL", 0.25 * linalg.PROBE_GAP_TOL)
     assert probe_gaps(0.0, [np.array([near])]) == [near]
+
+
+def test_probe_gaps_ties_empty_spectra_and_non_finite_probes():
+    # two spectra equally close to the probe: the nearest eigenvalue is the
+    # first one's, whichever side of the probe it lies on
+    for first, second in ((1e-10, -1e-10), (-1e-10, 1e-10)):
+        with pytest.raises(GapViolationError) as err:
+            probe_gaps(0.0, [np.array([2.0, first]), np.empty(0), np.array([second])])
+        assert err.value.nearest == first
+    assert probe_gaps(0.0, [np.array([-0.5, 0.5]), np.array([0.5])]) == [0.5, 0.5]
+    # an empty spectrum is infinitely far, alone or among others
+    assert probe_gaps(0.0, [np.empty(0)]) == [np.inf]
+    assert probe_gaps(0.0, [np.empty(0), [0.25]]) == [np.inf, 0.25]
+    for probe in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^probe .* is not finite$"):
+            probe_gaps(probe, [np.array([1.0])])
 
 
 def test_svd_zero_and_rank_one():
