@@ -28,8 +28,8 @@ from .scattering import (ChannelSMatrix, ScatteringBundle, TransferMatrixResult,
                          birman_krein_extrapolated, channel_smatrix,
                          extrapolated_phases, transfer_matrix_smatrix)
 from .hankel import (HankelDiscretization, build_hankel, kernel_bound_suite,
-                     laplace_factorizations, model_hankel_pair, nuclear_bound_check)
-from .zops import ZOperators, build_z_ops, product_representation_check, zop_model_comparison
+                     laplace_factorizations, model_hankel_pair)
+from .zops import product_representation_check
 from .harness import ExperimentConfig, Report, convergence_study, run_experiment
 
 __version__ = "0.1.0"

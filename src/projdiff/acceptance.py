@@ -38,8 +38,8 @@ from .hankel import (build_hankel, carleman_kernel, kernel_bound_suite,
 from .models import (build_krein, build_schrodinger_1d, random_gapped_pair,
                      resolvent_transform, sech2_spec, square_well_spec,
                      thresholds)
-from .projections import (_side_sines, corner_spectrum, fill_metrics, hausdorff_distance,
-                          interval_hausdorff, projection_difference)
+from .projections import (corner_spectrum, fill_metrics, hausdorff_distance,
+                          interval_hausdorff, projection_difference, side_sines)
 from .quadrature import exp_mapped_rule, log_rule
 from .scattering import (birman_krein_extrapolated, channel_smatrix,
                          extrapolated_phases, phase_ladder, transfer_matrix_smatrix)
@@ -368,7 +368,7 @@ def projection_identity_residual(pair, transform, probe):
     for e, f in zip(pair.unfold(bases), transform.pair.unfold(mirrored)):
         u, w = e.eigenvectors, f.eigenvectors
         total += 1.0 if u.shape != w.shape else \
-            float(np.max(_side_sines(u, w, w.conj().T @ u)[1], initial=0.0))
+            float(np.max(side_sines(u, w, w.conj().T @ u)[1], initial=0.0))
     return total
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigError, ProjdiffError
 from .models import preset_defaults, preset_pair, thresholds
 from .projections import projection_difference
-from .scattering import (_eps_ladder, band_edges, birman_krein_extrapolated,
-                         channel_smatrix, extrapolated_phases, phase_ladder)
+from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
+                         check_eps_ladder, extrapolated_phases, phase_ladder)
 from .zops import default_time_rule, product_representation_check
 
 __all__ = ["ExperimentConfig", "Report", "run_experiment", "convergence_study",
@@ -89,7 +89,7 @@ class ExperimentConfig:
                 _check_number(x, f"{name}[{i}]", float)
         if self.eps_ladder:   # empty for band pairs, which take no ladder
             try:
-                _eps_ladder(self.eps_ladder)
+                check_eps_ladder(self.eps_ladder)
             except ValueError as exc:
                 raise ConfigError(f"config.eps_ladder: {exc}") from None
         for i, s in enumerate(self.sizes):

@@ -246,28 +246,23 @@ class TridiagonalBands:
 
         Closed form for a free chain.  Otherwise the full range comes from
         one banded solve (``eigh_tridiagonal``'s default driver), and a part
-        of it by bisection to full accuracy, one index at a time: the last
-        bits of a bisected value depend on the range bracketed, so a partial
-        range gives each index the same bits whatever range it is asked in,
-        and agrees with the full range only to roundoff.  Meant for a few
-        indices, such as the two beside a probe that the probe-gap contract
-        reads.  The values of :meth:`eigenpairs` are Ritz values instead,
-        equal to these to roundoff.  A range outside 0 <= lo <= hi <= n
-        raises ValueError.
+        of it by ``dstebz`` bisection to full accuracy, one index at a time:
+        the last bits of a bisected value depend on the range bracketed, so a
+        partial range gives each index the same bits whatever range it is
+        asked in, and agrees with the full range only to roundoff.  Meant for
+        a few indices, such as the two beside a probe that the probe-gap
+        contract reads.  The values of :meth:`eigenpairs` are Ritz values
+        instead, equal to these to roundoff.  A range outside
+        0 <= lo <= hi <= n raises ValueError.
         """
         n = self.dim
         hi = n if hi is None else hi
         _check_range(lo, hi, n)
-        if hi == lo:
-            return np.empty(0)
         if self.free_chain is not None:
             return self._chain_values(self._modes(lo, hi))
         if (lo, hi) == (0, n):
             return sla.eigh_tridiagonal(self.diagonal, self.offdiagonal, eigvals_only=True)
-        return np.concatenate([sla.eigh_tridiagonal(self.diagonal, self.offdiagonal,
-                                                    eigvals_only=True, select="i",
-                                                    select_range=(k, k))
-                               for k in range(lo, hi)])
+        return np.ravel([self._stebz(k, k + 1, 0.0)[0] for k in range(lo, hi)])
 
     def eigenpairs(self, lo, hi):
         """Eigenpairs with ascending indices lo, ..., hi - 1; closed form for a
@@ -294,18 +289,10 @@ class TridiagonalBands:
             j = self._modes(lo, hi)
             return SpectralDecomposition(self._chain_values(j),
                                          self._chain_vectors(np.arange(1, self.dim + 1), j))
-        d, e = self.diagonal, self.offdiagonal
-        if self.dim == 1:
-            # dstebz rejects an empty offdiagonal
-            return SpectralDecomposition(d.astype(float), np.ones((1, 1)))
         bound = BAND_RESIDUAL_TOL * self._norm1
         for abstol in (BAND_BISECTION_TOL * self._norm1, 0.0):
-            m, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi, abstol, "B")
-            if info or m != hi - lo:
-                raise np.linalg.LinAlgError(f"dstebz failed (info {info}, {m} of {hi - lo} "
-                                            f"eigenvalues)")
-            # the wrapper takes iblock at full length n; dstein reads its first m
-            v = lapack.dstein(d, e, w[:m], np.resize(block[:m], self.dim), split)[0]
+            w, block, split = self._stebz(lo, hi, abstol, "B")
+            v = lapack.dstein(self.diagonal, self._links, w, block, split)[0]
             theta, v, resid = self._ritz(v)
             worst = int(np.argmax(resid))
             if resid[worst] <= bound:
@@ -318,6 +305,33 @@ class TridiagonalBands:
         """||M||_1, the largest absolute row sum; it bounds every |eigenvalue|."""
         d, e = self.diagonal, self.offdiagonal
         return np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))
+
+    @functools.cached_property
+    def _links(self):
+        """The offdiagonal as LAPACK's ``dstebz`` and ``dstein`` wrappers take
+        it: n - 1 entries, but at least one, which a one-site band leaves
+        unread."""
+        return np.r_[self.offdiagonal, 0.0][:max(self.dim - 1, 1)]
+
+    def _stebz(self, lo, hi, abstol, order="E", below=None):
+        """LAPACK ``dstebz``, the one place it is called.  By index: the
+        eigenvalues with ascending indices lo, ..., hi - 1, bisected to an
+        absolute ``abstol``, with their blocks and the splits, as
+        (values, blocks, splits) in ``order`` ("E" ascending, "B" by block,
+        as ``dstein`` wants them).  Given ``below`` = x: the Sturm count of
+        the eigenvalues of -M in (-1 - ||M||_1, -x] (see :meth:`count_below`).
+        A failed call, or one that finds fewer values than asked, raises
+        ``LinAlgError``."""
+        count = below is not None
+        d, select, vu = (-self.diagonal, 1, -below) if count else (self.diagonal, 2, 0.0)
+        # by index (select 2) dstebz brackets the wanted values itself: vl and vu go unread
+        m, w, block, split, info = lapack.dstebz(d, self._links, select, -1.0 - self._norm1, vu,
+                                                 lo + 1, hi, abstol, order)
+        if info or (not count and m != hi - lo):
+            raise np.linalg.LinAlgError(f"dstebz count failed (info {info})" if count else
+                                        f"dstebz failed (info {info}, {m} of {hi - lo} "
+                                        f"eigenvalues)")
+        return m if count else (w[:m], block, split)
 
     def _ritz(self, v):
         """(Ritz values, Ritz vectors, residual norms) of the span of the
@@ -357,16 +371,10 @@ class TridiagonalBands:
         """
         if self.free_chain is not None:
             return int(np.searchsorted(self.eigenvalues(), x))
-        n, d, vl = self.dim, self.diagonal, -1.0 - self._norm1
+        n, vl = self.dim, -1.0 - self._norm1
         if not x < -vl:
             return n
-        if n == 1:
-            # dstebz rejects an empty offdiagonal
-            return int(d[0] < x)
-        m, *_, info = lapack.dstebz(-d, self.offdiagonal, 1, vl, -x, 0, 0, -x - vl, "E")
-        if info:
-            raise np.linalg.LinAlgError(f"dstebz count failed (info {info})")
-        return n - m
+        return n - self._stebz(0, 0, -x - vl, below=x)
 
     def window(self, z, lo, hi, corners=None):
         """The window system of rows and columns lo, ..., hi - 1 at z.
@@ -494,26 +502,18 @@ def probe_gaps(probe, spectra):
     """Distance from ``probe`` to each eigenvalue array (inf for an empty one).
 
     Raises :class:`GapViolationError` carrying the eigenvalue nearest to
-    the probe, over all arrays, when it lies within PROBE_GAP_TOL, and
-    ValueError for a probe that is not finite.  This is the one place the
-    probe-gap contract is applied; every pair reaches it through
-    :meth:`projdiff.models.OperatorPair.probe_gaps`.
+    the probe, over all arrays (from the first of equally near ones), when
+    it lies within PROBE_GAP_TOL, and ValueError for a probe that is not
+    finite.  This is the one place the probe-gap contract is applied; every
+    pair reaches it through :meth:`projdiff.models.OperatorPair.probe_gaps`.
     """
     if not np.isfinite(probe):
         raise ValueError(f"probe {probe} is not finite")
-    gaps, nearest = [], None
-    for w in spectra:
-        w = np.asarray(w)
-        if len(w) == 0:
-            gaps.append(np.inf)
-            continue
-        i = int(np.argmin(np.abs(w - probe)))
-        gap = float(abs(w[i] - probe))
-        if nearest is None or gap < min(gaps):
-            nearest = w[i]
-        gaps.append(gap)
+    spectra = [np.asarray(w) for w in spectra]
+    gaps = [float(np.min(np.abs(w - probe), initial=np.inf)) for w in spectra]
     if min(gaps, default=np.inf) < PROBE_GAP_TOL:
-        raise GapViolationError(probe, nearest)
+        w = spectra[int(np.argmin(gaps))]
+        raise GapViolationError(probe, w[np.argmin(np.abs(w - probe))])
     return gaps
 
 

@@ -52,7 +52,7 @@ from .linalg import probe_gaps
 __all__ = [
     "DifferenceReport", "spectral_projection", "projection_difference",
     "dsquared_block_check", "corner_spectrum", "fill_metrics",
-    "hausdorff_distance", "interval_hausdorff", "pairing_defect",
+    "hausdorff_distance", "interval_hausdorff", "pairing_defect", "side_sines",
 ]
 
 SWAP_CLUSTER_TOL = 1e-6
@@ -150,7 +150,7 @@ class DifferenceReport:
         return float(self.spectrum.min()), float(self.spectrum.max())
 
 
-def _side_sines(u, v, g):
+def side_sines(u, v, g):
     """(W, its singular values) for W = u - v g: (W0, s0) or (W1, s1)."""
     w = u - v @ g
     return w, np.linalg.svd(w, compute_uv=False)
@@ -176,7 +176,7 @@ def projection_difference(pair, probe):
         u0, u1 = e0.eigenvectors, e1.eigenvectors
         c = u0.conj().T @ u1
         for u, v, g, sines in ((u0, u1, c.conj().T, s0), (u1, u0, c, s1)):
-            w, s = _side_sines(u, v, g)
+            w, s = side_sines(u, v, g)
             sines.append(s)
             block = w.conj().T @ w - np.eye(w.shape[1]) + g.conj().T @ g     # a D^2 block
             residual = max(residual, float(np.linalg.norm(block, 2)))

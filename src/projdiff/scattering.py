@@ -75,7 +75,7 @@ __all__ = [
     "resolvent_sandwich", "smoothed_density", "scattering_bundle",
     "neville", "phase_ladder", "extrapolated_phases",
     "transfer_matrix_smatrix", "birman_krein_check", "smoothed_counting_shift",
-    "birman_krein_extrapolated", "channel_smatrix", "band_edges",
+    "birman_krein_extrapolated", "channel_smatrix", "band_edges", "check_eps_ladder",
 ]
 
 C1_RESIDUAL_TOL = 1e-9
@@ -220,7 +220,7 @@ def smoothed_density(pair, probe, eps):
 
     Both are PSD up to roundoff for eps > 0.
     """
-    _eps_ladder([eps])
+    check_eps_ladder([eps])
     sw = resolvent_sandwich(pair, probe + 1j * eps)
     return _imag_part(sw.t0) / np.pi, _imag_part(sw.t) / np.pi
 
@@ -351,7 +351,7 @@ def neville(eps_values, samples):
     return out.real if np.isrealobj(np.asarray(samples)) else out
 
 
-def _eps_ladder(eps_ladder):
+def check_eps_ladder(eps_ladder):
     """The ladder as a list, or ValueError unless it is nonempty, strictly
     decreasing, positive and finite (a NaN rung fails one of the middle two)."""
     ladder = list(eps_ladder)
@@ -367,7 +367,7 @@ def _eps_ladder(eps_ladder):
 
 
 def phase_ladder(pair, probe, eps_ladder):
-    """The bundle at every rung of an eps ladder (see :func:`_eps_ladder`).
+    """The bundle at every rung of an eps ladder (see :func:`check_eps_ladder`).
 
     All rungs are computed at once: T0 and T as (R, k, k) stacks from G U
     formed once per operator (or one window solve per rung for a band
@@ -376,7 +376,7 @@ def phase_ladder(pair, probe, eps_ladder):
     check flags its failing rungs in the same pass, and the first flagged
     rung, in ladder order, raises its error, with no rung computed twice.
     """
-    return _bundle_stack(pair, probe, np.asarray(_eps_ladder(eps_ladder), dtype=float))
+    return _bundle_stack(pair, probe, np.asarray(check_eps_ladder(eps_ladder), dtype=float))
 
 
 def _match_chains(bundles):
@@ -693,12 +693,12 @@ def smoothed_counting_shift(pair, probe, eps):
     :meth:`projdiff.models.OperatorPair.probe_gaps`, while for eps
     above the local level spacing it resolves the weak (distributional)
     limit of the counting shift.  A probe that is not finite, or an eps
-    that is not finite and positive (see :func:`_eps_ladder`), raises
+    that is not finite and positive (see :func:`check_eps_ladder`), raises
     ValueError.
     """
     if not np.isfinite(probe):
         raise ValueError(f"probe {probe} is not finite")
-    _eps_ladder([eps])
+    check_eps_ladder([eps])
     w0, w1 = pair.eigenvalues
     step = lambda w: 0.5 + np.arctan((probe - w) / eps) / np.pi
     return float(np.sum(step(w0)) - np.sum(step(w1)))
@@ -723,9 +723,9 @@ def birman_krein_extrapolated(pair, probe, phases, xi_ladder):
     the smoothed counting shift is extrapolated separately along
     ``xi_ladder``, which must stay in the regime eps > local level spacing,
     where the smoothed shift tracks its continuum limit, and meets the
-    contract of :func:`_eps_ladder`.
+    contract of :func:`check_eps_ladder`.
     """
-    ladder = _eps_ladder(xi_ladder)
+    ladder = check_eps_ladder(xi_ladder)
     det_s = complex(np.exp(1j * np.sum(phases)))
     xi = float(neville(ladder, [smoothed_counting_shift(pair, probe, e) for e in ladder]))
     return det_s, xi, float(abs(det_s - np.exp(-2j * np.pi * xi)))

@@ -377,8 +377,9 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
     # full spectrum (no eigenvalues-only solve of every index), takes the
     # free chain H0 and its parity blocks in closed form (no banded
     # eigensolve of them), and solves H on its folded blocks, n / 2 long
-    # eigenvalues come from eigh_tridiagonal, eigenpairs from LAPACK's
-    # dstebz (range 2: by index; 0 would be all) and dstein: all are spied.
+    # full-range eigenvalues come from eigh_tridiagonal, selected ones and
+    # eigenpairs from LAPACK's dstebz (range 2: by index; 0 would be all)
+    # and dstein: all are spied.
     # Sturm counts are dstebz's range-1 calls on -M over (vl, vu], at an
     # abstol of at least vu - vl: recorded apart, with M negated back
     from projdiff import linalg

@@ -1,11 +1,18 @@
 """One-time convergence study behind the shipped thresholds file.
 
 Re-measures the calibrated quantities of src/projdiff/thresholds.json and
-prints the evidence.  With --write it rewrites the file in place,
-regenerating seven entries -- krein.eps_ladder, hankel.log_half_width,
-sech2.d_boxes, square_well.depth, square_well.corner_box,
-krein_corner_top_min and zops.krein_sigma_ratio -- and keeping every
-other entry as it is.
+prints the evidence.  With --write it rewrites the file in place and
+writes seven entries; every other entry is kept as it is.  Two of the
+seven are picked from its sweeps: krein.eps_ladder (the ladder with the
+smallest extrapolated phase defect) and sech2.d_boxes (the first
+swap-free box of each of two sweeps, the larger one nearer to [-a, a]
+than the smaller).  The other five are fixed choices that the
+sweeps only print evidence for, and --write writes them back unchanged:
+hankel.log_half_width (160), square_well.depth (2.5),
+square_well.corner_box ([60, 1199]), krein_corner_top_min (0.55) and
+zops.krein_sigma_ratio (0.2).  The corner box's grid, n odd at step
+h = 0.1 exactly, puts nodes on the well's edges x = +-1, which
+square_well_spec leaves outside the well (19 sites, not 20).
 
 What gets calibrated and why:
 
