@@ -1,8 +1,15 @@
-"""Command-line driver.
+"""Command-line driver, and the one place that writes report files.
 
 Subcommands: ``run <config>``, ``study <config> --axis {n|eps|trule}``,
-``verify-all [--out <dir>]``, ``presets``.  Exit codes: 0 success,
-1 acceptance failure, 2 invalid input.
+``verify-all``, ``presets``.  ``run`` and ``study`` print their JSON
+report; with ``--out DIR`` each writes files into DIR instead, making it:
+
+* ``run`` writes ``report.json`` and, for each probe i whose difference
+  stage ran, ``difference_spectrum_{i}.csv`` with all n values of D;
+* ``study`` writes ``study_{axis}.json``;
+* ``verify-all`` prints its clauses either way and writes ``acceptance.json``.
+
+Exit codes: 0 success, 1 acceptance failure, 2 invalid input.
 """
 
 import argparse
@@ -11,15 +18,14 @@ import os
 import sys
 
 from .errors import ProjdiffError
-from .harness import ExperimentConfig, Report, convergence_study, run_experiment
+from .harness import (ExperimentConfig, Report, convergence_study, difference_spectrum,
+                      run_experiment, write_spectrum_csv)
 from .models import preset_names
 
 
 def _load_config(args):
-    updates = {"out_dir": args.out} if args.out else {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(ExperimentConfig.from_json(args.config), **updates).validate()
+    cfg = ExperimentConfig.from_json(args.config)
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def main(argv=None):
@@ -47,10 +53,20 @@ def main(argv=None):
             return 0
         if args.command in ("run", "study"):
             cfg = _load_config(args)
-            report = (run_experiment(cfg) if args.command == "run"
-                      else convergence_study(cfg, args.axis))
-            if not cfg.out_dir:
+            if args.command == "run":
+                report, name = run_experiment(cfg), "report.json"
+            else:
+                report, name = convergence_study(cfg, args.axis), f"study_{args.axis}.json"
+            if not args.out:
                 print(report.to_json())
+                return 0
+            report.write(os.path.join(args.out, name))
+            if args.command == "run":
+                for i, payload in enumerate(report.body["probes"]):
+                    if "difference" in payload:
+                        write_spectrum_csv(
+                            os.path.join(args.out, f"difference_spectrum_{i}.csv"),
+                            difference_spectrum(payload["difference"]))
             return 0
         if args.command == "verify-all":
             from .acceptance import run_all

@@ -5,6 +5,9 @@ dense pairs and the eps study extrapolate along; a run produces a
 JSON-able report whose numeric entries carry the discretization size and
 smoothing they were computed at.  Reports are bit-for-bit reproducible
 for a fixed (config, seed): nothing time-dependent is stored in them.
+Runs and studies return their report and write no file; the command line
+(:mod:`projdiff.cli`) writes them with :meth:`Report.write` and
+:func:`write_spectrum_csv`.
 """
 
 import json
@@ -30,22 +33,21 @@ SCHEMA_VERSION = 3
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; validate() raises ConfigError with the
-    offending field path.  The default probe and ladder are the krein
-    section's calibrated ones."""
+    """Everything a run needs, checked on construction: a bad field raises
+    ConfigError with its path, so every config that exists is valid.  The
+    default probe and ladder are the krein section's calibrated ones."""
 
     model: str = "krein"
     model_params: dict = field(default_factory=dict)
     probes: tuple = field(default_factory=lambda: (thresholds()["krein"]["probe"],))
     eps_ladder: tuple = field(default_factory=lambda: tuple(thresholds()["krein"]["eps_ladder"]))
     sizes: tuple = ()
-    out_dir: str = ""
     seed: int = 0
 
     @staticmethod
     def from_dict(data):
         """Parse a JSON object: absent fields keep the defaults above and
-        lists become tuples; then :meth:`validate`."""
+        lists become tuples."""
         if not isinstance(data, dict):
             raise ConfigError("config: expected an object")
         known = {f.name for f in fields(ExperimentConfig)}
@@ -53,7 +55,7 @@ class ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"config.{key}: unknown field")
         return ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                   for k, v in data.items()}).validate()
+                                   for k, v in data.items()})
 
     @staticmethod
     def from_json(path):
@@ -64,8 +66,8 @@ class ExperimentConfig:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         return ExperimentConfig.from_dict(data)
 
-    def validate(self):
-        """Every check of every field; returns self."""
+    def __post_init__(self):
+        """Every check of every field, run by the constructor."""
         _check_number(self.seed, "seed", int)
         if not isinstance(self.model, str) or not self.model:
             raise ConfigError("config.model: must be a nonempty string")
@@ -96,9 +98,6 @@ class ExperimentConfig:
             _check_number(s, f"sizes[{i}]", int)
             if s < 1:
                 raise ConfigError(f"config.sizes[{i}]: must be positive")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError("config.out_dir: must be a string")
-        return self
 
     def build_pair(self, **overrides):
         """The preset's pair; a parameter the builder rejects is a ConfigError."""
@@ -230,24 +229,15 @@ def _probe_payload(pair, probe, ladder):
 
 def run_experiment(config):
     """Run every probe of a config and assemble a report."""
-    config.validate()
     body = {
         "schema": SCHEMA_VERSION,
-        "config": {k: v for k, v in asdict(config).items() if k != "out_dir"},
+        "config": asdict(config),
         "probes": [],
     }
     pair = config.build_pair()
     for probe in config.probes:
         body["probes"].append(_probe_payload(pair, probe, list(config.eps_ladder)))
-    report = Report(body)
-    if config.out_dir:
-        report.write(os.path.join(config.out_dir, "report.json"))
-        for i, payload in enumerate(body["probes"]):
-            if "difference" in payload:
-                write_spectrum_csv(
-                    os.path.join(config.out_dir, f"difference_spectrum_{i}.csv"),
-                    difference_spectrum(payload["difference"]))
-    return report
+    return Report(body)
 
 
 def convergence_study(config, axis):
@@ -264,7 +254,6 @@ def convergence_study(config, axis):
     :class:`GapViolationError`), and a point that sits at or below its
     floor counts as decreasing: past convergence the residual is roundoff.
     """
-    config.validate()
     if not config.probes:
         raise ConfigError("config.probes: need a probe for a study")
     probe = config.probes[0]
@@ -326,7 +315,4 @@ def convergence_study(config, axis):
             "first_differences": diffs,
             "monotone_decreasing": bool(np.all(decreasing)),
         }
-    report = Report(table)
-    if config.out_dir:
-        report.write(os.path.join(config.out_dir, f"study_{axis}.json"))
-    return report
+    return Report(table)

@@ -1,4 +1,5 @@
 import json
+import os
 import runpy
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from projdiff import cli
 from projdiff.acceptance import Clause
+from projdiff.harness import ExperimentConfig, difference_spectrum
 
 
 def test_presets_listing(monkeypatch, capsys):
@@ -32,9 +34,28 @@ def test_run_with_config(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["schema"] == 3
 
+
+def test_run_out_writes_the_report_and_a_csv_per_difference(tmp_path, capsys):
+    # the second probe sits on an eigenvalue, so its difference stage fails
+    # and gets no CSV
+    on = float(ExperimentConfig(model="finite:random", seed=0)
+               .build_pair().eigenvalues[0][5])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "finite:random", "seed": 0, "probes": [0.0, on]}))
+    assert cli.main(["run", str(path)]) == 0
+    stdout = capsys.readouterr().out
     out_dir = tmp_path / "out"
     assert cli.main(["run", str(path), "--out", str(out_dir)]) == 0
-    assert (out_dir / "report.json").exists()
+    assert capsys.readouterr().out == ""
+    assert (out_dir / "report.json").read_text() == stdout
+    assert sorted(os.listdir(out_dir)) == ["difference_spectrum_0.csv", "report.json"]
+    payloads = json.loads(stdout)["probes"]
+    assert "difference_error" in payloads[1]
+    csv = (out_dir / "difference_spectrum_0.csv").read_text().splitlines()
+    assert csv[0] == "index,value"
+    assert [line.split(",")[0] for line in csv[1:]] == [str(i) for i in range(len(csv) - 1)]
+    assert [float(line.split(",")[1]) for line in csv[1:]] == \
+        difference_spectrum(payloads[0]["difference"]).tolist()
 
 
 def test_run_invalid_config_exit_2(tmp_path, capsys):
@@ -54,6 +75,19 @@ def test_study_cli(tmp_path, capsys):
     assert cli.main(["study", str(path), "--axis", "eps"]) == 0
     body = json.loads(capsys.readouterr().out)
     assert body["axis"] == "eps"
+
+
+def test_study_writes_its_table_to_the_out_dir(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "finite:random", "probes": [0.0],
+                                "sizes": [5, 10, 20]}))
+    assert cli.main(["study", str(path), "--axis", "trule"]) == 0
+    stdout = capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert cli.main(["study", str(path), "--axis", "trule", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == ""
+    assert os.listdir(out_dir) == ["study_trule.json"]
+    assert (out_dir / "study_trule.json").read_text() == stdout
 
 
 def test_seed_override(tmp_path, capsys):
@@ -97,6 +131,8 @@ def test_seed_override(tmp_path, capsys):
     *(({"model": model, "model_params": {"half_width": half_width}}, "config.model_params")
       for model, half_width in (("schrodinger:sech2", -120.0), ("schrodinger:sech2", 0.0),
                                 ("schrodinger:square-well", -30.0))),
+    # the output directory is the --out flag, not a config field
+    ({"out_dir": "out"}, "config.out_dir"),
 ])
 def test_run_edge_config_exits_2_naming_the_field(tmp_path, capsys, config, path):
     cfg_path = tmp_path / "cfg.json"
@@ -133,7 +169,6 @@ def test_study_input_errors_exit_2_naming_the_field(tmp_path, capsys, model, axi
 
 
 def test_study_trule_with_the_probe_on_an_eigenvalue_exits_2(tmp_path, capsys):
-    from projdiff.harness import ExperimentConfig
     on = float(ExperimentConfig(model="finite:random", seed=0)
                .build_pair().eigenvalues[0][5])
     cfg_path = tmp_path / "cfg.json"

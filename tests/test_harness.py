@@ -55,12 +55,14 @@ def test_config_validation_field_paths():
 
 
 def test_constructed_config_gets_every_check():
-    # validate() owns the checks, so a config built directly meets them too
+    # the checks run on construction, so a config built directly meets them
+    # too, and so does one rebuilt by dataclasses.replace, as --seed does
     for kwargs, path in (({"probes": 5}, r"config\.probes"),
-                         ({"model_params": {"bogus": 1}}, r"config\.model_params\.bogus"),
-                         ({"out_dir": 7}, r"config\.out_dir")):
+                         ({"model_params": {"bogus": 1}}, r"config\.model_params\.bogus")):
         with pytest.raises(ConfigError, match=path):
-            run_experiment(ExperimentConfig(**kwargs))
+            ExperimentConfig(**kwargs)
+    with pytest.raises(ConfigError, match=r"config\.seed"):
+        dataclasses.replace(ExperimentConfig(), seed=1.5)
 
 
 def test_default_config_is_the_calibrated_krein_probe_and_ladder():
@@ -68,7 +70,6 @@ def test_default_config_is_the_calibrated_krein_probe_and_ladder():
     cfg = ExperimentConfig()
     assert (cfg.model, cfg.probes, cfg.eps_ladder) == \
         ("krein", (krein["probe"],), tuple(krein["eps_ladder"]))
-    assert cfg.validate() is cfg
 
 
 def test_config_from_json_error(tmp_path):
@@ -107,9 +108,9 @@ def test_report_deterministic_for_fixed_seed():
     assert a == b
 
 
-def test_report_payload_and_outputs(tmp_path):
+def test_report_payload_and_outputs():
     cfg = ExperimentConfig(model="finite:random", probes=(0.0,), seed=11,
-                           eps_ladder=(0.1, 0.05, 0.02), out_dir=str(tmp_path))
+                           eps_ladder=(0.1, 0.05, 0.02))
     report = run_experiment(cfg)
     payload = report.body["probes"][0]
     assert payload["n"] == 24
@@ -117,17 +118,12 @@ def test_report_payload_and_outputs(tmp_path):
     assert len(payload["scattering"]["rungs"]) == 3
     for rung in payload["scattering"]["rungs"]:
         assert rung["unitarity_defect"] <= 1e-10
-    data = json.loads((tmp_path / "report.json").read_text())
-    assert data["schema"] == 3
-    csv = (tmp_path / "difference_spectrum_0.csv").read_text().splitlines()
-    assert csv[0] == "index,value"
-    assert csv[1].startswith("0,")
-    # the payload holds the r sines and a zero count; the CSV all n values
+    assert json.loads(report.to_json())["schema"] == 3
+    # the payload holds the r sines and a zero count; difference_spectrum all n values
     rep = projection_difference(cfg.build_pair(), 0.0)
     diff = payload["difference"]
     assert np.array_equal(diff["sines"], rep.sines)
-    assert len(diff["sines"]) + diff["zero_count"] == payload["n"] == len(csv) - 1
-    assert [float(line.split(",")[1]) for line in csv[1:]] == rep.spectrum.tolist()
+    assert len(diff["sines"]) + diff["zero_count"] == payload["n"]
     assert np.array_equal(difference_spectrum(diff), rep.spectrum)
     assert diff["extremes"] == rep.extremes and diff["max_gap"] == rep.max_gap
 
@@ -295,12 +291,21 @@ def test_report_writes_numpy_booleans_as_booleans():
     assert json.loads(Report(body).to_json()) == {"flag": True, "flags": [True, False]}
 
 
-def test_study_writes_its_table_to_the_out_dir(tmp_path):
-    cfg = ExperimentConfig(model="finite:random", probes=(0.0,), sizes=(5, 10, 20),
-                           out_dir=str(tmp_path / "out"))
-    report = convergence_study(cfg, "trule")
-    with open(tmp_path / "out" / "study_trule.json") as fh:
-        assert fh.read() == report.to_json() + "\n"
+def test_library_writes_no_file(monkeypatch, tmp_path):
+    # runs and studies return their report; only the command line writes files
+    monkeypatch.chdir(tmp_path)
+    run_experiment(ExperimentConfig(model="finite:random", probes=(0.0,), seed=3,
+                                    eps_ladder=(0.1, 0.05)))
+    run_experiment(ExperimentConfig(model="schrodinger:sech2",
+                                    model_params={"half_width": 38.0, "n": 759},
+                                    probes=(1.0,)))
+    convergence_study(ExperimentConfig(model="krein", probes=(0.5,),
+                                       sizes=(48, 64, 96)), "n")
+    dense = ExperimentConfig(model="finite:random", probes=(0.0,), seed=3,
+                             eps_ladder=(0.2, 0.1, 0.05), sizes=(5, 10, 20))
+    for axis in ("eps", "trule"):
+        convergence_study(dense, axis)
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_spectrum_csv_roundtrip(tmp_path):
