@@ -13,7 +13,13 @@ both have spectrum [0, pi]; their sum is the Carleman kernel 1/tau with
 norm pi.  Their spectral structure lives in log t, so the grids used
 here are log-symmetric (``quadrature.log_rule``, sized by the ``hankel``
 section of thresholds.json).
-Each discretization is Hermitian: its norms and spectrum are one ``eigvalsh``.
+Each discretization is stored as its certified Hermitian part (see
+:func:`projdiff.linalg.hermitian`): its norms and spectrum are one
+``eigvalsh``, which reads one triangle of a matrix that equals its
+conjugate transpose exactly.  :func:`build_hankel` forms one weight
+sqrt(w_i w_j) per pair of nodes, so the matrix of a kernel whose blocks are
+exactly Hermitian is exactly Hermitian as built and is certified by the
+one exact comparison.
 """
 
 import functools
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentBoundError, KernelSingularityError
-from .linalg import check_hermitian
+from .linalg import hermitian, hermitian_part
 from .quadrature import legendre_rule, log_rule
 
 __all__ = [
@@ -47,13 +53,15 @@ def gamma_kernel(tau):
 
 @dataclass(frozen=True)
 class HankelDiscretization:
-    """Weighted kernel-sample matrix and its rule; Hermitian (checked), one cached eigvalsh."""
+    """Weighted kernel-sample matrix and its rule, stored as its certified
+    Hermitian part; one cached eigvalsh.  A matrix that is not Hermitian to
+    HERMITIAN_TOL raises :class:`NonHermitianError`."""
 
     rule: object
     matrix: np.ndarray
 
     def __post_init__(self):
-        check_hermitian(self.matrix)
+        object.__setattr__(self, "matrix", hermitian(self.matrix))
 
     @functools.cached_property
     def eigenvalues(self):
@@ -68,9 +76,11 @@ def build_hankel(kernel, rule):
 
     ``kernel`` maps the array tau of node sums to an array of shape
     ``tau.shape`` or ``tau.shape + (k, k)`` with Hermitian k x k blocks;
-    the matrix has block (i, j) = sqrt(w_i w_j) K(t_i + t_j).  Non-finite
-    kernel values at sampled points raise :class:`KernelSingularityError`,
-    and blocks that are not Hermitian :class:`NonHermitianError`.
+    the matrix has block (i, j) = sqrt(w_i w_j) K(t_i + t_j), with one
+    weight sqrt(w_i) sqrt(w_j) for both (i, j) and (j, i), so the matrix is
+    exactly Hermitian when the blocks are.  Non-finite kernel values at
+    sampled points raise :class:`KernelSingularityError`, and blocks that
+    are not Hermitian :class:`NonHermitianError`.
     """
     t, w = rule.nodes, rule.weights
     n = len(t)
@@ -84,7 +94,7 @@ def build_hankel(kernel, rule):
     if not np.all(np.isfinite(vals)):
         raise KernelSingularityError("kernel non-finite at a sampled point")
     k = vals.shape[2] if vals.ndim == 4 else 1
-    blocks = sq[:, None, None, None] * vals.reshape(n, n, k, k) * sq[None, :, None, None]
+    blocks = vals.reshape(n, n, k, k) * np.outer(sq, sq)[:, :, None, None]
     return HankelDiscretization(rule, blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k))
 
 
@@ -195,8 +205,7 @@ def nuclear_bound_check(profile, lam_rule, t_rule):
     """
     lam, wl = lam_rule.nodes, lam_rule.weights
     mq = np.array([np.atleast_2d(profile(l)) for l in lam])     # (q, k, k)
-    herm = 0.5 * (mq + mq.conj().swapaxes(-1, -2))
-    norms = np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
+    norms = np.abs(np.linalg.eigvalsh(hermitian_part(mq))).sum(axis=-1)
     contrib = wl * norms / lam
     c2 = float(np.sum(contrib))
     # contribution density per unit log-lambda, lower end vs middle

@@ -14,11 +14,15 @@ on eigenvalue diagonals, and the probe-gap check on eigenvalue arrays.
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
 residuals are checked before results are returned.  The Hermitian input
-contract is certified by cheap O(n^2) norm bounds and falls back to the
-exact SVD quotient only when the bounds cannot decide, so it accepts and
-rejects exactly what the exact check does.  The banded eigensolver keeps
-the dense one's input contract, and certifies each eigenpair it returns by
-its residual (BAND_RESIDUAL_TOL).
+contract (:func:`hermitian`) is one exact comparison: a matrix equal to its
+conjugate transpose is certified by it.  Any other matrix is certified by
+:func:`check_hermitian`, whose cheap O(n^2) norm bounds fall back to the
+exact SVD quotient only when they cannot decide, so it accepts and rejects
+exactly what the exact check does.  Either way what is stored and solved
+is the matrix's Hermitian part, which equals its conjugate transpose
+exactly; :func:`hermitian_part` is the one place (M + M*) / 2 is formed.
+The banded eigensolver keeps the dense one's input contract, and certifies
+each eigenpair it returns by its residual (BAND_RESIDUAL_TOL).
 """
 
 import functools
@@ -32,8 +36,8 @@ from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                      ResidualError, SpectralCollisionError)
 
 __all__ = ["SpectralDecomposition", "DenseHermitian", "TridiagonalBands", "ParityBlock",
-           "WindowSystem", "check_hermitian", "herm_eig", "probe_gaps", "svd", "expm_apply",
-           "sylvester_solve"]
+           "WindowSystem", "check_hermitian", "hermitian", "hermitian_part", "herm_eig",
+           "probe_gaps", "svd", "expm_apply", "sylvester_solve"]
 
 # each tolerance is read at call time by the one function that applies it
 HERMITIAN_TOL = 1e-12
@@ -100,21 +104,37 @@ def check_hermitian(matrix):
             raise NonHermitianError(defect, tol)
 
 
-def herm_eig(matrix):
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_part(m):
+    """(M + M*) / 2 of a matrix, or of each matrix of a stack (the last two
+    axes), which equals its conjugate transpose exactly; M itself when it
+    already does, the same values without the arithmetic."""
+    mh = m.conj().swapaxes(-1, -2)
+    return m if np.array_equal(m, mh) else 0.5 * (m + mh)
 
-    A matrix equal to its conjugate transpose, as every
-    :class:`DenseHermitian` is (see :func:`projdiff.models.build_finite_pair`),
-    is certified by that one exact comparison and diagonalized as it is.
-    Any other matrix raises :class:`NonHermitianError` when the relative
-    asymmetry ||M - M*|| / ||M|| exceeds HERMITIAN_TOL (see
-    :func:`check_hermitian`), and its Hermitian part is diagonalized.
+
+def hermitian(matrix):
+    """The Hermitian part of a matrix certified Hermitian.
+
+    A matrix equal to its conjugate transpose is certified by that one
+    exact comparison and returned as it is.  Any other matrix raises
+    :class:`NonHermitianError` when the relative asymmetry
+    ||M - M*|| / ||M|| exceeds HERMITIAN_TOL (see :func:`check_hermitian`),
+    and its :func:`hermitian_part` is returned.
     """
-    m = _as_array(matrix)
-    if not np.array_equal(m, m.conj().T):
-        check_hermitian(m)
-        m = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(m)
+    m = np.asarray(matrix)
+    if np.array_equal(m, m.conj().T):
+        return m
+    check_hermitian(m)
+    return hermitian_part(m)
+
+
+def herm_eig(matrix):
+    """Eigendecomposition of a Hermitian matrix: of its certified
+    :func:`hermitian` part.  Every :class:`DenseHermitian` is stored exactly
+    Hermitian (see :func:`projdiff.models.build_finite_pair`), so it is
+    certified by one exact comparison and diagonalized as it is.
+    """
+    w, v = np.linalg.eigh(hermitian(_as_array(matrix)))
     return SpectralDecomposition(w, v)
 
 

@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError, ResidualError
 from . import linalg
-from .linalg import DenseHermitian, SpectralDecomposition, TridiagonalBands, check_hermitian
+from .linalg import DenseHermitian, SpectralDecomposition, TridiagonalBands
 from .quadrature import legendre_rule
 
 __all__ = [
@@ -207,17 +207,13 @@ def _finite(m, name):
     return m
 
 
-def _hermitize_check(m, name):
-    m = _finite(m, name)
-    # a matrix equal to its conjugate transpose passes by that one comparison
-    if m.size == 0 or np.array_equal(m, m.conj().T):
-        return m
+def _hermitian(m, name):
+    """The certified Hermitian part of ``m`` (see :func:`projdiff.linalg.hermitian`),
+    at the tolerance of the pair's eigensolves, so a pair that builds diagonalizes."""
     try:
-        # the tolerance of the pair's eigensolves: a pair that builds diagonalizes
-        check_hermitian(m)
+        return linalg.hermitian(_finite(m, name))
     except NonHermitianError as exc:
         raise ValueError(f"{name} is not Hermitian") from exc
-    return m
 
 
 def build_finite_pair(h0, g, v0):
@@ -231,8 +227,11 @@ def build_finite_pair(h0, g, v0):
     ``g`` as a ``csr_array``, with no n x n or dense k x n array; a dense
     pair stores ``g`` dense, and h0 and h as the
     :class:`projdiff.linalg.DenseHermitian` of their Hermitian parts
-    (M + M*) / 2, each equal to its conjugate transpose exactly, so that
-    their eigensolves need no second certificate (see
+    (M + M*) / 2, h formed as h0 + G* V0 G from the ``h0`` given.  Either
+    way the pair stores ``v0`` as its certified Hermitian part, the input
+    itself when that equals its conjugate transpose (see
+    :func:`projdiff.linalg.hermitian`), so every stored operand is exactly
+    Hermitian and its eigensolves need no second certificate (see
     :func:`projdiff.linalg.herm_eig`).  Either way :class:`ResidualError`
     is raised when the factorization residual ||h - h0 - G* V0 G||_F exceeds
     FACTORIZATION_TOL relative to ||h||_F + ||h0||_F.
@@ -244,10 +243,10 @@ def build_finite_pair(h0, g, v0):
         g = sparse.csr_array(g)
         _finite(g.data, "g")
     else:
-        h0 = _hermitize_check(h0, "h0")
+        h0, h0_part = np.asarray(h0), _hermitian(h0, "h0")
         n = h0.shape[0]
         g = _finite(g.toarray() if sparse.issparse(g) else g, "g")
-    v0 = _hermitize_check(v0, "v0")
+    v0 = _hermitian(v0, "v0")
     if g.ndim != 2 or g.shape[1] != n or v0.shape[0] != g.shape[0]:
         raise ValueError("inconsistent dimensions in (h0, g, v0)")
     if banded:
@@ -259,19 +258,13 @@ def build_finite_pair(h0, g, v0):
     h = h0 + v
     # both operators are stored exactly Hermitian, so that their eigensolves
     # certify them by one exact comparison (see herm_eig)
-    pair = OperatorPair(tuple(DenseHermitian(_hermitian_part(m)) for m in (h0, h)), g, v0)
+    pair = OperatorPair((DenseHermitian(h0_part), DenseHermitian(linalg.hermitian_part(h))),
+                        g, v0)
     # Frobenius bounds the operator norm from above, and is O(n^2) to check
     resid = np.linalg.norm(pair.h - h0 - v)
     scale = np.linalg.norm(pair.h) + np.linalg.norm(h0)
     _check_factorization(resid, scale)
     return pair
-
-
-def _hermitian_part(m):
-    """(M + M*) / 2, which equals its conjugate transpose exactly; M itself
-    when it already does, the same values without the arithmetic."""
-    mh = m.conj().T
-    return m if np.array_equal(m, mh) else 0.5 * (m + mh)
 
 
 def _check_factorization(resid, scale):
@@ -490,9 +483,9 @@ def resolvent_transform(pair, shift):
     eye = np.eye(pair.dim)
     h0t = np.linalg.solve(pair.h0 - shift * eye, eye)
     ht = np.linalg.solve(pair.h - shift * eye, eye)
-    h0t, ht = _hermitian_part(h0t), _hermitian_part(ht)
+    h0t, ht = linalg.hermitian_part(h0t), linalg.hermitian_part(ht)
     g = pair.g @ h0t
-    w0 = _hermitian_part(-pair.v0 + pair.v0 @ (pair.g @ ht @ pair.g.conj().T) @ pair.v0)
+    w0 = linalg.hermitian_part(-pair.v0 + pair.v0 @ (pair.g @ ht @ pair.g.conj().T) @ pair.v0)
     transformed = OperatorPair((DenseHermitian(h0t), DenseHermitian(ht)), g, w0)
     return ResolventTransform(transformed, float(shift))
 

@@ -69,6 +69,7 @@ import numpy as np
 
 from .errors import (OracleConvergenceError, ProbeOutsideBandError, ResidualError,
                      SingularSandwichError)
+from .linalg import hermitian_part
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
@@ -229,7 +230,7 @@ def _psd_sqrt(m):
     """(PSD square roots, check) for a stack of matrices, the roots taken of
     the eigenvalues clipped at 0: the check flags each rung with an
     eigenvalue below -PSD_TOL times its largest |eigenvalue| (or 1)."""
-    w, v = np.linalg.eigh(0.5 * (m + _ct(m)))
+    w, v = np.linalg.eigh(hermitian_part(m))
     low = np.min(w, axis=-1, initial=0.0)
     scale = np.maximum(np.max(abs(w), axis=-1, initial=0.0), 1.0)
     bound = PSD_TOL * scale
@@ -278,7 +279,7 @@ class ScatteringBundle:
 def _hermitian_norm(m):
     """2-norm of the Hermitian part of a matrix, or of each matrix of a
     stack: its largest |eigenvalue|."""
-    w = np.linalg.eigvalsh(0.5 * (m + _ct(m)))
+    w = np.linalg.eigvalsh(hermitian_part(m))
     return np.max(abs(w), axis=-1, initial=0.0)
 
 
@@ -313,8 +314,7 @@ def _bundle_stack(pair, probe, eps):
     diff = smat - eye
     defect = 0.25 * _ct(diff) @ diff
     evs = np.linalg.eigvals(smat)
-    amat = np.pi ** 2 * root @ v0 @ fp @ v0 @ root
-    amat = 0.5 * (amat + _ct(amat))
+    amat = hermitian_part(np.pi ** 2 * root @ v0 @ fp @ v0 @ root)
     ident = _hermitian_norm(defect - amat)
     a_pred = np.sqrt(np.max(np.linalg.eigvalsh(defect), axis=-1, initial=0.0))
     bundles = []

@@ -3,11 +3,13 @@ import sys
 import numpy as np
 import pytest
 
+from projdiff import hankel
 from projdiff.acceptance import criterion_6
 from projdiff.errors import DivergentBoundError, KernelSingularityError, NonHermitianError
-from projdiff.hankel import (build_hankel, carleman_kernel, gamma0_kernel, gamma_kernel,
-                             kernel_bound_suite, laplace_factorizations,
-                             model_hankel_pair, nuclear_bound_check)
+from projdiff.hankel import (HankelDiscretization, build_hankel, carleman_kernel,
+                             gamma0_kernel, gamma_kernel, kernel_bound_suite,
+                             laplace_factorizations, model_hankel_pair, nuclear_bound_check)
+from projdiff.linalg import hermitian
 from projdiff.models import thresholds
 from projdiff.quadrature import exp_mapped_rule, log_rule
 
@@ -259,6 +261,39 @@ def _criterion_6_corpus():
     kernels = (gamma0_kernel, gamma_kernel, carleman_kernel,
                lambda tau: np.exp(-tau), lambda tau: 1.0 / (1.0 + tau) ** 2)
     return [build_hankel(kernel, rule) for kernel in kernels]
+
+
+def test_library_hankel_matrices_are_exactly_symmetric_as_built(monkeypatch):
+    # one weight sqrt(w_i) sqrt(w_j) per node pair: every matrix of criterion
+    # 6's corpus and of the Laplace factorizations reaches the stored part
+    # already equal to its transpose, so the one exact comparison certifies it
+    built = []
+    monkeypatch.setattr(hankel, "hermitian",
+                        lambda m: built.append(np.array_equal(m, m.T)) or hermitian(m))
+    corpus = _criterion_6_corpus()
+    _pinned_factorizations()
+    assert len(built) == len(corpus) + 2 and all(built)
+    assert all(np.array_equal(disc.matrix, disc.matrix.T) for disc in corpus)
+
+
+def _roundoff_hermitian_kernel(tau):
+    # blocks U diag(e^-tau, 1/(1+tau)^2) U* with U unitary: Hermitian to roundoff only
+    u = np.linalg.qr(np.array([[1.0, 0.5j], [0.3, 2.0]]))[0]
+    d = np.stack([np.exp(-tau), 1.0 / (1.0 + tau) ** 2], axis=-1)
+    return (u * d[..., None, :]) @ u.conj().T
+
+
+def test_discretization_stores_its_certified_hermitian_part():
+    small = exp_mapped_rule(24, 1.0)
+    t, sq = small.nodes, np.sqrt(small.weights)
+    vals = _roundoff_hermitian_kernel(t[:, None] + t[None, :])
+    m = (vals * np.outer(sq, sq)[:, :, None, None]).transpose(0, 2, 1, 3).reshape(48, 48)
+    m[0, 1] += 1e-15
+    assert not np.array_equal(m, m.conj().T)
+    disc = HankelDiscretization(small, m)
+    assert np.array_equal(disc.matrix, disc.matrix.conj().T)
+    ref = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    assert disc.eigenvalues.tobytes() == ref.tobytes()
 
 
 def test_singular_values_match_the_svd_on_the_criterion_6_corpus():

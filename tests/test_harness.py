@@ -542,3 +542,31 @@ def test_calibrate_writer_keeps_the_shipped_layout(monkeypatch):
     with open(tool.THRESHOLDS_PATH) as fh:
         shipped = fh.read()
     assert tool.thresholds_text(json.loads(shipped)) + "\n" == shipped
+
+
+def test_calibrate_write_changes_only_the_two_picked_entries(monkeypatch, tmp_path):
+    # with the sweeps stubbed, --write writes the ladder and the boxes they
+    # pick and keeps hand edits of the fixed choices the other sweeps read
+    import sys
+
+    tool = _load_calibrate_tool(monkeypatch)
+    with open(tool.THRESHOLDS_PATH) as fh:
+        edited = json.load(fh)
+    edited["hankel"]["log_half_width"] = 200.0
+    edited["square_well"]["depth"] = 3.0
+    path = tmp_path / "thresholds.json"
+    path.write_text(tool.thresholds_text(edited) + "\n")
+    read = []
+    monkeypatch.setattr(tool, "THRESHOLDS_PATH", str(path))
+    monkeypatch.setattr(tool, "calibrate_krein_ladder", lambda cfg: [0.4, 0.2])
+    monkeypatch.setattr(tool, "calibrate_sech2_boxes", lambda cfg: [[10.0, 199], [20.0, 399]])
+    for name in ("calibrate_hankel_window", "calibrate_square_well",
+                 "calibrate_krein_corner_and_sigma"):
+        monkeypatch.setattr(tool, name, lambda cfg: read.append(cfg))
+    monkeypatch.setattr(sys, "argv", ["calibrate.py", "--write"])
+    tool.main()
+    written = json.loads(path.read_text())
+    edited["krein"]["eps_ladder"] = [0.4, 0.2]
+    edited["sech2"]["d_boxes"] = [[10.0, 199], [20.0, 399]]
+    assert written == edited
+    assert read == [edited["hankel"], edited["square_well"], edited]

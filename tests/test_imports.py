@@ -1,4 +1,5 @@
-"""Module boundaries: a name with a leading underscore stays in its module."""
+"""Module boundaries: a name with a leading underscore stays in its module,
+and a Hermitian part (M + M*) / 2 is formed in linalg only."""
 
 import ast
 import glob
@@ -18,6 +19,13 @@ def _private_imports(source):
             for alias in node.names if alias.name.startswith("_")]
 
 
+def _hand_hermitian_parts(source):
+    """Line numbers of ``source`` that write (M + M*) / 2 by hand: a line
+    holding ``0.5 * (`` together with ``.conj()`` or ``_ct(``."""
+    return [i for i, line in enumerate(source.splitlines(), 1)
+            if "0.5 * (" in line and (".conj()" in line or "_ct(" in line)]
+
+
 def test_no_module_imports_a_siblings_private_name():
     paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
     assert len(paths) >= 12
@@ -26,6 +34,27 @@ def test_no_module_imports_a_siblings_private_name():
         with open(path) as fh:
             offenders += [(os.path.basename(path), *found) for found in _private_imports(fh.read())]
     assert offenders == []
+
+
+def test_only_linalg_forms_a_hermitian_part():
+    # linalg.hermitian_part is the one home of (M + M*) / 2
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    assert os.path.join(PACKAGE, "linalg.py") in paths
+    offenders = []
+    for path in paths:
+        with open(path) as fh:
+            found = _hand_hermitian_parts(fh.read())
+        if found and os.path.basename(path) != "linalg.py":
+            offenders.append((os.path.basename(path), found))
+    assert offenders == []
+
+
+def test_hand_hermitian_parts_are_found():
+    source = ("h = 0.5 * (m + m.conj().T)\n"
+              "a = 0.5 * (a + _ct(a))\n"
+              "s = (m - _ct(m)) / 2j\n"
+              "x = 0.5 * (a + b)\n")
+    assert _hand_hermitian_parts(source) == [1, 2]
 
 
 def test_private_imports_are_found():

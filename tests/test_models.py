@@ -401,10 +401,11 @@ def test_window_sandwich_without_coupling():
     lambda: random_gapped_pair(12, 3, seed=4)], ids=["schrodinger", "krein", "random"])
 def test_builds_keep_their_bits_and_certify_exact_inputs_by_one_comparison(build, monkeypatch):
     # every build stores what it stored with the Hermitian part always taken:
-    # the bands and v0 as given, a dense h0 and h as (M + M*) / 2; an input
+    # the bands as given, v0 as its Hermitian part, which is the input itself
+    # when the input is exact, a dense h0 and h as (M + M*) / 2; an input
     # equal to its conjugate transpose skips the norm-bound certificate
     inputs, checked = [], []
-    original_build, original_check = models.build_finite_pair, models.check_hermitian
+    original_build, original_check = models.build_finite_pair, linalg.check_hermitian
 
     def capture(h0, g, v0):
         inputs.append((h0, g, v0))
@@ -415,7 +416,7 @@ def test_builds_keep_their_bits_and_certify_exact_inputs_by_one_comparison(build
         return original_check(m)
 
     monkeypatch.setattr(models, "build_finite_pair", capture)
-    monkeypatch.setattr(models, "check_hermitian", check)
+    monkeypatch.setattr(linalg, "check_hermitian", check)
     pair = build()
     (h0, g, v0), = inputs
     assert pair.v0 is v0
@@ -439,6 +440,18 @@ def test_non_hermitian_inputs_still_raise_the_named_error():
         # one ulp off is within HERMITIAN_TOL: certified by the norm bounds
         pieces[name][0, 1] = np.nextafter(pieces[name][1, 0], 1.0)
         build_finite_pair(**pieces)
+
+
+def test_pairs_store_v0_exactly_hermitian():
+    # the one-ulp-off v0 above builds a dense and a band pair, each storing
+    # its Hermitian part, which equals its conjugate transpose exactly
+    v0 = np.diag([1.0, -1.0])
+    v0[0, 1] = np.nextafter(0.0, 1.0)
+    g = np.eye(3)[:2]
+    for h0 in (np.diag([1.0, 2.0, 3.0]), TridiagonalBands(np.full(3, 2.0), np.full(2, -1.0))):
+        pair = build_finite_pair(h0, g, v0)
+        assert not np.array_equal(v0, v0.T)
+        assert np.array_equal(pair.v0, pair.v0.conj().T)
 
 
 def test_residual_contracts_raise_residual_error(monkeypatch):

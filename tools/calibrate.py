@@ -2,17 +2,16 @@
 
 Re-measures the calibrated quantities of src/projdiff/thresholds.json and
 prints the evidence.  With --write it rewrites the file in place and
-writes seven entries; every other entry is kept as it is.  Two of the
-seven are picked from its sweeps: krein.eps_ladder (the ladder with the
-smallest extrapolated phase defect) and sech2.d_boxes (the first
-swap-free box of each of two sweeps, the larger one nearer to [-a, a]
-than the smaller).  The other five are fixed choices that the
-sweeps only print evidence for, and --write writes them back unchanged:
-hankel.log_half_width (160), square_well.depth (2.5),
-square_well.corner_box ([60, 1199]), krein_corner_top_min (0.55) and
-zops.krein_sigma_ratio (0.2).  The corner box's grid, n odd at step
-h = 0.1 exactly, puts nodes on the well's edges x = +-1, which
-square_well_spec leaves outside the well (19 sites, not 20).
+changes two entries, the two its sweeps pick: krein.eps_ladder (the
+ladder with the smallest extrapolated phase defect) and sech2.d_boxes
+(the first swap-free box of each of two sweeps, the larger one nearer to
+[-a, a] than the smaller).  Every other entry is kept as it is.  Five of
+them are fixed choices that the other sweeps read from the file and only
+print evidence for: hankel.log_half_width, square_well.depth,
+square_well.corner_box, krein_corner_top_min and zops.krein_sigma_ratio,
+so a hand edit of one of them is swept and kept.  The shipped corner
+box's grid, n odd at step h = 0.1 exactly, puts nodes on the well's edges
+x = +-1, which square_well_spec leaves outside the well (19 sites, not 20).
 
 What gets calibrated and why:
 
@@ -77,22 +76,18 @@ def calibrate_krein_ladder(cfg):
         if defect < best_defect:
             best, best_defect = ladder, defect
     print(f"   chosen: {best} (H0 level spacing at the probe {spacing:.4f})")
-    return {"eps_ladder": best}
+    return best
 
 
 def calibrate_hankel_window(cfg):
     print(f"== Hankel log-window at n = {cfg['n']}")
-    rows = {}
     for hw in (80.0, 120.0, 160.0, 200.0):
         rule = log_rule(cfg["n"], hw)
         data = model_hankel_pair(rule)
         cnorm = float(build_hankel(carleman_kernel, rule).singular_values()[0])
-        rows[hw] = (data["top_gamma0"], cnorm, data["hausdorff"])
         print(f"   half-width {hw:5.0f}: top {data['top_gamma0']:.5f}, "
               f"carleman {cnorm:.5f}, hausdorff {data['hausdorff']:.4f}")
-    chosen = 160.0
-    print(f"   chosen half-width: {chosen} (all margins met with slack)")
-    return {"log_half_width": chosen}
+    print(f"   chosen half-width: {cfg['log_half_width']} (all margins met with slack)")
 
 
 def calibrate_sech2_boxes(cfg, step=0.1):
@@ -119,7 +114,7 @@ def calibrate_sech2_boxes(cfg, step=0.1):
                        if row[2] == 0 and row[3] < pick_small[3]), large[0])
     boxes = [[pick_small[0], pick_small[1]], [pick_large[0], pick_large[1]]]
     print(f"   chosen boxes: {boxes}")
-    return {"d_boxes": boxes}
+    return boxes
 
 
 def calibrate_square_well(cfg):
@@ -130,28 +125,27 @@ def calibrate_square_well(cfg):
             square_well_spec(depth, width, cfg["oracle_half_width"], cfg["oracle_n"]), probe)
         s = oracle.band_edges ** 2
         print(f"   depth {depth}: band edges sin^2 = {np.round(s, 3)}")
-    depth = 2.5
+    depth = cfg["depth"]
     print(f"   chosen depth {depth} (separation ~ 0.34)")
     print("== square-well corner box (swap-free)")
-    for hw in (40.0, 60.0, 80.0):
-        n = int(2 * hw / 0.1) - 1
+    boxes = {(hw, int(2 * hw / 0.1) - 1) for hw in (40.0, 80.0)} | {tuple(cfg["corner_box"])}
+    for hw, n in sorted(boxes):
         pair = build_schrodinger_1d(square_well_spec(depth, width, hw, n))
         spec = corner_spectrum(pair, probe, sign=+1)
         swaps = int(np.sum(spec > 1 - 1e-6))
         print(f"   X = {hw:4.0f} (n = {n}): swaps {swaps}, top {spec.max():.4f}")
-    return {"depth": depth, "corner_box": [60.0, 1199]}
 
 
-def calibrate_krein_corner_and_sigma(cfg, sigma_n):
+def calibrate_krein_corner_and_sigma(current):
     print("== resolvent-model corner top and model-comparison ratio")
+    cfg, zops = current["krein"], current["zops"]
     spec = corner_spectrum(build_krein(cfg["n"], cfg["L"]), cfg["probe"], sign=+1)
-    top = float(spec.max())
-    out = zop_model_comparison(build_krein(sigma_n, cfg["L"]), cfg["probe"])
+    out = zop_model_comparison(build_krein(zops["krein_sigma_n"], cfg["L"]), cfg["probe"])
     ratio = float(out["sigma_z0"][10] / out["sigma_z0"][0])
-    print(f"   corner top at n = {cfg['n']}: {top:.4f} -> threshold 0.55")
-    print(f"   sigma_10/sigma_1 at n = {sigma_n}: {ratio:.2e} -> threshold 0.2")
-    return {"krein_corner_top_min": 0.55, "krein_sigma_ratio": 0.2,
-            "measured_corner_top": top, "measured_sigma_ratio": ratio}
+    print(f"   corner top at n = {cfg['n']}: {spec.max():.4f} "
+          f"-> threshold {current['krein_corner_top_min']}")
+    print(f"   sigma_10/sigma_1 at n = {zops['krein_sigma_n']}: {ratio:.2e} "
+          f"-> threshold {zops['krein_sigma_ratio']}")
 
 
 def thresholds_text(value, indent=0):
@@ -174,20 +168,11 @@ def main():
     with open(THRESHOLDS_PATH) as fh:
         current = json.load(fh)
 
-    krein = calibrate_krein_ladder(current["krein"])
-    hankel = calibrate_hankel_window(current["hankel"])
-    sech2 = calibrate_sech2_boxes(current["sech2"])
-    well = calibrate_square_well(current["square_well"])
-    corner = calibrate_krein_corner_and_sigma(current["krein"],
-                                              current["zops"]["krein_sigma_n"])
-
-    current["krein"]["eps_ladder"] = krein["eps_ladder"]
-    current["hankel"]["log_half_width"] = hankel["log_half_width"]
-    current["sech2"]["d_boxes"] = sech2["d_boxes"]
-    current["square_well"]["depth"] = well["depth"]
-    current["square_well"]["corner_box"] = well["corner_box"]
-    current["krein_corner_top_min"] = corner["krein_corner_top_min"]
-    current["zops"]["krein_sigma_ratio"] = corner["krein_sigma_ratio"]
+    current["krein"]["eps_ladder"] = calibrate_krein_ladder(current["krein"])
+    calibrate_hankel_window(current["hankel"])
+    current["sech2"]["d_boxes"] = calibrate_sech2_boxes(current["sech2"])
+    calibrate_square_well(current["square_well"])
+    calibrate_krein_corner_and_sigma(current)
 
     if args.write:
         with open(THRESHOLDS_PATH, "w") as fh:
