@@ -8,8 +8,14 @@ even and odd blocks when the band is mirror-symmetric (bands of their own,
 half as long, that keep a uniform chain's closed form), and its shifted
 window systems (the chain beyond the window folded into two boundary
 self-energies, the box's own or those of given leads), their banded solve
-and LDL^T pivots, SVD, semigroup action, the closed-form Sylvester solver
-on eigenvalue diagonals, and the probe-gap check on eigenvalue arrays.
+and LDL^T pivots, semigroup action, the closed-form Sylvester solver on
+eigenvalue diagonals, and the probe-gap check on eigenvalue arrays.
+
+Two norms have one home each.  :func:`svd` is the one place the package
+takes an SVD, and :func:`norm2`, the largest singular value, the 2-norm of
+any matrix.  A Hermitian matrix's 2-norm is :func:`hermitian_norm`, its
+largest |eigenvalue|, one ``eigvalsh``: no Hermitian residual is measured
+by an SVD.
 
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
@@ -17,8 +23,8 @@ residuals are checked before results are returned.  The Hermitian input
 contract (:func:`hermitian`) is one exact comparison: a matrix equal to its
 conjugate transpose is certified by it.  Any other matrix is certified by
 :func:`check_hermitian`, whose cheap O(n^2) norm bounds fall back to the
-exact SVD quotient only when they cannot decide, so it accepts and rejects
-exactly what the exact check does.  Either way what is stored and solved
+exact quotient of two :func:`norm2` values only when they cannot decide,
+so it accepts and rejects exactly what the exact check does.  Either way what is stored and solved
 is the matrix's Hermitian part, which equals its conjugate transpose
 exactly; :func:`hermitian_part` is the one place (M + M*) / 2 is formed.
 The banded eigensolver keeps the dense one's input contract, and certifies
@@ -36,8 +42,8 @@ from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                      ResidualError, SpectralCollisionError)
 
 __all__ = ["SpectralDecomposition", "DenseHermitian", "TridiagonalBands", "ParityBlock",
-           "WindowSystem", "check_hermitian", "hermitian", "hermitian_part", "herm_eig",
-           "probe_gaps", "svd", "expm_apply", "sylvester_solve"]
+           "WindowSystem", "check_hermitian", "hermitian", "hermitian_part", "hermitian_norm",
+           "herm_eig", "probe_gaps", "svd", "norm2", "expm_apply", "sylvester_solve"]
 
 # each tolerance is read at call time by the one function that applies it
 HERMITIAN_TOL = 1e-12
@@ -61,10 +67,12 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def _as_array(m, ndim=2):
+def _as_array(m, ndim=2, stack=False):
+    """m as a finite array of ``ndim`` dimensions, or of at least ``ndim``
+    with ``stack``; ValueError otherwise."""
     m = np.asarray(m)
-    if m.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-d array")
+    if m.ndim < ndim if stack else m.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array" + " or a stack of them" * stack)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
@@ -80,7 +88,8 @@ def check_hermitian(matrix):
     entry, so squares of tiny or huge entries neither underflow nor
     overflow, and a relative margin of 1e-8 covers their roundoff, so
     near-ties go to the exact check.  Otherwise the exact quotient is
-    computed with SVDs; it decides, and is the defect the error carries.
+    computed with :func:`norm2`; it decides, and is the defect the error
+    carries.
     Zero and empty matrices are accepted.
     """
     tol = HERMITIAN_TOL
@@ -97,9 +106,9 @@ def check_hermitian(matrix):
         colmax = np.max(np.linalg.norm(a, axis=0))
         if np.linalg.norm(a - a.conj().T) <= (1.0 - 1e-8) * tol * colmax:
             return
-    scale = np.linalg.norm(m, 2)
+    scale = norm2(m)
     if scale > 0:
-        defect = np.linalg.norm(m - m.conj().T, 2) / scale
+        defect = norm2(m - m.conj().T) / scale
         if defect > tol:
             raise NonHermitianError(defect, tol)
 
@@ -538,10 +547,24 @@ def probe_gaps(probe, spectra):
 
 
 def svd(matrix):
-    """Singular values (descending) and factors U, s, Vh with M = U s Vh."""
-    m = _as_array(matrix)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh
+    """Singular values, descending, of a matrix or of each matrix of a stack
+    (the last two axes): the one place the package calls an SVD.  Entries
+    that are not finite, or fewer than two axes, raise ValueError."""
+    return np.linalg.svd(_as_array(matrix, stack=True), compute_uv=False)
+
+
+def norm2(matrix):
+    """The 2-norm of a matrix, or of each matrix of a stack: its largest
+    singular value from :func:`svd`, 0 for an empty matrix."""
+    return np.max(svd(matrix), axis=-1, initial=0.0)
+
+
+def hermitian_norm(m):
+    """The 2-norm of the Hermitian part of a matrix, or of each matrix of a
+    stack: its largest |eigenvalue|, 0 for an empty matrix.  One
+    ``eigvalsh``; for a Hermitian matrix it is :func:`norm2` to roundoff."""
+    w = np.linalg.eigvalsh(hermitian_part(m))
+    return np.max(abs(w), axis=-1, initial=0.0)
 
 
 def expm_apply(matrix, t, x):
@@ -602,14 +625,14 @@ def _check_sylvester_residual(a, b, c, x, scale):
     ||R||_2 from above and the largest column norm of X bounds ||X||_2
     from below, so ||R||_F <= (1 - 1e-8) * scale * max_j ||X e_j|| proves
     the exact check passes, the margin covering their roundoff.  Only
-    otherwise are the two 2-norms computed; they decide.
+    otherwise are the two 2-norms computed (:func:`norm2`); they decide.
     """
     resid = a[:, None] * x - x * b[None, :] - c
     colmax = np.max(np.linalg.norm(x, axis=0), initial=0.0)
     if np.linalg.norm(resid) <= (1.0 - 1e-8) * scale * colmax:
         return
-    resid = np.linalg.norm(resid, 2)
-    bound = scale * max(np.linalg.norm(x, 2), 1e-300)
+    resid = norm2(resid)
+    bound = scale * max(norm2(x), 1e-300)
     if resid > max(bound, 1e-300):
         raise ResidualError(f"sylvester residual {resid:.3e} exceeds contract {bound:.3e}",
                             resid, bound)

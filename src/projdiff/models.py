@@ -117,8 +117,9 @@ class OperatorPair:
         return (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
 
     def factorization_residual(self):
+        """||h - h0 - G* V0 G||_2, the largest |eigenvalue| of that Hermitian matrix."""
         v = self.g.conj().T @ self.v0 @ self.g
-        return np.linalg.norm(self.h - self.h0 - v, 2)
+        return linalg.hermitian_norm(self.h - self.h0 - v)
 
     @functools.cached_property
     def eigenvalues(self):
@@ -332,7 +333,8 @@ class PotentialSpec:
     sample it in one call, through :meth:`samples`.  The envelope
     |V(x)| <= decay_constant * (1+|x|)**(-decay_exponent) is verified on
     the grid when the pair is built.  A half-width X that is not finite and
-    positive raises ValueError naming it.
+    positive, or a negative grid size n, raises ValueError naming it; n = 0
+    is a grid of no points, on which the oracle still runs on one cell.
     """
 
     potential: callable
@@ -344,6 +346,8 @@ class PotentialSpec:
     def __post_init__(self):
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
 
     def samples(self, x):
         """V on the array x as floats; a non-finite value raises ValueError
@@ -440,7 +444,7 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
         if not gapped(d):
             continue
         g = rng.standard_normal((kdim, dim)) + 1j * rng.standard_normal((kdim, dim))
-        g *= 0.7 / np.linalg.norm(g, 2)
+        g *= 0.7 / linalg.norm2(g)
         v0 = np.diag(rng.choice([-1.0, 1.0], size=kdim))
         h = np.diag(d) + g.conj().T @ v0 @ g
         if gapped(np.linalg.eigvalsh(h)):

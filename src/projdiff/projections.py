@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import probe_gaps
+from .linalg import hermitian_norm, probe_gaps, svd
 
 __all__ = [
     "DifferenceReport", "spectral_projection", "projection_difference",
@@ -153,7 +153,7 @@ class DifferenceReport:
 def side_sines(u, v, g):
     """(W, its singular values) for W = u - v g: (W0, s0) or (W1, s1)."""
     w = u - v @ g
-    return w, np.linalg.svd(w, compute_uv=False)
+    return w, svd(w)
 
 
 def projection_difference(pair, probe):
@@ -179,7 +179,7 @@ def projection_difference(pair, probe):
             w, s = side_sines(u, v, g)
             sines.append(s)
             block = w.conj().T @ w - np.eye(w.shape[1]) + g.conj().T @ g     # a D^2 block
-            residual = max(residual, float(np.linalg.norm(block, 2)))
+            residual = max(residual, float(hermitian_norm(block)))
     core = np.clip(-side * np.concatenate(s1 + [-s for s in s0]), -1.0, 1.0)
     spec = np.sort(np.concatenate([core, np.zeros(pair.dim - len(core))]))
     dim_plus = int(np.sum(spec > 1.0 - SWAP_CLUSTER_TOL))

@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import (OracleConvergenceError, ProbeOutsideBandError, ResidualError,
                      SingularSandwichError)
-from .linalg import hermitian_part
+from .linalg import hermitian_norm, hermitian_part, norm2, svd
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
@@ -149,11 +149,12 @@ def _stack_inverse(m):
     its bound cond_2 <= ||m||_F ||m^-1||_F is within a factor 100 of the
     limit: the computed inverse has relative error about k * eps * cond,
     far below that margin.  The rungs it cannot accept, or every rung when
-    an LU of the stack meets an exact zero pivot, take the exact SVD
-    condition number, which decides, and are inverted alone.  The inverse
-    is numpy's rather than scipy's: scipy's LAPACK runs on a second BLAS
-    thread pool, and alternating the two pools slowed the calls on either
-    side of the switch several-fold.
+    an LU of the stack meets an exact zero pivot, take the exact condition
+    number s_max / s_min from :func:`projdiff.linalg.svd` (inf when s_min
+    is 0), which decides, and are inverted alone.  The inverse is numpy's
+    rather than scipy's: scipy's LAPACK runs on a second BLAS thread pool,
+    and alternating the two pools slowed the calls on either side of the
+    switch several-fold.
     """
     try:
         inverse = np.linalg.inv(m)
@@ -163,7 +164,8 @@ def _stack_inverse(m):
     singular = np.zeros(len(m), dtype=bool)
     # the bound is replaced by the exact cond on every rung it cannot accept
     for r in np.flatnonzero(~(cond <= 1e-2 * COND_LIMIT)):
-        cond[r] = np.linalg.cond(m[r])
+        s = svd(m[r])
+        cond[r] = s[0] / s[-1] if s[-1] > 0 else np.inf
         try:
             inverse[r] = np.linalg.inv(m[r])
             singular[r] = cond[r] > COND_LIMIT
@@ -184,11 +186,11 @@ def _sandwich_stack(pair, z):
     t0 = _sandwich_one(pair, 0, z)
     t = _sandwich_one(pair, 1, z)
     minv, conditioning = _stack_inverse(np.eye(pair.kdim) + pair.v0 @ t0)
-    resid = np.linalg.norm(t - t0 @ minv, 2, axis=(-2, -1))
+    resid = norm2(t - t0 @ minv)
     colmax = np.max(np.linalg.norm(t, axis=-2), axis=-1, initial=0.0)
     bound = C1_RESIDUAL_TOL * np.maximum(1.0, (1.0 - 1e-8) * colmax)
     for r in np.flatnonzero(resid > bound):
-        bound[r] = C1_RESIDUAL_TOL * max(1.0, np.linalg.norm(t[r], 2))
+        bound[r] = C1_RESIDUAL_TOL * max(1.0, norm2(t[r]))
     factor = (resid > bound, lambda r: ResidualError(
         f"resolvent factor identity residual {resid[r]:.3e}", resid[r], bound[r]))
     return t0, t, resid, [conditioning, factor]
@@ -247,7 +249,7 @@ def band_edges(phases):
 
 def _summary_2x2(smat):
     """(unitarity defect, phases sorted in [0, 2*pi), band edges, a) of a 2 x 2 S."""
-    udef = float(np.linalg.norm(smat.conj().T @ smat - np.eye(2), 2))
+    udef = float(hermitian_norm(smat.conj().T @ smat - np.eye(2)))
     phases = np.sort(np.mod(np.angle(np.linalg.eigvals(smat)), 2.0 * np.pi))
     return (udef, phases) + band_edges(phases)
 
@@ -276,13 +278,6 @@ class ScatteringBundle:
     factor_residual: float
 
 
-def _hermitian_norm(m):
-    """2-norm of the Hermitian part of a matrix, or of each matrix of a
-    stack: its largest |eigenvalue|."""
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    return np.max(abs(w), axis=-1, initial=0.0)
-
-
 def scattering_bundle(pair, probe, eps):
     """Assemble the smoothed stationary matrix and defect operator: the
     one-rung case of :func:`phase_ladder`.
@@ -309,13 +304,13 @@ def _bundle_stack(pair, probe, eps):
     core = v0 - v0 @ t @ v0
     eye = np.eye(pair.kdim)
     smat = eye - 2j * np.pi * root @ core @ root
-    udef = _hermitian_norm(_ct(smat) @ smat - eye)
+    udef = hermitian_norm(_ct(smat) @ smat - eye)
     thr = np.maximum(PHASE_FLOOR, 10.0 * udef)
     diff = smat - eye
     defect = 0.25 * _ct(diff) @ diff
     evs = np.linalg.eigvals(smat)
     amat = hermitian_part(np.pi ** 2 * root @ v0 @ fp @ v0 @ root)
-    ident = _hermitian_norm(defect - amat)
+    ident = hermitian_norm(defect - amat)
     a_pred = np.sqrt(np.max(np.linalg.eigvalsh(defect), axis=-1, initial=0.0))
     bundles = []
     for r, e in enumerate(eps):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_part, sylvester_solve
+from .linalg import hermitian_norm, hermitian_part, norm2, svd, sylvester_solve
 from .quadrature import exp_mapped_rule
 from .scattering import neville, phase_ladder
 
@@ -134,10 +134,10 @@ def product_representation_check(pair, probe, t_rule=None):
     cross = u1.conj().T @ u0                           # core of E(below) E0(above)
     core = w1 @ pair.v0 @ w0.conj().T                  # W1 V0 W0*
     quad = (np.exp(np.outer(lam1, t)) * w) @ np.exp(-np.outer(t, lam0))
-    residual_direct = float(np.linalg.norm(cross + core * quad, 2))
+    residual_direct = float(norm2(cross + core * quad))
 
     x = sylvester_solve(lam1, lam0, -core)
-    residual_oracle = float(np.linalg.norm(x + cross, 2))
+    residual_oracle = float(norm2(x + cross))
     return ProductCheck(residual_direct, residual_oracle, gap, t_rule.n)
 
 
@@ -169,10 +169,10 @@ def zop_model_comparison(pair, probe, eps_ladder=None):
     gram0 = zops.z0.conj().T @ zops.z0
     gram1 = zops.z.conj().T @ zops.z
     out = {"eps_ladder": eps_ladder, "gap": zops.gap, "n_t": zops.n_t,
-           "norm_gram0": float(np.linalg.norm(gram0, 2)),
-           "norm_gram1": float(np.linalg.norm(gram1, 2))}
+           "norm_gram0": float(hermitian_norm(gram0)),
+           "norm_gram1": float(hermitian_norm(gram1))}
     for label, gram, model in (("z0", gram0, model0), ("z", gram1, model1)):
-        sv = np.linalg.svd(gram - model, compute_uv=False)
+        sv = svd(gram - model)
         out[f"sigma_{label}"] = sv
         lead = sv[:10][sv[:10] > 1e-14]
         if len(lead) >= 3:

@@ -17,14 +17,16 @@ import pytest
 
 from projdiff import acceptance, projections
 from projdiff.errors import GapViolationError
+from projdiff.hankel import laplace_factorizations
 from projdiff.linalg import DenseHermitian, SpectralDecomposition
 from projdiff.models import (ResolventTransform, build_krein, build_schrodinger_1d,
                              random_gapped_pair, resolvent_transform, sech2_spec,
                              square_well_spec)
 from projdiff.projections import spectral_projection
+from projdiff.quadrature import exp_mapped_rule
 from projdiff.scattering import channel_smatrix, transfer_matrix_smatrix
 
-from oracles import dense_eigensystems
+from oracles import dense_eigensystems, spy_svd
 
 
 class _Cache:
@@ -413,3 +415,16 @@ def test_criterion_8_forms_no_spectral_projection(monkeypatch):
                                     cfg["probe"])
     residual = clauses["8-projection-identity"].details["residual"]
     assert abs(residual - dense) <= 1e-13
+
+
+def test_hermitian_residuals_take_no_svd(monkeypatch):
+    # criterion 8's factorization residual h - h0 - G* V0 G (n x n) and the
+    # two Laplace factorization residuals are Hermitian: their 2-norms are
+    # eigvalsh calls of linalg.hermitian_norm, and linalg.svd sees only the
+    # n x r side-sine operands and the ladder's k x k factor residuals
+    svds = spy_svd(monkeypatch)
+    assert all(c.passed for c in acceptance.criterion_8())
+    cfg = acceptance.thresholds()["hankel"]
+    laplace_factorizations(exp_mapped_rule(cfg["fact_n_t"], 1.0), cfg["fact_n_lambda"])
+    assert svds
+    assert [s for s in svds if len(s) == 2 and s[0] == s[1]] == []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -492,9 +493,11 @@ def test_tracer_targets_resolve_on_the_package():
         traced.uninstall()
     assert all(lookup(m, a) is f for (m, a), f in originals.items())
     # the D^2 check reads the difference report: its span nests one
-    # projections.difference span
+    # projections.difference span, which nests the two side-sine SVDs (the
+    # D^2 blocks are Hermitian, and their norms take none)
     ops = [(op, parent) for op, _, _, _, parent in traced.spans]
-    assert ops == [("projections.dsquared", -1), ("projections.difference", 0)]
+    assert ops == [("projections.dsquared", -1), ("projections.difference", 0),
+                   ("linalg.svd", 1), ("linalg.svd", 1)]
 
 
 CALIBRATE_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -570,3 +573,73 @@ def test_calibrate_write_changes_only_the_two_picked_entries(monkeypatch, tmp_pa
     edited["sech2"]["d_boxes"] = [[10.0, 199], [20.0, 399]]
     assert written == edited
     assert read == [edited["hankel"], edited["square_well"], edited]
+
+
+@pytest.mark.parametrize("depth, rows", [(3.0, [1.5, 2.0, 2.5, 3.0]),
+                                         (2.75, [1.5, 2.0, 2.5, 2.75, 3.0])])
+def test_calibrate_square_well_prints_the_chosen_depths_own_separation(monkeypatch, capsys,
+                                                                       depth, rows):
+    # the chosen depth is swept with the others; the stub oracle's edges
+    # give depth d the separation d / 4 - d / 10
+    tool = _load_calibrate_tool(monkeypatch)
+    monkeypatch.setattr(tool, "square_well_spec", lambda d, *args: d)
+    monkeypatch.setattr(tool, "transfer_matrix_smatrix", lambda d, probe: types.SimpleNamespace(
+        band_edges=np.sqrt([d / 4.0, d / 10.0])))
+    monkeypatch.setattr(tool, "build_schrodinger_1d", lambda spec: None)
+    monkeypatch.setattr(tool, "corner_spectrum", lambda pair, probe, sign: np.array([0.5]))
+    cfg = dict(thresholds()["square_well"], depth=depth)
+    tool.calibrate_square_well(cfg)
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[1:len(rows) + 1]] == \
+        [f"   depth {d}" for d in rows]
+    assert out[len(rows) + 1] == f"   chosen depth {depth} (separation ~ {0.15 * depth:.2f})"
+
+
+REPORTDIFF_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "tools", "reportdiff.py")
+
+
+def test_reportdiff_names_moved_floats_and_fails_on_a_moved_count(tmp_path, capsys):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("reportdiff_tool", REPORTDIFF_PATH)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    base = {"schema": 1, "probes": [
+        {"probe": 0.5, "difference": {"sines": [0.25, -0.5], "dim_plus": 1},
+         "knee": float("nan")},
+        {"probe": 0.7, "difference": {"sines": [0.125], "dim_plus": 0}, "knee": float("nan")}],
+        "clauses": [{"name": "8-factorization", "passed": True, "details": {"residual": 4e-15}}]}
+
+    def run(edit):
+        moved = json.loads(json.dumps(base))
+        edit(moved)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, report in zip(paths, (base, moved)):
+            path.write_text(json.dumps(report))
+        status = tool.main([str(p) for p in paths])
+        return status, capsys.readouterr().out.splitlines()
+
+    assert run(lambda r: None) == (0, ["0 float fields moved in 0 paths; 0 other changes"])
+
+    def move_floats(r):
+        r["probes"][0]["difference"]["sines"][1] = -0.5 - 1e-3
+        r["probes"][1]["difference"]["sines"][0] = 0.125 + 1e-3
+        r["clauses"][0]["details"]["residual"] = 5e-15
+
+    status, out = run(move_floats)
+    assert status == 0
+    assert out[0] == "moved   probes[].difference.sines[]: abs 0.001, rel 0.00794 (2 fields)"
+    assert out[1] == ("moved   clauses[8-factorization].details.residual: "
+                      "abs 1e-15, rel 0.2 (1 field)")
+    assert out[2] == "3 float fields moved in 2 paths; 0 other changes"
+
+    def move_count(r):
+        r["probes"][1]["difference"]["dim_plus"] = 1
+        r["probes"][1]["difference"]["sines"].append(0.0)
+
+    status, out = run(move_count)
+    assert status == 1
+    assert out == ["CHANGED probes[].difference.dim_plus: 0 -> 1",
+                   "CHANGED probes[].difference.sines: length 1 -> 2",
+                   "0 float fields moved in 0 paths; 2 other changes"]

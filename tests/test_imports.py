@@ -1,5 +1,5 @@
 """Module boundaries: a name with a leading underscore stays in its module,
-and a Hermitian part (M + M*) / 2 is formed in linalg only."""
+a Hermitian part (M + M*) / 2 is formed in linalg only, and so is every SVD."""
 
 import ast
 import glob
@@ -26,6 +26,28 @@ def _hand_hermitian_parts(source):
             if "0.5 * (" in line and (".conj()" in line or "_ct(" in line)]
 
 
+def _svd_calls(source):
+    """(numpy function, enclosing function) of every call in ``source`` of
+    ``np.linalg.svd``, of ``np.linalg.cond`` and of ``np.linalg.norm`` with
+    ord 2 (positional or keyword), each an SVD."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "np.linalg.svd", "np.linalg.cond", "np.linalg.norm"):
+            name = ast.unparse(node.func)
+            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            if name != "np.linalg.norm" or any(ast.unparse(o) == "2" for o in ords):
+                found.append((name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_no_module_imports_a_siblings_private_name():
     paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
     assert len(paths) >= 12
@@ -47,6 +69,26 @@ def test_only_linalg_forms_a_hermitian_part():
         if found and os.path.basename(path) != "linalg.py":
             offenders.append((os.path.basename(path), found))
     assert offenders == []
+
+
+def test_linalg_svd_is_the_one_svd():
+    # linalg.svd is the one call of LAPACK's SVD; every 2-norm reads it
+    # (linalg.norm2), or is Hermitian and an eigvalsh (linalg.hermitian_norm)
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            found += [(os.path.basename(path), *call) for call in _svd_calls(fh.read())]
+    assert found == [("linalg.py", "np.linalg.svd", "svd")]
+
+
+def test_svd_calls_are_found():
+    source = ("def f(m):\n    return np.linalg.svd(m, compute_uv=False)\n"
+              "c = np.linalg.cond(m)\n"
+              "def g(m):\n"
+              "    return np.linalg.norm(m, 2), np.linalg.norm(m, ord=2, axis=(-2, -1))\n"
+              "x = np.linalg.norm(m), np.linalg.norm(m, axis=0), np.linalg.norm(m, 'fro')\n")
+    assert _svd_calls(source) == [("np.linalg.svd", "f"), ("np.linalg.cond", None),
+                                  ("np.linalg.norm", "g"), ("np.linalg.norm", "g")]
 
 
 def test_hand_hermitian_parts_are_found():

@@ -6,10 +6,12 @@ from projdiff import linalg
 from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                              ProjdiffError, ResidualError, SpectralCollisionError)
 from projdiff.linalg import (HERMITIAN_TOL, DenseHermitian, ParityBlock, TridiagonalBands,
-                             check_hermitian, expm_apply, herm_eig, probe_gaps, svd,
-                             sylvester_solve)
+                             check_hermitian, expm_apply, herm_eig, hermitian_norm, norm2,
+                             probe_gaps, svd, sylvester_solve)
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d, preset_pair,
                              sech2_spec, square_well_spec, thresholds)
+
+from oracles import spy_svd
 
 
 def random_hermitian(n, seed):
@@ -123,15 +125,16 @@ def test_check_hermitian_matches_exact_decision(monkeypatch):
 
 def test_check_hermitian_fast_accept_runs_no_svd(monkeypatch):
     m = random_hermitian(30, 5)
-    norm = np.linalg.norm
-
-    def no_two_norm(x, ord=None, **kwargs):
-        assert ord != 2, "2-norm SVD on an input the fast bound accepts"
-        return norm(x, ord, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", no_two_norm)
+    svds = spy_svd(monkeypatch)
     check_hermitian(m)
     check_hermitian(m + 1e-3 * HERMITIAN_TOL * np.triu(m))
+    assert svds == []
+    # an input the fast bound cannot decide takes the two exact 2-norms
+    near = m.copy()
+    near[0, 1] += 0.9j * HERMITIAN_TOL * np.max(np.linalg.norm(m, axis=0))
+    assert _fast_bound(near) > HERMITIAN_TOL >= _exact_defect(near)
+    check_hermitian(near)
+    assert svds == [(30, 30), (30, 30)]
 
 
 def test_check_hermitian_edge_inputs():
@@ -738,11 +741,11 @@ def test_probe_gaps_ties_empty_spectra_and_non_finite_probes():
 
 
 def test_svd_zero_and_rank_one():
-    _, s, _ = svd(np.zeros((3, 4)))
+    s = svd(np.zeros((3, 4)))
     assert np.allclose(s, 0.0)
     u = np.array([1.0, 2.0, 2.0])
     v = np.array([3.0, 4.0])
-    _, s, _ = svd(np.outer(u, v))
+    s = svd(np.outer(u, v))
     assert abs(s[0] - np.linalg.norm(u) * np.linalg.norm(v)) < 1e-12
     assert abs(s[1]) < 1e-12
 
@@ -750,10 +753,41 @@ def test_svd_zero_and_rank_one():
 def test_svd_squares_match_gram_eigenvalues():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    u, s, vh = svd(m)
+    s = svd(m)
+    assert np.all(np.diff(s) <= 0.0)
     gram = herm_eig(m.conj().T @ m).eigenvalues
     assert np.allclose(np.sort(s ** 2), gram, atol=1e-10 * max(gram))
-    assert np.linalg.norm(m - (u * s) @ vh, 2) <= 1e-10 * np.linalg.norm(m, 2)
+
+
+def test_norm2_is_the_largest_singular_value_of_each_matrix():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
+    assert svd(stack).shape == (3, 4)
+    assert np.array_equal(norm2(stack), [norm2(m) for m in stack])
+    for m in stack:
+        assert norm2(m) == np.linalg.norm(m, 2) == svd(m)[0]
+    for empty in (np.zeros((0, 0)), np.zeros((3, 0)), np.zeros((2, 0, 0))):
+        assert np.all(norm2(empty) == 0.0)
+    for bad in (np.ones(3), np.array([[1.0, np.nan]]), np.array([[np.inf]])):
+        with pytest.raises(ValueError):
+            svd(bad)
+
+
+def test_hermitian_norm_matches_the_svd_norm():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    herm = 0.5 * (m + m.conj().T)
+    v = rng.standard_normal((9, 1))
+    cases = [herm, herm - 10.0 * np.eye(9), herm + 10.0 * np.eye(9), -v @ v.T,
+             np.zeros((3, 3)), np.array([[2.5]]), np.zeros((0, 0))]
+    for case in cases:
+        assert hermitian_norm(case) == pytest.approx(
+            np.linalg.norm(case, 2), rel=1e-13, abs=1e-300)
+    # a stack gives one norm per matrix; so does a stack of empty matrices
+    stack = np.array([herm[:4, :4], -v[:4] @ v[:4].T, np.eye(4)])
+    assert hermitian_norm(stack) == pytest.approx(
+        np.linalg.norm(stack, 2, axis=(-2, -1)), rel=1e-13)
+    assert np.array_equal(hermitian_norm(np.zeros((3, 0, 0))), np.zeros(3))
 
 
 def test_expm_apply_basics():
@@ -821,14 +855,7 @@ def test_sylvester_diagonal_runs_no_dense_solver(monkeypatch):
 
     monkeypatch.setattr(sla, "solve_sylvester", forbidden)
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
-    norm, two_norms = np.linalg.norm, []
-
-    def counted(x, ord=None, **kwargs):
-        if ord == 2:
-            two_norms.append(np.shape(x))
-        return norm(x, ord, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counted)
+    two_norms = spy_svd(monkeypatch)
     sylvester_solve(a, b, c)
     # the residual's Frobenius bound accepts: no 2-norm is taken
     assert two_norms == []

@@ -231,6 +231,18 @@ def test_potential_spec_rejects_a_half_width_not_finite_and_positive(half_width)
             spec()
 
 
+@pytest.mark.parametrize("n", (-1, -5))
+def test_potential_spec_rejects_a_negative_n(n):
+    # -1 divided by zero in the grid step, -5 asked numpy for negative dimensions
+    for spec in (lambda: sech2_spec(1.0, 30.0, n), lambda: square_well_spec(1.0, 2.0, 30.0, n)):
+        with pytest.raises(ValueError, match=rf"^n must be >= 0, got {n}$"):
+            spec()
+    # n = 0 is a grid of no points; the oracle still runs, on one cell
+    spec = sech2_spec(1.0, 30.0, 0)
+    assert spec.grid()[0].shape == (0,)
+    assert len(scattering.transfer_matrix_smatrix(spec, 1.0).phases) == 2
+
+
 def test_resolvent_transform_of_a_band_pair_runs_no_dense_eigensolve(monkeypatch):
     # the shift is checked against the two lowest eigenvalues, taken from
     # the bands (closed form for the free chain H0), not from eigensystems

@@ -14,7 +14,7 @@ from projdiff.scattering import (birman_krein_check, birman_krein_extrapolated,
                                  smoothed_counting_shift,
                                  smoothed_density, transfer_matrix_smatrix)
 
-from oracles import dense_eigensystems
+from oracles import dense_eigensystems, spy_svd
 
 
 def scalar_pair(h0_value, coupling):
@@ -457,16 +457,7 @@ def test_stack_inverse_fails_the_singular_rung_with_its_exact_cond():
 
 def test_well_conditioned_sandwich_runs_no_cond_svd(monkeypatch):
     pair = random_gapped_pair(12, 4, seed=8)
-    norm, two_norms = np.linalg.norm, []
-
-    def no_cond(*args, **kwargs):
-        raise AssertionError("cond SVD on a well-conditioned sandwich")
-
-    def counted(x, ord=None, **kwargs):
-        if ord == 2:
-            two_norms.append(x.shape)
-        return norm(x, ord, **kwargs)
-
+    norm = np.linalg.norm
     factorizations = []
 
     def spy(name, original):
@@ -475,13 +466,12 @@ def test_well_conditioned_sandwich_runs_no_cond_svd(monkeypatch):
             return original(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "cond", no_cond)
-    monkeypatch.setattr(np.linalg, "norm", counted)
+    two_norms = spy_svd(monkeypatch)
     for name in ("inv", "solve"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     sw = resolvent_sandwich(pair, 0.1 + 0.05j)
-    # one 2-norm: the reported residual, on the ladder's stack of one point;
-    # ||T||_2 is not needed
+    # one SVD: the reported residual's 2-norm, on the ladder's stack of one
+    # point; neither ||T||_2 nor the exact condition number is needed
     assert two_norms == [(1, pair.kdim, pair.kdim)]
     # I + V0 T0 is factorized once: the residual reuses the check's inverse
     assert factorizations == ["inv"]
@@ -614,17 +604,8 @@ def test_bundle_takes_every_eigenvalue_of_s(case):
             0.5 * np.linalg.norm(b.smatrix - np.eye(pair.kdim), 2), abs=1e-13)
 
 
-def test_hermitian_norm_matches_the_svd_norm():
-    rng = np.random.default_rng(12)
-    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    herm = 0.5 * (m + m.conj().T)
-    v = rng.standard_normal((9, 1))
-    cases = [herm, herm - 10.0 * np.eye(9), herm + 10.0 * np.eye(9), -v @ v.T,
-             np.zeros((3, 3)), np.array([[2.5]])]
-    for case in cases:
-        assert scattering._hermitian_norm(case) == pytest.approx(
-            np.linalg.norm(case, 2), rel=1e-13, abs=1e-300)
-    # the bundle's two Hermitian 2-norms against the SVD ones
+def test_bundle_hermitian_norms_match_the_svd_norms():
+    # the bundle's two Hermitian 2-norms (linalg.hermitian_norm) against the SVD ones
     pair = random_gapped_pair(24, 6, seed=2)
     b = scattering_bundle(pair, 0.0, 0.05)
     eye = np.eye(pair.kdim)

@@ -120,13 +120,17 @@ def calibrate_sech2_boxes(cfg, step=0.1):
 def calibrate_square_well(cfg):
     probe, width = cfg["probe"], cfg["width"]
     print(f"== square-well depth for two separated phases at probe {probe:g}")
-    for depth in (1.5, 2.0, 2.5, 3.0):
-        oracle = transfer_matrix_smatrix(
-            square_well_spec(depth, width, cfg["oracle_half_width"], cfg["oracle_n"]), probe)
-        s = oracle.band_edges ** 2
-        print(f"   depth {depth}: band edges sin^2 = {np.round(s, 3)}")
     depth = cfg["depth"]
-    print(f"   chosen depth {depth} (separation ~ 0.34)")
+    # the chosen depth is swept with the others, and its own row gives the
+    # separation sin^2(theta_1/2) - sin^2(theta_2/2) of its two phases
+    for swept in sorted({1.5, 2.0, 2.5, 3.0, depth}):
+        oracle = transfer_matrix_smatrix(
+            square_well_spec(swept, width, cfg["oracle_half_width"], cfg["oracle_n"]), probe)
+        s = oracle.band_edges ** 2
+        print(f"   depth {swept}: band edges sin^2 = {np.round(s, 3)}")
+        if swept == depth:
+            separation = s[0] - s[1]
+    print(f"   chosen depth {depth} (separation ~ {separation:.2f})")
     print("== square-well corner box (swap-free)")
     boxes = {(hw, int(2 * hw / 0.1) - 1) for hw in (40.0, 80.0)} | {tuple(cfg["corner_box"])}
     for hw, n in sorted(boxes):
