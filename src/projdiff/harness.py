@@ -69,6 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         """Every check of every field, run by the constructor."""
         _check_number(self.seed, "seed", int)
+        if self.seed < 0:
+            raise ConfigError("config.seed: must be non-negative")
         if not isinstance(self.model, str) or not self.model:
             raise ConfigError("config.model: must be a nonempty string")
         try:

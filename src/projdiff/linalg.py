@@ -17,14 +17,19 @@ any matrix.  A Hermitian matrix's 2-norm is :func:`hermitian_norm`, its
 largest |eigenvalue|, one ``eigvalsh``: no Hermitian residual is measured
 by an SVD.
 
+A 2-norm contract ||R||_2 <= tol * max(floor, ||X||_2) has one cheap
+accept, :func:`residual_within`: an O(size) bound decides first, and
+:func:`norm2` runs only for the matrices it leaves undecided, so the
+contract accepts and rejects exactly what the exact check does.  The
+Hermitian input check, the Sylvester residual and the eps ladder's factor
+residual (:mod:`projdiff.scattering`) all decide through it.
+
 Everything downstream of this module is built from these primitives, so
 the contracts here are deliberately strict: inputs are validated, and
 residuals are checked before results are returned.  The Hermitian input
 contract (:func:`hermitian`) is one exact comparison: a matrix equal to its
 conjugate transpose is certified by it.  Any other matrix is certified by
-:func:`check_hermitian`, whose cheap O(n^2) norm bounds fall back to the
-exact quotient of two :func:`norm2` values only when they cannot decide,
-so it accepts and rejects exactly what the exact check does.  Either way what is stored and solved
+:func:`check_hermitian`.  Either way what is stored and solved
 is the matrix's Hermitian part, which equals its conjugate transpose
 exactly; :func:`hermitian_part` is the one place (M + M*) / 2 is formed.
 The banded eigensolver keeps the dense one's input contract, and certifies
@@ -43,7 +48,8 @@ from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
 
 __all__ = ["SpectralDecomposition", "DenseHermitian", "TridiagonalBands", "ParityBlock",
            "WindowSystem", "check_hermitian", "hermitian", "hermitian_part", "hermitian_norm",
-           "herm_eig", "probe_gaps", "svd", "norm2", "expm_apply", "sylvester_solve"]
+           "herm_eig", "probe_gaps", "svd", "norm2", "residual_within", "expm_apply",
+           "sylvester_solve"]
 
 # each tolerance is read at call time by the one function that applies it
 HERMITIAN_TOL = 1e-12
@@ -81,36 +87,26 @@ def _as_array(m, ndim=2, stack=False):
 def check_hermitian(matrix):
     """Raise :class:`NonHermitianError` when ||M - M*||_2 / ||M||_2 exceeds HERMITIAN_TOL.
 
-    Fast accept in O(n^2): the Frobenius norm of the asymmetry bounds its
-    2-norm from above and the largest column norm bounds ||M||_2 from
-    below, so ||M - M*||_F <= HERMITIAN_TOL * max_j ||M e_j|| proves the
-    exact check passes.  Both are taken after scaling by the largest
-    entry, so squares of tiny or huge entries neither underflow nor
-    overflow, and a relative margin of 1e-8 covers their roundoff, so
-    near-ties go to the exact check.  Otherwise the exact quotient is
-    computed with :func:`norm2`; it decides, and is the defect the error
-    carries.
-    Zero and empty matrices are accepted.
+    Decided by :func:`residual_within` on M / 2^k, the power of two that
+    puts the largest |M_ij| in [1, 2), so squares of tiny or huge entries
+    neither underflow nor overflow; the division is exact for every entry
+    it leaves in the normal range, so the norms keep their bits.  The
+    defect the error carries is the exact quotient.  Zero
+    and empty matrices are accepted; entries that are not finite raise
+    ValueError.
     """
-    tol = HERMITIAN_TOL
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.size == 0:
         return
-    peak = np.max(np.abs(m))
+    peak = np.max(np.abs(_as_array(m)))
     if peak == 0:
         return
-    if np.isfinite(peak):
-        a = m / peak
-        colmax = np.max(np.linalg.norm(a, axis=0))
-        if np.linalg.norm(a - a.conj().T) <= (1.0 - 1e-8) * tol * colmax:
-            return
-    scale = norm2(m)
-    if scale > 0:
-        defect = norm2(m - m.conj().T) / scale
-        if defect > tol:
-            raise NonHermitianError(defect, tol)
+    a = m / np.ldexp(1.0, np.frexp(peak)[1] - 1)
+    holds, defect, scale = residual_within(a - a.conj().T, a, HERMITIAN_TOL)
+    if not holds:
+        raise NonHermitianError(defect / scale, HERMITIAN_TOL)
 
 
 def hermitian_part(m):
@@ -559,6 +555,30 @@ def norm2(matrix):
     return np.max(svd(matrix), axis=-1, initial=0.0)
 
 
+def residual_within(r, x, tol, floor=0.0):
+    """(holds, ||R||_2, ||X||_2) for the contract ||R||_2 <= tol * max(floor,
+    ||X||_2), of a matrix or of each matrix of a stack (the last two axes):
+    the one cheap accept of a 2-norm contract.
+
+    Fast accept in O(size): ||R||_F bounds ||R||_2 from above and the
+    largest column norm max_j ||X e_j|| bounds ||X||_2 from below, so
+    ||R||_F <= (1 - 1e-8) * tol * max(floor, max_j ||X e_j||) proves the
+    contract holds, the margin covering their roundoff.  Only the matrices
+    it leaves undecided take the two exact 2-norms (:func:`norm2`, a matrix
+    as a matrix, not as a stack of one); they decide, and are returned.
+    Where the bound decided, the two bounds are returned instead.
+    """
+    rn = np.asarray(np.linalg.norm(r, axis=(-2, -1)))
+    xn = np.asarray(np.max(np.linalg.norm(x, axis=-2), axis=-1, initial=0.0))
+    undecided = ~(rn <= (1.0 - 1e-8) * tol * np.maximum(floor, xn))
+    if np.any(undecided):
+        # a 0-d index () takes a single matrix whole
+        i = np.nonzero(undecided) if undecided.ndim else ()
+        rn[i], xn[i] = norm2(r[i]), norm2(x[i])
+    # [()] gives a single matrix's values as scalars, a stack's as arrays
+    return (rn <= tol * np.maximum(floor, xn))[()], rn[()], xn[()]
+
+
 def hermitian_norm(m):
     """The 2-norm of the Hermitian part of a matrix, or of each matrix of a
     stack: its largest |eigenvalue|, 0 for an empty matrix.  One
@@ -619,20 +639,10 @@ def sylvester_solve(a, b, c):
 
 def _check_sylvester_residual(a, b, c, x, scale):
     """Raise :class:`ResidualError` when R = diag(a) X - X diag(b) - C has
-    ||R||_2 > scale * ||X||_2.
-
-    Fast accept in O(mk), as in :func:`check_hermitian`: ||R||_F bounds
-    ||R||_2 from above and the largest column norm of X bounds ||X||_2
-    from below, so ||R||_F <= (1 - 1e-8) * scale * max_j ||X e_j|| proves
-    the exact check passes, the margin covering their roundoff.  Only
-    otherwise are the two 2-norms computed (:func:`norm2`); they decide.
-    """
-    resid = a[:, None] * x - x * b[None, :] - c
-    colmax = np.max(np.linalg.norm(x, axis=0), initial=0.0)
-    if np.linalg.norm(resid) <= (1.0 - 1e-8) * scale * colmax:
-        return
-    resid = norm2(resid)
-    bound = scale * max(norm2(x), 1e-300)
-    if resid > max(bound, 1e-300):
+    ||R||_2 > max(scale * max(||X||_2, 1e-300), 1e-300), decided by
+    :func:`residual_within`."""
+    holds, resid, xnorm = residual_within(a[:, None] * x - x * b[None, :] - c, x, scale, 1e-300)
+    if not holds and resid > 1e-300:
+        bound = scale * max(xnorm, 1e-300)
         raise ResidualError(f"sylvester residual {resid:.3e} exceeds contract {bound:.3e}",
                             resid, bound)

@@ -424,9 +424,10 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
     H0 is diagonal with entries uniform in [-1, 1] (resampled until
     gapped at the probes), V0 is a random sign matrix and G is complex
     Gaussian scaled to ||G|| = 0.7, so that ||G* V0 G|| <= 0.49; the whole
-    draw repeats until H is also gapped.  Raises ValueError for dim < 1,
-    kdim < 1, gap <= 0 or a probe that is not finite, and when MAX_TRIES
-    draws find no gapped pair.
+    draw repeats until H is also gapped, tested on the eigenvalues of the
+    built pair's H, whose eigensystem the pair keeps.  Raises ValueError
+    for dim < 1, kdim < 1, gap <= 0 or a probe that is not finite, and when
+    MAX_TRIES draws find no gapped pair.
     """
     if dim < 1 or kdim < 1 or not gap > 0:
         raise ValueError(f"need dim >= 1, kdim >= 1 and gap > 0, got {dim}, {kdim}, {gap}")
@@ -446,9 +447,9 @@ def random_gapped_pair(dim, kdim, seed, probes=(0.0,), gap=1e-3):
         g = rng.standard_normal((kdim, dim)) + 1j * rng.standard_normal((kdim, dim))
         g *= 0.7 / linalg.norm2(g)
         v0 = np.diag(rng.choice([-1.0, 1.0], size=kdim))
-        h = np.diag(d) + g.conj().T @ v0 @ g
-        if gapped(np.linalg.eigvalsh(h)):
-            return build_finite_pair(np.diag(d).astype(complex), g, v0)
+        pair = build_finite_pair(np.diag(d).astype(complex), g, v0)
+        if gapped(pair.operators[1].eigenvalues()):
+            return pair
     raise ValueError(f"no gapped pair found in {MAX_TRIES} tries for seed {seed}")
 
 

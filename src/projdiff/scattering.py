@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import (OracleConvergenceError, ProbeOutsideBandError, ResidualError,
                      SingularSandwichError)
-from .linalg import hermitian_norm, hermitian_part, norm2, svd
+from .linalg import hermitian_norm, hermitian_part, norm2, residual_within, svd
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
@@ -186,12 +186,11 @@ def _sandwich_stack(pair, z):
     t0 = _sandwich_one(pair, 0, z)
     t = _sandwich_one(pair, 1, z)
     minv, conditioning = _stack_inverse(np.eye(pair.kdim) + pair.v0 @ t0)
-    resid = norm2(t - t0 @ minv)
-    colmax = np.max(np.linalg.norm(t, axis=-2), axis=-1, initial=0.0)
-    bound = C1_RESIDUAL_TOL * np.maximum(1.0, (1.0 - 1e-8) * colmax)
-    for r in np.flatnonzero(resid > bound):
-        bound[r] = C1_RESIDUAL_TOL * max(1.0, norm2(t[r]))
-    factor = (resid > bound, lambda r: ResidualError(
+    residual = t - t0 @ minv
+    resid = norm2(residual)
+    holds, _, tnorm = residual_within(residual, t, C1_RESIDUAL_TOL, floor=1.0)
+    bound = C1_RESIDUAL_TOL * np.maximum(1.0, tnorm)
+    factor = (~holds, lambda r: ResidualError(
         f"resolvent factor identity residual {resid[r]:.3e}", resid[r], bound[r]))
     return t0, t, resid, [conditioning, factor]
 
@@ -203,10 +202,10 @@ def resolvent_sandwich(pair, z):
     inverse the conditioning check computes, and its residual (2-norm)
     returned; a condition number of I + V0 T0 beyond COND_LIMIT raises
     :class:`SingularSandwichError` (see :func:`_stack_inverse`).  The
-    residual passes at once when it is below the tolerance scaled by the
-    largest column norm of T, a lower bound on ||T||_2, which is computed
-    only when that test fails.  This is the one-point case of the stack
-    the eps ladder takes (:func:`phase_ladder`).
+    residual must be within C1_RESIDUAL_TOL * max(1, ||T||_2), decided by
+    :func:`projdiff.linalg.residual_within`, so ||T||_2 is computed only
+    when its cheap bound cannot accept.  This is the one-point case of the
+    stack the eps ladder takes (:func:`phase_ladder`).
     """
     z = complex(z)
     t0, t, resid, checks = _sandwich_stack(pair, np.array([z]))

@@ -105,6 +105,15 @@ def test_seed_override(tmp_path, capsys):
                         "eps_ladder": [0.1, 0.05], "sizes": [], "seed": 4}
 
 
+def test_negative_seed_flag_exits_2_naming_the_seed(tmp_path, capsys):
+    # numpy's generators take no negative seed: the config rejects it by name
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "finite:random", "probes": [0.0]}))
+    assert cli.main(["run", str(path), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: config.seed: must be non-negative\n")
+
+
 @pytest.mark.parametrize("config, path", [
     ({"probes": 5}, "config.probes"),
     ({"eps_ladder": 0.1}, "config.eps_ladder"),
@@ -133,6 +142,8 @@ def test_seed_override(tmp_path, capsys):
                                 ("schrodinger:square-well", -30.0))),
     # the output directory is the --out flag, not a config field
     ({"out_dir": "out"}, "config.out_dir"),
+    # a negative seed, on the preset that draws from it and on one that does not
+    *(({"model": model, "seed": -3}, "config.seed") for model in ("finite:random", "krein")),
 ])
 def test_run_edge_config_exits_2_naming_the_field(tmp_path, capsys, config, path):
     cfg_path = tmp_path / "cfg.json"

@@ -59,11 +59,13 @@ def test_constructed_config_gets_every_check():
     # the checks run on construction, so a config built directly meets them
     # too, and so does one rebuilt by dataclasses.replace, as --seed does
     for kwargs, path in (({"probes": 5}, r"config\.probes"),
-                         ({"model_params": {"bogus": 1}}, r"config\.model_params\.bogus")):
+                         ({"model_params": {"bogus": 1}}, r"config\.model_params\.bogus"),
+                         ({"seed": -3}, r"^config\.seed: must be non-negative$")):
         with pytest.raises(ConfigError, match=path):
             ExperimentConfig(**kwargs)
-    with pytest.raises(ConfigError, match=r"config\.seed"):
-        dataclasses.replace(ExperimentConfig(), seed=1.5)
+    for seed, message in ((1.5, "must be an integer"), (-1, "must be non-negative")):
+        with pytest.raises(ConfigError, match=rf"^config\.seed: {message}$"):
+            dataclasses.replace(ExperimentConfig(), seed=seed)
 
 
 def test_default_config_is_the_calibrated_krein_probe_and_ladder():

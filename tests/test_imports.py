@@ -1,5 +1,6 @@
 """Module boundaries: a name with a leading underscore stays in its module,
-a Hermitian part (M + M*) / 2 is formed in linalg only, and so is every SVD."""
+a Hermitian part (M + M*) / 2 is formed in linalg only, and so is every SVD
+and the margin of the cheap accept of a 2-norm contract."""
 
 import ast
 import glob
@@ -79,6 +80,40 @@ def test_linalg_svd_is_the_one_svd():
         with open(path) as fh:
             found += [(os.path.basename(path), *call) for call in _svd_calls(fh.read())]
     assert found == [("linalg.py", "np.linalg.svd", "svd")]
+
+
+def _cheap_accept_margins(source):
+    """The enclosing function of every expression ``1.0 - 1e-8`` in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and [getattr(side, "value", None) for side in (node.left, node.right)]
+                == [1.0, 1e-8]):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_linalg_residual_within_is_the_one_cheap_accept():
+    # the margin of the O(size) accept of a 2-norm contract is written once
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            found += [(os.path.basename(path), f) for f in _cheap_accept_margins(fh.read())]
+    assert found == [("linalg.py", "residual_within")]
+
+
+def test_cheap_accept_margins_are_found():
+    source = ("def f(a):\n    return a <= (1.0 - 1e-8) * b\n"
+              "c = 1 - 1e-8\n"
+              "d = 1.0 - 1e-9\n")
+    assert _cheap_accept_margins(source) == ["f", None]
 
 
 def test_svd_calls_are_found():

@@ -7,7 +7,7 @@ from projdiff.errors import (GapViolationError, NonHermitianError, OverflowGuard
                              ProjdiffError, ResidualError, SpectralCollisionError)
 from projdiff.linalg import (HERMITIAN_TOL, DenseHermitian, ParityBlock, TridiagonalBands,
                              check_hermitian, expm_apply, herm_eig, hermitian_norm, norm2,
-                             probe_gaps, svd, sylvester_solve)
+                             probe_gaps, residual_within, svd, sylvester_solve)
 from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d, preset_pair,
                              sech2_spec, square_well_spec, thresholds)
 
@@ -150,6 +150,17 @@ def test_check_hermitian_edge_inputs():
         check_hermitian(np.ones((2, 3)))
     with pytest.raises(ValueError):
         herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_check_hermitian_measures_entries_near_overflow():
+    # M - M* of the unscaled matrix overflows; on M / 2^k the defect is finite
+    m = np.array([[1e308, 1.7e308], [-1.7e308, 1e308]])
+    with pytest.raises(NonHermitianError) as err:
+        check_hermitian(m)
+    scaled = m / 2.0 ** 1023
+    assert np.isfinite(err.value.defect)
+    assert err.value.defect == pytest.approx(_exact_defect(scaled), rel=1e-12)
+    assert err.value.defect > 1.0
 
 
 def test_build_finite_pair_rejects_asymmetric_h0():
@@ -757,6 +768,72 @@ def test_svd_squares_match_gram_eigenvalues():
     assert np.all(np.diff(s) <= 0.0)
     gram = herm_eig(m.conj().T @ m).eigenvalues
     assert np.allclose(np.sort(s ** 2), gram, atol=1e-10 * max(gram))
+
+
+def _contract_stack(rng, floor, tol, complex_):
+    """(R, X) stacks of one shape whose exact ratio ||R||_2 / (tol *
+    max(floor, ||X||_2)) is far below, near and at 1 and beyond it, for a
+    random R, whose Frobenius bound is loose, and a rank-one R, whose
+    Frobenius bound is tight, so near ties reach the exact 2-norms."""
+    m, n = rng.integers(2, 9, size=2)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+    rs, xs = [], []
+    for ratio in (0.3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6, 3.0):
+        for rank_one in (False, True):
+            # ||X||_2 from 1e-3 to 1e3, so that floor 1 decides some cases
+            x = draw(m, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            r = np.outer(draw(m), draw(n)) if rank_one else draw(m, n)
+            rs.append(r * (ratio * tol * max(floor, norm2(x)) / norm2(r)))
+            xs.append(x)
+    return np.array(rs), np.array(xs)
+
+
+def test_residual_within_is_the_exact_decision():
+    rng = np.random.default_rng(43)
+    decided = undecided = 0
+    for tol in (1e-12, 1e-9, 0.5):
+        for floor in (0.0, 1.0):
+            for complex_ in (False, True):
+                r, x = _contract_stack(rng, floor, tol, complex_)
+                holds, rn, xn = residual_within(r, x, tol, floor)
+                assert holds.shape == rn.shape == xn.shape == (len(r),)
+                for i, (ri, xi) in enumerate(zip(r, x)):
+                    exact_r, exact_x = norm2(ri), norm2(xi)
+                    assert holds[i] == (exact_r <= tol * max(floor, exact_x))
+                    # a matrix alone gives the stack's values, as scalars
+                    alone = residual_within(ri, xi, tol, floor)
+                    assert all(np.ndim(v) == 0 for v in alone)
+                    assert alone == (holds[i], rn[i], xn[i])
+                    if (rn[i], xn[i]) == (exact_r, exact_x):
+                        undecided += 1
+                        continue
+                    # the bound decided: it returns its own two bounds
+                    decided += 1
+                    assert rn[i] == pytest.approx(np.linalg.norm(ri), rel=1e-14)
+                    assert xn[i] == np.max(np.linalg.norm(xi, axis=0))
+                    assert holds[i] and rn[i] <= (1.0 - 1e-8) * tol * max(floor, xn[i])
+    assert min(decided, undecided) > 0
+
+
+def test_residual_within_takes_norm2_of_undecided_matrices_only(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 6, 6))
+    r = 1e-3 * x
+    r[1] = 0.9 * x[1]
+    svds = spy_svd(monkeypatch)
+    holds, _, _ = residual_within(r, x, 0.5)
+    # the middle matrix alone: its Frobenius bound exceeds the contract
+    assert svds == [(1, 6, 6), (1, 6, 6)]
+    assert holds.tolist() == [True, False, True]
+    residual_within(np.zeros((3, 0, 0)), np.zeros((3, 0, 0)), 0.5)
+    residual_within(r[0], x[0], 0.5)
+    assert len(svds) == 2
+    residual_within(r[1], x[1], 0.5)
+    assert svds[2:] == [(6, 6), (6, 6)]
 
 
 def test_norm2_is_the_largest_singular_value_of_each_matrix():

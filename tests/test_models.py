@@ -187,6 +187,39 @@ def test_random_pair_rejects_a_non_finite_probe(probe):
         random_gapped_pair(12, 4, seed=8, probes=(0.0, probe))
 
 
+def _oracle_draw(dim, kdim, seed, probes, gap):
+    """(d, g, v0) of the first gapped draw, H's gap tested by eigvalsh of
+    its own h = diag(d) + G* V0 G: the oracle of the draw."""
+    rng = np.random.default_rng(seed)
+    for _ in range(models.MAX_TRIES):
+        d = rng.uniform(-1.0, 1.0, size=dim)
+        if not np.all(np.abs(d[:, None] - probes) > gap):
+            continue
+        g = rng.standard_normal((kdim, dim)) + 1j * rng.standard_normal((kdim, dim))
+        g *= 0.7 / np.linalg.norm(g, 2)
+        v0 = np.diag(rng.choice([-1.0, 1.0], size=kdim))
+        w = np.linalg.eigvalsh(np.diag(d) + g.conj().T @ v0 @ g)
+        if np.all(np.abs(w[:, None] - probes) > gap):
+            return d, g, v0
+
+
+def test_random_pair_solves_h_once(monkeypatch):
+    # the gap test reads the built pair's cached eigensystem of H, which
+    # the difference, the ladder and the product check reuse: no eigvalsh
+    # runs, and the pair is the one the draw's own eigvalsh picks
+    cases = [(24, 3, seed, (0.0,), 1e-3) for seed in range(6)] + [(5, 2, 3, (0.3,), 0.02)]
+    oracles = [_oracle_draw(*case) for case in cases]
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or original(*a, **k))
+    pairs = [random_gapped_pair(*case) for case in cases]
+    assert calls == []
+    for pair, (d, g, v0) in zip(pairs, oracles):
+        assert "eigensystem" in vars(pair.operators[1])
+        assert np.array_equal(pair.h0, np.diag(d)) and np.array_equal(pair.g, g)
+        assert np.array_equal(pair.v0, v0)
+
+
 def test_resolvent_transform_projection_identity_random():
     pair = random_gapped_pair(5, 2, seed=3, probes=(0.3,), gap=0.02)
     tr = resolvent_transform(pair, -2.0)

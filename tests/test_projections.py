@@ -197,9 +197,9 @@ def test_corner_matches_squared_difference():
 
 
 def test_krein_corner_fill():
-    cfg = thresholds()
+    # the corner spectrum of the resolvent model reaches well into (0, 1)
     spec = corner_spectrum(build_krein(400, 40.0), 0.5, sign=+1)
-    assert spec.max() >= cfg["krein_corner_top_min"]
+    assert spec.max() >= 0.55
 
 
 def test_gap_violation_raises():

@@ -5,11 +5,11 @@ prints the evidence.  With --write it rewrites the file in place and
 changes two entries, the two its sweeps pick: krein.eps_ladder (the
 ladder with the smallest extrapolated phase defect) and sech2.d_boxes
 (the first swap-free box of each of two sweeps, the larger one nearer to
-[-a, a] than the smaller).  Every other entry is kept as it is.  Five of
+[-a, a] than the smaller).  Every other entry is kept as it is.  Four of
 them are fixed choices that the other sweeps read from the file and only
 print evidence for: hankel.log_half_width, square_well.depth,
-square_well.corner_box, krein_corner_top_min and zops.krein_sigma_ratio,
-so a hand edit of one of them is swept and kept.  The shipped corner
+square_well.corner_box and zops.krein_sigma_ratio, so a hand edit of one
+of them is swept and kept.  The shipped corner
 box's grid, n odd at step h = 0.1 exactly, puts nodes on the well's edges
 x = +-1, which square_well_spec leaves outside the well (19 sites, not 20).
 
@@ -31,7 +31,8 @@ What gets calibrated and why:
 * square-well corner box -- swap-free box for the corner spectrum, and
   the well depth giving two well-separated phases.
 * resolvent-model corner top and the model-comparison sigma ratio --
-  measured at their pinned sizes and stored with a safety margin.
+  measured at their pinned sizes; the ratio's threshold is stored with a
+  safety margin, and the corner top is printed as evidence only.
 
 Every size a step does not regenerate (the resolvent-model box and
 probe, the Hankel node count, the sech^2 and square-well probes and
@@ -146,8 +147,7 @@ def calibrate_krein_corner_and_sigma(current):
     spec = corner_spectrum(build_krein(cfg["n"], cfg["L"]), cfg["probe"], sign=+1)
     out = zop_model_comparison(build_krein(zops["krein_sigma_n"], cfg["L"]), cfg["probe"])
     ratio = float(out["sigma_z0"][10] / out["sigma_z0"][0])
-    print(f"   corner top at n = {cfg['n']}: {spec.max():.4f} "
-          f"-> threshold {current['krein_corner_top_min']}")
+    print(f"   corner top at n = {cfg['n']}: {spec.max():.4f}")
     print(f"   sigma_10/sigma_1 at n = {zops['krein_sigma_n']}: {ratio:.2e} "
           f"-> threshold {zops['krein_sigma_ratio']}")
 
