@@ -17,6 +17,7 @@ from projdiff.scattering import (band_edges, birman_krein_extrapolated, channel_
 
 cfg = thresholds()["sech2"]
 probe = cfg["probe"]
+ladder = [0.3, 0.2, 0.1, 0.05]
 
 oracle = transfer_matrix_smatrix(sech2_spec(cfg["depth"], cfg["oracle_half_width"], 999), probe)
 print(f"sech^2 well, depth {cfg['depth']}, probe {probe} (k = {oracle.k}):")
@@ -27,7 +28,7 @@ print(f"  oracle eigenphases: {np.round(oracle.phases, 5)}, a = {oracle.a:.5f}\n
 pair = build_schrodinger_1d(
     sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
 print(f"{'eps':>6}  retained phases (stationary matrix)   unitarity defect")
-phases, bundles = extrapolated_phases(pair, probe, cfg["eps_ladder"])
+phases, bundles = extrapolated_phases(pair, probe, ladder)
 for b in bundles:
     print(f"{b.eps:>6}  {np.round(b.phases, 5)}   {b.unitarity_defect:.1e}")
 
@@ -44,9 +45,8 @@ print(f"a = max sin(theta/2): channel {channel.a:.5f} vs oracle {oracle.a:.5f} "
 
 print("\nweak square well: determinant against the smoothed counting shift")
 weak = build_schrodinger_1d(square_well_spec(0.3, 1.0, 60.0, 1199))
-weak_ladder = [0.3, 0.2, 0.1, 0.05]
-weak_phases, _ = extrapolated_phases(weak, 1.0, weak_ladder)
-det_s, xi, defect = birman_krein_extrapolated(weak, 1.0, weak_phases, weak_ladder)
+weak_phases, _ = extrapolated_phases(weak, 1.0, ladder)
+det_s, xi, defect = birman_krein_extrapolated(weak, 1.0, weak_phases, ladder)
 print(f"  det S = {det_s:.6f}, counting shift = {xi:.5f}, "
       f"|det S - exp(-2 pi i xi)| = {defect:.2e}")
 weak_channel = channel_smatrix(weak, 1.0)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentBoundError, KernelSingularityError
-from .linalg import hermitian, hermitian_norm, hermitian_part
+from .linalg import hermitian, hermitian_eigvalsh, hermitian_norm
 from .quadrature import legendre_rule, log_rule
 
 __all__ = [
@@ -65,7 +65,7 @@ class HankelDiscretization:
 
     @functools.cached_property
     def eigenvalues(self):
-        return np.linalg.eigvalsh(self.matrix)
+        return hermitian_eigvalsh(self.matrix)
 
     def singular_values(self):                         # |eigenvalues|, descending
         return np.sort(np.abs(self.eigenvalues))[::-1]
@@ -206,8 +206,7 @@ def nuclear_bound_check(profile, lam_rule, t_rule):
     """
     lam, wl = lam_rule.nodes, lam_rule.weights
     mq = np.array([np.atleast_2d(profile(l)) for l in lam])     # (q, k, k)
-    norms = np.abs(np.linalg.eigvalsh(hermitian_part(mq))).sum(axis=-1)
-    contrib = wl * norms / lam
+    contrib = wl * np.abs(hermitian_eigvalsh(mq)).sum(axis=-1) / lam
     c2 = float(np.sum(contrib))
     # contribution density per unit log-lambda, lower end vs middle
     logl = np.log(lam)

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ProjdiffError
+from .linalg import hermitian_eigvalsh
 from .models import preset_defaults, preset_pair, thresholds
 from .projections import projection_difference
 from .scattering import (band_edges, birman_krein_extrapolated, channel_smatrix,
@@ -126,7 +127,12 @@ class Report:
     body: dict
 
     def to_json(self):
-        return json.dumps(self.body, sort_keys=True, indent=2, default=_jsonable)
+        """The body as strict JSON (RFC 8259): numpy values as Python ones,
+        a complex number as {"re", "im"}, and a float that is not finite as
+        null.  A first pass writes such a float as the constant NaN, Infinity
+        or -Infinity, which its parse reads back as None."""
+        body = json.loads(json.dumps(self.body, default=_jsonable), parse_constant=lambda _: None)
+        return json.dumps(body, sort_keys=True, indent=2, allow_nan=False)
 
     def write(self, path):
         """Write :meth:`to_json` and a newline to ``path``, making its directory."""
@@ -288,7 +294,7 @@ def convergence_study(config, axis):
             raise ConfigError("config.eps_ladder: need >= 3 rungs for a study")
         rows = [{"prediction_a": b.prediction_a, "unitarity_defect": b.unitarity_defect,
                  "identity_residual": b.identity_residual,
-                 "density_peak": float(np.max(np.linalg.eigvalsh(b.f0prime), initial=0.0))}
+                 "density_peak": float(np.max(hermitian_eigvalsh(b.f0prime), initial=0.0))}
                 for b in phase_ladder(config.build_pair(), probe, points)]
     elif axis == "trule":
         pair = config.build_pair()

@@ -11,11 +11,19 @@ self-energies, the box's own or those of given leads), their banded solve
 and LDL^T pivots, semigroup action, the closed-form Sylvester solver on
 eigenvalue diagonals, and the probe-gap check on eigenvalue arrays.
 
+Dense Hermitian eigensolves have one home: :func:`hermitian_eigh` and
+:func:`hermitian_eigvalsh` diagonalize the :func:`hermitian_part` of a
+matrix or of each matrix of a stack, one ``eigh`` or ``eigvalsh``, and are
+the package's only calls of either; :func:`herm_eig` certifies one matrix
+first.  The one exception is the band solver's Rayleigh-Ritz step
+(:meth:`TridiagonalBands._ritz`), whose reduced pencil is symmetric only to
+roundoff and is diagonalized as it is.
+
 Two norms have one home each.  :func:`svd` is the one place the package
 takes an SVD, and :func:`norm2`, the largest singular value, the 2-norm of
 any matrix.  A Hermitian matrix's 2-norm is :func:`hermitian_norm`, its
-largest |eigenvalue|, one ``eigvalsh``: no Hermitian residual is measured
-by an SVD.
+largest |eigenvalue| from :func:`hermitian_eigvalsh`: no Hermitian residual
+is measured by an SVD.
 
 A 2-norm contract ||R||_2 <= tol * max(floor, ||X||_2) has one cheap
 accept, :func:`residual_within`: an O(size) bound decides first, and
@@ -48,8 +56,8 @@ from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
 
 __all__ = ["SpectralDecomposition", "DenseHermitian", "TridiagonalBands", "ParityBlock",
            "WindowSystem", "check_hermitian", "hermitian", "hermitian_part", "hermitian_norm",
-           "herm_eig", "probe_gaps", "svd", "norm2", "residual_within", "expm_apply",
-           "sylvester_solve"]
+           "hermitian_eigh", "hermitian_eigvalsh", "herm_eig", "probe_gaps", "svd", "norm2",
+           "residual_within", "expm_apply", "sylvester_solve"]
 
 # each tolerance is read at call time by the one function that applies it
 HERMITIAN_TOL = 1e-12
@@ -133,14 +141,26 @@ def hermitian(matrix):
     return hermitian_part(m)
 
 
+def hermitian_eigh(m):
+    """(eigenvalues ascending, eigenvectors) of the :func:`hermitian_part`
+    of a matrix, or of each matrix of a stack: one ``eigh``."""
+    return np.linalg.eigh(hermitian_part(m))
+
+
+def hermitian_eigvalsh(m):
+    """The eigenvalues, ascending, of the :func:`hermitian_part` of a matrix,
+    or of each matrix of a stack: one ``eigvalsh``."""
+    return np.linalg.eigvalsh(hermitian_part(m))
+
+
 def herm_eig(matrix):
     """Eigendecomposition of a Hermitian matrix: of its certified
-    :func:`hermitian` part.  Every :class:`DenseHermitian` is stored exactly
-    Hermitian (see :func:`projdiff.models.build_finite_pair`), so it is
-    certified by one exact comparison and diagonalized as it is.
+    :func:`hermitian` part, by :func:`hermitian_eigh`.  Every
+    :class:`DenseHermitian` is stored exactly Hermitian (see
+    :func:`projdiff.models.build_finite_pair`), so it is certified by one
+    exact comparison and diagonalized as it is.
     """
-    w, v = np.linalg.eigh(hermitian(_as_array(matrix)))
-    return SpectralDecomposition(w, v)
+    return SpectralDecomposition(*hermitian_eigh(hermitian(_as_array(matrix))))
 
 
 @dataclass(frozen=True)
@@ -582,9 +602,9 @@ def residual_within(r, x, tol, floor=0.0):
 def hermitian_norm(m):
     """The 2-norm of the Hermitian part of a matrix, or of each matrix of a
     stack: its largest |eigenvalue|, 0 for an empty matrix.  One
-    ``eigvalsh``; for a Hermitian matrix it is :func:`norm2` to roundoff."""
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    return np.max(abs(w), axis=-1, initial=0.0)
+    :func:`hermitian_eigvalsh`; for a Hermitian matrix it is :func:`norm2`
+    to roundoff."""
+    return np.max(abs(hermitian_eigvalsh(m)), axis=-1, initial=0.0)
 
 
 def expm_apply(matrix, t, x):

@@ -333,8 +333,9 @@ class PotentialSpec:
     sample it in one call, through :meth:`samples`.  The envelope
     |V(x)| <= decay_constant * (1+|x|)**(-decay_exponent) is verified on
     the grid when the pair is built.  A half-width X that is not finite and
-    positive, or a negative grid size n, raises ValueError naming it; n = 0
-    is a grid of no points, on which the oracle still runs on one cell.
+    positive, or a grid size n that is not an integer (a bool is not one) or
+    is negative, raises ValueError naming it; n = 0 is a grid of no points,
+    on which the oracle still runs on one cell.
     """
 
     potential: callable
@@ -346,6 +347,8 @@ class PotentialSpec:
     def __post_init__(self):
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
 
@@ -379,13 +382,13 @@ def _sech2(x):
 def sech2_spec(depth, half_width, n):
     # sech^2(x) <= 4 exp(-2|x|) <= 4 (1+|x|)^{-2}, so rho = 2 with C = 4*depth
     pot = lambda x: -depth * _sech2(x)
-    return PotentialSpec(pot, 4.0 * depth, 2.0, float(half_width), int(n))
+    return PotentialSpec(pot, 4.0 * depth, 2.0, float(half_width), n)
 
 
 def square_well_spec(depth, width, half_width, n):
     pot = lambda x: np.where(np.abs(x) < width, -depth, 0.0)
     c = depth * (1.0 + width) ** 2
-    return PotentialSpec(pot, c, 2.0, float(half_width), int(n))
+    return PotentialSpec(pot, c, 2.0, float(half_width), n)
 
 
 def build_schrodinger_1d(spec):

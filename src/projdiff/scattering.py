@@ -46,15 +46,17 @@ for all of G^T = G*.
 The ladder computes all its rungs at once: T0 and T at every rung form
 (R, k, k) stacks, from G U formed once per operator, and each k x k step
 (the conditioning inverse, the factor residual, the PSD root, S, the
-unitarity defect, its eigenvalues, the defect identity) is one stacked
-numpy call.  Every rung keeps its checks, which flag the failing rungs
-in that one pass; the first flagged rung, in ladder order, raises its
-check's error (at one rung: conditioning, then factor residual, then
+unitarity defect, the eigenvalues of S, the defect identity) is one
+stacked numpy call.  Every rung keeps its checks, which flag the failing
+rungs in that one pass; the first flagged rung, in ladder order, raises
+its check's error (at one rung: conditioning, then factor residual, then
 PSD), and nothing is rerun.  One bundle is the one-rung ladder and one
 sandwich the one-point stack.  A rung's phases come from all k
-eigenvalues of S; ||A||, the unitarity defect and the identity residual
-are largest |eigenvalues| of Hermitian k x k matrices ((S-I)*(S-I)/4
-among them).
+eigenvalues of S, and so does ||S - I|| / 2 = max |ev - 1| / 2, as S is
+unitary; the unitarity defect and the identity residual are largest
+|eigenvalues| of Hermitian k x k matrices.  The PSD root and those two
+norms are the ladder's three Hermitian eigensolves per stack, each
+through :mod:`projdiff.linalg`.
 
 Off the channel path, the Birman-Krein relation det S = exp(-2*pi*i*xi)
 has one implementation, :func:`birman_krein_extrapolated`, returning
@@ -69,7 +71,8 @@ import numpy as np
 
 from .errors import (OracleConvergenceError, ProbeOutsideBandError, ResidualError,
                      SingularSandwichError)
-from .linalg import hermitian_norm, hermitian_part, norm2, residual_within, svd
+from .linalg import (hermitian_eigh, hermitian_norm, hermitian_part, norm2, residual_within,
+                     svd)
 
 __all__ = [
     "ResolventSandwich", "ScatteringBundle", "TransferMatrixResult", "ChannelSMatrix",
@@ -231,10 +234,9 @@ def _psd_sqrt(m):
     """(PSD square roots, check) for a stack of matrices, the roots taken of
     the eigenvalues clipped at 0: the check flags each rung with an
     eigenvalue below -PSD_TOL times its largest |eigenvalue| (or 1)."""
-    w, v = np.linalg.eigh(hermitian_part(m))
+    w, v = hermitian_eigh(m)
     low = np.min(w, axis=-1, initial=0.0)
-    scale = np.maximum(np.max(abs(w), axis=-1, initial=0.0), 1.0)
-    bound = PSD_TOL * scale
+    bound = PSD_TOL * np.maximum(np.max(abs(w), axis=-1, initial=0.0), 1.0)
     check = (low < -bound, lambda r: ResidualError(
         f"matrix not PSD: min eigenvalue {low[r]:.3e}", -low[r], bound[r]))
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _ct(v), check
@@ -272,7 +274,7 @@ class ScatteringBundle:
     unitarity_defect: float
     defect_operator: np.ndarray      # A = pi^2 sqrt(F0') V0 F' V0 sqrt(F0')
     identity_residual: float         # || (S-I)*(S-I)/4 - A ||
-    prediction_a: float              # ||A||^(1/2) = ||S - I|| / 2
+    prediction_a: float              # ||S - I|| / 2 = max |ev - 1| / 2 = ||A||^(1/2)
     band_edges: np.ndarray           # sin(theta/2) of retained phases, descending
     factor_residual: float
 
@@ -285,8 +287,9 @@ def scattering_bundle(pair, probe, eps):
     defect) are retained as scattering phases.  The finite-eps identity
     (S-I)*(S-I)/4 = A holds exactly; its residual is reported.  The
     unitarity defect and that residual are 2-norms of Hermitian matrices,
-    taken as their largest |eigenvalue|; ||A||^(1/2) = ||S - I|| / 2 is
-    the square root of the largest eigenvalue of (S-I)*(S-I)/4.
+    taken as their largest |eigenvalue|.  S is unitary, hence normal, so
+    ||A||^(1/2) = ||S - I|| / 2 is max |ev - 1| / 2 over the eigenvalues
+    of S the phases are read from.
     """
     return phase_ladder(pair, probe, [eps])[0]
 
@@ -300,20 +303,21 @@ def _bundle_stack(pair, probe, eps):
     root, psd = _psd_sqrt(f0p)
     _raise_first(checks + [psd])
     v0 = pair.v0
-    core = v0 - v0 @ t @ v0
     eye = np.eye(pair.kdim)
-    smat = eye - 2j * np.pi * root @ core @ root
+    smat = eye - 2j * np.pi * root @ (v0 - v0 @ t @ v0) @ root
     udef = hermitian_norm(_ct(smat) @ smat - eye)
     thr = np.maximum(PHASE_FLOOR, 10.0 * udef)
     diff = smat - eye
-    defect = 0.25 * _ct(diff) @ diff
     evs = np.linalg.eigvals(smat)
     amat = hermitian_part(np.pi ** 2 * root @ v0 @ fp @ v0 @ root)
-    ident = hermitian_norm(defect - amat)
-    a_pred = np.sqrt(np.max(np.linalg.eigvalsh(defect), axis=-1, initial=0.0))
+    # the defect identity (S-I)*(S-I)/4 = A
+    ident = hermitian_norm(0.25 * _ct(diff) @ diff - amat)
+    # S is unitary, hence normal, so ||S - I|| is its largest |ev - 1|
+    dist = np.abs(evs - 1.0)
+    a_pred = 0.5 * np.max(dist, axis=-1, initial=0.0)
     bundles = []
     for r, e in enumerate(eps):
-        kept = evs[r][np.abs(evs[r] - 1.0) > thr[r]]
+        kept = evs[r][dist[r] > thr[r]]
         phases = np.sort(np.mod(np.angle(kept), 2.0 * np.pi))
         bundles.append(ScatteringBundle(
             float(probe), float(e), f0p[r], fp[r], smat[r], evs[r], phases, float(thr[r]),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_norm, hermitian_part, norm2, svd, sylvester_solve
+from .linalg import hermitian_eigh, hermitian_norm, norm2, svd, sylvester_solve
 from .quadrature import exp_mapped_rule
 from .scattering import neville, phase_ladder
 
@@ -142,7 +142,7 @@ def product_representation_check(pair, probe, t_rule=None):
 
 
 def _psd_clip(m):
-    w, v = np.linalg.eigh(hermitian_part(m))
+    w, v = hermitian_eigh(m)
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 

@@ -1,4 +1,4 @@
-"""Dense oracles and spies shared by the tests."""
+"""Dense oracles, spies and inputs shared by the tests."""
 
 import sys
 
@@ -6,6 +6,10 @@ import numpy as np
 
 from projdiff import linalg
 from projdiff.linalg import herm_eig
+
+# the eps ladder the tests take on the shipped sech^2 box, whose band pair
+# otherwise runs on the channel path at eps = 0
+SECH2_LADDER = (0.3, 0.2, 0.1, 0.05)
 
 
 def dense_eigensystems(pair):

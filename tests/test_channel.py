@@ -17,6 +17,8 @@ from projdiff.models import (OperatorPair, build_finite_pair, build_krein,
 from projdiff.scattering import (birman_krein_extrapolated, channel_smatrix,
                                  extrapolated_phases, transfer_matrix_smatrix)
 
+from oracles import SECH2_LADDER
+
 
 def random_band_pair(seed, n=40, lo=12, hi=25, d=0.7, t=1.3):
     """A real band pair with a random window: hopping t and diagonal d
@@ -148,7 +150,7 @@ def shipped_sech2():
 
 def test_channel_matches_the_ladder_where_the_ladder_is_accurate():
     pair, probe = shipped_sech2(), 0.6
-    ladder = thresholds()["sech2"]["eps_ladder"]
+    ladder = SECH2_LADDER
     phases, _ = extrapolated_phases(pair, probe, ladder)
     _, xi, _ = birman_krein_extrapolated(pair, probe, phases, ladder)
     ch = channel_smatrix(pair, probe)

@@ -189,6 +189,31 @@ def test_study_trule_with_the_probe_on_an_eigenvalue_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: eigenvalue {on:.12g} within")
 
 
+def test_verify_all_writes_strict_json(monkeypatch, tmp_path, capsys):
+    # criterion 5 reports knee NaN when no knee is found; every float that is
+    # not finite, numpy ones and array entries too, is written as null, so
+    # an RFC 8259 parser reads the file
+    import numpy as np
+
+    from projdiff import acceptance
+
+    details = {"knee": float("nan"), "top": np.float64(np.inf),
+               "values": np.array([1.0, -np.inf]), "z": complex(np.nan, 2.0)}
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        {5: lambda: [Clause("5-knee-location", False, details)]})
+    monkeypatch.setattr(acceptance, "criterion_9", lambda elapsed_total=None: [])
+    out_dir = tmp_path / "acc"
+    assert cli.main(["verify-all", "--out", str(out_dir)]) == 1
+    capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    data = json.loads((out_dir / "acceptance.json").read_text(), parse_constant=reject)
+    assert data["clauses"][0]["details"] == {"knee": None, "top": None, "values": [1.0, None],
+                                             "z": {"re": None, "im": 2.0}}
+
+
 def test_verify_all_wiring(monkeypatch, tmp_path, capsys):
     # exercise the subcommand surface with a stubbed criteria table so the
     # exit-code contract is covered without recomputing the full suite

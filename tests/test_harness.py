@@ -518,6 +518,59 @@ def _load_calibrate_tool(monkeypatch):
     return tool
 
 
+class _RecordingSection(dict):
+    """A parsed thresholds object that adds the path of every key read from
+    it, and from the objects inside it, to ``seen``."""
+
+    def __init__(self, data, seen, prefix=""):
+        super().__init__(data)
+        self.seen, self.prefix = seen, prefix
+
+    def __getitem__(self, key):
+        self.seen.add(self.prefix + key)
+        value = super().__getitem__(key)
+        return _RecordingSection(value, self.seen, f"{self.prefix}{key}.") \
+            if isinstance(value, dict) else value
+
+
+def _leaf_paths(data, prefix=""):
+    return [path for key, value in data.items()
+            for path in (_leaf_paths(value, f"{prefix}{key}.") if isinstance(value, dict)
+                         else [prefix + key])]
+
+
+def test_every_shipped_threshold_has_a_reader(monkeypatch):
+    # a key of thresholds.json is read by the acceptance suite, by a
+    # preset's defaults or by the default run config; the zops entries are
+    # tools/calibrate.py's own inputs.  The cached builders of the acceptance
+    # suite are cleared, so that every read happens while it is recorded
+    import sys
+
+    from projdiff import acceptance, models
+
+    original, seen = models.thresholds, set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "projdiff" and getattr(module, "thresholds", None) is original:
+            monkeypatch.setattr(module, "thresholds",
+                                lambda: _RecordingSection(original(), seen))
+    cached = [f for f in vars(acceptance).values() if hasattr(f, "cache_clear")]
+    assert cached
+    for f in cached:
+        f.cache_clear()
+    try:
+        acceptance.run_all(echo=None)
+    finally:
+        for f in cached:
+            f.cache_clear()
+    for name in models.preset_names():
+        models.preset_defaults(name)
+    ExperimentConfig()
+    shipped = _leaf_paths(original())
+    unread = [path for path in shipped
+              if path not in seen and path != "comment" and not path.startswith("zops.")]
+    assert unread == []
+
+
 def test_calibrate_tool_resolves(monkeypatch):
     # tools/calibrate.py is run by hand; load it without calibrating and
     # check that every name it takes from projdiff still exists
@@ -601,12 +654,32 @@ REPORTDIFF_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(_
                                "tools", "reportdiff.py")
 
 
-def test_reportdiff_names_moved_floats_and_fails_on_a_moved_count(tmp_path, capsys):
+def _load_reportdiff_tool():
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("reportdiff_tool", REPORTDIFF_PATH)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_reportdiff_exits_2_on_a_report_it_cannot_read(tmp_path, capsys):
+    # status 1 means a non-float field changed; an unreadable report is named
+    # on one line instead of ending in a traceback
+    tool = _load_reportdiff_tool()
+    good, bad, missing = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "none.json"
+    good.write_text('{"x": 1.0}')
+    bad.write_text('{"x": 1.0')
+    for a, b, culprit in ((good, bad, bad), (missing, good, missing)):
+        assert tool.main([str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {culprit}: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_reportdiff_names_moved_floats_and_fails_on_a_moved_count(tmp_path, capsys):
+    tool = _load_reportdiff_tool()
     base = {"schema": 1, "probes": [
         {"probe": 0.5, "difference": {"sines": [0.25, -0.5], "dim_plus": 1},
          "knee": float("nan")},

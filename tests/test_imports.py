@@ -1,6 +1,7 @@
 """Module boundaries: a name with a leading underscore stays in its module,
-a Hermitian part (M + M*) / 2 is formed in linalg only, and so is every SVD
-and the margin of the cheap accept of a 2-norm contract."""
+a Hermitian part (M + M*) / 2 is formed in linalg only, and so is every SVD,
+every Hermitian eigensolve and the margin of the cheap accept of a 2-norm
+contract."""
 
 import ast
 import glob
@@ -27,26 +28,41 @@ def _hand_hermitian_parts(source):
             if "0.5 * (" in line and (".conj()" in line or "_ct(" in line)]
 
 
-def _svd_calls(source):
-    """(numpy function, enclosing function) of every call in ``source`` of
-    ``np.linalg.svd``, of ``np.linalg.cond`` and of ``np.linalg.norm`` with
-    ord 2 (positional or keyword), each an SVD."""
+def _calls(source, functions):
+    """(function, enclosing function, call node) of every call in ``source``
+    of one of ``functions``, named as written (``np.linalg.svd``)."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in (
-                "np.linalg.svd", "np.linalg.cond", "np.linalg.norm"):
-            name = ast.unparse(node.func)
-            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
-            if name != "np.linalg.norm" or any(ast.unparse(o) == "2" for o in ords):
-                found.append((name, scope))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in functions:
+            found.append((ast.unparse(node.func), scope, node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _svd_calls(source):
+    """(numpy function, enclosing function) of every call in ``source`` of
+    ``np.linalg.svd``, of ``np.linalg.cond`` and of ``np.linalg.norm`` with
+    ord 2 (positional or keyword), each an SVD."""
+    found = []
+    for name, scope, node in _calls(source, ("np.linalg.svd", "np.linalg.cond",
+                                             "np.linalg.norm")):
+        ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        if name != "np.linalg.norm" or any(ast.unparse(o) == "2" for o in ords):
+            found.append((name, scope))
+    return found
+
+
+def _eigensolve_calls(source):
+    """(numpy function, enclosing function) of every call in ``source`` of
+    ``np.linalg.eigh`` or ``np.linalg.eigvalsh``."""
+    return [(name, scope) for name, scope, _ in
+            _calls(source, ("np.linalg.eigh", "np.linalg.eigvalsh"))]
 
 
 def test_no_module_imports_a_siblings_private_name():
@@ -80,6 +96,20 @@ def test_linalg_svd_is_the_one_svd():
         with open(path) as fh:
             found += [(os.path.basename(path), *call) for call in _svd_calls(fh.read())]
     assert found == [("linalg.py", "np.linalg.svd", "svd")]
+
+
+def test_linalg_is_the_one_home_of_hermitian_eigensolves():
+    # linalg.hermitian_eigh and linalg.hermitian_eigvalsh diagonalize the
+    # Hermitian part of every matrix; the Rayleigh-Ritz step of the band
+    # solver keeps its own eigh, of a pencil symmetric only to roundoff,
+    # whose symmetrization would move every banded eigenpair
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            found += [(os.path.basename(path), *call) for call in _eigensolve_calls(fh.read())]
+    assert sorted(found) == [("linalg.py", "np.linalg.eigh", "_ritz"),
+                             ("linalg.py", "np.linalg.eigh", "hermitian_eigh"),
+                             ("linalg.py", "np.linalg.eigvalsh", "hermitian_eigvalsh")]
 
 
 def _cheap_accept_margins(source):
@@ -124,6 +154,14 @@ def test_svd_calls_are_found():
               "x = np.linalg.norm(m), np.linalg.norm(m, axis=0), np.linalg.norm(m, 'fro')\n")
     assert _svd_calls(source) == [("np.linalg.svd", "f"), ("np.linalg.cond", None),
                                   ("np.linalg.norm", "g"), ("np.linalg.norm", "g")]
+
+
+def test_eigensolve_calls_are_found():
+    source = ("def f(m):\n    return np.linalg.eigh(m)[1], np.linalg.eigvalsh(m)\n"
+              "w = np.linalg.eigvalsh(m)\n"
+              "x = np.linalg.eig(m), np.linalg.eigvals(m), sla.eigh(m)\n")
+    assert _eigensolve_calls(source) == [("np.linalg.eigh", "f"), ("np.linalg.eigvalsh", "f"),
+                                         ("np.linalg.eigvalsh", None)]
 
 
 def test_hand_hermitian_parts_are_found():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -274,6 +275,19 @@ def test_potential_spec_rejects_a_negative_n(n):
     spec = sech2_spec(1.0, 30.0, 0)
     assert spec.grid()[0].shape == (0,)
     assert len(scattering.transfer_matrix_smatrix(spec, 1.0).phases) == 2
+
+
+@pytest.mark.parametrize("n", (300.5, 400.0, True, "400", None))
+def test_potential_spec_rejects_a_grid_size_that_is_not_an_integer(n):
+    # 300.5 built an off-centre grid of 301 nodes, on which the pair build
+    # failed in numpy, and True a one-node grid; the spec builders pass n on
+    for spec in (lambda: models.PotentialSpec(np.zeros_like, 1.0, 2.0, 30.0, n),
+                 lambda: sech2_spec(1.0, 30.0, n), lambda: square_well_spec(1.0, 2.0, 30.0, n)):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(n))}$"):
+            spec()
+    # a numpy integer is an integer
+    x = sech2_spec(1.0, 30.0, np.int64(7)).grid()[0]
+    assert x.shape == (7,) and np.array_equal(x[::-1], -x)
 
 
 def test_resolvent_transform_of_a_band_pair_runs_no_dense_eigensolve(monkeypatch):

@@ -14,7 +14,7 @@ from projdiff.scattering import (birman_krein_check, birman_krein_extrapolated,
                                  smoothed_counting_shift,
                                  smoothed_density, transfer_matrix_smatrix)
 
-from oracles import dense_eigensystems, spy_svd
+from oracles import SECH2_LADDER, dense_eigensystems, spy_svd
 
 
 def scalar_pair(h0_value, coupling):
@@ -178,11 +178,38 @@ def test_krein_defect_top_extrapolates_to_one():
 
 
 def test_prediction_a_is_half_norm():
-    # ||A||^(1/2) = ||S - I||/2 through the exact defect-operator identity
-    pair = random_gapped_pair(8, 3, seed=29)
-    b = scattering_bundle(pair, 0.0, 0.05)
-    half_norm = 0.5 * np.linalg.norm(b.smatrix - np.eye(pair.kdim), 2)
-    assert b.prediction_a == pytest.approx(half_norm, abs=1e-10)
+    # S is unitary, so ||S - I|| / 2 is read off its eigenvalues as
+    # max |ev - 1| / 2; it agrees with the SVD's 2-norm to roundoff
+    krein = thresholds()["krein"]
+    cases = [(random_gapped_pair(8, 3, seed=seed), 0.0, (0.1, 0.05, 0.02))
+             for seed in (29, 30, 31, 32)]
+    cases.append((build_krein(krein["n"], krein["L"]), krein["probe"], krein["eps_ladder"]))
+    for pair, probe, ladder in cases:
+        for b in phase_ladder(pair, probe, ladder):
+            half_norm = 0.5 * linalg.norm2(b.smatrix - np.eye(pair.kdim))
+            assert b.prediction_a == pytest.approx(half_norm, rel=1e-14, abs=0.0)
+
+
+def test_ladder_stack_takes_three_hermitian_eigensolves(monkeypatch):
+    # per stack of rungs: one eigh, the PSD root of F0', and two eigvalsh,
+    # the unitarity defect and the identity residual; ||S - I|| / 2 comes
+    # from the eigenvalues of S the phases need anyway
+    pair = random_gapped_pair(12, 4, seed=8)
+    for op in pair.operators:
+        op.eigensystem                                # the dense sandwiches' eigensolves
+    calls = []
+
+    def spy(name, original):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return original(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    bundles = phase_ladder(pair, 0.0, (0.1, 0.05, 0.02, 0.01))
+    stack = (len(bundles), pair.kdim, pair.kdim)
+    assert sorted(calls) == [("eigh", stack), ("eigvalsh", stack), ("eigvalsh", stack)]
 
 
 def test_transfer_matrix_free_and_flux():
@@ -305,7 +332,7 @@ def test_sech2_phases_match_oracle():
     cfg = thresholds()["sech2"]
     pair = build_schrodinger_1d(
         sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
-    phases, _ = extrapolated_phases(pair, cfg["probe"], cfg["eps_ladder"])
+    phases, _ = extrapolated_phases(pair, cfg["probe"], SECH2_LADDER)
     oracle = transfer_matrix_smatrix(
         sech2_spec(cfg["depth"], cfg["oracle_half_width"], 999), cfg["probe"])
     assert len(phases) == 2
@@ -321,7 +348,7 @@ def test_fiber_trace_consistency():
         sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
     oracle = transfer_matrix_smatrix(
         sech2_spec(cfg["depth"], cfg["oracle_half_width"], 999), cfg["probe"])
-    ladder = cfg["eps_ladder"]
+    ladder = SECH2_LADDER
     traces = [np.trace(smoothed_density(pair, cfg["probe"], e)[0]).real
               for e in ladder]
     extrapolated = neville(ladder, traces)
@@ -580,7 +607,7 @@ def _sech2_shipped():
     cfg = thresholds()["sech2"]
     pair = build_schrodinger_1d(
         sech2_spec(cfg["depth"], cfg["scatter_half_width"], cfg["scatter_n"]))
-    return pair, cfg["probe"], cfg["eps_ladder"]
+    return pair, cfg["probe"], SECH2_LADDER
 
 
 PHASE_CASES = {

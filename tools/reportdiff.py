@@ -18,6 +18,9 @@ null, of a key set or a list length, of a value's type, or a float that is
 NaN or infinite in one report only.  Each is printed, and then the exit
 status is 1; it is 0 when only floats moved, or nothing.  There is no
 tolerance: a float that moved by one bit is listed.
+
+A report that cannot be read, a missing file or one that is not JSON, is
+named on one line with the error, and the exit status is 2.
 """
 
 import argparse
@@ -71,8 +74,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     reports = []
     for path in (args.a, args.b):
-        with open(path) as fh:
-            reports.append(json.load(fh))
+        try:
+            with open(path) as fh:
+                reports.append(json.load(fh))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            return 2
     moves, changes = diff(*reports)
     for path, (count, move, rel) in sorted(moves.items(), key=lambda kv: (-kv[1][1], kv[0])):
         print(f"moved   {path}: abs {move:.3g}, rel {rel:.3g} ({count} field{'s' * (count > 1)})")
