@@ -42,14 +42,23 @@ is the matrix's Hermitian part, which equals its conjugate transpose
 exactly; :func:`hermitian_part` is the one place (M + M*) / 2 is formed.
 The banded eigensolver keeps the dense one's input contract, and certifies
 each eigenpair it returns by its residual (BAND_RESIDUAL_TOL).
+
+LAPACK has one home too.  The band format calls four routines: ``dstebz``
+(Sturm counts and bisection by index), ``dstein`` (inverse iteration),
+``dstevd`` (a full spectrum, :func:`tridiagonal_eigvalsh`) and ``zgtsv``
+(the window solves).  :data:`lapack` binds them once, with ctypes, from
+the OpenBLAS numpy has loaded, and passes exactly the arguments scipy's
+wrappers pass, so they return scipy's bits without importing scipy; where
+numpy ships no such library, it binds the function pointers of
+``scipy.linalg.cython_lapack`` instead.
 """
 
+import ctypes
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .errors import (GapViolationError, NonHermitianError, OverflowGuardError,
                      ResidualError, SpectralCollisionError)
@@ -71,6 +80,151 @@ SYLVESTER_RESIDUAL_TOL = 1e-9
 # m = 400, up to 33 eps on full ranges of m = 2000)
 BAND_BISECTION_TOL = 1e-9
 BAND_RESIDUAL_TOL = 64 * np.finfo(float).eps
+
+# the arguments of each LAPACK routine the package calls, in order: c a
+# character, i an INTEGER, d a double, a an array
+_SIGNATURES = {"dstebz": "cciddiidaaiiaaaaai", "dstein": "iaaiaaaaiaaai",
+               "dstevd": "ciaaaiaiaii", "zgtsv": "iiaaaaii"}
+
+
+def _require(holds, what):
+    """ValueError naming ``what`` unless the arrays a routine gets hold it."""
+    if not holds:
+        raise ValueError(f"LAPACK arguments: {what}")
+
+
+class Lapack:
+    """The four LAPACK routines the package calls, bound with ctypes: ``dstebz``
+    (eigenvalues of a symmetric tridiagonal matrix by bisection), ``dstein``
+    (their eigenvectors by inverse iteration), ``dstevd`` (all its
+    eigenvalues, jobz "N") and ``zgtsv`` (a complex tridiagonal solve).
+    ``dstebz`` and ``dstein`` take and return what scipy's wrappers of the
+    same names do.  Array lengths are checked before a call, so a routine
+    reads and writes only the arrays it is given.
+
+    ``addresses`` maps each routine's name to its address, ``integer`` is
+    the ctypes type of LAPACK's INTEGER, and ``strlen`` says whether the
+    routines take gfortran's hidden string lengths after their arguments.
+    """
+
+    def __init__(self, addresses, integer, strlen):
+        kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer),
+                 "d": ctypes.POINTER(ctypes.c_double), "a": ctypes.c_void_p}
+        self._routines = {}
+        for name, sig in _SIGNATURES.items():
+            lengths = [ctypes.c_size_t] * sig.count("c") if strlen else []
+            prototype = ctypes.CFUNCTYPE(None, *(kinds[k] for k in sig), *lengths)
+            self._routines[name] = prototype(addresses[name])
+        self.integer, self._int, self._strlen = integer, np.dtype(integer), strlen
+
+    def _ref(self, kind, a):
+        """One argument as the routine takes it: an array by its data, bytes
+        as a string, an INTEGER the routine writes as itself, and a number
+        by reference to an INTEGER or a double."""
+        if kind == "a":
+            return a.ctypes.data
+        if kind == "c":
+            return a
+        if not isinstance(a, self.integer):
+            a = self.integer(a) if kind == "i" else ctypes.c_double(a)
+        return ctypes.byref(a)
+
+    def _call(self, name, *args):
+        """Call routine ``name`` with ``args``, one per letter of its signature."""
+        sig = _SIGNATURES[name]
+        lengths = [1] * sig.count("c") if self._strlen else []
+        self._routines[name](*(self._ref(k, a) for k, a in zip(sig, args, strict=True)), *lengths)
+
+    def dstebz(self, d, e, select, vl, vu, il, iu, tol, order="E"):
+        """(m, w, iblock, isplit, info): the eigenvalues selected by ``select``
+        (0 all, 1 those in (vl, vu], 2 those with indices il, ..., iu,
+        1-based) bisected to an absolute ``tol``, in ``order``, the first m
+        entries of w."""
+        n = len(d)
+        _require(len(e) >= n - 1 and select in (0, 1, 2), "dstebz needs n - 1 links")
+        m, nsplit, info = self.integer(), self.integer(), self.integer()
+        w, block, split = np.empty(n), np.empty(n, self._int), np.empty(n, self._int)
+        self._call("dstebz", b"AVI"[select:select + 1], order.encode(), n, vl, vu, il, iu, tol,
+                   np.ascontiguousarray(d, float), np.ascontiguousarray(e, float), m, nsplit,
+                   w, block, split, np.empty(4 * n), np.empty(3 * n, self._int), info)
+        return m.value, w, block, split, info.value
+
+    def dstein(self, d, e, w, iblock, isplit):
+        """(z, info): the eigenvectors, the columns of z, of the eigenvalues w
+        in block order with the blocks and splits of :meth:`dstebz`."""
+        n, m, info = len(d), len(w), self.integer()
+        _require(len(e) >= n - 1 and m <= n and len(iblock) == len(isplit) == n,
+                 "dstein needs n - 1 links, at most n values, n blocks and splits")
+        z = np.empty((n, m), order="F")
+        self._call("dstein", n, np.ascontiguousarray(d, float), np.ascontiguousarray(e, float),
+                   m, np.ascontiguousarray(w, float), np.ascontiguousarray(iblock, self._int),
+                   np.ascontiguousarray(isplit, self._int), z, max(n, 1), np.empty(5 * n),
+                   np.empty(n, self._int), np.empty(m, self._int), info)
+        return z, info.value
+
+    def dstevd(self, d, e):
+        """(w, info): every eigenvalue, ascending, of the matrix with
+        diagonal d and offdiagonal e."""
+        n, info = len(d), self.integer()
+        _require(len(e) >= n - 1, "dstevd needs n - 1 links")
+        w, work, iwork = np.array(d, dtype=float), np.empty(1), np.empty(1, self._int)
+        self._call("dstevd", b"N", n, w, np.r_[e, 0.0], work, 1, work, 1, iwork, 1, info)
+        return w, info.value
+
+    def zgtsv(self, dl, d, du, b):
+        """info of the solve of the tridiagonal system (dl, d, du) for the
+        columns of b, a complex array in Fortran order that the solution
+        overwrites; dl, d and du, complex and contiguous, are overwritten
+        too."""
+        n, info = len(d), self.integer()
+        _require(all(x.dtype == complex and x.flags.f_contiguous for x in (dl, d, du, b))
+                 and len(dl) == len(du) == max(n - 1, 0) and len(b) == n,
+                 "zgtsv needs complex contiguous bands of n and n - 1 entries and n rows")
+        self._call("zgtsv", n, 1 if b.ndim == 1 else b.shape[1], dl, d, du, b, max(n, 1), info)
+        return info.value
+
+
+def _numpy_lapack(libs=os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")):
+    """:class:`Lapack` from the OpenBLAS numpy has loaded, found in ``libs``
+    (64-bit integers, the "scipy_" prefix and the "64_" suffix), or None
+    when the library or one of the routines is not there."""
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in names:
+        if name.startswith("libscipy_openblas64_"):
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            try:
+                return Lapack({r: ctypes.cast(getattr(lib, f"scipy_{r}_64_"), ctypes.c_void_p).value
+                               for r in _SIGNATURES}, ctypes.c_int64, strlen=True)
+            except AttributeError:
+                return None
+    return None
+
+
+def _scipy_lapack():
+    """:class:`Lapack` from the function pointers of
+    ``scipy.linalg.cython_lapack`` (32-bit integers); imports scipy."""
+    from scipy.linalg import cython_lapack
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    capsules = cython_lapack.__pyx_capi__
+    return Lapack({r: pointer(capsules[r], name(capsules[r])) for r in _SIGNATURES},
+                  ctypes.c_int32, strlen=False)
+
+
+lapack = _numpy_lapack() or _scipy_lapack()
+
+
+def tridiagonal_eigvalsh(diagonal, offdiagonal):
+    """Every eigenvalue, ascending, of the real symmetric tridiagonal matrix
+    with these bands: LAPACK ``dstevd`` without vectors (its ``dsterf``), as
+    scipy's ``eigh_tridiagonal(..., eigvals_only=True)`` computes them.  A
+    failed call raises ``LinAlgError``."""
+    w, info = lapack.dstevd(diagonal, offdiagonal)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed (info {info})")
+    return w
 
 
 @dataclass(frozen=True)
@@ -141,10 +295,12 @@ def hermitian(matrix):
     return hermitian_part(m)
 
 
-def hermitian_eigh(m):
+def hermitian_eigh(m, certified=False):
     """(eigenvalues ascending, eigenvectors) of the :func:`hermitian_part`
-    of a matrix, or of each matrix of a stack: one ``eigh``."""
-    return np.linalg.eigh(hermitian_part(m))
+    of a matrix, or of each matrix of a stack: one ``eigh``.  A
+    ``certified`` matrix, one that :func:`hermitian` returned, is its own
+    Hermitian part and is diagonalized as it is."""
+    return np.linalg.eigh(m if certified else hermitian_part(m))
 
 
 def hermitian_eigvalsh(m):
@@ -160,7 +316,7 @@ def herm_eig(matrix):
     :func:`projdiff.models.build_finite_pair`), so it is certified by one
     exact comparison and diagonalized as it is.
     """
-    return SpectralDecomposition(*hermitian_eigh(hermitian(_as_array(matrix))))
+    return SpectralDecomposition(*hermitian_eigh(hermitian(_as_array(matrix)), certified=True))
 
 
 @dataclass(frozen=True)
@@ -306,7 +462,7 @@ class TridiagonalBands:
         if self.free_chain is not None:
             return self._chain_values(self._modes(lo, hi))
         if (lo, hi) == (0, n):
-            return sla.eigh_tridiagonal(self.diagonal, self.offdiagonal, eigvals_only=True)
+            return tridiagonal_eigvalsh(self.diagonal, self.offdiagonal)
         return np.ravel([self._stebz(k, k + 1, 0.0)[0] for k in range(lo, hi)])
 
     def eigenpairs(self, lo, hi):
@@ -506,17 +662,20 @@ class WindowSystem:
     offdiagonal: np.ndarray
 
     def solve(self, rhs):
-        """The system's inverse applied to rhs (a vector or columns), by the
-        banded LU of ``solve_banded``, into a complex copy of rhs."""
-        # a complex copy: for a 1 x 1 system solve_banded divides it in place
-        b = np.array(rhs, dtype=complex)
-        if len(b) == 0:
+        """The system's inverse applied to rhs (a vector or columns), into a
+        complex copy of rhs: a 1 x 1 system by one division, a larger one by
+        LAPACK ``zgtsv``, an LU with partial pivoting.  A singular system
+        raises ``LinAlgError``."""
+        b = np.array(rhs, dtype=complex, order="F")
+        if b.size == 0:
             return b
-        ab = np.zeros((3, len(self.diagonal)), dtype=complex)
-        ab[0, 1:] = self.offdiagonal
-        ab[1, :] = self.diagonal
-        ab[2, :-1] = self.offdiagonal
-        return sla.solve_banded((1, 1), ab, b, overwrite_b=True)
+        if len(b) == 1:
+            b /= self.diagonal[0]
+            return b
+        off = self.offdiagonal.astype(complex)
+        if lapack.zgtsv(off, self.diagonal.astype(complex), off.copy(), b):
+            raise np.linalg.LinAlgError("singular matrix")
+        return b
 
     def pivots(self):
         """The LDL^T pivots p_1 = d_1, p_(i+1) = d_(i+1) - e_i^2 / p_i; their

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy import sparse
+# random_gapped_pair draws from numpy.random: imported with the package, not
+# inside the first run that builds a random pair
+import numpy.random  # noqa: F401
 
 from .errors import DecayBoundError, GapViolationError, NonHermitianError, ResidualError
 from . import linalg
@@ -29,7 +31,7 @@ from .linalg import DenseHermitian, SpectralDecomposition, TridiagonalBands
 from .quadrature import legendre_rule
 
 __all__ = [
-    "OperatorPair", "PotentialSpec", "ResolventTransform",
+    "CouplingBlock", "OperatorPair", "PotentialSpec", "ResolventTransform",
     "build_finite_pair", "build_krein", "build_schrodinger_1d",
     "random_gapped_pair", "resolvent_transform", "shift_pair",
     "sech2_spec", "square_well_spec", "preset_pair", "preset_defaults", "preset_names",
@@ -48,6 +50,70 @@ def thresholds():
 
 
 @dataclass(frozen=True)
+class CouplingBlock:
+    """G (k x dim) of a band pair as its coupling-window block: ``block``
+    (k x (hi - lo), dense) holds the columns lo, ..., hi - 1 of G, and G
+    vanishes outside them.  G is applied through the block's nonzeros (one
+    per row on a Schrodinger box), in O(nonzeros) per column."""
+
+    block: np.ndarray
+    lo: int
+    dim: int
+
+    @property
+    def shape(self):
+        return self.block.shape[0], self.dim
+
+    @property
+    def window(self):
+        """(lo, hi): the columns the block holds."""
+        return self.lo, self.lo + self.block.shape[1]
+
+    def toarray(self):
+        """G as a dense k x dim array, for dense consumers."""
+        g = np.zeros(self.shape, dtype=self.block.dtype)
+        g[:, slice(*self.window)] = self.block
+        return g
+
+    @functools.cached_property
+    def _nonzeros(self):
+        """(rows, columns, values) of the block's nonzeros, in row order."""
+        # flatnonzero of the mask is several times faster than a 2-d nonzero
+        rows, cols = np.divmod(np.flatnonzero(self.block != 0), self.block.shape[1])
+        return rows, cols, self.block[rows, cols]
+
+    def apply(self, x):
+        """G x for x given on the window rows (hi - lo of them): k rows, each
+        the sum, in column order, of its nonzeros times the rows of x they
+        read; a row with one nonzero is that one product."""
+        rows, cols, values = self._nonzeros
+        out = np.zeros((self.block.shape[0],) + x.shape[1:], dtype=np.result_type(values, x))
+        if len(rows):
+            start = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            terms = values[:, None] * x[cols]
+            out[rows[start]] = terms if len(start) == len(rows) else np.add.reduceat(terms, start)
+        return out
+
+    def gram_terms(self, v0):
+        """(i, j, x): the terms x = G_ri V0_rs G_sj of G^T V0 G on the window,
+        for a real G and V0, one for each pair of nonzeros G_ri and G_sj that
+        a nonzero V0_rs joins; entry (i, j) is the sum of its terms.  A
+        Schrodinger box's G and diagonal V0 give one term a row."""
+        rows, cols, values = self._nonzeros
+        start = np.searchsorted(rows, np.arange(len(v0) + 1))
+        count = np.diff(start)
+        r, s = np.divmod(np.flatnonzero(v0 != 0), len(v0))
+        pairs = count[r] * count[s]
+        # the pairs of each entry of v0, numbered within it: nonzero p of
+        # row r with nonzero q of row s
+        e = np.repeat(np.arange(len(r)), pairs)
+        i = np.arange(len(e)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        r, s = r[e], s[e]
+        p, q = start[r] + i // count[s], start[s] + i % count[s]
+        return cols[p], cols[q], values[p] * v0[r, s] * values[q]
+
+
+@dataclass(frozen=True)
 class OperatorPair:
     """A pair H0 and H = H0 + G* V0 G with the factorization kept explicit.
 
@@ -57,10 +123,11 @@ class OperatorPair:
     queries (counts below a value, eigenvalues and eigenpairs by index).
     The dense ``h0`` and ``h`` of a band pair are built on first use, for
     dense consumers only.  ``g`` maps the main space into the coupling
-    space (kdim x dim), as an array for a dense pair and as a real
-    ``csr_array`` of its nonzeros for a band pair; ``v0`` is Hermitian on
-    the coupling space (real symmetric for a band pair).  It holds its
-    factorization only; a model's grid or rule comes from its inputs.
+    space (kdim x dim), as an array for a dense pair and, for a band pair,
+    as the real :class:`CouplingBlock` of its coupling window, with no
+    dense kdim x dim array; ``v0`` is Hermitian on the coupling space (real
+    symmetric for a band pair).  It holds its factorization only; a model's
+    grid or rule comes from its inputs.
 
     Every probe consumer reads its eigenpairs through one step,
     :meth:`probe_basis` (counts and gaps alone through :meth:`probe_gaps`),
@@ -110,16 +177,16 @@ class OperatorPair:
     def h(self):
         return self._dense[1]
 
-    @functools.cached_property
+    @property
     def coupling_window(self):
-        """(lo, hi): every nonzero column of ``g`` lies in lo, ..., hi - 1."""
-        cols = self.g.nonzero()[1]
-        return (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
+        """(lo, hi) of a band pair: every nonzero column of ``g`` lies in
+        lo, ..., hi - 1, the columns its block holds."""
+        return self.g.window
 
     def factorization_residual(self):
         """||h - h0 - G* V0 G||_2, the largest |eigenvalue| of that Hermitian matrix."""
-        v = self.g.conj().T @ self.v0 @ self.g
-        return linalg.hermitian_norm(self.h - self.h0 - v)
+        g = _dense(self.g)
+        return linalg.hermitian_norm(self.h - self.h0 - g.conj().T @ self.v0 @ g)
 
     @functools.cached_property
     def eigenvalues(self):
@@ -201,6 +268,11 @@ class OperatorPair:
                      for ops, es in zip(zip(*self.parity_blocks), zip(*bases)))
 
 
+def _dense(g):
+    """G as an array: ``toarray()`` of a sparse or :class:`CouplingBlock` G."""
+    return g.toarray() if hasattr(g, "toarray") else g
+
+
 def _finite(m, name):
     m = np.asarray(m)
     if not np.all(np.isfinite(m)):
@@ -221,12 +293,14 @@ def build_finite_pair(h0, g, v0):
     """Assemble an :class:`OperatorPair` from its factorization, and from nothing else.
 
     ``h0`` is a dense Hermitian matrix or a :class:`TridiagonalBands`, and
-    ``g`` a dense or ``scipy.sparse`` array.  A band pair is real
-    symmetric: ValueError names ``h0``, ``g`` or ``v0`` when one of them
-    is complex.  From bands, G* V0 G is formed from the nonzeros of ``g``;
-    it must be tridiagonal, and the pair stores the bands of h0 and h and
-    ``g`` as a ``csr_array``, with no n x n or dense k x n array; a dense
-    pair stores ``g`` dense, and h0 and h as the
+    ``g`` a dense array, a sparse one (anything with ``toarray()``) or a
+    :class:`CouplingBlock`.  A band pair is real symmetric: ValueError
+    names ``h0``, ``g`` or ``v0`` when one of them is complex.  From bands,
+    the pair stores ``g`` as the :class:`CouplingBlock` of its coupling
+    window, the columns from its first nonzero one to its last; G* V0 G is
+    formed on the window from the block's nonzeros and must be tridiagonal
+    there, and the pair stores the bands of h0 and h, with no n x n or
+    dense k x n array.  A dense pair stores ``g`` dense, and h0 and h as the
     :class:`projdiff.linalg.DenseHermitian` of their Hermitian parts
     (M + M*) / 2, h formed as h0 + G* V0 G from the ``h0`` given.  Either
     way the pair stores ``v0`` as its certified Hermitian part, the input
@@ -241,20 +315,23 @@ def build_finite_pair(h0, g, v0):
     if banded:
         _finite(np.concatenate([h0.diagonal, h0.offdiagonal]), "h0")
         n = h0.dim
-        g = sparse.csr_array(g)
-        _finite(g.data, "g")
     else:
         h0, h0_part = np.asarray(h0), _hermitian(h0, "h0")
         n = h0.shape[0]
-        g = _finite(g.toarray() if sparse.issparse(g) else g, "g")
+    if banded and isinstance(g, CouplingBlock):
+        # an entry that is not finite is a nonzero
+        _finite(g._nonzeros[2], "g")
+    else:
+        g = _finite(_dense(g), "g")
     v0 = _hermitian(v0, "v0")
-    if g.ndim != 2 or g.shape[1] != n or v0.shape[0] != g.shape[0]:
+    if len(g.shape) != 2 or g.shape[1] != n or v0.shape[0] != g.shape[0]:
         raise ValueError("inconsistent dimensions in (h0, g, v0)")
     if banded:
-        for name, x in (("h0", h0.diagonal), ("h0", h0.offdiagonal), ("g", g), ("v0", v0)):
+        for name, x in (("h0", h0.diagonal), ("h0", h0.offdiagonal),
+                        ("g", getattr(g, "block", g)), ("v0", v0)):
             if np.iscomplexobj(x):
                 raise ValueError(f"{name} is complex; a band pair is real symmetric")
-        return _band_pair(h0, g, v0)
+        return _band_pair(h0, _window_block(g), v0)
     v = g.conj().T @ v0 @ g
     h = h0 + v
     # both operators are stored exactly Hermitian, so that their eigensolves
@@ -274,14 +351,34 @@ def _check_factorization(resid, scale):
         raise ResidualError(f"factorization residual {resid:.3e}", resid, bound)
 
 
+def _window_block(g):
+    """The :class:`CouplingBlock` of G, an array or a block, on its tight
+    window, from its first nonzero column to its last; (0, 0) when G is 0.
+    A block already tight is returned as it is, any other is a copy."""
+    block = g if isinstance(g, CouplingBlock) else CouplingBlock(g, 0, g.shape[1])
+    cols = block._nonzeros[1]
+    first, last = (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
+    if block is g and (first, last) == (0, g.block.shape[1]):
+        return g
+    return CouplingBlock(block.block[:, first:last].copy(), block.lo + first if cols.size else 0,
+                         block.dim)
+
+
 def _band_pair(b0, g, v0):
-    """The band pair of :func:`build_finite_pair`: G* V0 G from g, a real csr_array."""
-    v = (g.T @ sparse.csr_array(v0)) @ g
-    lo, d, up = (v.diagonal(k) for k in (-1, 0, 1))
-    if v.count_nonzero() != sum(np.count_nonzero(x) for x in (lo, d, up)):
-        c = v.tocoo()
-        mass = np.linalg.norm(c.data[abs(c.row - c.col) > 1])
-        raise ResidualError("G* V0 G leaves the three central diagonals", mass, 0.0)
+    """The band pair of :func:`build_finite_pair`: G* V0 G from the terms of
+    g, a real :class:`CouplingBlock` (see :meth:`CouplingBlock.gram_terms`),
+    placed in the bands."""
+    i, j, x = g.gram_terms(v0)
+    far = np.abs(i - j) > 1
+    if np.any(far):
+        width = g.block.shape[1]
+        mass = np.linalg.norm(np.bincount(i[far] * width + j[far], x[far]))
+        if mass:
+            raise ResidualError("G* V0 G leaves the three central diagonals", mass, 0.0)
+    # the entries (m + 1, m), (m, m) and (m, m + 1) of the window, at m + lo of
+    # the bands below, on and above the diagonal
+    lo, d, up = (np.bincount(g.lo + np.minimum(i, j)[j - i == k], x[j - i == k],
+                             minlength=g.dim - abs(k)) for k in (-1, 0, 1))
     off0 = b0.offdiagonal
     b1 = TridiagonalBands(b0.diagonal + d, off0 + 0.5 * (lo + up))
     # h - h0 - G* V0 G vanishes off the three diagonals, so its Frobenius
@@ -398,7 +495,8 @@ def build_schrodinger_1d(spec):
     SUPPORT_FLOOR; the pair's potential is the thresholded one, so
     the factorization H = H0 + G* V0 G is exact.  The pair is built from
     the bands of H0 (2/h^2 on the diagonal, -1/h^2 beside it) and stores
-    the bands of H0 and H, and G, one nonzero per row, as a csr_array.
+    the bands of H0 and H, and G, one nonzero per row, as the
+    :class:`CouplingBlock` of the support of V.
     """
     if spec.decay_exponent <= 1:
         raise ValueError("decay exponent must exceed 1")
@@ -415,9 +513,11 @@ def build_schrodinger_1d(spec):
     n = spec.n
     h0 = TridiagonalBands(np.full(n, 2.0) / h ** 2, np.full(n - 1, -1.0) / h ** 2)
     idx = np.flatnonzero(np.abs(v) > SUPPORT_FLOOR)
-    g = sparse.csr_array((np.sqrt(np.abs(v[idx])), idx, np.arange(len(idx) + 1)),
-                         shape=(len(idx), n))
+    lo = int(idx[0]) if idx.size else 0
+    block = np.zeros((idx.size, idx[-1] + 1 - lo if idx.size else 0))
+    block[np.arange(idx.size), idx - lo] = np.sqrt(np.abs(v[idx]))
     v0 = np.diag(np.sign(v[idx]))
+    g = CouplingBlock(block, lo, n)
     return build_finite_pair(h0, g, v0)
 
 
@@ -492,8 +592,9 @@ def resolvent_transform(pair, shift):
     h0t = np.linalg.solve(pair.h0 - shift * eye, eye)
     ht = np.linalg.solve(pair.h - shift * eye, eye)
     h0t, ht = linalg.hermitian_part(h0t), linalg.hermitian_part(ht)
-    g = pair.g @ h0t
-    w0 = linalg.hermitian_part(-pair.v0 + pair.v0 @ (pair.g @ ht @ pair.g.conj().T) @ pair.v0)
+    g = _dense(pair.g)
+    w0 = linalg.hermitian_part(-pair.v0 + pair.v0 @ (g @ ht @ g.conj().T) @ pair.v0)
+    g = g @ h0t
     transformed = OperatorPair((DenseHermitian(h0t), DenseHermitian(ht)), g, w0)
     return ResolventTransform(transformed, float(shift))
 

@@ -122,9 +122,8 @@ def _sandwich_one(pair, which, z):
     # block of the resolvent is needed: one banded solve of the window
     # system for all of G*, with G applied through its nonzeros
     lo, hi = pair.coupling_window
-    gw = g[:, lo:hi]
-    rhs, window = gw.T.toarray(), pair.operators[which].window
-    blocks = [gw @ window(x, lo, hi).solve(rhs) for x in z.ravel()]
+    window = pair.operators[which].window
+    blocks = [g.apply(window(x, lo, hi).solve(g.block.T)) for x in z.ravel()]
     return np.array(blocks).reshape(z.shape + (pair.kdim, pair.kdim))
 
 
@@ -154,10 +153,7 @@ def _stack_inverse(m):
     far below that margin.  The rungs it cannot accept, or every rung when
     an LU of the stack meets an exact zero pivot, take the exact condition
     number s_max / s_min from :func:`projdiff.linalg.svd` (inf when s_min
-    is 0), which decides, and are inverted alone.  The inverse is numpy's
-    rather than scipy's: scipy's LAPACK runs on a second BLAS thread pool,
-    and alternating the two pools slowed the calls on either side of the
-    switch several-fold.
+    is 0), which decides, and are inverted alone.
     """
     try:
         inverse = np.linalg.inv(m)
@@ -339,7 +335,8 @@ def neville(eps_values, samples):
     e = np.asarray(eps_values, dtype=float).reshape((-1,) + (1,) * (v.ndim - 1))
     if len(e) != len(v) or len(e) < 1:
         raise ValueError("need matching nonempty eps/sample sequences")
-    if len(np.unique(e)) < len(e):
+    rungs = np.sort(e.ravel())
+    if np.any(rungs[1:] == rungs[:-1]):
         raise ValueError("need distinct eps values")
     m = len(e)
     for j in range(1, m):
@@ -508,10 +505,10 @@ def _channel_core(pair, probe, lo, hi, d, t):
     a0, a1 = (b.window(probe, lo, hi, (c, c)) for b in pair.operators)
     ends = np.zeros((hi - lo, 2))
     ends[0, 0] = ends[-1, 1] = 1.0
-    gw = pair.g[:, lo:hi]
-    x = gw @ a0.solve(ends) * (t * np.sqrt(c.imag))
+    g = pair.g
+    x = g.apply(a0.solve(ends)) * (t * np.sqrt(c.imag))
     vx = _real_times(pair.v0, x)
-    tvx = gw @ a1.solve(gw.T @ vx)
+    tvx = g.apply(a1.solve(_real_times(g.block.T, vx)))
     smat = np.eye(2) - 2j * x.conj().T @ (vx - _real_times(pair.v0, tvx))
     p0, p1 = a0.pivots(), a1.pivots()
     top = np.max(np.r_[p0.imag, p1.imag])

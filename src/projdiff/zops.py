@@ -48,9 +48,18 @@ def _split_systems(pair, probe):
     and the spectral gap at the probe, from the pair's probe step (on a
     mirror-symmetric band pair, its parity blocks', unfolded)."""
     gaps, _, bases = pair.probe_basis(probe, (+1, -1))
-    e0, e1 = ((e.eigenvalues - probe, e.eigenvectors, e.eigenvectors.conj().T @ pair.g.conj().T)
+    e0, e1 = ((e.eigenvalues - probe, e.eigenvectors, _coupled(pair, e.eigenvectors))
               for e in pair.unfold(bases))
     return min(gaps), e0, e1
+
+
+def _coupled(pair, u):
+    """U* G* for the columns u; a band pair's real G applied to the window
+    rows of u through the nonzeros of its block."""
+    if not pair.banded:
+        return u.conj().T @ pair.g.conj().T
+    lo, hi = pair.coupling_window
+    return pair.g.apply(u[lo:hi]).T
 
 
 def default_time_rule(gap, n_t=120):

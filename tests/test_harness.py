@@ -385,14 +385,14 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
     # full spectrum (no eigenvalues-only solve of every index), takes the
     # free chain H0 and its parity blocks in closed form (no banded
     # eigensolve of them), and solves H on its folded blocks, n / 2 long
-    # full-range eigenvalues come from eigh_tridiagonal, selected ones and
-    # eigenpairs from LAPACK's dstebz (range 2: by index; 0 would be all)
-    # and dstein: all are spied.
+    # full-range eigenvalues come from LAPACK's dstevd, selected ones and
+    # eigenpairs from dstebz (range 2: by index; 0 would be all) and
+    # dstein: all are spied.
     # Sturm counts are dstebz's range-1 calls on -M over (vl, vu], at an
     # abstol of at least vu - vl: recorded apart, with M negated back
     from projdiff import linalg
     calls, counts = [], []
-    original = linalg.sla.eigh_tridiagonal
+    original_stevd = linalg.lapack.dstevd
     original_stebz, original_stein = linalg.lapack.dstebz, linalg.lapack.dstein
     cfg = ExperimentConfig(model="schrodinger:sech2", probes=(0.680619,),
                            eps_ladder=(0.3, 0.2, 0.1, 0.05))
@@ -403,9 +403,9 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
         calls.append((eigvals_only, select, len(d),
                       any(np.array_equal(d, b.diagonal) for b in [pair.operators[0], *h0_blocks])))
 
-    def spy(d, e, **kwargs):
-        record(kwargs.get("eigvals_only", False), kwargs.get("select", "a"), d)
-        return original(d, e, **kwargs)
+    def spy_stevd(d, e):
+        record(True, "a", d)
+        return original_stevd(d, e)
 
     def spy_stebz(d, e, select, *args):
         if select == 1:
@@ -420,7 +420,7 @@ def test_sech2_run_solves_no_full_spectrum_and_no_banded_h0(monkeypatch):
         record(False, "i", d)
         return original_stein(d, e, *args)
 
-    monkeypatch.setattr(linalg.sla, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(linalg.lapack, "dstevd", spy_stevd)
     monkeypatch.setattr(linalg.lapack, "dstebz", spy_stebz)
     monkeypatch.setattr(linalg.lapack, "dstein", spy_stein)
     assert pair.operators[0].free_chain is not None and pair.operators[1].free_chain is None

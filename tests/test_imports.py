@@ -1,11 +1,14 @@
 """Module boundaries: a name with a leading underscore stays in its module,
 a Hermitian part (M + M*) / 2 is formed in linalg only, and so is every SVD,
 every Hermitian eigensolve and the margin of the cheap accept of a 2-norm
-contract."""
+contract.  No module imports scipy when the package is imported, and a run
+imports nothing."""
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "projdiff")
@@ -63,6 +66,62 @@ def _eigensolve_calls(source):
     ``np.linalg.eigh`` or ``np.linalg.eigvalsh``."""
     return [(name, scope) for name, scope, _ in
             _calls(source, ("np.linalg.eigh", "np.linalg.eigvalsh"))]
+
+
+def _import_time_modules(source):
+    """Every module ``source`` imports by absolute name outside a function
+    body, that is when the module itself is imported."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_no_module_imports_scipy_with_the_package():
+    # scipy is the LAPACK fallback only, imported by the function that binds it
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            offenders += [(os.path.basename(path), name) for name in _import_time_modules(fh.read())
+                          if name.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+# a run of every preset, the acceptance suite and a study in a fresh process:
+# the modules they add, and whether scipy's linalg or sparse is loaded
+_RUNS = """
+import sys
+import projdiff
+from projdiff import acceptance, harness, models
+probes = {"krein": 0.5, "finite:random": 0.0}
+before = set(sys.modules)
+for name in models.preset_names():
+    harness.run_experiment(harness.ExperimentConfig(model=name, probes=(probes.get(name, 1.0),)))
+acceptance.run_all(echo=None)
+harness.convergence_study(harness.ExperimentConfig(model="finite:random", probes=(0.0,),
+                                                   sizes=(16, 20, 24)), "n")
+print(sorted(set(sys.modules) - before))
+print([m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules])
+"""
+
+
+def test_a_run_imports_no_module_and_no_scipy():
+    src = os.path.dirname(PACKAGE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _RUNS], capture_output=True, text=True,
+                         env=env, check=True).stdout.splitlines()
+    assert out[-2:] == ["[]", "[]"]
 
 
 def test_no_module_imports_a_siblings_private_name():
@@ -170,6 +229,17 @@ def test_hand_hermitian_parts_are_found():
               "s = (m - _ct(m)) / 2j\n"
               "x = 0.5 * (a + b)\n")
     assert _hand_hermitian_parts(source) == [1, 2]
+
+
+def test_import_time_modules_are_found():
+    source = ("import numpy as np, scipy.linalg\n"
+              "from scipy import sparse\n"
+              "from .linalg import svd\n"
+              "try:\n    import ctypes\nexcept ImportError:\n    pass\n"
+              "class A:\n    import json\n"
+              "def f():\n    from scipy.linalg import cython_lapack\n"
+              "g = lambda: __import__('os')\n")
+    assert _import_time_modules(source) == ["numpy", "scipy.linalg", "scipy", "ctypes", "json"]
 
 
 def test_private_imports_are_found():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -66,6 +68,22 @@ def test_herm_eig_takes_the_hermitian_part_of_a_near_hermitian_matrix(monkeypatc
         w, v = np.linalg.eigh(ref)
         assert np.array_equal(dec.eigenvalues, w) and np.array_equal(dec.eigenvectors, v)
     assert checked == [(6, 6)]
+
+
+def test_herm_eig_compares_a_certified_matrix_once(monkeypatch):
+    # one exact comparison with the conjugate transpose certifies the matrix
+    # and is its Hermitian part; the eigensystem is eigh's of the matrix
+    m = random_hermitian(400, 4)
+    assert np.array_equal(m, m.conj().T)
+    compared, original = [], np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b, *args, **kw: compared.append(np.shape(a)) or
+                        original(a, b, *args, **kw))
+    dec = herm_eig(m)
+    monkeypatch.undo()
+    assert compared == [(400, 400)]
+    w, v = np.linalg.eigh(m)
+    assert np.array_equal(dec.eigenvalues, w) and np.array_equal(dec.eigenvectors, v)
 
 
 def _exact_defect(m):
@@ -1011,3 +1029,161 @@ def test_sylvester_vector_operands_keep_the_contract():
 def test_sylvester_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="rows of A"):
         sylvester_solve(np.array([1.0, 2.0]), np.array([5.0]), np.ones((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK bindings, bit for bit against scipy's wrappers
+# ---------------------------------------------------------------------------
+
+def _stebz_pairs(bands, probes=(0.62, 1.0, 1.19)):
+    """(lo, hi) index ranges of the probe step on ``bands``: below and
+    beside each probe."""
+    ranges = []
+    for probe in probes:
+        m = bands.count_below(probe)
+        ranges += [(0, m), (max(m - 1, 0), min(m + 1, bands.dim))]
+    return [(lo, hi) for lo, hi in ranges if hi > lo]
+
+
+def _assert_same_stebz(ours, theirs):
+    """Two dstebz results agree bit for bit on what they define: the count,
+    the info, the first m values and blocks, and the splits the blocks use."""
+    (m, w, block, split, info), (m_, w_, block_, split_, info_) = ours, theirs
+    assert (m, info) == (m_, info_)
+    assert np.array_equal(w[:m], w_[:m]) and np.array_equal(block[:m], block_[:m])
+    used = int(block[:m].max(initial=0))
+    assert np.array_equal(split[:used], split_[:used])
+
+
+def test_dstebz_and_dstein_match_scipys_wrappers_on_the_shipped_blocks(shipped_h_blocks):
+    # by index, at the coarse abstol of the eigenpairs and at 0, with the
+    # dstein vectors of the coarse values, and the Sturm counts at the probes
+    from scipy.linalg import lapack as scipy_lapack
+    blocks = [b for bs in shipped_h_blocks.values() for b in bs]
+    assert len(blocks) == 4 and all(b.free_chain is None for b in blocks)
+    for b in blocks:
+        d, e, vl = b.diagonal, b._links, -1.0 - b._norm1
+        for lo, hi in _stebz_pairs(b):
+            for abstol in (linalg.BAND_BISECTION_TOL * b._norm1, 0.0):
+                for order in ("E", "B"):
+                    args = (d, e, 2, vl, 0.0, lo + 1, hi, abstol, order)
+                    ours, theirs = linalg.lapack.dstebz(*args), scipy_lapack.dstebz(*args)
+                    _assert_same_stebz(ours, theirs)
+                # the vectors of the block-ordered values, as eigenpairs asks
+                m, w, block, split, _ = ours
+                z, info = linalg.lapack.dstein(d, e, w[:m], block, split)
+                z_, info_ = scipy_lapack.dstein(d, e, w[:m], block, split)
+                assert info == info_ and np.array_equal(z, z_)
+                assert z.flags.f_contiguous and z_.flags.f_contiguous
+        for probe in (0.62, 1.0, 1.19):
+            args = (-d, e, 1, vl, -probe, 0, 0, -probe - vl, "E")
+            ours, theirs = linalg.lapack.dstebz(*args), scipy_lapack.dstebz(*args)
+            assert (ours[0], ours[4]) == (theirs[0], theirs[4])
+
+
+def test_dstevd_values_match_eigh_tridiagonal():
+    # the Legendre Jacobi matrices of every rule size the package builds,
+    # and random bands, with and without a zero link
+    for n in range(2, 401):
+        k = np.arange(1.0, n)
+        d, e = np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0)
+        assert np.array_equal(linalg.tridiagonal_eigvalsh(d, e),
+                              sla.eigh_tridiagonal(d, e, eigvals_only=True))
+    rng = np.random.default_rng(17)
+    for n, cut in ((1, False), (2, False), (9, True), (200, False), (801, True)):
+        b = _random_bands(rng, n, cut)
+        assert np.array_equal(b.eigenvalues(), sla.eigh_tridiagonal(
+            b.diagonal, b.offdiagonal, eigvals_only=True))
+
+
+def test_zgtsv_window_solves_match_solve_banded():
+    # 1 x 1 systems (a division), one and several right-hand sides, interior
+    # windows and windows at either end of the box, against solve_banded
+    rng = np.random.default_rng(18)
+    n = 40
+    bands = _random_bands(rng, n, False)
+    for lo, hi in ((0, n), (0, 1), (n - 1, n), (0, 9), (31, n), (12, 13), (10, 27)):
+        for z in (0.3 + 0.02j, -1.1 + 0.4j):
+            system = bands.window(z, lo, hi)
+            ab = np.zeros((3, hi - lo), dtype=complex)
+            ab[0, 1:], ab[1], ab[2, :-1] = system.offdiagonal, system.diagonal, system.offdiagonal
+            for shape in ((hi - lo,), (hi - lo, 1), (hi - lo, 5)):
+                rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                x = system.solve(rhs)
+                assert x.shape == rhs.shape and x.dtype == complex
+                assert np.array_equal(x, sla.solve_banded((1, 1), ab, rhs))
+    # the solve leaves its right-hand side alone, and an empty one is empty
+    rhs = np.ones((n, 2))
+    bands.window(0.5j, 0, n).solve(rhs)
+    assert np.array_equal(rhs, np.ones((n, 2)))
+    assert bands.window(0.5j, 0, n).solve(np.ones((n, 0))).shape == (n, 0)
+
+
+def test_lapack_error_paths_keep_their_texts(monkeypatch):
+    # a short dstebz (info 0, fewer values than asked) is a LinAlgError, as a
+    # failed one is; a singular window system is scipy's "singular matrix";
+    # a failed dstevd names its info
+    bands = _random_bands(np.random.default_rng(6), 20, False)
+    original = linalg.lapack.dstebz
+
+    def short(*args):
+        m, w, block, split, info = original(*args)
+        return m - 2, w, block, split, info
+
+    monkeypatch.setattr(linalg.lapack, "dstebz", short)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dstebz failed \(info 0, 3 of 5 "
+                                                    r"eigenvalues\)$"):
+        bands.eigenpairs(2, 7)
+    monkeypatch.undo()
+    singular = linalg.WindowSystem(np.ones(2, dtype=complex), np.ones(1))
+    with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+        singular.solve(np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+        sla.solve_banded((1, 1), np.ones((3, 2), dtype=complex), np.ones(2))
+    # arrays a routine would read or write past their ends are refused
+    ones = np.ones(4, dtype=complex)
+    for call in (lambda: linalg.lapack.dstebz(np.ones(4), np.ones(2), 2, 0.0, 0.0, 1, 2, 0.0),
+                 lambda: linalg.lapack.dstein(np.ones(4), np.ones(3), np.ones(5), *[np.ones(4)] * 2),
+                 lambda: linalg.lapack.dstevd(np.ones(4), np.ones(2)),
+                 lambda: linalg.lapack.zgtsv(ones[:3], ones, ones[:3], np.ones((4, 2)) + 0j),
+                 lambda: linalg.lapack.zgtsv(ones[:3], ones, ones[:2], ones.copy())):
+        with pytest.raises(ValueError, match="^LAPACK arguments: "):
+            call()
+    monkeypatch.setattr(linalg.lapack, "dstevd", lambda d, e: (np.array(d), 3))
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dstevd failed \(info 3\)$"):
+        linalg.tridiagonal_eigvalsh(np.zeros(3), np.ones(2))
+
+
+def test_the_scipy_backend_gives_the_same_bits(monkeypatch, shipped_h_blocks):
+    # the fallback binds scipy's cython_lapack (32-bit integers) and gives
+    # every routine's bits: counts, selected values, eigenpairs, full
+    # spectra and window solves
+    assert linalg.lapack.integer is linalg.ctypes.c_int64
+    block = shipped_h_blocks["schrodinger:sech2"][0]
+    rng = np.random.default_rng(19)
+    bands = _random_bands(rng, 30, True)
+    rhs = rng.standard_normal((12, 3)) + 0j
+
+    def outputs():
+        m = block.count_below(1.0)
+        e = block.eigenpairs(0, m)
+        return [m, block.eigenvalues(m - 1, m + 1), e.eigenvalues, e.eigenvectors,
+                bands.eigenvalues(), bands.window(0.2 + 0.1j, 9, 21).solve(rhs),
+                bands.window(0.2 + 0.1j, 4, 5).solve(rhs[:1])]
+
+    ours = outputs()
+    fallback = linalg._scipy_lapack()
+    assert fallback.integer is linalg.ctypes.c_int32
+    monkeypatch.setattr(linalg, "lapack", fallback)
+    for a, b in zip(ours, outputs()):
+        assert np.array_equal(a, b)
+
+
+def test_the_numpy_backend_needs_the_library_and_its_routines(tmp_path):
+    # no OpenBLAS in the directory, or one without the routines: no backend
+    assert linalg._numpy_lapack(str(tmp_path)) is None
+    assert linalg._numpy_lapack(str(tmp_path / "missing")) is None
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    other = next(name for name in sorted(os.listdir(libs)) if "openblas" not in name)
+    os.symlink(os.path.join(libs, other), tmp_path / "libscipy_openblas64_stub.so")
+    assert linalg._numpy_lapack(str(tmp_path)) is None

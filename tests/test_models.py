@@ -9,9 +9,9 @@ from scipy import sparse
 from projdiff import linalg, models, scattering
 from projdiff.errors import DecayBoundError, GapViolationError, ProjdiffError, ResidualError
 from projdiff.linalg import TridiagonalBands
-from projdiff.models import (build_finite_pair, build_krein, build_schrodinger_1d,
-                             preset_defaults, preset_names, preset_pair, random_gapped_pair,
-                             resolvent_transform, sech2_spec, shift_pair,
+from projdiff.models import (CouplingBlock, build_finite_pair, build_krein,
+                             build_schrodinger_1d, preset_defaults, preset_names, preset_pair,
+                             random_gapped_pair, resolvent_transform, sech2_spec, shift_pair,
                              square_well_spec, thresholds)
 from projdiff.projections import projection_difference
 from projdiff.quadrature import legendre_rule
@@ -610,28 +610,36 @@ def test_band_pair_rejects_complex_pieces():
         build_finite_pair(complex_diagonal, g, v0)
 
 
-def test_band_pairs_hold_g_as_its_nonzeros():
-    # a band pair stores G as a csr_array of its nonzeros, one per row on a
-    # Schrodinger box, and no dense k x n array; a dense pair stores G dense,
-    # in whichever form it is given
+def test_band_pairs_hold_g_as_its_window_block():
+    # a band pair stores G as its coupling-window block, dense, one nonzero
+    # per row on a Schrodinger box, with the window equal to the support,
+    # and no dense k x n array; a dense pair stores G dense, in whichever
+    # form it is given
     spec = sech2_spec(1.0, 20.0, 399)
     pair = build_schrodinger_1d(spec)
-    assert sparse.issparse(pair.g) and pair.g.format == "csr"
-    assert pair.g.shape == (pair.kdim, 399) and pair.g.nnz == pair.kdim
+    assert isinstance(pair.g, CouplingBlock) and isinstance(pair.g.block, np.ndarray)
+    assert pair.g.shape == (pair.kdim, 399)
+    assert np.array_equal(np.count_nonzero(pair.g.block, axis=1), np.ones(pair.kdim))
     # the support is where |V| on the grid exceeds the floor, short of the box
     v = spec.samples(spec.grid()[0])
     support = np.flatnonzero(np.abs(v) > models.SUPPORT_FLOOR)
     assert 0 < support.size < 399
-    assert np.array_equal(pair.g.indices, support)
-    assert np.array_equal(pair.g.data, np.sqrt(np.abs(v[support])))
+    lo, hi = pair.coupling_window
+    assert (lo, hi) == (support[0], support[-1] + 1) and pair.g.block.shape == (pair.kdim, hi - lo)
+    rows, cols = np.nonzero(pair.g.block)
+    assert np.array_equal(rows, np.arange(pair.kdim)) and np.array_equal(lo + cols, support)
+    assert np.array_equal(pair.g.block[rows, cols], np.sqrt(np.abs(v[support])))
     bands, v0 = TridiagonalBands(np.full(8, 2.0), np.full(7, -1.0)), np.diag([1.0, -1.0])
     g = np.zeros((2, 8))
     g[0, 2], g[1, 3] = 0.5, 0.7
-    band = build_finite_pair(bands, g, v0)
-    assert sparse.issparse(band.g) and np.array_equal(band.g.toarray(), g)
+    for given in (g, sparse.csr_array(g)):
+        band = build_finite_pair(bands, given, v0)
+        # the block is its own array, not a view of a k x n one
+        assert band.g.window == (2, 4) and band.g.block.base is None
+        assert np.array_equal(band.g.block, g[:, 2:4]) and np.array_equal(band.g.toarray(), g)
     dense = build_finite_pair(bands.dense(), sparse.csr_array(g), v0)
     assert isinstance(dense.g, np.ndarray) and np.array_equal(dense.g, g)
-    # a sparse G is checked for finiteness on its stored entries
+    # a sparse G is checked for finiteness
     bad = sparse.csr_array(g)
     bad.data[1] = np.inf
     for h0 in (bands, bands.dense()):

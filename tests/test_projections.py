@@ -446,7 +446,8 @@ def test_corner_is_the_box_identity_quotient(build, probe):
     (m0, m1), _ = pair.probe_gaps(probe)
     b0, b1 = pair.operators
     above0, below1 = b0.eigenpairs(m0, pair.dim), b1.eigenpairs(0, m1)
-    w0, w1 = (e.eigenvectors.conj().T @ pair.g.conj().T for e in (above0, below1))
+    g = pair.g.toarray() if pair.banded else pair.g
+    w0, w1 = (e.eigenvectors.conj().T @ g.conj().T for e in (above0, below1))
     x = linalg.sylvester_solve(below1.eigenvalues - probe, above0.eigenvalues - probe,
                                -w1 @ pair.v0 @ w0.conj().T)
     squares = np.linalg.svd(x, compute_uv=False) ** 2

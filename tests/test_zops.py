@@ -186,8 +186,8 @@ def test_core_product_check_matches_dense(case, monkeypatch):
 
 
 def test_band_pair_product_check_matches_the_dense_build():
-    # the product check reads a band pair's sparse G through @, .conj() and
-    # .T; it gives what the same pair built dense gives, to roundoff: the
+    # the product check reads a band pair's G through its window block's
+    # nonzeros; it gives what the same pair built dense gives, to roundoff: the
     # band pair takes its gap from the two bisected eigenvalues beside the
     # probe and its eigenvectors from the banded solver and the closed form,
     # the dense build from its dense eigensystems.  A box this small
